@@ -2,7 +2,6 @@
 
 from .errors import (
     InternalInconsistency,
-    InterpolationError,
     InvariantFailure,
     NilharmonicError,
     ValidationError,
@@ -44,7 +43,6 @@ from .polynomials import (
     dim_pk,
     left_derivative,
     pk_basis,
-    product,
     restrict_to_sublattice,
     right_derivative,
     translate_left,

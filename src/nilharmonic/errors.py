@@ -17,9 +17,6 @@ class InternalInconsistency(NilharmonicError, RuntimeError):
     """A computation produced a state that should be impossible.
 
     Raised e.g. when a linear system that is guaranteed solvable turns out
-    inconsistent, or when interpolation detects a non-polynomial function.
+    inconsistent, or when a group law is not affine in the coordinates that
+    translation substitutes.
     """
-
-
-class InterpolationError(InternalInconsistency):
-    """Interpolated function was not a polynomial of the claimed degree."""

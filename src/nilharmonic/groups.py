@@ -16,7 +16,7 @@ lower central series), and coordinates are ordered by weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -62,6 +62,17 @@ class GroupSchema:
         for j, rank in enumerate(self.layer_ranks, start=1):
             if sum(1 for w in self.weights if w == j) != rank:
                 raise ValidationError(f"layer rank mismatch at weight {j}")
+
+    @cached_property
+    def _ut_products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Unitriangular law as a term list: for coordinate t at entry (i, j),
+        the index pairs (t_ik, t_kj) for i < k < j.  Entries are ordered by
+        weight, so t_kj < t and the same list serves the inverse."""
+        index = {pos: t for t, pos in enumerate(self.positions)}
+        return tuple(
+            tuple((index[(i, k)], index[(k, j)]) for k in range(i + 1, j))
+            for i, j in self.positions
+        )
 
     def weight(self, i: int) -> int:
         """Weight of coordinate ``i`` (1-based)."""
@@ -150,11 +161,6 @@ def unitriangular(n: int) -> GroupSchema:
     )
 
 
-@lru_cache(maxsize=None)
-def _ut_index(positions: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
-    return {pos: t for t, pos in enumerate(positions)}
-
-
 # -- coordinate arithmetic on raw tuples (hot paths) -------------------------
 
 def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,12 +170,11 @@ def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> t
         n = schema.size
         z = a[2 * n] + b[2 * n] + sum(a[i] * b[n + i] for i in range(n))
         return tuple(u + v for u, v in zip(a[: 2 * n], b[: 2 * n])) + (z,)
-    idx = _ut_index(schema.positions)
     out = []
-    for i, j in schema.positions:
-        v = a[idx[(i, j)]] + b[idx[(i, j)]]
-        for k in range(i + 1, j):
-            v += a[idx[(i, k)]] * b[idx[(k, j)]]
+    for t, pairs in enumerate(schema._ut_products):
+        v = a[t] + b[t]
+        for p, q in pairs:
+            v += a[p] * b[q]
         out.append(v)
     return tuple(out)
 
@@ -182,14 +187,13 @@ def inv_coords(schema: GroupSchema, a: tuple[int, ...]) -> tuple[int, ...]:
         z = -a[2 * n] + sum(a[i] * a[n + i] for i in range(n))
         return tuple(-u for u in a[: 2 * n]) + (z,)
     # solve A * X = I entry by entry, in order of increasing weight
-    idx = _ut_index(schema.positions)
-    out: dict[tuple[int, int], int] = {}
-    for i, j in schema.positions:
-        v = -a[idx[(i, j)]]
-        for k in range(i + 1, j):
-            v -= a[idx[(i, k)]] * out[(k, j)]
-        out[(i, j)] = v
-    return tuple(out[pos] for pos in schema.positions)
+    out = [0] * len(a)
+    for t, pairs in enumerate(schema._ut_products):
+        v = -a[t]
+        for p, q in pairs:
+            v -= a[p] * out[q]
+        out[t] = v
+    return tuple(out)
 
 
 def _require_conforming(schema: GroupSchema, g: GroupElement) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .linalg import Inconsistent, RationalMatrix
 from .polynomials import (
     Polynomial,
     dim_pk,
+    monomial_translates,
     pk_basis,
     translate_left,
     translate_right,
@@ -179,17 +181,27 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
         raise ValidationError("schema and measure do not match")
     domain = pk_basis(schema, k)
     codomain = pk_basis(schema, k - 2)
-    index = {m: i for i, m in enumerate(codomain)}
+    index = {m.exponents: i for i, m in enumerate(codomain)}
+    # columns of scale * Delta, in integers: scale * m - sum_s (scale mu(s)) m(x s)
+    scale = lcm(*(w.denominator for w in measure.atoms.values()))
+    columns = [{m.exponents: scale} for m in domain]
+    for s, w in measure.atoms.items():
+        ws = w.numerator * (scale // w.denominator)
+        for column, image in zip(columns, monomial_translates(schema, s, "right", domain)):
+            for exps, c in image.items():
+                column[exps] = column.get(exps, 0) - ws * c
     data = [[Fraction(0)] * len(domain) for _ in codomain]
-    for j, mono in enumerate(domain):
-        image = apply_laplacian(measure, Polynomial.from_monomial(schema, mono))
-        for m2, c in image.terms.items():
-            if m2 not in index:
+    for j, (mono, column) in enumerate(zip(domain, columns)):
+        for exps, c in column.items():
+            if not c:
+                continue
+            i = index.get(exps)
+            if i is None:
                 raise InternalInconsistency(
                     f"Laplacian image of {mono.exponents} contains out-of-range "
-                    f"monomial {m2.exponents}"
+                    f"monomial {exps}"
                 )
-            data[index[m2]][j] = c
+            data[i][j] = Fraction(c, scale)
     return RationalMatrix(len(codomain), len(domain), data)
 
 

@@ -75,9 +75,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def mul_vector(self, x: Sequence[RationalLike]) -> list[Fraction]:
         if len(x) != self.cols:
             raise ValidationError("vector length does not match column count")

@@ -6,29 +6,23 @@ coordinate.  The space of polynomials of degree at most k has the
 monomials of weighted degree <= k as a basis, listed here in graded
 order (degree first, ties by descending exponent lexicographic order).
 
-Translations x -> p(u x) and x -> p(x u) are computed by evaluating the
-translated function on a small integer grid and recovering coefficients
-with tensor Newton forward differences.  One mechanism serves every group
-family, and exact rational arithmetic makes it lossless.
+Translations x -> p(u x) and x -> p(x u) are computed by composition.  For
+every group family each coordinate of u x and of x u is an affine form
+L_t(x) = c_t + sum_i a_{t,i} x_i with integer coefficients, read off the
+group law itself, so a monomial x^a translates to prod_t L_t^{a_t}.  The
+same substitution, with linear forms taken from a matrix, restricts lattice
+polynomials to sublattices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InterpolationError, ValidationError
-from .groups import (
-    HEISENBERG,
-    LATTICE,
-    GroupElement,
-    GroupSchema,
-    mul_coords,
-)
+from .errors import InternalInconsistency, ValidationError
+from .groups import LATTICE, GroupElement, GroupSchema, mul_coords
 from .linalg import RationalMatrix
 
 
@@ -264,191 +258,116 @@ class Polynomial:
         return f"Polynomial({self.schema.name()}: {self})"
 
 
-def product(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Pointwise product; degrees add for non-zero factors."""
-    return p * q
+# -- translation by composition -----------------------------------------------
+
+# An affine form c + sum_i a_i x_i in the coordinates, stored as
+# (c, ((i, a_i), ...)) over the non-zero a_i (0-based i).
+AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
 
-# -- translation by interpolation ---------------------------------------------
+def _translation_forms(
+    schema: GroupSchema, u: GroupElement, side: str
+) -> tuple[AffineForm, ...]:
+    """The affine forms of the coordinates of u*x (side left) or x*u (side right).
 
-@lru_cache(maxsize=None)
-def _dependencies(schema: GroupSchema, side: str) -> tuple[tuple[int, ...], ...]:
-    """For each coordinate t of u*x (side left) or x*u (side right), the
-    0-based x-coordinates it can involve.  The product laws are affine in x,
-    so these sets bound both the variables and the per-variable degrees of a
-    translated polynomial."""
+    For every family these products are affine in x, so the forms are read
+    off the group law at 0 and at the unit vectors, then checked at one
+    further point.
+    """
     n = schema.n_coords
-    if schema.family == LATTICE:
-        return tuple((t,) for t in range(n))
-    if schema.family == HEISENBERG:
-        m = schema.size
-        deps = [(t,) for t in range(2 * m)]
-        if side == "left":
-            deps.append(tuple(range(m, 2 * m)) + (2 * m,))
-        else:
-            deps.append(tuple(range(m)) + (2 * m,))
-        return tuple(deps)
-    index = {pos: t for t, pos in enumerate(schema.positions)}
-    deps = []
-    for i, j in schema.positions:
-        if side == "left":
-            vars_ = [index[(k, j)] for k in range(i + 1, j)]
-        else:
-            vars_ = [index[(i, k)] for k in range(i + 1, j)]
-        vars_.append(index[(i, j)])
-        deps.append(tuple(sorted(vars_)))
-    return tuple(deps)
-
-
-@lru_cache(maxsize=None)
-def _falling_factorial_coeffs(t: int) -> tuple[int, ...]:
-    """Coefficients of x(x-1)...(x-t+1) by power of x."""
-    coeffs = [1]
-    for s in range(t):
-        nxt = [0] * (len(coeffs) + 1)
-        for pw, c in enumerate(coeffs):
-            nxt[pw + 1] += c
-            nxt[pw] -= c * s
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def _forward_differences(values: list, shape: Sequence[int]) -> None:
-    """In-place mixed forward differences on a row-major tensor grid."""
-    n = len(values)
-    stride = 1
-    for ax in range(len(shape) - 1, -1, -1):
-        size = shape[ax]
-        if size > 1:
-            block = stride * size
-            for start in range(0, n, block):
-                for off in range(start, start + stride):
-                    for t in range(1, size):
-                        for j in range(size - 1, t - 1, -1):
-                            idx = off + j * stride
-                            values[idx] -= values[idx - stride]
-        stride *= size
-
-
-def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
-    schema = p.schema
-    if len(u.coords) != schema.n_coords:
+    if len(u.coords) != n:
         raise ValidationError("translation element does not match the schema")
-    k = p.degree
-    if k is None or k == 0:
-        return Polynomial(schema, p.terms)
+    uc = u.coords
 
-    deps = _dependencies(schema, side)
-    bounds = [0] * schema.n_coords
-    for mono in p.terms:
-        acc: dict[int, int] = {}
-        for t, e in enumerate(mono.exponents):
-            if e:
-                for v in deps[t]:
-                    acc[v] = acc.get(v, 0) + e
-        for v, tot in acc.items():
-            if tot > bounds[v]:
-                bounds[v] = tot
+    def act(x: tuple[int, ...]) -> tuple[int, ...]:
+        return mul_coords(schema, uc, x) if side == "left" else mul_coords(schema, x, uc)
 
-    grid_vars = [
-        v for v in range(schema.n_coords) if bounds[v] and schema.weights[v] <= k
-    ]
-    degs = [min(bounds[v], k // schema.weights[v]) for v in grid_vars]
-
-    u_coords = u.coords
-    term_list = [
-        (
-            [(t, e) for t, e in enumerate(mono.exponents) if e],
-            coeff.numerator if coeff.denominator == 1 else coeff,
-        )
-        for mono, coeff in p.terms.items()
-    ]
-
-    def value_at(point_coords: tuple[int, ...]):
-        if side == "left":
-            w = mul_coords(schema, u_coords, point_coords)
-        else:
-            w = mul_coords(schema, point_coords, u_coords)
-        total = 0
-        for powers, coeff in term_list:
-            v = coeff
-            for t, e in powers:
-                v *= w[t] ** e
-            total += v
-        return total
-
-    if not grid_vars:
-        return Polynomial.constant(schema, Fraction(value_at((0,) * schema.n_coords)))
-
-    point = [0] * schema.n_coords
-    values = []
-    for combo in itertools.product(*(range(d + 1) for d in degs)):
-        for v, a in zip(grid_vars, combo):
-            point[v] = a
-        values.append(value_at(tuple(point)))
-    for v in grid_vars:
-        point[v] = 0
-
-    shape = [d + 1 for d in degs]
-    _forward_differences(values, shape)
-
-    terms: dict[Monomial, Fraction] = {}
-    for flat, combo in enumerate(itertools.product(*(range(d + 1) for d in degs))):
-        c = values[flat]
-        if not c:
-            continue
-        wdeg = sum(schema.weights[v] * a for v, a in zip(grid_vars, combo))
-        if wdeg > k:
-            raise InterpolationError(
-                f"translate produced weighted degree {wdeg} > {k}; "
-                "the function is not a polynomial of the claimed degree"
+    base = act((0,) * n)
+    units = [act(tuple(int(i == v) for i in range(n))) for v in range(n)]
+    forms = tuple(
+        (c, tuple((v, units[v][t] - c) for v in range(n) if units[v][t] != c))
+        for t, c in enumerate(base)
+    )
+    probe = tuple(range(2, n + 2))
+    for (c, lin), actual in zip(forms, act(probe)):
+        if c + sum(a * probe[v] for v, a in lin) != actual:
+            raise InternalInconsistency(
+                f"the {side} action of {uc} on {schema.name()} is not affine in the "
+                "coordinates; translation by composition does not apply"
             )
-        denom = 1
-        expansion: dict[tuple[int, ...], Fraction | int] = {(0,) * schema.n_coords: c}
-        for v, a in zip(grid_vars, combo):
-            if a == 0:
-                continue
-            denom *= factorial(a)
-            fc = _falling_factorial_coeffs(a)
-            nxt: dict[tuple[int, ...], Fraction | int] = {}
-            for exp, cc in expansion.items():
-                for s, st in enumerate(fc):
-                    if st:
-                        new_exp = list(exp)
-                        new_exp[v] = s
-                        nxt[tuple(new_exp)] = cc * st
-            expansion = nxt
-        for exp, cc in expansion.items():
-            coeff = Fraction(cc, denom) if isinstance(cc, int) else cc / denom
-            mono = Monomial(exp)
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+    return forms
 
-    result = Polynomial(schema, terms)
 
-    # off-grid probe: catches per-variable degrees beyond the grid bounds
-    for v, d in zip(grid_vars, degs):
-        point[v] = d + 1
-    probe = tuple(point)
-    if result.evaluate(GroupElement(probe)) != Fraction(value_at(probe)):
-        raise InterpolationError(
-            "translate failed its off-grid consistency probe; "
-            "the function is not a polynomial of the claimed degree"
-        )
-    return result
+def _times_affine(
+    poly: dict[tuple[int, ...], int], form: AffineForm
+) -> dict[tuple[int, ...], int]:
+    """The product of an integer polynomial, keyed by exponent vector, with a form."""
+    c, lin = form
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in poly.items():
+        if c:
+            out[exps] = out.get(exps, 0) + c * coeff
+        for v, a in lin:
+            bumped = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
+            out[bumped] = out.get(bumped, 0) + a * coeff
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+def _monomial_images(
+    forms: Sequence[AffineForm], monomials: Iterable[Monomial]
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """Yield T(m) = prod_t L_t^{m_t} for each monomial m, as integer
+    coefficients keyed by exponent vector.
+
+    Images are memoized by T(x_t m') = L_t T(m'), where m' drops one power of
+    the first non-zero coordinate t of m; m' precedes m in graded order, so a
+    graded sweep builds each image with one affine product.  The memo lives
+    as long as this generator.
+    """
+    n = len(forms)
+    zero = (0,) * n
+    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {zero: {zero: 1}}
+    for mono in monomials:
+        exps = mono.exponents
+        chain = []
+        while exps not in memo:
+            t = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, t))
+            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+        image = memo[exps]
+        for exps, t in reversed(chain):
+            image = _times_affine(image, forms[t])
+            memo[exps] = image
+        yield image
+
+
+def monomial_translates(
+    schema: GroupSchema, u: GroupElement, side: str, monomials: Iterable[Monomial]
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """For each monomial m, the integer coefficients of x -> m(u x) (side
+    left) or x -> m(x u) (side right), keyed by exponent vector.  The dicts
+    are shared with the memo and must not be modified."""
+    return _monomial_images(_translation_forms(schema, u, side), monomials)
+
+
+def _compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
+    """The polynomial p(L_1(x), ..., L_n(x))."""
+    terms: dict[Monomial, Fraction] = {}
+    for coeff, image in zip(p.terms.values(), _monomial_images(forms, p.terms)):
+        for exps, c in image.items():
+            key = Monomial(exps)
+            terms[key] = terms.get(key, 0) + coeff * c
+    return Polynomial(p.schema, terms)
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
     """The polynomial x -> p(u x)."""
-    return _translate(p, u, "left")
+    return _compose(p, _translation_forms(p.schema, u, "left"))
 
 
 def translate_right(p: Polynomial, u: GroupElement) -> Polynomial:
     """The polynomial x -> p(x u)."""
-    return _translate(p, u, "right")
+    return _compose(p, _translation_forms(p.schema, u, "right"))
 
 
 def left_derivative(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -483,24 +402,7 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
         raise ValidationError("matrix is singular; the sublattice has infinite index")
 
     # x_i = sum_j M[i][j] u_j
-    forms = []
-    for i in range(d):
-        terms: dict[Monomial, Fraction] = {}
-        for j in range(d):
-            if rows[i][j]:
-                exps = [0] * d
-                exps[j] = 1
-                terms[Monomial(tuple(exps))] = Fraction(rows[i][j])
-        forms.append(Polynomial(schema, terms))
-
-    powers: list[list[Polynomial]] = [[Polynomial.constant(schema, 1)] for _ in range(d)]
-    result = Polynomial.zero(schema)
-    for mono, coeff in p.terms.items():
-        part = Polynomial.constant(schema, coeff)
-        for i, e in enumerate(mono.exponents):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * forms[i])
-            if e:
-                part = part * powers[i][e]
-        result = result + part
-    return result
+    forms = tuple(
+        (0, tuple((j, int(x)) for j, x in enumerate(row) if x)) for row in rows
+    )
+    return _compose(p, forms)

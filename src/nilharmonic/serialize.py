@@ -19,10 +19,6 @@ from .polynomials import Monomial, Polynomial, monomial_sort_key
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _FRACTION_RE.match(text):
@@ -72,7 +68,7 @@ def element_from_list(schema: GroupSchema, coords: Sequence[int]) -> GroupElemen
 def measure_to_config(measure: Measure) -> dict[str, Any]:
     return {
         "atoms": [
-            {"coords": list(g.coords), "weight": fraction_to_str(w)}
+            {"coords": list(g.coords), "weight": str(w)}
             for g, w in measure.atoms.items()
         ],
         "adaptedness_radius": measure.adaptedness_radius,
@@ -102,7 +98,7 @@ def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
     ordered = sorted(p.terms.items(), key=lambda mc: monomial_sort_key(p.schema, mc[0]))
     return {
         "terms": [
-            {"exponents": list(m.exponents), "coeff": fraction_to_str(c)}
+            {"exponents": list(m.exponents), "coeff": str(c)}
             for m, c in ordered
         ],
         "text": str(p),

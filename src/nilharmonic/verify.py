@@ -1,10 +1,10 @@
 """Brute-force oracles that validate the algebra by direct evaluation.
 
 Everything here works pointwise on Cayley balls using only group
-multiplication and polynomial evaluation; the translation/interpolation
-machinery under test is never called, so a bug there cannot hide from
-these checks.  All enumeration orders are fixed, making every oracle
-deterministic.
+multiplication and polynomial evaluation; the translation machinery under
+test (composition with the affine forms of the group law) is never called,
+so a bug there cannot hide from these checks.  All enumeration orders are
+fixed, making every oracle deterministic.
 """
 
 from __future__ import annotations

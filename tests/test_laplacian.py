@@ -157,6 +157,24 @@ def test_matrix_rejects_negative_degree():
         laplacian_matrix(Z1, MU_Z1, -1)
 
 
+TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
+
+
+@pytest.mark.parametrize("walk", [generator_walk, lazy_generator_walk])
+@pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
+def test_matrix_equals_column_by_column_laplacian(schema, walk):
+    # the basis-wide assembly against one apply_laplacian per domain monomial
+    mu = walk(schema, adaptedness_radius=8)
+    for k in range(6):
+        domain, codomain = pk_basis(schema, k), pk_basis(schema, k - 2)
+        columns = [
+            apply_laplacian(mu, Polynomial.from_monomial(schema, m)).coefficient_vector(codomain)
+            for m in domain
+        ]
+        reference = RationalMatrix(len(codomain), len(domain), zip(*columns))
+        assert laplacian_matrix(schema, mu, k) == reference
+
+
 # -- harmonic bases ----------------------------------------------------------------
 
 def test_harmonic_dim_plane_degree_two():

@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from nilharmonic.errors import ValidationError
+import nilharmonic.polynomials as polynomials
+from nilharmonic.errors import InternalInconsistency, ValidationError
 from nilharmonic.groups import (
     ball,
     basis_element,
@@ -15,9 +16,11 @@ from nilharmonic.groups import (
     identity,
     lattice,
     mul,
+    mul_coords,
     standard_generators,
     unitriangular,
 )
+from nilharmonic.laplacian import generator_walk, laplacian_matrix
 from nilharmonic.polynomials import (
     Monomial,
     Polynomial,
@@ -169,6 +172,44 @@ def test_translate_right_matches_pointwise():
         assert all(q.evaluate(g) == p.evaluate(mul(H3, g, u)) for g in b2)
 
 
+@pytest.mark.parametrize("schema", [lattice(3), H3, UT4], ids=str)
+def test_translation_matches_sympy_expansion(schema):
+    # independent oracle: expand m(x u) and m(u x) symbolically
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{schema.n_coords + 1}")
+    basis = pk_basis(schema, 3)
+    for u in ball(schema, standard_generators(schema), 2):
+        for law, translate in (
+            (mul_coords(schema, xs, u.coords), translate_right),
+            (mul_coords(schema, u.coords, xs), translate_left),
+        ):
+            coords = [sympy.Poly(c, *xs) for c in law]
+            for m in basis:
+                expected = sympy.Poly(1, *xs)
+                for c, e in zip(coords, m.exponents):
+                    expected *= c**e
+                got = translate(Polynomial.from_monomial(schema, m), u)
+                assert {mono.exponents: c for mono, c in got.terms.items()} == {
+                    exps: Fraction(int(c)) for exps, c in expected.as_dict().items()
+                }
+
+
+def test_non_affine_law_is_detected(monkeypatch):
+    def skewed(schema, a, b):
+        out = list(mul_coords(schema, a, b))
+        out[-1] += (a[0] * b[0]) ** 2  # quadratic in x on either side
+        return tuple(out)
+
+    monkeypatch.setattr(polynomials, "mul_coords", skewed)
+    u = basis_element(H3, 1)
+    with pytest.raises(InternalInconsistency):
+        translate_right(X, u)
+    with pytest.raises(InternalInconsistency):
+        translate_left(X, u)
+    with pytest.raises(InternalInconsistency):
+        laplacian_matrix(H3, generator_walk(H3), 2)
+
+
 # -- derivatives ---------------------------------------------------------------
 
 def test_derivative_examples():
@@ -297,6 +338,10 @@ def test_restrict_pointwise_agreement():
 def test_restrict_rejects_singular_and_non_lattice():
     with pytest.raises(ValidationError):
         restrict_to_sublattice(mono(Z2, 1, 0), [[1, 1], [1, 1]])
+    with pytest.raises(ValidationError):
+        restrict_to_sublattice(mono(Z2, 1, 0), [[1, 0]])
+    with pytest.raises(ValidationError):
+        restrict_to_sublattice(mono(Z2, 1, 0), [[Fraction(1, 2), 0], [0, 1]])
     with pytest.raises(ValidationError):
         restrict_to_sublattice(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
