@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
 from .groups import GroupSchema
-from .laplacian import Measure, apply_laplacian, dim_hk, harmonic_basis, solve_preimage
+from .laplacian import Measure, dim_hk, harmonic_basis, solve_preimage
 from .polynomials import dim_pk
 from .serialize import (
     measure_from_config,
@@ -130,10 +130,8 @@ def cmd_preimage(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValidationError(f"cannot read {args.polynomial}: {exc.strerror}") from exc
     target = parse_polynomial(schema, text)
+    # solve_preimage verifies laplacian(p_hat) == target, or raises InternalInconsistency
     p_hat = solve_preimage(schema, measure, target)
-    # solve_preimage guarantees this, but the CLI re-checks before claiming it
-    if apply_laplacian(measure, p_hat) != target:
-        raise InternalInconsistency("preimage re-verification failed")
     lines = [
         f"group: {schema.name()}",
         f"input: {target}",

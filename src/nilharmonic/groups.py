@@ -1,6 +1,6 @@
 """Coordinate models of finitely generated torsion-free nilpotent groups.
 
-Three closed-form families are supported:
+Three families are built in:
 
 * ``lattice(d)``       -- the free abelian group Z^d,
 * ``heisenberg(n)``    -- the discrete Heisenberg group H_{2n+1}(Z) with
@@ -11,12 +11,15 @@ Three closed-form families are supported:
 An element is an integer coordinate vector; every integer vector names
 exactly one element.  Each coordinate carries a weight (its depth in the
 lower central series), and coordinates are ordered by weight.
+
+Each family's law has the bilinear shape ``(a*b)_t = a_t + b_t + sum a_p*b_q``.
+A schema stores it as one list of ``(t, p, q)`` terms, sorted by ``t`` with
+``p, q < t``, and all coordinate arithmetic reads that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -28,13 +31,15 @@ UNITRIANGULAR = "unitriangular"
 
 @dataclass(frozen=True)
 class GroupSchema:
-    """Static description of one group: family, coordinate count, weights.
+    """Static description of one group: family, coordinate count, weights, law.
 
     ``weights[i]`` is the weight of coordinate ``i`` (0-based internally;
     the public operations below use 1-based coordinate indices, matching
     the coordinate names).  ``layer_ranks[j]`` is the number of coordinates
-    of weight ``j + 1``.  For ``unitriangular`` schemas, ``positions[i]``
-    is the matrix entry (row, col) holding coordinate ``i``.
+    of weight ``j + 1``.  ``law`` is the multiplication law as 0-based
+    terms ``(t, p, q)``, each adding ``a_p*b_q`` to coordinate ``t`` of
+    ``a*b``.  Terms are sorted by ``t`` and read only coordinates before
+    ``t`` (``p, q < t``), so the inverse can be solved term by term.
     """
 
     family: str
@@ -44,7 +49,7 @@ class GroupSchema:
     layer_ranks: tuple[int, ...]
     step: int
     coord_names: tuple[str, ...]
-    positions: tuple[tuple[int, int], ...] = ()
+    law: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_coords < 1:
@@ -62,17 +67,11 @@ class GroupSchema:
         for j, rank in enumerate(self.layer_ranks, start=1):
             if sum(1 for w in self.weights if w == j) != rank:
                 raise ValidationError(f"layer rank mismatch at weight {j}")
-
-    @cached_property
-    def _ut_products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Unitriangular law as a term list: for coordinate t at entry (i, j),
-        the index pairs (t_ik, t_kj) for i < k < j.  Entries are ordered by
-        weight, so t_kj < t and the same list serves the inverse."""
-        index = {pos: t for t, pos in enumerate(self.positions)}
-        return tuple(
-            tuple((index[(i, k)], index[(k, j)]) for k in range(i + 1, j))
-            for i, j in self.positions
-        )
+        if any(t2 < t1 for (t1, _, _), (t2, _, _) in zip(self.law, self.law[1:])):
+            raise ValidationError("law terms must be sorted by target coordinate")
+        for t, p, q in self.law:
+            if not (0 <= p < t and 0 <= q < t and t < self.n_coords):
+                raise ValidationError(f"law term {(t, p, q)} must read coordinates before {t}")
 
     def weight(self, i: int) -> int:
         """Weight of coordinate ``i`` (1-based)."""
@@ -137,6 +136,7 @@ def heisenberg(n: int) -> GroupSchema:
         layer_ranks=(2 * n, 1),
         step=2,
         coord_names=names,
+        law=tuple((2 * n, i, n + i) for i in range(n)),
     )
 
 
@@ -149,6 +149,7 @@ def unitriangular(n: int) -> GroupSchema:
     if not 2 <= n <= 9:
         raise ValidationError("unitriangular size must be in 2..9")
     positions = [(i, i + w) for w in range(1, n) for i in range(1, n - w + 1)]
+    index = {pos: t for t, pos in enumerate(positions)}
     return GroupSchema(
         family=UNITRIANGULAR,
         size=n,
@@ -157,42 +158,29 @@ def unitriangular(n: int) -> GroupSchema:
         layer_ranks=tuple(n - w for w in range(1, n)),
         step=n - 1,
         coord_names=tuple(f"a_{i}{j}" for i, j in positions),
-        positions=tuple(positions),
+        # (AB)_ij = A_ij + B_ij + sum over i < k < j of A_ik * B_kj
+        law=tuple(
+            (t, index[(i, k)], index[(k, j)])
+            for t, (i, j) in enumerate(positions)
+            for k in range(i + 1, j)
+        ),
     )
 
 
 # -- coordinate arithmetic on raw tuples (hot paths) -------------------------
 
 def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if schema.family == LATTICE:
-        return tuple(u + v for u, v in zip(a, b))
-    if schema.family == HEISENBERG:
-        n = schema.size
-        z = a[2 * n] + b[2 * n] + sum(a[i] * b[n + i] for i in range(n))
-        return tuple(u + v for u, v in zip(a[: 2 * n], b[: 2 * n])) + (z,)
-    out = []
-    for t, pairs in enumerate(schema._ut_products):
-        v = a[t] + b[t]
-        for p, q in pairs:
-            v += a[p] * b[q]
-        out.append(v)
+    out = [u + v for u, v in zip(a, b)]
+    for t, p, q in schema.law:
+        out[t] += a[p] * b[q]
     return tuple(out)
 
 
 def inv_coords(schema: GroupSchema, a: tuple[int, ...]) -> tuple[int, ...]:
-    if schema.family == LATTICE:
-        return tuple(-u for u in a)
-    if schema.family == HEISENBERG:
-        n = schema.size
-        z = -a[2 * n] + sum(a[i] * a[n + i] for i in range(n))
-        return tuple(-u for u in a[: 2 * n]) + (z,)
-    # solve A * X = I entry by entry, in order of increasing weight
-    out = [0] * len(a)
-    for t, pairs in enumerate(schema._ut_products):
-        v = -a[t]
-        for p, q in pairs:
-            v -= a[p] * out[q]
-        out[t] = v
+    # solve a * x = identity by increasing t: every x_q a term reads is final
+    out = [-u for u in a]
+    for t, p, q in schema.law:
+        out[t] -= a[p] * out[q]
     return tuple(out)
 
 
@@ -251,19 +239,23 @@ def decomposition_order(schema: GroupSchema) -> tuple[int, ...]:
 
     Multiplying e_{o_1}^{g_{o_1}} ... e_{o_n}^{g_{o_n}} in this order
     reproduces the element with coordinates g, which is what makes the
-    coordinate vector a faithful normal form for each family.
+    coordinate vector a faithful normal form.  That holds when, for every
+    law term (t, p, q), coordinate q comes before p: then a_p is still 0
+    when b_q is multiplied in.  Among the admissible coordinates the
+    smallest goes first.
     """
-    if schema.family == LATTICE:
-        return tuple(range(1, schema.n_coords + 1))
-    if schema.family == HEISENBERG:
-        n = schema.size
-        return tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1)) + (2 * n + 1,)
-    # unitriangular: by source row descending, then column ascending
-    order = sorted(
-        range(schema.n_coords),
-        key=lambda t: (-schema.positions[t][0], schema.positions[t][1]),
-    )
-    return tuple(t + 1 for t in order)
+    before: list[set[int]] = [set() for _ in range(schema.n_coords)]
+    for _, p, q in schema.law:
+        before[p].add(q)
+    order: list[int] = []
+    remaining = list(range(schema.n_coords))
+    while remaining:
+        c = next((c for c in remaining if before[c].issubset(order)), None)
+        if c is None:
+            raise ValidationError(f"the law of {schema.name()} admits no decomposition order")
+        order.append(c)
+        remaining.remove(c)
+    return tuple(c + 1 for c in order)
 
 
 def _check_symmetric(schema: GroupSchema, support: Sequence[GroupElement]) -> list[tuple[int, ...]]:

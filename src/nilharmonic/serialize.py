@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import ValidationError
-from .groups import GroupElement, GroupSchema, heisenberg, lattice, unitriangular
+from .groups import GroupSchema, element, heisenberg, lattice, unitriangular
 from .laplacian import Measure
 from .polynomials import Monomial, Polynomial, monomial_sort_key
 
@@ -26,41 +26,51 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+# -- config fields ---------------------------------------------------------------
+
+_INT_RE = re.compile(r"^[-+]?\d+$")
+
+
+def _config_int(value: Any, field: str) -> int:
+    """A config integer: a JSON integer or a decimal string, never a bool or float."""
+    if type(value) is int or isinstance(value, str) and _INT_RE.match(value.strip()):
+        return int(value)
+    raise ValidationError(f"{field} must be an integer, got {value!r}")
+
+
+def _object_list(cfg: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    value = cfg[key]
+    if not isinstance(value, list) or not all(isinstance(e, Mapping) for e in value):
+        raise ValidationError(f"'{key}' must be a list of objects")
+    return value
+
+
 # -- group configs --------------------------------------------------------------
 
+# family -> (constructor, size field, what the size field counts)
+_FAMILIES = {
+    "lattice": (lattice, "d", "dimension"),
+    "heisenberg": (heisenberg, "n", "size"),
+    "unitriangular": (unitriangular, "n", "size"),
+}
+
+
 def schema_to_config(schema: GroupSchema) -> dict[str, Any]:
-    if schema.family == "lattice":
-        return {"family": "lattice", "d": schema.size}
-    return {"family": schema.family, "n": schema.size}
+    return {"family": schema.family, _FAMILIES[schema.family][1]: schema.size}
 
 
 def schema_from_config(cfg: Mapping[str, Any]) -> GroupSchema:
     if not isinstance(cfg, Mapping):
         raise ValidationError("group config must be a JSON object")
     family = cfg.get("family")
-    if family == "lattice":
-        if "d" not in cfg:
-            raise ValidationError("lattice config needs a dimension field 'd'")
-        return lattice(int(cfg["d"]))
-    if family == "heisenberg":
-        if "n" not in cfg:
-            raise ValidationError("heisenberg config needs a size field 'n'")
-        return heisenberg(int(cfg["n"]))
-    if family == "unitriangular":
-        if "n" not in cfg:
-            raise ValidationError("unitriangular config needs a size field 'n'")
-        return unitriangular(int(cfg["n"]))
-    raise ValidationError(
-        f"unknown family {family!r}; expected lattice, heisenberg or unitriangular"
-    )
-
-
-def element_from_list(schema: GroupSchema, coords: Sequence[int]) -> GroupElement:
-    if len(coords) != schema.n_coords:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValidationError(
-            f"element has {len(coords)} coordinates, schema expects {schema.n_coords}"
+            f"unknown family {family!r}; expected lattice, heisenberg or unitriangular"
         )
-    return GroupElement(tuple(int(c) for c in coords))
+    constructor, field, noun = _FAMILIES[family]
+    if field not in cfg:
+        raise ValidationError(f"{family} config needs a {noun} field {field!r}")
+    return constructor(_config_int(cfg[field], f"{family} field {field!r}"))
 
 
 # -- measure configs -------------------------------------------------------------
@@ -81,15 +91,14 @@ def measure_from_config(
     if not isinstance(cfg, Mapping) or "atoms" not in cfg:
         raise ValidationError("measure config must be an object with an 'atoms' list")
     atoms = []
-    for entry in cfg["atoms"]:
-        if "coords" not in entry or "weight" not in entry:
-            raise ValidationError("each atom needs 'coords' and 'weight'")
-        g = element_from_list(schema, entry["coords"])
+    for entry in _object_list(cfg, "atoms"):
+        if not isinstance(entry.get("coords"), list) or "weight" not in entry:
+            raise ValidationError("each atom needs a 'coords' list and a 'weight'")
+        g = element(schema, [_config_int(c, "atom coordinate") for c in entry["coords"]])
         atoms.append((g, parse_fraction(str(entry["weight"]))))
-    radius = cfg.get("adaptedness_radius", 4)
-    if adaptedness_radius is not None:
-        radius = adaptedness_radius
-    return Measure(schema, atoms, adaptedness_radius=int(radius))
+    if adaptedness_radius is None:
+        adaptedness_radius = _config_int(cfg.get("adaptedness_radius", 4), "adaptedness_radius")
+    return Measure(schema, atoms, adaptedness_radius=adaptedness_radius)
 
 
 # -- polynomial JSON -------------------------------------------------------------
@@ -109,11 +118,11 @@ def polynomial_from_obj(schema: GroupSchema, obj: Mapping[str, Any]) -> Polynomi
     if not isinstance(obj, Mapping) or "terms" not in obj:
         raise ValidationError("polynomial object must contain a 'terms' list")
     terms: dict[Monomial, Fraction] = {}
-    for entry in obj["terms"]:
+    for entry in _object_list(obj, "terms"):
         exps = entry.get("exponents")
-        if exps is None or len(exps) != schema.n_coords:
+        if not isinstance(exps, list) or len(exps) != schema.n_coords:
             raise ValidationError("term exponents must match the schema coordinate count")
-        mono = Monomial(tuple(int(e) for e in exps))
+        mono = Monomial(tuple(_config_int(e, "term exponent") for e in exps))
         coeff = parse_fraction(str(entry.get("coeff")))
         if mono in terms:
             raise ValidationError(f"duplicate term {exps}")

@@ -204,3 +204,33 @@ def test_verify_heisenberg_all_green(configs, capsys):
          "--k", "3", "--radius", "3"],
     )
     assert code == 0 and "FAIL" not in out
+
+
+_Z1 = {"family": "lattice", "d": 1}
+_WALK_Z1 = [{"coords": [1], "weight": "1/2"}, {"coords": [-1], "weight": "1/2"}]
+
+
+@pytest.mark.parametrize(
+    "group, measure",
+    [
+        ({"family": "lattice", "d": "abc"}, {"atoms": _WALK_Z1}),
+        ({"family": "lattice", "d": True}, {"atoms": _WALK_Z1}),
+        ({"family": "lattice", "d": 1.9}, {"atoms": _WALK_Z1}),
+        ({"family": ["lattice"], "d": 1}, {"atoms": _WALK_Z1}),
+        (_Z1, {"atoms": [{"coords": [1.7], "weight": "1/2"},
+                         {"coords": [-1], "weight": "1/2"}]}),
+        (_Z1, {"atoms": _WALK_Z1, "adaptedness_radius": "x"}),
+        (_Z1, {"atoms": {"coords": [0], "weight": "1"}}),
+    ],
+)
+def test_bad_config_values_exit_one(tmp_path, capsys, group, measure):
+    group_path, measure_path = tmp_path / "group.json", tmp_path / "measure.json"
+    group_path.write_text(json.dumps(group), encoding="utf-8")
+    measure_path.write_text(json.dumps(measure), encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["harmonic", "--group", str(group_path), "--measure", str(measure_path), "--k", "2"],
+    )
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Group coordinate arithmetic: multiplication laws, balls, normal forms."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
     GroupElement,
+    GroupSchema,
     ball,
     basis_element,
     check_coordinate_order,
@@ -15,8 +17,10 @@ from nilharmonic.groups import (
     heisenberg,
     identity,
     inv,
+    inv_coords,
     lattice,
     mul,
+    mul_coords,
     reaches_all_generators,
     standard_generators,
     unitriangular,
@@ -89,6 +93,110 @@ def test_inverse_law_on_ball(schema):
         assert mul(schema, inv(schema, g), g) == e
         assert mul(schema, g, e) == g
         assert mul(schema, e, g) == g
+
+
+# -- the term-list law against closed forms built here ----------------------------
+
+def _ball_pairs(schema):
+    b2 = [g.coords for g in ball(schema, standard_generators(schema), 2)]
+    return itertools.product(b2, repeat=2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_heisenberg_law_matches_closed_form(n):
+    schema = heisenberg(n)
+
+    def dot(u, v):
+        return sum(ui * vi for ui, vi in zip(u, v))
+
+    for a, b in _ball_pairs(schema):
+        x, y, z = a[:n], a[n:2 * n], a[2 * n]
+        x2, y2, z2 = b[:n], b[n:2 * n], b[2 * n]
+        expected = (
+            tuple(u + v for u, v in zip(x, x2))
+            + tuple(u + v for u, v in zip(y, y2))
+            + (z + z2 + dot(x, y2),)
+        )
+        assert mul_coords(schema, a, b) == expected
+        px, py, pz = expected[:n], expected[n:2 * n], expected[2 * n]
+        assert inv_coords(schema, expected) == tuple(-u for u in px + py) + (-pz + dot(px, py),)
+
+
+def _ut_positions(n):
+    return [(i, i + w) for w in range(1, n) for i in range(1, n - w + 1)]
+
+
+def _ut_matrix(n, coords):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (i, j), c in zip(_ut_positions(n), coords):
+        m[i - 1][j - 1] = c
+    return m
+
+
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _ut_inverse(m):
+    # (I + N)^-1 = sum_k (-N)^k, a finite sum since N is nilpotent
+    n = len(m)
+    neg = [[-(m[i][j] - int(i == j)) for j in range(n)] for i in range(n)]
+    term = [[int(i == j) for j in range(n)] for i in range(n)]
+    total = [row[:] for row in term]
+    for _ in range(n - 1):
+        term = _matmul(term, neg)
+        total = [[u + v for u, v in zip(r, s)] for r, s in zip(total, term)]
+    return total
+
+
+def _ut_coords(n, m):
+    return tuple(m[i - 1][j - 1] for i, j in _ut_positions(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_unitriangular_law_matches_matrix_product(n):
+    schema = unitriangular(n)
+    assert schema.coord_names == tuple(f"a_{i}{j}" for i, j in _ut_positions(n))
+    for a, b in _ball_pairs(schema):
+        product = _matmul(_ut_matrix(n, a), _ut_matrix(n, b))
+        ab = _ut_coords(n, product)
+        assert mul_coords(schema, a, b) == ab
+        # products reach radius 4, so the inverse's cubic terms show for n >= 4
+        assert inv_coords(schema, ab) == _ut_coords(n, _ut_inverse(product))
+
+
+def test_laws_as_term_lists():
+    assert lattice(3).law == ()
+    assert heisenberg(2).law == ((4, 0, 2), (4, 1, 3))
+    # a_13 gets a_12 * a_23
+    assert UT3.law == ((2, 0, 1),)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ((5, 0, 4), (3, 0, 1)),  # not sorted by target coordinate
+        ((3, 0, 4),),  # reads coordinate 4 into coordinate 3
+        ((3, 3, 0),),  # reads the target coordinate itself
+        ((6, 0, 1),),  # target out of range
+        ((3, -1, 0),),  # negative index
+    ],
+)
+def test_schema_rejects_bad_law(law):
+    with pytest.raises(ValidationError):
+        dataclasses.replace(UT4, law=law)
+
+
+def test_cyclic_law_has_no_decomposition_order():
+    # x and y each feed a weight-2 coordinate through the other
+    schema = GroupSchema(
+        family="twisted", size=1, n_coords=4, weights=(1, 1, 2, 2), layer_ranks=(2, 2),
+        step=2, coord_names=("x", "y", "z", "w"), law=((2, 0, 1), (3, 1, 0)),
+    )
+    assert mul_coords(schema, (1, 0, 0, 0), (0, 1, 0, 0)) == (1, 1, 1, 0)
+    with pytest.raises(ValidationError):
+        decomposition_order(schema)
 
 
 def test_basis_element_examples():

@@ -42,6 +42,10 @@ def test_schema_config_examples():
         {"family": "heisenberg"},
         {},
         "lattice",
+        {"family": "lattice", "d": "abc"},
+        {"family": "lattice", "d": True},
+        {"family": "heisenberg", "n": 2.9},
+        {"family": ["lattice"], "d": 2},
     ],
 )
 def test_bad_schema_configs(cfg):
@@ -70,11 +74,55 @@ def test_measure_round_trip():
         assert back == mu
 
 
+def test_schema_size_may_be_a_decimal_string():
+    assert schema_from_config({"family": "lattice", "d": "3"}) == lattice(3)
+
+
+def _walk_atoms(one):
+    return [
+        {"coords": [one, 0, 0], "weight": "1/4"},
+        {"coords": [-1, 0, 0], "weight": "1/4"},
+        {"coords": [0, 1, 0], "weight": "1/4"},
+        {"coords": [0, -1, 0], "weight": "1/4"},
+    ]
+
+
+def _walk_config(**extra):
+    cfg = measure_to_config(generator_walk(H3))
+    cfg.update(extra)
+    return cfg
+
+
 def test_measure_config_validation():
     with pytest.raises(ValidationError):
         measure_from_config(H3, {"atoms": [{"coords": [1, 0, 0]}]})
     with pytest.raises(ValidationError):
         measure_from_config(H3, {})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the H3 walk with one coordinate that int() would truncate or coerce to 1
+        _walk_config(atoms=_walk_atoms(1.7)),
+        _walk_config(atoms=_walk_atoms(True)),
+        _walk_config(atoms=_walk_atoms("one")),
+        _walk_config(atoms=[{"coords": "100", "weight": "1"}]),
+        _walk_config(adaptedness_radius="x"),
+        _walk_config(adaptedness_radius=4.0),
+        _walk_config(atoms={"coords": [0, 0, 0], "weight": "1"}),
+        _walk_config(atoms=[[0, 0, 0]]),
+    ],
+)
+def test_bad_measure_configs(cfg):
+    with pytest.raises(ValidationError):
+        measure_from_config(H3, cfg)
+
+
+@pytest.mark.parametrize("exponents", [[1.0, 0, 0], [True, 0, 0], ["x", 0, 0], "100"])
+def test_polynomial_obj_rejects_non_integer_exponents(exponents):
+    with pytest.raises(ValidationError):
+        polynomial_from_obj(H3, {"terms": [{"exponents": exponents, "coeff": "1"}]})
 
 
 def test_polynomial_obj_round_trip():
