@@ -39,7 +39,10 @@ class GroupSchema:
     of weight ``j + 1``.  ``law`` is the multiplication law as 0-based
     terms ``(t, p, q)``, each adding ``a_p*b_q`` to coordinate ``t`` of
     ``a*b``.  Terms are sorted by ``t`` and read only coordinates before
-    ``t`` (``p, q < t``), so the inverse can be solved term by term.
+    ``t`` (``p, q < t``), so the inverse can be solved term by term, and add
+    weights (``weights[t] >= weights[p] + weights[q]``), so weight-1
+    coordinates add.  The coordinates of weight >= 2 must span [G,G], as in
+    the built-in families; ``reaches_all_generators`` relies on both.
     """
 
     family: str
@@ -72,6 +75,8 @@ class GroupSchema:
         for t, p, q in self.law:
             if not (0 <= p < t and 0 <= q < t and t < self.n_coords):
                 raise ValidationError(f"law term {(t, p, q)} must read coordinates before {t}")
+            if self.weights[t] < self.weights[p] + self.weights[q]:
+                raise ValidationError(f"law term {(t, p, q)} needs weight(t) >= weight(p) + weight(q)")
 
     def weight(self, i: int) -> int:
         """Weight of coordinate ``i`` (1-based)."""
@@ -198,8 +203,15 @@ def identity(schema: GroupSchema) -> GroupElement:
     return GroupElement((0,) * schema.n_coords)
 
 
+def _require_int(value: object, what: str) -> int:
+    # bool is an int subclass, and int() would truncate floats and Fractions
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def element(schema: GroupSchema, coords: Iterable[int]) -> GroupElement:
-    g = GroupElement(tuple(int(c) for c in coords))
+    g = GroupElement(tuple(_require_int(c, "coordinate") for c in coords))
     _require_conforming(schema, g)
     return g
 
@@ -209,7 +221,7 @@ def basis_element(schema: GroupSchema, i: int, power: int = 1) -> GroupElement:
     if not 1 <= i <= schema.n_coords:
         raise ValidationError(f"coordinate index {i} out of range 1..{schema.n_coords}")
     coords = [0] * schema.n_coords
-    coords[i - 1] = int(power)
+    coords[i - 1] = _require_int(power, "power")
     return GroupElement(tuple(coords))
 
 
@@ -337,32 +349,27 @@ def check_coordinate_order(
 
 
 def reaches_all_generators(
-    schema: GroupSchema, support: Sequence[GroupElement], radius: int
+    schema: GroupSchema, support: Sequence[GroupElement]
 ) -> tuple[bool, GroupElement | None]:
-    """Whether every e_i^{+-1} lies in the radius-``radius`` ball of ``support``.
+    """Whether ``support`` generates the group; returns (ok, a missed generator).
 
-    Uses a meet-in-the-middle search through the half-radius ball, so the
-    full ball is never materialised.  Returns (ok, first unreachable target).
+    It does exactly when its image generates G/[G,G], the lattice Z^r of
+    weight-1 coordinates (see ``GroupSchema``).  The weight-1 columns are
+    reduced in order by integer Euclid steps; a column whose gcd is not +-1
+    names a generator e_c outside the generated subgroup.
     """
-    half = (radius + 1) // 2
-    levels = ball_levels(schema, support, half)
-    reach = {c for level in levels for c in level}
-    # distance of each reached point, to respect the exact radius bound
-    dist = {}
-    for r, level in enumerate(levels):
-        for c in level:
-            dist[c] = r
-    for i in range(1, schema.n_coords + 1):
-        for sign in (1, -1):
-            target = basis_element(schema, i, sign)
-            if target.coords in dist and dist[target.coords] <= radius:
-                continue
-            found = False
-            for a in reach:
-                rest = mul_coords(schema, inv_coords(schema, a), target.coords)
-                if rest in dist and dist[a] + dist[rest] <= radius:
-                    found = True
-                    break
-            if not found:
-                return False, target
+    r = schema.layer_ranks[0]
+    rows = []
+    for g in support:
+        _require_conforming(schema, g)
+        rows.append(list(g.coords[:r]))
+    for c in range(r):
+        # fold column c into one pivot row; every other row ends with 0 there
+        pivot = [0] * r
+        for row in rows:
+            while row[c]:
+                f = pivot[c] // row[c]
+                pivot, row[:] = row[:], [u - f * v for u, v in zip(pivot, row)]
+        if abs(pivot[c]) != 1:
+            return False, basis_element(schema, c + 1)
     return True, None

@@ -35,26 +35,21 @@ from .polynomials import (
     translate_right,
 )
 
-DEFAULT_ADAPTEDNESS_RADIUS = 4
-
-
 class Measure:
     """Finitely supported symmetric probability measure with rational weights.
 
     Validated on construction: weights positive, total mass exactly 1,
-    weight(g) = weight(g^-1) for every atom, and the support must reach
-    every coordinate generator e_i^{+-1} within ``adaptedness_radius``
-    word-metric steps (so that it generates the group).
+    weight(g) = weight(g^-1) for every atom, and the measure must be
+    adapted: its support generates the group, which is decided exactly
+    from the weight-1 coordinates (see ``reaches_all_generators``).
     """
 
-    __slots__ = ("schema", "atoms", "adaptedness_radius")
+    __slots__ = ("schema", "atoms")
 
     def __init__(
         self,
         schema: GroupSchema,
         atoms: Mapping[GroupElement, Fraction | int] | Iterable[tuple[GroupElement, Fraction | int]],
-        *,
-        adaptedness_radius: int = DEFAULT_ADAPTEDNESS_RADIUS,
     ):
         items = atoms.items() if isinstance(atoms, Mapping) else list(atoms)
         clean: dict[GroupElement, Fraction] = {}
@@ -80,18 +75,16 @@ class Measure:
             raise ValidationError(f"total mass must be exactly 1, got {mass}")
 
         support = [g for g in clean if any(g.coords)]
-        ok, missing = reaches_all_generators(schema, support, adaptedness_radius)
+        ok, missing = reaches_all_generators(schema, support)
         if not ok:
             raise ValidationError(
-                f"measure is not adapted: generator {missing.coords} is not reached "
-                f"within radius {adaptedness_radius}"
+                f"measure is not adapted: its support does not generate {missing.coords}"
             )
 
         self.schema = schema
         self.atoms = MappingProxyType(
             {g: clean[g] for g in sorted(clean, key=lambda e: e.coords)}
         )
-        self.adaptedness_radius = adaptedness_radius
 
     def support(self) -> list[GroupElement]:
         """Non-identity atoms, sorted by coordinates."""
@@ -108,45 +101,31 @@ class Measure:
         return f"Measure({self.schema.name()}, {len(self.atoms)} atoms)"
 
 
-def uniform_measure(
-    schema: GroupSchema,
-    elements: Sequence[GroupElement],
-    *,
-    adaptedness_radius: int = DEFAULT_ADAPTEDNESS_RADIUS,
-) -> Measure:
+def uniform_measure(schema: GroupSchema, elements: Sequence[GroupElement]) -> Measure:
     """Uniform measure on a symmetric set of elements."""
     if not elements:
         raise ValidationError("cannot build a measure on an empty set")
     w = Fraction(1, len(elements))
-    return Measure(schema, [(g, w) for g in elements], adaptedness_radius=adaptedness_radius)
+    return Measure(schema, [(g, w) for g in elements])
 
 
-def generator_walk(
-    schema: GroupSchema, *, adaptedness_radius: int = DEFAULT_ADAPTEDNESS_RADIUS
-) -> Measure:
+def generator_walk(schema: GroupSchema) -> Measure:
     """Uniform measure on {e_i^{+-1}} over the weight-1 coordinates.
 
     For lattices this is the simple random walk; for the Heisenberg and
     unitriangular families it is the walk on the elementary generators.
     """
-    return uniform_measure(
-        schema, standard_generators(schema), adaptedness_radius=adaptedness_radius
-    )
+    return uniform_measure(schema, standard_generators(schema))
 
 
-def lazy_generator_walk(
-    schema: GroupSchema,
-    hold: Fraction = Fraction(1, 2),
-    *,
-    adaptedness_radius: int = DEFAULT_ADAPTEDNESS_RADIUS,
-) -> Measure:
+def lazy_generator_walk(schema: GroupSchema, hold: Fraction = Fraction(1, 2)) -> Measure:
     """Generator walk with probability ``hold`` of staying put."""
     if not 0 < hold < 1:
         raise ValidationError("holding probability must be strictly between 0 and 1")
     gens = standard_generators(schema)
     w = (1 - hold) / len(gens)
     atoms = [(identity(schema), hold)] + [(g, w) for g in gens]
-    return Measure(schema, atoms, adaptedness_radius=adaptedness_radius)
+    return Measure(schema, atoms)
 
 
 # -- the Laplacian -------------------------------------------------------------

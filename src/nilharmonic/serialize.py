@@ -23,7 +23,10 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _FRACTION_RE.match(text):
         raise ValidationError(f"invalid rational {text!r}; expected 'p' or 'p/q'")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, ValueError):  # a zero denominator, or too many digits
+        raise ValidationError(f"invalid rational {text!r}") from None
 
 
 # -- config fields ---------------------------------------------------------------
@@ -34,7 +37,10 @@ _INT_RE = re.compile(r"^[-+]?\d+$")
 def _config_int(value: Any, field: str) -> int:
     """A config integer: a JSON integer or a decimal string, never a bool or float."""
     if type(value) is int or isinstance(value, str) and _INT_RE.match(value.strip()):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
     raise ValidationError(f"{field} must be an integer, got {value!r}")
 
 
@@ -81,13 +87,10 @@ def measure_to_config(measure: Measure) -> dict[str, Any]:
             {"coords": list(g.coords), "weight": str(w)}
             for g, w in measure.atoms.items()
         ],
-        "adaptedness_radius": measure.adaptedness_radius,
     }
 
 
-def measure_from_config(
-    schema: GroupSchema, cfg: Mapping[str, Any], *, adaptedness_radius: int | None = None
-) -> Measure:
+def measure_from_config(schema: GroupSchema, cfg: Mapping[str, Any]) -> Measure:
     if not isinstance(cfg, Mapping) or "atoms" not in cfg:
         raise ValidationError("measure config must be an object with an 'atoms' list")
     atoms = []
@@ -96,9 +99,7 @@ def measure_from_config(
             raise ValidationError("each atom needs a 'coords' list and a 'weight'")
         g = element(schema, [_config_int(c, "atom coordinate") for c in entry["coords"]])
         atoms.append((g, parse_fraction(str(entry["weight"]))))
-    if adaptedness_radius is None:
-        adaptedness_radius = _config_int(cfg.get("adaptedness_radius", 4), "adaptedness_radius")
-    return Measure(schema, atoms, adaptedness_radius=adaptedness_radius)
+    return Measure(schema, atoms)
 
 
 # -- polynomial JSON -------------------------------------------------------------

@@ -59,9 +59,7 @@ def _criterion3_configs():
     configs.append(("heisenberg(1)+4gen", H3, generator_walk(H3), 5, 5))
     configs.append(("heisenberg(1)+6atom", H3, _heisenberg_six_atom_walk(), 5, 5))
     u4 = unitriangular(4)
-    configs.append(
-        ("unitriangular(4)+elementary", u4, generator_walk(u4, adaptedness_radius=8), 4, 3)
-    )
+    configs.append(("unitriangular(4)+elementary", u4, generator_walk(u4), 4, 3))
     return configs
 
 

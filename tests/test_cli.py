@@ -219,7 +219,8 @@ _WALK_Z1 = [{"coords": [1], "weight": "1/2"}, {"coords": [-1], "weight": "1/2"}]
         ({"family": ["lattice"], "d": 1}, {"atoms": _WALK_Z1}),
         (_Z1, {"atoms": [{"coords": [1.7], "weight": "1/2"},
                          {"coords": [-1], "weight": "1/2"}]}),
-        (_Z1, {"atoms": _WALK_Z1, "adaptedness_radius": "x"}),
+        (_Z1, {"atoms": [{"coords": [2], "weight": "1/2"},
+                         {"coords": [-2], "weight": "1/2"}]}),
         (_Z1, {"atoms": {"coords": [0], "weight": "1"}}),
     ],
 )
@@ -234,3 +235,23 @@ def test_bad_config_values_exit_one(tmp_path, capsys, group, measure):
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unitriangular_walk_config_runs(tmp_path, capsys):
+    # the elementary walk on unitriangular(4), written with no radius field
+    atoms = [
+        {"coords": [s if i == c else 0 for i in range(6)], "weight": "1/6"}
+        for c in range(3)
+        for s in (1, -1)
+    ]
+    group_path, measure_path = tmp_path / "u4.json", tmp_path / "walk.json"
+    group_path.write_text(json.dumps({"family": "unitriangular", "n": 4}), encoding="utf-8")
+    measure_path.write_text(json.dumps({"atoms": atoms}), encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["harmonic", "--group", str(group_path), "--measure", str(measure_path),
+         "--k", "2", "--verify", "--radius", "2"],
+    )
+    assert code == 0 and not err
+    assert "dim: 11 (predicted 11)" in out
+    assert "all 11 basis elements pass" in out

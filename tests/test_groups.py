@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -181,6 +184,7 @@ def test_laws_as_term_lists():
         ((3, 3, 0),),  # reads the target coordinate itself
         ((6, 0, 1),),  # target out of range
         ((3, -1, 0),),  # negative index
+        ((1, 0, 0),),  # a weight-1 coordinate gains a product of weight 2
     ],
 )
 def test_schema_rejects_bad_law(law):
@@ -204,6 +208,14 @@ def test_basis_element_examples():
     assert basis_element(Z2, 1, -1).coords == (-1, 0)
     a = mul(H3, basis_element(H3, 2, 4), basis_element(H3, 2, -7))
     assert a == basis_element(H3, 2, -3)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", Fraction(1)])
+def test_element_rejects_non_int_coordinates(bad):
+    with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+        element(H3, (bad, 0, 0))
+    with pytest.raises(ValidationError):
+        basis_element(H3, 1, bad)
 
 
 def test_basis_element_out_of_range():
@@ -312,11 +324,59 @@ def test_unitriangular5_normal_form_invariants():
 
 
 def test_generator_reachability():
-    gens = standard_generators(UT4)
-    ok, missing = reaches_all_generators(UT4, gens, 8)
-    assert ok and missing is None
-    ok, missing = reaches_all_generators(UT4, gens, 7)
-    assert not ok
-    assert missing.coords == (0, 0, 0, 0, 0, 1)
-    ok, _ = reaches_all_generators(H3, standard_generators(H3), 4)
-    assert ok
+    # includes UT4, whose central generator is 8 steps from the identity
+    for schema in ALL_SCHEMAS + [unitriangular(9)]:
+        assert reaches_all_generators(schema, standard_generators(schema)) == (True, None)
+    assert reaches_all_generators(Z2, []) == (False, basis_element(Z2, 1))
+
+
+def _symmetric(schema, coords):
+    elems = [element(schema, c) for c in coords]
+    return elems + [inv(schema, g) for g in elems]
+
+
+@pytest.mark.parametrize(
+    "schema, coords, missing",
+    [
+        (Z2, [(2, 0), (0, 1)], 1),
+        (H3, [(1, 0, 0), (1, 0, 5)], 2),
+        (UT4, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], 3),
+        (Z2, [(6, 0), (10, 1), (15, 0)], 2),
+    ],
+)
+def test_non_generating_support_names_missing_generator(schema, coords, missing):
+    support = _symmetric(schema, coords)
+    assert reaches_all_generators(schema, support) == (False, basis_element(schema, missing))
+    # the named generator is not a short word either
+    assert basis_element(schema, missing) not in ball(schema, support, 4)
+
+
+@pytest.mark.parametrize("schema", [Z2, lattice(3), H3, heisenberg(2), UT3, UT4], ids=str)
+def test_exact_generation_agrees_with_ball_search(schema):
+    # reference: the radius-6 ball is the radius-3 ball times itself.  When
+    # it holds every e_i^{+-1} the support generates, and the exact test must
+    # accept; a generator the exact test names as missing is never in it.
+    rng = random.Random(f"generation/{schema}")
+    r = schema.layer_ranks[0]
+    ball_accepted = exact_rejected = 0
+    for _ in range(60):
+        coords = [
+            tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(schema.n_coords))
+            for _ in range(rng.randint(r - 1, r + 2))
+        ]
+        support = _symmetric(schema, [c for c in coords if any(c)])
+        half = [g.coords for g in ball(schema, support, 3)]
+        reach = set(half)
+
+        def in_ball6(g):
+            return any(mul_coords(schema, inv_coords(schema, a), g.coords) in reach for a in half)
+
+        ok, missing = reaches_all_generators(schema, support)
+        if all(in_ball6(basis_element(schema, i, e))
+               for i in range(1, schema.n_coords + 1) for e in (1, -1)):
+            ball_accepted += 1
+            assert ok, coords
+        if not ok:
+            exact_rejected += 1
+            assert not in_ball6(missing), coords
+    assert ball_accepted and exact_rejected

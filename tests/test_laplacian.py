@@ -74,11 +74,11 @@ def test_non_adapted_measure_rejected():
         Measure(Z2, atoms)
 
 
-def test_unitriangular_walk_needs_radius_eight():
-    with pytest.raises(ValidationError, match="not adapted"):
-        generator_walk(UT4)
-    mu = generator_walk(UT4, adaptedness_radius=8)
-    assert len(mu.atoms) == 6
+def test_unitriangular_walk_is_adapted():
+    # the central generator of unitriangular(4) is 8 walk steps from the identity
+    for n in range(2, 10):
+        mu = generator_walk(unitriangular(n))
+        assert len(mu.atoms) == 2 * (n - 1)
 
 
 def test_lazy_walk_has_identity_atom():
@@ -164,7 +164,7 @@ TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
 def test_matrix_equals_column_by_column_laplacian(schema, walk):
     # the basis-wide assembly against one apply_laplacian per domain monomial
-    mu = walk(schema, adaptedness_radius=8)
+    mu = walk(schema)
     for k in range(6):
         domain, codomain = pk_basis(schema, k), pk_basis(schema, k - 2)
         columns = [

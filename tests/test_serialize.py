@@ -66,7 +66,7 @@ def test_measure_round_trip():
     for mu in (
         generator_walk(H3),
         lazy_generator_walk(Z2),
-        generator_walk(unitriangular(4), adaptedness_radius=8),
+        generator_walk(unitriangular(4)),
     ):
         cfg = measure_to_config(mu)
         assert all(isinstance(a["weight"], str) for a in cfg["atoms"])
@@ -108,14 +108,27 @@ def test_measure_config_validation():
         _walk_config(atoms=_walk_atoms(True)),
         _walk_config(atoms=_walk_atoms("one")),
         _walk_config(atoms=[{"coords": "100", "weight": "1"}]),
-        _walk_config(adaptedness_radius="x"),
-        _walk_config(adaptedness_radius=4.0),
+        # +-2x and +-y generate an index-2 subgroup
+        _walk_config(atoms=[{"coords": [s * 2, 0, 0], "weight": "1/4"} for s in (1, -1)]
+                     + [{"coords": [0, s, 0], "weight": "1/4"} for s in (1, -1)]),
+        _walk_config(atoms=[{**a, "weight": "0.25"} for a in _walk_atoms(1)]),
         _walk_config(atoms={"coords": [0, 0, 0], "weight": "1"}),
         _walk_config(atoms=[[0, 0, 0]]),
+        # a zero denominator, and more digits than int() converts
+        _walk_config(atoms=[{**a, "weight": "1/0"} for a in _walk_atoms(1)]),
+        _walk_config(atoms=_walk_atoms("9" * 5000)),
     ],
 )
 def test_bad_measure_configs(cfg):
     with pytest.raises(ValidationError):
+        measure_from_config(H3, cfg)
+
+
+@pytest.mark.parametrize("radius", [0, 4, 8, "x", 4.0, None, True])
+def test_retired_adaptedness_radius_is_ignored(radius):
+    cfg = _walk_config()
+    assert "adaptedness_radius" not in cfg
+    assert measure_from_config(H3, {**cfg, "adaptedness_radius": radius}) == \
         measure_from_config(H3, cfg)
 
 
