@@ -33,14 +33,23 @@ EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> Any:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ValidationError(f"cannot parse {path}: {exc}") from exc
 
 
 def _load_group(path: str) -> GroupSchema:
@@ -124,12 +133,7 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
 def cmd_preimage(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
     measure = _load_measure(schema, args.measure)
-    try:
-        with open(args.polynomial, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.polynomial}: {exc.strerror}") from exc
-    target = parse_polynomial(schema, text)
+    target = parse_polynomial(schema, _read_text(args.polynomial))
     # solve_preimage verifies laplacian(p_hat) == target, or raises InternalInconsistency
     p_hat = solve_preimage(schema, measure, target)
     lines = [

@@ -149,6 +149,13 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _token_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ValidationError(f"number with {len(tok)} digits is too long") from None
+
+
 def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
     """Parse caret-and-star syntax like ``x^2 - y^2 + 3/2*x*y - 1``.
 
@@ -177,13 +184,14 @@ def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
         tok = take()
         if not tok.isdigit():
             raise ValidationError(f"expected a number, found {tok!r}")
-        value = Fraction(int(tok))
+        value = Fraction(_token_int(tok))
         if peek() == "/":
             take()
             den = take()
-            if not den.isdigit() or int(den) == 0:
+            d = _token_int(den) if den.isdigit() else 0
+            if d == 0:
                 raise ValidationError("invalid denominator in coefficient")
-            value /= int(den)
+            value /= d
         return value
 
     def parse_term() -> tuple[Fraction, tuple[int, ...]]:
@@ -208,7 +216,7 @@ def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
                     etok = take()
                     if not etok.isdigit():
                         raise ValidationError("exponent must be a non-negative integer")
-                    e = int(etok)
+                    e = _token_int(etok)
                 exps[name_index[name]] += e
             else:
                 raise ValidationError(f"unexpected token {tok!r} in term")

@@ -38,7 +38,7 @@ from .polynomials import (
     translate_left,
     translate_right,
 )
-from .verify import check_harmonic_batch, check_left_right_agreement
+from .verify import _value_tables, check_harmonic_batch, check_left_right_agreement
 
 
 @dataclass(frozen=True)
@@ -130,22 +130,24 @@ def run_invariant_suite(
 
     # polynomial calculus
     k_interp = min(k_max, 2)
+    index: dict[tuple[int, ...], int] = {}
+    ug_ids = [[index.setdefault(mul(schema, u, g).coords, len(index)) for g in b3] for u in b2]
     bad_detail = ""
-    ok = True
     for mono_ in pk_basis(schema, k_interp):
         p = Polynomial.from_monomial(schema, mono_)
-        for u in b2:
-            q = translate_left(p, u)
-            for g in b3:
-                if q.evaluate(g) != p.evaluate(mul(schema, u, g)):
-                    ok = False
-                    bad_detail = f"monomial {mono_.exponents}, u={u}, g={g}"
-                    break
-            if not ok:
+        ((p_scale, p_values),) = _value_tables([p], list(index))
+        q_tables = _value_tables([translate_left(p, u) for u in b2], [g.coords for g in b3])
+        for u, ids, (q_scale, q_values) in zip(b2, ug_ids, q_tables):
+            bad = next(
+                (g for g, qv, i in zip(b3, q_values, ids) if qv * p_scale != p_values[i] * q_scale),
+                None,
+            )
+            if bad is not None:
+                bad_detail = f"monomial {mono_.exponents}, u={u}, g={bad}"
                 break
-        if not ok:
+        if bad_detail:
             break
-    add("poly.interpolation_soundness", ok, bad_detail or f"degree <= {k_interp}")
+    add("poly.interpolation_soundness", not bad_detail, bad_detail or f"degree <= {k_interp}")
 
     k_red = min(k_max, 4)
     ok = True

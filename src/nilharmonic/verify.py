@@ -1,7 +1,9 @@
 """Brute-force oracles that validate the algebra by direct evaluation.
 
 Everything here works pointwise on Cayley balls using only group
-multiplication and polynomial evaluation; the translation machinery under
+multiplication and integer value tables: each polynomial is scaled by the
+lcm of its coefficient denominators and evaluated at an interned list of
+points, one shared column per monomial.  The translation machinery under
 test (composition with the affine forms of the group law) is never called,
 so a bug there cannot hide from these checks.  All enumeration orders are
 fixed, making every oracle deterministic.
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .groups import (
@@ -25,9 +27,37 @@ from .groups import (
     standard_generators,
 )
 from .laplacian import Measure
-from .polynomials import Polynomial
+from .polynomials import Monomial, Polynomial
 
 DEFAULT_TUPLE_BUDGET = 2000
+
+
+def _value_tables(
+    polys: Sequence[Polynomial], points: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(scale, values)`` per polynomial, ``values[i] == scale * p(points[i])``.
+
+    ``scale`` is the lcm of p's coefficient denominators, so all arithmetic is
+    integer; the monomial value columns are shared across the polynomials.
+    """
+    columns: dict[Monomial, list[int]] = {}
+    for mono in sorted({m for p in polys for m in p.terms}):
+        powers = [(t, e) for t, e in enumerate(mono.exponents) if e]
+        col = []
+        for c in points:
+            v = 1
+            for t, e in powers:
+                v *= c[t] ** e
+            col.append(v)
+        columns[mono] = col
+    for p in polys:
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        values = [0] * len(points)
+        for mono, c in p.terms.items():
+            c = int(c * scale)
+            for i, v in enumerate(columns[mono]):
+                values[i] += c * v
+        yield scale, values
 
 
 @dataclass(frozen=True)
@@ -47,8 +77,8 @@ def check_harmonic_batch(
 ) -> list[HarmonicCheck]:
     """Mean-value check f(g) = sum_s mu(s) f(gs) for every g in the ball.
 
-    Batch form: the ball, the products g*s and the monomial value tables are
-    shared across all polynomials.  Arithmetic is integer after clearing
+    Batch form: the ball, the products g*s and the value tables are shared
+    across all polynomials.  Arithmetic is integer after clearing
     denominators, so every comparison is exact.
     """
     if schema != measure.schema:
@@ -58,69 +88,25 @@ def check_harmonic_batch(
     int_weights = [int(w * weight_scale) for _, w in atoms]
 
     centers = [g.coords for g in ball(schema, measure.support(), radius)]
-    point_index: dict[tuple[int, ...], int] = {}
-    points: list[tuple[int, ...]] = []
-
-    def intern(c: tuple[int, ...]) -> int:
-        i = point_index.get(c)
-        if i is None:
-            i = len(points)
-            point_index[c] = i
-            points.append(c)
-        return i
-
-    center_ids = [intern(c) for c in centers]
+    index: dict[tuple[int, ...], int] = {}
+    center_ids = [index.setdefault(c, len(index)) for c in centers]
     shifted_ids = [
-        [intern(mul_coords(schema, c, s.coords)) for s, _ in atoms] for c in centers
+        [index.setdefault(mul_coords(schema, c, s.coords), len(index)) for s, _ in atoms]
+        for c in centers
     ]
 
-    monomials = sorted({m for p in polys for m in p.terms})
-    mono_values: dict[tuple[int, ...], list[int]] = {}
-    for mono in monomials:
-        powers = [(t, e) for t, e in enumerate(mono.exponents) if e]
-        col = []
-        for c in points:
-            v = 1
-            for t, e in powers:
-                v *= c[t] ** e
-            col.append(v)
-        mono_values[mono.exponents] = col
-
     results = []
-    for p in polys:
-        if p.terms:
-            coeff_scale = lcm(*(c.denominator for c in p.terms.values()))
-        else:
-            coeff_scale = 1
-        support = [
-            (mono_values[m.exponents], int(c * coeff_scale)) for m, c in p.terms.items()
-        ]
-        values = [0] * len(points)
-        for i in range(len(points)):
-            acc = 0
-            for col, c in support:
-                acc += c * col[i]
-            values[i] = acc
-
-        failure = None
+    for scale, values in _value_tables(polys, list(index)):
+        result = HarmonicCheck(True, len(centers))
         for ci, (gid, sids) in enumerate(zip(center_ids, shifted_ids)):
             rhs = 0
             for sid, w in zip(sids, int_weights):
                 rhs += w * values[sid]
             if weight_scale * values[gid] != rhs:
-                failure = ci
+                exact = Fraction(values[gid], scale), Fraction(rhs, weight_scale * scale)
+                result = HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact)
                 break
-        if failure is None:
-            results.append(HarmonicCheck(True, len(centers)))
-        else:
-            g = GroupElement(centers[failure])
-            lhs_exact = p.evaluate(g)
-            rhs_exact = sum(
-                (w * p.evaluate(GroupElement(mul_coords(schema, g.coords, s.coords)))
-                 for s, w in atoms),
-                Fraction(0),
-            )
-            results.append(HarmonicCheck(False, failure + 1, g, lhs_exact, rhs_exact))
+        results.append(result)
     return results
 
 
@@ -159,39 +145,39 @@ def _iterated_difference_check(
     """Evaluate order-fold differences of f directly via signed sums.
 
     For the left derivative the subset {i_1 < ... < i_r} contributes
-    f(u_{i_r} ... u_{i_1} x); for the right, f(x u_{i_1} ... u_{i_r}).
+    (-1)^(order - r) f(u_{i_r} ... u_{i_1} x); for the right,
+    (-1)^(order - r) f(x u_{i_1} ... u_{i_r}).  Subset products are built by
+    doubling, so bit i of a subset's index marks u_{i+1}.  The points of all
+    budgeted tuples are interned and evaluated in one value table, then the
+    tuples are scanned in odometer order.
     """
-    checked = 0
-    id_coords = (0,) * schema.n_coords
-    for tup in itertools.product(elems, repeat=order):
-        if checked >= budget:
-            break
-        checked += 1
-        prods = []
-        signs = []
-        for mask in range(1 << order):
-            prod = id_coords
-            if side == "left":
-                for i in range(order - 1, -1, -1):
-                    if mask >> i & 1:
-                        prod = mul_coords(schema, prod, tup[i].coords)
-            else:
-                for i in range(order):
-                    if mask >> i & 1:
-                        prod = mul_coords(schema, prod, tup[i].coords)
-            prods.append(prod)
-            signs.append(1 if (order - mask.bit_count()) % 2 == 0 else -1)
-        for x in test_points:
-            total = Fraction(0)
-            for prod, sign in zip(prods, signs):
-                if side == "left":
-                    point = mul_coords(schema, prod, x.coords)
-                else:
-                    point = mul_coords(schema, x.coords, prod)
-                total += sign * f.evaluate(GroupElement(point))
+
+    def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return mul_coords(schema, b, a) if side == "left" else mul_coords(schema, a, b)
+
+    signs = [1 if order % 2 == 0 else -1]
+    for _ in range(order):
+        signs += [-s for s in signs]
+    tuples = list(itertools.islice(itertools.product(elems, repeat=order), budget))
+    index: dict[tuple[int, ...], int] = {}
+    ids = []
+    for tup in tuples:
+        prods = [(0,) * schema.n_coords]
+        for u in tup:
+            prods += [act(prod, u.coords) for prod in prods]
+        ids.append(
+            [[index.setdefault(act(x.coords, p), len(index)) for p in prods] for x in test_points]
+        )
+
+    ((scale, values),) = _value_tables([f], list(index))
+    for checked, (tup, tup_ids) in enumerate(zip(tuples, ids), 1):
+        for x, point_ids in zip(test_points, tup_ids):
+            total = 0
+            for sign, i in zip(signs, point_ids):
+                total += sign * values[i]
             if total:
-                return DerivativeCheck(False, order, checked, tup, x, total)
-    return DerivativeCheck(True, order, checked)
+                return DerivativeCheck(False, order, checked, tup, x, Fraction(total, scale))
+    return DerivativeCheck(True, order, len(tuples))
 
 
 def check_derivative_vanishing(
@@ -252,9 +238,13 @@ def growth_profile(
 ) -> list[GrowthProfileRow]:
     """Exact max of |f| on each word-metric sphere, with max / r^deg ratios."""
     deg = f.degree or 0
+    levels = ball_levels(schema, support, r_max)
+    ((scale, values),) = _value_tables([f], [c for level in levels for c in level])
     rows = []
-    for r, level in enumerate(ball_levels(schema, support, r_max)):
-        m = max((abs(f.evaluate(GroupElement(c))) for c in level), default=Fraction(0))
+    start = 0
+    for r, level in enumerate(levels):
+        m = Fraction(max(map(abs, values[start : start + len(level)]), default=0), scale)
+        start += len(level)
         ratio = Fraction(m, r**deg) if r >= 1 else None
         rows.append(GrowthProfileRow(r, m, ratio))
     return rows

@@ -237,6 +237,32 @@ def test_bad_config_values_exit_one(tmp_path, capsys, group, measure):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"family": "lattice", "d": ' + b"9" * 5000 + b"}", b'{"family": "lattice", "d": 1}\xff'],
+    ids=["long-integer-literal", "not-utf8"],
+)
+def test_undecodable_config_exits_one(tmp_path, capsys, content):
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["dims", "--group", str(path), "--k", "2"])
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content", [b"9" * 5000, b"x + 1\xff"], ids=["long-number", "not-utf8"]
+)
+def test_undecodable_polynomial_exits_one(configs, tmp_path, capsys, content):
+    poly = tmp_path / "q.txt"
+    poly.write_bytes(content)
+    code, out, err = run(
+        capsys, ["preimage", "--group", configs["h3"], "--measure", configs["mu_h3"], str(poly)]
+    )
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unitriangular_walk_config_runs(tmp_path, capsys):
     # the elementary walk on unitriangular(4), written with no radius field
     atoms = [

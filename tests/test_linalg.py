@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nilharmonic.errors import ValidationError
+from nilharmonic.groups import heisenberg, lattice, unitriangular
+from nilharmonic.laplacian import generator_walk, laplacian_matrix
 from nilharmonic.linalg import Inconsistent, RationalMatrix
 
 
@@ -119,3 +121,27 @@ def test_solve_properties(seed):
     sol = m.solve(b)
     assert not isinstance(sol, Inconsistent)
     assert m.mul_vector(sol) == b
+
+
+def _sympy_cases():
+    # Laplacian matrices of the generator walks, and the seeded random matrices above
+    for schema, k in ((lattice(3), 4), (heisenberg(1), 5), (unitriangular(4), 4)):
+        yield laplacian_matrix(schema, generator_walk(schema), k)
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+    for seed in range(8):
+        rng = random.Random(100 + seed)
+        yield _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+
+def test_rref_and_kernel_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _sympy_cases():
+        expected = sympy.Matrix(m.data)
+        reduced, pivots = m.rref()
+        sym_reduced, sym_pivots = expected.rref()
+        assert pivots == sym_pivots
+        assert reduced.data == sym_reduced.tolist()
+        # both use the canonical parameterization: each free column set to 1 in turn
+        assert m.kernel_basis() == [list(v) for v in expected.nullspace()]

@@ -177,7 +177,13 @@ def test_parse_lattice_and_unitriangular_names():
     )
 
 
-@pytest.mark.parametrize("text", ["", "   ", "q + 1", "x^-2", "x +", "2//3", "x^", "(x)"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", "q + 1", "x^-2", "x +", "2//3", "x^", "(x)",
+     pytest.param("9" * 5000, id="long-number"),
+     pytest.param("x^" + "9" * 5000, id="long-exponent"),
+     pytest.param("1/" + "9" * 5000, id="long-denominator")],
+)
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValidationError):
         parse_polynomial(H3, text)

@@ -1,17 +1,25 @@
 """Brute-force oracles: direct mean-value, derivative and growth checks."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
 from nilharmonic.groups import (
+    GroupElement,
+    ball,
     element,
     heisenberg,
     lattice,
     mul,
     standard_generators,
+    unitriangular,
 )
-from nilharmonic.laplacian import generator_walk
-from nilharmonic.polynomials import Polynomial
+from nilharmonic.laplacian import generator_walk, lazy_generator_walk
+from nilharmonic.polynomials import Polynomial, pk_basis
 from nilharmonic.verify import (
+    _value_tables,
     check_derivative_vanishing,
     check_harmonic_batch,
     check_harmonic_on_ball,
@@ -84,8 +92,6 @@ def test_derivative_vanishing_zero_function():
 def test_degree_agreement_per_class():
     # every monomial passes at its weighted degree; each degree class up to 3
     # has a monomial that fails one order below
-    from nilharmonic.polynomials import pk_basis
-
     gens = standard_generators(H3)
     failed_at = set()
     for m in pk_basis(H3, 3):
@@ -137,3 +143,63 @@ def test_growth_profile_constant():
     c = Polynomial.constant(H3, Fraction(5, 2))
     rows = growth_profile(H3, c, standard_generators(H3), 4)
     assert all(row.max_abs == Fraction(5, 2) for row in rows)
+
+
+# -- cross-checks of the integer value tables against Polynomial.evaluate ------
+
+
+def _random_polynomial(rng, schema, k, n_terms):
+    basis = pk_basis(schema, k)
+    terms = {
+        rng.choice(basis): Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        for _ in range(n_terms)
+    }
+    return Polynomial(schema, terms)
+
+
+@pytest.mark.parametrize("schema", [heisenberg(1), lattice(2), unitriangular(4)], ids=str)
+def test_value_tables_match_evaluate(schema):
+    rng = random.Random(7)
+    polys = [_random_polynomial(rng, schema, 3, n) for n in (1, 3, 6, 10)]
+    polys += [Polynomial.zero(schema), Polynomial.constant(schema, Fraction(-5, 3))]
+    points = [g.coords for g in ball(schema, standard_generators(schema), 2)]
+    assert any(c < 0 for point in points for c in point)
+    for p, (scale, values) in zip(polys, _value_tables(polys, points)):
+        assert len(values) == len(points)
+        for point, v in zip(points, values):
+            assert Fraction(v, scale) == p.evaluate(GroupElement(point))
+
+
+def _signed_sum(schema, f, tup, x, side):
+    """sum over subsets S of (-1)^(order - |S|) f(prod(S) x) or f(x prod(S))."""
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(tup)):
+        point = x
+        for u, bit in zip(tup, bits):
+            if bit:
+                point = mul(schema, u, point) if side == "left" else mul(schema, point, u)
+        total += (-1) ** (len(tup) - sum(bits)) * f.evaluate(point)
+    return total
+
+
+def test_failing_difference_values_match_evaluate():
+    # degree 3 at order 2, so the left and right values differ at the same witness
+    f = Fraction(3, 2) * X * Z - Fraction(1, 3) * X * X * Y + Y
+    res = check_left_right_agreement(H3, f, 1, 2, budget=400)
+    for side, check in (("left", res.left), ("right", res.right)):
+        assert not check.passed and check.order == 2
+        assert check.value == _signed_sum(H3, f, check.witness_tuple, check.witness_point, side)
+    assert res.left.value != res.right.value
+
+
+def test_failing_harmonic_sides_match_evaluate():
+    mu = lazy_generator_walk(H3, Fraction(1, 3))
+    f = Fraction(3, 2) * X * X - Fraction(1, 3) * Y + Fraction(5, 7) * Z
+    res = check_harmonic_on_ball(H3, mu, f, 2)
+    assert not res.passed
+    g = res.witness
+    assert res.lhs == f.evaluate(g)
+    assert res.rhs == sum(
+        (w * f.evaluate(mul(H3, g, s)) for s, w in mu.atoms.items()), Fraction(0)
+    )
+    assert res.lhs.denominator > 1 or res.rhs.denominator > 1
