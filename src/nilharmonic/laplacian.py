@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -97,6 +98,9 @@ class Measure:
             and self.atoms == other.atoms
         )
 
+    def __hash__(self) -> int:
+        return hash((self.schema, frozenset(self.atoms.items())))
+
     def __repr__(self) -> str:
         return f"Measure({self.schema.name()}, {len(self.atoms)} atoms)"
 
@@ -147,12 +151,14 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     return result
 
 
+@lru_cache(maxsize=4)
 def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
 
     Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
     graded order.  For k <= 1 the codomain is trivial and the matrix has
-    zero rows.
+    zero rows.  The last few matrices are kept, keyed by (schema, measure,
+    k), so repeated solves against one Laplacian share one factorization.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
@@ -169,7 +175,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
         for column, image in zip(columns, monomial_translates(schema, s, "right", domain)):
             for exps, c in image.items():
                 column[exps] = column.get(exps, 0) - ws * c
-    data = [[Fraction(0)] * len(domain) for _ in codomain]
+    rows: list[dict[int, Fraction]] = [{} for _ in codomain]
     for j, (mono, column) in enumerate(zip(domain, columns)):
         for exps, c in column.items():
             if not c:
@@ -180,8 +186,8 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
                     f"Laplacian image of {mono.exponents} contains out-of-range "
                     f"monomial {exps}"
                 )
-            data[i][j] = Fraction(c, scale)
-    return RationalMatrix(len(codomain), len(domain), data)
+            rows[i][j] = Fraction(c, scale)
+    return RationalMatrix.from_sparse(len(codomain), len(domain), rows)
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,9 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
     kernel parameterization of the Laplacian matrix."""
     matrix = laplacian_matrix(schema, measure, k)
     domain = pk_basis(schema, k)
-    kernel = matrix.kernel_basis()
     basis = tuple(
-        Polynomial(schema, {domain[i]: c for i, c in enumerate(vec) if c})
-        for vec in kernel
+        Polynomial(schema, {domain[i]: c for i, c in vec.items()})
+        for vec in matrix.factorization().kernel()
     )
     predicted = dim_hk(schema, k)
     if len(basis) != predicted:

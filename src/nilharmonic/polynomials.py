@@ -223,8 +223,6 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         # leading terms first; ties follow the graded basis order
         ordered = sorted(
             self.terms.items(),
@@ -233,29 +231,35 @@ class Polynomial:
                 tuple(-e for e in mc[0].exponents),
             ),
         )
-        pieces: list[str] = []
-        for mono, coeff in ordered:
-            factors = []
-            for name, e in zip(self.schema.coord_names, mono.exponents):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+        return terms_text(self.schema, ordered)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.schema.name()}: {self})"
+
+
+def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
+    """Text of the non-zero terms in the given order, as ``str(Polynomial)``
+    writes it (which orders them leading degree first); "0" for no terms."""
+    pieces: list[str] = []
+    for mono, coeff in ordered:
+        factors = []
+        for name, e in zip(schema.coord_names, mono.exponents):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
 
 
 # -- translation by composition -----------------------------------------------

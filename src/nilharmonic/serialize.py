@@ -14,7 +14,7 @@ from typing import Any, Mapping
 from .errors import ValidationError
 from .groups import GroupSchema, element, heisenberg, lattice, unitriangular
 from .laplacian import Measure
-from .polynomials import Monomial, Polynomial, monomial_sort_key
+from .polynomials import Monomial, Polynomial, terms_text
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -105,13 +105,19 @@ def measure_from_config(schema: GroupSchema, cfg: Mapping[str, Any]) -> Measure:
 # -- polynomial JSON -------------------------------------------------------------
 
 def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
-    ordered = sorted(p.terms.items(), key=lambda mc: monomial_sort_key(p.schema, mc[0]))
+    # one sort into graded order; a stable sort of that list by descending
+    # degree is the leading-first order of str(p)
+    keyed = sorted(
+        ((m.weighted_degree(p.schema), tuple(-e for e in m.exponents)), m, c)
+        for m, c in p.terms.items()
+    )
+    leading = sorted(keyed, key=lambda t: -t[0][0])
     return {
         "terms": [
             {"exponents": list(m.exponents), "coeff": str(c)}
-            for m, c in ordered
+            for _, m, c in keyed
         ],
-        "text": str(p),
+        "text": terms_text(p.schema, ((m, c) for _, m, c in leading)),
     }
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from nilharmonic.errors import ValidationError
+from nilharmonic.errors import InternalInconsistency, InvariantFailure, ValidationError
 from nilharmonic.groups import (
     basis_element,
     element,
@@ -336,3 +336,108 @@ def test_six_atom_heisenberg_walk():
     assert apply_laplacian(mu6, Z).is_zero
     assert apply_laplacian(mu6, X * Y).is_zero
     assert apply_laplacian(mu6, X * X) == Polynomial.constant(H3, Fraction(-1, 3))
+
+
+# -- the matrix memo -----------------------------------------------------------------
+
+@pytest.fixture
+def fresh_memo():
+    laplacian_matrix.cache_clear()
+    yield laplacian_matrix
+    laplacian_matrix.cache_clear()
+
+
+def _atoms(schema):
+    gens = [basis_element(schema, i, s) for i in (1, 2) for s in (1, -1)]
+    return [(identity(schema), Fraction(1, 3))] + [(g, Fraction(1, 6)) for g in gens]
+
+
+def test_equal_measures_hash_equal_and_share_one_entry(fresh_memo):
+    forward = Measure(H3, _atoms(H3))
+    backward = Measure(H3, list(reversed(_atoms(H3))))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert laplacian_matrix(H3, forward, 4) is laplacian_matrix(H3, backward, 4)
+    info = fresh_memo.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    # a different measure gets its own entry
+    assert laplacian_matrix(H3, MU_H3, 4) != laplacian_matrix(H3, forward, 4)
+    assert fresh_memo.cache_info().currsize == 2
+
+
+def test_mutating_returned_values_does_not_leak_into_the_memo(fresh_memo):
+    k = 4
+    uncached = laplacian_matrix.__wrapped__(H3, MU_H3, k)
+    rhs = (X * Y).coefficient_vector(pk_basis(H3, k - 2))
+    expected_kernel = uncached.kernel_basis()
+    expected_sol = uncached.solve(rhs)
+    expected_reduced = uncached.rref()[0].data
+
+    A = laplacian_matrix(H3, MU_H3, k)
+    A.data[0][0] += 1
+    grid = A.data
+    grid[0][:] = [Fraction(7)] * A.cols
+    A.kernel_basis()[0][0] = Fraction(99)
+    A.factorization().kernel()[0].clear()
+    A.solve(rhs)[0] = Fraction(99)
+    A.factorization().solve(rhs).clear()
+    A.rref()[0].data[0][0] = Fraction(99)
+
+    again = laplacian_matrix(H3, MU_H3, k)
+    assert again is A
+    assert again == uncached
+    assert again.kernel_basis() == expected_kernel
+    assert again.solve(rhs) == expected_sol
+    assert again.rref()[0].data == expected_reduced
+    report = harmonic_basis(H3, MU_H3, k)
+    assert [p.coefficient_vector(pk_basis(H3, k)) for p in report.basis] == expected_kernel
+    assert apply_laplacian(MU_H3, solve_preimage(H3, MU_H3, X * Y)) == X * Y
+
+
+def test_more_measures_than_the_memo_holds(fresh_memo):
+    size = fresh_memo.cache_info().maxsize
+    measures = [lazy_generator_walk(H3, Fraction(1, n)) for n in range(2, size + 5)]
+    q = X * X - Z
+    for _ in range(2):
+        for mu in measures:
+            for k in (1, 3):
+                assert laplacian_matrix(H3, mu, k) == laplacian_matrix.__wrapped__(H3, mu, k)
+            p_hat = solve_preimage(H3, mu, q)
+            assert apply_laplacian(mu, p_hat) == q
+            fresh = laplacian_matrix.__wrapped__(H3, mu, 4).solve(
+                q.coefficient_vector(pk_basis(H3, 2)))
+            assert p_hat.coefficient_vector(pk_basis(H3, 4)) == fresh
+    assert fresh_memo.cache_info().currsize == size
+
+
+def test_preimage_recheck_survives_the_memo(fresh_memo, monkeypatch):
+    solve_preimage(H3, MU_H3, X)  # the matrix is now memoized
+    from nilharmonic import laplacian
+
+    monkeypatch.setattr(laplacian, "apply_laplacian", lambda measure, p: p)
+    with pytest.raises(InternalInconsistency, match="verification failed"):
+        solve_preimage(H3, MU_H3, X)
+
+
+def test_predicted_dimension_check_survives_the_memo(fresh_memo, monkeypatch):
+    harmonic_basis(H3, MU_H3, 3)
+    from nilharmonic import laplacian
+
+    monkeypatch.setattr(laplacian, "dim_hk", lambda schema, k: dim_hk(schema, k) + 1)
+    with pytest.raises(InvariantFailure, match="predicted"):
+        harmonic_basis(H3, MU_H3, 3)
+
+
+def test_out_of_range_image_is_not_memoized(fresh_memo, monkeypatch):
+    from nilharmonic import laplacian
+
+    real = laplacian.monomial_translates
+
+    def stray(schema, u, side, monomials):
+        for image in real(schema, u, side, monomials):
+            yield {**image, (0, 0, 9): 1}
+
+    monkeypatch.setattr(laplacian, "monomial_translates", stray)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="out-of-range"):
+            laplacian_matrix(H3, MU_H3, 3)
+    assert fresh_memo.cache_info().currsize == 0

@@ -145,3 +145,168 @@ def test_rref_and_kernel_match_sympy():
         assert reduced.data == sym_reduced.tolist()
         # both use the canonical parameterization: each free column set to 1 in turn
         assert m.kernel_basis() == [list(v) for v in expected.nullspace()]
+
+
+# -- cross-checks of the sparse factorization ------------------------------------
+#
+# dense_reference.py holds the dense Gauss-Jordan the factorization replaced; every
+# answer must equal it exactly, and sympy's where sympy has one.
+
+import dense_reference as dense  # noqa: E402
+
+
+def _sparse_random(rng, rows, cols, density=0.4):
+    return [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else 0
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _low_rank(rng, rows, cols, rank):
+    left = _sparse_random(rng, rows, rank, 0.7)
+    right = _sparse_random(rng, rank, cols, 0.5)
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+            for row in left]
+
+
+def _with_zero_columns(rng, rows, cols):
+    grid = _sparse_random(rng, rows, cols, 0.6)
+    for j in rng.sample(range(cols), max(1, cols // 3)):
+        for row in grid:
+            row[j] = 0
+    return grid
+
+
+def _cross_check_cases():
+    """(label, matrix) pairs: rank-deficient, zero-row, zero-column, wide, tall."""
+    for seed in range(6):
+        rng = random.Random(1000 + seed)
+        rows, cols = rng.randint(3, 7), rng.randint(3, 7)
+        rank = rng.randint(1, min(rows, cols) - 1)
+        yield f"rank-deficient-{seed}", RationalMatrix.from_rows(
+            _low_rank(rng, rows, cols, rank), cols=cols)
+        yield f"zero-column-{seed}", RationalMatrix.from_rows(
+            _with_zero_columns(rng, rows, cols), cols=cols)
+        yield f"wide-{seed}", RationalMatrix.from_rows(
+            _sparse_random(rng, rng.randint(1, 3), rng.randint(6, 10)))
+        yield f"tall-{seed}", RationalMatrix.from_rows(
+            _sparse_random(rng, rng.randint(6, 10), rng.randint(1, 3)))
+    for cols in (0, 1, 4):
+        yield f"zero-row-{cols}", RationalMatrix(0, cols, [])
+    yield "zero-width", RationalMatrix(3, 0, [[], [], []])
+    for schema in (lattice(2), heisenberg(1), unitriangular(3)):
+        for k in (0, 1, 3):  # k <= 1: the Laplacian has no rows
+            yield f"laplacian-{schema.name()}-{k}", laplacian_matrix(
+                schema, generator_walk(schema), k)
+
+
+def _right_hand_sides(rng, m):
+    """Consistent ones (images of random vectors) and, where the rank allows,
+    inconsistent ones."""
+    out = []
+    for _ in range(3):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.cols)]
+        out.append(m.mul_vector(x))
+    if m.rows:
+        out.extend(
+            [Fraction(rng.randint(-3, 3)) for _ in range(m.rows)] for _ in range(3)
+        )
+        out.append([Fraction(int(i == m.rows - 1)) for i in range(m.rows)])
+    return out
+
+
+CROSS_CASES = list(_cross_check_cases())
+
+
+@pytest.mark.parametrize("label,m", CROSS_CASES, ids=[c[0] for c in CROSS_CASES])
+def test_factorization_matches_dense_reference(label, m):
+    data = m.data
+    ref_reduced, ref_pivots = dense.rref(data, m.cols)
+    reduced, pivots = m.rref()
+    assert pivots == ref_pivots
+    assert reduced.data == ref_reduced
+    assert m.rank == dense.rank(data, m.cols)
+    assert m.kernel_basis() == dense.kernel_basis(data, m.cols)
+    rng = random.Random(label)
+    for b in _right_hand_sides(rng, m):
+        # Inconsistent is compared by value, so its row must equal the dense one
+        assert m.solve(b) == dense.solve(data, m.cols, b)
+
+
+def test_cross_check_cases_cover_inconsistent_systems():
+    inconsistent = 0
+    for label, m in CROSS_CASES:
+        for b in _right_hand_sides(random.Random(label), m):
+            inconsistent += isinstance(m.solve(b), Inconsistent)
+    assert inconsistent >= 20
+
+
+@pytest.mark.parametrize("label,m", CROSS_CASES, ids=[c[0] for c in CROSS_CASES])
+def test_factorization_matches_sympy(label, m):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row])
+    sym_reduced, sym_pivots = expected.rref()
+    reduced, pivots = m.rref()
+    assert pivots == sym_pivots
+    assert reduced.data == sym_reduced.tolist()
+    assert m.rank == expected.rank()
+    assert m.kernel_basis() == [list(v) for v in expected.nullspace()]
+    rng = random.Random(label)
+    for b in _right_hand_sides(rng, m):
+        column = sympy.Matrix(m.rows, 1, b)
+        sol = m.solve(b)
+        if expected.hstack(expected, column).rank() > expected.rank():
+            assert sol == Inconsistent(row=expected.rank())
+        else:
+            assert expected * sympy.Matrix(m.cols, 1, sol) == column
+            assert all(sol[j] == 0 for j in range(m.cols) if j not in pivots)
+
+
+def test_many_right_hand_sides_share_one_elimination(monkeypatch):
+    from nilharmonic import linalg
+
+    calls = []
+    original = linalg._eliminate
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    rng = random.Random(7)
+    m = RationalMatrix.from_rows(_low_rank(rng, 8, 11, 5), cols=11)
+    data = m.data
+    f = m.factorization()
+    for _ in range(40):
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m.cols)]
+        for b in (m.mul_vector(x), [Fraction(rng.randint(-2, 2)) for _ in range(m.rows)]):
+            assert m.solve(b) == dense.solve(data, m.cols, b)
+    assert m.kernel_basis() == dense.kernel_basis(data, m.cols)
+    assert m.rank == 5 and m.rref()[1] == dense.rref(data, m.cols)[1]
+    assert m.factorization() is f
+    assert calls == [(8, 11)]
+
+
+def test_sparse_kernel_and_solution_match_dense_forms():
+    rng = random.Random(11)
+    m = RationalMatrix.from_rows(_low_rank(rng, 6, 9, 4), cols=9)
+    f = m.factorization()
+    dense_kernel = m.kernel_basis()
+    assert [[v.get(j, 0) for j in range(m.cols)] for v in f.kernel()] == dense_kernel
+    assert all(list(v) == sorted(v) and all(v.values()) for v in f.kernel())
+    b = m.mul_vector([Fraction(j - 4) for j in range(m.cols)])
+    sol = f.solve(b)
+    assert [sol.get(j, 0) for j in range(m.cols)] == m.solve(b)
+    assert all(sol.values())
+
+
+def test_from_sparse_validates_shape_and_drops_zeros():
+    m = RationalMatrix.from_sparse(2, 3, [{0: 1, 2: 0}, {1: Fraction(1, 2)}])
+    assert m == RationalMatrix.from_rows([[1, 0, 0], [0, Fraction(1, 2), 0]])
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_sparse(2, 3, [{0: 1}])
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_sparse(1, 3, [{3: 1}])
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_sparse(1, 3, [{-1: 1}])

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import heisenberg, lattice, unitriangular
-from nilharmonic.polynomials import Monomial, Polynomial
+from nilharmonic.polynomials import Monomial, Polynomial, monomial_sort_key
 from nilharmonic.serialize import parse_polynomial, polynomial_from_obj, polynomial_to_obj
 
 SCHEMAS = [lattice(1), lattice(3), heisenberg(1), heisenberg(2), unitriangular(3), unitriangular(4)]
@@ -40,3 +40,13 @@ def test_polynomial_round_trips(p):
     assert parse_polynomial(p.schema, str(p)) == p
     obj = json.loads(json.dumps(polynomial_to_obj(p)))
     assert polynomial_from_obj(p.schema, obj) == p
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(polynomials())
+def test_polynomial_obj_orders_match_str_and_the_graded_basis(p):
+    obj = polynomial_to_obj(p)
+    assert obj["text"] == str(p)
+    graded = sorted(p.terms, key=lambda m: monomial_sort_key(p.schema, m))
+    assert [t["exponents"] for t in obj["terms"]] == [list(m.exponents) for m in graded]

@@ -201,6 +201,9 @@ def test_non_affine_law_is_detected(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(polynomials, "mul_coords", skewed)
+    # the matrix memo is keyed by (schema, measure, k) and cannot see the patched
+    # law, so an earlier test's H3 matrix must not answer the assembly below
+    laplacian_matrix.cache_clear()
     u = basis_element(H3, 1)
     with pytest.raises(InternalInconsistency):
         translate_right(X, u)
