@@ -104,9 +104,12 @@ class GroupElement:
 
 
 def lattice(d: int) -> GroupSchema:
-    """The free abelian group Z^d with coordinates x1..xd."""
-    if d < 1:
-        raise ValidationError("lattice dimension must be >= 1")
+    """The free abelian group Z^d with coordinates x1..xd.
+
+    d is capped at 36, the coordinate count of ``unitriangular(9)``.
+    """
+    if not 1 <= d <= 36:
+        raise ValidationError("lattice dimension must be in 1..36")
     return GroupSchema(
         family=LATTICE,
         size=d,
@@ -123,10 +126,11 @@ def heisenberg(n: int) -> GroupSchema:
 
     Coordinates are (x_1..x_n, y_1..y_n, z) with product
     (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x.y').
-    For n = 1 the names are simply x, y, z.
+    For n = 1 the names are simply x, y, z.  n is capped at 17 (35
+    coordinates), so no family exceeds the 36 of ``unitriangular(9)``.
     """
-    if n < 1:
-        raise ValidationError("heisenberg parameter must be >= 1")
+    if not 1 <= n <= 17:
+        raise ValidationError("heisenberg parameter must be in 1..17")
     if n == 1:
         names: tuple[str, ...] = ("x", "y", "z")
     else:

@@ -269,6 +269,7 @@ def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]
 AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
 
+@lru_cache(maxsize=512)
 def _translation_forms(
     schema: GroupSchema, u: GroupElement, side: str
 ) -> tuple[AffineForm, ...]:
@@ -276,7 +277,9 @@ def _translation_forms(
 
     For every family these products are affine in x, so the forms are read
     off the group law at 0 and at the unit vectors, then checked at one
-    further point.
+    further point.  The forms depend only on the arguments, so the last 512
+    are memoized (a raised error is not); code that patches ``mul_coords``
+    must call ``cache_clear``.
     """
     n = schema.n_coords
     if len(u.coords) != n:

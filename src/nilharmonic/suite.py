@@ -20,7 +20,9 @@ from .groups import (
     decomposition_order,
     identity,
     inv,
+    inv_coords,
     mul,
+    mul_coords,
     standard_generators,
 )
 from .laplacian import (
@@ -65,12 +67,15 @@ def run_invariant_suite(
     b2 = ball(schema, gens, 2)
     b3 = ball(schema, gens, 3)
 
-    # group laws
+    # group laws, on raw coordinates with a table of the products in b2
+    c2 = [g.coords for g in b2]
+    ab = [[mul_coords(schema, a, b) for b in c2] for a in c2]
     witness = next(
         (
-            (a, b, c)
-            for a, b, c in itertools.product(b2, repeat=3)
-            if mul(schema, mul(schema, a, b), c) != mul(schema, a, mul(schema, b, c))
+            (b2[i], b2[j], b2[m])
+            for i, j in itertools.product(range(len(c2)), repeat=2)
+            for m, c in enumerate(c2)
+            if mul_coords(schema, ab[i][j], c) != mul_coords(schema, c2[i], ab[j][m])
         ),
         None,
     )
@@ -81,17 +86,17 @@ def run_invariant_suite(
     )
 
     e = identity(schema)
-    bad = next(
-        (
-            g
-            for g in b3
-            if mul(schema, g, e) != g
-            or mul(schema, e, g) != g
-            or mul(schema, g, inv(schema, g)) != e
-            or mul(schema, inv(schema, g), g) != e
-        ),
-        None,
-    )
+
+    def breaks_identity_inverse(g: tuple[int, ...]) -> bool:
+        h = inv_coords(schema, g)
+        return (
+            mul_coords(schema, g, e.coords) != g
+            or mul_coords(schema, e.coords, g) != g
+            or mul_coords(schema, g, h) != e.coords
+            or mul_coords(schema, h, g) != e.coords
+        )
+
+    bad = next((g for g in b3 if breaks_identity_inverse(g.coords)), None)
     add("group.identity_inverse", bad is None, "" if bad is None else f"failed at {bad}")
 
     bad_pair = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -133,6 +134,46 @@ def _default_test_points(
     return ball(schema, support, min(depth, 2))[:3]
 
 
+@lru_cache(maxsize=32)
+def _difference_points(
+    schema: GroupSchema,
+    order: int,
+    elems: tuple[GroupElement, ...],
+    test_points: tuple[GroupElement, ...],
+    budget: int,
+    side: str,
+) -> tuple[tuple, tuple, tuple]:
+    """The budgeted tuples, their point ids and the interned points.
+
+    For the left derivative the subset {i_1 < ... < i_r} of a tuple is the
+    point u_{i_r} ... u_{i_1} x; for the right, x u_{i_1} ... u_{i_r}.  Subset
+    products are built by doubling, so bit i of a subset's index marks
+    u_{i+1}.  ``ids[j][x]`` lists, by subset index, the positions in
+    ``points`` of the subset points of tuple j at test point x.  Nothing here
+    depends on the polynomial, so every polynomial of one order shares it.
+    The last 32 results are kept, each at most ``budget * len(test_points)
+    * 2**order`` ids: the suite's three orders and two sides for a few groups.
+    """
+
+    def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return mul_coords(schema, b, a) if side == "left" else mul_coords(schema, a, b)
+
+    tuples = tuple(itertools.islice(itertools.product(elems, repeat=order), budget))
+    index: dict[tuple[int, ...], int] = {}
+    ids = []
+    for tup in tuples:
+        prods = [(0,) * schema.n_coords]
+        for u in tup:
+            prods += [act(prod, u.coords) for prod in prods]
+        ids.append(
+            tuple(
+                tuple(index.setdefault(act(x.coords, p), len(index)) for p in prods)
+                for x in test_points
+            )
+        )
+    return tuples, tuple(ids), tuple(index)
+
+
 def _iterated_difference_check(
     schema: GroupSchema,
     f: Polynomial,
@@ -144,32 +185,17 @@ def _iterated_difference_check(
 ) -> DerivativeCheck:
     """Evaluate order-fold differences of f directly via signed sums.
 
-    For the left derivative the subset {i_1 < ... < i_r} contributes
-    (-1)^(order - r) f(u_{i_r} ... u_{i_1} x); for the right,
-    (-1)^(order - r) f(x u_{i_1} ... u_{i_r}).  Subset products are built by
-    doubling, so bit i of a subset's index marks u_{i+1}.  The points of all
-    budgeted tuples are interned and evaluated in one value table, then the
-    tuples are scanned in odometer order.
+    The subset points of ``_difference_points`` carry the sign
+    (-1)^(order - r) for a subset of size r.  They are evaluated in one value
+    table, then the tuples are scanned in odometer order.
     """
-
-    def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return mul_coords(schema, b, a) if side == "left" else mul_coords(schema, a, b)
-
+    tuples, ids, points = _difference_points(
+        schema, order, tuple(elems), tuple(test_points), budget, side
+    )
     signs = [1 if order % 2 == 0 else -1]
     for _ in range(order):
         signs += [-s for s in signs]
-    tuples = list(itertools.islice(itertools.product(elems, repeat=order), budget))
-    index: dict[tuple[int, ...], int] = {}
-    ids = []
-    for tup in tuples:
-        prods = [(0,) * schema.n_coords]
-        for u in tup:
-            prods += [act(prod, u.coords) for prod in prods]
-        ids.append(
-            [[index.setdefault(act(x.coords, p), len(index)) for p in prods] for x in test_points]
-        )
-
-    ((scale, values),) = _value_tables([f], list(index))
+    ((scale, values),) = _value_tables([f], points)
     for checked, (tup, tup_ids) in enumerate(zip(tuples, ids), 1):
         for x, point_ids in zip(test_points, tup_ids):
             total = 0

@@ -211,6 +211,25 @@ _WALK_Z1 = [{"coords": [1], "weight": "1/2"}, {"coords": [-1], "weight": "1/2"}]
 
 
 @pytest.mark.parametrize(
+    "group",
+    [
+        {"family": "lattice", "d": 37},
+        {"family": "lattice", "d": 10**9},
+        {"family": "heisenberg", "n": 18},
+        {"family": "heisenberg", "n": 10**9},
+    ],
+    ids=lambda g: f"{g['family']}-{g.get('d', g.get('n'))}",
+)
+def test_oversized_family_exits_one(tmp_path, capsys, group):
+    # rejected by the family's range check, before any schema field is built
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps(group), encoding="utf-8")
+    code, out, err = run(capsys, ["dims", "--group", str(group_path), "--k", "2"])
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "must be in 1.." in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "group, measure",
     [
         ({"family": "lattice", "d": "abc"}, {"atoms": _WALK_Z1}),

@@ -53,10 +53,15 @@ def test_schema_fields():
     assert UT4.step == 3
     assert UT4.coord_names == ("a_12", "a_23", "a_34", "a_13", "a_24", "a_14")
     assert lattice(3).rank == 3 and H3.rank == 3 and UT4.rank == 6
+    # the largest sizes each family admits
+    assert lattice(36).n_coords == 36 and heisenberg(17).n_coords == 35
 
 
+# the size caps are checked before any field is built, so a huge size costs nothing
 @pytest.mark.parametrize("bad", [lambda: lattice(0), lambda: heisenberg(0),
-                                 lambda: unitriangular(1), lambda: unitriangular(10)])
+                                 lambda: unitriangular(1), lambda: unitriangular(10),
+                                 lambda: lattice(37), lambda: lattice(10**9),
+                                 lambda: heisenberg(18), lambda: heisenberg(10**9)])
 def test_invalid_schema_parameters(bad):
     with pytest.raises(ValidationError):
         bad()

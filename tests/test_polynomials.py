@@ -201,9 +201,11 @@ def test_non_affine_law_is_detected(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(polynomials, "mul_coords", skewed)
-    # the matrix memo is keyed by (schema, measure, k) and cannot see the patched
-    # law, so an earlier test's H3 matrix must not answer the assembly below
+    # the matrix memo is keyed by (schema, measure, k) and the forms memo by
+    # (schema, u, side); neither can see the patched law, so an earlier test's
+    # H3 matrix or forms must not answer the calls below
     laplacian_matrix.cache_clear()
+    polynomials._translation_forms.cache_clear()
     u = basis_element(H3, 1)
     with pytest.raises(InternalInconsistency):
         translate_right(X, u)
@@ -211,6 +213,22 @@ def test_non_affine_law_is_detected(monkeypatch):
         translate_left(X, u)
     with pytest.raises(InternalInconsistency):
         laplacian_matrix(H3, generator_walk(H3), 2)
+
+
+@pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4], ids=str)
+def test_memoized_forms_equal_fresh_forms(schema):
+    forms = polynomials._translation_forms
+    for u in ball(schema, standard_generators(schema), 2):
+        for side in ("left", "right"):
+            assert forms(schema, u, side) == forms.__wrapped__(schema, u, side)
+
+
+def test_wrong_length_element_raises_with_warm_forms():
+    translate_left(X, basis_element(H3, 1))
+    assert polynomials._translation_forms.cache_info().currsize > 0
+    for translate in (translate_left, translate_right):
+        with pytest.raises(ValidationError):
+            translate(X, element(Z2, (1, 0)))
 
 
 # -- derivatives ---------------------------------------------------------------
