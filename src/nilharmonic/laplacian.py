@@ -151,32 +151,32 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     return result
 
 
-@lru_cache(maxsize=4)
-def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
-    """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
+@lru_cache(maxsize=128)
+def _pair_columns(
+    schema: GroupSchema, s: GroupElement, k: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Integer columns of m -> 2m - m(x s) - m(x s^-1) over the degree-k basis.
 
-    Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
-    graded order.  For k <= 1 the codomain is trivial and the matrix has
-    zero rows.  The last few matrices are kept, keyed by (schema, measure,
-    k), so repeated solves against one Laplacian share one factorization.
+    One column per monomial of pk_basis(schema, k), as (row, coefficient)
+    pairs over pk_basis(schema, k - 2); each second difference drops the
+    degree by 2.  Callers pass the member of {s, s^-1} with the smaller
+    coordinates.  The last 128 are memoized (a raised error is not); code
+    that patches ``monomial_translates`` must call ``cache_clear``.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
-    if schema != measure.schema:
-        raise ValidationError("schema and measure do not match")
     domain = pk_basis(schema, k)
-    codomain = pk_basis(schema, k - 2)
-    index = {m.exponents: i for i, m in enumerate(codomain)}
-    # columns of scale * Delta, in integers: scale * m - sum_s (scale mu(s)) m(x s)
-    scale = lcm(*(w.denominator for w in measure.atoms.values()))
-    columns = [{m.exponents: scale} for m in domain]
-    for s, w in measure.atoms.items():
-        ws = w.numerator * (scale // w.denominator)
-        for column, image in zip(columns, monomial_translates(schema, s, "right", domain)):
+    index = {m.exponents: i for i, m in enumerate(pk_basis(schema, k - 2))}
+    s_inv = GroupElement(inv_coords(schema, s.coords))
+    columns = []
+    for mono, *images in zip(
+        domain,
+        monomial_translates(schema, s, "right", domain),
+        monomial_translates(schema, s_inv, "right", domain),
+    ):
+        column = {mono.exponents: 2}
+        for image in images:
             for exps, c in image.items():
-                column[exps] = column.get(exps, 0) - ws * c
-    rows: list[dict[int, Fraction]] = [{} for _ in codomain]
-    for j, (mono, column) in enumerate(zip(domain, columns)):
+                column[exps] = column.get(exps, 0) - c
+        entries = []
         for exps, c in column.items():
             if not c:
                 continue
@@ -186,8 +186,46 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
                     f"Laplacian image of {mono.exponents} contains out-of-range "
                     f"monomial {exps}"
                 )
-            rows[i][j] = Fraction(c, scale)
-    return RationalMatrix.from_sparse(len(codomain), len(domain), rows)
+            entries.append((i, c))
+        columns.append(tuple(entries))
+    return tuple(columns)
+
+
+@lru_cache(maxsize=4)
+def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
+    """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
+
+    Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
+    graded order.  For k <= 1 the codomain is trivial and the matrix has
+    zero rows.  The columns are summed from the memoized second differences
+    of the measure's pairs {s, s^-1} (see ``_pair_columns``), which jobs on
+    one group share.  The last few matrices are kept, keyed by (schema,
+    measure, k), so repeated solves against one Laplacian share one
+    factorization.
+    """
+    if k < 0:
+        raise ValidationError("k must be non-negative")
+    if schema != measure.schema:
+        raise ValidationError("schema and measure do not match")
+    n_rows, n_cols = dim_pk(schema, k - 2), dim_pk(schema, k)
+    # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
+    # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
+    scale = lcm(*(w.denominator for w in measure.atoms.values()))
+    columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
+    for s, w in measure.atoms.items():
+        s_inv = inv_coords(schema, s.coords)
+        if s.coords >= s_inv:
+            continue  # the identity, or the second member of a pair
+        ws = w.numerator * (scale // w.denominator)
+        for column, pair in zip(columns, _pair_columns(schema, s, k)):
+            for i, c in pair:
+                column[i] = column.get(i, 0) + ws * c
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n_rows)]
+    for j, column in enumerate(columns):
+        for i, c in column.items():
+            if c:
+                rows[i][j] = Fraction(c, scale)
+    return RationalMatrix.from_sparse(n_rows, n_cols, rows)
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,19 @@ def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
 
 
 def dim_pk(schema: GroupSchema, k: int) -> int:
-    """Dimension of the space of polynomials of degree <= k."""
-    return len(_pk_basis_cached(schema, k))
+    """Dimension of the space of polynomials of degree <= k.
+
+    Counted without enumerating the basis: exact[t] is the number of
+    exponent vectors of weighted degree exactly t over the coordinates seen
+    so far, one unbounded-knapsack pass per coordinate weight, O(n k).
+    """
+    if k < 0:
+        return 0
+    exact = [1] + [0] * k
+    for w in schema.weights:
+        for t in range(w, k + 1):
+            exact[t] += exact[t - w]
+    return sum(exact)
 
 
 class Polynomial:

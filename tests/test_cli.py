@@ -1,9 +1,11 @@
 """CLI: exit codes, determinism, JSON round-trips."""
 
 import json
+import math
 
 import pytest
 
+import nilharmonic.polynomials as polynomials
 from nilharmonic.cli import main
 from nilharmonic.groups import heisenberg, lattice
 from nilharmonic.laplacian import generator_walk
@@ -46,6 +48,21 @@ def test_dims_heisenberg_row(configs, capsys):
     assert code == 0
     rows = [line.split() for line in out.splitlines()[2:]]
     assert rows == [["0", "1", "1"], ["1", "3", "3"], ["2", "7", "6"]]
+
+
+def test_dims_counts_without_enumerating(tmp_path, capsys, monkeypatch):
+    # dim P^10 of Z^36 is C(46, 10), about 4.1e9 monomials; it must be counted
+    def no_enumeration(schema, k):
+        raise AssertionError("dims enumerated a basis")
+
+    monkeypatch.setattr(polynomials, "_pk_basis_cached", no_enumeration)
+    group = tmp_path / "z36.json"
+    group.write_text(json.dumps({"family": "lattice", "d": 36}), encoding="utf-8")
+    code, out, err = run(capsys, ["dims", "--group", str(group), "--k", "10"])
+    assert code == 0 and not err
+    assert out.splitlines()[-1].split() == [
+        "10", str(math.comb(46, 10)), str(math.comb(46, 10) - math.comb(44, 8))
+    ]
 
 
 def test_dims_json_and_determinism(configs, capsys):

@@ -1,5 +1,6 @@
 """Measures, the Laplacian, harmonic bases, preimages."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -7,15 +8,20 @@ import pytest
 
 from nilharmonic.errors import InternalInconsistency, InvariantFailure, ValidationError
 from nilharmonic.groups import (
+    ball,
     basis_element,
     element,
     heisenberg,
     identity,
+    inv_coords,
     lattice,
+    mul,
+    standard_generators,
     unitriangular,
 )
 from nilharmonic.laplacian import (
     Measure,
+    _pair_columns,
     action_is_trivial,
     apply_laplacian,
     dim_hk,
@@ -160,10 +166,44 @@ def test_matrix_rejects_negative_degree():
 TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
 
 
-@pytest.mark.parametrize("walk", [generator_walk, lazy_generator_walk])
+def _workload_measure(schema, rng, extra_pairs, with_identity):
+    # the benchmark's shape: the generators, extra pairs {g, g^-1} of products
+    # of two generators, maybe the identity; weights 1/(d n) with distinct random
+    # d for all but the first pair, which takes the rest of the mass
+    gens = standard_generators(schema)
+    products = {mul(schema, s, t) for s in gens for t in gens} - set(gens) - {identity(schema)}
+    candidates = sorted(
+        (g for g in products if g.coords < inv_coords(schema, g.coords)), key=lambda g: g.coords
+    )
+    reps = [g for g in gens if g.coords < inv_coords(schema, g.coords)]
+    reps += rng.sample(candidates, min(extra_pairs, len(candidates)))
+    n = 2 * len(reps) + with_identity
+    weights = [Fraction(1, d * n) for d in rng.sample(range(2, 9), len(reps) - 1 + with_identity)]
+    first = (1 - 2 * sum(weights[: len(reps) - 1]) - sum(weights[len(reps) - 1:])) / 2
+    atoms = []
+    for g, w in zip(reps, [first] + weights):
+        atoms += [(g, w), (element(schema, inv_coords(schema, g.coords)), w)]
+    if with_identity:
+        atoms.append((identity(schema), weights[-1]))
+    return Measure(schema, atoms)
+
+
+def _workload_walk(seed):
+    def walk(schema):
+        rng = random.Random(f"{schema.name()}/{seed}")
+        return _workload_measure(schema, rng, 1 + seed % 2, seed >= 2)
+
+    walk.__name__ = f"workload_walk_{seed}"
+    return walk
+
+
+@pytest.mark.parametrize(
+    "walk", [generator_walk, lazy_generator_walk] + [_workload_walk(seed) for seed in range(4)],
+    ids=lambda walk: walk.__name__,
+)
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
 def test_matrix_equals_column_by_column_laplacian(schema, walk):
-    # the basis-wide assembly against one apply_laplacian per domain monomial
+    # the pair-summed assembly against one apply_laplacian per domain monomial
     mu = walk(schema)
     for k in range(6):
         domain, codomain = pk_basis(schema, k), pk_basis(schema, k - 2)
@@ -173,6 +213,14 @@ def test_matrix_equals_column_by_column_laplacian(schema, walk):
         ]
         reference = RationalMatrix(len(codomain), len(domain), zip(*columns))
         assert laplacian_matrix(schema, mu, k) == reference
+
+
+@pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4], ids=str)
+def test_memoized_pair_columns_equal_fresh_columns(schema):
+    for s in ball(schema, standard_generators(schema), 2):
+        if s.coords < inv_coords(schema, s.coords):
+            for k in (2, 4):
+                assert _pair_columns(schema, s, k) == _pair_columns.__wrapped__(schema, s, k)
 
 
 # -- harmonic bases ----------------------------------------------------------------
@@ -343,8 +391,10 @@ def test_six_atom_heisenberg_walk():
 @pytest.fixture
 def fresh_memo():
     laplacian_matrix.cache_clear()
+    _pair_columns.cache_clear()
     yield laplacian_matrix
     laplacian_matrix.cache_clear()
+    _pair_columns.cache_clear()
 
 
 def _atoms(schema):

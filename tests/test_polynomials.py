@@ -20,7 +20,7 @@ from nilharmonic.groups import (
     standard_generators,
     unitriangular,
 )
-from nilharmonic.laplacian import generator_walk, laplacian_matrix
+from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
 from nilharmonic.polynomials import (
     Monomial,
     Polynomial,
@@ -81,6 +81,17 @@ def test_dim_examples():
     assert dim_pk(lattice(3), 2) == 10
     assert dim_pk(H3, 3) == 13
     assert dim_pk(UT4, 2) == 12
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [lattice(1), Z2, lattice(4), H3, heisenberg(2), heisenberg(3),
+     unitriangular(2), unitriangular(3), UT4, unitriangular(5)],
+    ids=str,
+)
+def test_counted_dim_equals_enumerated_basis(schema):
+    for k in range(-2, 9):
+        assert dim_pk(schema, k) == len(pk_basis(schema, k))
 
 
 def test_negative_degree_basis_is_empty():
@@ -201,10 +212,12 @@ def test_non_affine_law_is_detected(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(polynomials, "mul_coords", skewed)
-    # the matrix memo is keyed by (schema, measure, k) and the forms memo by
-    # (schema, u, side); neither can see the patched law, so an earlier test's
-    # H3 matrix or forms must not answer the calls below
+    # the matrix memo is keyed by (schema, measure, k), the pair memo by
+    # (schema, s, k) and the forms memo by (schema, u, side); none can see the
+    # patched law, so an earlier test's H3 matrix, columns or forms must not
+    # answer the calls below
     laplacian_matrix.cache_clear()
+    _pair_columns.cache_clear()
     polynomials._translation_forms.cache_clear()
     u = basis_element(H3, 1)
     with pytest.raises(InternalInconsistency):

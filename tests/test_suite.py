@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from nilharmonic.groups import heisenberg, lattice, unitriangular
-from nilharmonic.laplacian import generator_walk, laplacian_matrix
+from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
 from nilharmonic.polynomials import _translation_forms
 from nilharmonic.suite import run_invariant_suite
 from nilharmonic.verify import _difference_points
@@ -75,6 +75,6 @@ def test_broken_law_fails_the_group_checks():
 def test_warm_and_cold_memos_give_identical_records():
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for memo in (_translation_forms, _difference_points, laplacian_matrix):
+    for memo in (_translation_forms, _difference_points, _pair_columns, laplacian_matrix):
         memo.cache_clear()
         assert records(H3, 4, 3) == first
