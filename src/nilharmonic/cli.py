@@ -14,8 +14,8 @@ from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
 from .groups import GroupSchema
-from .laplacian import Measure, dim_hk, harmonic_basis, solve_preimage
-from .polynomials import dim_pk
+from .laplacian import Measure, harmonic_basis, solve_preimage
+from .polynomials import dim_pk_table
 from .serialize import (
     measure_from_config,
     measure_to_config,
@@ -70,13 +70,16 @@ def cmd_dims(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
     if args.k < 0:
         raise ValidationError("--k must be non-negative")
+    # one count up to --k gives every row; dim H^k = dim P^k - dim P^(k-2)
+    pk = dim_pk_table(schema, args.k)
     rows = [
-        {"k": k, "dim_pk": dim_pk(schema, k), "dim_hk": dim_hk(schema, k)}
-        for k in range(args.k + 1)
+        {"k": k, "dim_pk": d, "dim_hk": d - below}
+        for k, (d, below) in enumerate(zip(pk, [0, 0] + pk))
     ]
-    lines = [f"group: {schema.name()}", f"{'k':>3}  {'dim_pk':>7}  {'dim_hk':>7}"]
+    kw, w = max(3, len(str(args.k))), max(7, len(str(pk[-1])))
+    lines = [f"group: {schema.name()}", f"{'k':>{kw}}  {'dim_pk':>{w}}  {'dim_hk':>{w}}"]
     for row in rows:
-        lines.append(f"{row['k']:>3}  {row['dim_pk']:>7}  {row['dim_hk']:>7}")
+        lines.append(f"{row['k']:>{kw}}  {row['dim_pk']:>{w}}  {row['dim_hk']:>{w}}")
     print("\n".join(lines))
     if args.json:
         _write_json(args.json, {"group": schema_to_config(schema), "rows": rows})

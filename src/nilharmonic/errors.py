@@ -17,6 +17,5 @@ class InternalInconsistency(NilharmonicError, RuntimeError):
     """A computation produced a state that should be impossible.
 
     Raised e.g. when a linear system that is guaranteed solvable turns out
-    inconsistent, or when a group law is not affine in the coordinates that
-    translation substitutes.
+    inconsistent.
     """

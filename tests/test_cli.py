@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -63,6 +64,10 @@ def test_dims_counts_without_enumerating(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[-1].split() == [
         "10", str(math.comb(46, 10)), str(math.comb(46, 10) - math.comb(44, 8))
     ]
+    # columns stay aligned once a dimension passes seven digits
+    header, *rows = out.splitlines()[1:]
+    column_ends = [m.end() for m in re.finditer(r"\S+", header)]
+    assert all([m.end() for m in re.finditer(r"\S+", row)] == column_ends for row in rows)
 
 
 def test_dims_json_and_determinism(configs, capsys):

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import nilharmonic.polynomials as polynomials
-from nilharmonic.errors import InternalInconsistency, ValidationError
+from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
     ball,
     basis_element,
@@ -20,7 +20,6 @@ from nilharmonic.groups import (
     standard_generators,
     unitriangular,
 )
-from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
 from nilharmonic.polynomials import (
     Monomial,
     Polynomial,
@@ -205,35 +204,19 @@ def test_translation_matches_sympy_expansion(schema):
                 }
 
 
-def test_non_affine_law_is_detected(monkeypatch):
-    def skewed(schema, a, b):
-        out = list(mul_coords(schema, a, b))
-        out[-1] += (a[0] * b[0]) ** 2  # quadratic in x on either side
-        return tuple(out)
-
-    monkeypatch.setattr(polynomials, "mul_coords", skewed)
-    # the matrix memo is keyed by (schema, measure, k), the pair memo by
-    # (schema, s, k) and the forms memo by (schema, u, side); none can see the
-    # patched law, so an earlier test's H3 matrix, columns or forms must not
-    # answer the calls below
-    laplacian_matrix.cache_clear()
-    _pair_columns.cache_clear()
-    polynomials._translation_forms.cache_clear()
-    u = basis_element(H3, 1)
-    with pytest.raises(InternalInconsistency):
-        translate_right(X, u)
-    with pytest.raises(InternalInconsistency):
-        translate_left(X, u)
-    with pytest.raises(InternalInconsistency):
-        laplacian_matrix(H3, generator_walk(H3), 2)
-
-
-@pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4], ids=str)
-def test_memoized_forms_equal_fresh_forms(schema):
-    forms = polynomials._translation_forms
-    for u in ball(schema, standard_generators(schema), 2):
-        for side in ("left", "right"):
-            assert forms(schema, u, side) == forms.__wrapped__(schema, u, side)
+@pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4, unitriangular(5)], ids=str)
+def test_forms_evaluate_to_the_group_law(schema):
+    # independent of how the forms are built: evaluate them against mul_coords
+    b2 = [g.coords for g in ball(schema, standard_generators(schema), 2)]
+    for u in b2:
+        left = polynomials._translation_forms(schema, element(schema, u), "left")
+        right = polynomials._translation_forms(schema, element(schema, u), "right")
+        for x in b2:
+            for forms, product in (
+                (left, mul_coords(schema, u, x)),
+                (right, mul_coords(schema, x, u)),
+            ):
+                assert tuple(c + sum(a * x[v] for v, a in lin) for c, lin in forms) == product
 
 
 def test_wrong_length_element_raises_with_warm_forms():
@@ -357,6 +340,10 @@ def test_restrict_examples():
     assert restrict_to_sublattice(x1 * x1, [[2, 0], [0, 1]]) == 4 * x1 * x1
     p = x1 * x1 - 3 * Polynomial.coordinate(Z2, 2)
     assert restrict_to_sublattice(p, [[1, 0], [0, 1]]) == p
+    # unitriangular(2) is Z: step 1, no law terms, so it restricts like lattice(1)
+    z = 3 * mono(Z1, 3) - mono(Z1, 1) + Polynomial.constant(Z1, 2)
+    u2 = Polynomial(unitriangular(2), z.terms)
+    assert restrict_to_sublattice(u2, [[-3]]).terms == restrict_to_sublattice(z, [[-3]]).terms
 
 
 def test_restrict_pointwise_agreement():
@@ -374,8 +361,10 @@ def test_restrict_rejects_singular_and_non_lattice():
         restrict_to_sublattice(mono(Z2, 1, 0), [[1, 1], [1, 1]])
     with pytest.raises(ValidationError):
         restrict_to_sublattice(mono(Z2, 1, 0), [[1, 0]])
-    with pytest.raises(ValidationError):
-        restrict_to_sublattice(mono(Z2, 1, 0), [[Fraction(1, 2), 0], [0, 1]])
+    # entries must be ints, as element coordinates are: nothing is coerced
+    for entry in (Fraction(1, 2), 2.0, True, Fraction(4, 2)):
+        with pytest.raises(ValidationError):
+            restrict_to_sublattice(mono(Z2, 1, 0), [[entry, 0], [0, 1]])
     with pytest.raises(ValidationError):
         restrict_to_sublattice(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
