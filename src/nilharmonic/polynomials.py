@@ -6,12 +6,21 @@ coordinate.  The space of polynomials of degree at most k has the
 monomials of weighted degree <= k as a basis, listed here in graded
 order (degree first, ties by descending exponent lexicographic order).
 
+Coefficients are ``Fraction`` values, but the arithmetic builds each
+result coefficient as a ``Fraction`` only once: products, translations and
+restrictions clear the operands' denominators (scaling by the lcm of each
+operand's coefficient denominators), accumulate in Python ints keyed by
+exponent vector, and divide each output coefficient by the scale at the
+end.  Results go through a trusted constructor that skips the validation
+of the public one, which takes only ``int`` and ``Fraction`` coefficients.
+
 Translations x -> p(u x) and x -> p(x u) are computed by composition.  The
 group law is a list of bilinear terms (t, p, q), so each coordinate of u x
 and of x u is an affine form L_t(x) = c_t + sum_i a_{t,i} x_i with integer
 coefficients, read off that list, and a monomial x^a translates to
-prod_t L_t^{a_t}.  The same substitution, with linear forms taken from a
-matrix, restricts polynomials on abelian groups to sublattices.
+prod_t L_t^{a_t}, an integer polynomial.  The same substitution, with
+linear forms taken from a matrix, restricts polynomials on abelian groups
+to sublattices.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -95,6 +105,33 @@ def dim_pk(schema: GroupSchema, k: int) -> int:
     return dim_pk_table(schema, k)[-1] if k >= 0 else 0
 
 
+def _require_coeff(value: object) -> Fraction:
+    """A coefficient as a Fraction; only int (not bool) and Fraction are taken."""
+    # a float or a string would be coerced to some rational, a bool to 0 or 1
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise ValidationError(f"coefficient must be an int or a Fraction, got {value!r}")
+
+
+def _cleared(coeffs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(s, [s * c for each c]) for s the lcm of the denominators, the least
+    scale that makes every s * c an int."""
+    coeffs = list(coeffs)
+    s = lcm(*(c.denominator for c in coeffs))
+    return s, [c.numerator * (s // c.denominator) for c in coeffs]
+
+
+def _from_ints(
+    schema: GroupSchema, acc: Mapping[tuple[int, ...], int], scale: int
+) -> "Polynomial":
+    """The polynomial sum_e (acc[e] / scale) x^e, one Fraction per non-zero term."""
+    return Polynomial._trusted(
+        schema, {Monomial(exps): Fraction(c, scale) for exps, c in acc.items() if c}
+    )
+
+
 class Polynomial:
     """Sparse exact-rational combination of coordinate monomials."""
 
@@ -109,14 +146,26 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
+                if type(mono) is not Monomial:
+                    raise ValidationError(f"term key must be a Monomial, got {mono!r}")
                 if len(mono.exponents) != schema.n_coords:
                     raise ValidationError("monomial does not match schema coordinate count")
-                if any(e < 0 for e in mono.exponents):
-                    raise ValidationError("monomial exponents must be non-negative")
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[mono] = c
+                if any(type(e) is not int or e < 0 for e in mono.exponents):
+                    raise ValidationError("monomial exponents must be non-negative ints")
+                if type(coeff) is not Fraction:
+                    coeff = _require_coeff(coeff)
+                if coeff:
+                    clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, schema: GroupSchema, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """A polynomial that takes ownership of clean terms: non-zero Fraction
+        values on monomials of the schema's length.  Nothing is checked."""
+        p = object.__new__(cls)
+        p.schema = schema
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------------
 
@@ -187,48 +236,58 @@ class Polynomial:
         if self.schema != other.schema:
             raise ValidationError("polynomials belong to different schemas")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, for sign +1 or -1."""
         self._require_same_schema(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc:
-                terms[mono] = acc
+            acc = terms.get(mono)
+            if acc is None:
+                terms[mono] = coeff if sign > 0 else -coeff
             else:
-                terms.pop(mono, None)
-        return Polynomial(self.schema, terms)
+                acc = acc + coeff if sign > 0 else acc - coeff
+                if acc:
+                    terms[mono] = acc
+                else:
+                    del terms[mono]
+        return Polynomial._trusted(self.schema, terms)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.schema, {m: -c for m, c in self.terms.items()})
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._trusted(self.schema, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(self.schema, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            scalar = _require_coeff(other)
+            if not scalar:
+                return Polynomial._trusted(self.schema, {})
+            return Polynomial._trusted(
+                self.schema, {m: c * scalar for m, c in self.terms.items()}
+            )
         self._require_same_schema(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = Monomial(tuple(a + b for a, b in zip(m1.exponents, m2.exponents)))
-                acc = terms.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return Polynomial(self.schema, terms)
+        # (sa self) * (sb other) has integer coefficients
+        sa, ints_a = _cleared(self.terms.values())
+        sb, ints_b = _cleared(other.terms.values())
+        right = [(m.exponents, b) for m, b in zip(other.terms, ints_b)]
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, a in zip(self.terms, ints_a):
+            e1 = m1.exponents
+            for e2, b in right:
+                exps = tuple(x + y for x, y in zip(e1, e2))
+                acc[exps] = acc.get(exps, 0) + a * b
+        return _from_ints(self.schema, acc, sa * sb)
 
     def __rmul__(self, other: "Fraction | int") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self * other
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -364,13 +423,18 @@ def monomial_translates(
 
 
 def _compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
-    """The polynomial p(L_1(x), ..., L_n(x))."""
-    terms: dict[Monomial, Fraction] = {}
-    for coeff, image in zip(p.terms.values(), _monomial_images(forms, p.terms)):
+    """The polynomial p(L_1(x), ..., L_n(x)).
+
+    Integer-cleared: with s the lcm of p's coefficient denominators, the
+    integer images of p's monomials are summed with the integer weights
+    s * coefficient, and each output coefficient is divided by s once.
+    """
+    scale, ints = _cleared(p.terms.values())
+    acc: dict[tuple[int, ...], int] = {}
+    for a, image in zip(ints, _monomial_images(forms, p.terms)):
         for exps, c in image.items():
-            key = Monomial(exps)
-            terms[key] = terms.get(key, 0) + coeff * c
-    return Polynomial(p.schema, terms)
+            acc[exps] = acc.get(exps, 0) + a * c
+    return _from_ints(p.schema, acc, scale)
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -408,6 +472,8 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
     if schema.step != 1:
         raise ValidationError("sublattice restriction needs an abelian (step 1) schema")
     d = schema.n_coords
+    if not isinstance(matrix, Sequence) or not all(isinstance(row, Sequence) for row in matrix):
+        raise ValidationError("matrix must be a sequence of rows of ints")
     rows = [[_require_int(x, "matrix entry") for x in row] for row in matrix]
     if len(rows) != d or any(len(row) != d for row in rows):
         raise ValidationError(f"matrix must be {d}x{d}")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import NilharmonicError
 from .groups import (
+    GroupElement,
     GroupSchema,
     ball,
     basis_element,
@@ -178,9 +179,15 @@ def run_invariant_suite(
     ok = True
     bad_detail = ""
     for f in sample_polys:
+        # D_u f once per element u among the x, y and x*y of the pairs
+        derivatives: dict[GroupElement, Polynomial] = {}
         for x, y in pairs:
-            lhs = left_derivative(f, mul(schema, x, y))
-            rhs = translate_left(left_derivative(f, x), y) + left_derivative(f, y)
+            xy = mul(schema, x, y)
+            for u in (x, y, xy):
+                if u not in derivatives:
+                    derivatives[u] = left_derivative(f, u)
+            lhs = derivatives[xy]
+            rhs = translate_left(derivatives[x], y) + derivatives[y]
             if lhs != rhs:
                 ok = False
                 bad_detail = f"f={f}, x={x}, y={y}"

@@ -1,9 +1,14 @@
-"""Dense Gauss-Jordan elimination over the rationals, kept as a reference.
+"""Reference implementations the library has replaced, kept as cross-checks.
 
-This is the elimination the library used before its sparse factorization:
-leftmost-pivot order on a dense grid of ``Fraction``, and every solve
-reduces a fresh augmented matrix.  The cross-check tests compare the
-library's ``rref``, ``rank``, ``kernel_basis`` and ``solve`` with it.
+Dense Gauss-Jordan elimination over the rationals is the elimination the
+library used before its sparse factorization: leftmost-pivot order on a
+dense grid of ``Fraction``, and every solve reduces a fresh augmented
+matrix.  The cross-check tests compare the library's ``rref``, ``rank``,
+``kernel_basis`` and ``solve`` with it.
+
+``compose`` and ``apply_laplacian`` are the polynomial loops used before the
+integer-cleared arithmetic: they accumulate ``Fraction`` coefficients term by
+term, and the Laplacian sums one right translate per atom as a polynomial.
 """
 
 from __future__ import annotations
@@ -11,7 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
+from nilharmonic.polynomials import (
+    AffineForm,
+    Monomial,
+    Polynomial,
+    _monomial_images,
+    _translation_forms,
+)
 
 Grid = list[list[Fraction]]
 
@@ -87,3 +100,21 @@ def solve(
     for ri, pc in enumerate(pivots):
         x[pc] = reduced[ri][cols]
     return x
+
+
+def compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
+    """The polynomial p(L_1(x), ..., L_n(x)), summed in ``Fraction``."""
+    terms: dict[Monomial, Fraction] = {}
+    for coeff, image in zip(p.terms.values(), _monomial_images(forms, p.terms)):
+        for exps, c in image.items():
+            key = Monomial(exps)
+            terms[key] = terms.get(key, 0) + coeff * c
+    return Polynomial(p.schema, terms)
+
+
+def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
+    """p - sum_s mu(s) (x -> p(x s)), one translated polynomial per atom."""
+    expected = Polynomial.zero(p.schema)
+    for s, w in measure.atoms.items():
+        expected = expected + compose(p, _translation_forms(p.schema, s, "right")) * w
+    return p - expected

@@ -36,6 +36,9 @@ from nilharmonic.laplacian import (
 from nilharmonic.linalg import Inconsistent, RationalMatrix
 from nilharmonic.polynomials import Monomial, Polynomial, pk_basis
 
+# dense_reference.py holds the Fraction Laplacian the integer one replaced
+import dense_reference as dense
+
 H3 = heisenberg(1)
 Z1 = lattice(1)
 Z2 = lattice(2)
@@ -213,6 +216,24 @@ def test_matrix_equals_column_by_column_laplacian(schema, walk):
         ]
         reference = RationalMatrix(len(codomain), len(domain), zip(*columns))
         assert laplacian_matrix(schema, mu, k) == reference
+
+
+@pytest.mark.parametrize(
+    "walk", [generator_walk] + [_workload_walk(seed) for seed in range(4)],
+    ids=lambda walk: walk.__name__,
+)
+@pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
+def test_integer_laplacian_equals_fraction_reference(schema, walk):
+    # the integer-cleared apply_laplacian against the per-atom Fraction sum it
+    # replaced; seeds 2 and 3 have an identity atom, all but the walk uneven weights
+    mu = walk(schema)
+    cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
+    for k in range(5):
+        p = Polynomial(schema, {m: cycle[i % 5] for i, m in enumerate(pk_basis(schema, k))})
+        assert apply_laplacian(mu, p) == dense.apply_laplacian(mu, p)
+        for m in pk_basis(schema, k)[-3:]:
+            q = Polynomial.from_monomial(schema, m, Fraction(2, 3))
+            assert apply_laplacian(mu, q) == dense.apply_laplacian(mu, q)
 
 
 @pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4], ids=str)

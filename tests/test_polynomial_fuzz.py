@@ -1,4 +1,5 @@
-"""Property tests: polynomial text and JSON objects round-trip exactly.
+"""Property tests: polynomial text and JSON objects round-trip exactly, and
+the arithmetic's results are as clean as the validated constructor makes them.
 
 Examples are capped at 100 so the test costs about a second, and the example
 database is off so a run writes no files.
@@ -14,8 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilharmonic.groups import heisenberg, lattice, unitriangular
-from nilharmonic.polynomials import Monomial, Polynomial, monomial_sort_key
+from nilharmonic.groups import GroupElement, heisenberg, lattice, unitriangular
+from nilharmonic.polynomials import (
+    Monomial,
+    Polynomial,
+    monomial_sort_key,
+    translate_left,
+    translate_right,
+)
 from nilharmonic.serialize import parse_polynomial, polynomial_from_obj, polynomial_to_obj
 
 SCHEMAS = [lattice(1), lattice(3), heisenberg(1), heisenberg(2), unitriangular(3), unitriangular(4)]
@@ -50,3 +57,35 @@ def test_polynomial_obj_orders_match_str_and_the_graded_basis(p):
     assert obj["text"] == str(p)
     graded = sorted(p.terms, key=lambda m: monomial_sort_key(p.schema, m))
     assert [t["exponents"] for t in obj["terms"]] == [list(m.exponents) for m in graded]
+
+
+@st.composite
+def polynomial_pairs(draw):
+    schema = draw(st.sampled_from(SCHEMAS))
+    exponents = st.tuples(*[st.integers(0, 3)] * schema.n_coords).map(Monomial)
+    p, q = (Polynomial(schema, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+            for _ in range(2))
+    scalar = draw(coefficients)
+    u = GroupElement(tuple(draw(st.integers(-3, 3)) for _ in range(schema.n_coords)))
+    return p, q, scalar, u
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(polynomial_pairs())
+def test_arithmetic_results_are_clean(pq):
+    # every result of the trusted constructor is what the validated one makes
+    # of its terms, and holds only non-zero Fraction values
+    p, q, scalar, u = pq
+    results = [p + q, p - q, p * q, -p, p * scalar, scalar * p,
+               translate_left(p, u), translate_right(p, u)]
+    for r in results:
+        assert r == Polynomial(r.schema, r.terms)
+        assert all(type(c) is Fraction and c for c in r.terms.values())
+    # and the values are right, by direct evaluation at u
+    pu, qu = p.evaluate(u), q.evaluate(u)
+    assert [r.evaluate(u) for r in results[:6]] == [
+        pu + qu, pu - qu, pu * qu, -pu, pu * scalar, scalar * pu
+    ]
+    assert p - q == p + (-q)
+    assert (p - p).is_zero and not (p + q - q - p).terms

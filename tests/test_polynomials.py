@@ -32,6 +32,9 @@ from nilharmonic.polynomials import (
     translate_right,
 )
 
+# dense_reference.py holds the Fraction composition the integer one replaced
+import dense_reference as dense
+
 H3 = heisenberg(1)
 Z1 = lattice(1)
 Z2 = lattice(2)
@@ -227,6 +230,31 @@ def test_wrong_length_element_raises_with_warm_forms():
             translate(X, element(Z2, (1, 0)))
 
 
+TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
+
+
+def mixed_denominators(schema, k):
+    """A polynomial on every monomial of degree <= k, with coefficients whose
+    denominators 2, 3 and 6 force a common scale of 6."""
+    cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
+    return Polynomial(schema, {m: cycle[i % 5] for i, m in enumerate(pk_basis(schema, k))})
+
+
+@pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
+def test_integer_composition_equals_fraction_reference(schema):
+    # the integer-cleared _compose against the Fraction loop it replaced
+    p = mixed_denominators(schema, 3)
+    for u in ball(schema, standard_generators(schema), 2):
+        for side, translate in (("left", translate_left), ("right", translate_right)):
+            forms = polynomials._translation_forms(schema, u, side)
+            assert translate(p, u) == dense.compose(p, forms)
+    if schema.step == 1:
+        d = schema.n_coords
+        matrix = [[(i + 2 * j) % 3 - (i == j) * 4 for j in range(d)] for i in range(d)]
+        forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in matrix)
+        assert restrict_to_sublattice(p, matrix) == dense.compose(p, forms)
+
+
 # -- derivatives ---------------------------------------------------------------
 
 def test_derivative_examples():
@@ -367,6 +395,10 @@ def test_restrict_rejects_singular_and_non_lattice():
             restrict_to_sublattice(mono(Z2, 1, 0), [[entry, 0], [0, 1]])
     with pytest.raises(ValidationError):
         restrict_to_sublattice(Z, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the matrix must be a sequence of rows
+    for matrix in ([1, 2], None, [[1, 0], 5]):
+        with pytest.raises(ValidationError):
+            restrict_to_sublattice(mono(Z2, 1, 0), matrix)
 
 
 # -- term bookkeeping ------------------------------------------------------------
@@ -376,6 +408,32 @@ def test_no_zero_coefficients_stored():
     assert p.terms == {} and p.is_zero
     q = X + Y - X
     assert list(q.terms) == [Monomial((0, 1, 0))]
+
+
+def test_coefficients_must_be_int_or_fraction():
+    # a float, a bool or a string would be coerced to some rational: all refused
+    m = Monomial((1, 0, 0))
+    for value in (0.1, 2.0, True, False, "1/3", None, 1j):
+        with pytest.raises(ValidationError):
+            Polynomial(H3, {m: value})
+        with pytest.raises(ValidationError):
+            Polynomial.constant(H3, value)
+        with pytest.raises(ValidationError):
+            Polynomial.from_monomial(H3, m, value)
+        with pytest.raises(ValidationError):
+            X * value
+        with pytest.raises(ValidationError):
+            value * X
+    assert Polynomial(H3, {m: Fraction(1, 3)}) == Fraction(1, 3) * X
+    assert (X * 0).is_zero and (0 * X).is_zero
+
+
+def test_term_keys_must_be_monomials_of_the_schema():
+    # wrong length, a negative, float or bool exponent, or a bare tuple key
+    for key in (Monomial((1, 0)), Monomial((1, -1, 0)), Monomial((1.0, 0, 0)),
+                Monomial((True, 0, 0)), (1, 0, 0)):
+        with pytest.raises(ValidationError):
+            Polynomial(H3, {key: 1})
 
 
 def test_schema_mismatch_in_arithmetic():
