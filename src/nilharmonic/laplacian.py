@@ -208,6 +208,11 @@ def _pair_columns(
     return tuple(columns)
 
 
+# The most cells (rows x columns) a Laplacian matrix may have.  lattice(4) at
+# k = 16 has 14.8 million; a larger matrix would take minutes and gigabytes.
+MAX_MATRIX_CELLS = 2 * 10**7
+
+
 @lru_cache(maxsize=4)
 def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
@@ -218,13 +223,19 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     of the measure's pairs {s, s^-1} (see ``_pair_columns``), which jobs on
     one group share.  The last few matrices are kept, keyed by (schema,
     measure, k), so repeated solves against one Laplacian share one
-    factorization.
+    factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
+    refused from the dimensions alone, before any basis is enumerated.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     n_rows, n_cols = dim_pk(schema, k - 2), dim_pk(schema, k)
+    if n_rows * n_cols > MAX_MATRIX_CELLS:
+        raise ValidationError(
+            f"the degree-{k} Laplacian matrix on {schema.name()} would be "
+            f"{n_rows} x {n_cols}, more than the limit of {MAX_MATRIX_CELLS} cells"
+        )
     # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
     # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
     scale, int_weights = _cleared(measure.atoms.values())
@@ -268,8 +279,9 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
     kernel parameterization of the Laplacian matrix."""
     matrix = laplacian_matrix(schema, measure, k)
     domain = pk_basis(schema, k)
+    # kernel vectors hold non-zero Fractions only, so their terms are clean
     basis = tuple(
-        Polynomial(schema, {domain[i]: c for i, c in vec.items()})
+        Polynomial._trusted(schema, {domain[i]: c for i, c in vec.items()})
         for vec in matrix.factorization().kernel()
     )
     predicted = dim_hk(schema, k)
@@ -294,14 +306,15 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
     rhs = q.coefficient_vector(pk_basis(schema, k - 2))
-    sol = matrix.solve(rhs)
+    sol = matrix.factorization().solve(rhs)
     if isinstance(sol, Inconsistent):
         raise InternalInconsistency(
             f"no Laplacian preimage found for degree-{q.degree} input; "
             f"inconsistent at reduced row {sol.row}"
         )
     domain = pk_basis(schema, k)
-    p_hat = Polynomial(schema, {domain[i]: c for i, c in enumerate(sol) if c})
+    # the solution holds non-zero Fractions only, so its terms are clean
+    p_hat = Polynomial._trusted(schema, {domain[i]: c for i, c in sol.items()})
     if apply_laplacian(measure, p_hat) != q:
         raise InternalInconsistency("preimage verification failed")
     return p_hat

@@ -4,7 +4,10 @@ A matrix keeps its rows as dicts from column index to non-zero ``Fraction``.
 One elimination serves every question asked of it: a leftmost-pivot
 Gauss-Jordan that inserts the rows one at a time, reduces each against the
 pivot rows found so far and, when a new pivot appears, clears that column
-from the earlier pivot rows.  It yields a ``Factorization``: the pivot
+from the earlier pivot rows.  It runs on integer-cleared rows: each row is
+scaled to integers and reduced by integer cross-multiplication, so the
+only ``Fraction`` values it makes are one per recorded factor and one per
+entry of the result.  It yields a ``Factorization``: the pivot
 columns, the rows of the unique reduced row echelon form, and the row
 operations it applied, which replay on any number of right-hand sides.  A
 matrix computes its factorization once; ``rref``, ``rank``, ``kernel_basis``
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -117,46 +121,90 @@ class Factorization:
 
 
 def _eliminate(rows: int, cols: int, entries: Sequence[Mapping[int, Fraction]]) -> Factorization:
-    """Leftmost-pivot Gauss-Jordan on sparse rows; the only elimination here."""
-    tails: dict[int, SparseVector] = {}
+    """Leftmost-pivot Gauss-Jordan on integer-cleared rows; the only elimination here.
+
+    A pivot row is kept as integers: its lead L > 0 at the pivot column and
+    its tail at free columns, the reduced row being the tail divided by L.
+    An input row is cleared by the lcm of its denominators.  Tails hold no
+    pivot column, so the factor by which a pivot row is eliminated from a
+    new row is the new row's own entry there, and the row is reduced by all
+    of them in one integer combination, scaled by the lcm of their leads.
+    The new pivot row is divided by the gcd of its entries.  Clearing the
+    new pivot from an earlier pivot row cross-multiplies; when that scales
+    the earlier row's lead up, the row is divided by its gcd again.  (With
+    the sign of L fixed, a lead of 1 needs no scaling.)  The steps record
+    the factors that the same elimination on ``Fraction`` rows records (see
+    ``_Step``), and each tail entry becomes a ``Fraction`` once, at the end.
+    """
+    leads: dict[int, int] = {}
+    int_tails: dict[int, dict[int, int]] = {}
     steps: list[_Step] = []
     for source in entries:
-        row = dict(source)
-        eliminated = []
-        for p in [c for c in row if c in tails]:
-            f = row.pop(p)
+        eliminated = tuple((p, f) for p, f in source.items() if p in leads)
+        # sigma * (source - sum_p f_p * (pivot row p) / L_p) is an integer row
+        sigma = lcm(*(f.denominator for f in source.values()))
+        lam = lcm(*(leads[p] for p, _ in eliminated))
+        row = {
+            c: f.numerator * (sigma // f.denominator) * lam
+            for c, f in source.items()
+            if c not in leads
+        }
+        for p, f in eliminated:
+            m = f.numerator * (sigma // f.denominator) * (lam // leads[p])
             get = row.get
-            for c, v in tails[p].items():
-                x = get(c, _ZERO) - f * v
+            for c, v in int_tails[p].items():
+                x = get(c, 0) - m * v
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-            eliminated.append((p, f))
         if not row:
-            steps.append((tuple(eliminated), None, None, ()))
+            steps.append((eliminated, None, None, ()))
             continue
+        sigma *= lam
         pivot = min(row)
         lead = row.pop(pivot)
-        scale = None
-        if lead != 1:
-            scale = 1 / lead
-            row = {c: v * scale for c, v in row.items()}
+        scale = None if lead == sigma else Fraction(sigma, lead)
+        g = gcd(lead, *row.values())
+        if lead < 0:
+            g = -g
+        lead //= g
+        tail = {c: v // g for c, v in row.items()}
         cleared = []
-        for q, tail in tails.items():
-            g = tail.pop(pivot, None)
-            if g is None:
+        for q, tq in int_tails.items():
+            h = tq.pop(pivot, None)
+            if h is None:
                 continue
-            get = tail.get
-            for c, v in row.items():
-                x = get(c, _ZERO) - g * v
+            lq = leads[q]
+            cleared.append((q, Fraction(h, lq)))
+            # L * (row q) - h * (new row), divided by gcd(L, h)
+            d = gcd(lead, h)
+            a, b = lead // d, h // d
+            if a != 1:
+                for c in tq:
+                    tq[c] *= a
+            get = tq.get
+            for c, v in tail.items():
+                x = get(c, 0) - b * v
                 if x:
-                    tail[c] = x
+                    tq[c] = x
                 else:
-                    del tail[c]
-            cleared.append((q, g))
-        tails[pivot] = row
-        steps.append((tuple(eliminated), pivot, scale, tuple(cleared)))
+                    del tq[c]
+            if a != 1:
+                lq *= a
+                # the lead grew, so take out what the row now has in common
+                d = gcd(lq, *tq.values())
+                if d != 1:
+                    for c in tq:
+                        tq[c] //= d
+                    lq //= d
+                leads[q] = lq
+        leads[pivot] = lead
+        int_tails[pivot] = tail
+        steps.append((eliminated, pivot, scale, tuple(cleared)))
+    tails = {
+        p: {c: Fraction(v, leads[p]) for c, v in tail.items()} for p, tail in int_tails.items()
+    }
     return Factorization(rows, cols, tails, steps)
 
 
@@ -244,9 +292,12 @@ class RationalMatrix:
         f = self._factorization
         if f is None:
             f = self._factorization = _eliminate(self.rows, self.cols, self._entries)
-        reduced = [{p: _ONE, **f.tails[p]} for p in f.pivots]
-        reduced += [{}] * (self.rows - len(reduced))
-        return RationalMatrix.from_sparse(self.rows, self.cols, reduced), f.pivots
+        # the rows are clean (in range, non-zero Fractions), so they are not re-checked
+        view = RationalMatrix.__new__(RationalMatrix)
+        view.rows, view.cols, view._factorization = self.rows, self.cols, None
+        view._entries = [{p: _ONE, **f.tails[p]} for p in f.pivots]
+        view._entries += [{} for _ in range(self.rows - len(f.pivots))]
+        return view, f.pivots
 
     def factorization(self) -> Factorization:
         """The memoized elimination of this matrix."""

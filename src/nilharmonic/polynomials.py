@@ -318,25 +318,24 @@ class Polynomial:
 def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
     """Text of the non-zero terms in the given order, as ``str(Polynomial)``
     writes it (which orders them leading degree first); "0" for no terms."""
+    names = schema.coord_names
     pieces: list[str] = []
     for mono, coeff in ordered:
-        factors = []
-        for name, e in zip(schema.coord_names, mono.exponents):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono.exponents) if e]
+        # the magnitude as str(abs(coeff)) writes it, read off the int parts
+        num, den = coeff.numerator, coeff.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
+        if den != 1:
+            factors.insert(0, f"{num}/{den}")
+        elif num != 1 or not factors:
+            factors.insert(0, str(num))
+        body = "*".join(factors)
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if positive else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if positive else f"- {body}")
     return " ".join(pieces) or "0"
 
 

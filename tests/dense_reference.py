@@ -6,18 +6,27 @@ dense grid of ``Fraction``, and every solve reduces a fresh augmented
 matrix.  The cross-check tests compare the library's ``rref``, ``rank``,
 ``kernel_basis`` and ``solve`` with it.
 
+``eliminate`` is the sparse factorization as it ran on ``Fraction`` rows,
+before the library moved it to integer-cleared rows; the library's
+``_eliminate`` must produce the same pivots, tails and steps.
+
 ``compose`` and ``apply_laplacian`` are the polynomial loops used before the
 integer-cleared arithmetic: they accumulate ``Fraction`` coefficients term by
 term, and the Laplacian sums one right translate per atom as a polynomial.
+
+``terms_text`` is the polynomial text as it was written from ``abs`` and
+comparisons on each ``Fraction`` coefficient, before it read the numerator
+and denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from nilharmonic.groups import GroupSchema
 from nilharmonic.laplacian import Measure
-from nilharmonic.linalg import Inconsistent
+from nilharmonic.linalg import Factorization, Inconsistent
 from nilharmonic.polynomials import (
     AffineForm,
     Monomial,
@@ -102,6 +111,51 @@ def solve(
     return x
 
 
+def eliminate(rows: int, cols: int, entries: Sequence[dict[int, Fraction]]) -> Factorization:
+    """Leftmost-pivot Gauss-Jordan on sparse ``Fraction`` rows, inserted one
+    at a time; a new pivot is cleared from the earlier pivot rows."""
+    tails: dict[int, dict[int, Fraction]] = {}
+    steps = []
+    for source in entries:
+        row = dict(source)
+        eliminated = []
+        for p in [c for c in row if c in tails]:
+            f = row.pop(p)
+            get = row.get
+            for c, v in tails[p].items():
+                x = get(c, Fraction(0)) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            eliminated.append((p, f))
+        if not row:
+            steps.append((tuple(eliminated), None, None, ()))
+            continue
+        pivot = min(row)
+        lead = row.pop(pivot)
+        scale = None
+        if lead != 1:
+            scale = 1 / lead
+            row = {c: v * scale for c, v in row.items()}
+        cleared = []
+        for q, tail in tails.items():
+            g = tail.pop(pivot, None)
+            if g is None:
+                continue
+            get = tail.get
+            for c, v in row.items():
+                x = get(c, Fraction(0)) - g * v
+                if x:
+                    tail[c] = x
+                else:
+                    del tail[c]
+            cleared.append((q, g))
+        tails[pivot] = row
+        steps.append((tuple(eliminated), pivot, scale, tuple(cleared)))
+    return Factorization(rows, cols, tails, steps)
+
+
 def compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
     """The polynomial p(L_1(x), ..., L_n(x)), summed in ``Fraction``."""
     terms: dict[Monomial, Fraction] = {}
@@ -118,3 +172,27 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     for s, w in measure.atoms.items():
         expected = expected + compose(p, _translation_forms(p.schema, s, "right")) * w
     return p - expected
+
+
+def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
+    """Text of the non-zero terms in the given order; "0" for no terms."""
+    pieces: list[str] = []
+    for mono, coeff in ordered:
+        factors = []
+        for name, e in zip(schema.coord_names, mono.exponents):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces) or "0"

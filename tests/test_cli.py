@@ -304,6 +304,20 @@ def test_undecodable_polynomial_exits_one(configs, tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["harmonic", "preimage"])
+def test_oversized_matrix_exits_one(configs, tmp_path, capsys, command):
+    # harmonic at k = 200 and the preimage of x^400 ask for Laplacian matrices
+    # of 10^11 and more cells; both are refused before any basis is built
+    target = tmp_path / "q.txt"
+    target.write_text("x^400\n", encoding="utf-8")
+    args = ["--k", "200"] if command == "harmonic" else [str(target)]
+    code, out, err = run(
+        capsys, [command, "--group", configs["h3"], "--measure", configs["mu_h3"], *args]
+    )
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "more than the limit" in err and err.count("\n") == 1
+
+
 def test_unitriangular_walk_config_runs(tmp_path, capsys):
     # the elementary walk on unitriangular(4), written with no radius field
     atoms = [

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import nilharmonic.polynomials as polynomials
 from nilharmonic.errors import InternalInconsistency, InvariantFailure, ValidationError
 from nilharmonic.groups import (
     ball,
@@ -20,6 +21,7 @@ from nilharmonic.groups import (
     unitriangular,
 )
 from nilharmonic.laplacian import (
+    MAX_MATRIX_CELLS,
     Measure,
     _pair_columns,
     action_is_trivial,
@@ -34,7 +36,7 @@ from nilharmonic.laplacian import (
     uniform_measure,
 )
 from nilharmonic.linalg import Inconsistent, RationalMatrix
-from nilharmonic.polynomials import Monomial, Polynomial, pk_basis
+from nilharmonic.polynomials import Monomial, Polynomial, dim_pk, pk_basis
 
 # dense_reference.py holds the Fraction Laplacian the integer one replaced
 import dense_reference as dense
@@ -164,6 +166,26 @@ def test_matrix_annihilates_square_difference():
 def test_matrix_rejects_negative_degree():
     with pytest.raises(ValidationError):
         laplacian_matrix(Z1, MU_Z1, -1)
+
+
+def test_oversized_matrix_rejected_before_enumeration(monkeypatch):
+    # H3 at k = 200 would be 671650 x 691951; the check reads only the dimensions
+    def no_enumeration(schema, k):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(polynomials, "_pk_basis_cached", no_enumeration)
+    with pytest.raises(ValidationError, match=r"671650 x 691951, more than the limit"):
+        laplacian_matrix(H3, MU_H3, 200)
+    with pytest.raises(ValidationError, match="limit"):
+        harmonic_basis(H3, MU_H3, 200)
+    with pytest.raises(ValidationError, match="degree-402"):
+        solve_preimage(H3, MU_H3, mono(H3, 400, 0, 0))
+
+
+def test_matrix_cell_limit_admits_lattice_four_at_sixteen():
+    z4 = lattice(4)
+    assert dim_pk(z4, 14) * dim_pk(z4, 16) == 14_825_700 <= MAX_MATRIX_CELLS
+    assert dim_pk(z4, 15) * dim_pk(z4, 17) > MAX_MATRIX_CELLS
 
 
 TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]

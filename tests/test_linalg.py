@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from nilharmonic import linalg
 from nilharmonic.errors import ValidationError
-from nilharmonic.groups import heisenberg, lattice, unitriangular
-from nilharmonic.laplacian import generator_walk, laplacian_matrix
+from nilharmonic.groups import (
+    basis_element,
+    heisenberg,
+    identity,
+    inv,
+    lattice,
+    mul,
+    standard_generators,
+    unitriangular,
+)
+from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix
 from nilharmonic.linalg import Inconsistent, RationalMatrix
 
 
@@ -264,8 +274,6 @@ def test_factorization_matches_sympy(label, m):
 
 
 def test_many_right_hand_sides_share_one_elimination(monkeypatch):
-    from nilharmonic import linalg
-
     calls = []
     original = linalg._eliminate
 
@@ -310,3 +318,71 @@ def test_from_sparse_validates_shape_and_drops_zeros():
         RationalMatrix.from_sparse(1, 3, [{3: 1}])
     with pytest.raises(ValidationError):
         RationalMatrix.from_sparse(1, 3, [{-1: 1}])
+
+
+# -- the integer-row elimination against the Fraction one it replaced -------------
+#
+# dense_reference.eliminate is the same leftmost-pivot, row-insertion elimination
+# on Fraction rows; the factorization must come out equal, field by field.
+
+
+def _negative_lead_rank_deficient(seed):
+    # rational, rank-deficient, and every row leads with a negative entry
+    rng = random.Random(2000 + seed)
+    rows, cols = rng.randint(3, 9), rng.randint(3, 9)
+    grid = _low_rank(rng, rows, cols, rng.randint(1, min(rows, cols) - 1))
+    for row in grid:
+        if next((x for x in row if x), 0) > 0:
+            row[:] = [-x for x in row]
+    scales = [Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 4, 6, 9])) for _ in grid]
+    return RationalMatrix.from_rows([[c * x for x in row] for c, row in zip(scales, grid)],
+                                    cols=cols)
+
+
+def _pair_measure(schema):
+    # the generators, the pair {s, s^-1} for s the product of the first two
+    # basis elements, and the identity; weights 2/(3n), 1/12 and 1/6 for n generators
+    gens = standard_generators(schema)
+    s = mul(schema, basis_element(schema, 1), basis_element(schema, 2))
+    atoms = [(g, Fraction(2, 3 * len(gens))) for g in gens]
+    atoms += [(s, Fraction(1, 12)), (inv(schema, s), Fraction(1, 12))]
+    return Measure(schema, atoms + [(identity(schema), Fraction(1, 6))])
+
+
+def _elimination_cases():
+    yield from CROSS_CASES
+    for seed in range(12):
+        yield f"negative-lead-{seed}", _negative_lead_rank_deficient(seed)
+    for schema, k_max in ((lattice(3), 6), (heisenberg(1), 7), (unitriangular(4), 5)):
+        mu = _pair_measure(schema)
+        for k in range(k_max + 1):
+            yield f"pair-laplacian-{schema.name()}-{k}", laplacian_matrix(schema, mu, k)
+
+
+ELIMINATION_CASES = list(_elimination_cases())
+
+
+@pytest.mark.parametrize("label,m", ELIMINATION_CASES, ids=[c[0] for c in ELIMINATION_CASES])
+def test_integer_elimination_equals_fraction_reference(label, m):
+    got = linalg._eliminate(m.rows, m.cols, m._entries)
+    want = dense.eliminate(m.rows, m.cols, m._entries)
+    assert got.pivots == want.pivots
+    assert got.tails == want.tails
+    assert got.steps == want.steps
+    # equal as values is not enough: every entry and factor must be a Fraction
+    assert all(type(v) is Fraction for tail in got.tails.values() for v in tail.values())
+    for eliminated, _, scale, cleared in got.steps:
+        assert all(type(f) is Fraction for _, f in eliminated + cleared)
+        assert scale is None or type(scale) is Fraction
+
+
+def test_elimination_cases_cover_every_kind_of_step():
+    eliminated = cleared = scaled = zero_rows = negative_scales = 0
+    for _, m in ELIMINATION_CASES:
+        for e, pivot, scale, c in dense.eliminate(m.rows, m.cols, m._entries).steps:
+            eliminated += len(e)
+            cleared += len(c)
+            zero_rows += pivot is None
+            scaled += scale is not None
+            negative_scales += scale is not None and scale < 0
+    assert min(eliminated, cleared, scaled, zero_rows, negative_scales) >= 20

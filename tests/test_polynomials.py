@@ -446,3 +446,16 @@ def test_rendering():
     assert str(p) == "x^2 - y^2"
     assert str(Fraction(3, 2) * X * Y + Z - Polynomial.constant(H3, 1)) == "3/2*x*y + z - 1"
     assert str(Polynomial.zero(H3)) == "0"
+
+
+@pytest.mark.parametrize("schema", [H3, lattice(3), unitriangular(4)], ids=str)
+def test_terms_text_equals_fraction_reference(schema):
+    # signs, unit and non-unit magnitudes, constants, large numerators and
+    # denominators, in every position of the term list
+    values = [1, 2, 7, 10**20 + 1]
+    coeffs = [Fraction(sign * n, d) for sign in (1, -1) for n in values for d in (1, 3, 10**9)]
+    basis = pk_basis(schema, 3)
+    for shift in range(len(coeffs)):
+        terms = [(m, coeffs[(i + shift) % len(coeffs)]) for i, m in enumerate(basis[:9])]
+        for ordered in (terms, terms[::-1], terms[:1], []):
+            assert polynomials.terms_text(schema, ordered) == dense.terms_text(schema, ordered)
