@@ -14,19 +14,42 @@ lower central series), and coordinates are ordered by weight.
 
 Each family's law has the bilinear shape ``(a*b)_t = a_t + b_t + sum a_p*b_q``.
 A schema stores it as one list of ``(t, p, q)`` terms, sorted by ``t`` with
-``p, q < t``, and all coordinate arithmetic reads that list.
+``p, q < t``.  That list is the only stored form of the law: translation reads
+it directly, and multiplication and inversion are compiled from it once per
+schema, on first use, into straight-line functions on coordinate tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
 
 LATTICE = "lattice"
 HEISENBERG = "heisenberg"
 UNITRIANGULAR = "unitriangular"
+
+
+Coords = tuple[int, ...]
+
+
+def _names(prefix: str, n: range) -> str:
+    """``a0, a1, ...,``: with its trailing comma it unpacks or builds any length."""
+    return "".join(f"{prefix}{i}, " for i in n).rstrip()
+
+
+@lru_cache(maxsize=64)
+def _compile(signature: str, *body: str) -> Callable:
+    """Compile ``def signature:`` with the ``body`` lines and return the function.
+
+    Equal laws give equal source, so equal schemas, such as one group loaded
+    from many configs, share one compiled function.
+    """
+    namespace: dict = {}
+    exec("\n    ".join((f"def {signature}:", *body)), namespace)
+    return namespace[signature[: signature.index("(")]]
 
 
 @dataclass(frozen=True)
@@ -55,8 +78,8 @@ class GroupSchema:
     law: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_coords < 1:
-            raise ValidationError("schema needs at least one coordinate")
+        if type(self.n_coords) is not int or self.n_coords < 1:
+            raise ValidationError(f"n_coords must be a positive int, got {self.n_coords!r}")
         if len(self.weights) != self.n_coords or len(self.coord_names) != self.n_coords:
             raise ValidationError("weights/names length must equal n_coords")
         if self.weights[0] != 1:
@@ -70,6 +93,10 @@ class GroupSchema:
         for j, rank in enumerate(self.layer_ranks, start=1):
             if sum(1 for w in self.weights if w == j) != rank:
                 raise ValidationError(f"layer rank mismatch at weight {j}")
+        # the law is compiled into source code, so only plain ints may reach it
+        for term in self.law:
+            if type(term) is not tuple or len(term) != 3 or any(type(i) is not int for i in term):
+                raise ValidationError(f"law term {term!r} must be a tuple of three ints")
         if any(t2 < t1 for (t1, _, _), (t2, _, _) in zip(self.law, self.law[1:])):
             raise ValidationError("law terms must be sorted by target coordinate")
         for t, p, q in self.law:
@@ -77,6 +104,38 @@ class GroupSchema:
                 raise ValidationError(f"law term {(t, p, q)} must read coordinates before {t}")
             if self.weights[t] < self.weights[p] + self.weights[q]:
                 raise ValidationError(f"law term {(t, p, q)} needs weight(t) >= weight(p) + weight(q)")
+
+    def __getstate__(self) -> dict:
+        # only the fields: the compiled law is rebuilt on first use after
+        # unpickling, and functions made by exec cannot be pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def law_mul(self) -> Callable[[Coords, Coords], Coords]:
+        """``a*b`` on coordinate tuples, compiled from ``law`` on first use."""
+        n = range(self.n_coords)
+        sums = [f"a{t} + b{t}" for t in n]
+        for t, p, q in self.law:
+            sums[t] += f" + a{p} * b{q}"
+        return _compile(
+            "law_mul(a, b)",
+            f"{_names('a', n)} = a",
+            f"{_names('b', n)} = b",
+            f"return ({', '.join(sums)},)",
+        )
+
+    @cached_property
+    def law_inv(self) -> Callable[[Coords], Coords]:
+        """``a^-1`` on coordinate tuples, compiled from ``law`` on first use.
+
+        It solves ``a * x = e`` by increasing coordinate: a term of ``x_t``
+        reads only ``x_q`` with ``q < t``, which is already final.
+        """
+        n = range(self.n_coords)
+        xs = [f"x{t} = -a{t}" for t in n]
+        for t, p, q in self.law:
+            xs[t] += f" - a{p} * x{q}"
+        return _compile("law_inv(a)", f"{_names('a', n)} = a", *xs, f"return ({_names('x', n)})")
 
     def weight(self, i: int) -> int:
         """Weight of coordinate ``i`` (1-based)."""
@@ -178,19 +237,12 @@ def unitriangular(n: int) -> GroupSchema:
 
 # -- coordinate arithmetic on raw tuples (hot paths) -------------------------
 
-def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [u + v for u, v in zip(a, b)]
-    for t, p, q in schema.law:
-        out[t] += a[p] * b[q]
-    return tuple(out)
+def mul_coords(schema: GroupSchema, a: Coords, b: Coords) -> Coords:
+    return schema.law_mul(a, b)
 
 
-def inv_coords(schema: GroupSchema, a: tuple[int, ...]) -> tuple[int, ...]:
-    # solve a * x = identity by increasing t: every x_q a term reads is final
-    out = [-u for u in a]
-    for t, p, q in schema.law:
-        out[t] -= a[p] * out[q]
-    return tuple(out)
+def inv_coords(schema: GroupSchema, a: Coords) -> Coords:
+    return schema.law_inv(a)
 
 
 def _require_conforming(schema: GroupSchema, g: GroupElement) -> None:
@@ -232,12 +284,12 @@ def basis_element(schema: GroupSchema, i: int, power: int = 1) -> GroupElement:
 def mul(schema: GroupSchema, g: GroupElement, h: GroupElement) -> GroupElement:
     _require_conforming(schema, g)
     _require_conforming(schema, h)
-    return GroupElement(mul_coords(schema, g.coords, h.coords))
+    return GroupElement(schema.law_mul(g.coords, h.coords))
 
 
 def inv(schema: GroupSchema, g: GroupElement) -> GroupElement:
     _require_conforming(schema, g)
-    return GroupElement(inv_coords(schema, g.coords))
+    return GroupElement(schema.law_inv(g.coords))
 
 
 def standard_generators(schema: GroupSchema) -> list[GroupElement]:
@@ -298,6 +350,7 @@ def ball_levels(
     if radius < 0:
         raise ValidationError("radius must be non-negative")
     gens = _check_symmetric(schema, support)
+    law_mul = schema.law_mul
     origin = (0,) * schema.n_coords
     seen = {origin}
     levels = [[origin]]
@@ -306,7 +359,7 @@ def ball_levels(
         nxt = set()
         for g in frontier:
             for s in gens:
-                h = mul_coords(schema, g, s)
+                h = law_mul(g, s)
                 if h not in seen:
                     seen.add(h)
                     nxt.add(h)
@@ -346,7 +399,7 @@ def check_coordinate_order(
     j = next((t + 1 for t, c in enumerate(u.coords) if c != 0), None)
     if j is None:
         return CoordinateOrderReport(None, (), None, True)
-    prod = mul_coords(schema, g.coords, u.coords)
+    prod = schema.law_mul(g.coords, u.coords)
     prefix = tuple(prod[t] == g.coords[t] for t in range(j - 1))
     additive = prod[j - 1] == g.coords[j - 1] + u.coords[j - 1]
     return CoordinateOrderReport(j, prefix, additive, all(prefix) and additive)

@@ -213,6 +213,22 @@ def _pair_columns(
 MAX_MATRIX_CELLS = 2 * 10**7
 
 
+def matrix_shape(schema: GroupSchema, k: int) -> tuple[int, int]:
+    """Rows and columns of the degree-k Laplacian matrix, from ``dim_pk`` alone.
+
+    Raises ``ValidationError`` when the matrix would have more than
+    ``MAX_MATRIX_CELLS`` cells.  Both dimensions grow with k, so a check at
+    the largest degree of a run covers every smaller one.
+    """
+    n_rows, n_cols = dim_pk(schema, k - 2), dim_pk(schema, k)
+    if n_rows * n_cols > MAX_MATRIX_CELLS:
+        raise ValidationError(
+            f"the degree-{k} Laplacian matrix on {schema.name()} would be "
+            f"{n_rows} x {n_cols}, more than the limit of {MAX_MATRIX_CELLS} cells"
+        )
+    return n_rows, n_cols
+
+
 @lru_cache(maxsize=4)
 def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
@@ -224,18 +240,13 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     one group share.  The last few matrices are kept, keyed by (schema,
     measure, k), so repeated solves against one Laplacian share one
     factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
-    refused from the dimensions alone, before any basis is enumerated.
+    refused by ``matrix_shape``, before any basis is enumerated.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
-    n_rows, n_cols = dim_pk(schema, k - 2), dim_pk(schema, k)
-    if n_rows * n_cols > MAX_MATRIX_CELLS:
-        raise ValidationError(
-            f"the degree-{k} Laplacian matrix on {schema.name()} would be "
-            f"{n_rows} x {n_cols}, more than the limit of {MAX_MATRIX_CELLS} cells"
-        )
+    n_rows, n_cols = matrix_shape(schema, k)
     # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
     # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
     scale, int_weights = _cleared(measure.atoms.values())

@@ -17,6 +17,10 @@ term, and the Laplacian sums one right translate per atom as a polynomial.
 ``terms_text`` is the polynomial text as it was written from ``abs`` and
 comparisons on each ``Fraction`` coefficient, before it read the numerator
 and denominator.
+
+``mul_coords`` and ``inv_coords`` are the group law as a loop over the
+schema's ``(t, p, q)`` terms, before each schema compiled its law into
+straight-line code.
 """
 
 from __future__ import annotations
@@ -196,3 +200,19 @@ def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces) or "0"
+
+
+def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a*b: coordinatewise sums, then each term adds a_p*b_q to coordinate t."""
+    out = [u + v for u, v in zip(a, b)]
+    for t, p, q in schema.law:
+        out[t] += a[p] * b[q]
+    return tuple(out)
+
+
+def inv_coords(schema: GroupSchema, a: tuple[int, ...]) -> tuple[int, ...]:
+    """a^-1, solving a * x = identity by increasing t: every x_q a term reads is final."""
+    out = [-u for u in a]
+    for t, p, q in schema.law:
+        out[t] -= a[p] * out[q]
+    return tuple(out)

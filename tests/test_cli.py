@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import nilharmonic.laplacian as laplacian
 import nilharmonic.polynomials as polynomials
 from nilharmonic.cli import main
 from nilharmonic.groups import heisenberg, lattice
@@ -304,18 +305,33 @@ def test_undecodable_polynomial_exits_one(configs, tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["harmonic", "preimage"])
+@pytest.mark.parametrize("command", ["harmonic", "preimage", "verify"])
 def test_oversized_matrix_exits_one(configs, tmp_path, capsys, command):
-    # harmonic at k = 200 and the preimage of x^400 ask for Laplacian matrices
-    # of 10^11 and more cells; both are refused before any basis is built
+    # harmonic and verify at k = 200 and the preimage of x^400 ask for
+    # Laplacian matrices of 10^11 and more cells; each is refused before any
+    # basis is built
     target = tmp_path / "q.txt"
     target.write_text("x^400\n", encoding="utf-8")
-    args = ["--k", "200"] if command == "harmonic" else [str(target)]
+    args = [str(target)] if command == "preimage" else ["--k", "200"]
     code, out, err = run(
         capsys, [command, "--group", configs["h3"], "--measure", configs["mu_h3"], *args]
     )
     assert code == 1 and not out
     assert err.startswith("error: ") and "more than the limit" in err and err.count("\n") == 1
+
+
+def test_verify_above_a_lowered_cell_limit_exits_one(configs, capsys, monkeypatch):
+    # with a 100-cell limit the degree-4 and degree-5 matrices are both too
+    # large: one error line and exit 1, not failed checks and exit 2
+    monkeypatch.setattr(laplacian, "MAX_MATRIX_CELLS", 100)
+    code, out, err = run(
+        capsys, ["verify", "--group", configs["h3"], "--measure", configs["mu_h3"], "--k", "5"]
+    )
+    assert code == 1 and not out
+    assert err == (
+        "error: the degree-5 Laplacian matrix on heisenberg(1) would be 13 x 34, "
+        "more than the limit of 100 cells\n"
+    )
 
 
 def test_unitriangular_walk_config_runs(tmp_path, capsys):

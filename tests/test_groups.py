@@ -1,7 +1,9 @@
 """Group coordinate arithmetic: multiplication laws, balls, normal forms."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -28,6 +30,9 @@ from nilharmonic.groups import (
     standard_generators,
     unitriangular,
 )
+
+# dense_reference.py holds the term-list loops the compiled law replaced
+import dense_reference as dense  # noqa: E402
 
 H3 = heisenberg(1)
 Z1 = lattice(1)
@@ -190,6 +195,14 @@ def test_laws_as_term_lists():
         ((6, 0, 1),),  # target out of range
         ((3, -1, 0),),  # negative index
         ((1, 0, 0),),  # a weight-1 coordinate gains a product of weight 2
+        # the law is compiled into code, so a term is exactly three ints
+        ((3, 0.0, 1),),
+        ((3, "0", 1),),
+        (("3", 0, 1),),
+        ((3, True, 1),),  # bool is an int subclass, but not an index
+        ((3, 0),),
+        ((3, 0, 1, 2),),
+        ([3, 0, 1],),
     ],
 )
 def test_schema_rejects_bad_law(law):
@@ -197,15 +210,76 @@ def test_schema_rejects_bad_law(law):
         dataclasses.replace(UT4, law=law)
 
 
-def test_cyclic_law_has_no_decomposition_order():
-    # x and y each feed a weight-2 coordinate through the other
-    schema = GroupSchema(
-        family="twisted", size=1, n_coords=4, weights=(1, 1, 2, 2), layer_ranks=(2, 2),
-        step=2, coord_names=("x", "y", "z", "w"), law=((2, 0, 1), (3, 1, 0)),
-    )
-    assert mul_coords(schema, (1, 0, 0, 0), (0, 1, 0, 0)) == (1, 1, 1, 0)
+@pytest.mark.parametrize("n_coords", [0, 3.0, True, "3"])
+def test_schema_rejects_bad_coordinate_count(n_coords):
     with pytest.raises(ValidationError):
-        decomposition_order(schema)
+        dataclasses.replace(H3, n_coords=n_coords)
+
+
+# x and y each feed a weight-2 coordinate through the other
+TWISTED = GroupSchema(
+    family="twisted", size=1, n_coords=4, weights=(1, 1, 2, 2), layer_ranks=(2, 2),
+    step=2, coord_names=("x", "y", "z", "w"), law=((2, 0, 1), (3, 1, 0)),
+)
+
+
+def test_cyclic_law_has_no_decomposition_order():
+    assert mul_coords(TWISTED, (1, 0, 0, 0), (0, 1, 0, 0)) == (1, 1, 1, 0)
+    with pytest.raises(ValidationError):
+        decomposition_order(TWISTED)
+
+
+def _assert_law_equals_reference(schema, points, rng):
+    partners = rng.sample(points, min(len(points), 25))
+    for a in points:
+        assert inv_coords(schema, a) == dense.inv_coords(schema, a)
+        assert inv(schema, GroupElement(a)).coords == dense.inv_coords(schema, a)
+        for b in partners:
+            expected = dense.mul_coords(schema, a, b)
+            assert mul_coords(schema, a, b) == expected
+            assert mul(schema, GroupElement(a), GroupElement(b)).coords == expected
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [*map(lattice, range(1, 6)), *map(heisenberg, range(1, 4)), *map(unitriangular, range(2, 7)),
+     TWISTED],
+    ids=str,
+)
+def test_compiled_law_equals_term_loop_on_ball(schema):
+    points = [g.coords for g in ball(schema, standard_generators(schema), 3)]
+    _assert_law_equals_reference(schema, points, random.Random(f"law/{schema}"))
+
+
+@pytest.mark.parametrize("schema", [lattice(36), heisenberg(17), unitriangular(9)], ids=str)
+def test_compiled_law_equals_term_loop_on_largest_groups(schema):
+    rng = random.Random(f"law/{schema}")
+    points = [
+        tuple(rng.randint(-(10 ** rng.randint(0, 25)), 10 ** rng.randint(0, 25))
+              for _ in range(schema.n_coords))
+        for _ in range(60)
+    ]
+    _assert_law_equals_reference(schema, points, rng)
+
+
+def test_compiled_law_is_not_schema_state():
+    # compiled on first use and cached on the instance, outside the fields:
+    # equality, hashing, repr, copies and replace see only the term list
+    schema = unitriangular(4)
+    a, b = (1, 2, 3, 4, 5, 6), (-3, 0, 2, 1, -1, 7)
+    expected = dense.mul_coords(schema, a, b)
+    assert schema.law_mul(a, b) == expected
+    fresh = unitriangular(4)
+    assert schema == fresh and hash(schema) == hash(fresh) and repr(schema) == repr(fresh)
+    assert not {"law_mul", "law_inv"} & {f.name for f in dataclasses.fields(schema)}
+    for twin in (pickle.loads(pickle.dumps(schema)), copy.deepcopy(schema), copy.copy(schema)):
+        assert twin == schema and hash(twin) == hash(schema)
+        assert twin.law_mul(a, b) == expected
+        assert twin.law_inv(a) == dense.inv_coords(schema, a)
+    replaced = dataclasses.replace(schema, law=schema.law[:-1])
+    assert replaced.law_mul is not schema.law_mul
+    assert replaced.law_mul(a, b) == dense.mul_coords(replaced, a, b) != expected
+    assert replaced.law_inv(a) == dense.inv_coords(replaced, a) != schema.law_inv(a)
 
 
 def test_basis_element_examples():

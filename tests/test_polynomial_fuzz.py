@@ -1,5 +1,6 @@
-"""Property tests: polynomial text and JSON objects round-trip exactly, and
-the arithmetic's results are as clean as the validated constructor makes them.
+"""Property tests: polynomial text and JSON objects round-trip exactly, the
+arithmetic's results are as clean as the validated constructor makes them,
+and left derivatives obey the cocycle and product rules.
 
 Examples are capped at 100 so the test costs about a second, and the example
 database is off so a run writes no files.
@@ -15,10 +16,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilharmonic.groups import GroupElement, heisenberg, lattice, unitriangular
+from nilharmonic.groups import GroupElement, heisenberg, lattice, mul, unitriangular
 from nilharmonic.polynomials import (
     Monomial,
     Polynomial,
+    left_derivative,
     monomial_sort_key,
     translate_left,
     translate_right,
@@ -89,3 +91,28 @@ def test_arithmetic_results_are_clean(pq):
     ]
     assert p - q == p + (-q)
     assert (p - p).is_zero and not (p + q - q - p).terms
+
+
+@st.composite
+def derivative_cases(draw):
+    # two low-degree polynomials and two elements of one group of each family
+    schema = draw(st.sampled_from(SCHEMAS))
+    exponents = st.tuples(*[st.integers(0, 2)] * schema.n_coords).map(Monomial)
+    f, h = (Polynomial(schema, draw(st.dictionaries(exponents, coefficients, max_size=4)))
+            for _ in range(2))
+    x, y = (GroupElement(tuple(draw(st.integers(-4, 4)) for _ in range(schema.n_coords)))
+            for _ in range(2))
+    return f, h, x, y
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(derivative_cases())
+def test_cocycle_and_product_rules(case):
+    # D_xy f = (D_x f) o L_y + D_y f, and D_x(fh) = (L_x f) D_x h + (D_x f) h
+    f, h, x, y = case
+    xy = mul(f.schema, x, y)
+    assert left_derivative(f, xy) == translate_left(left_derivative(f, x), y) + left_derivative(f, y)
+    assert left_derivative(f * h, x) == (
+        translate_left(f, x) * left_derivative(h, x) + left_derivative(f, x) * h
+    )

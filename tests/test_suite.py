@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+import nilharmonic.laplacian as laplacian
+import nilharmonic.suite as suite
+from nilharmonic.errors import ValidationError
 from nilharmonic.groups import heisenberg, lattice, unitriangular
 from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
 from nilharmonic.polynomials import _translation_forms
@@ -55,6 +58,22 @@ def expected(b2, sizes, nullities, targets):
 )
 def test_suite_records_are_pinned(schema, pinned):
     assert records(schema, 4, 3) == pinned
+
+
+@pytest.mark.parametrize(
+    "k, limit, shape", [(200, None, "671650 x 691951"), (5, 100, "13 x 34")]
+)
+def test_oversized_degree_is_refused_before_any_check(monkeypatch, k, limit, shape):
+    # the matrix of the largest degree is checked first, so the run fails as a
+    # bad input, not as failed checks after every smaller degree was built
+    def no_work(*args):
+        raise AssertionError("the suite started its checks")
+
+    monkeypatch.setattr(suite, "ball", no_work)
+    if limit is not None:
+        monkeypatch.setattr(laplacian, "MAX_MATRIX_CELLS", limit)
+    with pytest.raises(ValidationError, match=f"degree-{k} .* {shape}, more than the limit"):
+        run_invariant_suite(H3, generator_walk(H3), k, 3)
 
 
 def test_broken_law_fails_the_group_checks():
