@@ -218,8 +218,16 @@ def matrix_shape(schema: GroupSchema, k: int) -> tuple[int, int]:
 
     Raises ``ValidationError`` when the matrix would have more than
     ``MAX_MATRIX_CELLS`` cells.  Both dimensions grow with k, so a check at
-    the largest degree of a run covers every smaller one.
+    the largest degree of a run covers every smaller one.  ``dim_pk`` takes
+    O(k) memory, so a degree too large for any schema is refused from k
+    first: the first coordinate has weight 1, so dim P^j >= j + 1 and the
+    matrix has at least (k - 1) x (k + 1) cells.
     """
+    if k >= 2 and (k - 1) * (k + 1) > MAX_MATRIX_CELLS:
+        raise ValidationError(
+            f"the degree-{k} Laplacian matrix on {schema.name()} would be at least "
+            f"{k - 1} x {k + 1}, more than the limit of {MAX_MATRIX_CELLS} cells"
+        )
     n_rows, n_cols = dim_pk(schema, k - 2), dim_pk(schema, k)
     if n_rows * n_cols > MAX_MATRIX_CELLS:
         raise ValidationError(
@@ -258,12 +266,13 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
         for column, pair in zip(columns, _pair_columns(schema, s, k)):
             for i, c in pair:
                 column[i] = column.get(i, 0) + ws * c
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n_rows)]
+    # the matrix is rows / scale; the rows are in range and hold no zero
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
     for j, column in enumerate(columns):
         for i, c in column.items():
             if c:
-                rows[i][j] = Fraction(c, scale)
-    return RationalMatrix.from_sparse(n_rows, n_cols, rows)
+                rows[i][j] = c
+    return RationalMatrix._trusted(n_rows, n_cols, rows, scale)
 
 
 @dataclass(frozen=True)

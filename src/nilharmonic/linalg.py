@@ -1,19 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-A matrix keeps its rows as dicts from column index to non-zero ``Fraction``.
-One elimination serves every question asked of it: a leftmost-pivot
-Gauss-Jordan that inserts the rows one at a time, reduces each against the
-pivot rows found so far and, when a new pivot appears, clears that column
-from the earlier pivot rows.  It runs on integer-cleared rows: each row is
-scaled to integers and reduced by integer cross-multiplication, so the
-only ``Fraction`` values it makes are one per recorded factor and one per
-entry of the result.  It yields a ``Factorization``: the pivot
-columns, the rows of the unique reduced row echelon form, and the row
-operations it applied, which replay on any number of right-hand sides.  A
-matrix computes its factorization once; ``rref``, ``rank``, ``kernel_basis``
-and ``solve`` all read it.  Kernel bases use the canonical free-variable
-parameterization (each free variable set to 1 in turn, in ascending column
-order), so outputs are deterministic and portable.
+A matrix keeps its entries as integer rows over one positive common
+denominator d: each row is a dict from column index to non-zero ``int``,
+and the entry there is that int divided by d.  One elimination serves every
+question asked of it: a leftmost-pivot Gauss-Jordan that inserts the rows
+one at a time, reduces each against the pivot rows found so far and, when
+a new pivot appears, clears that column from the earlier pivot rows.  It
+runs on the integer rows by integer cross-multiplication, so the only
+``Fraction`` values it makes are one per recorded factor.  It yields a
+``Factorization``: the pivot columns, the rows of the unique reduced row
+echelon form as integers over one lead per row, and the row operations it
+applied, which replay on any number of right-hand sides.  A matrix computes
+its factorization once; ``rref``, ``rank``, ``kernel_basis`` and ``solve``
+all read it.  Kernel bases use the canonical free-variable parameterization
+(each free variable set to 1 in turn, in ascending column order), so
+outputs are deterministic and portable; each kernel entry is made as a
+``Fraction`` once, straight from the integer rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import ValidationError
 
 RationalLike = Fraction | int
 SparseVector = dict[int, Fraction]
+IntRows = list[dict[int, int]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,32 +68,54 @@ _Step = tuple[
 class Factorization:
     """The elimination of one rows x cols matrix.
 
-    ``pivots`` are the pivot columns in ascending order.  ``tails[p]`` is the
-    row of the reduced echelon form with pivot ``p``, without its leading 1;
-    its columns are free columns right of ``p``.  ``steps`` is the row
-    transform (see ``_Step``).  The methods hand out fresh dicts only.
+    ``pivots`` are the pivot columns in ascending order.  The row of the
+    reduced echelon form with pivot ``p`` is kept as integers: it is 1 at
+    ``p`` and ``int_tails[p][c] / leads[p]`` at each of its other non-zero
+    columns ``c``, which are free columns right of ``p``; ``leads[p] > 0``.
+    ``tails[p]`` is that row as ``Fraction`` values, without its leading 1,
+    made on first read.  ``steps`` is the row transform (see ``_Step``).
+    The methods hand out fresh dicts only.
     """
 
-    __slots__ = ("rows", "cols", "pivots", "tails", "steps")
+    __slots__ = ("rows", "cols", "pivots", "leads", "int_tails", "steps", "_tails")
 
     def __init__(
-        self, rows: int, cols: int, tails: dict[int, SparseVector], steps: list[_Step]
+        self,
+        rows: int,
+        cols: int,
+        leads: dict[int, int],
+        int_tails: dict[int, dict[int, int]],
+        steps: list[_Step],
     ):
         self.rows = rows
         self.cols = cols
-        self.pivots = tuple(sorted(tails))
-        self.tails = tails
+        self.pivots = tuple(sorted(int_tails))
+        self.leads = leads
+        self.int_tails = int_tails
         self.steps = steps
+        self._tails: dict[int, SparseVector] | None = None
+
+    @property
+    def tails(self) -> dict[int, SparseVector]:
+        if self._tails is None:
+            leads = self.leads
+            self._tails = {
+                p: {c: Fraction(v, leads[p]) for c, v in tail.items()}
+                for p, tail in self.int_tails.items()
+            }
+        return self._tails
 
     def kernel(self) -> list[SparseVector]:
         """Sparse right null space basis, one vector per free column,
         in ascending order; each vector's keys are ascending."""
+        int_tails = self.int_tails
         basis: dict[int, SparseVector] = {
-            c: {} for c in range(self.cols) if c not in self.tails
+            c: {} for c in range(self.cols) if c not in int_tails
         }
         for p in self.pivots:
-            for c, v in self.tails[p].items():
-                basis[c][p] = -v
+            lead = self.leads[p]
+            for c, v in int_tails[p].items():
+                basis[c][p] = Fraction(-v, lead)
         for c, vec in basis.items():
             vec[c] = _ONE
         return list(basis.values())
@@ -120,12 +145,14 @@ class Factorization:
         return {p: values[p] for p in self.pivots if values[p]}
 
 
-def _eliminate(rows: int, cols: int, entries: Sequence[Mapping[int, Fraction]]) -> Factorization:
-    """Leftmost-pivot Gauss-Jordan on integer-cleared rows; the only elimination here.
+def _eliminate(
+    rows: int, cols: int, entries: Sequence[Mapping[int, int]], denominator: int
+) -> Factorization:
+    """Leftmost-pivot Gauss-Jordan on integer rows; the only elimination here.
 
-    A pivot row is kept as integers: its lead L > 0 at the pivot column and
-    its tail at free columns, the reduced row being the tail divided by L.
-    An input row is cleared by the lcm of its denominators.  Tails hold no
+    The matrix is ``entries`` divided by ``denominator``.  A pivot row is kept
+    as integers: its lead L > 0 at the pivot column and its tail at free
+    columns, the reduced row being the tail divided by L.  Tails hold no
     pivot column, so the factor by which a pivot row is eliminated from a
     new row is the new row's own entry there, and the row is reduced by all
     of them in one integer combination, scaled by the lcm of their leads.
@@ -134,42 +161,44 @@ def _eliminate(rows: int, cols: int, entries: Sequence[Mapping[int, Fraction]]) 
     the earlier row's lead up, the row is divided by its gcd again.  (With
     the sign of L fixed, a lead of 1 needs no scaling.)  The steps record
     the factors that the same elimination on ``Fraction`` rows records (see
-    ``_Step``), and each tail entry becomes a ``Fraction`` once, at the end.
+    ``_Step``), one ``Fraction`` each.
     """
     leads: dict[int, int] = {}
     int_tails: dict[int, dict[int, int]] = {}
     steps: list[_Step] = []
     for source in entries:
-        eliminated = tuple((p, f) for p, f in source.items() if p in leads)
-        # sigma * (source - sum_p f_p * (pivot row p) / L_p) is an integer row
-        sigma = lcm(*(f.denominator for f in source.values()))
-        lam = lcm(*(leads[p] for p, _ in eliminated))
-        row = {
-            c: f.numerator * (sigma // f.denominator) * lam
-            for c, f in source.items()
-            if c not in leads
-        }
-        for p, f in eliminated:
-            m = f.numerator * (sigma // f.denominator) * (lam // leads[p])
-            get = row.get
-            for c, v in int_tails[p].items():
-                x = get(c, 0) - m * v
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
+        eliminated = tuple((p, v) for p, v in source.items() if p in leads)
+        if eliminated:
+            # lam * (source - sum_p v_p * (pivot row p) / L_p) is an integer row
+            lam = lcm(*(leads[p] for p, _ in eliminated))
+            row = {c: v * lam for c, v in source.items() if c not in leads}
+            for p, v in eliminated:
+                m = v * (lam // leads[p])
+                get = row.get
+                for c, t in int_tails[p].items():
+                    x = get(c, 0) - m * t
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            eliminated = tuple((p, Fraction(v, denominator)) for p, v in eliminated)
+        else:
+            lam = 1
+            row = dict(source)
         if not row:
             steps.append((eliminated, None, None, ()))
             continue
-        sigma *= lam
+        sigma = denominator * lam
         pivot = min(row)
         lead = row.pop(pivot)
         scale = None if lead == sigma else Fraction(sigma, lead)
         g = gcd(lead, *row.values())
         if lead < 0:
             g = -g
-        lead //= g
-        tail = {c: v // g for c, v in row.items()}
+        if g != 1:
+            lead //= g
+            row = {c: v // g for c, v in row.items()}
+        tail = row
         cleared = []
         for q, tq in int_tails.items():
             h = tq.pop(pivot, None)
@@ -202,20 +231,36 @@ def _eliminate(rows: int, cols: int, entries: Sequence[Mapping[int, Fraction]]) 
         leads[pivot] = lead
         int_tails[pivot] = tail
         steps.append((eliminated, pivot, scale, tuple(cleared)))
-    tails = {
-        p: {c: Fraction(v, leads[p]) for c, v in tail.items()} for p, tail in int_tails.items()
-    }
-    return Factorization(rows, cols, tails, steps)
+    return Factorization(rows, cols, leads, int_tails, steps)
+
+
+def _reduced_rows(f: Factorization) -> tuple[IntRows, int]:
+    """The reduced echelon form of a factorization as integer rows over the
+    lcm of the leads: the pivot rows in pivot order, then zero rows."""
+    d = lcm(*f.leads.values())
+    out: IntRows = []
+    for p in f.pivots:
+        s = d // f.leads[p]
+        row = {p: d}
+        row.update((c, v * s) for c, v in f.int_tails[p].items())
+        out.append(row)
+    out += [{} for _ in range(f.rows - len(out))]
+    return out, d
 
 
 class RationalMatrix:
-    """Matrix with exact rational entries, stored as sparse rows.
+    """Matrix with exact rational entries, kept as integer rows over one
+    positive common denominator.
 
-    Treated as immutable: ``data`` is a fresh dense copy on every read, and
-    the factorization is computed on first use and then kept.
+    Treated as immutable: ``data`` is a fresh dense copy of the rational
+    entries on every read, and the factorization is computed on first use
+    and then kept.  The reduced echelon form that ``rref`` returns is a
+    matrix whose integer rows are built from the factorization when first read.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_factorization")
+    # _ints is (integer rows, denominator), or, for a reduced echelon form whose
+    # rows have not been read yet, the Factorization they come from
+    __slots__ = ("rows", "cols", "_ints", "_factorization")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[RationalLike]]):
         dense = [list(row) for row in entries]
@@ -232,15 +277,35 @@ class RationalMatrix:
         m._fill(rows, cols, entries)
         return m
 
+    @classmethod
+    def _trusted(
+        cls, rows: int, cols: int, int_rows: IntRows, denominator: int
+    ) -> "RationalMatrix":
+        """The matrix int_rows / denominator, taking ownership of the rows: one
+        dict per row from a column in range(cols) to a non-zero int, and a
+        denominator > 0.  Nothing is checked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._ints, m._factorization = rows, cols, (int_rows, denominator), None
+        return m
+
     def _fill(self, rows: int, cols: int, entries: Sequence[Mapping[int, RationalLike]]) -> None:
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be non-negative")
         if len(entries) != rows or any(not 0 <= j < cols for row in entries for j in row):
             raise ValidationError("matrix entries do not match the declared shape")
-        self.rows = rows
-        self.cols = cols
-        self._entries = [{j: _frac(x) for j, x in row.items() if x} for row in entries]
-        self._factorization: Factorization | None = None
+        fracs = [{j: _frac(x) for j, x in row.items() if x} for row in entries]
+        d = lcm(*(x.denominator for row in fracs for x in row.values()))
+        int_rows = [
+            {j: x.numerator * (d // x.denominator) for j, x in row.items()} for row in fracs
+        ]
+        self.rows, self.cols, self._ints, self._factorization = rows, cols, (int_rows, d), None
+
+    def _int_rows(self) -> tuple[IntRows, int]:
+        """(integer rows, denominator); built here for an unread reduced form."""
+        ints = self._ints
+        if type(ints) is Factorization:
+            ints = self._ints = _reduced_rows(ints)
+        return ints
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[RationalLike]], cols: int | None = None) -> "RationalMatrix":
@@ -262,14 +327,30 @@ class RationalMatrix:
     @property
     def data(self) -> list[list[Fraction]]:
         """Dense copy of the entries, row by row."""
-        return [[row.get(j, _ZERO) for j in range(self.cols)] for row in self._entries]
+        int_rows, d = self._int_rows()
+        out = []
+        for row in int_rows:
+            dense = [_ZERO] * self.cols
+            for j, v in row.items():
+                dense[j] = Fraction(v, d)
+            out.append(dense)
+        return out
 
     def __eq__(self, other: object) -> bool:
-        return (
+        if not (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+        ):
+            return False
+        a, da = self._int_rows()
+        b, db = other._int_rows()
+        if da == db:
+            return a == b
+        # a / da == b / db entry by entry, on the same non-zero columns
+        return all(
+            ra.keys() == rb.keys() and all(v * db == rb[j] * da for j, v in ra.items())
+            for ra, rb in zip(a, b)
         )
 
     def __repr__(self) -> str:
@@ -278,7 +359,8 @@ class RationalMatrix:
     def mul_vector(self, x: Sequence[RationalLike]) -> list[Fraction]:
         if len(x) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return [sum((v * x[j] for j, v in row.items()), _ZERO) for row in self._entries]
+        int_rows, d = self._int_rows()
+        return [sum((v * x[j] for j, v in row.items()), _ZERO) / d for row in int_rows]
 
     # -- elimination ----------------------------------------------------------
 
@@ -287,16 +369,14 @@ class RationalMatrix:
 
         The first call runs the elimination; every other method reaches it
         through here, so a wrapper around ``rref`` (as in perfbench's tracer)
-        sees each elimination once.
+        sees each elimination once.  The returned matrix builds its rows
+        from the factorization only when they are read.
         """
         f = self._factorization
         if f is None:
-            f = self._factorization = _eliminate(self.rows, self.cols, self._entries)
-        # the rows are clean (in range, non-zero Fractions), so they are not re-checked
+            f = self._factorization = _eliminate(self.rows, self.cols, *self._int_rows())
         view = RationalMatrix.__new__(RationalMatrix)
-        view.rows, view.cols, view._factorization = self.rows, self.cols, None
-        view._entries = [{p: _ONE, **f.tails[p]} for p in f.pivots]
-        view._entries += [{} for _ in range(self.rows - len(f.pivots))]
+        view.rows, view.cols, view._ints, view._factorization = self.rows, self.cols, f, None
         return view, f.pivots
 
     def factorization(self) -> Factorization:

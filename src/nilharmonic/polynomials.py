@@ -21,6 +21,13 @@ coefficients, read off that list, and a monomial x^a translates to
 prod_t L_t^{a_t}, an integer polynomial.  The same substitution, with
 linear forms taken from a matrix, restricts polynomials on abelian groups
 to sublattices.
+
+Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
+goes through ``render_terms``, which reads each monomial's graded sort key
+and factor text, such as ``x1^2*x3``, from a per-schema memo.  The memo is
+bounded: at most ``_RENDER_MONOMIALS`` monomials per schema, for the last
+``_RENDER_SCHEMAS`` schemas; past those bounds entries are recomputed, and
+the text is the same either way.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -301,42 +309,68 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        # leading terms first; ties follow the graded basis order
-        ordered = sorted(
-            self.terms.items(),
-            key=lambda mc: (
-                -mc[0].weighted_degree(self.schema),
-                tuple(-e for e in mc[0].exponents),
-            ),
-        )
-        return terms_text(self.schema, ordered)
+        return render_terms(self)[1]
 
     def __repr__(self) -> str:
         return f"Polynomial({self.schema.name()}: {self})"
 
 
-def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
-    """Text of the non-zero terms in the given order, as ``str(Polynomial)``
-    writes it (which orders them leading degree first); "0" for no terms."""
-    names = schema.coord_names
-    pieces: list[str] = []
-    for mono, coeff in ordered:
-        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono.exponents) if e]
-        # the magnitude as str(abs(coeff)) writes it, read off the int parts
-        num, den = coeff.numerator, coeff.denominator
-        positive = num > 0
-        if not positive:
-            num = -num
-        if den != 1:
-            factors.insert(0, f"{num}/{den}")
-        elif num != 1 or not factors:
-            factors.insert(0, str(num))
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(body if positive else f"-{body}")
+# -- rendering -------------------------------------------------------------------
+#
+# A schema's render memo maps a monomial to its graded sort key and its factor
+# text: x^2*z on heisenberg(1) to ((4, (-2, 0, -1)), "x^2*z").  Past
+# _RENDER_MONOMIALS entries are computed and not stored; a full memo of
+# lattice(4) or heisenberg(2) takes about 1.4 MB.
+
+_RENDER_SCHEMAS = 4
+_RENDER_MONOMIALS = 4096
+
+
+@lru_cache(maxsize=_RENDER_SCHEMAS)
+def _render_memo(schema: GroupSchema) -> dict[Monomial, tuple[tuple, str]]:
+    return {}
+
+
+def render_terms(p: Polynomial) -> tuple[list[tuple[Monomial, str]], str]:
+    """p's terms in graded order, each with its coefficient as ``str`` writes
+    it, and p's text as ``str(p)`` writes it: leading degree first, the terms
+    of one degree in graded order, "0" for no terms.
+
+    One sort, on keys read from the schema's render memo, gives both orders.
+    """
+    schema = p.schema
+    memo = _render_memo(schema)
+    rows = []
+    for m, c in p.terms.items():
+        entry = memo.get(m)
+        if entry is None:
+            names = schema.coord_names
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m.exponents) if e]
+            entry = (monomial_sort_key(schema, m), "*".join(factors))
+            if len(memo) < _RENDER_MONOMIALS:
+                memo[m] = entry
+        rows.append((entry[0], m, str(c), entry[1]))
+    rows.sort(key=itemgetter(0))
+    # the text takes the runs of one degree in reverse, each in graded order
+    runs: dict[int, list[tuple[bool, str]]] = {}
+    for (degree, _), _, coeff, factors in rows:
+        negative = coeff[0] == "-"
+        magnitude = coeff[1:] if negative else coeff
+        if not factors:
+            body = magnitude
+        elif magnitude == "1":
+            body = factors
         else:
-            pieces.append(f"+ {body}" if positive else f"- {body}")
-    return " ".join(pieces) or "0"
+            body = f"{magnitude}*{factors}"
+        runs.setdefault(degree, []).append((negative, body))
+    pieces: list[str] = []
+    for degree in reversed(runs):
+        for negative, body in runs[degree]:
+            if pieces:
+                pieces.append(f"- {body}" if negative else f"+ {body}")
+            else:
+                pieces.append(f"-{body}" if negative else body)
+    return [(m, coeff) for _, m, coeff, _ in rows], " ".join(pieces) or "0"
 
 
 # -- translation by composition -----------------------------------------------

@@ -2,7 +2,11 @@
 
 Rationals serialize as reduced strings like "3/2" (plain "3" for
 integers).  Polynomials serialize as exponent/coefficient pairs in graded
-order, so emitted JSON is canonical and byte-reproducible.
+order, so emitted JSON is canonical and byte-reproducible.  The pairs and the
+"text" field come from one pass of ``polynomials.render_terms``, which reads
+each monomial's sort key and factor text from a bounded per-schema memo (at
+most ``_RENDER_MONOMIALS`` monomials for each of the last ``_RENDER_SCHEMAS``
+schemas).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Any, Mapping
 from .errors import ValidationError
 from .groups import GroupSchema, element, heisenberg, lattice, unitriangular
 from .laplacian import Measure
-from .polynomials import Monomial, Polynomial, terms_text
+from .polynomials import Monomial, Polynomial, render_terms
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -105,19 +109,10 @@ def measure_from_config(schema: GroupSchema, cfg: Mapping[str, Any]) -> Measure:
 # -- polynomial JSON -------------------------------------------------------------
 
 def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
-    # one sort into graded order; a stable sort of that list by descending
-    # degree is the leading-first order of str(p)
-    keyed = sorted(
-        ((m.weighted_degree(p.schema), tuple(-e for e in m.exponents)), m, c)
-        for m, c in p.terms.items()
-    )
-    leading = sorted(keyed, key=lambda t: -t[0][0])
+    terms, text = render_terms(p)
     return {
-        "terms": [
-            {"exponents": list(m.exponents), "coeff": str(c)}
-            for _, m, c in keyed
-        ],
-        "text": terms_text(p.schema, ((m, c) for _, m, c in leading)),
+        "terms": [{"exponents": list(m.exponents), "coeff": c} for m, c in terms],
+        "text": text,
     }
 
 

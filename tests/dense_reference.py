@@ -7,16 +7,19 @@ matrix.  The cross-check tests compare the library's ``rref``, ``rank``,
 ``kernel_basis`` and ``solve`` with it.
 
 ``eliminate`` is the sparse factorization as it ran on ``Fraction`` rows,
-before the library moved it to integer-cleared rows; the library's
-``_eliminate`` must produce the same pivots, tails and steps.
+before the library moved it to integer rows; the library's ``_eliminate``
+must produce the same pivots, tails and steps, and its kernel, read from
+the integer tails, must equal the one read here from the ``Fraction`` tails.
 
 ``compose`` and ``apply_laplacian`` are the polynomial loops used before the
 integer-cleared arithmetic: they accumulate ``Fraction`` coefficients term by
 term, and the Laplacian sums one right translate per atom as a polynomial.
 
-``terms_text`` is the polynomial text as it was written from ``abs`` and
-comparisons on each ``Fraction`` coefficient, before it read the numerator
-and denominator.
+``terms_text``, ``polynomial_str`` and ``polynomial_to_obj`` are the
+polynomial text and JSON object as they were rendered before the library
+kept a per-schema memo of each monomial's sort key and factor text: every
+call recomputes the weighted degrees and the factors, and the JSON object
+sorts the terms again after ``str`` did.
 
 ``mul_coords`` and ``inv_coords`` are the group law as a loop over the
 schema's ``(t, p, q)`` terms, before each schema compiled its law into
@@ -26,11 +29,11 @@ straight-line code.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from nilharmonic.groups import GroupSchema
 from nilharmonic.laplacian import Measure
-from nilharmonic.linalg import Factorization, Inconsistent
+from nilharmonic.linalg import Inconsistent
 from nilharmonic.polynomials import (
     AffineForm,
     Monomial,
@@ -115,7 +118,30 @@ def solve(
     return x
 
 
-def eliminate(rows: int, cols: int, entries: Sequence[dict[int, Fraction]]) -> Factorization:
+class Elimination(NamedTuple):
+    """The fields the library's ``Factorization`` must reproduce, with the
+    reduced rows as ``Fraction`` tails."""
+
+    pivots: tuple[int, ...]
+    tails: dict[int, dict[int, Fraction]]
+    steps: list
+    cols: int
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """One sparse vector per free column: 1 there and minus the tail
+        entries at the pivots."""
+        basis: dict[int, dict[int, Fraction]] = {
+            c: {} for c in range(self.cols) if c not in self.tails
+        }
+        for p in self.pivots:
+            for c, v in self.tails[p].items():
+                basis[c][p] = -v
+        for c, vec in basis.items():
+            vec[c] = Fraction(1)
+        return list(basis.values())
+
+
+def eliminate(cols: int, entries: Sequence[dict[int, Fraction]]) -> Elimination:
     """Leftmost-pivot Gauss-Jordan on sparse ``Fraction`` rows, inserted one
     at a time; a new pivot is cleared from the earlier pivot rows."""
     tails: dict[int, dict[int, Fraction]] = {}
@@ -157,7 +183,7 @@ def eliminate(rows: int, cols: int, entries: Sequence[dict[int, Fraction]]) -> F
             cleared.append((q, g))
         tails[pivot] = row
         steps.append((tuple(eliminated), pivot, scale, tuple(cleared)))
-    return Factorization(rows, cols, tails, steps)
+    return Elimination(tuple(sorted(tails)), tails, steps, cols)
 
 
 def compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
@@ -180,26 +206,53 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
 
 def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
     """Text of the non-zero terms in the given order; "0" for no terms."""
+    names = schema.coord_names
     pieces: list[str] = []
     for mono, coeff in ordered:
-        factors = []
-        for name, e in zip(schema.coord_names, mono.exponents):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono.exponents) if e]
+        # the magnitude as str(abs(coeff)) writes it, read off the int parts
+        num, den = coeff.numerator, coeff.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
+        if den != 1:
+            factors.insert(0, f"{num}/{den}")
+        elif num != 1 or not factors:
+            factors.insert(0, str(num))
+        body = "*".join(factors)
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if positive else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if positive else f"- {body}")
     return " ".join(pieces) or "0"
+
+
+def polynomial_str(p: Polynomial) -> str:
+    """str(p): leading terms first; ties follow the graded basis order."""
+    ordered = sorted(
+        p.terms.items(),
+        key=lambda mc: (
+            -mc[0].weighted_degree(p.schema),
+            tuple(-e for e in mc[0].exponents),
+        ),
+    )
+    return terms_text(p.schema, ordered)
+
+
+def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
+    """The JSON object: the terms in graded order, and the text of str(p)."""
+    keyed = sorted(
+        ((m.weighted_degree(p.schema), tuple(-e for e in m.exponents)), m, c)
+        for m, c in p.terms.items()
+    )
+    leading = sorted(keyed, key=lambda t: -t[0][0])
+    return {
+        "terms": [
+            {"exponents": list(m.exponents), "coeff": str(c)}
+            for _, m, c in keyed
+        ],
+        "text": terms_text(p.schema, ((m, c) for _, m, c in leading)),
+    }
 
 
 def mul_coords(schema: GroupSchema, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """CLI: exit codes, determinism, JSON round-trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -320,6 +321,25 @@ def test_oversized_matrix_exits_one(configs, tmp_path, capsys, command):
     assert err.startswith("error: ") and "more than the limit" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["harmonic", "preimage", "verify"])
+def test_huge_degree_exits_one_before_counting(configs, tmp_path, capsys, monkeypatch, command):
+    # k = 3 * 10^9, and the preimage of x^3000000000, are refused from k alone:
+    # counting dim P^k would take O(k) memory first
+    def no_count(schema, k):
+        raise AssertionError("the dimensions were counted")
+
+    monkeypatch.setattr(polynomials, "dim_pk_table", no_count)
+    target = tmp_path / "q.txt"
+    target.write_text("x^3000000000\n", encoding="utf-8")
+    args = [str(target)] if command == "preimage" else ["--k", "3000000000"]
+    code, out, err = run(
+        capsys, [command, "--group", configs["h3"], "--measure", configs["mu_h3"], *args]
+    )
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "would be at least" in err and "more than the limit" in err
+
+
 def test_verify_above_a_lowered_cell_limit_exits_one(configs, capsys, monkeypatch):
     # with a 100-cell limit the degree-4 and degree-5 matrices are both too
     # large: one error line and exit 1, not failed checks and exit 2
@@ -352,3 +372,67 @@ def test_unitriangular_walk_config_runs(tmp_path, capsys):
     assert code == 0 and not err
     assert "dim: 11 (predicted 11)" in out
     assert "all 11 basis elements pass" in out
+
+
+# -- pinned output of the cross-process runs ------------------------------------
+#
+# The configs of the harmonic and preimage runs that CI repeats in two processes.
+# Their stdout and --json bytes are pinned by sha256, as the code before the
+# integer-row Laplacian and the memoized rendering wrote them.
+
+_H3_PAIRS = {"atoms": [
+    {"coords": [-1, 0, 0], "weight": "1/8"}, {"coords": [0, -1, 0], "weight": "1/8"},
+    {"coords": [0, 1, 0], "weight": "1/8"}, {"coords": [1, 0, 0], "weight": "1/8"},
+    {"coords": [1, 1, 0], "weight": "1/8"}, {"coords": [-1, -1, 1], "weight": "1/8"},
+    {"coords": [0, 0, 0], "weight": "1/4"},
+]}
+_U4_PAIRS = {"atoms": [
+    {"coords": [-1, -1, 0, 0, 0, 0], "weight": "1/12"},
+    {"coords": [-1, 0, 0, 0, 0, 0], "weight": "1/9"},
+    {"coords": [0, -1, 0, 0, 0, 0], "weight": "1/9"},
+    {"coords": [0, 0, -1, 0, 0, 0], "weight": "1/9"},
+    {"coords": [0, 0, 0, 0, 0, 0], "weight": "1/6"},
+    {"coords": [0, 0, 1, 0, 0, 0], "weight": "1/9"},
+    {"coords": [0, 1, 0, 0, 0, 0], "weight": "1/9"},
+    {"coords": [1, 0, 0, 0, 0, 0], "weight": "1/9"},
+    {"coords": [1, 1, 0, 1, 0, 0], "weight": "1/12"},
+]}
+
+PINNED_RUNS = {
+    "harmonic-h3-pairs": (
+        ["harmonic", "--group", "{h3}", "--measure", "{pairs}", "--k", "4",
+         "--verify", "--radius", "2"],
+        "962b93ef20a475e7436507c45531c0af0024c59d09c2fa11d4a491d4559e0e3f",
+        "3fd4320702d0a5bcdf828febb6ebd8bf3db7d6906e0725ef204130723e43ac62",
+    ),
+    "preimage-h3-pairs": (
+        ["preimage", "--group", "{h3}", "--measure", "{pairs}", "{target}"],
+        "fb0c4e9bc12a7cc365a2e9ec139d1d36d5dd42fd7ab3dad1ce81808862e43dfe",
+        "d577a5a2a11396e8111752f5f15502023252e5c86410b89b984afe98ad86bca1",
+    ),
+    "harmonic-u4-pairs": (
+        ["harmonic", "--group", "{u4}", "--measure", "{u4_pairs}", "--k", "5"],
+        "633fad2897a3e29eda10f7b1991c4a00a62592688339772f5cbfa68ca41b8c80",
+        "c268a3117842cb6d3ffb78d9fc3f05bc8898386373ebf2d9e5bf42752daa55fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_cross_process_runs_are_pinned(tmp_path, capsys, name):
+    paths = {}
+    for key, payload in (
+        ("h3", {"family": "heisenberg", "n": 1}), ("pairs", _H3_PAIRS),
+        ("u4", {"family": "unitriangular", "n": 4}), ("u4_pairs", _U4_PAIRS),
+    ):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    paths["target"] = tmp_path / "target.txt"
+    paths["target"].write_text("3/2*x*y - z + 1/3\n", encoding="utf-8")
+    argv, stdout_sha, json_sha = PINNED_RUNS[name]
+    report = tmp_path / "report.json"
+    argv = [a.format(**paths) for a in argv] + ["--json", str(report)]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import nilharmonic.laplacian as laplacian
 import nilharmonic.polynomials as polynomials
 from nilharmonic.errors import InternalInconsistency, InvariantFailure, ValidationError
 from nilharmonic.groups import (
@@ -32,6 +33,7 @@ from nilharmonic.laplacian import (
     harmonic_basis,
     laplacian_matrix,
     lazy_generator_walk,
+    matrix_shape,
     solve_preimage,
     uniform_measure,
 )
@@ -180,6 +182,37 @@ def test_oversized_matrix_rejected_before_enumeration(monkeypatch):
         harmonic_basis(H3, MU_H3, 200)
     with pytest.raises(ValidationError, match="degree-402"):
         solve_preimage(H3, MU_H3, mono(H3, 400, 0, 0))
+
+
+def test_huge_degree_is_refused_from_k_alone(monkeypatch):
+    # dim P^j >= j + 1, so at k = 3 * 10^9 the matrix has at least 9 * 10^18
+    # cells; that is decided before the O(k) dimension count runs
+    def no_count(schema, k):
+        raise AssertionError("the dimensions were counted")
+
+    monkeypatch.setattr(polynomials, "dim_pk_table", no_count)
+    monkeypatch.setattr(laplacian, "dim_pk", no_count)
+    k = 3 * 10**9
+    for schema in (H3, Z1, UT4, lattice(36)):
+        with pytest.raises(ValidationError, match=r"at least 2999999999 x 3000000001, more"):
+            matrix_shape(schema, k)
+    with pytest.raises(ValidationError, match="at least"):
+        laplacian_matrix(H3, MU_H3, k)
+    with pytest.raises(ValidationError, match="at least"):
+        harmonic_basis(H3, MU_H3, k)
+    with pytest.raises(ValidationError, match="degree-3000000002 .* at least"):
+        solve_preimage(H3, MU_H3, mono(H3, k, 0, 0))
+
+
+def test_degree_bound_from_k_is_exact_on_the_integers():
+    # on Z, dim P^j = j + 1, so the bound from k alone refuses exactly the
+    # matrices over the limit: 4471 x 4473 is admitted, 4472 x 4474 is not
+    assert 4471 * 4473 <= MAX_MATRIX_CELLS < 4472 * 4474
+    assert matrix_shape(Z1, 4472) == (4471, 4473)
+    with pytest.raises(ValidationError, match=r"degree-4473 .* at least 4472 x 4474"):
+        matrix_shape(Z1, 4473)
+    # and below k = 2 it refuses nothing
+    assert [matrix_shape(H3, k) for k in (-5, 0, 1)] == [(0, 0), (0, 1), (0, 3)]
 
 
 def test_matrix_cell_limit_admits_lattice_four_at_sixteen():

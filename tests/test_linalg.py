@@ -362,10 +362,17 @@ def _elimination_cases():
 ELIMINATION_CASES = list(_elimination_cases())
 
 
+def _fraction_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+
+
 @pytest.mark.parametrize("label,m", ELIMINATION_CASES, ids=[c[0] for c in ELIMINATION_CASES])
 def test_integer_elimination_equals_fraction_reference(label, m):
-    got = linalg._eliminate(m.rows, m.cols, m._entries)
-    want = dense.eliminate(m.rows, m.cols, m._entries)
+    int_rows, denominator = m._int_rows()
+    assert denominator > 0
+    assert all(type(v) is int and v for row in int_rows for v in row.values())
+    got = linalg._eliminate(m.rows, m.cols, int_rows, denominator)
+    want = dense.eliminate(m.cols, _fraction_rows(m))
     assert got.pivots == want.pivots
     assert got.tails == want.tails
     assert got.steps == want.steps
@@ -374,12 +381,24 @@ def test_integer_elimination_equals_fraction_reference(label, m):
     for eliminated, _, scale, cleared in got.steps:
         assert all(type(f) is Fraction for _, f in eliminated + cleared)
         assert scale is None or type(scale) is Fraction
+    # the integer tails are the Fraction ones over positive leads
+    assert sorted(got.leads) == sorted(got.int_tails) == list(got.pivots)
+    assert all(type(lead) is int and lead > 0 for lead in got.leads.values())
+    for p, tail in got.int_tails.items():
+        assert all(type(v) is int and v for v in tail.values())
+        assert {c: Fraction(v, got.leads[p]) for c, v in tail.items()} == want.tails[p]
+    # the kernel is read from the integer tails, and equals the reference's
+    kernel = got.kernel()
+    assert kernel == want.kernel()
+    assert [list(v) for v in kernel] == [list(v) for v in want.kernel()]
+    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert m.factorization().kernel() == kernel
 
 
 def test_elimination_cases_cover_every_kind_of_step():
     eliminated = cleared = scaled = zero_rows = negative_scales = 0
     for _, m in ELIMINATION_CASES:
-        for e, pivot, scale, c in dense.eliminate(m.rows, m.cols, m._entries).steps:
+        for e, pivot, scale, c in dense.eliminate(m.cols, _fraction_rows(m)).steps:
             eliminated += len(e)
             cleared += len(c)
             zero_rows += pivot is None

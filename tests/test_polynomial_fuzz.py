@@ -1,5 +1,5 @@
-"""Property tests: polynomial text and JSON objects round-trip exactly, the
-arithmetic's results are as clean as the validated constructor makes them,
+"""Property tests: polynomial text and JSON objects round-trip exactly and
+equal the reference rendering, the arithmetic's results are as clean as the validated constructor makes them,
 and left derivatives obey the cocycle and product rules.
 
 Examples are capped at 100 so the test costs about a second, and the example
@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import GroupElement, heisenberg, lattice, mul, unitriangular
@@ -26,6 +26,9 @@ from nilharmonic.polynomials import (
     translate_right,
 )
 from nilharmonic.serialize import parse_polynomial, polynomial_from_obj, polynomial_to_obj
+
+# dense_reference.py holds the rendering loops the memoized one replaced
+import dense_reference as dense  # noqa: E402
 
 SCHEMAS = [lattice(1), lattice(3), heisenberg(1), heisenberg(2), unitriangular(3), unitriangular(4)]
 
@@ -59,6 +62,43 @@ def test_polynomial_obj_orders_match_str_and_the_graded_basis(p):
     assert obj["text"] == str(p)
     graded = sorted(p.terms, key=lambda m: monomial_sort_key(p.schema, m))
     assert [t["exponents"] for t in obj["terms"]] == [list(m.exponents) for m in graded]
+
+
+# signs, 1, small and multi-digit integers, rationals with multi-digit parts
+render_coefficients = st.sampled_from([1, -1, 2, -7]) | st.builds(
+    Fraction, st.integers(-10**25, 10**25), st.sampled_from([1, 1, 2, 3, 97, 10**12])
+)
+
+
+@st.composite
+def rendered_polynomials(draw):
+    schema = draw(st.sampled_from(SCHEMAS))
+    exponents = st.tuples(*[st.integers(0, 3)] * schema.n_coords).map(Monomial)
+    return Polynomial(schema, draw(st.dictionaries(exponents, render_coefficients, max_size=10)))
+
+
+def _poly(schema, *terms):
+    return Polynomial(schema, {Monomial(e): c for e, c in terms})
+
+
+H3, UT4 = heisenberg(1), unitriangular(4)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(Polynomial.zero(H3))  # "0"
+@example(_poly(UT4, ((0,) * 6, Fraction(-5, 3))))  # a constant only
+@example(_poly(H3, ((0, 0, 0), 1), ((1, 0, 0), -1), ((0, 2, 1), 1)))  # +-1, 1 as a constant
+@example(_poly(lattice(3), ((2, 0, 1), Fraction(-123456789, 1000)), ((0, 1, 0), 10**20)))
+@example(_poly(UT4, ((1, 0, 0, 0, 0, 1), -1), ((0, 3, 0, 0, 0, 0), Fraction(1, 2)),
+               ((1, 0, 0, 0, 0, 0), -12)))  # a negative leading term; a_12, a_23^3, a_14
+@example(_poly(heisenberg(2), ((0, 0, 0, 0, 2), Fraction(-2, 3)), ((1, 1, 0, 0, 0), 1),
+               ((0, 0, 0, 0, 0), -1)))
+@given(rendered_polynomials())
+def test_rendering_equals_reference(p):
+    assert str(p) == dense.polynomial_str(p)
+    assert polynomial_to_obj(p) == dense.polynomial_to_obj(p)
+    assert repr(p) == f"Polynomial({p.schema.name()}: {dense.polynomial_str(p)})"
 
 
 @st.composite

@@ -31,6 +31,7 @@ from nilharmonic.polynomials import (
     translate_left,
     translate_right,
 )
+from nilharmonic.serialize import polynomial_to_obj
 
 # dense_reference.py holds the Fraction composition the integer one replaced
 import dense_reference as dense
@@ -448,14 +449,58 @@ def test_rendering():
     assert str(Polynomial.zero(H3)) == "0"
 
 
+def _dense_poly(schema, k):
+    # every monomial of degree <= k, with coefficients of both signs and several sizes
+    coeffs = [Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(12, 7), Fraction(10**12)]
+    return Polynomial(schema, {m: coeffs[i % 5] for i, m in enumerate(pk_basis(schema, k))})
+
+
+def test_render_memo_stays_within_its_bounds(monkeypatch):
+    memo = polynomials._render_memo
+    memo.cache_clear()
+    schemas = [lattice(d) for d in range(1, polynomials._RENDER_SCHEMAS + 4)]
+    for schema in schemas:
+        p = _dense_poly(schema, 2)
+        assert str(p) == dense.polynomial_str(p)
+        assert memo.cache_info().currsize <= polynomials._RENDER_SCHEMAS
+        assert len(memo(schema)) == len(p.terms)
+    assert memo.cache_info().currsize == polynomials._RENDER_SCHEMAS
+    # past its per-schema bound the memo stops growing, and the text is the same
+    monkeypatch.setattr(polynomials, "_RENDER_MONOMIALS", 5)
+    memo.cache_clear()
+    p = _dense_poly(UT4, 4)
+    assert len(p.terms) > 5
+    for _ in range(2):
+        assert str(p) == dense.polynomial_str(p)
+        assert polynomial_to_obj(p) == dense.polynomial_to_obj(p)
+        assert len(memo(UT4)) == 5
+
+
+def test_a_schema_evicted_from_the_render_memo_renders_identically():
+    memo = polynomials._render_memo
+    memo.cache_clear()
+    p = _dense_poly(UT4, 4)
+    first = (str(p), polynomial_to_obj(p))
+    assert first == (dense.polynomial_str(p), dense.polynomial_to_obj(p))
+    for d in range(1, polynomials._RENDER_SCHEMAS + 1):
+        str(_dense_poly(lattice(d), 1))
+    misses = memo.cache_info().misses
+    assert (str(p), polynomial_to_obj(p)) == first
+    assert memo.cache_info().misses == misses + 1  # UT4's memo was evicted and rebuilt
+
+
 @pytest.mark.parametrize("schema", [H3, lattice(3), unitriangular(4)], ids=str)
 def test_terms_text_equals_fraction_reference(schema):
     # signs, unit and non-unit magnitudes, constants, large numerators and
     # denominators, in every position of the term list
     values = [1, 2, 7, 10**20 + 1]
     coeffs = [Fraction(sign * n, d) for sign in (1, -1) for n in values for d in (1, 3, 10**9)]
+    # the lowest and the highest monomials of degree <= 3, inserted in either order
     basis = pk_basis(schema, 3)
-    for shift in range(len(coeffs)):
-        terms = [(m, coeffs[(i + shift) % len(coeffs)]) for i, m in enumerate(basis[:9])]
-        for ordered in (terms, terms[::-1], terms[:1], []):
-            assert polynomials.terms_text(schema, ordered) == dense.terms_text(schema, ordered)
+    for monos in (basis[:9], basis[-9:]):
+        for shift in range(len(coeffs)):
+            terms = [(m, coeffs[(i + shift) % len(coeffs)]) for i, m in enumerate(monos)]
+            for ordered in (terms, terms[::-1], terms[:1], []):
+                p = Polynomial(schema, dict(ordered))
+                assert str(p) == dense.polynomial_str(p)
+                assert polynomial_to_obj(p) == dense.polynomial_to_obj(p)
