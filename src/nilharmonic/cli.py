@@ -13,7 +13,7 @@ import sys
 from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
-from .groups import GroupSchema
+from .groups import GroupSchema, ball_levels
 from .laplacian import Measure, harmonic_basis, solve_preimage
 from .polynomials import dim_pk_table
 from .serialize import (
@@ -89,6 +89,9 @@ def cmd_dims(args: argparse.Namespace) -> int:
 def cmd_harmonic(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
     measure = _load_measure(schema, args.measure)
+    if args.verify:
+        # the oracle's ball is refused before the basis is computed
+        ball_levels(schema, measure.support(), args.radius)
     report = harmonic_basis(schema, measure, args.k)
     lines = [
         f"group: {schema.name()}",

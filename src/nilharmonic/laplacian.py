@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .groups import (
 from .linalg import Inconsistent, RationalMatrix
 from .polynomials import (
     Polynomial,
-    _cleared,
+    _from_fractions,
     _from_ints,
     dim_pk,
     monomial_translates,
@@ -136,29 +137,37 @@ def lazy_generator_walk(schema: GroupSchema, hold: Fraction = Fraction(1, 2)) ->
 
 # -- the Laplacian -------------------------------------------------------------
 
+def _cleared(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(s, [s * w for each w]) for s the lcm of the denominators, the least
+    scale that makes every s * w an int."""
+    weights = list(weights)
+    s = lcm(*(w.denominator for w in weights))
+    return s, [w.numerator * (s // w.denominator) for w in weights]
+
+
 def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     """Delta p = p - sum_s mu(s) (x -> p(xs)); drops weighted degree by >= 2.
 
-    Integer-cleared: with a the lcm of p's coefficient denominators and b
-    that of the weights, a b Delta p = sum_s (b mu(s)) (a p - a p(x s)), as
-    mu has mass 1.  That sum is accumulated in ints, one atom at a time over
-    the integer right translates of p's monomials, and each output
-    coefficient is divided by a b once.  This path is kept apart from the
-    matrix assembly, which the suite checks against it.
+    Integer: with p = P / a for its integer numerators P and denominator a,
+    and b the lcm of the weights' denominators, a b Delta p = sum_s (b mu(s))
+    (P - P(x s)), as mu has mass 1.  That sum is accumulated in ints, one
+    atom at a time over the integer right translates of p's monomials, and
+    the result is normalized over a b once.  This path is kept apart from
+    the matrix assembly, which the suite checks against it.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")
     schema = p.schema
-    scale, ints = _cleared(p.terms.values())
+    ints = p.ints
     w_scale, int_weights = _cleared(measure.atoms.values())
-    monos = list(p.terms)
-    acc = {m.exponents: w_scale * a for m, a in zip(monos, ints)}
+    keys = list(ints)
+    acc = {e: w_scale * a for e, a in ints.items()}
     for s, ws in zip(measure.atoms, int_weights):
-        for a, image in zip(ints, monomial_translates(schema, s, "right", monos)):
+        for a, image in zip(ints.values(), monomial_translates(schema, s, "right", keys)):
             wa = ws * a
             for exps, c in image.items():
                 acc[exps] = acc.get(exps, 0) - wa * c
-    result = _from_ints(schema, acc, scale * w_scale)
+    result = _from_ints(schema, acc, p.den * w_scale)
     k = p.degree
     kr = result.degree
     if k is not None and kr is not None and kr > k - 2:
@@ -180,7 +189,7 @@ def _pair_columns(
     coordinates.  The last 128 are memoized (a raised error is not); code
     that patches ``monomial_translates`` must call ``cache_clear``.
     """
-    domain = pk_basis(schema, k)
+    domain = [m.exponents for m in pk_basis(schema, k)]
     index = {m.exponents: i for i, m in enumerate(pk_basis(schema, k - 2))}
     s_inv = GroupElement(inv_coords(schema, s.coords))
     columns = []
@@ -189,7 +198,7 @@ def _pair_columns(
         monomial_translates(schema, s, "right", domain),
         monomial_translates(schema, s_inv, "right", domain),
     ):
-        column = {mono.exponents: 2}
+        column = {mono: 2}
         for image in images:
             for exps, c in image.items():
                 column[exps] = column.get(exps, 0) - c
@@ -200,7 +209,7 @@ def _pair_columns(
             i = index.get(exps)
             if i is None:
                 raise InternalInconsistency(
-                    f"Laplacian image of {mono.exponents} contains out-of-range "
+                    f"Laplacian image of {mono} contains out-of-range "
                     f"monomial {exps}"
                 )
             entries.append((i, c))
@@ -296,13 +305,15 @@ def dim_hk(schema: GroupSchema, k: int) -> int:
 
 def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBasisReport:
     """Basis of harmonic polynomials of degree <= k, in the canonical
-    kernel parameterization of the Laplacian matrix."""
+    kernel parameterization of the Laplacian matrix.
+
+    Each kernel vector comes as integers over one denominator, so it becomes
+    a polynomial by one gcd, without a ``Fraction``."""
     matrix = laplacian_matrix(schema, measure, k)
     domain = pk_basis(schema, k)
-    # kernel vectors hold non-zero Fractions only, so their terms are clean
     basis = tuple(
-        Polynomial._trusted(schema, {domain[i]: c for i, c in vec.items()})
-        for vec in matrix.factorization().kernel()
+        _from_ints(schema, {domain[i].exponents: v for i, v in vec.items()}, den)
+        for den, vec in matrix.factorization().kernel()
     )
     predicted = dim_hk(schema, k)
     if len(basis) != predicted:
@@ -333,8 +344,8 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
             f"inconsistent at reduced row {sol.row}"
         )
     domain = pk_basis(schema, k)
-    # the solution holds non-zero Fractions only, so its terms are clean
-    p_hat = Polynomial._trusted(schema, {domain[i]: c for i, c in sol.items()})
+    # the solution holds non-zero Fractions only
+    p_hat = _from_fractions(schema, {domain[i].exponents: c for i, c in sol.items()})
     if apply_laplacian(measure, p_hat) != q:
         raise InternalInconsistency("preimage verification failed")
     return p_hat

@@ -14,8 +14,9 @@ applied, which replay on any number of right-hand sides.  A matrix computes
 its factorization once; ``rref``, ``rank``, ``kernel_basis`` and ``solve``
 all read it.  Kernel bases use the canonical free-variable parameterization
 (each free variable set to 1 in turn, in ascending column order), so
-outputs are deterministic and portable; each kernel entry is made as a
-``Fraction`` once, straight from the integer rows.
+outputs are deterministic and portable; each kernel vector is read from the
+integer rows as integers over one denominator, and ``kernel_basis`` makes
+each entry a ``Fraction`` once from those.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .errors import ValidationError
 RationalLike = Fraction | int
 SparseVector = dict[int, Fraction]
 IntRows = list[dict[int, int]]
+# a vector as (d, {column: n}), the entry at each column being n / d, d > 0
+IntVector = tuple[int, dict[int, int]]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -63,6 +65,15 @@ _Step = tuple[
     Fraction | None,
     tuple[tuple[int, Fraction], ...],
 ]
+# The same step as the elimination records it, every factor an int pair:
+# eliminated (p, v) for the factor v / denominator, scale (sigma, lead) for
+# sigma / lead, cleared (q, h, l) for h / l.
+_IntStep = tuple[
+    tuple[tuple[int, int], ...],
+    int | None,
+    tuple[int, int] | None,
+    tuple[tuple[int, int, int], ...],
+]
 
 
 class Factorization:
@@ -73,11 +84,16 @@ class Factorization:
     ``p`` and ``int_tails[p][c] / leads[p]`` at each of its other non-zero
     columns ``c``, which are free columns right of ``p``; ``leads[p] > 0``.
     ``tails[p]`` is that row as ``Fraction`` values, without its leading 1,
-    made on first read.  ``steps`` is the row transform (see ``_Step``).
-    The methods hand out fresh dicts only.
+    made on first read.  ``steps`` is the row transform (see ``_Step``),
+    made on first read from the integer factors the elimination recorded
+    over the matrix's ``denominator`` (see ``_IntStep``); only ``solve``
+    reads it.  The methods hand out fresh dicts only.
     """
 
-    __slots__ = ("rows", "cols", "pivots", "leads", "int_tails", "steps", "_tails")
+    __slots__ = (
+        "rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps",
+        "_tails", "_steps",
+    )
 
     def __init__(
         self,
@@ -85,15 +101,18 @@ class Factorization:
         cols: int,
         leads: dict[int, int],
         int_tails: dict[int, dict[int, int]],
-        steps: list[_Step],
+        denominator: int,
+        int_steps: list[_IntStep],
     ):
         self.rows = rows
         self.cols = cols
         self.pivots = tuple(sorted(int_tails))
         self.leads = leads
         self.int_tails = int_tails
-        self.steps = steps
+        self.denominator = denominator
+        self.int_steps = int_steps
         self._tails: dict[int, SparseVector] | None = None
+        self._steps: list[_Step] | None = None
 
     @property
     def tails(self) -> dict[int, SparseVector]:
@@ -105,20 +124,44 @@ class Factorization:
             }
         return self._tails
 
-    def kernel(self) -> list[SparseVector]:
-        """Sparse right null space basis, one vector per free column,
-        in ascending order; each vector's keys are ascending."""
-        int_tails = self.int_tails
-        basis: dict[int, SparseVector] = {
-            c: {} for c in range(self.cols) if c not in int_tails
+    @property
+    def steps(self) -> list[_Step]:
+        if self._steps is None:
+            d = self.denominator
+            self._steps = [
+                (
+                    tuple((p, Fraction(v, d)) for p, v in eliminated),
+                    pivot,
+                    None if scale is None else Fraction(*scale),
+                    tuple((q, Fraction(h, lq)) for q, h, lq in cleared),
+                )
+                for eliminated, pivot, scale, cleared in self.int_steps
+            ]
+        return self._steps
+
+    def kernel(self) -> list[IntVector]:
+        """Sparse right null space basis, one vector per free column c, in
+        ascending order of c; each vector's keys are ascending.
+
+        The vector of c is 1 at c and -v / L_p at each pivot p whose reduced
+        row holds v / L_p at c.  It comes as integers over d, the lcm of
+        those leads L_p: d at c and -v * (d // L_p) at p.  It need not be in
+        lowest terms.
+        """
+        int_tails, leads = self.int_tails, self.leads
+        entries: dict[int, list[tuple[int, int]]] = {
+            c: [] for c in range(self.cols) if c not in int_tails
         }
         for p in self.pivots:
-            lead = self.leads[p]
             for c, v in int_tails[p].items():
-                basis[c][p] = Fraction(-v, lead)
-        for c, vec in basis.items():
-            vec[c] = _ONE
-        return list(basis.values())
+                entries[c].append((p, v))
+        basis = []
+        for c, column in entries.items():
+            d = lcm(*(leads[p] for p, _ in column))
+            vec = {p: -v * (d // leads[p]) for p, v in column}
+            vec[c] = d
+            basis.append((d, vec))
+        return basis
 
     def solve(self, b: Sequence[RationalLike]) -> SparseVector | Inconsistent:
         """The solution of A x = b with all free variables 0, as its non-zero
@@ -159,13 +202,13 @@ def _eliminate(
     The new pivot row is divided by the gcd of its entries.  Clearing the
     new pivot from an earlier pivot row cross-multiplies; when that scales
     the earlier row's lead up, the row is divided by its gcd again.  (With
-    the sign of L fixed, a lead of 1 needs no scaling.)  The steps record
-    the factors that the same elimination on ``Fraction`` rows records (see
-    ``_Step``), one ``Fraction`` each.
+    the sign of L fixed, a lead of 1 needs no scaling.)  The steps record,
+    as int pairs (see ``_IntStep``), the factors that the same elimination
+    on ``Fraction`` rows records.
     """
     leads: dict[int, int] = {}
     int_tails: dict[int, dict[int, int]] = {}
-    steps: list[_Step] = []
+    steps: list[_IntStep] = []
     for source in entries:
         eliminated = tuple((p, v) for p, v in source.items() if p in leads)
         if eliminated:
@@ -181,7 +224,6 @@ def _eliminate(
                         row[c] = x
                     else:
                         del row[c]
-            eliminated = tuple((p, Fraction(v, denominator)) for p, v in eliminated)
         else:
             lam = 1
             row = dict(source)
@@ -191,7 +233,7 @@ def _eliminate(
         sigma = denominator * lam
         pivot = min(row)
         lead = row.pop(pivot)
-        scale = None if lead == sigma else Fraction(sigma, lead)
+        scale = None if lead == sigma else (sigma, lead)
         g = gcd(lead, *row.values())
         if lead < 0:
             g = -g
@@ -205,7 +247,7 @@ def _eliminate(
             if h is None:
                 continue
             lq = leads[q]
-            cleared.append((q, Fraction(h, lq)))
+            cleared.append((q, h, lq))
             # L * (row q) - h * (new row), divided by gcd(L, h)
             d = gcd(lead, h)
             a, b = lead // d, h // d
@@ -231,7 +273,7 @@ def _eliminate(
         leads[pivot] = lead
         int_tails[pivot] = tail
         steps.append((eliminated, pivot, scale, tuple(cleared)))
-    return Factorization(rows, cols, leads, int_tails, steps)
+    return Factorization(rows, cols, leads, int_tails, denominator, steps)
 
 
 def _reduced_rows(f: Factorization) -> tuple[IntRows, int]:
@@ -392,9 +434,13 @@ class RationalMatrix:
     def kernel_basis(self) -> list[list[Fraction]]:
         """Dense basis of the right null space, one vector per free column.
 
-        ``factorization().kernel()`` gives the same vectors sparsely.
+        ``factorization().kernel()`` gives the same vectors sparsely, as
+        integers over one denominator.
         """
-        return [self._dense(v) for v in self.factorization().kernel()]
+        return [
+            self._dense({j: Fraction(x, d) for j, x in v.items()})
+            for d, v in self.factorization().kernel()
+        ]
 
     def solve(self, b: Sequence[RationalLike]) -> list[Fraction] | Inconsistent:
         """A particular solution of A x = b with all free variables 0.

@@ -6,13 +6,16 @@ coordinate.  The space of polynomials of degree at most k has the
 monomials of weighted degree <= k as a basis, listed here in graded
 order (degree first, ties by descending exponent lexicographic order).
 
-Coefficients are ``Fraction`` values, but the arithmetic builds each
-result coefficient as a ``Fraction`` only once: products, translations and
-restrictions clear the operands' denominators (scaling by the lcm of each
-operand's coefficient denominators), accumulate in Python ints keyed by
-exponent vector, and divide each output coefficient by the scale at the
-end.  Results go through a trusted constructor that skips the validation
-of the public one, which takes only ``int`` and ``Fraction`` coefficients.
+A ``Polynomial`` stores integer numerators over one positive denominator:
+``ints`` maps each exponent vector (a plain tuple) to a non-zero ``int``,
+and the coefficient there is that int divided by ``den``.  The form is
+canonical: ``gcd(den, *ints.values()) == 1``, and the zero polynomial has
+``den == 1``, so two polynomials are equal exactly when their ``den`` and
+``ints`` are.  Every operation works on the ints and normalizes its result
+once, by a single gcd; ``Fraction`` values are made only where a caller
+reads them (``terms``, ``coefficient``, ``evaluate``,
+``coefficient_vector``).  The public constructor takes ``int`` and
+``Fraction`` coefficients on ``Monomial`` keys and validates them.
 
 Translations x -> p(u x) and x -> p(x u) are computed by composition.  The
 group law is a list of bilinear terms (t, p, q), so each coordinate of u x
@@ -21,6 +24,13 @@ coefficients, read off that list, and a monomial x^a translates to
 prod_t L_t^{a_t}, an integer polynomial.  The same substitution, with
 linear forms taken from a matrix, restricts polynomials on abelian groups
 to sublattices.
+
+The translations share one memo, an LRU keyed by (schema, u, side): each
+entry holds the affine forms and the monomial images found so far, which
+later translations by the same element reuse.  It is bounded twice: at
+most ``_TRANSLATION_ENTRIES`` entries, and at most ``_IMAGE_TERMS`` image
+terms stored over all of them; past the second bound images are computed
+and not stored, and the results are the same either way.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -32,18 +42,22 @@ the text is the same either way.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
-from operator import itemgetter
+from math import gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_int, mul_coords
 from .linalg import RationalMatrix
+
+Exponents = tuple[int, ...]
+IntTerms = dict[Exponents, int]
 
 
 @dataclass(frozen=True, order=True)
@@ -123,35 +137,47 @@ def _require_coeff(value: object) -> Fraction:
     raise ValidationError(f"coefficient must be an int or a Fraction, got {value!r}")
 
 
-def _cleared(coeffs: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(s, [s * c for each c]) for s the lcm of the denominators, the least
-    scale that makes every s * c an int."""
-    coeffs = list(coeffs)
-    s = lcm(*(c.denominator for c in coeffs))
-    return s, [c.numerator * (s // c.denominator) for c in coeffs]
+def _from_ints(schema: GroupSchema, acc: IntTerms, den: int) -> "Polynomial":
+    """The polynomial sum_e (acc[e] / den) x^e for den > 0, in canonical form:
+    zero entries dropped, then the gcd of den and the entries divided out.
+    It may keep ``acc`` itself, so the caller must not use it again."""
+    ints = {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            den //= g
+            ints = {e: c // g for e, c in ints.items()}
+    return Polynomial._trusted(schema, ints, den)
 
 
-def _from_ints(
-    schema: GroupSchema, acc: Mapping[tuple[int, ...], int], scale: int
-) -> "Polynomial":
-    """The polynomial sum_e (acc[e] / scale) x^e, one Fraction per non-zero term."""
-    return Polynomial._trusted(
-        schema, {Monomial(exps): Fraction(c, scale) for exps, c in acc.items() if c}
-    )
+def _clear_terms(fracs: Mapping[Exponents, Fraction]) -> tuple[IntTerms, int]:
+    """(ints, den) of the non-zero Fraction values ``fracs``, den their lcm.
+
+    That scale leaves no common factor (a prime at its highest power in den
+    divides one denominator fully, and neither that numerator nor the
+    cofactor), so the form is canonical without a gcd.
+    """
+    den = lcm(*(c.denominator for c in fracs.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}, den
+
+
+def _from_fractions(schema: GroupSchema, fracs: Mapping[Exponents, Fraction]) -> "Polynomial":
+    """The polynomial sum_e fracs[e] x^e, over non-zero Fraction values."""
+    return Polynomial._trusted(schema, *_clear_terms(fracs))
 
 
 class Polynomial:
-    """Sparse exact-rational combination of coordinate monomials."""
+    """Sparse exact-rational combination of coordinate monomials, kept as
+    integer numerators over one positive denominator (see the module notes)."""
 
-    __slots__ = ("schema", "terms")
+    __slots__ = ("schema", "ints", "den")
 
     def __init__(
         self,
         schema: GroupSchema,
         terms: Mapping[Monomial, Fraction | int] | None = None,
     ):
-        self.schema = schema
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Exponents, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 if type(mono) is not Monomial:
@@ -163,16 +189,19 @@ class Polynomial:
                 if type(coeff) is not Fraction:
                     coeff = _require_coeff(coeff)
                 if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+                    clean[mono.exponents] = coeff
+        self.schema = schema
+        self.ints, self.den = _clear_terms(clean)
 
     @classmethod
-    def _trusted(cls, schema: GroupSchema, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """A polynomial that takes ownership of clean terms: non-zero Fraction
-        values on monomials of the schema's length.  Nothing is checked."""
+    def _trusted(cls, schema: GroupSchema, ints: IntTerms, den: int) -> "Polynomial":
+        """A polynomial that takes ownership of canonical integer terms: non-zero
+        ints on exponent vectors of the schema's length, over den > 0 sharing
+        no factor with all of them.  Nothing is checked."""
         p = object.__new__(cls)
         p.schema = schema
-        p.terms = terms
+        p.ints = ints
+        p.den = den
         return p
 
     # -- constructors ---------------------------------------------------------
@@ -203,62 +232,65 @@ class Polynomial:
     # -- basic queries --------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The non-zero coefficients by monomial, as a new dict on every read."""
+        den = self.den
+        return {Monomial(e): Fraction(c, den) for e, c in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     @property
     def degree(self) -> int | None:
         """Weighted degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return None
-        return max(m.weighted_degree(self.schema) for m in self.terms)
+        weights = self.schema.weights
+        return max(sum(map(mul, weights, e)) for e in self.ints)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.ints.get(mono.exponents, 0), self.den)
 
     def evaluate(self, g: GroupElement) -> Fraction:
         if len(g.coords) != self.schema.n_coords:
             raise ValidationError("element does not match the polynomial's schema")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            v = 1
-            for c, e in zip(g.coords, mono.exponents):
+        total = 0
+        for exps, v in self.ints.items():
+            for c, e in zip(g.coords, exps):
                 if e:
                     v *= c**e
-            total += coeff * v
-        return total
+            total += v
+        return Fraction(total, self.den)
 
     def coefficient_vector(self, basis: Sequence[Monomial]) -> list[Fraction]:
         """Coefficients in the given monomial basis; all terms must be covered."""
-        index = {m: i for i, m in enumerate(basis)}
+        index = {m.exponents: i for i, m in enumerate(basis)}
         vec = [Fraction(0)] * len(basis)
-        for mono, coeff in self.terms.items():
-            if mono not in index:
-                raise ValidationError(f"monomial {mono.exponents} not in the given basis")
-            vec[index[mono]] = coeff
+        den = self.den
+        for exps, c in self.ints.items():
+            i = index.get(exps)
+            if i is None:
+                raise ValidationError(f"monomial {exps} not in the given basis")
+            vec[i] = Fraction(c, den)
         return vec
 
     # -- arithmetic -----------------------------------------------------------
 
     def _require_same_schema(self, other: "Polynomial") -> None:
-        if self.schema != other.schema:
+        if self.schema is not other.schema and self.schema != other.schema:
             raise ValidationError("polynomials belong to different schemas")
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other, for sign +1 or -1."""
+        """self + sign * other, for sign +1 or -1, over the lcm of the two dens."""
         self._require_same_schema(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = coeff if sign > 0 else -coeff
-            else:
-                acc = acc + coeff if sign > 0 else acc - coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return Polynomial._trusted(self.schema, terms)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        acc = dict(self.ints) if fa == 1 else {e: c * fa for e, c in self.ints.items()}
+        get = acc.get
+        for e, c in other.ints.items():
+            acc[e] = get(e, 0) + fb * c
+        return _from_ints(self.schema, acc, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -271,37 +303,39 @@ class Polynomial:
         return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.schema, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.schema, {e: -c for e, c in self.ints.items()}, self.den)
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             scalar = _require_coeff(other)
             if not scalar:
-                return Polynomial._trusted(self.schema, {})
-            return Polynomial._trusted(
-                self.schema, {m: c * scalar for m, c in self.terms.items()}
+                return Polynomial._trusted(self.schema, {}, 1)
+            n = scalar.numerator
+            return _from_ints(
+                self.schema, {e: c * n for e, c in self.ints.items()},
+                self.den * scalar.denominator,
             )
         self._require_same_schema(other)
-        # (sa self) * (sb other) has integer coefficients
-        sa, ints_a = _cleared(self.terms.values())
-        sb, ints_b = _cleared(other.terms.values())
-        right = [(m.exponents, b) for m, b in zip(other.terms, ints_b)]
-        acc: dict[tuple[int, ...], int] = {}
-        for m1, a in zip(self.terms, ints_a):
-            e1 = m1.exponents
+        right = list(other.ints.items())
+        acc: IntTerms = {}
+        get = acc.get
+        for e1, a in self.ints.items():
             for e2, b in right:
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                acc[exps] = acc.get(exps, 0) + a * b
-        return _from_ints(self.schema, acc, sa * sb)
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + a * b
+        return _from_ints(self.schema, acc, self.den * other.den)
 
     def __rmul__(self, other: "Fraction | int") -> "Polynomial":
         return self * other
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Polynomial)
-            and self.schema == other.schema
-            and self.terms == other.terms
+            and (self.schema is other.schema or self.schema == other.schema)
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -317,8 +351,8 @@ class Polynomial:
 
 # -- rendering -------------------------------------------------------------------
 #
-# A schema's render memo maps a monomial to its graded sort key and its factor
-# text: x^2*z on heisenberg(1) to ((4, (-2, 0, -1)), "x^2*z").  Past
+# A schema's render memo maps an exponent vector to its graded sort key and its
+# factor text: (2, 0, 1) on heisenberg(1) to ((4, (-2, 0, -1)), "x^2*z").  Past
 # _RENDER_MONOMIALS entries are computed and not stored; a full memo of
 # lattice(4) or heisenberg(2) takes about 1.4 MB.
 
@@ -327,29 +361,38 @@ _RENDER_MONOMIALS = 4096
 
 
 @lru_cache(maxsize=_RENDER_SCHEMAS)
-def _render_memo(schema: GroupSchema) -> dict[Monomial, tuple[tuple, str]]:
+def _render_memo(schema: GroupSchema) -> dict[Exponents, tuple[tuple, str]]:
     return {}
 
 
-def render_terms(p: Polynomial) -> tuple[list[tuple[Monomial, str]], str]:
-    """p's terms in graded order, each with its coefficient as ``str`` writes
-    it, and p's text as ``str(p)`` writes it: leading degree first, the terms
-    of one degree in graded order, "0" for no terms.
+def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
+    """p's terms in graded order, each as its exponent vector and its
+    coefficient as ``str(Fraction)`` writes it, and p's text as ``str(p)``
+    writes it: leading degree first, the terms of one degree in graded
+    order, "0" for no terms.
 
     One sort, on keys read from the schema's render memo, gives both orders.
+    A coefficient n / den is written from n // g and den // g, g = gcd(n, den).
     """
     schema = p.schema
     memo = _render_memo(schema)
+    den = p.den
     rows = []
-    for m, c in p.terms.items():
-        entry = memo.get(m)
+    for e, n in p.ints.items():
+        entry = memo.get(e)
         if entry is None:
             names = schema.coord_names
-            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m.exponents) if e]
-            entry = (monomial_sort_key(schema, m), "*".join(factors))
+            factors = [s if x == 1 else f"{s}^{x}" for s, x in zip(names, e) if x]
+            key = (sum(map(mul, schema.weights, e)), tuple(-x for x in e))
+            entry = (key, "*".join(factors))
             if len(memo) < _RENDER_MONOMIALS:
-                memo[m] = entry
-        rows.append((entry[0], m, str(c), entry[1]))
+                memo[e] = entry
+        if den == 1:
+            coeff = str(n)
+        else:
+            g = gcd(n, den)
+            coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+        rows.append((entry[0], e, coeff, entry[1]))
     rows.sort(key=itemgetter(0))
     # the text takes the runs of one degree in reverse, each in graded order
     runs: dict[int, list[tuple[bool, str]]] = {}
@@ -370,7 +413,7 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Monomial, str]], str]:
                 pieces.append(f"- {body}" if negative else f"+ {body}")
             else:
                 pieces.append(f"-{body}" if negative else body)
-    return [(m, coeff) for _, m, coeff, _ in rows], " ".join(pieces) or "0"
+    return [(e, coeff) for _, e, coeff, _ in rows], " ".join(pieces) or "0"
 
 
 # -- translation by composition -----------------------------------------------
@@ -380,16 +423,13 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Monomial, str]], str]:
 AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
 
-@lru_cache(maxsize=512)
 def _translation_forms(
     schema: GroupSchema, u: GroupElement, side: str
 ) -> tuple[AffineForm, ...]:
     """The affine forms of the coordinates of u*x (side left) or x*u (side right).
 
     Read off the law: coordinate t of u*x is u_t + x_t plus u_p*x_q for each
-    term (t, p, q), and of x*u it is u_t + x_t plus x_p*u_q.  The forms
-    depend only on the arguments, so the last 512 are memoized (a raised
-    error is not).
+    term (t, p, q), and of x*u it is u_t + x_t plus x_p*u_q.
     """
     if len(u.coords) != schema.n_coords:
         raise ValidationError("translation element does not match the schema")
@@ -403,12 +443,10 @@ def _translation_forms(
     )
 
 
-def _times_affine(
-    poly: dict[tuple[int, ...], int], form: AffineForm
-) -> dict[tuple[int, ...], int]:
+def _times_affine(poly: IntTerms, form: AffineForm) -> IntTerms:
     """The product of an integer polynomial, keyed by exponent vector, with a form."""
     c, lin = form
-    out: dict[tuple[int, ...], int] = {}
+    out: IntTerms = {}
     for exps, coeff in poly.items():
         if c:
             out[exps] = out.get(exps, 0) + c * coeff
@@ -418,66 +456,151 @@ def _times_affine(
     return {exps: coeff for exps, coeff in out.items() if coeff}
 
 
-def _monomial_images(
-    forms: Sequence[AffineForm], monomials: Iterable[Monomial]
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """Yield T(m) = prod_t L_t^{m_t} for each monomial m, as integer
-    coefficients keyed by exponent vector.
+def _image(
+    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: float
+) -> tuple[IntTerms, int]:
+    """T(x^exps) = prod_t L_t^{exps_t} as integer coefficients keyed by
+    exponent vector, and the number of image terms it stored in ``memo``.
 
-    Images are memoized by T(x_t m') = L_t T(m'), where m' drops one power of
-    the first non-zero coordinate t of m; m' precedes m in graded order, so a
-    graded sweep builds each image with one affine product.  The memo lives
-    as long as this generator.
+    Built by T(x_t m') = L_t T(m'), where m' drops one power of the first
+    non-zero coordinate t, from the longest chain already in ``memo``, or
+    from the constant monomial, which T fixes.  Each new image on the way
+    is stored while the terms stored stay within ``room``.
     """
-    n = len(forms)
-    zero = (0,) * n
-    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {zero: {zero: 1}}
-    for mono in monomials:
-        exps = mono.exponents
-        chain = []
-        while exps not in memo:
-            t = next(i for i, e in enumerate(exps) if e)
-            chain.append((exps, t))
-            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+    chain = []
+    while exps not in memo:
+        t = next((i for i, e in enumerate(exps) if e), None)
+        if t is None:
+            image = {exps: 1}
+            break
+        chain.append((exps, t))
+        exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+    else:
         image = memo[exps]
-        for exps, t in reversed(chain):
-            image = _times_affine(image, forms[t])
+    stored = 0
+    for exps, t in reversed(chain):
+        image = _times_affine(image, forms[t])
+        if stored + len(image) <= room:
             memo[exps] = image
-        yield image
+            stored += len(image)
+    return image, stored
+
+
+def _monomial_images(
+    forms: Sequence[AffineForm], keys: Iterable[Exponents]
+) -> Iterator[IntTerms]:
+    """Yield T(m) = prod_t L_t^{m_t} for each exponent vector m.
+
+    The memo lives as long as this generator; in a graded sweep each m'
+    of ``_image`` precedes m, so every image takes one affine product.
+    """
+    memo: dict[Exponents, IntTerms] = {}
+    for exps in keys:
+        image = memo.get(exps)
+        yield image if image is not None else _image(forms, memo, exps, float("inf"))[0]
 
 
 def monomial_translates(
-    schema: GroupSchema, u: GroupElement, side: str, monomials: Iterable[Monomial]
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """For each monomial m, the integer coefficients of x -> m(u x) (side
-    left) or x -> m(x u) (side right), keyed by exponent vector.  The dicts
-    are shared with the memo and must not be modified."""
-    return _monomial_images(_translation_forms(schema, u, side), monomials)
+    schema: GroupSchema, u: GroupElement, side: str, keys: Iterable[Exponents]
+) -> Iterator[IntTerms]:
+    """For each exponent vector m, the integer coefficients of x -> x^m(u x)
+    (side left) or x -> x^m(x u) (side right), keyed by exponent vector.
 
-
-def _compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
-    """The polynomial p(L_1(x), ..., L_n(x)).
-
-    Integer-cleared: with s the lcm of p's coefficient denominators, the
-    integer images of p's monomials are summed with the integer weights
-    s * coefficient, and each output coefficient is divided by s once.
+    The images are memoized for this sweep only; the translation memo keeps
+    the forms.  The dicts are shared with the memo and must not be modified.
     """
-    scale, ints = _cleared(p.terms.values())
-    acc: dict[tuple[int, ...], int] = {}
-    for a, image in zip(ints, _monomial_images(forms, p.terms)):
+    return _monomial_images(_TRANSLATIONS.lookup(schema, u, side).forms, keys)
+
+
+class _Translation:
+    """One entry of the translation memo: the forms of one (schema, u, side),
+    and the monomial images stored so far with their term count."""
+
+    __slots__ = ("forms", "images", "size")
+
+    def __init__(self, forms: tuple[AffineForm, ...]):
+        self.forms = forms
+        self.images: dict[Exponents, IntTerms] = {}
+        self.size = 0
+
+
+# The translation memo's bounds.  An image term is an exponent tuple and an int
+# in a dict.  A full memo of 2**14 terms, measured with tracemalloc, takes
+# 8.3 MB on lattice(36), 5.3 MB on unitriangular(9) and 2.1 MB on
+# unitriangular(4); the verify benchmark's 27 suite runs store about 2,000.
+_TRANSLATION_ENTRIES = 512
+_IMAGE_TERMS = 2**14
+
+
+class _TranslationMemo:
+    """LRU of translations by (schema, u, side), bounded in entries and in the
+    image terms stored over all entries (``_TRANSLATION_ENTRIES``,
+    ``_IMAGE_TERMS``).  A raised error is not memoized.
+
+    The key is what the forms read: the schema's coordinate count and law,
+    u's coordinates and the side.  Those are plain tuples, whose hash and ==
+    run in C, where a schema's are Python calls on every lookup; equal
+    schemas loaded from separate configs share their entries.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, _Translation] = OrderedDict()
+        self.terms = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.terms = 0
+
+    def lookup(self, schema: GroupSchema, u: GroupElement, side: str) -> _Translation:
+        key = (schema.n_coords, schema.law, u.coords, side)
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry
+        entry = self.entries[key] = _Translation(_translation_forms(schema, u, side))
+        if len(self.entries) > _TRANSLATION_ENTRIES:
+            self.terms -= self.entries.popitem(last=False)[1].size
+        return entry
+
+    def images(self, entry: _Translation, keys: Iterable[Exponents]) -> Iterator[IntTerms]:
+        """Yield the image of each exponent vector, storing new ones in the
+        entry while the memo's total stays within ``_IMAGE_TERMS``."""
+        images = entry.images
+        for exps in keys:
+            image = images.get(exps)
+            if image is None:
+                image, stored = _image(entry.forms, images, exps, _IMAGE_TERMS - self.terms)
+                entry.size += stored
+                self.terms += stored
+            yield image
+
+
+_TRANSLATIONS = _TranslationMemo()
+
+
+def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
+    """sum_e p.ints[e] * images[e] / p.den, for one image per term of p."""
+    acc: IntTerms = {}
+    get = acc.get
+    for a, image in zip(p.ints.values(), images):
         for exps, c in image.items():
-            acc[exps] = acc.get(exps, 0) + a * c
-    return _from_ints(p.schema, acc, scale)
+            acc[exps] = get(exps, 0) + a * c
+    return _from_ints(p.schema, acc, p.den)
+
+
+def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
+    entry = _TRANSLATIONS.lookup(p.schema, u, side)
+    return _combine(p, _TRANSLATIONS.images(entry, p.ints))
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
     """The polynomial x -> p(u x)."""
-    return _compose(p, _translation_forms(p.schema, u, "left"))
+    return _translate(p, u, "left")
 
 
 def translate_right(p: Polynomial, u: GroupElement) -> Polynomial:
     """The polynomial x -> p(x u)."""
-    return _compose(p, _translation_forms(p.schema, u, "right"))
+    return _translate(p, u, "right")
 
 
 def left_derivative(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -515,4 +638,4 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
 
     # x_i = sum_j M[i][j] u_j
     forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in rows)
-    return _compose(p, forms)
+    return _combine(p, _monomial_images(forms, p.ints))

@@ -111,7 +111,7 @@ def measure_from_config(schema: GroupSchema, cfg: Mapping[str, Any]) -> Measure:
 def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
     terms, text = render_terms(p)
     return {
-        "terms": [{"exponents": list(m.exponents), "coeff": c} for m, c in terms],
+        "terms": [{"exponents": list(e), "coeff": c} for e, c in terms],
         "text": text,
     }
 

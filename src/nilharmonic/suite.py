@@ -16,6 +16,7 @@ from .groups import (
     GroupElement,
     GroupSchema,
     ball,
+    ball_levels,
     basis_element,
     check_coordinate_order,
     decomposition_order,
@@ -35,6 +36,7 @@ from .laplacian import (
 from .linalg import Inconsistent
 from .polynomials import (
     Polynomial,
+    _from_fractions,
     left_derivative,
     pk_basis,
     translate_left,
@@ -57,8 +59,10 @@ def run_invariant_suite(
     radius: int,
     budget: int = 300,
 ) -> list[SuiteRecord]:
-    # the largest Laplacian is refused here, before any check has run
+    # the largest Laplacian and the harmonic oracle's ball are refused here,
+    # before any check has run
     matrix_shape(schema, k_max)
+    ball_levels(schema, measure.support(), radius)
     records: list[SuiteRecord] = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -251,7 +255,7 @@ def run_invariant_suite(
                     ok = False
                     bad_detail = f"no preimage for {mono_.exponents}"
                     break
-                p_hat = Polynomial._trusted(schema, {domain[t]: c for t, c in sol.items()})
+                p_hat = _from_fractions(schema, {domain[t].exponents: c for t, c in sol.items()})
                 if apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono_):
                     ok = False
                     bad_detail = f"bad preimage for {mono_.exponents}"

@@ -1,11 +1,11 @@
 """Brute-force oracles that validate the algebra by direct evaluation.
 
 Everything here works pointwise on Cayley balls using only group
-multiplication and integer value tables: each polynomial is scaled by the
-lcm of its coefficient denominators and evaluated at an interned list of
-points, one shared column per monomial.  The translation machinery under
-test (composition with the affine forms of the group law) is never called,
-so a bug there cannot hide from these checks.  All enumeration orders are
+multiplication and integer value tables: each polynomial's integer
+numerators are evaluated at an interned list of points, one shared column
+per monomial.  The translation machinery under test (composition with the
+affine forms of the group law) is never called, so a bug there cannot hide
+from these checks.  All enumeration orders are
 fixed, making every oracle deterministic.
 """
 
@@ -29,7 +29,7 @@ from .groups import (
 # unused here, but the benchmark's tracer wraps verify.mul_coords by name
 from .groups import mul_coords  # noqa: F401
 from .laplacian import Measure
-from .polynomials import Monomial, Polynomial
+from .polynomials import Polynomial
 
 DEFAULT_TUPLE_BUDGET = 2000
 
@@ -39,27 +39,25 @@ def _value_tables(
 ) -> Iterator[tuple[int, list[int]]]:
     """Yield ``(scale, values)`` per polynomial, ``values[i] == scale * p(points[i])``.
 
-    ``scale`` is the lcm of p's coefficient denominators, so all arithmetic is
-    integer; the monomial value columns are shared across the polynomials.
+    ``scale`` is p's denominator ``den``, so all arithmetic is on p's integer
+    numerators ``ints``; the monomial value columns are shared across the
+    polynomials.
     """
-    columns: dict[Monomial, list[int]] = {}
-    for mono in sorted({m for p in polys for m in p.terms}):
-        powers = [(t, e) for t, e in enumerate(mono.exponents) if e]
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for exps in sorted({e for p in polys for e in p.ints}):
+        powers = [(t, e) for t, e in enumerate(exps) if e]
         col = []
         for c in points:
             v = 1
             for t, e in powers:
                 v *= c[t] ** e
             col.append(v)
-        columns[mono] = col
+        columns[exps] = col
     for p in polys:
-        scale = lcm(*(c.denominator for c in p.terms.values()))
         values = [0] * len(points)
-        for mono, c in p.terms.items():
-            c = int(c * scale)
-            for i, v in enumerate(columns[mono]):
-                values[i] += c * v
-        yield scale, values
+        for exps, c in p.ints.items():
+            values = [x + c * v for x, v in zip(values, columns[exps])]
+        yield p.den, values
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,13 @@ before the library moved it to integer rows; the library's ``_eliminate``
 must produce the same pivots, tails and steps, and its kernel, read from
 the integer tails, must equal the one read here from the ``Fraction`` tails.
 
-``compose`` and ``apply_laplacian`` are the polynomial loops used before the
-integer-cleared arithmetic: they accumulate ``Fraction`` coefficients term by
-term, and the Laplacian sums one right translate per atom as a polynomial.
+``plus``, ``times``, ``negate``, ``evaluate``, ``coefficient_vector``,
+``compose``, ``translate``, ``restrict_to_sublattice`` and ``apply_laplacian``
+are the polynomial operations on ``{Monomial: Fraction}`` dicts, as the
+library ran them before it kept integer numerators over one denominator:
+they work on ``Fraction`` coefficients term by term, composition expands
+each monomial as a product of the affine forms, and the Laplacian sums one
+right translate per atom as a polynomial.
 
 ``terms_text``, ``polynomial_str`` and ``polynomial_to_obj`` are the
 polynomial text and JSON object as they were rendered before the library
@@ -31,16 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from nilharmonic.groups import GroupSchema
+from nilharmonic.groups import GroupElement, GroupSchema
 from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
-from nilharmonic.polynomials import (
-    AffineForm,
-    Monomial,
-    Polynomial,
-    _monomial_images,
-    _translation_forms,
-)
+from nilharmonic.polynomials import AffineForm, Monomial, Polynomial, _translation_forms
 
 Grid = list[list[Fraction]]
 
@@ -186,22 +184,101 @@ def eliminate(cols: int, entries: Sequence[dict[int, Fraction]]) -> Elimination:
     return Elimination(tuple(sorted(tails)), tails, steps, cols)
 
 
+# -- polynomials on Fraction dicts ------------------------------------------------
+#
+# Each operation reads the library polynomial's ``terms`` ({Monomial:
+# Fraction}), works term by term in Fraction, and hands its terms to the
+# validated public constructor, as the library did before it kept integer
+# numerators over one denominator.
+
+Terms = dict[Monomial, Fraction]
+
+
+def _poly(schema: GroupSchema, terms: Terms) -> Polynomial:
+    return Polynomial(schema, {m: c for m, c in terms.items() if c})
+
+
+def plus(p: Polynomial, q: Polynomial, sign: int = 1) -> Polynomial:
+    """p + sign * q."""
+    terms = dict(p.terms)
+    for m, c in q.terms.items():
+        terms[m] = terms.get(m, Fraction(0)) + sign * c
+    return _poly(p.schema, terms)
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = Monomial(tuple(x + y for x, y in zip(m1.exponents, m2.exponents)))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return out
+
+
+def times(p: Polynomial, q: Polynomial | Fraction | int) -> Polynomial:
+    """p * q for a polynomial or a scalar q."""
+    if isinstance(q, Polynomial):
+        return _poly(p.schema, _product(p.terms, q.terms))
+    return _poly(p.schema, {m: c * q for m, c in p.terms.items()})
+
+
+def negate(p: Polynomial) -> Polynomial:
+    return _poly(p.schema, {m: -c for m, c in p.terms.items()})
+
+
+def evaluate(p: Polynomial, coords: Sequence[int]) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = c
+        for x, e in zip(coords, m.exponents):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def coefficient_vector(p: Polynomial, basis: Sequence[Monomial]) -> list[Fraction]:
+    terms = p.terms
+    return [terms.get(m, Fraction(0)) for m in basis]
+
+
 def compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
-    """The polynomial p(L_1(x), ..., L_n(x)), summed in ``Fraction``."""
-    terms: dict[Monomial, Fraction] = {}
-    for coeff, image in zip(p.terms.values(), _monomial_images(forms, p.terms)):
-        for exps, c in image.items():
-            key = Monomial(exps)
-            terms[key] = terms.get(key, 0) + coeff * c
-    return Polynomial(p.schema, terms)
+    """The polynomial p(L_1(x), ..., L_n(x)): each monomial expanded as a
+    product of the forms, one Fraction product at a time, and summed."""
+    n = len(forms)
+    zero = (0,) * n
+    linear: list[Terms] = []
+    for c, lin in forms:
+        form: Terms = {Monomial(zero): Fraction(c)} if c else {}
+        for v, a in lin:
+            form[Monomial(zero[:v] + (1,) + zero[v + 1:])] = Fraction(a)
+        linear.append(form)
+    total: Terms = {}
+    for m, coeff in p.terms.items():
+        term: Terms = {Monomial(zero): coeff}
+        for form, e in zip(linear, m.exponents):
+            for _ in range(e):
+                term = _product(term, form)
+        for mono, c in term.items():
+            total[mono] = total.get(mono, Fraction(0)) + c
+    return _poly(p.schema, total)
+
+
+def translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
+    """x -> p(u x) for side left, x -> p(x u) for side right."""
+    return compose(p, _translation_forms(p.schema, u, side))
+
+
+def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Polynomial:
+    """u -> p(M u), x_i = sum_j M[i][j] u_j."""
+    return compose(p, tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in matrix))
 
 
 def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     """p - sum_s mu(s) (x -> p(x s)), one translated polynomial per atom."""
     expected = Polynomial.zero(p.schema)
     for s, w in measure.atoms.items():
-        expected = expected + compose(p, _translation_forms(p.schema, s, "right")) * w
-    return p - expected
+        expected = plus(expected, times(translate(p, s, "right"), w))
+    return plus(p, expected, -1)
 
 
 def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:

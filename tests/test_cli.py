@@ -7,8 +7,11 @@ import re
 
 import pytest
 
+import nilharmonic.cli as cli
+import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
 import nilharmonic.polynomials as polynomials
+import nilharmonic.suite as suite
 from nilharmonic.cli import main
 from nilharmonic.groups import heisenberg, lattice
 from nilharmonic.laplacian import generator_walk
@@ -351,6 +354,28 @@ def test_verify_above_a_lowered_cell_limit_exits_one(configs, capsys, monkeypatc
     assert err == (
         "error: the degree-5 Laplacian matrix on heisenberg(1) would be 13 x 34, "
         "more than the limit of 100 cells\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["harmonic", "verify"])
+def test_oracle_radius_above_a_lowered_ball_cap_exits_one(configs, capsys, monkeypatch, command):
+    # the radius-4 ball of heisenberg(1) has 135 points; with a cap of 100 the
+    # oracle's ball is refused before the basis or any check: one error line
+    # and exit 1, not a FAIL record and exit 2
+    def no_work(*args):
+        raise AssertionError("the run started its work")
+
+    monkeypatch.setattr(cli, "harmonic_basis", no_work)
+    monkeypatch.setattr(suite, "ball", no_work)
+    monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
+    args = ["--k", "2", "--radius", "4"] + (["--verify"] if command == "harmonic" else [])
+    code, out, err = run(
+        capsys, [command, "--group", configs["h3"], "--measure", configs["mu_h3"], *args]
+    )
+    assert code == 1 and not out
+    assert err == (
+        "error: the radius-4 ball on heisenberg(1) has more than 100 points; "
+        "choose a smaller radius\n"
     )
 
 

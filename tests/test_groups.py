@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+import nilharmonic.groups as groups
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
     GroupElement,
     GroupSchema,
     ball,
+    ball_levels,
     basis_element,
     check_coordinate_order,
     decomposition_order,
@@ -336,6 +338,32 @@ def test_ball_growth_bounds(schema):
     sizes = [len(ball(schema, gens, r)) for r in range(5)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert all(sizes[r] <= len(gens) ** r + 1 for r in range(1, 5))
+
+
+def test_ball_above_a_lowered_cap_is_refused(monkeypatch):
+    # the radius-3 ball of heisenberg(1) has 53 points and the radius-4 one 135
+    gens = standard_generators(H3)
+    monkeypatch.setattr(groups, "MAX_BALL_POINTS", 53)
+    assert len(ball(H3, gens, 3)) == 53
+    for radius in (4, 6):
+        with pytest.raises(ValidationError) as info:
+            ball_levels(H3, gens, radius)
+        assert str(info.value) == (
+            f"the radius-{radius} ball on heisenberg(1) has more than 53 points; "
+            "choose a smaller radius"
+        )
+    # the count stops the search within the level that passes the cap
+    calls = []
+    law_mul = H3.law_mul
+
+    def counting(a, b):
+        calls.append(a)
+        return law_mul(a, b)
+
+    monkeypatch.setitem(H3.__dict__, "law_mul", counting)
+    with pytest.raises(ValidationError):
+        ball(H3, gens, 6)
+    assert len(calls) <= 4 * 53
 
 
 def test_ball_is_sorted_and_deterministic():

@@ -503,7 +503,7 @@ def test_mutating_returned_values_does_not_leak_into_the_memo(fresh_memo):
     grid = A.data
     grid[0][:] = [Fraction(7)] * A.cols
     A.kernel_basis()[0][0] = Fraction(99)
-    A.factorization().kernel()[0].clear()
+    A.factorization().kernel()[0][1].clear()
     A.solve(rhs)[0] = Fraction(99)
     A.factorization().solve(rhs).clear()
     A.rref()[0].data[0][0] = Fraction(99)

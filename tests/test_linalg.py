@@ -301,8 +301,8 @@ def test_sparse_kernel_and_solution_match_dense_forms():
     m = RationalMatrix.from_rows(_low_rank(rng, 6, 9, 4), cols=9)
     f = m.factorization()
     dense_kernel = m.kernel_basis()
-    assert [[v.get(j, 0) for j in range(m.cols)] for v in f.kernel()] == dense_kernel
-    assert all(list(v) == sorted(v) and all(v.values()) for v in f.kernel())
+    assert [[Fraction(v.get(j, 0), d) for j in range(m.cols)] for d, v in f.kernel()] == dense_kernel
+    assert all(list(v) == sorted(v) and all(v.values()) for _, v in f.kernel())
     b = m.mul_vector([Fraction(j - 4) for j in range(m.cols)])
     sol = f.solve(b)
     assert [sol.get(j, 0) for j in range(m.cols)] == m.solve(b)
@@ -387,11 +387,14 @@ def test_integer_elimination_equals_fraction_reference(label, m):
     for p, tail in got.int_tails.items():
         assert all(type(v) is int and v for v in tail.values())
         assert {c: Fraction(v, got.leads[p]) for c, v in tail.items()} == want.tails[p]
-    # the kernel is read from the integer tails, and equals the reference's
+    # the kernel is read from the integer tails as integers over one positive
+    # denominator, and equals the reference's
     kernel = got.kernel()
-    assert kernel == want.kernel()
-    assert [list(v) for v in kernel] == [list(v) for v in want.kernel()]
-    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert all(type(d) is int and d > 0 for d, _ in kernel)
+    assert all(type(x) is int and x for _, v in kernel for x in v.values())
+    fractions = [{c: Fraction(x, d) for c, x in v.items()} for d, v in kernel]
+    assert fractions == want.kernel()
+    assert [list(v) for v in fractions] == [list(v) for v in want.kernel()]
     assert m.factorization().kernel() == kernel
 
 

@@ -1,6 +1,8 @@
 """Property tests: polynomial text and JSON objects round-trip exactly and
 equal the reference rendering, the arithmetic's results are as clean as the validated constructor makes them,
-and left derivatives obey the cocycle and product rules.
+every operation on integer numerators equals the ``Fraction``-dict reference
+and leaves the canonical form, and left derivatives obey the cocycle and
+product rules.
 
 Examples are capped at 100 so the test costs about a second, and the example
 database is off so a run writes no files.
@@ -8,6 +10,7 @@ database is off so a run writes no files.
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,11 +20,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import GroupElement, heisenberg, lattice, mul, unitriangular
+from nilharmonic.laplacian import apply_laplacian, lazy_generator_walk
 from nilharmonic.polynomials import (
     Monomial,
     Polynomial,
     left_derivative,
     monomial_sort_key,
+    pk_basis,
+    restrict_to_sublattice,
     translate_left,
     translate_right,
 )
@@ -156,3 +162,95 @@ def test_cocycle_and_product_rules(case):
     assert left_derivative(f * h, x) == (
         translate_left(f, x) * left_derivative(h, x) + left_derivative(f, x) * h
     )
+
+
+# -- integer numerators against the Fraction-dict reference ----------------------
+
+# zero, small and 20-digit numerators; denominators 1, small and 10^9
+wide_coefficients = st.sampled_from([0, 1, -1, 2, Fraction(0)]) | st.builds(
+    Fraction,
+    st.integers(-10**20, 10**20) | st.sampled_from([10**19 + 7, -(10**20) + 1]),
+    st.sampled_from([1, 2, 3, 6, 10**9, 10**9 + 7]),
+)
+# Fraction scalars with numerators of both signs, and ints including 0
+scalars = st.integers(-3, 3) | st.builds(
+    Fraction, st.integers(-10**20, 10**20), st.sampled_from([1, 4, 10**9])
+)
+MEASURES = {schema: lazy_generator_walk(schema, Fraction(1, 3)) for schema in SCHEMAS}
+
+
+def assert_canonical(p):
+    # integer numerators on exponent tuples over a positive denominator, with
+    # no factor common to all; the zero polynomial is over 1
+    assert type(p.den) is int and p.den > 0
+    assert all(
+        type(e) is tuple and len(e) == p.schema.n_coords and type(c) is int and c
+        for e, c in p.ints.items()
+    )
+    assert gcd(p.den, *p.ints.values()) == 1
+    assert p.ints or p.den == 1
+
+
+@st.composite
+def reference_cases(draw):
+    schema = draw(st.sampled_from(SCHEMAS))
+    exponents = st.tuples(*[st.integers(0, 2)] * schema.n_coords).map(Monomial)
+    p, q = (Polynomial(schema, draw(st.dictionaries(exponents, wide_coefficients, max_size=5)))
+            for _ in range(2))
+    u = GroupElement(tuple(draw(st.integers(-3, 3)) for _ in range(schema.n_coords)))
+    # unit upper triangular times a non-zero diagonal: a non-singular integer matrix
+    d = schema.n_coords
+    diagonal = [draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(d)]
+    matrix = [[diagonal[i] if i == j else draw(st.integers(-2, 2)) if j > i else 0
+               for j in range(d)] for i in range(d)]
+    return p, q, draw(scalars), u, matrix
+
+
+ZERO_H3 = Polynomial.zero(heisenberg(1))
+CONSTANT_UT4 = Polynomial.constant(unitriangular(4), Fraction(-(10**20) + 1, 10**9))
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example((ZERO_H3, ZERO_H3, 0, GroupElement((1, 2, 3)), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example((CONSTANT_UT4, CONSTANT_UT4 * Fraction(-3, 10**9), Fraction(-7, 10**9),
+          GroupElement((1, -1, 2, 0, 3, -2)), [[1] * 6] * 6))
+@example((_poly(lattice(3), ((2, 0, 1), Fraction(10**20 - 1, 10**9)), ((0, 0, 0), 5)),
+          _poly(lattice(3), ((2, 0, 1), Fraction(-(10**20) + 1, 10**9)), ((1, 1, 0), 3)),
+          Fraction(-(10**9), 3), GroupElement((-3, 2, 1)), [[2, 1, 0], [0, -1, 2], [0, 0, 3]]))
+@given(reference_cases())
+def test_integer_polynomial_equals_fraction_reference(case):
+    p, q, scalar, u, matrix = case
+    schema = p.schema
+    for r in (p, q):
+        assert_canonical(r)
+        assert Polynomial(schema, r.terms) == r
+    pairs = [
+        (p + q, dense.plus(p, q)),
+        (p - q, dense.plus(p, q, -1)),
+        (p * q, dense.times(p, q)),
+        (p * scalar, dense.times(p, scalar)),
+        (scalar * p, dense.times(p, scalar)),
+        (-p, dense.negate(p)),
+        (translate_left(p, u), dense.translate(p, u, "left")),
+        (translate_right(p, u), dense.translate(p, u, "right")),
+        (apply_laplacian(MEASURES[schema], p), dense.apply_laplacian(MEASURES[schema], p)),
+    ]
+    if schema.step == 1:
+        pairs.append((restrict_to_sublattice(p, matrix), dense.restrict_to_sublattice(p, matrix)))
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.terms == want.terms
+        assert got == want
+    # == is equality of the Fraction terms, in either order of the operands
+    assert (p == q) is (q == p) is (p.terms == q.terms)
+    assert (p + q == p) is (not q.terms)
+    for r in (p, q, p * q):
+        assert r.evaluate(u) == dense.evaluate(r, u.coords)
+        assert type(r.evaluate(u)) is Fraction
+        # the monomials of degree <= 1, then r's others in descending order
+        low = pk_basis(schema, 1)
+        basis = low + sorted(set(r.terms) - set(low), reverse=True)
+        assert r.coefficient_vector(basis) == dense.coefficient_vector(r, basis)
+        assert str(r) == dense.polynomial_str(r)
+        assert polynomial_to_obj(r) == dense.polynomial_to_obj(r)

@@ -225,10 +225,29 @@ def test_forms_evaluate_to_the_group_law(schema):
 
 def test_wrong_length_element_raises_with_warm_forms():
     translate_left(X, basis_element(H3, 1))
-    assert polynomials._translation_forms.cache_info().currsize > 0
+    assert len(polynomials._TRANSLATIONS.entries) > 0
     for translate in (translate_left, translate_right):
         with pytest.raises(ValidationError):
             translate(X, element(Z2, (1, 0)))
+    # Z2 and lattice(3) share a law, the empty one, but not a coordinate count
+    x1 = Polynomial.coordinate(lattice(3), 1)
+    for translate in (translate_left, translate_right):
+        translate(Polynomial.coordinate(Z2, 1), element(Z2, (1, 0)))
+        with pytest.raises(ValidationError):
+            translate(x1, element(Z2, (1, 0)))
+
+
+def test_equal_schemas_share_translation_entries():
+    # two loads of one group are equal, not identical, schemas
+    memo = polynomials._TRANSLATIONS
+    memo.clear()
+    first, second = heisenberg(1), heisenberg(1)
+    assert first == second and first is not second
+    u = element(first, (1, -1, 2))
+    p = mixed_denominators(first, 2)
+    q = Polynomial(second, p.terms)
+    assert translate_left(q, u) == translate_left(p, u)
+    assert len(memo.entries) == 1
 
 
 TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
@@ -239,6 +258,58 @@ def mixed_denominators(schema, k):
     denominators 2, 3 and 6 force a common scale of 6."""
     cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
     return Polynomial(schema, {m: cycle[i % 5] for i, m in enumerate(pk_basis(schema, k))})
+
+
+def _translates(p, elems):
+    return [(translate_left(p, u), translate_right(p, u)) for u in elems]
+
+
+def _memo_sizes_add_up(memo):
+    return memo.terms == sum(entry.size for entry in memo.entries.values())
+
+
+def test_image_memo_stays_within_its_bounds(monkeypatch):
+    memo = polynomials._TRANSLATIONS
+    memo.clear()
+    p = mixed_denominators(UT4, 3)
+    elems = ball(UT4, standard_generators(UT4), 1)
+    want = [(dense.translate(p, u, "left"), dense.translate(p, u, "right")) for u in elems]
+    cold = _translates(p, elems)
+    assert cold == want
+    assert 0 < memo.terms <= polynomials._IMAGE_TERMS and _memo_sizes_add_up(memo)
+    stored = memo.terms
+    # a warm memo reads every image and stores nothing more
+    assert _translates(p, elems) == want
+    assert memo.terms == stored
+    # past a lowered term bound images are computed and not stored
+    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", 40)
+    memo.clear()
+    for _ in range(2):
+        assert _translates(p, elems) == want
+        assert 0 < memo.terms <= 40 and _memo_sizes_add_up(memo)
+    # past the entry bound the oldest entries go, and their terms with them
+    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", stored)
+    monkeypatch.setattr(polynomials, "_TRANSLATION_ENTRIES", 3)
+    memo.clear()
+    for _ in range(2):
+        assert _translates(p, elems) == want
+        assert len(memo.entries) == 3 and _memo_sizes_add_up(memo)
+    assert list(memo.entries)[-1] == (UT4.n_coords, UT4.law, elems[-1].coords, "right")
+
+
+def test_stored_images_are_not_modified_by_their_readers():
+    memo = polynomials._TRANSLATIONS
+    memo.clear()
+    p = mixed_denominators(H3, 3)
+    u = element(H3, (1, -2, 3))
+    first = translate_left(p, u)
+    entry = memo.lookup(H3, u, "left")
+    images = {e: dict(image) for e, image in entry.images.items()}
+    assert len(images) > 1
+    for q in (p, first, first * p, -p):
+        translate_left(q, u)
+    assert {e: entry.images[e] for e in images} == images
+    assert translate_left(p, u) == first
 
 
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)

@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
+import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
 import nilharmonic.suite as suite
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import heisenberg, lattice, unitriangular
 from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
-from nilharmonic.polynomials import _translation_forms
+from nilharmonic.polynomials import _TRANSLATIONS
 from nilharmonic.suite import run_invariant_suite
 from nilharmonic.verify import _difference_points
 
@@ -76,6 +77,18 @@ def test_oversized_degree_is_refused_before_any_check(monkeypatch, k, limit, sha
         run_invariant_suite(H3, generator_walk(H3), k, 3)
 
 
+def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch):
+    # the radius-4 ball has 135 points: a bad input, not a failed oracle record
+    def no_work(*args):
+        raise AssertionError("the suite started its checks")
+
+    for name in ("ball", "laplacian_matrix", "check_harmonic_batch"):
+        monkeypatch.setattr(suite, name, no_work)
+    monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
+    with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
+        run_invariant_suite(H3, generator_walk(H3), 4, 4)
+
+
 def test_broken_law_fails_the_group_checks():
     broken = dataclasses.replace(U4, law=U4.law[:-1])
     failed = [r for r in records(broken, 2, 1) if not r[1]]
@@ -94,6 +107,7 @@ def test_broken_law_fails_the_group_checks():
 def test_warm_and_cold_memos_give_identical_records():
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for memo in (_translation_forms, _difference_points, _pair_columns, laplacian_matrix):
-        memo.cache_clear()
+    for clear in (_TRANSLATIONS.clear, _difference_points.cache_clear,
+                  _pair_columns.cache_clear, laplacian_matrix.cache_clear):
+        clear()
         assert records(H3, 4, 3) == first

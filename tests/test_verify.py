@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import nilharmonic.groups as groups
+import nilharmonic.verify as verify
+from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
     GroupElement,
     ball,
@@ -155,6 +158,18 @@ def _random_polynomial(rng, schema, k, n_terms):
         for _ in range(n_terms)
     }
     return Polynomial(schema, terms)
+
+
+def test_oracle_ball_above_a_lowered_cap_is_refused_before_evaluation(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the oracle evaluated a polynomial")
+
+    monkeypatch.setattr(verify, "_value_tables", no_work)
+    monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
+    with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
+        check_harmonic_batch(H3, MU_H3, [Z], 4)
+    with pytest.raises(ValidationError, match="more than 100 points"):
+        check_harmonic_on_ball(H3, MU_H3, Z, 4)
 
 
 @pytest.mark.parametrize("schema", [heisenberg(1), lattice(2), unitriangular(4)], ids=str)
