@@ -456,16 +456,39 @@ def _times_affine(poly: IntTerms, form: AffineForm) -> IntTerms:
     return {exps: coeff for exps, coeff in out.items() if coeff}
 
 
-def _image(
-    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: float
-) -> tuple[IntTerms, int]:
-    """T(x^exps) = prod_t L_t^{exps_t} as integer coefficients keyed by
-    exponent vector, and the number of image terms it stored in ``memo``.
+def _monomial_images(
+    forms: Sequence[AffineForm], keys: Iterable[Exponents]
+) -> Iterator[IntTerms]:
+    """Yield T(m) = prod_t L_t^{m_t} for each exponent vector m, as integer
+    coefficients keyed by exponent vector.
 
-    Built by T(x_t m') = L_t T(m'), where m' drops one power of the first
-    non-zero coordinate t, from the longest chain already in ``memo``, or
-    from the constant monomial, which T fixes.  Each new image on the way
-    is stored while the terms stored stay within ``room``.
+    Images are memoized by T(x_t m') = L_t T(m'), where m' drops one power of
+    the first non-zero coordinate t of m; m' precedes m in graded order, so
+    a graded sweep builds each image with one affine product.  The memo
+    lives as long as this generator.
+    """
+    zero = (0,) * len(forms)
+    memo: dict[Exponents, IntTerms] = {zero: {zero: 1}}
+    for exps in keys:
+        chain = []
+        while exps not in memo:
+            t = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, t))
+            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+        image = memo[exps]
+        for exps, t in reversed(chain):
+            image = _times_affine(image, forms[t])
+            memo[exps] = image
+        yield image
+
+
+def _image(
+    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: int
+) -> tuple[IntTerms, int]:
+    """T(x^exps), by the chain of ``_monomial_images`` from the longest part
+    already in ``memo`` or from the constant monomial, which T fixes, and
+    the number of image terms it stored in ``memo``: each new image on the
+    way is stored while the terms stored stay within ``room``.
     """
     chain = []
     while exps not in memo:
@@ -484,20 +507,6 @@ def _image(
             memo[exps] = image
             stored += len(image)
     return image, stored
-
-
-def _monomial_images(
-    forms: Sequence[AffineForm], keys: Iterable[Exponents]
-) -> Iterator[IntTerms]:
-    """Yield T(m) = prod_t L_t^{m_t} for each exponent vector m.
-
-    The memo lives as long as this generator; in a graded sweep each m'
-    of ``_image`` precedes m, so every image takes one affine product.
-    """
-    memo: dict[Exponents, IntTerms] = {}
-    for exps in keys:
-        image = memo.get(exps)
-        yield image if image is not None else _image(forms, memo, exps, float("inf"))[0]
 
 
 def monomial_translates(
