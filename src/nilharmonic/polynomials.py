@@ -536,7 +536,7 @@ class _Translation:
 # The translation memo's bounds.  An image term is an exponent tuple and an int
 # in a dict.  A full memo of 2**14 terms, measured with tracemalloc, takes
 # 8.3 MB on lattice(36), 5.3 MB on unitriangular(9) and 2.1 MB on
-# unitriangular(4); the verify benchmark's 27 suite runs store about 2,000.
+# unitriangular(4); the verify benchmark's 27 suite runs store about 1,400.
 _TRANSLATION_ENTRIES = 512
 _IMAGE_TERMS = 2**14
 
