@@ -28,6 +28,7 @@ from .groups import (
 )
 from .linalg import Inconsistent, RationalMatrix
 from .polynomials import (
+    _TRANSLATIONS,
     Polynomial,
     _from_fractions,
     _from_ints,
@@ -152,18 +153,19 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     and b the lcm of the weights' denominators, a b Delta p = sum_s (b mu(s))
     (P - P(x s)), as mu has mass 1.  That sum is accumulated in ints, one
     atom at a time over the integer right translates of p's monomials, and
-    the result is normalized over a b once.  This path is kept apart from
-    the matrix assembly, which the suite checks against it.
+    the result is normalized over a b once.  The translates come from the
+    bounded translation memo, apart from the matrix assembly's per-sweep
+    images, which the suite checks against this path.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")
     schema = p.schema
     ints = p.ints
     w_scale, int_weights = _cleared(measure.atoms.values())
-    keys = list(ints)
     acc = {e: w_scale * a for e, a in ints.items()}
     for s, ws in zip(measure.atoms, int_weights):
-        for a, image in zip(ints.values(), monomial_translates(schema, s, "right", keys)):
+        entry = _TRANSLATIONS.lookup(schema, s, "right")
+        for a, image in zip(ints.values(), _TRANSLATIONS.images(entry, ints)):
             wa = ws * a
             for exps, c in image.items():
                 acc[exps] = acc.get(exps, 0) - wa * c

@@ -3,19 +3,21 @@
 Everything here works pointwise on Cayley balls using only group
 multiplication and integer value tables: each polynomial's integer
 numerators are evaluated at an interned list of points, one shared column
-per monomial.  The translation machinery under test (composition with the
-affine forms of the group law) is never called, so a bug there cannot hide
-from these checks.  All enumeration orders are
-fixed, making every oracle deterministic.
+per monomial, and every oracle sum runs over whole columns of ids.  The
+translation machinery under test (composition with the affine forms of the
+group law), the matrix assembly and the elimination are never called, so a
+bug there cannot hide from these checks.  All enumeration orders are fixed,
+making every oracle deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -41,18 +43,20 @@ def _value_tables(
 
     ``scale`` is p's denominator ``den``, so all arithmetic is on p's integer
     numerators ``ints``; the monomial value columns are shared across the
-    polynomials.
+    polynomials, each its parent's times a coordinate: x^e = x^(e - e_t) x_t.
     """
-    columns: dict[tuple[int, ...], list[int]] = {}
-    for exps in sorted({e for p in polys for e in p.ints}):
-        powers = [(t, e) for t, e in enumerate(exps) if e]
-        col = []
-        for c in points:
-            v = 1
-            for t, e in powers:
-                v *= c[t] ** e
-            col.append(v)
-        columns[exps] = col
+    n_coords = polys[0].schema.n_coords if polys else 0
+    axes = [list(map(itemgetter(t), points)) for t in range(n_coords)]
+    columns: dict[tuple[int, ...], list[int]] = {(0,) * n_coords: [1] * len(points)}
+    for exps in {e for p in polys for e in p.ints}:
+        chain = []
+        while exps not in columns:
+            t = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, t))
+            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+        col = columns[exps]
+        for exps, t in reversed(chain):
+            col = columns[exps] = list(map(mul, col, axes[t]))
     for p in polys:
         values = [0] * len(points)
         for exps, c in p.ints.items():
@@ -87,27 +91,27 @@ def check_harmonic_batch(
     weight_scale = lcm(*(w.denominator for _, w in atoms))
     int_weights = [int(w * weight_scale) for _, w in atoms]
 
+    # the centres are distinct, so they take the point ids 0..n-1
     centers = [g.coords for g in ball(schema, measure.support(), radius)]
-    index: dict[tuple[int, ...], int] = {}
-    center_ids = [index.setdefault(c, len(index)) for c in centers]
+    n = len(centers)
+    index = {c: i for i, c in enumerate(centers)}
     law_mul = schema.law_mul
-    shifted_ids = [
-        [index.setdefault(law_mul(c, s.coords), len(index)) for s, _ in atoms]
-        for c in centers
+    atom_ids = [
+        [index.setdefault(law_mul(c, s.coords), len(index)) for c in centers] for s, _ in atoms
     ]
 
     results = []
     for scale, values in _value_tables(polys, list(index)):
-        result = HarmonicCheck(True, len(centers))
-        for ci, (gid, sids) in enumerate(zip(center_ids, shifted_ids)):
-            rhs = 0
-            for sid, w in zip(sids, int_weights):
-                rhs += w * values[sid]
-            if weight_scale * values[gid] != rhs:
-                exact = Fraction(values[gid], scale), Fraction(rhs, weight_scale * scale)
-                result = HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact)
-                break
-        results.append(result)
+        rhs = [0] * n
+        for ids, w in zip(atom_ids, int_weights):
+            rhs = [r + w * values[i] for r, i in zip(rhs, ids)]
+        lhs = [weight_scale * v for v in values[:n]]
+        if lhs == rhs:
+            results.append(HarmonicCheck(True, n))
+            continue
+        ci = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        exact = Fraction(values[ci], scale), Fraction(rhs[ci], weight_scale * scale)
+        results.append(HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact))
     return results
 
 
@@ -128,52 +132,55 @@ class DerivativeCheck:
     value: Fraction | None = None
 
 
-def _default_test_points(
-    schema: GroupSchema, support: Sequence[GroupElement], depth: int
-) -> list[GroupElement]:
-    return ball(schema, support, min(depth, 2))[:3]
+# The difference points of the last 32 calls, each at most ``budget *
+# len(test_points) * 2**order`` ids: the suite's three orders and two sides for
+# a few groups.  The key is plain tuples, whose hash and == run in C.
+_DIFFERENCE_POINTS: OrderedDict[tuple, tuple[tuple, tuple, tuple]] = OrderedDict()
+_DIFFERENCE_ENTRIES = 32
 
 
-@lru_cache(maxsize=32)
 def _difference_points(
     schema: GroupSchema,
     order: int,
-    elems: tuple[GroupElement, ...],
-    test_points: tuple[GroupElement, ...],
+    elems: Sequence[GroupElement],
+    test_points: Sequence[GroupElement],
     budget: int,
     side: str,
 ) -> tuple[tuple, tuple, tuple]:
-    """The budgeted tuples, their point ids and the interned points.
+    """The budgeted tuples' coordinates, their id columns and the interned points.
 
     For the left derivative the subset {i_1 < ... < i_r} of a tuple is the
     point u_{i_r} ... u_{i_1} x; for the right, x u_{i_1} ... u_{i_r}.  Subset
     products are built by doubling, so bit i of a subset's index marks
-    u_{i+1}.  ``ids[j][x]`` lists, by subset index, the positions in
-    ``points`` of the subset points of tuple j at test point x.  Nothing here
+    u_{i+1}.  ``columns[s]`` lists, for every tuple j and test point x in that
+    order, the position in ``points`` of subset s's point.  Nothing here
     depends on the polynomial, so every polynomial of one order shares it.
-    The last 32 results are kept, each at most ``budget * len(test_points)
-    * 2**order`` ids: the suite's three orders and two sides for a few groups.
     """
+    tuple_coords = tuple(u.coords for u in elems)
+    point_coords = tuple(x.coords for x in test_points)
+    key = (schema.n_coords, schema.law, order, tuple_coords, point_coords, budget, side)
+    hit = _DIFFERENCE_POINTS.get(key)
+    if hit is not None:
+        _DIFFERENCE_POINTS.move_to_end(key)
+        return hit
 
     law_mul = schema.law_mul
 
     def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return law_mul(b, a) if side == "left" else law_mul(a, b)
 
-    tuples = tuple(itertools.islice(itertools.product(elems, repeat=order), budget))
+    tuples = tuple(itertools.islice(itertools.product(tuple_coords, repeat=order), budget))
     index: dict[tuple[int, ...], int] = {}
-    ids = []
+    rows = []
     for tup in tuples:
         prods = [(0,) * schema.n_coords]
         for u in tup:
-            prods += [act(prod, u.coords) for prod in prods]
-        ids.append(
-            tuple(
-                tuple(index.setdefault(act(x.coords, p), len(index)) for p in prods)
-                for x in test_points
-            )
-        )
-    return tuples, tuple(ids), tuple(index)
+            prods += [act(prod, u) for prod in prods]
+        rows += [[index.setdefault(act(x, p), len(index)) for p in prods] for x in point_coords]
+    hit = _DIFFERENCE_POINTS[key] = (tuples, tuple(zip(*rows)), tuple(index))
+    if len(_DIFFERENCE_POINTS) > _DIFFERENCE_ENTRIES:
+        _DIFFERENCE_POINTS.popitem(last=False)
+    return hit
 
 
 def _iterated_difference_check(
@@ -189,23 +196,29 @@ def _iterated_difference_check(
 
     The subset points of ``_difference_points`` carry the sign
     (-1)^(order - r) for a subset of size r.  They are evaluated in one value
-    table, then the tuples are scanned in odometer order.
+    table and each sign's columns summed; the first tuple and point where the
+    two sums differ, in odometer order, is the witness.
     """
-    tuples, ids, points = _difference_points(
-        schema, order, tuple(elems), tuple(test_points), budget, side
+    tuples, columns, points = _difference_points(
+        schema, order, elems, test_points, budget, side
     )
     signs = [1 if order % 2 == 0 else -1]
     for _ in range(order):
         signs += [-s for s in signs]
     ((scale, values),) = _value_tables([f], points)
-    for checked, (tup, tup_ids) in enumerate(zip(tuples, ids), 1):
-        for x, point_ids in zip(test_points, tup_ids):
-            total = 0
-            for sign, i in zip(signs, point_ids):
-                total += sign * values[i]
-            if total:
-                return DerivativeCheck(False, order, checked, tup, x, Fraction(total, scale))
-    return DerivativeCheck(True, order, len(tuples))
+    size = len(tuples) * len(test_points)
+    sums = {1: [0] * size, -1: [0] * size}
+    for sign, ids in zip(signs, columns):
+        sums[sign] = [x + values[i] for x, i in zip(sums[sign], ids)]
+    plus, minus = sums[1], sums[-1]
+    if plus == minus:
+        return DerivativeCheck(True, order, len(tuples))
+    i = next(i for i, (a, b) in enumerate(zip(plus, minus)) if a != b)
+    j, x = divmod(i, len(test_points))
+    witness = tuple(GroupElement(c) for c in tuples[j])
+    return DerivativeCheck(
+        False, order, j + 1, witness, test_points[x], Fraction(plus[i] - minus[i], scale)
+    )
 
 
 def check_derivative_vanishing(
@@ -224,7 +237,8 @@ def check_derivative_vanishing(
     """
     elems = ball(schema, support, depth)
     if test_points is None:
-        test_points = _default_test_points(schema, support, depth)
+        # the first three points of the radius-min(depth, 2) ball
+        test_points = elems[:3] if depth <= 2 else ball(schema, support, 2)[:3]
     return _iterated_difference_check(schema, f, k + 1, elems, test_points, budget, "left")
 
 
@@ -245,7 +259,7 @@ def check_left_right_agreement(
     """Left and right (k+1)-fold difference checks must agree on the same sample."""
     support = standard_generators(schema)
     elems = ball(schema, support, depth)
-    points = _default_test_points(schema, support, depth)
+    points = elems[:3] if depth <= 2 else ball(schema, support, 2)[:3]
     left = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "left")
     right = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "right")
     return AgreementCheck(left.passed == right.passed, left, right)

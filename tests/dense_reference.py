@@ -28,17 +28,36 @@ sorts the terms again after ``str`` did.
 ``mul_coords`` and ``inv_coords`` are the group law as a loop over the
 schema's ``(t, p, q)`` terms, before each schema compiled its law into
 straight-line code.
+
+``value_tables``, ``check_harmonic_batch``, ``difference_points`` and
+``iterated_difference_check`` are the brute-force oracles as they ran before
+their tables were built column by column: every monomial value is a product
+of powers at each point, every polynomial and every mean-value sum is a
+Python loop over the points, and every iterated difference is a signed sum
+over the subsets of one tuple at one point.  ``associativity_witness`` is the
+suite's scan of all triples, two law products per triple, and
+``symmetric_form`` is its half-sum of second differences in ``Polynomial``
+arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple, Sequence
+from math import lcm
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from nilharmonic.groups import GroupElement, GroupSchema
+from nilharmonic.groups import GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
-from nilharmonic.polynomials import AffineForm, Monomial, Polynomial, _translation_forms
+from nilharmonic.polynomials import (
+    AffineForm,
+    Monomial,
+    Polynomial,
+    _translation_forms,
+    translate_right,
+)
+from nilharmonic.verify import DerivativeCheck, HarmonicCheck
 
 Grid = list[list[Fraction]]
 
@@ -346,3 +365,137 @@ def inv_coords(schema: GroupSchema, a: tuple[int, ...]) -> tuple[int, ...]:
     for t, p, q in schema.law:
         out[t] -= a[p] * out[q]
     return tuple(out)
+
+
+# -- the brute-force oracles as point-by-point loops -----------------------------
+
+
+def value_tables(
+    polys: Sequence[Polynomial], points: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, list[int]]]:
+    """(den, [den * p(x) for x in points]) per polynomial: each monomial column
+    a product of powers at every point, each polynomial a sum of columns."""
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for exps in sorted({e for p in polys for e in p.ints}):
+        powers = [(t, e) for t, e in enumerate(exps) if e]
+        col = []
+        for c in points:
+            v = 1
+            for t, e in powers:
+                v *= c[t] ** e
+            col.append(v)
+        columns[exps] = col
+    for p in polys:
+        values = [0] * len(points)
+        for exps, c in p.ints.items():
+            values = [x + c * v for x, v in zip(values, columns[exps])]
+        yield p.den, values
+
+
+def check_harmonic_batch(
+    schema: GroupSchema, measure: Measure, polys: Sequence[Polynomial], radius: int
+) -> list[HarmonicCheck]:
+    """The mean-value check, one centre and one atom at a time."""
+    atoms = list(measure.atoms.items())
+    weight_scale = lcm(*(w.denominator for _, w in atoms))
+    int_weights = [int(w * weight_scale) for _, w in atoms]
+    centers = [g.coords for g in ball(schema, measure.support(), radius)]
+    index: dict[tuple[int, ...], int] = {}
+    center_ids = [index.setdefault(c, len(index)) for c in centers]
+    shifted_ids = [
+        [index.setdefault(schema.law_mul(c, s.coords), len(index)) for s, _ in atoms]
+        for c in centers
+    ]
+    results = []
+    for scale, values in value_tables(polys, list(index)):
+        result = HarmonicCheck(True, len(centers))
+        for ci, (gid, sids) in enumerate(zip(center_ids, shifted_ids)):
+            rhs = 0
+            for sid, w in zip(sids, int_weights):
+                rhs += w * values[sid]
+            if weight_scale * values[gid] != rhs:
+                exact = Fraction(values[gid], scale), Fraction(rhs, weight_scale * scale)
+                result = HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact)
+                break
+        results.append(result)
+    return results
+
+
+def difference_points(
+    schema: GroupSchema,
+    order: int,
+    elems: Sequence[GroupElement],
+    test_points: Sequence[GroupElement],
+    budget: int,
+    side: str,
+) -> tuple[list, list, list]:
+    """The budgeted tuples, ``ids[j][x]`` listing by subset index the point ids
+    of tuple j at test point x, and the interned points."""
+    law_mul = schema.law_mul
+
+    def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return law_mul(b, a) if side == "left" else law_mul(a, b)
+
+    tuples = list(itertools.islice(itertools.product(elems, repeat=order), budget))
+    index: dict[tuple[int, ...], int] = {}
+    ids = []
+    for tup in tuples:
+        prods = [(0,) * schema.n_coords]
+        for u in tup:
+            prods += [act(prod, u.coords) for prod in prods]
+        ids.append(
+            [[index.setdefault(act(x.coords, p), len(index)) for p in prods] for x in test_points]
+        )
+    return tuples, ids, list(index)
+
+
+def iterated_difference_check(
+    schema: GroupSchema,
+    f: Polynomial,
+    order: int,
+    elems: Sequence[GroupElement],
+    test_points: Sequence[GroupElement],
+    budget: int,
+    side: str,
+) -> DerivativeCheck:
+    """Each order-fold difference as a signed sum over 2**order subset points."""
+    tuples, ids, points = difference_points(schema, order, elems, test_points, budget, side)
+    signs = [1 if order % 2 == 0 else -1]
+    for _ in range(order):
+        signs += [-s for s in signs]
+    ((scale, values),) = value_tables([f], points)
+    for checked, (tup, tup_ids) in enumerate(zip(tuples, ids), 1):
+        for x, point_ids in zip(test_points, tup_ids):
+            total = 0
+            for sign, i in zip(signs, point_ids):
+                total += sign * values[i]
+            if total:
+                return DerivativeCheck(False, order, checked, tuple(tup), x, Fraction(total, scale))
+    return DerivativeCheck(True, order, len(tuples))
+
+
+def associativity_witness(
+    schema: GroupSchema, coords: Sequence[tuple[int, ...]]
+) -> tuple[int, int, int] | None:
+    """The first (i, j, m) in lexicographic order with (a_i a_j) a_m != a_i (a_j a_m)."""
+    law_mul = schema.law_mul
+    ab = [[law_mul(a, b) for b in coords] for a in coords]
+    return next(
+        (
+            (i, j, m)
+            for i, j in itertools.product(range(len(coords)), repeat=2)
+            for m, c in enumerate(coords)
+            if law_mul(ab[i][j], c) != law_mul(coords[i], ab[j][m])
+        ),
+        None,
+    )
+
+
+def symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
+    """sum_s mu(s)/2 (2p - p(x s) - p(x s^-1)), one polynomial operation at a time."""
+    half = Fraction(1, 2)
+    alt = Polynomial.zero(p.schema)
+    for s, w in measure.atoms.items():
+        second = p * 2 - translate_right(p, s) - translate_right(p, inv(p.schema, s))
+        alt = alt + second * (w * half)
+    return alt

@@ -75,6 +75,29 @@ def test_dims_counts_without_enumerating(tmp_path, capsys, monkeypatch):
     assert all([m.end() for m in re.finditer(r"\S+", row)] == column_ends for row in rows)
 
 
+@pytest.mark.parametrize("k", [cli.MAX_DIMS_ROWS, 1_000_000_000])
+def test_oversized_dims_degree_exits_one(configs, capsys, monkeypatch, k):
+    # the count takes O(k) memory, so a degree past the row limit is refused
+    # before it starts: one error line and exit 1, not a MemoryError traceback
+    def no_count(schema, k):
+        raise AssertionError("the dimensions were counted")
+
+    monkeypatch.setattr(cli, "dim_pk_table", no_count)
+    code, out, err = run(capsys, ["dims", "--group", configs["h3"], "--k", str(k)])
+    assert code == 1 and not out
+    assert err == (
+        f"error: --k {k} would make {k + 1} rows, more than the limit of {cli.MAX_DIMS_ROWS}\n"
+    )
+
+
+def test_dims_at_a_lowered_row_limit(configs, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DIMS_ROWS", 3)
+    code, out, err = run(capsys, ["dims", "--group", configs["h3"], "--k", "2"])
+    assert code == 0 and not err and out.splitlines()[-1].split() == ["2", "7", "6"]
+    code, out, err = run(capsys, ["dims", "--group", configs["h3"], "--k", "3"])
+    assert code == 1 and not out and "more than the limit of 3" in err
+
+
 def test_dims_json_and_determinism(configs, capsys):
     out_path = str(configs["dir"] / "dims.json")
     code, out1, _ = run(capsys, ["dims", "--group", configs["h3"], "--k", "4", "--json", out_path])
@@ -366,7 +389,7 @@ def test_oracle_radius_above_a_lowered_ball_cap_exits_one(configs, capsys, monke
         raise AssertionError("the run started its work")
 
     monkeypatch.setattr(cli, "harmonic_basis", no_work)
-    monkeypatch.setattr(suite, "ball", no_work)
+    monkeypatch.setattr(suite, "standard_generators", no_work)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     args = ["--k", "2", "--radius", "4"] + (["--verify"] if command == "harmonic" else [])
     code, out, err = run(

@@ -31,6 +31,7 @@ from nilharmonic.polynomials import (
     translate_left,
     translate_right,
 )
+from nilharmonic.laplacian import apply_laplacian, lazy_generator_walk
 from nilharmonic.serialize import polynomial_to_obj
 
 # dense_reference.py holds the Fraction composition the integer one replaced
@@ -310,6 +311,17 @@ def test_stored_images_are_not_modified_by_their_readers():
         translate_left(q, u)
     assert {e: entry.images[e] for e in images} == images
     assert translate_left(p, u) == first
+    # the Laplacian reads the right translates by the atoms from the same memo
+    mu = lazy_generator_walk(H3, Fraction(1, 3))
+    delta = apply_laplacian(mu, p)
+    entries = [memo.lookup(H3, s, "right") for s in mu.atoms]
+    stored = [{e: dict(image) for e, image in entry.images.items()} for entry in entries]
+    assert all(stored)
+    for q in (p, first, first * p, -p, delta):
+        apply_laplacian(mu, q)
+    for entry, images in zip(entries, stored):
+        assert {e: entry.images[e] for e in images} == images
+    assert apply_laplacian(mu, p) == delta == dense.apply_laplacian(mu, p)
 
 
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)

@@ -1,18 +1,30 @@
 """The invariant suite: pinned records, a broken group law, warm and cold memos."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
+import nilharmonic.polynomials as polynomials
 import nilharmonic.suite as suite
 from nilharmonic.errors import ValidationError
-from nilharmonic.groups import heisenberg, lattice, unitriangular
-from nilharmonic.laplacian import _pair_columns, generator_walk, laplacian_matrix
+from nilharmonic.groups import element, heisenberg, lattice, unitriangular
+from nilharmonic.laplacian import (
+    Measure,
+    _pair_columns,
+    generator_walk,
+    laplacian_matrix,
+    solve_preimage,
+)
 from nilharmonic.polynomials import _TRANSLATIONS
+from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import run_invariant_suite
-from nilharmonic.verify import _difference_points
+from nilharmonic.verify import _DIFFERENCE_POINTS
+
+# dense_reference.py holds the Fraction-dict Laplacian the integer one replaced
+import dense_reference as dense  # noqa: E402
 
 H3 = heisenberg(1)
 U4 = unitriangular(4)
@@ -66,11 +78,12 @@ def test_suite_records_are_pinned(schema, pinned):
 )
 def test_oversized_degree_is_refused_before_any_check(monkeypatch, k, limit, shape):
     # the matrix of the largest degree is checked first, so the run fails as a
-    # bad input, not as failed checks after every smaller degree was built
+    # bad input, not as failed checks after every smaller degree was built; the
+    # checks start from the generators of the suite's Cayley ball
     def no_work(*args):
         raise AssertionError("the suite started its checks")
 
-    monkeypatch.setattr(suite, "ball", no_work)
+    monkeypatch.setattr(suite, "standard_generators", no_work)
     if limit is not None:
         monkeypatch.setattr(laplacian, "MAX_MATRIX_CELLS", limit)
     with pytest.raises(ValidationError, match=f"degree-{k} .* {shape}, more than the limit"):
@@ -82,7 +95,7 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch
     def no_work(*args):
         raise AssertionError("the suite started its checks")
 
-    for name in ("ball", "laplacian_matrix", "check_harmonic_batch"):
+    for name in ("standard_generators", "laplacian_matrix", "check_harmonic_batch"):
         monkeypatch.setattr(suite, name, no_work)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
@@ -104,10 +117,41 @@ def test_broken_law_fails_the_group_checks():
     ]
 
 
-def test_warm_and_cold_memos_give_identical_records():
+# a measure with an identity atom and the pair {s, s^-1}, s = x*y, next to the
+# generators, and a target with rational coefficients
+MU_PAIRS = Measure(
+    H3,
+    [(element(H3, c), w) for c, w in [
+        ((-1, 0, 0), Fraction(1, 8)), ((0, -1, 0), Fraction(1, 8)), ((0, 1, 0), Fraction(1, 8)),
+        ((1, 0, 0), Fraction(1, 8)), ((1, 1, 0), Fraction(1, 8)), ((-1, -1, 1), Fraction(1, 8)),
+        ((0, 0, 0), Fraction(1, 4)),
+    ]],
+)
+TARGETS = ["3/2*x*y - z + 1/3", "x^2*y - 5/7*z^2 + y", "x^3 + 2*y*z"]
+
+
+def preimages():
+    return [solve_preimage(H3, MU_PAIRS, parse_polynomial(H3, q)) for q in TARGETS]
+
+
+def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_TRANSLATIONS.clear, _difference_points.cache_clear,
+    for clear in (_TRANSLATIONS.clear, _DIFFERENCE_POINTS.clear,
                   _pair_columns.cache_clear, laplacian_matrix.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
+    # solve_preimage checks its answer through apply_laplacian, which reads and
+    # stores the translation memo's images: cold, warm, and with room for
+    # fewer image terms than one call stores (each stores 200 to 440)
+    _TRANSLATIONS.clear()
+    cold = preimages()
+    for p, q in zip(cold, TARGETS):
+        assert dense.apply_laplacian(MU_PAIRS, p) == parse_polynomial(H3, q)
+    stored = _TRANSLATIONS.terms
+    assert stored > 0 and preimages() == cold and _TRANSLATIONS.terms == stored
+    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", 30)
+    for _ in range(2):
+        _TRANSLATIONS.clear()
+        assert preimages() == cold
+        assert 0 < _TRANSLATIONS.terms <= 30
