@@ -33,7 +33,7 @@ from .polynomials import (
     _from_fractions,
     _from_ints,
     dim_pk,
-    monomial_translates,
+    graded_images,
     pk_basis,
     translate_left,
 )
@@ -152,10 +152,9 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     Integer: with p = P / a for its integer numerators P and denominator a,
     and b the lcm of the weights' denominators, a b Delta p = sum_s (b mu(s))
     (P - P(x s)), as mu has mass 1.  That sum is accumulated in ints, one
-    atom at a time over the integer right translates of p's monomials, and
-    the result is normalized over a b once.  The translates come from the
-    bounded translation memo, apart from the matrix assembly's per-sweep
-    images, which the suite checks against this path.
+    atom at a time over the memoized right translates of p's monomials, and
+    the result is normalized over a b once.  The suite checks the matrix
+    assembly, which sweeps its own translates, against this path.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")
@@ -186,36 +185,26 @@ def _pair_columns(
     """Integer columns of m -> 2m - m(x s) - m(x s^-1) over the degree-k basis.
 
     One column per monomial of pk_basis(schema, k), as (row, coefficient)
-    pairs over pk_basis(schema, k - 2); each second difference drops the
-    degree by 2.  Callers pass the member of {s, s^-1} with the smaller
-    coordinates.  The last 128 are memoized (a raised error is not); code
-    that patches ``monomial_translates`` must call ``cache_clear``.
+    pairs over pk_basis(schema, k - 2), its graded prefix; each second
+    difference drops the degree by 2.  Callers pass the member of
+    {s, s^-1} with the smaller coordinates.  The last 128 are memoized (a
+    raised error is not); code that patches ``graded_images`` must call
+    ``cache_clear``.
     """
-    domain = [m.exponents for m in pk_basis(schema, k)]
-    index = {m.exponents: i for i, m in enumerate(pk_basis(schema, k - 2))}
+    n_rows = dim_pk(schema, k - 2)
     s_inv = GroupElement(inv_coords(schema, s.coords))
     columns = []
-    for mono, *images in zip(
-        domain,
-        monomial_translates(schema, s, "right", domain),
-        monomial_translates(schema, s_inv, "right", domain),
-    ):
-        column = {mono: 2}
-        for image in images:
-            for exps, c in image.items():
-                column[exps] = column.get(exps, 0) - c
-        entries = []
-        for exps, c in column.items():
-            if not c:
-                continue
-            i = index.get(exps)
-            if i is None:
-                raise InternalInconsistency(
-                    f"Laplacian image of {mono} contains out-of-range "
-                    f"monomial {exps}"
-                )
-            entries.append((i, c))
-        columns.append(tuple(entries))
+    images = zip(graded_images(schema, s, "right", k), graded_images(schema, s_inv, "right", k))
+    for i, pair in enumerate(images):
+        column = {i: 2}
+        for image in pair:
+            for j, c in image.items():
+                column[j] = column.get(j, 0) - c
+        entries = tuple((j, c) for j, c in column.items() if c)
+        if entries and max(entries)[0] >= n_rows:
+            mono = pk_basis(schema, k)[i].exponents
+            raise InternalInconsistency(f"Laplacian image of {mono} has an out-of-range term")
+        columns.append(entries)
     return tuple(columns)
 
 

@@ -21,16 +21,16 @@ Translations x -> p(u x) and x -> p(x u) are computed by composition.  The
 group law is a list of bilinear terms (t, p, q), so each coordinate of u x
 and of x u is an affine form L_t(x) = c_t + sum_i a_{t,i} x_i with integer
 coefficients, read off that list, and a monomial x^a translates to
-prod_t L_t^{a_t}, an integer polynomial.  The same substitution, with
-linear forms taken from a matrix, restricts polynomials on abelian groups
-to sublattices.
-
-The translations share one memo, an LRU keyed by (schema, u, side): each
-entry holds the affine forms and the monomial images found so far, which
-later translations by the same element reuse.  It is bounded twice: at
-most ``_TRANSLATION_ENTRIES`` entries, and at most ``_IMAGE_TERMS`` image
-terms stored over all of them; past the second bound images are computed
-and not stored, and the results are the same either way.
+prod_t L_t^{a_t}, an integer polynomial, built as L_t times the image of
+x^a / x_t for t the first non-zero coordinate.  The same substitution,
+with linear forms taken from a matrix, restricts polynomials on abelian
+groups to sublattices.  Polynomial translations share one LRU memo keyed by
+(schema, u, side), whose entries hold the forms and the monomial images
+found so far; it holds at most ``_TRANSLATION_ENTRIES`` entries and
+``_IMAGE_TERMS`` image terms, past which images are computed and not
+stored, with the same results.  The Laplacian matrix translates whole bases
+by ``graded_images``, which runs the recursion on the basis indices of
+``graded_index`` and stores no image.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -47,11 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_int, mul_coords
 from .linalg import RationalMatrix
@@ -70,39 +70,53 @@ class Monomial:
         return sum(w * e for w, e in zip(schema.weights, self.exponents))
 
 
-def monomial_sort_key(schema: GroupSchema, m: Monomial) -> tuple:
-    """Graded order: weighted degree, then exponent-lexicographic descending."""
-    return (m.weighted_degree(schema), tuple(-e for e in m.exponents))
+# The bound of the basis and graded index memos.  The largest basis that a
+# Laplacian matrix admits is lattice(29) at k = 4, 40,920 monomials; measured
+# with tracemalloc it takes 15 MB and its index 14 MB.  A verify benchmark run
+# reads 21 bases and 15 indices, 41 kB together.
+_GRADED_BASES = 32
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRADED_BASES)
 def _pk_basis_cached(schema: GroupSchema, k: int) -> tuple[Monomial, ...]:
+    # degree by degree: m != 1 is m' x_v for v its first non-zero coordinate
     if k < 0:
         return ()
-    n = schema.n_coords
     weights = schema.weights
-    out: list[tuple[int, ...]] = []
-    exps = [0] * n
-
-    def rec(i: int, budget: int) -> None:
-        if i == n:
-            out.append(tuple(exps))
-            return
-        w = weights[i]
-        for e in range(budget // w + 1):
-            exps[i] = e
-            rec(i + 1, budget - e * w)
-        exps[i] = 0
-
-    rec(0, k)
-    monos = [Monomial(t) for t in out]
-    monos.sort(key=lambda m: monomial_sort_key(schema, m))
-    return tuple(monos)
+    levels = [[(0,) * schema.n_coords]]
+    for d in range(1, k + 1):
+        level = []
+        for v, w in enumerate(weights):
+            if w <= d:
+                level += [e[:v] + (e[v] + 1,) + e[v + 1:] for e in levels[d - w] if not any(e[:v])]
+        levels.append(sorted(level, reverse=True))
+    return tuple(Monomial(e) for level in levels for e in level)
 
 
 def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
     """All monomials of weighted degree <= k, in graded order; empty for k < 0."""
     return list(_pk_basis_cached(schema, k))
+
+
+@lru_cache(maxsize=_GRADED_BASES)
+def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
+    """(steps, up) on the indices of pk_basis(schema, k), k >= 0.
+
+    steps[i - 1] = (parent, t) for m_i = m_parent x_t, t the first non-zero
+    coordinate of m_i; up[v][j] is the index of m_j x_v, or the basis size
+    past degree k.  pk_basis(schema, k - 2) is the graded prefix of this
+    basis, so an index below its size names the same monomial in both.
+    """
+    basis = [m.exponents for m in _pk_basis_cached(schema, k)]
+    size = len(basis)  # one int object for every miss
+    index = {e: i for i, e in enumerate(basis)}
+    up = tuple([index.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
+               for v in range(schema.n_coords))
+    steps = []
+    for e in basis[1:]:
+        t = next(v for v, x in enumerate(e) if x)
+        steps.append((index[e[:t] + (e[t] - 1,) + e[t + 1:]], t))
+    return tuple(steps), up
 
 
 def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
@@ -443,52 +457,16 @@ def _translation_forms(
     )
 
 
-def _times_affine(poly: IntTerms, form: AffineForm) -> IntTerms:
-    """The product of an integer polynomial, keyed by exponent vector, with a form."""
-    c, lin = form
-    out: IntTerms = {}
-    for exps, coeff in poly.items():
-        if c:
-            out[exps] = out.get(exps, 0) + c * coeff
-        for v, a in lin:
-            bumped = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
-            out[bumped] = out.get(bumped, 0) + a * coeff
-    return {exps: coeff for exps, coeff in out.items() if coeff}
-
-
-def _monomial_images(
-    forms: Sequence[AffineForm], keys: Iterable[Exponents]
-) -> Iterator[IntTerms]:
-    """Yield T(m) = prod_t L_t^{m_t} for each exponent vector m, as integer
-    coefficients keyed by exponent vector.
-
-    Images are memoized by T(x_t m') = L_t T(m'), where m' drops one power of
-    the first non-zero coordinate t of m; m' precedes m in graded order, so
-    a graded sweep builds each image with one affine product.  The memo
-    lives as long as this generator.
-    """
-    zero = (0,) * len(forms)
-    memo: dict[Exponents, IntTerms] = {zero: {zero: 1}}
-    for exps in keys:
-        chain = []
-        while exps not in memo:
-            t = next(i for i, e in enumerate(exps) if e)
-            chain.append((exps, t))
-            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
-        image = memo[exps]
-        for exps, t in reversed(chain):
-            image = _times_affine(image, forms[t])
-            memo[exps] = image
-        yield image
-
-
 def _image(
-    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: int
+    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: float
 ) -> tuple[IntTerms, int]:
-    """T(x^exps), by the chain of ``_monomial_images`` from the longest part
-    already in ``memo`` or from the constant monomial, which T fixes, and
-    the number of image terms it stored in ``memo``: each new image on the
-    way is stored while the terms stored stay within ``room``.
+    """T(x^exps) = prod_t L_t^{exps_t}, and the number of image terms it
+    stored in ``memo``.
+
+    T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so the
+    image is a chain of affine products from the longest part already in
+    ``memo``, or from the constant monomial, which T fixes.  Each new image
+    on the way is stored while the terms stored stay within ``room``.
     """
     chain = []
     while exps not in memo:
@@ -502,23 +480,56 @@ def _image(
         image = memo[exps]
     stored = 0
     for exps, t in reversed(chain):
-        image = _times_affine(image, forms[t])
+        c, lin = forms[t]
+        out: IntTerms = {}
+        for e, coeff in image.items():
+            if c:
+                out[e] = out.get(e, 0) + c * coeff
+            for v, a in lin:
+                bumped = e[:v] + (e[v] + 1,) + e[v + 1:]
+                out[bumped] = out.get(bumped, 0) + a * coeff
+        image = {e: coeff for e, coeff in out.items() if coeff}
         if stored + len(image) <= room:
             memo[exps] = image
             stored += len(image)
     return image, stored
 
 
-def monomial_translates(
-    schema: GroupSchema, u: GroupElement, side: str, keys: Iterable[Exponents]
-) -> Iterator[IntTerms]:
-    """For each exponent vector m, the integer coefficients of x -> x^m(u x)
-    (side left) or x -> x^m(x u) (side right), keyed by exponent vector.
+def _monomial_images(forms: Sequence[AffineForm], keys: Iterable[Exponents]) -> Iterator[IntTerms]:
+    """T(m) for each exponent vector m in turn, keyed by exponent vector, from
+    one unbounded memo that lives as long as the returned generator."""
+    memo: dict[Exponents, IntTerms] = {}
+    return (_image(forms, memo, exps, inf)[0] for exps in keys)
 
-    The images are memoized for this sweep only; the translation memo keeps
-    the forms.  The dicts are shared with the memo and must not be modified.
-    """
-    return _monomial_images(_TRANSLATIONS.lookup(schema, u, side).forms, keys)
+
+def graded_images(
+    schema: GroupSchema, u: GroupElement, side: str, k: int
+) -> list[dict[int, int]]:
+    """The integer coefficients of x -> m(x u) (side right) or x -> m(u x)
+    (side left) for each m in pk_basis(schema, k), keyed by basis index:
+    the graded sweep of ``_image`` on the indices of ``graded_index``, with
+    no exponent vector built and no image stored.  A term past degree k,
+    which no valid law makes, raises InternalInconsistency."""
+    steps, up = graded_index(schema, k)
+    size = len(steps) + 1
+    forms = _TRANSLATIONS.lookup(schema, u, side).forms
+    lins = [[(up[v], a) for v, a in lin] for _, lin in forms]
+    images: list[dict[int, int]] = [{0: 1}]
+    for parent, t in steps:
+        c = forms[t][0]
+        out: dict[int, int] = {}
+        get = out.get
+        for j, coeff in images[parent].items():
+            if c:
+                out[j] = get(j, 0) + c * coeff
+            for row, a in lins[t]:
+                i = row[j]
+                out[i] = get(i, 0) + a * coeff
+        if size in out:
+            mono = _pk_basis_cached(schema, k)[len(images)].exponents
+            raise InternalInconsistency(f"translate of {mono} has an out-of-range term")
+        images.append({j: a for j, a in out.items() if a} if 0 in out.values() else out)
+    return images
 
 
 class _Translation:

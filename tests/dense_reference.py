@@ -19,6 +19,17 @@ they work on ``Fraction`` coefficients term by term, composition expands
 each monomial as a product of the affine forms, and the Laplacian sums one
 right translate per atom as a polynomial.
 
+``pk_basis`` is the graded basis as the library enumerated it before it
+built the basis degree by degree: every exponent vector within the degree
+bound, sorted by ``monomial_sort_key``.
+
+``monomial_translates`` and ``pair_columns`` are the Laplacian's pair
+columns as they were assembled before the translation sweep ran on graded
+basis indices: each image is keyed by exponent vector, every term is moved
+by building its exponent tuple, and the rows are found through a dict from
+exponent vector to index.  ``translated_pair_columns`` reads the same
+columns off ``translate``, one ``Fraction`` polynomial per monomial.
+
 ``terms_text``, ``polynomial_str`` and ``polynomial_to_obj`` are the
 polynomial text and JSON object as they were rendered before the library
 kept a per-schema memo of each monomial's sort key and factor text: every
@@ -47,13 +58,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
+from nilharmonic.errors import InternalInconsistency
 from nilharmonic.groups import GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
 from nilharmonic.polynomials import (
+    _TRANSLATIONS,
     AffineForm,
+    Exponents,
+    IntTerms,
     Monomial,
     Polynomial,
+    _monomial_images,
     _translation_forms,
     translate_right,
 )
@@ -298,6 +314,88 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     for s, w in measure.atoms.items():
         expected = plus(expected, times(translate(p, s, "right"), w))
     return plus(p, expected, -1)
+
+
+def monomial_sort_key(schema: GroupSchema, m: Monomial) -> tuple:
+    """Graded order: weighted degree, then exponent-lexicographic descending."""
+    return (m.weighted_degree(schema), tuple(-e for e in m.exponents))
+
+
+def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
+    """All monomials of weighted degree <= k, sorted into graded order."""
+    if k < 0:
+        return []
+    n, weights = schema.n_coords, schema.weights
+    out: list[tuple[int, ...]] = []
+    exps = [0] * n
+
+    def rec(i: int, budget: int) -> None:
+        if i == n:
+            out.append(tuple(exps))
+            return
+        for e in range(budget // weights[i] + 1):
+            exps[i] = e
+            rec(i + 1, budget - e * weights[i])
+        exps[i] = 0
+
+    rec(0, k)
+    return sorted((Monomial(t) for t in out), key=lambda m: monomial_sort_key(schema, m))
+
+
+def monomial_translates(
+    schema: GroupSchema, u: GroupElement, side: str, keys: Iterable[Exponents]
+) -> Iterator[IntTerms]:
+    """For each exponent vector m, the integer coefficients of x -> x^m(u x)
+    (side left) or x -> x^m(x u) (side right), keyed by exponent vector."""
+    return _monomial_images(_TRANSLATIONS.lookup(schema, u, side).forms, keys)
+
+
+def pair_columns(
+    schema: GroupSchema, s: GroupElement, k: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Integer columns of m -> 2m - m(x s) - m(x s^-1) over pk_basis(schema, k),
+    as (row, coefficient) pairs over pk_basis(schema, k - 2), from the
+    tuple-keyed sweep."""
+    domain = [m.exponents for m in pk_basis(schema, k)]
+    index = {m.exponents: i for i, m in enumerate(pk_basis(schema, k - 2))}
+    s_inv = GroupElement(inv_coords(schema, s.coords))
+    columns = []
+    for mono, *images in zip(
+        domain,
+        monomial_translates(schema, s, "right", domain),
+        monomial_translates(schema, s_inv, "right", domain),
+    ):
+        column = {mono: 2}
+        for image in images:
+            for exps, c in image.items():
+                column[exps] = column.get(exps, 0) - c
+        entries = []
+        for exps, c in column.items():
+            if not c:
+                continue
+            i = index.get(exps)
+            if i is None:
+                raise InternalInconsistency(f"out-of-range monomial {exps} in column {mono}")
+            entries.append((i, c))
+        columns.append(tuple(entries))
+    return tuple(columns)
+
+
+def translated_pair_columns(
+    schema: GroupSchema, s: GroupElement, k: int
+) -> list[dict[int, Fraction]]:
+    """The columns of ``pair_columns`` as {row: coefficient} dicts, each read
+    off 2m - translate(m, s) - translate(m, s^-1) in Fraction arithmetic."""
+    index = {m: i for i, m in enumerate(pk_basis(schema, k - 2))}
+    s_inv = GroupElement(inv_coords(schema, s.coords))
+    columns = []
+    for mono in pk_basis(schema, k):
+        m = Polynomial.from_monomial(schema, mono)
+        column = plus(times(m, 2), plus(translate(m, s, "right"), translate(m, s_inv, "right")), -1)
+        if any(c not in index for c in column.terms):
+            raise InternalInconsistency(f"out-of-range monomial in column {mono}")
+        columns.append({index[c]: v for c, v in column.terms.items()})
+    return columns
 
 
 def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:

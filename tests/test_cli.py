@@ -426,7 +426,11 @@ def test_unitriangular_walk_config_runs(tmp_path, capsys):
 #
 # The configs of the harmonic and preimage runs that CI repeats in two processes.
 # Their stdout and --json bytes are pinned by sha256, as the code before the
-# integer-row Laplacian and the memoized rendering wrote them.
+# integer-row Laplacian and the memoized rendering wrote them.  The
+# heisenberg(3) and unitriangular(5) runs reach larger degrees than the
+# benchmark; they are pinned as the tuple-keyed translation sweep wrote them.
+# The unitriangular(5) pair {s, s^-1} has non-zero coordinates of weight 2
+# to 4, so its translation forms have long linear parts.
 
 _H3_PAIRS = {"atoms": [
     {"coords": [-1, 0, 0], "weight": "1/8"}, {"coords": [0, -1, 0], "weight": "1/8"},
@@ -444,6 +448,13 @@ _U4_PAIRS = {"atoms": [
     {"coords": [0, 1, 0, 0, 0, 0], "weight": "1/9"},
     {"coords": [1, 0, 0, 0, 0, 0], "weight": "1/9"},
     {"coords": [1, 1, 0, 1, 0, 0], "weight": "1/12"},
+]}
+_U5_PAIRS = {"atoms": [
+    {"coords": [-1, 0, -1, -1, -2, 0, 2, 2, 0, -4], "weight": "1/12"},
+    *({"coords": [s if i == c else 0 for i in range(10)], "weight": "1/12"}
+      for c in range(4) for s in (1, -1)),
+    {"coords": [0] * 10, "weight": "1/6"},
+    {"coords": [1, 0, 1, 1, 2, 0, -1, 0, 0, 0], "weight": "1/12"},
 ]}
 
 PINNED_RUNS = {
@@ -463,6 +474,21 @@ PINNED_RUNS = {
         "633fad2897a3e29eda10f7b1991c4a00a62592688339772f5cbfa68ca41b8c80",
         "c268a3117842cb6d3ffb78d9fc3f05bc8898386373ebf2d9e5bf42752daa55fc",
     ),
+    "harmonic-h7-walk": (
+        ["harmonic", "--group", "{h7}", "--measure", "{h7_walk}", "--k", "6"],
+        "e077777d3eda83f67cae96ed9e6e738ff4a20887e8006bc7c77a35564536dd84",
+        "cbad986c35dc3e4678f2bc019a7e366f1f37c1db991ee19488f5b4476e5daab2",
+    ),
+    "harmonic-u5-pairs": (
+        ["harmonic", "--group", "{u5}", "--measure", "{u5_pairs}", "--k", "7"],
+        "ba91d352ec4ca1226e8d2cf3661767a85c6929c03d185674fdbbc75aaadee49c",
+        "daf7509fd408c8c98f758df688e13911695c976ce1e18266cb0d2116bc1b648e",
+    ),
+    "preimage-u5-pairs": (
+        ["preimage", "--group", "{u5}", "--measure", "{u5_pairs}", "{u5_target}"],
+        "7b1dc952f1b5f645a8df79f195bedc04125158d3807d91b0db2cadcfc9eedf07",
+        "95bd12361f74d9730f3c0f39e48c48c54c275e0a1015c98438807b4708ce92ee",
+    ),
 }
 
 
@@ -472,11 +498,18 @@ def test_cross_process_runs_are_pinned(tmp_path, capsys, name):
     for key, payload in (
         ("h3", {"family": "heisenberg", "n": 1}), ("pairs", _H3_PAIRS),
         ("u4", {"family": "unitriangular", "n": 4}), ("u4_pairs", _U4_PAIRS),
+        ("h7", {"family": "heisenberg", "n": 3}),
+        ("h7_walk", measure_to_config(generator_walk(heisenberg(3)))),
+        ("u5", {"family": "unitriangular", "n": 5}), ("u5_pairs", _U5_PAIRS),
     ):
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    paths["target"] = tmp_path / "target.txt"
-    paths["target"].write_text("3/2*x*y - z + 1/3\n", encoding="utf-8")
+    for key, text in (
+        ("target", "3/2*x*y - z + 1/3"),
+        ("u5_target", "2/3*a_12^2*a_23*a_34 - a_13*a_24 + 1/2*a_15 - 3*a_14*a_45 + 1/7"),
+    ):
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text + "\n", encoding="utf-8")
     argv, stdout_sha, json_sha = PINNED_RUNS[name]
     report = tmp_path / "report.json"
     argv = [a.format(**paths) for a in argv] + ["--json", str(report)]

@@ -556,14 +556,41 @@ def test_predicted_dimension_check_survives_the_memo(fresh_memo, monkeypatch):
 def test_out_of_range_image_is_not_memoized(fresh_memo, monkeypatch):
     from nilharmonic import laplacian
 
-    real = laplacian.monomial_translates
+    real = laplacian.graded_images
+    # H3 at k = 3: rows 0..2 are P^1, indices 3..12 the rest of P^3, and 13 is
+    # the sweep's index for a term past the basis
+    for stray_row in (3, 12, 13, 10**6):
+        def stray(schema, u, side, k, row=stray_row):
+            return [{**image, row: 1} for image in real(schema, u, side, k)]
 
-    def stray(schema, u, side, monomials):
-        for image in real(schema, u, side, monomials):
-            yield {**image, (0, 0, 9): 1}
+        monkeypatch.setattr(laplacian, "graded_images", stray)
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency, match="out-of-range"):
+                laplacian_matrix(H3, MU_H3, 3)
+        assert fresh_memo.cache_info().currsize == 0
+        assert _pair_columns.cache_info().currsize == 0
 
-    monkeypatch.setattr(laplacian, "monomial_translates", stray)
-    for _ in range(2):
+
+def test_translate_past_the_basis_is_not_memoized(fresh_memo, monkeypatch):
+    # a form of x that reads z (weight 2) maps x^3 to degree 4: the sweep's
+    # up table has no index for it, and the sweep refuses it
+    from nilharmonic import polynomials
+
+    real = polynomials._translation_forms
+
+    def heavy(schema, u, side):
+        (c, lin), *rest = real(schema, u, side)
+        return ((c, lin + ((2, 1),)), *rest)
+
+    monkeypatch.setattr(polynomials, "_translation_forms", heavy)
+    polynomials._TRANSLATIONS.clear()
+    try:
         with pytest.raises(InternalInconsistency, match="out-of-range"):
-            laplacian_matrix(H3, MU_H3, 3)
+            polynomials.graded_images(H3, basis_element(H3, 1, 1), "right", 3)
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency, match="out-of-range"):
+                laplacian_matrix(H3, MU_H3, 3)
+    finally:
+        polynomials._TRANSLATIONS.clear()
     assert fresh_memo.cache_info().currsize == 0
+    assert _pair_columns.cache_info().currsize == 0

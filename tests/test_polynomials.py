@@ -98,6 +98,18 @@ def test_counted_dim_equals_enumerated_basis(schema):
         assert dim_pk(schema, k) == len(pk_basis(schema, k))
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [lattice(1), lattice(4), H3, heisenberg(3), UT4, unitriangular(5), unitriangular(9)],
+    ids=str,
+)
+def test_basis_by_degree_equals_the_sorted_enumeration(schema):
+    # the degree-by-degree basis against every exponent vector within the
+    # bound, sorted by the graded key
+    for k in range(-1, 7):
+        assert pk_basis(schema, k) == dense.pk_basis(schema, k)
+
+
 def test_negative_degree_basis_is_empty():
     assert pk_basis(H3, -1) == []
     assert dim_pk(Z2, -3) == 0

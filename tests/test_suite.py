@@ -18,7 +18,7 @@ from nilharmonic.laplacian import (
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _TRANSLATIONS
+from nilharmonic.polynomials import _TRANSLATIONS, _pk_basis_cached, graded_index
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import run_invariant_suite
 from nilharmonic.verify import _DIFFERENCE_POINTS
@@ -137,8 +137,9 @@ def preimages():
 def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_TRANSLATIONS.clear, _DIFFERENCE_POINTS.clear,
-                  _pair_columns.cache_clear, laplacian_matrix.cache_clear):
+    for clear in (_TRANSLATIONS.clear, _DIFFERENCE_POINTS.clear, _pk_basis_cached.cache_clear,
+                  graded_index.cache_clear, _pair_columns.cache_clear,
+                  laplacian_matrix.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
     # solve_preimage checks its answer through apply_laplacian, which reads and
