@@ -430,7 +430,9 @@ def test_unitriangular_walk_config_runs(tmp_path, capsys):
 # heisenberg(3) and unitriangular(5) runs reach larger degrees than the
 # benchmark; they are pinned as the tuple-keyed translation sweep wrote them.
 # The unitriangular(5) pair {s, s^-1} has non-zero coordinates of weight 2
-# to 4, so its translation forms have long linear parts.
+# to 4, so its translation forms have long linear parts.  The two verify runs
+# are pinned as the suite wrote them when it ran its group and polynomial
+# checks once per measure, before their records were cached per group.
 
 _H3_PAIRS = {"atoms": [
     {"coords": [-1, 0, 0], "weight": "1/8"}, {"coords": [0, -1, 0], "weight": "1/8"},
@@ -483,6 +485,16 @@ PINNED_RUNS = {
         ["harmonic", "--group", "{u5}", "--measure", "{u5_pairs}", "--k", "7"],
         "ba91d352ec4ca1226e8d2cf3661767a85c6929c03d185674fdbbc75aaadee49c",
         "daf7509fd408c8c98f758df688e13911695c976ce1e18266cb0d2116bc1b648e",
+    ),
+    "verify-h3-pairs": (
+        ["verify", "--group", "{h3}", "--measure", "{pairs}", "--k", "5", "--radius", "3"],
+        "1399c370e463e99ee6a21ed089826149f968f6107f181a627c65111dc21c2c5d",
+        "baf68179db40ee1cab9ed4514c9204e213f5726544817eb5e5e7b550e46b7f87",
+    ),
+    "verify-u4-pairs": (
+        ["verify", "--group", "{u4}", "--measure", "{u4_pairs}", "--k", "4", "--radius", "2"],
+        "0ccf703e8d1f461aab156d63d71575b10ef53a8cc4690165a8a5651285b62491",
+        "b98c314bce5979f4ce2a958bb810d1eba7cf81da1fd15b3461fddbafc73be188",
     ),
     "preimage-u5-pairs": (
         ["preimage", "--group", "{u5}", "--measure", "{u5_pairs}", "{u5_target}"],

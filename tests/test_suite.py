@@ -1,4 +1,5 @@
-"""The invariant suite: pinned records, a broken group law, warm and cold memos."""
+"""The invariant suite: pinned records, a broken group law, bad inputs, warm
+and cold memos, and the group records memoized per group."""
 
 import dataclasses
 from fractions import Fraction
@@ -20,7 +21,7 @@ from nilharmonic.laplacian import (
 )
 from nilharmonic.polynomials import _TRANSLATIONS, _pk_basis_cached, graded_index
 from nilharmonic.serialize import parse_polynomial
-from nilharmonic.suite import run_invariant_suite
+from nilharmonic.suite import _group_records, run_invariant_suite
 from nilharmonic.verify import _DIFFERENCE_POINTS
 
 # dense_reference.py holds the Fraction-dict Laplacian the integer one replaced
@@ -30,8 +31,8 @@ H3 = heisenberg(1)
 U4 = unitriangular(4)
 
 
-def records(schema, k, radius):
-    suite = run_invariant_suite(schema, generator_walk(schema), k, radius)
+def records(schema, k, radius, budget=300):
+    suite = run_invariant_suite(schema, generator_walk(schema), k, radius, budget)
     return [(r.name, r.passed, r.detail) for r in suite]
 
 
@@ -102,6 +103,83 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch
         run_invariant_suite(H3, generator_walk(H3), 4, 4)
 
 
+def no_checks(monkeypatch):
+    """Make any check or group-record lookup of the suite fail the test."""
+    def no_work(*args):
+        raise AssertionError("the suite started its checks")
+
+    for name in ("_group_records", "standard_generators", "laplacian_matrix", "matrix_shape"):
+        monkeypatch.setattr(suite, name, no_work)
+
+
+def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
+    no_checks(monkeypatch)
+    for schema, measure in ((H3, generator_walk(lattice(3))), (U4, generator_walk(H3))):
+        with pytest.raises(ValidationError, match="measure belongs to a different schema"):
+            run_invariant_suite(schema, measure, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "k, radius, message",
+    [(-1, 1, "k_max must be non-negative, got -1"), (2, -1, "radius must be non-negative"),
+     (True, 1, "k_max must be an int, got True"), (2, False, "radius must be an int"),
+     (2.0, 1, "k_max must be an int, got 2.0"), (2, Fraction(1), "radius must be an int")],
+)
+def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius, message):
+    no_checks(monkeypatch)
+    with pytest.raises(ValidationError, match=message):
+        run_invariant_suite(H3, generator_walk(H3), k, radius)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [(0, "budget must be positive, got 0"), (-1, "budget must be positive, got -1"),
+     (2.5, "budget must be an int, got 2.5"), (True, "budget must be an int, got True")],
+)
+def test_bad_budget_is_refused_before_any_check(monkeypatch, budget, message):
+    no_checks(monkeypatch)
+    with pytest.raises(ValidationError, match=message):
+        run_invariant_suite(H3, generator_walk(H3), 2, 1, budget=budget)
+
+
+def details(schema, k, budget=300):
+    return {name: detail for name, _, detail in records(schema, k, 1, budget)}
+
+
+def test_group_records_are_keyed_on_degree_and_budget():
+    _group_records.cache_clear()
+    low, high = details(H3, 1), details(H3, 4)
+    assert low["poly.interpolation_soundness"] == low["poly.degree_reduction"] == "degree <= 1"
+    assert high["poly.interpolation_soundness"] == "degree <= 2"
+    assert high["poly.degree_reduction"] == "degree <= 4"
+    assert details(H3, 2, budget=5)["poly.cocycle_identity"] == "5 pairs"
+    assert details(H3, 2, budget=300)["poly.cocycle_identity"] == "25 pairs"
+    # degrees past 4 read the same group records as degree 4
+    misses = _group_records.cache_info().misses
+    top = details(H3, 5)
+    assert all(top[name] == high[name] for name in high if not name.startswith("laplacian."))
+    assert _group_records.cache_info().misses == misses
+
+
+def test_a_renamed_schema_gets_its_own_group_records():
+    renamed = dataclasses.replace(H3, coord_names=("a", "b", "c"))
+    records(H3, 2, 1)
+    misses = _group_records.cache_info().misses
+    assert records(renamed, 2, 1) == records(H3, 2, 1)
+    assert _group_records.cache_info().misses == misses + 1
+
+
+def test_the_measure_half_is_never_memoized(monkeypatch):
+    # a Laplacian that returns its argument, after the group records are warm
+    records(H3, 4, 3)
+    monkeypatch.setattr(suite, "apply_laplacian", lambda measure, p: p)
+    failed = {name for name, passed, _ in records(H3, 4, 3) if not passed}
+    assert failed == {
+        "laplacian.surjectivity[k=2]", "laplacian.surjectivity[k=3]",
+        "laplacian.surjectivity[k=4]", "laplacian.symmetric_form",
+    }
+
+
 def test_broken_law_fails_the_group_checks():
     broken = dataclasses.replace(U4, law=U4.law[:-1])
     failed = [r for r in records(broken, 2, 1) if not r[1]]
@@ -139,7 +217,7 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     assert records(H3, 4, 3) == first
     for clear in (_TRANSLATIONS.clear, _DIFFERENCE_POINTS.clear, _pk_basis_cached.cache_clear,
                   graded_index.cache_clear, _pair_columns.cache_clear,
-                  laplacian_matrix.cache_clear):
+                  laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
     # solve_preimage checks its answer through apply_laplacian, which reads and
