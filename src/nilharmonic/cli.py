@@ -177,32 +177,39 @@ def cmd_preimage(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
-    measure = _load_measure(schema, args.measure)
-    if args.k < 0 or args.radius < 0:
-        raise ValidationError("--k and --radius must be non-negative")
-    records = run_invariant_suite(schema, measure, args.k, args.radius)
-    lines = [f"group: {schema.name()}", f"measure: {len(measure.atoms)} atoms"]
-    for rec in records:
-        status = "ok  " if rec.passed else "FAIL"
-        detail = f" - {rec.detail}" if rec.detail else ""
-        lines.append(f"{status} {rec.name}{detail}")
-    n_pass = sum(1 for r in records if r.passed)
-    lines.append(f"result: {n_pass}/{len(records)} checks passed")
-    print("\n".join(lines))
-    if args.json:
-        _write_json(
-            args.json,
+    measures = [_load_measure(schema, path) for path in args.measure]
+    # the suite memoizes its group and polynomial records per group, so they
+    # are checked once for all the measures; the Laplacian checks run for each
+    runs = [run_invariant_suite(schema, m, args.k, args.radius) for m in measures]
+    lines = [f"group: {schema.name()}"]
+    reports = []
+    for measure, records in zip(measures, runs):
+        lines.append(f"measure: {len(measure.atoms)} atoms")
+        for rec in records:
+            status = "ok  " if rec.passed else "FAIL"
+            detail = f" - {rec.detail}" if rec.detail else ""
+            lines.append(f"{status} {rec.name}{detail}")
+        n_pass = sum(1 for r in records if r.passed)
+        lines.append(f"result: {n_pass}/{len(records)} checks passed")
+        reports.append(
             {
-                "group": schema_to_config(schema),
                 "measure": measure_to_config(measure),
                 "checks": [
                     {"name": r.name, "passed": r.passed, "detail": r.detail}
                     for r in records
                 ],
                 "passed": n_pass == len(records),
-            },
+            }
         )
-    return EXIT_OK if n_pass == len(records) else EXIT_INVARIANT
+    print("\n".join(lines))
+    passed = all(report["passed"] for report in reports)
+    if args.json:
+        group = {"group": schema_to_config(schema)}
+        if len(reports) == 1:
+            _write_json(args.json, {**group, **reports[0]})
+        else:
+            _write_json(args.json, {**group, "runs": reports, "passed": passed})
+    return EXIT_OK if passed else EXIT_INVARIANT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the module invariant suite")
     ver.add_argument("--group", required=True, help="group config file (JSON)")
-    ver.add_argument("--measure", required=True, help="measure config file (JSON)")
+    ver.add_argument(
+        "--measure", required=True, nargs="+",
+        help="measure config file(s) (JSON); the suite runs once for each",
+    )
     ver.add_argument("--k", type=int, default=4, help="maximum degree (default 4)")
     ver.add_argument("--radius", type=int, default=4, help="oracle ball radius (default 4)")
     ver.add_argument("--json", help="also write a JSON report to this path")

@@ -7,9 +7,11 @@ sampling is deterministic.
 The suite has two halves.  The group half, ``_group_records``, holds the
 ``group.*`` and ``poly.*`` checks: the group law and the polynomial
 calculus are properties of the group alone, so their records depend only on
-the schema, ``min(k_max, 4)`` and ``budget``, and are memoized on those.
-The measure half, the ``laplacian.*`` checks, reads the measure and runs on
-every call.  The inputs and the size refusals are checked before either.
+the schema, ``min(k_max, 4)`` and ``budget``, and are memoized on those, so
+``verify`` with several measures, or any process checking several measures
+on one group, runs them once.  The measure half, the ``laplacian.*`` checks,
+reads the measure and runs on every call.  The inputs and the size refusals
+are checked before either.
 """
 
 from __future__ import annotations

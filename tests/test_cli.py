@@ -256,6 +256,67 @@ def test_verify_heisenberg_all_green(configs, capsys):
     assert code == 0 and "FAIL" not in out
 
 
+def test_verify_negative_degree_exits_one(configs, capsys):
+    # the suite refuses the degree itself, before any check
+    code, out, err = run(
+        capsys, ["verify", "--group", configs["h3"], "--measure", configs["mu_h3"], "--k", "-1"]
+    )
+    assert code == 1 and not out
+    assert err == "error: k_max must be non-negative, got -1\n"
+
+
+def test_verify_runs_the_suite_once_per_measure(configs, capsys, tmp_path):
+    # a lazy walk and a walk with the pair {x*y, (x*y)^-1}; the suite's group
+    # records are computed once, and each measure's block reads as its own run
+    lazy = {"atoms": [{"coords": [0, 0, 0], "weight": "1/2"}, *(
+        {"coords": c, "weight": "1/8"}
+        for c in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]))]}
+    measures = [configs["mu_h3"], str(tmp_path / "lazy.json"), str(tmp_path / "pairs.json")]
+    (tmp_path / "lazy.json").write_text(json.dumps(lazy), encoding="utf-8")
+    (tmp_path / "pairs.json").write_text(json.dumps(_H3_PAIRS), encoding="utf-8")
+    head = ["verify", "--group", configs["h3"], "--k", "4", "--radius", "2"]
+    singles = []
+    for i, path in enumerate(measures):
+        report = tmp_path / f"{i}.json"
+        code, out, err = run(capsys, [*head, "--measure", path, "--json", str(report)])
+        assert code == 0 and not err
+        singles.append((out, json.loads(report.read_text(encoding="utf-8"))))
+    suite._group_records.cache_clear()
+    report = tmp_path / "all.json"
+    code, out, err = run(capsys, [*head, "--measure", *measures, "--json", str(report)])
+    assert code == 0 and not err
+    assert suite._group_records.cache_info().misses == 1
+    # one group line, then each single run's lines after its group line
+    assert out == "group: heisenberg(1)\n" + "".join(
+        single.split("\n", 1)[1] for single, _ in singles
+    )
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload == {
+        "group": singles[0][1]["group"],
+        "runs": [{k: v for k, v in report.items() if k != "group"} for _, report in singles],
+        "passed": True,
+    }
+
+
+def test_verify_fails_if_any_measure_fails(configs, capsys, monkeypatch):
+    # the second measure's Laplacian is broken: its block fails, the first
+    # measure's does not, and the run exits 2
+    broken = generator_walk(heisenberg(1))
+    apply_laplacian = suite.apply_laplacian
+    monkeypatch.setattr(
+        suite, "apply_laplacian",
+        lambda measure, p: p if measure is broken else apply_laplacian(measure, p),
+    )
+    loaded = iter([generator_walk(heisenberg(1)), broken])
+    monkeypatch.setattr(cli, "_load_measure", lambda schema, path: next(loaded))
+    code, out, _ = run(capsys, ["verify", "--group", configs["h3"], "--measure",
+                                configs["mu_h3"], configs["mu_h3"], "--k", "2", "--radius", "1"])
+    assert code == 2
+    results = [line for line in out.splitlines() if line.startswith("result:")]
+    # surjectivity at k=2 and the symmetric form fail on the second measure
+    assert results == ["result: 18/18 checks passed", "result: 16/18 checks passed"]
+
+
 _Z1 = {"family": "lattice", "d": 1}
 _WALK_Z1 = [{"coords": [1], "weight": "1/2"}, {"coords": [-1], "weight": "1/2"}]
 
@@ -389,7 +450,9 @@ def test_oracle_radius_above_a_lowered_ball_cap_exits_one(configs, capsys, monke
         raise AssertionError("the run started its work")
 
     monkeypatch.setattr(cli, "harmonic_basis", no_work)
-    monkeypatch.setattr(suite, "standard_generators", no_work)
+    # a warm group-record memo must not answer before the refusal either
+    for name in ("_group_records", "standard_generators"):
+        monkeypatch.setattr(suite, name, no_work)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     args = ["--k", "2", "--radius", "4"] + (["--verify"] if command == "harmonic" else [])
     code, out, err = run(

@@ -74,17 +74,26 @@ def test_suite_records_are_pinned(schema, pinned):
     assert records(schema, 4, 3) == pinned
 
 
+def no_checks(monkeypatch, *also):
+    """Make any check or group-record lookup of the suite fail the test, and
+    the suite's functions named in ``also``."""
+    def no_work(*args):
+        raise AssertionError("the suite started its checks")
+
+    for name in ("_group_records", "standard_generators", "laplacian_matrix",
+                 "check_harmonic_batch", *also):
+        monkeypatch.setattr(suite, name, no_work)
+
+
 @pytest.mark.parametrize(
     "k, limit, shape", [(200, None, "671650 x 691951"), (5, 100, "13 x 34")]
 )
 def test_oversized_degree_is_refused_before_any_check(monkeypatch, k, limit, shape):
     # the matrix of the largest degree is checked first, so the run fails as a
-    # bad input, not as failed checks after every smaller degree was built; the
-    # checks start from the generators of the suite's Cayley ball
-    def no_work(*args):
-        raise AssertionError("the suite started its checks")
-
-    monkeypatch.setattr(suite, "standard_generators", no_work)
+    # bad input, not as failed checks after every smaller degree was built;
+    # the group records are not looked up either, so a warm memo cannot
+    # answer before the refusal
+    no_checks(monkeypatch)
     if limit is not None:
         monkeypatch.setattr(laplacian, "MAX_MATRIX_CELLS", limit)
     with pytest.raises(ValidationError, match=f"degree-{k} .* {shape}, more than the limit"):
@@ -93,27 +102,14 @@ def test_oversized_degree_is_refused_before_any_check(monkeypatch, k, limit, sha
 
 def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch):
     # the radius-4 ball has 135 points: a bad input, not a failed oracle record
-    def no_work(*args):
-        raise AssertionError("the suite started its checks")
-
-    for name in ("standard_generators", "laplacian_matrix", "check_harmonic_batch"):
-        monkeypatch.setattr(suite, name, no_work)
+    no_checks(monkeypatch)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
         run_invariant_suite(H3, generator_walk(H3), 4, 4)
 
 
-def no_checks(monkeypatch):
-    """Make any check or group-record lookup of the suite fail the test."""
-    def no_work(*args):
-        raise AssertionError("the suite started its checks")
-
-    for name in ("_group_records", "standard_generators", "laplacian_matrix", "matrix_shape"):
-        monkeypatch.setattr(suite, name, no_work)
-
-
 def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
-    no_checks(monkeypatch)
+    no_checks(monkeypatch, "matrix_shape", "ball_levels")
     for schema, measure in ((H3, generator_walk(lattice(3))), (U4, generator_walk(H3))):
         with pytest.raises(ValidationError, match="measure belongs to a different schema"):
             run_invariant_suite(schema, measure, 2, 1)
@@ -126,7 +122,7 @@ def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
      (2.0, 1, "k_max must be an int, got 2.0"), (2, Fraction(1), "radius must be an int")],
 )
 def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius, message):
-    no_checks(monkeypatch)
+    no_checks(monkeypatch, "matrix_shape", "ball_levels")
     with pytest.raises(ValidationError, match=message):
         run_invariant_suite(H3, generator_walk(H3), k, radius)
 
@@ -137,7 +133,7 @@ def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius
      (2.5, "budget must be an int, got 2.5"), (True, "budget must be an int, got True")],
 )
 def test_bad_budget_is_refused_before_any_check(monkeypatch, budget, message):
-    no_checks(monkeypatch)
+    no_checks(monkeypatch, "matrix_shape", "ball_levels")
     with pytest.raises(ValidationError, match=message):
         run_invariant_suite(H3, generator_walk(H3), 2, 1, budget=budget)
 
