@@ -8,6 +8,9 @@ Three families are built in:
 * ``unitriangular(n)`` -- upper unitriangular n x n integer matrices with
   the strict upper-triangular entries as coordinates.
 
+Each constructor checks its size and builds each size once (``cache``), so a
+built-in group is one shared schema per process: 61 at most, by the size caps.
+
 An element is an integer coordinate vector; every integer vector names
 exactly one element.  Each coordinate carries a weight (its depth in the
 lower central series), and coordinates are ordered by weight.
@@ -21,8 +24,9 @@ schema, on first use, into straight-line functions on coordinate tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
@@ -31,6 +35,8 @@ LATTICE = "lattice"
 HEISENBERG = "heisenberg"
 UNITRIANGULAR = "unitriangular"
 
+# A coordinate name: one name token of the polynomial text syntax.
+COORD_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 
 Coords = tuple[int, ...]
 
@@ -40,13 +46,8 @@ def _names(prefix: str, n: range) -> str:
     return "".join(f"{prefix}{i}, " for i in n).rstrip()
 
 
-@lru_cache(maxsize=64)
 def _compile(signature: str, *body: str) -> Callable:
-    """Compile ``def signature:`` with the ``body`` lines and return the function.
-
-    Equal laws give equal source, so equal schemas, such as one group loaded
-    from many configs, share one compiled function.
-    """
+    """Compile ``def signature:`` with the ``body`` lines and return the function."""
     namespace: dict = {}
     exec("\n    ".join((f"def {signature}:", *body)), namespace)
     return namespace[signature[: signature.index("(")]]
@@ -54,13 +55,16 @@ def _compile(signature: str, *body: str) -> Callable:
 
 @dataclass(frozen=True)
 class GroupSchema:
-    """Static description of one group: family, coordinate count, weights, law.
+    """Static description of one group: family, size, weights, names, law.
 
     ``weights[i]`` is the weight of coordinate ``i`` (0-based internally;
     the public operations below use 1-based coordinate indices, matching
-    the coordinate names).  ``layer_ranks[j]`` is the number of coordinates
-    of weight ``j + 1``.  ``law`` is the multiplication law as 0-based
-    terms ``(t, p, q)``, each adding ``a_p*b_q`` to coordinate ``t`` of
+    the coordinate names, distinct ``COORD_NAME`` tokens).  Weights start at
+    1 and never decrease.  ``n_coords``, ``step`` (the largest weight) and
+    ``layer_ranks`` (``layer_ranks[j]`` coordinates of weight ``j + 1``) are
+    derived from them on first use, as are the compiled law and the hash;
+    equality reads the five fields only.  ``law`` is the multiplication law as
+    0-based terms ``(t, p, q)``, each adding ``a_p*b_q`` to coordinate ``t`` of
     ``a*b``.  Terms are sorted by ``t`` and read only coordinates before
     ``t`` (``p, q < t``), so the inverse can be solved term by term, and add
     weights (``weights[t] >= weights[p] + weights[q]``), so weight-1
@@ -70,29 +74,20 @@ class GroupSchema:
 
     family: str
     size: int
-    n_coords: int
     weights: tuple[int, ...]
-    layer_ranks: tuple[int, ...]
-    step: int
     coord_names: tuple[str, ...]
     law: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.n_coords) is not int or self.n_coords < 1:
-            raise ValidationError(f"n_coords must be a positive int, got {self.n_coords!r}")
-        if len(self.weights) != self.n_coords or len(self.coord_names) != self.n_coords:
-            raise ValidationError("weights/names length must equal n_coords")
-        if self.weights[0] != 1:
-            raise ValidationError("the first coordinate must have weight 1")
-        if any(w2 < w1 for w1, w2 in zip(self.weights, self.weights[1:])):
-            raise ValidationError("weights must be non-decreasing")
-        if any(w < 1 or w > self.step for w in self.weights):
-            raise ValidationError("weights must lie in 1..step")
-        if sum(self.layer_ranks) != self.n_coords:
-            raise ValidationError("layer ranks must sum to the coordinate count")
-        for j, rank in enumerate(self.layer_ranks, start=1):
-            if sum(1 for w in self.weights if w == j) != rank:
-                raise ValidationError(f"layer rank mismatch at weight {j}")
+        w = self.weights
+        if (type(w) is not tuple or not w or any(type(x) is not int for x in w)
+                or w[0] != 1 or any(b < a for a, b in zip(w, w[1:]))):
+            raise ValidationError(f"weights must be ints from 1 up, never decreasing, got {w!r}")
+        names = self.coord_names
+        if (type(names) is not tuple or len(names) != len(w)
+                or not all(type(x) is str and re.fullmatch(COORD_NAME, x) for x in names)
+                or len(set(names)) != len(names)):
+            raise ValidationError(f"need one distinct {COORD_NAME} name per weight, got {names!r}")
         # the law is compiled into source code, so only plain ints may reach it
         for term in self.law:
             if type(term) is not tuple or len(term) != 3 or any(type(i) is not int for i in term):
@@ -100,15 +95,34 @@ class GroupSchema:
         if any(t2 < t1 for (t1, _, _), (t2, _, _) in zip(self.law, self.law[1:])):
             raise ValidationError("law terms must be sorted by target coordinate")
         for t, p, q in self.law:
-            if not (0 <= p < t and 0 <= q < t and t < self.n_coords):
+            if not (0 <= p < t and 0 <= q < t and t < len(w)):
                 raise ValidationError(f"law term {(t, p, q)} must read coordinates before {t}")
-            if self.weights[t] < self.weights[p] + self.weights[q]:
+            if w[t] < w[p] + w[q]:
                 raise ValidationError(f"law term {(t, p, q)} needs weight(t) >= weight(p) + weight(q)")
 
     def __getstate__(self) -> dict:
-        # only the fields: the compiled law is rebuilt on first use after
+        # only the fields: derived values are rebuilt on first use after
         # unpickling, and functions made by exec cannot be pickled
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, self.size, self.weights, self.coord_names, self.law))
+
+    @cached_property
+    def n_coords(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def step(self) -> int:
+        return self.weights[-1]
+
+    @cached_property
+    def layer_ranks(self) -> tuple[int, ...]:
+        return tuple(self.weights.count(j) for j in range(1, self.step + 1))
 
     @cached_property
     def law_mul(self) -> Callable[[Coords, Coords], Coords]:
@@ -141,10 +155,6 @@ class GroupSchema:
         """Weight of coordinate ``i`` (1-based)."""
         return self.weights[i - 1]
 
-    @property
-    def rank(self) -> int:
-        return sum(self.layer_ranks)
-
     def name(self) -> str:
         return f"{self.family}({self.size})"
 
@@ -162,22 +172,25 @@ class GroupElement:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+def _size(n: object, low: int, high: int, what: str) -> int:
+    """``n`` if it is an int in ``low..high``.  The type is checked first:
+    True and 1.0 equal 1, and would find the shared schema of size 1."""
+    if not low <= _require_int(n, what) <= high:
+        raise ValidationError(f"{what} must be in {low}..{high}")
+    return n
+
+
 def lattice(d: int) -> GroupSchema:
     """The free abelian group Z^d with coordinates x1..xd.
 
     d is capped at 36, the coordinate count of ``unitriangular(9)``.
     """
-    if not 1 <= d <= 36:
-        raise ValidationError("lattice dimension must be in 1..36")
-    return GroupSchema(
-        family=LATTICE,
-        size=d,
-        n_coords=d,
-        weights=(1,) * d,
-        layer_ranks=(d,),
-        step=1,
-        coord_names=tuple(f"x{i}" for i in range(1, d + 1)),
-    )
+    return _lattice(_size(d, 1, 36, "lattice dimension"))
+
+
+@cache
+def _lattice(d: int) -> GroupSchema:
+    return GroupSchema(LATTICE, d, (1,) * d, tuple(f"x{i}" for i in range(1, d + 1)))
 
 
 def heisenberg(n: int) -> GroupSchema:
@@ -188,24 +201,15 @@ def heisenberg(n: int) -> GroupSchema:
     For n = 1 the names are simply x, y, z.  n is capped at 17 (35
     coordinates), so no family exceeds the 36 of ``unitriangular(9)``.
     """
-    if not 1 <= n <= 17:
-        raise ValidationError("heisenberg parameter must be in 1..17")
-    if n == 1:
-        names: tuple[str, ...] = ("x", "y", "z")
-    else:
-        names = tuple(
-            [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)] + ["z"]
-        )
-    return GroupSchema(
-        family=HEISENBERG,
-        size=n,
-        n_coords=2 * n + 1,
-        weights=(1,) * (2 * n) + (2,),
-        layer_ranks=(2 * n, 1),
-        step=2,
-        coord_names=names,
-        law=tuple((2 * n, i, n + i) for i in range(n)),
-    )
+    return _heisenberg(_size(n, 1, 17, "heisenberg parameter"))
+
+
+@cache
+def _heisenberg(n: int) -> GroupSchema:
+    xs, ys = ([f"{c}{i}" for i in range(1, n + 1)] for c in "xy")
+    names = ("x", "y", "z") if n == 1 else (*xs, *ys, "z")
+    law = tuple((2 * n, i, n + i) for i in range(n))
+    return GroupSchema(HEISENBERG, n, (1,) * (2 * n) + (2,), names, law)
 
 
 def unitriangular(n: int) -> GroupSchema:
@@ -214,17 +218,17 @@ def unitriangular(n: int) -> GroupSchema:
     Coordinate t holds entry (i, j); entries are ordered by weight j - i,
     then row-major.  n is capped at 9 so entry names a_ij stay unambiguous.
     """
-    if not 2 <= n <= 9:
-        raise ValidationError("unitriangular size must be in 2..9")
+    return _unitriangular(_size(n, 2, 9, "unitriangular size"))
+
+
+@cache
+def _unitriangular(n: int) -> GroupSchema:
     positions = [(i, i + w) for w in range(1, n) for i in range(1, n - w + 1)]
     index = {pos: t for t, pos in enumerate(positions)}
     return GroupSchema(
         family=UNITRIANGULAR,
         size=n,
-        n_coords=len(positions),
         weights=tuple(j - i for i, j in positions),
-        layer_ranks=tuple(n - w for w in range(1, n)),
-        step=n - 1,
         coord_names=tuple(f"a_{i}{j}" for i, j in positions),
         # (AB)_ij = A_ij + B_ij + sum over i < k < j of A_ik * B_kj
         law=tuple(

@@ -362,7 +362,7 @@ def growth_exponent_table(
     schema: GroupSchema, measure: Measure, k_max: int
 ) -> list[GrowthRow]:
     """Harmonic dimensions for k = 0..k_max with the ratios dim / k^(d-1),
-    d the rank of the group.
+    d the coordinate count (the Hirsch length).
 
     Dimensions come from the kernel-dimension identity
     dim H^k = dim P^k - dim P^{k-2}; the identity itself is verified against
@@ -372,7 +372,7 @@ def growth_exponent_table(
         raise ValidationError("k_max must be at least 2")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
-    d = schema.rank
+    d = schema.n_coords
     rows = []
     for k in range(k_max + 1):
         dim = dim_hk(schema, k)

@@ -556,11 +556,6 @@ class _TranslationMemo:
     """LRU of translations by (schema, u, side), bounded in entries and in the
     image terms stored over all entries (``_TRANSLATION_ENTRIES``,
     ``_IMAGE_TERMS``).  A raised error is not memoized.
-
-    The key is what the forms read: the schema's coordinate count and law,
-    u's coordinates and the side.  Those are plain tuples, whose hash and ==
-    run in C, where a schema's are Python calls on every lookup; equal
-    schemas loaded from separate configs share their entries.
     """
 
     def __init__(self) -> None:
@@ -572,7 +567,7 @@ class _TranslationMemo:
         self.terms = 0
 
     def lookup(self, schema: GroupSchema, u: GroupElement, side: str) -> _Translation:
-        key = (schema.n_coords, schema.law, u.coords, side)
+        key = (schema, u.coords, side)
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .groups import GroupSchema, element, heisenberg, lattice, unitriangular
+from .groups import COORD_NAME, GroupSchema, element, heisenberg, lattice, unitriangular
 from .laplacian import Measure
 from .polynomials import Monomial, Polynomial, render_terms
 
@@ -134,7 +134,7 @@ def polynomial_from_obj(schema: GroupSchema, obj: Mapping[str, Any]) -> Polynomi
 
 # -- polynomial text syntax -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({COORD_NAME})|([-+*/^()]))")
 
 
 def _tokenize(text: str) -> list[str]:

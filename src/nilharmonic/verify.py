@@ -134,7 +134,7 @@ class DerivativeCheck:
 
 # The difference points of the last 32 calls, each at most ``budget *
 # len(test_points) * 2**order`` ids: the suite's three orders and two sides for
-# a few groups.  The key is plain tuples, whose hash and == run in C.
+# a few groups.
 _DIFFERENCE_POINTS: OrderedDict[tuple, tuple[tuple, tuple, tuple]] = OrderedDict()
 _DIFFERENCE_ENTRIES = 32
 
@@ -158,7 +158,7 @@ def _difference_points(
     """
     tuple_coords = tuple(u.coords for u in elems)
     point_coords = tuple(x.coords for x in test_points)
-    key = (schema.n_coords, schema.law, order, tuple_coords, point_coords, budget, side)
+    key = (schema, order, tuple_coords, point_coords, budget, side)
     hit = _DIFFERENCE_POINTS.get(key)
     if hit is not None:
         _DIFFERENCE_POINTS.move_to_end(key)

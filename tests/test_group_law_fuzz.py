@@ -30,7 +30,6 @@ def laws_and_points(draw):
     """
     n = draw(st.integers(1, 7))
     weights = (1, *sorted(draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))))
-    step = max(weights)
     admitted = [
         (t, p, q)
         for t in range(n)
@@ -40,13 +39,7 @@ def laws_and_points(draw):
     ]
     law = tuple(sorted(draw(st.lists(st.sampled_from(admitted), max_size=10)))) if admitted else ()
     schema = GroupSchema(
-        family="random",
-        size=n,
-        n_coords=n,
-        weights=weights,
-        layer_ranks=tuple(weights.count(j) for j in range(1, step + 1)),
-        step=step,
-        coord_names=tuple(f"c{i}" for i in range(n)),
+        family="random", size=n, weights=weights, coord_names=tuple(f"c{i}" for i in range(n)),
         law=law,
     )
     a, b = (tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(2))

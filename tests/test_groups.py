@@ -59,7 +59,7 @@ def test_schema_fields():
     assert UT4.layer_ranks == (3, 2, 1)
     assert UT4.step == 3
     assert UT4.coord_names == ("a_12", "a_23", "a_34", "a_13", "a_24", "a_14")
-    assert lattice(3).rank == 3 and H3.rank == 3 and UT4.rank == 6
+    assert lattice(3).n_coords == 3 and lattice(3).layer_ranks == (3,) and lattice(3).step == 1
     # the largest sizes each family admits
     assert lattice(36).n_coords == 36 and heisenberg(17).n_coords == 35
 
@@ -212,16 +212,69 @@ def test_schema_rejects_bad_law(law):
         dataclasses.replace(UT4, law=law)
 
 
-@pytest.mark.parametrize("n_coords", [0, 3.0, True, "3"])
-def test_schema_rejects_bad_coordinate_count(n_coords):
-    with pytest.raises(ValidationError):
-        dataclasses.replace(H3, n_coords=n_coords)
+# the coordinate count is len(weights), so a bad count is a bad weights tuple;
+# the ids name the n_coords values these cases replaced
+@pytest.mark.parametrize("weights", [
+    pytest.param((), id="0"),
+    pytest.param((1.0, 1.0, 2.0), id="3.0"),
+    pytest.param((True, True, 2), id="True"),
+    pytest.param("112", id="3"),
+])
+def test_schema_rejects_bad_coordinate_count(weights):
+    with pytest.raises(ValidationError, match="weights"):
+        dataclasses.replace(H3, weights=weights, coord_names=H3.coord_names[:len(weights)])
+
+
+@pytest.mark.parametrize("weights", [(2, 2, 2), (1, 2, 1), (0, 1, 2), [1, 1, 2]])
+def test_schema_rejects_weights_that_do_not_start_at_1_and_climb(weights):
+    with pytest.raises(ValidationError, match="weights"):
+        dataclasses.replace(H3, weights=weights, law=())
+
+
+@pytest.mark.parametrize("names", [("x", "x", "z"), ("x", "y z", "z"), ("x", "y"),
+                                   ("x", "1y", "z"), ("x", "y", 3), ["x", "y", "z"]])
+def test_schema_rejects_bad_coordinate_names(names):
+    # a repeated name parses as only one coordinate and renders as two;
+    # a name that is no parser token can never be read back
+    with pytest.raises(ValidationError, match="name"):
+        dataclasses.replace(H3, coord_names=names)
+
+
+# the values the family constructors stored before they were derived from weights
+@pytest.mark.parametrize(
+    "schema, n_coords, layer_ranks, step",
+    [*((lattice(d), d, (d,), 1) for d in range(1, 37)),
+     *((heisenberg(n), 2 * n + 1, (2 * n, 1), 2) for n in range(1, 18)),
+     *((unitriangular(n), n * (n - 1) // 2, tuple(n - w for w in range(1, n)), n - 1)
+       for n in range(2, 10))],
+    ids=str,
+)
+def test_derived_values_match_the_family_formulas(schema, n_coords, layer_ranks, step):
+    assert (schema.n_coords, schema.layer_ranks, schema.step) == (n_coords, layer_ranks, step)
+    assert not {"n_coords", "layer_ranks", "step", "rank"} & {f.name for f in dataclasses.fields(schema)}
+    assert not hasattr(schema, "rank")
+
+
+@pytest.mark.parametrize("family, keyword, sizes", [(lattice, "d", range(1, 37)),
+                                                    (heisenberg, "n", range(1, 18)),
+                                                    (unitriangular, "n", range(2, 10))])
+def test_each_size_is_one_shared_schema(family, keyword, sizes):
+    for n in sizes:
+        assert family(n) is family(n) is family(**{keyword: n})
+
+
+@pytest.mark.parametrize("family", [lattice, heisenberg, unitriangular], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None], ids=repr)
+def test_family_constructors_take_only_plain_ints(family, bad):
+    # True and 2.0 hash and compare equal to an int size, and must not find its schema
+    with pytest.raises(ValidationError, match=re.escape(f"must be an int, got {bad!r}")):
+        family(bad)
 
 
 # x and y each feed a weight-2 coordinate through the other
 TWISTED = GroupSchema(
-    family="twisted", size=1, n_coords=4, weights=(1, 1, 2, 2), layer_ranks=(2, 2),
-    step=2, coord_names=("x", "y", "z", "w"), law=((2, 0, 1), (3, 1, 0)),
+    family="twisted", size=1, weights=(1, 1, 2, 2), coord_names=("x", "y", "z", "w"),
+    law=((2, 0, 1), (3, 1, 0)),
 )
 
 

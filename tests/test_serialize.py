@@ -1,5 +1,7 @@
 """Config round-trips and the polynomial text syntax."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,15 @@ Z2 = lattice(2)
 def test_schema_round_trips():
     for schema in (lattice(3), H3, heisenberg(2), unitriangular(4)):
         assert schema_from_config(schema_to_config(schema)) == schema
+
+
+@pytest.mark.parametrize("cfg", [{"family": "heisenberg", "n": 1}, {"family": "lattice", "d": "3"},
+                                 {"family": "unitriangular", "n": 4}], ids=str)
+def test_every_load_of_a_group_is_one_schema(cfg):
+    schema = schema_from_config(cfg)
+    assert schema_from_config(dict(cfg)) is schema
+    for twin in (pickle.loads(pickle.dumps(schema)), copy.copy(schema), copy.deepcopy(schema)):
+        assert twin == schema and hash(twin) == hash(schema)
 
 
 def test_schema_config_examples():
