@@ -38,7 +38,6 @@ from .laplacian import (
 )
 from .linalg import Inconsistent, RationalMatrix
 from .polynomials import (
-    Monomial,
     Polynomial,
     dim_pk,
     left_derivative,

@@ -105,6 +105,8 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
         # the oracle's ball is refused before the basis is computed
         ball_levels(schema, measure.support(), args.radius)
     report = harmonic_basis(schema, measure, args.k)
+    # one rendering pass per polynomial gives both its line and its JSON object
+    basis = [polynomial_to_obj(p) for p in report.basis]
     lines = [
         f"group: {schema.name()}",
         f"measure: {len(measure.atoms)} atoms",
@@ -112,8 +114,8 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
         f"dim: {report.dim} (predicted {report.predicted_dim})",
         "basis:",
     ]
-    for i, p in enumerate(report.basis, start=1):
-        lines.append(f"  [{i}] {p}")
+    for i, obj in enumerate(basis, start=1):
+        lines.append(f"  [{i}] {obj['text']}")
     verified = None
     if args.verify:
         checks = check_harmonic_batch(schema, measure, list(report.basis), args.radius)
@@ -138,7 +140,7 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
             "k": args.k,
             "dim": report.dim,
             "predicted_dim": report.predicted_dim,
-            "basis": [polynomial_to_obj(p) for p in report.basis],
+            "basis": basis,
         }
         if verified is not None:
             payload["verified"] = verified
@@ -154,10 +156,11 @@ def cmd_preimage(args: argparse.Namespace) -> int:
     target = parse_polynomial(schema, _read_text(args.polynomial))
     # solve_preimage verifies laplacian(p_hat) == target, or raises InternalInconsistency
     p_hat = solve_preimage(schema, measure, target)
+    target_obj, p_hat_obj = polynomial_to_obj(target), polynomial_to_obj(p_hat)
     lines = [
         f"group: {schema.name()}",
-        f"input: {target}",
-        f"preimage: {p_hat}",
+        f"input: {target_obj['text']}",
+        f"preimage: {p_hat_obj['text']}",
         f"degree: {p_hat.degree if not p_hat.is_zero else 0}",
         "verified: laplacian(preimage) == input",
     ]
@@ -167,8 +170,8 @@ def cmd_preimage(args: argparse.Namespace) -> int:
             args.json,
             {
                 "group": schema_to_config(schema),
-                "input": polynomial_to_obj(target),
-                "preimage": polynomial_to_obj(p_hat),
+                "input": target_obj,
+                "preimage": p_hat_obj,
                 "verified": True,
             },
         )

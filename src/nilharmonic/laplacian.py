@@ -20,6 +20,7 @@ from .errors import InternalInconsistency, InvariantFailure, ValidationError
 from .groups import (
     GroupElement,
     GroupSchema,
+    _require_int,
     identity,
     inv,
     inv_coords,
@@ -32,6 +33,7 @@ from .polynomials import (
     Polynomial,
     _from_fractions,
     _from_ints,
+    _require_coeff,
     dim_pk,
     graded_images,
     pk_basis,
@@ -43,10 +45,12 @@ from .polynomials import translate_right  # noqa: F401
 class Measure:
     """Finitely supported symmetric probability measure with rational weights.
 
-    Validated on construction: weights positive, total mass exactly 1,
-    weight(g) = weight(g^-1) for every atom, and the measure must be
-    adapted: its support generates the group, which is decided exactly
-    from the weight-1 coordinates (see ``reaches_all_generators``).
+    Validated on construction: coordinates are ints and weights ints or
+    Fractions, never coerced from a float, bool or string; weights positive,
+    total mass exactly 1, weight(g) = weight(g^-1) for every atom, and the
+    measure must be adapted: its support generates the group, which is
+    decided exactly from the weight-1 coordinates (see
+    ``reaches_all_generators``).
     """
 
     __slots__ = ("schema", "atoms")
@@ -61,7 +65,9 @@ class Measure:
         for g, w in items:
             if len(g.coords) != schema.n_coords:
                 raise ValidationError(f"atom {g.coords} does not match schema {schema.name()}")
-            w = w if isinstance(w, Fraction) else Fraction(w)
+            for c in g.coords:
+                _require_int(c, "atom coordinate")
+            w = _require_coeff(w, "atom weight")
             if w <= 0:
                 raise ValidationError(f"atom {g.coords} has non-positive weight {w}")
             if g in clean:
@@ -202,7 +208,7 @@ def _pair_columns(
                 column[j] = column.get(j, 0) - c
         entries = tuple((j, c) for j, c in column.items() if c)
         if entries and max(entries)[0] >= n_rows:
-            mono = pk_basis(schema, k)[i].exponents
+            mono = pk_basis(schema, k)[i]
             raise InternalInconsistency(f"Laplacian image of {mono} has an out-of-range term")
         columns.append(entries)
     return tuple(columns)
@@ -303,7 +309,7 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
     matrix = laplacian_matrix(schema, measure, k)
     domain = pk_basis(schema, k)
     basis = tuple(
-        _from_ints(schema, {domain[i].exponents: v for i, v in vec.items()}, den)
+        _from_ints(schema, {domain[i]: v for i, v in vec.items()}, den)
         for den, vec in matrix.factorization().kernel()
     )
     predicted = dim_hk(schema, k)
@@ -336,7 +342,7 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
         )
     domain = pk_basis(schema, k)
     # the solution holds non-zero Fractions only
-    p_hat = _from_fractions(schema, {domain[i].exponents: c for i, c in sol.items()})
+    p_hat = _from_fractions(schema, {domain[i]: c for i, c in sol.items()})
     if apply_laplacian(measure, p_hat) != q:
         raise InternalInconsistency("preimage verification failed")
     return p_hat

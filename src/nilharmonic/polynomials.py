@@ -14,8 +14,10 @@ canonical: ``gcd(den, *ints.values()) == 1``, and the zero polynomial has
 ``ints`` are.  Every operation works on the ints and normalizes its result
 once, by a single gcd; ``Fraction`` values are made only where a caller
 reads them (``terms``, ``coefficient``, ``evaluate``,
-``coefficient_vector``).  The public constructor takes ``int`` and
-``Fraction`` coefficients on ``Monomial`` keys and validates them.
+``coefficient_vector``).  A monomial is its exponent vector, a plain
+tuple of non-negative ints, everywhere: the public constructor takes
+``int`` and ``Fraction`` coefficients on such keys and validates both, and
+``pk_basis`` returns its memoized tuple of them.
 
 Translations x -> p(u x) and x -> p(x u) are computed by composition.  The
 group law is a list of bilinear terms (t, p, q), so each coordinate of u x
@@ -43,7 +45,6 @@ the text is the same either way.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -60,25 +61,17 @@ Exponents = tuple[int, ...]
 IntTerms = dict[Exponents, int]
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A product of coordinate powers, stored as its exponent vector."""
-
-    exponents: tuple[int, ...]
-
-    def weighted_degree(self, schema: GroupSchema) -> int:
-        return sum(w * e for w, e in zip(schema.weights, self.exponents))
-
-
 # The bound of the basis and graded index memos.  The largest basis that a
 # Laplacian matrix admits is lattice(29) at k = 4, 40,920 monomials; measured
-# with tracemalloc it takes 15 MB and its index 14 MB.  A verify benchmark run
-# reads 21 bases and 15 indices, 41 kB together.
+# with tracemalloc it takes 12 MB and its index 14 MB.  A verify benchmark run
+# reads 21 bases and 15 indices, 10 kB together.
 _GRADED_BASES = 32
 
 
 @lru_cache(maxsize=_GRADED_BASES)
-def _pk_basis_cached(schema: GroupSchema, k: int) -> tuple[Monomial, ...]:
+def pk_basis(schema: GroupSchema, k: int) -> tuple[Exponents, ...]:
+    """The exponent vectors of weighted degree <= k, in graded order; empty
+    for k < 0.  One tuple per (schema, k) is memoized and shared by callers."""
     # degree by degree: m != 1 is m' x_v for v its first non-zero coordinate
     if k < 0:
         return ()
@@ -90,12 +83,7 @@ def _pk_basis_cached(schema: GroupSchema, k: int) -> tuple[Monomial, ...]:
             if w <= d:
                 level += [e[:v] + (e[v] + 1,) + e[v + 1:] for e in levels[d - w] if not any(e[:v])]
         levels.append(sorted(level, reverse=True))
-    return tuple(Monomial(e) for level in levels for e in level)
-
-
-def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
-    """All monomials of weighted degree <= k, in graded order; empty for k < 0."""
-    return list(_pk_basis_cached(schema, k))
+    return tuple(e for level in levels for e in level)
 
 
 @lru_cache(maxsize=_GRADED_BASES)
@@ -107,7 +95,7 @@ def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ..
     past degree k.  pk_basis(schema, k - 2) is the graded prefix of this
     basis, so an index below its size names the same monomial in both.
     """
-    basis = [m.exponents for m in _pk_basis_cached(schema, k)]
+    basis = pk_basis(schema, k)
     size = len(basis)  # one int object for every miss
     index = {e: i for i, e in enumerate(basis)}
     up = tuple([index.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
@@ -141,14 +129,14 @@ def dim_pk(schema: GroupSchema, k: int) -> int:
     return dim_pk_table(schema, k)[-1] if k >= 0 else 0
 
 
-def _require_coeff(value: object) -> Fraction:
+def _require_coeff(value: object, what: str = "coefficient") -> Fraction:
     """A coefficient as a Fraction; only int (not bool) and Fraction are taken."""
     # a float or a string would be coerced to some rational, a bool to 0 or 1
     if type(value) is Fraction:
         return value
     if type(value) is int:
         return Fraction(value)
-    raise ValidationError(f"coefficient must be an int or a Fraction, got {value!r}")
+    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 def _from_ints(schema: GroupSchema, acc: IntTerms, den: int) -> "Polynomial":
@@ -189,21 +177,21 @@ class Polynomial:
     def __init__(
         self,
         schema: GroupSchema,
-        terms: Mapping[Monomial, Fraction | int] | None = None,
+        terms: Mapping[Exponents, Fraction | int] | None = None,
     ):
         clean: dict[Exponents, Fraction] = {}
         if terms:
-            for mono, coeff in terms.items():
-                if type(mono) is not Monomial:
-                    raise ValidationError(f"term key must be a Monomial, got {mono!r}")
-                if len(mono.exponents) != schema.n_coords:
+            for exps, coeff in terms.items():
+                if type(exps) is not tuple:
+                    raise ValidationError(f"term key must be an exponent tuple, got {exps!r}")
+                if len(exps) != schema.n_coords:
                     raise ValidationError("monomial does not match schema coordinate count")
-                if any(type(e) is not int or e < 0 for e in mono.exponents):
+                if any(type(e) is not int or e < 0 for e in exps):
                     raise ValidationError("monomial exponents must be non-negative ints")
                 if type(coeff) is not Fraction:
                     coeff = _require_coeff(coeff)
                 if coeff:
-                    clean[mono.exponents] = coeff
+                    clean[exps] = coeff
         self.schema = schema
         self.ints, self.den = _clear_terms(clean)
 
@@ -226,7 +214,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, schema: GroupSchema, value: Fraction | int) -> "Polynomial":
-        return cls(schema, {Monomial((0,) * schema.n_coords): value})
+        return cls(schema, {(0,) * schema.n_coords: value})
 
     @classmethod
     def coordinate(cls, schema: GroupSchema, i: int) -> "Polynomial":
@@ -235,21 +223,21 @@ class Polynomial:
             raise ValidationError(f"coordinate index {i} out of range 1..{schema.n_coords}")
         exps = [0] * schema.n_coords
         exps[i - 1] = 1
-        return cls(schema, {Monomial(tuple(exps)): 1})
+        return cls(schema, {tuple(exps): 1})
 
     @classmethod
     def from_monomial(
-        cls, schema: GroupSchema, mono: Monomial, coeff: Fraction | int = 1
+        cls, schema: GroupSchema, exps: Exponents, coeff: Fraction | int = 1
     ) -> "Polynomial":
-        return cls(schema, {mono: coeff})
+        return cls(schema, {exps: coeff})
 
     # -- basic queries --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """The non-zero coefficients by monomial, as a new dict on every read."""
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The non-zero coefficients by exponent vector, as a new dict on every read."""
         den = self.den
-        return {Monomial(e): Fraction(c, den) for e, c in self.ints.items()}
+        return {e: Fraction(c, den) for e, c in self.ints.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -263,8 +251,8 @@ class Polynomial:
         weights = self.schema.weights
         return max(sum(map(mul, weights, e)) for e in self.ints)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.ints.get(mono.exponents, 0), self.den)
+    def coefficient(self, exps: Exponents) -> Fraction:
+        return Fraction(self.ints.get(exps, 0), self.den)
 
     def evaluate(self, g: GroupElement) -> Fraction:
         if len(g.coords) != self.schema.n_coords:
@@ -277,9 +265,9 @@ class Polynomial:
             total += v
         return Fraction(total, self.den)
 
-    def coefficient_vector(self, basis: Sequence[Monomial]) -> list[Fraction]:
+    def coefficient_vector(self, basis: Sequence[Exponents]) -> list[Fraction]:
         """Coefficients in the given monomial basis; all terms must be covered."""
-        index = {m.exponents: i for i, m in enumerate(basis)}
+        index = {e: i for i, e in enumerate(basis)}
         vec = [Fraction(0)] * len(basis)
         den = self.den
         for exps, c in self.ints.items():
@@ -526,7 +514,7 @@ def graded_images(
                 i = row[j]
                 out[i] = get(i, 0) + a * coeff
         if size in out:
-            mono = _pk_basis_cached(schema, k)[len(images)].exponents
+            mono = pk_basis(schema, k)[len(images)]
             raise InternalInconsistency(f"translate of {mono} has an out-of-range term")
         images.append({j: a for j, a in out.items() if a} if 0 in out.values() else out)
     return images

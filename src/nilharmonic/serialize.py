@@ -18,7 +18,7 @@ from typing import Any, Mapping
 from .errors import ValidationError
 from .groups import COORD_NAME, GroupSchema, element, heisenberg, lattice, unitriangular
 from .laplacian import Measure
-from .polynomials import Monomial, Polynomial, render_terms
+from .polynomials import Exponents, Polynomial, render_terms
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -119,16 +119,16 @@ def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
 def polynomial_from_obj(schema: GroupSchema, obj: Mapping[str, Any]) -> Polynomial:
     if not isinstance(obj, Mapping) or "terms" not in obj:
         raise ValidationError("polynomial object must contain a 'terms' list")
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Exponents, Fraction] = {}
     for entry in _object_list(obj, "terms"):
         exps = entry.get("exponents")
         if not isinstance(exps, list) or len(exps) != schema.n_coords:
             raise ValidationError("term exponents must match the schema coordinate count")
-        mono = Monomial(tuple(_config_int(e, "term exponent") for e in exps))
+        key = tuple(_config_int(e, "term exponent") for e in exps)
         coeff = parse_fraction(str(entry.get("coeff")))
-        if mono in terms:
+        if key in terms:
             raise ValidationError(f"duplicate term {exps}")
-        terms[mono] = coeff
+        terms[key] = coeff
     return Polynomial(schema, terms)
 
 
@@ -227,7 +227,7 @@ def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
             break
         return coeff, tuple(exps)
 
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Exponents, Fraction] = {}
     sign = Fraction(1)
     first = True
     while pos < len(tokens):
@@ -241,12 +241,11 @@ def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
         elif not first:
             raise ValidationError(f"expected '+' or '-' before {tok!r}")
         coeff, exps = parse_term()
-        mono = Monomial(exps)
-        acc = terms.get(mono, Fraction(0)) + sign * coeff
+        acc = terms.get(exps, Fraction(0)) + sign * coeff
         if acc:
-            terms[mono] = acc
+            terms[exps] = acc
         else:
-            terms.pop(mono, None)
+            terms.pop(exps, None)
         sign = Fraction(1)
         first = False
     return Polynomial(schema, terms)

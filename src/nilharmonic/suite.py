@@ -7,7 +7,7 @@ sampling is deterministic.
 The suite has two halves.  The group half, ``_group_records``, holds the
 ``group.*`` and ``poly.*`` checks: the group law and the polynomial
 calculus are properties of the group alone, so their records depend only on
-the schema, ``min(k_max, 4)`` and ``budget``, and are memoized on those, so
+the schema and ``min(k_max, 4)``, and are memoized on those, so
 ``verify`` with several measures, or any process checking several measures
 on one group, runs them once.  The measure half, the ``laplacian.*`` checks,
 reads the measure and runs on every call.  The inputs and the size refusals
@@ -67,16 +67,21 @@ class SuiteRecord:
     detail: str = ""
 
 
-# One entry per (schema, min(k_max, 4), budget).  An entry is ten short
-# records; measured with tracemalloc on a copy, it takes 2.2 to 4.3 kB on the
-# largest groups whose radius-4 generator ball passes the ball cap (lattice(12),
+# The pairs of the cocycle check, and the tuples of each left/right agreement
+# check; on heisenberg(1) the 25 pairs of the radius-1 ball all fit.
+SUITE_BUDGET = 300
+
+
+# One entry per (schema, min(k_max, 4)).  An entry is ten short records;
+# measured with tracemalloc on a copy, it takes 2.2 to 4.3 kB on the largest
+# groups whose radius-4 generator ball passes the ball cap (lattice(12),
 # heisenberg(5), unitriangular(9)) and 4.8 kB with the failure details of a
 # broken unitriangular(9) law.  Its key holds the schema, up to 3.7 kB with the
 # compiled law, so a full memo stays under 0.3 MB.
 @lru_cache(maxsize=32)
-def _group_records(schema: GroupSchema, k_red: int, budget: int) -> tuple[SuiteRecord, ...]:
+def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
     """The ``group.*`` and ``poly.*`` records, checked to degree ``k_red``
-    (interpolation to ``min(k_red, 2)``) with ``budget`` pairs and tuples.
+    (interpolation to ``min(k_red, 2)``) with ``SUITE_BUDGET`` pairs and tuples.
 
     Each check calls this module's names, so rebinding them reaches every
     miss; a raised error is not memoized.
@@ -162,7 +167,7 @@ def _group_records(schema: GroupSchema, k_red: int, budget: int) -> tuple[SuiteR
             rhs = [q_scale * p_values[i] for i in ids]
             if lhs != rhs:
                 bad = next(g for g, a, b in zip(b3, lhs, rhs) if a != b)
-                bad_detail = f"monomial {mono_.exponents}, u={u}, g={bad}"
+                bad_detail = f"monomial {mono_}, u={u}, g={bad}"
                 break
         if bad_detail:
             break
@@ -175,13 +180,13 @@ def _group_records(schema: GroupSchema, k_red: int, budget: int) -> tuple[SuiteR
         for i in range(1, schema.n_coords + 1):
             dd = left_derivative(p, basis_element(schema, i)).degree
             if dd is not None and dd > d - schema.weight(i):
-                bad_detail = f"monomial {mono_.exponents}, coordinate {i}"
+                bad_detail = f"monomial {mono_}, coordinate {i}"
                 break
         if bad_detail:
             break
     add("poly.degree_reduction", not bad_detail, bad_detail or f"degree <= {k_red}")
 
-    pairs = list(itertools.product(b1, repeat=2))[:budget]
+    pairs = list(itertools.product(b1, repeat=2))[:SUITE_BUDGET]
     bad_detail = ""
     for m in pk_basis(schema, 2)[1:]:
         f = Polynomial.from_monomial(schema, m)
@@ -215,9 +220,9 @@ def _group_records(schema: GroupSchema, k_red: int, budget: int) -> tuple[SuiteR
     bad_detail = ""
     for m in pk_basis(schema, 2):
         p = Polynomial.from_monomial(schema, m)
-        res = check_left_right_agreement(schema, p, p.degree, 1, budget=budget)
+        res = check_left_right_agreement(schema, p, p.degree, 1, budget=SUITE_BUDGET)
         if not (res.passed and res.left.passed and res.right.passed):
-            bad_detail = f"monomial {m.exponents}"
+            bad_detail = f"monomial {m}"
             break
     add("poly.left_right_agreement", not bad_detail, bad_detail)
     return tuple(records)
@@ -228,7 +233,6 @@ def run_invariant_suite(
     measure: Measure,
     k_max: int,
     radius: int,
-    budget: int = 300,
 ) -> list[SuiteRecord]:
     """The group half's records, then the measure half's, in a new list."""
     if measure.schema != schema:
@@ -236,13 +240,11 @@ def run_invariant_suite(
     for value, what in ((k_max, "k_max"), (radius, "radius")):
         if _require_int(value, what) < 0:
             raise ValidationError(f"{what} must be non-negative, got {value}")
-    if _require_int(budget, "budget") < 1:
-        raise ValidationError(f"budget must be positive, got {budget}")
     # the largest Laplacian and the harmonic oracle's ball are refused here,
     # before any check has run
     matrix_shape(schema, k_max)
     ball_levels(schema, measure.support(), radius)
-    records = list(_group_records(schema, min(k_max, 4), budget))
+    records = list(_group_records(schema, min(k_max, 4)))
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         records.append(SuiteRecord(name, passed, detail))
@@ -269,11 +271,11 @@ def run_invariant_suite(
                 rhs[i] = Fraction(1)
                 sol = factorization.solve(rhs)
                 if isinstance(sol, Inconsistent):
-                    bad_detail = f"no preimage for {mono_.exponents}"
+                    bad_detail = f"no preimage for {mono_}"
                     break
-                p_hat = _from_fractions(schema, {domain[t].exponents: c for t, c in sol.items()})
+                p_hat = _from_fractions(schema, {domain[t]: c for t, c in sol.items()})
                 if apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono_):
-                    bad_detail = f"bad preimage for {mono_.exponents}"
+                    bad_detail = f"bad preimage for {mono_}"
                     break
             add(f"laplacian.surjectivity[k={k}]", not bad_detail,
                 bad_detail or f"{len(codomain)} targets")
@@ -299,7 +301,7 @@ def run_invariant_suite(
     for m in pk_basis(schema, min(k_max, 3)):
         p = Polynomial.from_monomial(schema, m)
         if apply_laplacian(measure, p) != _symmetric_form(measure, p):
-            bad_detail = f"monomial {m.exponents}"
+            bad_detail = f"monomial {m}"
             break
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records

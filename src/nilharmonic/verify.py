@@ -13,9 +13,9 @@ making every oracle deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -135,15 +135,12 @@ class DerivativeCheck:
 # The difference points of the last 32 calls, each at most ``budget *
 # len(test_points) * 2**order`` ids: the suite's three orders and two sides for
 # a few groups.
-_DIFFERENCE_POINTS: OrderedDict[tuple, tuple[tuple, tuple, tuple]] = OrderedDict()
-_DIFFERENCE_ENTRIES = 32
-
-
+@lru_cache(maxsize=32)
 def _difference_points(
     schema: GroupSchema,
     order: int,
-    elems: Sequence[GroupElement],
-    test_points: Sequence[GroupElement],
+    tuple_coords: tuple[tuple[int, ...], ...],
+    point_coords: tuple[tuple[int, ...], ...],
     budget: int,
     side: str,
 ) -> tuple[tuple, tuple, tuple]:
@@ -156,14 +153,6 @@ def _difference_points(
     order, the position in ``points`` of subset s's point.  Nothing here
     depends on the polynomial, so every polynomial of one order shares it.
     """
-    tuple_coords = tuple(u.coords for u in elems)
-    point_coords = tuple(x.coords for x in test_points)
-    key = (schema, order, tuple_coords, point_coords, budget, side)
-    hit = _DIFFERENCE_POINTS.get(key)
-    if hit is not None:
-        _DIFFERENCE_POINTS.move_to_end(key)
-        return hit
-
     law_mul = schema.law_mul
 
     def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -177,10 +166,7 @@ def _difference_points(
         for u in tup:
             prods += [act(prod, u) for prod in prods]
         rows += [[index.setdefault(act(x, p), len(index)) for p in prods] for x in point_coords]
-    hit = _DIFFERENCE_POINTS[key] = (tuples, tuple(zip(*rows)), tuple(index))
-    if len(_DIFFERENCE_POINTS) > _DIFFERENCE_ENTRIES:
-        _DIFFERENCE_POINTS.popitem(last=False)
-    return hit
+    return tuples, tuple(zip(*rows)), tuple(index)
 
 
 def _iterated_difference_check(
@@ -200,7 +186,8 @@ def _iterated_difference_check(
     two sums differ, in odometer order, is the witness.
     """
     tuples, columns, points = _difference_points(
-        schema, order, elems, test_points, budget, side
+        schema, order, tuple(u.coords for u in elems), tuple(x.coords for x in test_points),
+        budget, side,
     )
     signs = [1 if order % 2 == 0 else -1]
     for _ in range(order):

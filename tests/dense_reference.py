@@ -13,7 +13,7 @@ the integer tails, must equal the one read here from the ``Fraction`` tails.
 
 ``plus``, ``times``, ``negate``, ``evaluate``, ``coefficient_vector``,
 ``compose``, ``translate``, ``restrict_to_sublattice`` and ``apply_laplacian``
-are the polynomial operations on ``{Monomial: Fraction}`` dicts, as the
+are the polynomial operations on ``{exponents: Fraction}`` dicts, as the
 library ran them before it kept integer numerators over one denominator:
 they work on ``Fraction`` coefficients term by term, composition expands
 each monomial as a product of the affine forms, and the Laplacian sums one
@@ -67,7 +67,6 @@ from nilharmonic.polynomials import (
     AffineForm,
     Exponents,
     IntTerms,
-    Monomial,
     Polynomial,
     _monomial_images,
     _translation_forms,
@@ -221,12 +220,12 @@ def eliminate(cols: int, entries: Sequence[dict[int, Fraction]]) -> Elimination:
 
 # -- polynomials on Fraction dicts ------------------------------------------------
 #
-# Each operation reads the library polynomial's ``terms`` ({Monomial:
+# Each operation reads the library polynomial's ``terms`` ({exponents:
 # Fraction}), works term by term in Fraction, and hands its terms to the
 # validated public constructor, as the library did before it kept integer
 # numerators over one denominator.
 
-Terms = dict[Monomial, Fraction]
+Terms = dict[Exponents, Fraction]
 
 
 def _poly(schema: GroupSchema, terms: Terms) -> Polynomial:
@@ -245,7 +244,7 @@ def _product(a: Terms, b: Terms) -> Terms:
     out: Terms = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = Monomial(tuple(x + y for x, y in zip(m1.exponents, m2.exponents)))
+            m = tuple(x + y for x, y in zip(m1, m2))
             out[m] = out.get(m, Fraction(0)) + c1 * c2
     return out
 
@@ -265,13 +264,13 @@ def evaluate(p: Polynomial, coords: Sequence[int]) -> Fraction:
     total = Fraction(0)
     for m, c in p.terms.items():
         v = c
-        for x, e in zip(coords, m.exponents):
+        for x, e in zip(coords, m):
             v *= Fraction(x) ** e
         total += v
     return total
 
 
-def coefficient_vector(p: Polynomial, basis: Sequence[Monomial]) -> list[Fraction]:
+def coefficient_vector(p: Polynomial, basis: Sequence[Exponents]) -> list[Fraction]:
     terms = p.terms
     return [terms.get(m, Fraction(0)) for m in basis]
 
@@ -283,14 +282,14 @@ def compose(p: Polynomial, forms: Sequence[AffineForm]) -> Polynomial:
     zero = (0,) * n
     linear: list[Terms] = []
     for c, lin in forms:
-        form: Terms = {Monomial(zero): Fraction(c)} if c else {}
+        form: Terms = {zero: Fraction(c)} if c else {}
         for v, a in lin:
-            form[Monomial(zero[:v] + (1,) + zero[v + 1:])] = Fraction(a)
+            form[zero[:v] + (1,) + zero[v + 1:]] = Fraction(a)
         linear.append(form)
     total: Terms = {}
     for m, coeff in p.terms.items():
-        term: Terms = {Monomial(zero): coeff}
-        for form, e in zip(linear, m.exponents):
+        term: Terms = {zero: coeff}
+        for form, e in zip(linear, m):
             for _ in range(e):
                 term = _product(term, form)
         for mono, c in term.items():
@@ -316,12 +315,16 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     return plus(p, expected, -1)
 
 
-def monomial_sort_key(schema: GroupSchema, m: Monomial) -> tuple:
+def weighted_degree(schema: GroupSchema, m: Exponents) -> int:
+    return sum(w * e for w, e in zip(schema.weights, m))
+
+
+def monomial_sort_key(schema: GroupSchema, m: Exponents) -> tuple:
     """Graded order: weighted degree, then exponent-lexicographic descending."""
-    return (m.weighted_degree(schema), tuple(-e for e in m.exponents))
+    return (weighted_degree(schema, m), tuple(-e for e in m))
 
 
-def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
+def pk_basis(schema: GroupSchema, k: int) -> list[Exponents]:
     """All monomials of weighted degree <= k, sorted into graded order."""
     if k < 0:
         return []
@@ -339,7 +342,7 @@ def pk_basis(schema: GroupSchema, k: int) -> list[Monomial]:
         exps[i] = 0
 
     rec(0, k)
-    return sorted((Monomial(t) for t in out), key=lambda m: monomial_sort_key(schema, m))
+    return sorted(out, key=lambda m: monomial_sort_key(schema, m))
 
 
 def monomial_translates(
@@ -356,8 +359,8 @@ def pair_columns(
     """Integer columns of m -> 2m - m(x s) - m(x s^-1) over pk_basis(schema, k),
     as (row, coefficient) pairs over pk_basis(schema, k - 2), from the
     tuple-keyed sweep."""
-    domain = [m.exponents for m in pk_basis(schema, k)]
-    index = {m.exponents: i for i, m in enumerate(pk_basis(schema, k - 2))}
+    domain = pk_basis(schema, k)
+    index = {m: i for i, m in enumerate(pk_basis(schema, k - 2))}
     s_inv = GroupElement(inv_coords(schema, s.coords))
     columns = []
     for mono, *images in zip(
@@ -398,12 +401,12 @@ def translated_pair_columns(
     return columns
 
 
-def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Monomial, Fraction]]) -> str:
+def terms_text(schema: GroupSchema, ordered: Iterable[tuple[Exponents, Fraction]]) -> str:
     """Text of the non-zero terms in the given order; "0" for no terms."""
     names = schema.coord_names
     pieces: list[str] = []
     for mono, coeff in ordered:
-        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono.exponents) if e]
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e]
         # the magnitude as str(abs(coeff)) writes it, read off the int parts
         num, den = coeff.numerator, coeff.denominator
         positive = num > 0
@@ -426,8 +429,8 @@ def polynomial_str(p: Polynomial) -> str:
     ordered = sorted(
         p.terms.items(),
         key=lambda mc: (
-            -mc[0].weighted_degree(p.schema),
-            tuple(-e for e in mc[0].exponents),
+            -weighted_degree(p.schema, mc[0]),
+            tuple(-e for e in mc[0]),
         ),
     )
     return terms_text(p.schema, ordered)
@@ -436,13 +439,13 @@ def polynomial_str(p: Polynomial) -> str:
 def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
     """The JSON object: the terms in graded order, and the text of str(p)."""
     keyed = sorted(
-        ((m.weighted_degree(p.schema), tuple(-e for e in m.exponents)), m, c)
+        (monomial_sort_key(p.schema, m), m, c)
         for m, c in p.terms.items()
     )
     leading = sorted(keyed, key=lambda t: -t[0][0])
     return {
         "terms": [
-            {"exponents": list(m.exponents), "coeff": str(c)}
+            {"exponents": list(m), "coeff": str(c)}
             for _, m, c in keyed
         ],
         "text": terms_text(p.schema, ((m, c) for _, m, c in leading)),

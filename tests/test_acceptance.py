@@ -156,7 +156,7 @@ def test_criterion_06_degree_reduction():
                 dp = left_derivative(p, basis_element(schema, i))
                 if not dp.is_zero:
                     assert dp.degree <= d - schema.weight(i), (
-                        f"{schema.name()}: d_{i} {mono.exponents}"
+                        f"{schema.name()}: d_{i} {mono}"
                     )
     _report(6, "degree reduction", t0)
 

@@ -61,7 +61,8 @@ def test_dims_counts_without_enumerating(tmp_path, capsys, monkeypatch):
     def no_enumeration(schema, k):
         raise AssertionError("dims enumerated a basis")
 
-    monkeypatch.setattr(polynomials, "_pk_basis_cached", no_enumeration)
+    for owner in (polynomials, laplacian, suite):
+        monkeypatch.setattr(owner, "pk_basis", no_enumeration)
     group = tmp_path / "z36.json"
     group.write_text(json.dumps({"family": "lattice", "d": 36}), encoding="utf-8")
     code, out, err = run(capsys, ["dims", "--group", str(group), "--k", "10"])

@@ -22,7 +22,6 @@ from nilharmonic.groups import (
     unitriangular,
 )
 from nilharmonic.polynomials import (
-    Monomial,
     Polynomial,
     dim_pk,
     left_derivative,
@@ -45,7 +44,7 @@ UT4 = unitriangular(4)
 
 
 def mono(schema, *exps):
-    return Polynomial.from_monomial(schema, Monomial(tuple(exps)))
+    return Polynomial.from_monomial(schema, tuple(exps))
 
 
 X, Y, Z = (Polynomial.coordinate(H3, i) for i in (1, 2, 3))
@@ -61,7 +60,7 @@ def test_lattice_basis_count_is_binomial(d, k):
 
 def test_heisenberg_degree2_basis():
     basis = pk_basis(H3, 2)
-    assert [m.exponents for m in basis] == [
+    assert list(basis) == [
         (0, 0, 0),
         (1, 0, 0),
         (0, 1, 0),
@@ -108,17 +107,17 @@ def test_basis_by_degree_equals_the_sorted_enumeration(schema):
     # the degree-by-degree basis against every exponent vector within the
     # bound, sorted by the graded key
     for k in range(-1, 7):
-        assert pk_basis(schema, k) == dense.pk_basis(schema, k)
+        assert list(pk_basis(schema, k)) == dense.pk_basis(schema, k)
 
 
 def test_negative_degree_basis_is_empty():
-    assert pk_basis(H3, -1) == []
+    assert pk_basis(H3, -1) == ()
     assert dim_pk(Z2, -3) == 0
 
 
 def test_basis_is_graded_and_deterministic():
     basis = pk_basis(UT4, 3)
-    degs = [m.weighted_degree(UT4) for m in basis]
+    degs = [dense.weighted_degree(UT4, m) for m in basis]
     assert degs == sorted(degs)
     assert basis == pk_basis(UT4, 3)
 
@@ -214,10 +213,10 @@ def test_translation_matches_sympy_expansion(schema):
             coords = [sympy.Poly(c, *xs) for c in law]
             for m in basis:
                 expected = sympy.Poly(1, *xs)
-                for c, e in zip(coords, m.exponents):
+                for c, e in zip(coords, m):
                     expected *= c**e
                 got = translate(Polynomial.from_monomial(schema, m), u)
-                assert {mono.exponents: c for mono, c in got.terms.items()} == {
+                assert got.terms == {
                     exps: Fraction(int(c)) for exps, c in expected.as_dict().items()
                 }
 
@@ -504,12 +503,12 @@ def test_no_zero_coefficients_stored():
     p = X - X
     assert p.terms == {} and p.is_zero
     q = X + Y - X
-    assert list(q.terms) == [Monomial((0, 1, 0))]
+    assert list(q.terms) == [(0, 1, 0)]
 
 
 def test_coefficients_must_be_int_or_fraction():
     # a float, a bool or a string would be coerced to some rational: all refused
-    m = Monomial((1, 0, 0))
+    m = (1, 0, 0)
     for value in (0.1, 2.0, True, False, "1/3", None, 1j):
         with pytest.raises(ValidationError):
             Polynomial(H3, {m: value})
@@ -525,12 +524,20 @@ def test_coefficients_must_be_int_or_fraction():
     assert (X * 0).is_zero and (0 * X).is_zero
 
 
+class _Pairs(list):
+    """Term pairs read through ``items()``, so a key may be one a dict cannot
+    hold, such as a list."""
+
+    def items(self):
+        return iter(self)
+
+
 def test_term_keys_must_be_monomials_of_the_schema():
-    # wrong length, a negative, float or bool exponent, or a bare tuple key
-    for key in (Monomial((1, 0)), Monomial((1, -1, 0)), Monomial((1.0, 0, 0)),
-                Monomial((True, 0, 0)), (1, 0, 0)):
+    assert Polynomial(H3, {(1, 0, 0): 1}) == X
+    # wrong length, a negative, float or bool exponent, or a list key
+    for key in ((1, 0), (1, -1, 0), (1.0, 0, 0), (True, 0, 0), [1, 0, 0]):
         with pytest.raises(ValidationError):
-            Polynomial(H3, {key: 1})
+            Polynomial(H3, _Pairs([(key, 1)]))
 
 
 def test_schema_mismatch_in_arithmetic():

@@ -19,10 +19,10 @@ from nilharmonic.laplacian import (
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _TRANSLATIONS, _pk_basis_cached, graded_index
+from nilharmonic.polynomials import _TRANSLATIONS, graded_index, pk_basis
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
-from nilharmonic.verify import _DIFFERENCE_POINTS
+from nilharmonic.verify import _difference_points
 
 # dense_reference.py holds the Fraction-dict Laplacian the integer one replaced
 import dense_reference as dense  # noqa: E402
@@ -31,8 +31,8 @@ H3 = heisenberg(1)
 U4 = unitriangular(4)
 
 
-def records(schema, k, radius, budget=300):
-    suite = run_invariant_suite(schema, generator_walk(schema), k, radius, budget)
+def records(schema, k, radius):
+    suite = run_invariant_suite(schema, generator_walk(schema), k, radius)
     return [(r.name, r.passed, r.detail) for r in suite]
 
 
@@ -127,29 +127,17 @@ def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius
         run_invariant_suite(H3, generator_walk(H3), k, radius)
 
 
-@pytest.mark.parametrize(
-    "budget, message",
-    [(0, "budget must be positive, got 0"), (-1, "budget must be positive, got -1"),
-     (2.5, "budget must be an int, got 2.5"), (True, "budget must be an int, got True")],
-)
-def test_bad_budget_is_refused_before_any_check(monkeypatch, budget, message):
-    no_checks(monkeypatch, "matrix_shape", "ball_levels")
-    with pytest.raises(ValidationError, match=message):
-        run_invariant_suite(H3, generator_walk(H3), 2, 1, budget=budget)
+def details(schema, k):
+    return {name: detail for name, _, detail in records(schema, k, 1)}
 
 
-def details(schema, k, budget=300):
-    return {name: detail for name, _, detail in records(schema, k, 1, budget)}
-
-
-def test_group_records_are_keyed_on_degree_and_budget():
+def test_group_records_are_keyed_on_degree():
     _group_records.cache_clear()
     low, high = details(H3, 1), details(H3, 4)
     assert low["poly.interpolation_soundness"] == low["poly.degree_reduction"] == "degree <= 1"
     assert high["poly.interpolation_soundness"] == "degree <= 2"
     assert high["poly.degree_reduction"] == "degree <= 4"
-    assert details(H3, 2, budget=5)["poly.cocycle_identity"] == "5 pairs"
-    assert details(H3, 2, budget=300)["poly.cocycle_identity"] == "25 pairs"
+    assert details(H3, 2)["poly.cocycle_identity"] == "25 pairs"
     # degrees past 4 read the same group records as degree 4
     misses = _group_records.cache_info().misses
     top = details(H3, 5)
@@ -211,7 +199,7 @@ def preimages():
 def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_TRANSLATIONS.clear, _DIFFERENCE_POINTS.clear, _pk_basis_cached.cache_clear,
+    for clear in (_TRANSLATIONS.clear, _difference_points.cache_clear, pk_basis.cache_clear,
                   graded_index.cache_clear, _pair_columns.cache_clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
