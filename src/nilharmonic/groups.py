@@ -363,7 +363,7 @@ def ball_levels(
     included; measured with tracemalloc); the mean-value oracle on such a
     ball, at degree 4 on heisenberg(1), peaks at about 21 MB.
     """
-    if radius < 0:
+    if _require_int(radius, "radius") < 0:
         raise ValidationError("radius must be non-negative")
     gens = _check_symmetric(schema, support)
     law_mul = schema.law_mul

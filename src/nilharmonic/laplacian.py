@@ -35,6 +35,7 @@ from .polynomials import (
     _from_ints,
     _require_coeff,
     dim_pk,
+    dim_pk_table,
     graded_images,
     pk_basis,
     translate_left,
@@ -51,9 +52,15 @@ class Measure:
     measure must be adapted: its support generates the group, which is
     decided exactly from the weight-1 coordinates (see
     ``reaches_all_generators``).
+
+    ``atoms`` is sorted by coordinates.  The validation's findings are kept:
+    ``scale``, the lcm of the weights' denominators; ``int_weights``, scale
+    times each weight, in ``atoms`` order; and ``pairs``, one (s, s^-1, w)
+    per pair of non-identity atoms, s the smaller and w = scale * mu(s), in
+    order of s.
     """
 
-    __slots__ = ("schema", "atoms")
+    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs")
 
     def __init__(
         self,
@@ -74,8 +81,9 @@ class Measure:
                 raise ValidationError(f"duplicate atom {g.coords}")
             clean[g] = w
 
+        inverses: dict[GroupElement, GroupElement] = {}
         for g, w in clean.items():
-            gi = GroupElement(inv_coords(schema, g.coords))
+            gi = inverses[g] = GroupElement(inv_coords(schema, g.coords))
             if clean.get(gi) != w:
                 raise ValidationError(
                     f"measure is not symmetric: atom {g.coords} has weight {w} "
@@ -95,6 +103,11 @@ class Measure:
         self.schema = schema
         self.atoms = MappingProxyType(
             {g: clean[g] for g in sorted(clean, key=lambda e: e.coords)}
+        )
+        self.scale = scale = lcm(*(w.denominator for w in clean.values()))
+        self.int_weights = tuple(scale * w.numerator // w.denominator for w in self.atoms.values())
+        self.pairs = tuple(
+            (s, inverses[s], ws) for s, ws in zip(self.atoms, self.int_weights) if s < inverses[s]
         )
 
     def support(self) -> list[GroupElement]:
@@ -144,19 +157,11 @@ def lazy_generator_walk(schema: GroupSchema, hold: Fraction = Fraction(1, 2)) ->
 
 # -- the Laplacian -------------------------------------------------------------
 
-def _cleared(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(s, [s * w for each w]) for s the lcm of the denominators, the least
-    scale that makes every s * w an int."""
-    weights = list(weights)
-    s = lcm(*(w.denominator for w in weights))
-    return s, [w.numerator * (s // w.denominator) for w in weights]
-
-
 def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     """Delta p = p - sum_s mu(s) (x -> p(xs)); drops weighted degree by >= 2.
 
     Integer: with p = P / a for its integer numerators P and denominator a,
-    and b the lcm of the weights' denominators, a b Delta p = sum_s (b mu(s))
+    and b the measure's ``scale``, a b Delta p = sum_s (b mu(s))
     (P - P(x s)), as mu has mass 1.  That sum is accumulated in ints, one
     atom at a time over the memoized right translates of p's monomials, and
     the result is normalized over a b once.  The suite checks the matrix
@@ -166,15 +171,14 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
         raise ValidationError("polynomial and measure belong to different schemas")
     schema = p.schema
     ints = p.ints
-    w_scale, int_weights = _cleared(measure.atoms.values())
-    acc = {e: w_scale * a for e, a in ints.items()}
-    for s, ws in zip(measure.atoms, int_weights):
+    acc = {e: measure.scale * a for e, a in ints.items()}
+    for s, ws in zip(measure.atoms, measure.int_weights):
         entry = _TRANSLATIONS.lookup(schema, s, "right")
         for a, image in zip(ints.values(), _TRANSLATIONS.images(entry, ints)):
             wa = ws * a
             for exps, c in image.items():
                 acc[exps] = acc.get(exps, 0) - wa * c
-    result = _from_ints(schema, acc, p.den * w_scale)
+    result = _from_ints(schema, acc, p.den * measure.scale)
     k = p.degree
     kr = result.degree
     if k is not None and kr is not None and kr > k - 2:
@@ -250,8 +254,8 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
     graded order.  For k <= 1 the codomain is trivial and the matrix has
     zero rows.  The columns are summed from the memoized second differences
-    of the measure's pairs {s, s^-1} (see ``_pair_columns``), which jobs on
-    one group share.  The last few matrices are kept, keyed by (schema,
+    of ``measure.pairs`` (see ``_pair_columns``), which jobs on one group
+    share.  The last few matrices are kept, keyed by (schema,
     measure, k), so repeated solves against one Laplacian share one
     factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
     refused by ``matrix_shape``, before any basis is enumerated.
@@ -263,12 +267,8 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     n_rows, n_cols = matrix_shape(schema, k)
     # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
     # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
-    scale, int_weights = _cleared(measure.atoms.values())
     columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
-    for s, ws in zip(measure.atoms, int_weights):
-        s_inv = inv_coords(schema, s.coords)
-        if s.coords >= s_inv:
-            continue  # the identity, or the second member of a pair
+    for s, _, ws in measure.pairs:
         for column, pair in zip(columns, _pair_columns(schema, s, k)):
             for i, c in pair:
                 column[i] = column.get(i, 0) + ws * c
@@ -278,7 +278,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
         for i, c in column.items():
             if c:
                 rows[i][j] = c
-    return RationalMatrix._trusted(n_rows, n_cols, rows, scale)
+    return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
 
 
 @dataclass(frozen=True)
@@ -371,17 +371,17 @@ def growth_exponent_table(
     d the coordinate count (the Hirsch length).
 
     Dimensions come from the kernel-dimension identity
-    dim H^k = dim P^k - dim P^{k-2}; the identity itself is verified against
-    explicit kernels elsewhere, which keeps large k cheap here.
+    dim H^k = dim P^k - dim P^{k-2}, read off one ``dim_pk_table`` count;
+    the identity itself is verified against explicit kernels elsewhere,
+    which keeps large k cheap here.
     """
     if k_max < 2:
         raise ValidationError("k_max must be at least 2")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     d = schema.n_coords
-    rows = []
-    for k in range(k_max + 1):
-        dim = dim_hk(schema, k)
-        ratio = Fraction(dim, k ** (d - 1)) if k >= 1 else None
-        rows.append(GrowthRow(k, dim, ratio))
-    return rows
+    pk = dim_pk_table(schema, k_max)
+    dims = [dim - below for dim, below in zip(pk, [0, 0] + pk)]
+    return [
+        GrowthRow(k, dim, Fraction(dim, k ** (d - 1)) if k else None) for k, dim in enumerate(dims)
+    ]

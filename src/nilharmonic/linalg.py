@@ -83,16 +83,15 @@ class Factorization:
     reduced echelon form with pivot ``p`` is kept as integers: it is 1 at
     ``p`` and ``int_tails[p][c] / leads[p]`` at each of its other non-zero
     columns ``c``, which are free columns right of ``p``; ``leads[p] > 0``.
-    ``tails[p]`` is that row as ``Fraction`` values, without its leading 1,
-    made on first read.  ``steps`` is the row transform (see ``_Step``),
-    made on first read from the integer factors the elimination recorded
-    over the matrix's ``denominator`` (see ``_IntStep``); only ``solve``
-    reads it.  The methods hand out fresh dicts only.
+    ``kernel`` and the reduced matrix of ``rref`` read these integer rows.
+    ``steps`` is the row transform (see ``_Step``), made on first read from
+    the integer factors the elimination recorded over the matrix's
+    ``denominator`` (see ``_IntStep``); only ``solve`` reads it.  The
+    methods hand out fresh dicts only.
     """
 
     __slots__ = (
-        "rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps",
-        "_tails", "_steps",
+        "rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps", "_steps",
     )
 
     def __init__(
@@ -111,18 +110,7 @@ class Factorization:
         self.int_tails = int_tails
         self.denominator = denominator
         self.int_steps = int_steps
-        self._tails: dict[int, SparseVector] | None = None
         self._steps: list[_Step] | None = None
-
-    @property
-    def tails(self) -> dict[int, SparseVector]:
-        if self._tails is None:
-            leads = self.leads
-            self._tails = {
-                p: {c: Fraction(v, leads[p]) for c, v in tail.items()}
-                for p, tail in self.int_tails.items()
-            }
-        return self._tails
 
     @property
     def steps(self) -> list[_Step]:

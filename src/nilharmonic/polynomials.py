@@ -26,11 +26,13 @@ coefficients, read off that list, and a monomial x^a translates to
 prod_t L_t^{a_t}, an integer polynomial, built as L_t times the image of
 x^a / x_t for t the first non-zero coordinate.  The same substitution,
 with linear forms taken from a matrix, restricts polynomials on abelian
-groups to sublattices.  Polynomial translations share one LRU memo keyed by
-(schema, u, side), whose entries hold the forms and the monomial images
-found so far; it holds at most ``_TRANSLATION_ENTRIES`` entries and
-``_IMAGE_TERMS`` image terms, past which images are computed and not
-stored, with the same results.  The Laplacian matrix translates whole bases
+groups to sublattices; it makes the images one total degree at a time and
+drops each degree once the next is made, so it keeps no memo.  Polynomial
+translations share one LRU memo keyed by (schema, u, side), whose entries
+hold the forms and the monomial images found so far; it holds at most
+``_TRANSLATION_ENTRIES`` entries and ``_IMAGE_TERMS`` image terms, past
+which images are computed and not stored, with the same results.  The
+Laplacian matrix translates whole bases
 by ``graded_images``, which runs the recursion on the basis indices of
 ``graded_index`` and stores no image.
 
@@ -48,7 +50,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,6 +88,12 @@ def pk_basis(schema: GroupSchema, k: int) -> tuple[Exponents, ...]:
     return tuple(e for level in levels for e in level)
 
 
+def _parent(exps: Exponents) -> tuple[Exponents, int]:
+    """m and t with exps = x_t m, for t the first non-zero coordinate of exps."""
+    t = next(i for i, e in enumerate(exps) if e)
+    return exps[:t] + (exps[t] - 1,) + exps[t + 1:], t
+
+
 @lru_cache(maxsize=_GRADED_BASES)
 def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
     """(steps, up) on the indices of pk_basis(schema, k), k >= 0.
@@ -100,11 +108,7 @@ def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ..
     index = {e: i for i, e in enumerate(basis)}
     up = tuple([index.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
                for v in range(schema.n_coords))
-    steps = []
-    for e in basis[1:]:
-        t = next(v for v, x in enumerate(e) if x)
-        steps.append((index[e[:t] + (e[t] - 1,) + e[t + 1:]], t))
-    return tuple(steps), up
+    return tuple((index[m], t) for m, t in map(_parent, basis[1:])), up
 
 
 def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
@@ -445,49 +449,41 @@ def _translation_forms(
     )
 
 
-def _image(
-    forms: Sequence[AffineForm], memo: dict[Exponents, IntTerms], exps: Exponents, room: float
-) -> tuple[IntTerms, int]:
-    """T(x^exps) = prod_t L_t^{exps_t}, and the number of image terms it
-    stored in ``memo``.
+def _times(form: AffineForm, image: IntTerms) -> IntTerms:
+    """L * image for the affine form L."""
+    c, lin = form
+    out: IntTerms = {}
+    for e, coeff in image.items():
+        if c:
+            out[e] = out.get(e, 0) + c * coeff
+        for v, a in lin:
+            bumped = e[:v] + (e[v] + 1,) + e[v + 1:]
+            out[bumped] = out.get(bumped, 0) + a * coeff
+    return {e: coeff for e, coeff in out.items() if coeff}
 
-    T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so the
-    image is a chain of affine products from the longest part already in
-    ``memo``, or from the constant monomial, which T fixes.  Each new image
-    on the way is stored while the terms stored stay within ``room``.
+
+def _term_images(forms: Sequence[AffineForm], terms: IntTerms) -> Iterator[tuple[int, IntTerms]]:
+    """(a, T(x^e)) for each term a x^e of ``terms``, T(x_t m) = L_t T(m) as
+    in ``_TranslationMemo.images``, in order of total degree.
+
+    The images on the terms' chains are made once each, one total degree at
+    a time from the degree below, which is then dropped: x1^d alone holds
+    two images at a time, where a memo of the chain would hold d.
     """
-    chain = []
-    while exps not in memo:
-        t = next((i for i, e in enumerate(exps) if e), None)
-        if t is None:
-            image = {exps: 1}
-            break
-        chain.append((exps, t))
-        exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
-    else:
-        image = memo[exps]
-    stored = 0
-    for exps, t in reversed(chain):
-        c, lin = forms[t]
-        out: IntTerms = {}
-        for e, coeff in image.items():
-            if c:
-                out[e] = out.get(e, 0) + c * coeff
-            for v, a in lin:
-                bumped = e[:v] + (e[v] + 1,) + e[v + 1:]
-                out[bumped] = out.get(bumped, 0) + a * coeff
-        image = {e: coeff for e, coeff in out.items() if coeff}
-        if stored + len(image) <= room:
-            memo[exps] = image
-            stored += len(image)
-    return image, stored
-
-
-def _monomial_images(forms: Sequence[AffineForm], keys: Iterable[Exponents]) -> Iterator[IntTerms]:
-    """T(m) for each exponent vector m in turn, keyed by exponent vector, from
-    one unbounded memo that lives as long as the returned generator."""
-    memo: dict[Exponents, IntTerms] = {}
-    return (_image(forms, memo, exps, inf)[0] for exps in keys)
+    # layers[d][m] = (m / x_t, t) for each monomial m of total degree d on a chain
+    layers: dict[int, dict[Exponents, tuple[Exponents, int]]] = {}
+    for exps in terms:
+        d = sum(exps)
+        while d and exps not in layers.setdefault(d, {}):
+            layers[d][exps] = step = _parent(exps)
+            exps, d = step[0], d - 1
+    zero = (0,) * len(forms)
+    images = {zero: {zero: 1}}
+    if zero in terms:
+        yield terms[zero], images[zero]
+    for d in sorted(layers):
+        images = {e: _times(forms[t], images[m]) for e, (m, t) in layers[d].items()}
+        yield from ((terms[e], image) for e, image in images.items() if e in terms)
 
 
 def graded_images(
@@ -566,26 +562,42 @@ class _TranslationMemo:
         return entry
 
     def images(self, entry: _Translation, keys: Iterable[Exponents]) -> Iterator[IntTerms]:
-        """Yield the image of each exponent vector, storing new ones in the
-        entry while the memo's total stays within ``_IMAGE_TERMS``."""
+        """Yield T(x^e) = prod_t L_t^{e_t} for each exponent vector e.
+
+        T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so
+        the image is a chain of affine products from the longest part stored
+        in the entry, or from the constant monomial, which T fixes.  Each new
+        image on the way is stored while the memo's total stays within
+        ``_IMAGE_TERMS``.
+        """
         images = entry.images
         for exps in keys:
             image = images.get(exps)
             if image is None:
-                image, stored = _image(entry.forms, images, exps, _IMAGE_TERMS - self.terms)
-                entry.size += stored
-                self.terms += stored
+                chain = []
+                while exps not in images and any(exps):
+                    parent, t = _parent(exps)
+                    chain.append((exps, t))
+                    exps = parent
+                image = images[exps] if exps in images else {exps: 1}
+                for exps, t in reversed(chain):
+                    image = _times(entry.forms[t], image)
+                    if self.terms + len(image) <= _IMAGE_TERMS:
+                        images[exps] = image
+                        entry.size += len(image)
+                        self.terms += len(image)
             yield image
 
 
 _TRANSLATIONS = _TranslationMemo()
 
 
-def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
-    """sum_e p.ints[e] * images[e] / p.den, for one image per term of p."""
+def _combine(p: Polynomial, terms: Iterable[tuple[int, IntTerms]]) -> Polynomial:
+    """sum a * image / p.den over the pairs (a, image), one per term a x^e of
+    p with image the image of x^e."""
     acc: IntTerms = {}
     get = acc.get
-    for a, image in zip(p.ints.values(), images):
+    for a, image in terms:
         for exps, c in image.items():
             acc[exps] = get(exps, 0) + a * c
     return _from_ints(p.schema, acc, p.den)
@@ -593,7 +605,7 @@ def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
 
 def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
     entry = _TRANSLATIONS.lookup(p.schema, u, side)
-    return _combine(p, _TRANSLATIONS.images(entry, p.ints))
+    return _combine(p, zip(p.ints.values(), _TRANSLATIONS.images(entry, p.ints)))
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -641,4 +653,4 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
 
     # x_i = sum_j M[i][j] u_j
     forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in rows)
-    return _combine(p, _monomial_images(forms, p.ints))
+    return _combine(p, _term_images(forms, p.ints))

@@ -33,14 +33,12 @@ from .groups import (
     check_coordinate_order,
     decomposition_order,
     identity,
-    inv,
     standard_generators,
 )
 # unused here, but the benchmark's tracer wraps suite.ball by name
 from .groups import ball  # noqa: F401
 from .laplacian import (
     Measure,
-    _cleared,
     apply_laplacian,
     dim_hk,
     harmonic_basis,
@@ -329,14 +327,14 @@ def _associativity_witness(
 
 
 def _symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
-    """sum_s mu(s)/2 (2p - p(x s) - p(x s^-1)), which is Delta p when mu is
-    symmetric, in ints over 2 b p.den for b the lcm of the weights'
-    denominators; mu has mass 1, so the 2p terms sum to 2 b P."""
-    b, int_weights = _cleared(measure.atoms.values())
-    acc = {e: 2 * b * c for e, c in p.ints.items()}
-    for s, ws in zip(measure.atoms, int_weights):
-        for q in (translate_right(p, s), translate_right(p, inv(p.schema, s))):
+    """sum over the pairs {s, s^-1} of mu(s) (2p - p(x s) - p(x s^-1)), which
+    is Delta p when mu is symmetric (the identity's term is 0), in ints over
+    b p.den for b the measure's ``scale``."""
+    mass = 2 * sum(ws for _, _, ws in measure.pairs)
+    acc = {e: mass * c for e, c in p.ints.items()}
+    for s, s_inv, ws in measure.pairs:
+        for q in (translate_right(p, s), translate_right(p, s_inv)):
             scale = ws * (p.den // q.den)
             for e, c in q.ints.items():
                 acc[e] = acc.get(e, 0) - scale * c
-    return _from_ints(p.schema, acc, 2 * b * p.den)
+    return _from_ints(p.schema, acc, measure.scale * p.den)

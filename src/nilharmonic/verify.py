@@ -6,8 +6,10 @@ numerators are evaluated at an interned list of points, one shared column
 per monomial, and every oracle sum runs over whole columns of ids.  The
 translation machinery under test (composition with the affine forms of the
 group law), the matrix assembly and the elimination are never called, so a
-bug there cannot hide from these checks.  All enumeration orders are fixed,
-making every oracle deterministic.
+bug there cannot hide from these checks.  For the same reason the mean-value
+oracle clears the measure's ``Fraction`` weights to integers itself and
+does not read the ``scale`` and ``int_weights`` that the Laplacian uses.
+All enumeration orders are fixed, making every oracle deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import ValidationError
 from .groups import (
     GroupElement,
     GroupSchema,
+    _require_int,
     ball,
     ball_levels,
     standard_generators,
@@ -208,6 +211,21 @@ def _iterated_difference_check(
     )
 
 
+def _difference_sample(
+    schema: GroupSchema, support: Sequence[GroupElement], k: int, depth: int, budget: int
+) -> tuple[list[GroupElement], list[GroupElement]]:
+    """The sorted radius-``depth`` ball and the test points, the first three
+    of its radius-<= 2 prefix, from one search, after the arguments are
+    checked: ints, not bools or floats, with k >= -1, depth >= 0, budget >= 1."""
+    for value, what, low in ((k, "k", -1), (depth, "depth", 0), (budget, "budget", 1)):
+        if _require_int(value, what) < low:
+            raise ValidationError(f"{what} must be at least {low}, got {value}")
+    levels = ball_levels(schema, support, depth)
+    elems = [GroupElement(c) for c in sorted(itertools.chain(*levels))]
+    points = [GroupElement(c) for c in sorted(itertools.chain(*levels[:3]))[:3]]
+    return elems, points
+
+
 def check_derivative_vanishing(
     schema: GroupSchema,
     f: Polynomial,
@@ -215,18 +233,15 @@ def check_derivative_vanishing(
     support: Sequence[GroupElement],
     depth: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    test_points: Sequence[GroupElement] | None = None,
 ) -> DerivativeCheck:
     """Whether all (k+1)-fold left differences of f by ball elements vanish.
 
     Tuples are enumerated in lexicographic odometer order over the sorted
-    radius-``depth`` ball and capped at ``budget``; evaluation is direct.
+    radius-``depth`` ball and capped at ``budget``; evaluation is direct at
+    the test points of ``_difference_sample``.
     """
-    elems = ball(schema, support, depth)
-    if test_points is None:
-        # the first three points of the radius-min(depth, 2) ball
-        test_points = elems[:3] if depth <= 2 else ball(schema, support, 2)[:3]
-    return _iterated_difference_check(schema, f, k + 1, elems, test_points, budget, "left")
+    elems, points = _difference_sample(schema, support, k, depth, budget)
+    return _iterated_difference_check(schema, f, k + 1, elems, points, budget, "left")
 
 
 @dataclass(frozen=True)
@@ -243,10 +258,9 @@ def check_left_right_agreement(
     depth: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> AgreementCheck:
-    """Left and right (k+1)-fold difference checks must agree on the same sample."""
-    support = standard_generators(schema)
-    elems = ball(schema, support, depth)
-    points = elems[:3] if depth <= 2 else ball(schema, support, 2)[:3]
+    """Left and right (k+1)-fold difference checks must agree on the same
+    sample, that of ``_difference_sample`` on the standard generators."""
+    elems, points = _difference_sample(schema, standard_generators(schema), k, depth, budget)
     left = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "left")
     right = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "right")
     return AgreementCheck(left.passed == right.passed, left, right)

@@ -68,7 +68,8 @@ from nilharmonic.polynomials import (
     Exponents,
     IntTerms,
     Polynomial,
-    _monomial_images,
+    _Translation,
+    _TranslationMemo,
     _translation_forms,
     translate_right,
 )
@@ -350,7 +351,8 @@ def monomial_translates(
 ) -> Iterator[IntTerms]:
     """For each exponent vector m, the integer coefficients of x -> x^m(u x)
     (side left) or x -> x^m(x u) (side right), keyed by exponent vector."""
-    return _monomial_images(_TRANSLATIONS.lookup(schema, u, side).forms, keys)
+    entry = _Translation(_TRANSLATIONS.lookup(schema, u, side).forms)
+    return _TranslationMemo().images(entry, keys)
 
 
 def pair_columns(

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -118,6 +118,44 @@ def test_lazy_walk_has_identity_atom():
     mu = lazy_generator_walk(Z1)
     assert len(mu.atoms) == 3
     assert mu.atoms[identity(Z1)] == Fraction(1, 2)
+
+
+# generators, the pair {s, s^-1} with s = (1, 1, 0), and the identity
+PAIRS_H3 = Measure(
+    H3,
+    [(g, Fraction(1, 8)) for g in standard_generators(H3)]
+    + [(element(H3, c), Fraction(1, 8)) for c in ((1, 1, 0), (-1, -1, 1))]
+    + [(identity(H3), Fraction(1, 4))],
+)
+
+
+def test_measure_keeps_its_scale_integer_weights_and_pairs():
+    assert PAIRS_H3.scale == 8
+    assert PAIRS_H3.int_weights == (1, 1, 1, 2, 1, 1, 1)
+    assert [(s.coords, s_inv.coords, w) for s, s_inv, w in PAIRS_H3.pairs] == [
+        ((-1, -1, 1), (1, 1, 0), 1),
+        ((-1, 0, 0), (1, 0, 0), 1),
+        ((0, -1, 0), (0, 1, 0), 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [MU_H3, PAIRS_H3, lazy_generator_walk(UT4, Fraction(1, 3)), generator_walk(unitriangular(5))],
+    ids=repr,
+)
+def test_measure_pairs_cover_the_support_once(mu):
+    schema = mu.schema
+    # the least scale that clears every weight
+    assert gcd(mu.scale, *mu.int_weights) == 1
+    assert all(type(w) is int for w in mu.int_weights)
+    assert [Fraction(w, mu.scale) for w in mu.int_weights] == list(mu.atoms.values())
+    assert sorted(g for s, s_inv, _ in mu.pairs for g in (s, s_inv)) == mu.support()
+    assert [s for s, _, _ in mu.pairs] == sorted(s for s, _, _ in mu.pairs)
+    for s, s_inv, w in mu.pairs:
+        assert s.coords < s_inv.coords
+        assert mul(schema, s, s_inv) == identity(schema)
+        assert w == mu.scale * mu.atoms[s]
 
 
 # -- the Laplacian -----------------------------------------------------------------
@@ -467,6 +505,15 @@ def test_growth_table_heisenberg_quadratic():
         assert Fraction(1, 2) < r.ratio <= Fraction(3, 2)
 
 
+@pytest.mark.parametrize("schema", [heisenberg(1), lattice(4)], ids=str)
+def test_growth_table_reads_one_dimension_count(schema, monkeypatch):
+    monkeypatch.setattr(laplacian, "dim_hk", None)
+    rows = growth_exponent_table(schema, generator_walk(schema), 60)
+    monkeypatch.undo()
+    assert [r.k for r in rows] == list(range(61))
+    assert [r.dim for r in rows] == [dim_hk(schema, k) for k in range(61)]
+
+
 def test_growth_table_rejects_small_kmax():
     with pytest.raises(ValidationError):
         growth_exponent_table(Z1, MU_Z1, 1)
@@ -497,6 +544,14 @@ def fresh_memo():
 def _atoms(schema):
     gens = [basis_element(schema, i, s) for i in (1, 2) for s in (1, -1)]
     return [(identity(schema), Fraction(1, 3))] + [(g, Fraction(1, 6)) for g in gens]
+
+
+def test_assembly_reads_the_pairs_and_takes_no_inverse(fresh_memo, monkeypatch):
+    want = laplacian_matrix(H3, PAIRS_H3, 4)
+    laplacian_matrix.cache_clear()
+    # the pair columns are memoized now; only the assembly runs again
+    monkeypatch.setattr(laplacian, "inv_coords", None)
+    assert laplacian_matrix(H3, PAIRS_H3, 4) == want
 
 
 def test_equal_measures_hash_equal_and_share_one_entry(fresh_memo):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -478,6 +479,20 @@ def test_restrict_pointwise_agreement():
         for u2 in range(-2, 3):
             image = element(Z2, (m[0][0] * u1 + m[0][1] * u2, m[1][0] * u1 + m[1][1] * u2))
             assert q.evaluate(element(Z2, (u1, u2))) == p.evaluate(image)
+
+
+def test_restricting_a_high_power_keeps_few_images():
+    # x1 = u1 + u2: the images of x1^j along the chain hold d^2 / 2 terms in
+    # all (31 MB at d = 600 in a memo of the chain); the result has d + 1
+    d = 600
+    tracemalloc.start()
+    try:
+        q = restrict_to_sublattice(mono(Z2, d, 0), [[1, 1], [0, 1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.den == 1 and q.ints == {(i, d - i): comb(d, i) for i in range(d + 1)}
+    assert peak < 10 * 2**20
 
 
 def test_restrict_rejects_singular_and_non_lattice():

@@ -127,6 +127,70 @@ def test_left_right_agreement_heisenberg():
     assert not low.left.passed and not low.right.passed
 
 
+def test_difference_oracles_past_depth_two_test_at_the_radius_two_points():
+    # the tuples run over the radius-3 ball, whose first point is (-3, 0, 0);
+    # the test points are the first three of the radius-2 ball, and the
+    # witness (-1, -1, 0) is the second of them, not among the radius-3 first three
+    gens = standard_generators(H3)
+    assert [g.coords for g in ball(H3, gens, 2)[:3]] == [(-2, 0, 0), (-1, -1, 0), (-1, -1, 1)]
+    f = Fraction(3, 2) * X * Z - Fraction(1, 3) * X * X * Y + Y
+    corner = (GroupElement((-3, 0, 0)),) * 2
+    point = GroupElement((-1, -1, 0))
+    left = verify.DerivativeCheck(False, 2, 1, corner, point, Fraction(-21))
+    right = verify.DerivativeCheck(False, 2, 1, corner, point, Fraction(6))
+    assert check_derivative_vanishing(H3, f, 1, gens, 3, budget=500) == left
+    assert check_left_right_agreement(H3, f, 1, 3, budget=500) == verify.AgreementCheck(
+        True, left, right
+    )
+    passing = verify.DerivativeCheck(True, 4, 100)
+    assert check_derivative_vanishing(H3, f, 3, gens, 3, budget=100) == passing
+    assert check_left_right_agreement(H3, f, 3, 3, budget=100) == verify.AgreementCheck(
+        True, passing, passing
+    )
+
+
+@pytest.mark.parametrize(
+    "k,depth,budget,message",
+    [
+        (1, 1, 0, "budget must be at least 1, got 0"),
+        (1, 1, -1, "budget must be at least 1, got -1"),
+        (1, 1, True, "budget must be an int, got True"),
+        (1, 1, 2.5, "budget must be an int, got 2.5"),
+        (True, 1, 10, "k must be an int, got True"),
+        (1.5, 1, 10, "k must be an int, got 1.5"),
+        (-3, 1, 10, "k must be at least -1, got -3"),
+        (1, True, 10, "depth must be an int, got True"),
+        (1, 1.0, 10, "depth must be an int, got 1.0"),
+        (1, -1, 10, "depth must be at least 0, got -1"),
+    ],
+)
+def test_difference_oracles_refuse_bad_arguments_before_any_walk(
+    k, depth, budget, message, monkeypatch
+):
+    monkeypatch.setattr(verify, "ball_levels", None)
+    gens = standard_generators(H3)
+    with pytest.raises(ValidationError, match=message):
+        check_left_right_agreement(H3, X, k, depth, budget=budget)
+    with pytest.raises(ValidationError, match=message):
+        check_derivative_vanishing(H3, X, k, gens, depth, budget=budget)
+
+
+def test_difference_oracles_take_the_smallest_arguments():
+    # order 0 (k = -1) checks f itself at the identity; a non-zero f fails it
+    gens = standard_generators(H3)
+    assert check_derivative_vanishing(H3, Polynomial.zero(H3), -1, gens, 0, budget=1).passed
+    res = check_left_right_agreement(H3, X + Polynomial.constant(H3, 1), -1, 0, budget=1)
+    assert not res.left.passed and res.left.order == 0 and res.left.tuples_checked == 1
+
+
+@pytest.mark.parametrize("radius", [True, 2.5, 1.0])
+def test_ball_radius_must_be_an_int(radius):
+    with pytest.raises(ValidationError, match=f"radius must be an int, got {radius!r}"):
+        groups.ball_levels(H3, standard_generators(H3), radius)
+    with pytest.raises(ValidationError, match=f"radius must be an int, got {radius!r}"):
+        check_harmonic_batch(H3, MU_H3, [Z], radius)
+
+
 def test_growth_profile_line():
     x = Polynomial.coordinate(Z1, 1)
     rows = growth_profile(Z1, x, standard_generators(Z1), 5)
