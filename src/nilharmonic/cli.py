@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
 from .groups import GroupSchema, ball_levels
-from .laplacian import Measure, harmonic_basis, solve_preimage
+from .laplacian import Measure, dim_hk_from_pk, harmonic_basis, solve_preimage
 from .polynomials import dim_pk_table
 from .serialize import (
     measure_from_config,
@@ -82,11 +82,10 @@ def cmd_dims(args: argparse.Namespace) -> int:
             f"--k {args.k} would make {args.k + 1} rows, more than the limit of "
             f"{MAX_DIMS_ROWS}"
         )
-    # one count up to --k gives every row; dim H^k = dim P^k - dim P^(k-2)
+    # one count up to --k gives every row
     pk = dim_pk_table(schema, args.k)
     rows = [
-        {"k": k, "dim_pk": d, "dim_hk": d - below}
-        for k, (d, below) in enumerate(zip(pk, [0, 0] + pk))
+        {"k": k, "dim_pk": d, "dim_hk": h} for k, (d, h) in enumerate(zip(pk, dim_hk_from_pk(pk)))
     ]
     kw, w = max(3, len(str(args.k))), max(7, len(str(pk[-1])))
     lines = [f"group: {schema.name()}", f"{'k':>{kw}}  {'dim_pk':>{w}}  {'dim_hk':>{w}}"]

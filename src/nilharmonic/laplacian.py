@@ -300,6 +300,12 @@ def dim_hk(schema: GroupSchema, k: int) -> int:
     return dim_pk(schema, k) - dim_pk(schema, k - 2)
 
 
+def dim_hk_from_pk(pk: Sequence[int]) -> list[int]:
+    """[dim H^0, ..., dim H^k] from pk = dim_pk_table(schema, k), by
+    dim H^j = dim P^j - dim P^{j-2}."""
+    return [dim - below for dim, below in zip(pk, [0, 0, *pk])]
+
+
 def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBasisReport:
     """Basis of harmonic polynomials of degree <= k, in the canonical
     kernel parameterization of the Laplacian matrix.
@@ -380,8 +386,7 @@ def growth_exponent_table(
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     d = schema.n_coords
-    pk = dim_pk_table(schema, k_max)
-    dims = [dim - below for dim, below in zip(pk, [0, 0] + pk)]
+    dims = dim_hk_from_pk(dim_pk_table(schema, k_max))
     return [
         GrowthRow(k, dim, Fraction(dim, k ** (d - 1)) if k else None) for k, dim in enumerate(dims)
     ]

@@ -26,15 +26,15 @@ coefficients, read off that list, and a monomial x^a translates to
 prod_t L_t^{a_t}, an integer polynomial, built as L_t times the image of
 x^a / x_t for t the first non-zero coordinate.  The same substitution,
 with linear forms taken from a matrix, restricts polynomials on abelian
-groups to sublattices; it makes the images one total degree at a time and
-drops each degree once the next is made, so it keeps no memo.  Polynomial
-translations share one LRU memo keyed by (schema, u, side), whose entries
-hold the forms and the monomial images found so far; it holds at most
-``_TRANSLATION_ENTRIES`` entries and ``_IMAGE_TERMS`` image terms, past
-which images are computed and not stored, with the same results.  The
-Laplacian matrix translates whole bases
-by ``graded_images``, which runs the recursion on the basis indices of
-``graded_index`` and stores no image.
+groups to sublattices.  Polynomial translations share one LRU memo keyed
+by (schema, u, side), whose entries hold the forms and the monomial images
+found so far; it holds at most ``_TRANSLATION_ENTRIES`` entries and
+``_IMAGE_TERMS`` image terms, past which images are computed and not
+stored, with the same results.  A restriction runs the same chain walk in
+a fresh memo of its own, so it too stores at most ``_IMAGE_TERMS`` image
+terms, and drops them when it returns.  The Laplacian matrix translates
+whole bases by ``graded_images``, which runs the recursion on the basis
+indices of ``graded_index`` and stores no image.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -462,38 +462,15 @@ def _times(form: AffineForm, image: IntTerms) -> IntTerms:
     return {e: coeff for e, coeff in out.items() if coeff}
 
 
-def _term_images(forms: Sequence[AffineForm], terms: IntTerms) -> Iterator[tuple[int, IntTerms]]:
-    """(a, T(x^e)) for each term a x^e of ``terms``, T(x_t m) = L_t T(m) as
-    in ``_TranslationMemo.images``, in order of total degree.
-
-    The images on the terms' chains are made once each, one total degree at
-    a time from the degree below, which is then dropped: x1^d alone holds
-    two images at a time, where a memo of the chain would hold d.
-    """
-    # layers[d][m] = (m / x_t, t) for each monomial m of total degree d on a chain
-    layers: dict[int, dict[Exponents, tuple[Exponents, int]]] = {}
-    for exps in terms:
-        d = sum(exps)
-        while d and exps not in layers.setdefault(d, {}):
-            layers[d][exps] = step = _parent(exps)
-            exps, d = step[0], d - 1
-    zero = (0,) * len(forms)
-    images = {zero: {zero: 1}}
-    if zero in terms:
-        yield terms[zero], images[zero]
-    for d in sorted(layers):
-        images = {e: _times(forms[t], images[m]) for e, (m, t) in layers[d].items()}
-        yield from ((terms[e], image) for e, image in images.items() if e in terms)
-
-
 def graded_images(
     schema: GroupSchema, u: GroupElement, side: str, k: int
 ) -> list[dict[int, int]]:
     """The integer coefficients of x -> m(x u) (side right) or x -> m(u x)
     (side left) for each m in pk_basis(schema, k), keyed by basis index:
-    the graded sweep of ``_image`` on the indices of ``graded_index``, with
-    no exponent vector built and no image stored.  A term past degree k,
-    which no valid law makes, raises InternalInconsistency."""
+    the recursion T(x_t m) = L_t T(m) of ``_TranslationMemo.images`` run on
+    the indices of ``graded_index``, with no exponent vector built and no
+    image stored.  A term past degree k, which no valid law makes, raises
+    InternalInconsistency."""
     steps, up = graded_index(schema, k)
     size = len(steps) + 1
     forms = _TRANSLATIONS.lookup(schema, u, side).forms
@@ -592,12 +569,11 @@ class _TranslationMemo:
 _TRANSLATIONS = _TranslationMemo()
 
 
-def _combine(p: Polynomial, terms: Iterable[tuple[int, IntTerms]]) -> Polynomial:
-    """sum a * image / p.den over the pairs (a, image), one per term a x^e of
-    p with image the image of x^e."""
+def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
+    """sum_e p.ints[e] * images[e] / p.den, for one image per term of p."""
     acc: IntTerms = {}
     get = acc.get
-    for a, image in terms:
+    for a, image in zip(p.ints.values(), images):
         for exps, c in image.items():
             acc[exps] = get(exps, 0) + a * c
     return _from_ints(p.schema, acc, p.den)
@@ -605,7 +581,7 @@ def _combine(p: Polynomial, terms: Iterable[tuple[int, IntTerms]]) -> Polynomial
 
 def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
     entry = _TRANSLATIONS.lookup(p.schema, u, side)
-    return _combine(p, zip(p.ints.values(), _TRANSLATIONS.images(entry, p.ints)))
+    return _combine(p, _TRANSLATIONS.images(entry, p.ints))
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -653,4 +629,4 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
 
     # x_i = sum_j M[i][j] u_j
     forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in rows)
-    return _combine(p, _term_images(forms, p.ints))
+    return _combine(p, _TranslationMemo().images(_Translation(forms), p.ints))
