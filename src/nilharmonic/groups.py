@@ -249,12 +249,17 @@ def inv_coords(schema: GroupSchema, a: Coords) -> Coords:
     return schema.law_inv(a)
 
 
-def _require_conforming(schema: GroupSchema, g: GroupElement) -> None:
+def _require_conforming(schema: GroupSchema, g: GroupElement, what: str = "coordinate") -> None:
+    # a float, Fraction or bool coordinate hashes equal to an int, and a memo would take it for one
+    if not isinstance(g, GroupElement) or type(g.coords) is not tuple:
+        raise ValidationError(f"expected a group element with a tuple of coordinates, got {g!r}")
     if len(g.coords) != schema.n_coords:
         raise ValidationError(
             f"element has {len(g.coords)} coordinates, schema {schema.name()} "
             f"expects {schema.n_coords}"
         )
+    for c in g.coords:
+        _require_int(c, what)
 
 
 # -- public element operations ------------------------------------------------
@@ -271,7 +276,7 @@ def _require_int(value: object, what: str) -> int:
 
 
 def element(schema: GroupSchema, coords: Iterable[int]) -> GroupElement:
-    g = GroupElement(tuple(_require_int(c, "coordinate") for c in coords))
+    g = GroupElement(tuple(coords))
     _require_conforming(schema, g)
     return g
 

@@ -20,7 +20,7 @@ from .errors import InternalInconsistency, InvariantFailure, ValidationError
 from .groups import (
     GroupElement,
     GroupSchema,
-    _require_int,
+    _require_conforming,
     identity,
     inv,
     inv_coords,
@@ -29,11 +29,12 @@ from .groups import (
 )
 from .linalg import Inconsistent, RationalMatrix
 from .polynomials import (
-    _TRANSLATIONS,
     Polynomial,
     _from_fractions,
     _from_ints,
+    _images,
     _require_coeff,
+    _translation_forms,
     dim_pk,
     dim_pk_table,
     graded_images,
@@ -70,10 +71,7 @@ class Measure:
         items = atoms.items() if isinstance(atoms, Mapping) else list(atoms)
         clean: dict[GroupElement, Fraction] = {}
         for g, w in items:
-            if len(g.coords) != schema.n_coords:
-                raise ValidationError(f"atom {g.coords} does not match schema {schema.name()}")
-            for c in g.coords:
-                _require_int(c, "atom coordinate")
+            _require_conforming(schema, g, "atom coordinate")
             w = _require_coeff(w, "atom weight")
             if w <= 0:
                 raise ValidationError(f"atom {g.coords} has non-positive weight {w}")
@@ -173,8 +171,7 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     ints = p.ints
     acc = {e: measure.scale * a for e, a in ints.items()}
     for s, ws in zip(measure.atoms, measure.int_weights):
-        entry = _TRANSLATIONS.lookup(schema, s, "right")
-        for a, image in zip(ints.values(), _TRANSLATIONS.images(entry, ints)):
+        for a, image in zip(ints.values(), _images(_translation_forms(schema, s, "right"), ints)):
             wa = ws * a
             for exps, c in image.items():
                 acc[exps] = acc.get(exps, 0) - wa * c

@@ -26,22 +26,19 @@ coefficients, read off that list, and a monomial x^a translates to
 prod_t L_t^{a_t}, an integer polynomial, built as L_t times the image of
 x^a / x_t for t the first non-zero coordinate.  The same substitution,
 with linear forms taken from a matrix, restricts polynomials on abelian
-groups to sublattices.  Polynomial translations share one LRU memo keyed
-by (schema, u, side), whose entries hold the forms and the monomial images
-found so far; it holds at most ``_TRANSLATION_ENTRIES`` entries and
-``_IMAGE_TERMS`` image terms, past which images are computed and not
-stored, with the same results.  A restriction runs the same chain walk in
-a fresh memo of its own, so it too stores at most ``_IMAGE_TERMS`` image
-terms, and drops them when it returns.  The Laplacian matrix translates
-whole bases by ``graded_images``, which runs the recursion on the basis
-indices of ``graded_index`` and stores no image.
+groups to sublattices.  Both read their monomial images through ``_images``
+from one memo keyed by the affine forms themselves, so equal forms share
+their images: heisenberg(1) and unitriangular(3), the left and right
+translations of an abelian group, and restriction by the identity matrix
+and translation by the identity.  The Laplacian matrix translates whole
+bases by ``graded_images``, which runs the recursion on the basis indices
+of ``graded_index`` and stores no image.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
-and factor text, such as ``x1^2*x3``, from a per-schema memo.  The memo is
-bounded: at most ``_RENDER_MONOMIALS`` monomials per schema, for the last
-``_RENDER_SCHEMAS`` schemas; past those bounds entries are recomputed, and
-the text is the same either way.
+and factor text, such as ``x1^2*x3``, from a memo keyed by schema.  Both
+memos are bounded ``_Memo``s (``_IMAGE_TERMS`` image terms,
+``_RENDER_MONOMIALS`` monomials); what they drop is computed again.
 """
 
 from __future__ import annotations
@@ -52,11 +49,11 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
-from .groups import GroupElement, GroupSchema, _require_int, mul_coords
+from .groups import GroupElement, GroupSchema, _require_conforming, _require_int, mul_coords
 from .linalg import RationalMatrix
 
 Exponents = tuple[int, ...]
@@ -259,8 +256,7 @@ class Polynomial:
         return Fraction(self.ints.get(exps, 0), self.den)
 
     def evaluate(self, g: GroupElement) -> Fraction:
-        if len(g.coords) != self.schema.n_coords:
-            raise ValidationError("element does not match the polynomial's schema")
+        _require_conforming(self.schema, g)
         total = 0
         for exps, v in self.ints.items():
             for c, e in zip(g.coords, exps):
@@ -355,21 +351,66 @@ class Polynomial:
         return f"Polynomial({self.schema.name()}: {self})"
 
 
+# -- the memo of monomial images and rendered monomials -----------------------
+
+class _Memo:
+    """A least-recently-used map from keys to dicts, bounded in the items
+    stored over all its dicts, where an item counts its value's ``cost``.
+
+    ``get`` returns a key's dict, or a new empty one for a key with none, and
+    ``store`` puts an item in it.  An item that would pass the bound first
+    drops the least recently used other dicts; if it still does not fit, it
+    is not stored.  A key's dict is registered only once it holds an item, so
+    the bound also bounds the number of dicts.  A reader stores into the dict
+    it got before it gets another key's.
+    """
+
+    def __init__(self, bound: int, cost: Callable[[Any], int] = lambda value: 1):
+        self.bound = bound
+        self.cost = cost
+        self.clear()
+
+    def clear(self) -> None:
+        self.dicts: OrderedDict[Hashable, dict] = OrderedDict()
+        self.size = 0
+
+    def get(self, key: Hashable) -> dict:
+        d = self.dicts.get(key)
+        if d is None:
+            return {}
+        self.dicts.move_to_end(key)
+        return d
+
+    def store(self, key: Hashable, d: dict, item: Hashable, value: Any) -> None:
+        """d[item] = value, for d the dict that ``get(key)`` returned, if it fits."""
+        cost = self.cost(value)
+        if self.size + cost > self.bound:
+            for other in [k for k in self.dicts if k != key]:
+                self.size -= sum(map(self.cost, self.dicts.pop(other).values()))
+                if self.size + cost <= self.bound:
+                    break
+            else:
+                return
+        if not d:  # registered with its first item; a registered dict is never empty
+            self.dicts[key] = d
+        d[item] = value
+        self.size += cost
+
+
+# The memos' bounds.  Measured full with tracemalloc, 2**14 image terms take
+# 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), and 4 * 4096 rendered
+# monomials take 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2).
+_IMAGE_TERMS = 2**14
+_RENDER_MONOMIALS = 4 * 4096
+
+_IMAGES = _Memo(_IMAGE_TERMS, len)
+_RENDERED = _Memo(_RENDER_MONOMIALS)
+
+
 # -- rendering -------------------------------------------------------------------
 #
-# A schema's render memo maps an exponent vector to its graded sort key and its
-# factor text: (2, 0, 1) on heisenberg(1) to ((4, (-2, 0, -1)), "x^2*z").  Past
-# _RENDER_MONOMIALS entries are computed and not stored; a full memo of
-# lattice(4) or heisenberg(2) takes about 1.4 MB.
-
-_RENDER_SCHEMAS = 4
-_RENDER_MONOMIALS = 4096
-
-
-@lru_cache(maxsize=_RENDER_SCHEMAS)
-def _render_memo(schema: GroupSchema) -> dict[Exponents, tuple[tuple, str]]:
-    return {}
-
+# The render memo maps a schema to its monomials' graded sort keys and factor
+# texts: (2, 0, 1) on heisenberg(1) to ((4, (-2, 0, -1)), "x^2*z").
 
 def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
     """p's terms in graded order, each as its exponent vector and its
@@ -381,7 +422,7 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
     A coefficient n / den is written from n // g and den // g, g = gcd(n, den).
     """
     schema = p.schema
-    memo = _render_memo(schema)
+    memo = _RENDERED.get(schema)
     den = p.den
     rows = []
     for e, n in p.ints.items():
@@ -391,8 +432,7 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
             factors = [s if x == 1 else f"{s}^{x}" for s, x in zip(names, e) if x]
             key = (sum(map(mul, schema.weights, e)), tuple(-x for x in e))
             entry = (key, "*".join(factors))
-            if len(memo) < _RENDER_MONOMIALS:
-                memo[e] = entry
+            _RENDERED.store(schema, memo, e, entry)
         if den == 1:
             coeff = str(n)
         else:
@@ -429,6 +469,12 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
 AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
 
+# The bound of the forms cache: the verify benchmark's 27 suite runs read the
+# forms of 88 (schema, u, side), 47 of them distinct.
+_TRANSLATION_FORMS = 512
+
+
+@lru_cache(maxsize=_TRANSLATION_FORMS)
 def _translation_forms(
     schema: GroupSchema, u: GroupElement, side: str
 ) -> tuple[AffineForm, ...]:
@@ -437,8 +483,7 @@ def _translation_forms(
     Read off the law: coordinate t of u*x is u_t + x_t plus u_p*x_q for each
     term (t, p, q), and of x*u it is u_t + x_t plus x_p*u_q.
     """
-    if len(u.coords) != schema.n_coords:
-        raise ValidationError("translation element does not match the schema")
+    _require_conforming(schema, u)
     uc = u.coords
     lins: list[dict[int, int]] = [{t: 1} for t in range(schema.n_coords)]
     for t, p, q in schema.law:
@@ -462,18 +507,46 @@ def _times(form: AffineForm, image: IntTerms) -> IntTerms:
     return {e: coeff for e, coeff in out.items() if coeff}
 
 
+def _images(
+    forms: tuple[AffineForm, ...], keys: Iterable[Exponents], memo: _Memo = _IMAGES
+) -> list[IntTerms]:
+    """T(x^e) = prod_t L_t^{e_t} for each exponent vector e of ``keys``.
+
+    T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so an
+    image is a chain of affine products from the longest part stored under
+    ``forms``, or from the constant monomial, which T fixes.  Each new image
+    on the way is offered to the memo.  Callers must not modify the images.
+    """
+    images = memo.get(forms)
+    out = []
+    for exps in keys:
+        image = images.get(exps)
+        if image is None:
+            chain = []
+            while exps not in images and any(exps):
+                parent, t = _parent(exps)
+                chain.append((exps, t))
+                exps = parent
+            image = images[exps] if exps in images else {exps: 1}
+            for exps, t in reversed(chain):
+                image = _times(forms[t], image)
+                memo.store(forms, images, exps, image)
+        out.append(image)
+    return out
+
+
 def graded_images(
     schema: GroupSchema, u: GroupElement, side: str, k: int
 ) -> list[dict[int, int]]:
     """The integer coefficients of x -> m(x u) (side right) or x -> m(u x)
     (side left) for each m in pk_basis(schema, k), keyed by basis index:
-    the recursion T(x_t m) = L_t T(m) of ``_TranslationMemo.images`` run on
-    the indices of ``graded_index``, with no exponent vector built and no
-    image stored.  A term past degree k, which no valid law makes, raises
+    the recursion T(x_t m) = L_t T(m) of ``_images`` run on the indices of
+    ``graded_index``, with no exponent vector built and no image stored.  A
+    term past degree k, which no valid law makes, raises
     InternalInconsistency."""
     steps, up = graded_index(schema, k)
     size = len(steps) + 1
-    forms = _TRANSLATIONS.lookup(schema, u, side).forms
+    forms = _translation_forms(schema, u, side)
     lins = [[(up[v], a) for v, a in lin] for _, lin in forms]
     images: list[dict[int, int]] = [{0: 1}]
     for parent, t in steps:
@@ -493,82 +566,6 @@ def graded_images(
     return images
 
 
-class _Translation:
-    """One entry of the translation memo: the forms of one (schema, u, side),
-    and the monomial images stored so far with their term count."""
-
-    __slots__ = ("forms", "images", "size")
-
-    def __init__(self, forms: tuple[AffineForm, ...]):
-        self.forms = forms
-        self.images: dict[Exponents, IntTerms] = {}
-        self.size = 0
-
-
-# The translation memo's bounds.  An image term is an exponent tuple and an int
-# in a dict.  A full memo of 2**14 terms, measured with tracemalloc, takes
-# 8.3 MB on lattice(36), 5.3 MB on unitriangular(9) and 2.1 MB on
-# unitriangular(4); the verify benchmark's 27 suite runs store about 1,400.
-_TRANSLATION_ENTRIES = 512
-_IMAGE_TERMS = 2**14
-
-
-class _TranslationMemo:
-    """LRU of translations by (schema, u, side), bounded in entries and in the
-    image terms stored over all entries (``_TRANSLATION_ENTRIES``,
-    ``_IMAGE_TERMS``).  A raised error is not memoized.
-    """
-
-    def __init__(self) -> None:
-        self.entries: OrderedDict[tuple, _Translation] = OrderedDict()
-        self.terms = 0
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.terms = 0
-
-    def lookup(self, schema: GroupSchema, u: GroupElement, side: str) -> _Translation:
-        key = (schema, u.coords, side)
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-            return entry
-        entry = self.entries[key] = _Translation(_translation_forms(schema, u, side))
-        if len(self.entries) > _TRANSLATION_ENTRIES:
-            self.terms -= self.entries.popitem(last=False)[1].size
-        return entry
-
-    def images(self, entry: _Translation, keys: Iterable[Exponents]) -> Iterator[IntTerms]:
-        """Yield T(x^e) = prod_t L_t^{e_t} for each exponent vector e.
-
-        T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so
-        the image is a chain of affine products from the longest part stored
-        in the entry, or from the constant monomial, which T fixes.  Each new
-        image on the way is stored while the memo's total stays within
-        ``_IMAGE_TERMS``.
-        """
-        images = entry.images
-        for exps in keys:
-            image = images.get(exps)
-            if image is None:
-                chain = []
-                while exps not in images and any(exps):
-                    parent, t = _parent(exps)
-                    chain.append((exps, t))
-                    exps = parent
-                image = images[exps] if exps in images else {exps: 1}
-                for exps, t in reversed(chain):
-                    image = _times(entry.forms[t], image)
-                    if self.terms + len(image) <= _IMAGE_TERMS:
-                        images[exps] = image
-                        entry.size += len(image)
-                        self.terms += len(image)
-            yield image
-
-
-_TRANSLATIONS = _TranslationMemo()
-
-
 def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
     """sum_e p.ints[e] * images[e] / p.den, for one image per term of p."""
     acc: IntTerms = {}
@@ -580,8 +577,9 @@ def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
 
 
 def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
-    entry = _TRANSLATIONS.lookup(p.schema, u, side)
-    return _combine(p, _TRANSLATIONS.images(entry, p.ints))
+    # before the forms cache, which takes (1.0, 0) for the (1, 0) it holds
+    _require_conforming(p.schema, u)
+    return _combine(p, _images(_translation_forms(p.schema, u, side), p.ints))
 
 
 def translate_left(p: Polynomial, u: GroupElement) -> Polynomial:
@@ -629,4 +627,4 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
 
     # x_i = sum_j M[i][j] u_j
     forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in rows)
-    return _combine(p, _TranslationMemo().images(_Translation(forms), p.ints))
+    return _combine(p, _images(forms, p.ints))

@@ -4,9 +4,8 @@ Rationals serialize as reduced strings like "3/2" (plain "3" for
 integers).  Polynomials serialize as exponent/coefficient pairs in graded
 order, so emitted JSON is canonical and byte-reproducible.  The pairs and the
 "text" field come from one pass of ``polynomials.render_terms``, which reads
-each monomial's sort key and factor text from a bounded per-schema memo (at
-most ``_RENDER_MONOMIALS`` monomials for each of the last ``_RENDER_SCHEMAS``
-schemas).
+each monomial's sort key and factor text from a memo keyed by schema, bounded
+in the monomials it holds over all schemas (``_RENDER_MONOMIALS``).
 """
 
 from __future__ import annotations

@@ -63,13 +63,13 @@ from nilharmonic.groups import GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
 from nilharmonic.polynomials import (
-    _TRANSLATIONS,
+    _IMAGE_TERMS,
     AffineForm,
     Exponents,
     IntTerms,
     Polynomial,
-    _Translation,
-    _TranslationMemo,
+    _images,
+    _Memo,
     _translation_forms,
     translate_right,
 )
@@ -348,11 +348,12 @@ def pk_basis(schema: GroupSchema, k: int) -> list[Exponents]:
 
 def monomial_translates(
     schema: GroupSchema, u: GroupElement, side: str, keys: Iterable[Exponents]
-) -> Iterator[IntTerms]:
+) -> list[IntTerms]:
     """For each exponent vector m, the integer coefficients of x -> x^m(u x)
-    (side left) or x -> x^m(x u) (side right), keyed by exponent vector."""
-    entry = _Translation(_TRANSLATIONS.lookup(schema, u, side).forms)
-    return _TranslationMemo().images(entry, keys)
+    (side left) or x -> x^m(x u) (side right), keyed by exponent vector, from
+    a fresh memo, so that the reference reads and stores none of the library's
+    images."""
+    return _images(_translation_forms(schema, u, side), keys, _Memo(_IMAGE_TERMS, len))
 
 
 def pair_columns(

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -11,11 +12,13 @@ import pytest
 import nilharmonic.polynomials as polynomials
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
+    GroupElement,
     ball,
     basis_element,
     element,
     heisenberg,
     identity,
+    inv,
     lattice,
     mul,
     mul_coords,
@@ -32,7 +35,7 @@ from nilharmonic.polynomials import (
     translate_left,
     translate_right,
 )
-from nilharmonic.laplacian import apply_laplacian, lazy_generator_walk
+from nilharmonic.laplacian import apply_laplacian, generator_walk, lazy_generator_walk
 from nilharmonic.serialize import polynomial_to_obj
 
 # dense_reference.py holds the Fraction composition the integer one replaced
@@ -239,7 +242,7 @@ def test_forms_evaluate_to_the_group_law(schema):
 
 def test_wrong_length_element_raises_with_warm_forms():
     translate_left(X, basis_element(H3, 1))
-    assert len(polynomials._TRANSLATIONS.entries) > 0
+    assert polynomials._IMAGES.dicts
     for translate in (translate_left, translate_right):
         with pytest.raises(ValidationError):
             translate(X, element(Z2, (1, 0)))
@@ -253,7 +256,7 @@ def test_wrong_length_element_raises_with_warm_forms():
 
 def test_equal_schemas_share_translation_entries():
     # a copy, like a pickle, is an equal schema but not the same object
-    memo = polynomials._TRANSLATIONS
+    memo = polynomials._IMAGES
     memo.clear()
     first, second = heisenberg(1), copy.copy(heisenberg(1))
     assert first == second and first is not second
@@ -261,7 +264,7 @@ def test_equal_schemas_share_translation_entries():
     p = mixed_denominators(first, 2)
     q = Polynomial(second, p.terms)
     assert translate_left(q, u) == translate_left(p, u)
-    assert len(memo.entries) == 1
+    assert len(memo.dicts) == 1
 
 
 TEST_SCHEMAS = [Z1, Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4]
@@ -278,63 +281,160 @@ def _translates(p, elems):
     return [(translate_left(p, u), translate_right(p, u)) for u in elems]
 
 
-def _memo_sizes_add_up(memo):
-    return memo.terms == sum(entry.size for entry in memo.entries.values())
+def _costs_add_up(memo):
+    # the size is the cost of what the dicts hold; no dict is registered empty
+    return memo.size == sum(memo.cost(value) for stored in memo.dicts.values()
+                            for value in stored.values()) and all(memo.dicts.values())
 
 
 def test_image_memo_stays_within_its_bounds(monkeypatch):
-    memo = polynomials._TRANSLATIONS
+    memo = polynomials._IMAGES
     memo.clear()
     p = mixed_denominators(UT4, 3)
     elems = ball(UT4, standard_generators(UT4), 1)
     want = [(dense.translate(p, u, "left"), dense.translate(p, u, "right")) for u in elems]
     cold = _translates(p, elems)
     assert cold == want
-    assert 0 < memo.terms <= polynomials._IMAGE_TERMS and _memo_sizes_add_up(memo)
-    stored = memo.terms
+    assert 0 < memo.size <= memo.bound and _costs_add_up(memo)
+    stored = memo.size
     # a warm memo reads every image and stores nothing more
     assert _translates(p, elems) == want
-    assert memo.terms == stored
-    # past a lowered term bound images are computed and not stored
-    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", 40)
+    assert memo.size == stored
+    # under a lowered bound every translation still stores what fits, and the
+    # bound holds after each, over the dicts and in their number
+    monkeypatch.setattr(memo, "bound", 40)
     memo.clear()
     for _ in range(2):
-        assert _translates(p, elems) == want
-        assert 0 < memo.terms <= 40 and _memo_sizes_add_up(memo)
-    # past the entry bound the oldest entries go, and their terms with them
-    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", stored)
-    monkeypatch.setattr(polynomials, "_TRANSLATION_ENTRIES", 3)
+        for u, pair in zip(elems, want):
+            assert (translate_left(p, u), translate_right(p, u)) == pair
+            assert 0 < memo.size <= 40 and len(memo.dicts) <= 40 and _costs_add_up(memo)
+    assert list(memo.dicts)[-1] == polynomials._translation_forms(UT4, elems[-1], "right")
+
+
+def test_a_full_image_memo_makes_room_for_later_translations():
+    # fill the bound with the images of one translation on lattice(2), whose
+    # terms are many more than the bound
+    memo = polynomials._IMAGES
     memo.clear()
-    for _ in range(2):
-        assert _translates(p, elems) == want
-        assert len(memo.entries) == 3 and _memo_sizes_add_up(memo)
-    assert list(memo.entries)[-1] == (UT4, elems[-1].coords, "right")
+    u = element(Z2, (1, 1))
+    full = polynomials._translation_forms(Z2, u, "right")
+    everything = Polynomial(Z2, {m: 1 for m in pk_basis(Z2, 30)})
+    translate_right(everything, u)
+    assert list(memo.dicts) == [full] and memo.size > memo.bound - 100
+    # a later Laplacian stores its images by dropping that older dict
+    mu = generator_walk(H3)
+    ps = [Polynomial.from_monomial(H3, m) for m in pk_basis(H3, 6)]
+    deltas = [apply_laplacian(mu, p) for p in ps]
+    assert deltas == [dense.apply_laplacian(mu, p) for p in ps]
+    atoms = {polynomials._translation_forms(H3, s, "right") for s in mu.atoms}
+    assert set(memo.dicts) == atoms and _costs_add_up(memo)
+    assert all(set(images) == set(pk_basis(H3, 6)[1:]) for images in memo.dicts.values())
+    # and reads them back: the second sweep stores nothing more
+    stored = memo.size
+    assert [apply_laplacian(mu, p) for p in ps] == deltas
+    assert memo.size == stored
+
+
+def test_equal_forms_share_one_dict_of_images():
+    memo = polynomials._IMAGES
+
+    def shared(first, second):
+        memo.clear()
+        a = first()
+        stored = memo.size
+        b = second()
+        assert len(memo.dicts) == 1 and memo.size == stored > 0
+        return a, b
+
+    # heisenberg(1) and unitriangular(3) are one law under two names
+    U3 = unitriangular(3)
+    p = mixed_denominators(H3, 3)
+    q = Polynomial(U3, p.terms)
+    for translate in (translate_left, translate_right):
+        a, b = shared(lambda: translate(p, element(H3, (1, -1, 2))),
+                      lambda: translate(q, element(U3, (1, -1, 2))))
+        assert a.terms == b.terms
+    # an abelian group translates alike on either side
+    r = mixed_denominators(Z2, 4)
+    u = element(Z2, (2, -3))
+    a, b = shared(lambda: translate_left(r, u), lambda: translate_right(r, u))
+    assert a == b == dense.translate(r, u, "left")
+    # the identity matrix restricts by the forms of the identity's translation
+    a, b = shared(lambda: restrict_to_sublattice(r, [[1, 0], [0, 1]]),
+                  lambda: translate_left(r, identity(Z2)))
+    assert a == b == r
 
 
 def test_stored_images_are_not_modified_by_their_readers():
-    memo = polynomials._TRANSLATIONS
+    memo = polynomials._IMAGES
     memo.clear()
     p = mixed_denominators(H3, 3)
     u = element(H3, (1, -2, 3))
     first = translate_left(p, u)
-    entry = memo.lookup(H3, u, "left")
-    images = {e: dict(image) for e, image in entry.images.items()}
+    entry = memo.get(polynomials._translation_forms(H3, u, "left"))
+    images = {e: dict(image) for e, image in entry.items()}
     assert len(images) > 1
     for q in (p, first, first * p, -p):
         translate_left(q, u)
-    assert {e: entry.images[e] for e in images} == images
+    assert {e: entry[e] for e in images} == images
     assert translate_left(p, u) == first
     # the Laplacian reads the right translates by the atoms from the same memo
     mu = lazy_generator_walk(H3, Fraction(1, 3))
     delta = apply_laplacian(mu, p)
-    entries = [memo.lookup(H3, s, "right") for s in mu.atoms]
-    stored = [{e: dict(image) for e, image in entry.images.items()} for entry in entries]
+    entries = [memo.get(polynomials._translation_forms(H3, s, "right")) for s in mu.atoms]
+    stored = [{e: dict(image) for e, image in entry.items()} for entry in entries]
     assert all(stored)
     for q in (p, first, first * p, -p, delta):
         apply_laplacian(mu, q)
     for entry, images in zip(entries, stored):
-        assert {e: entry.images[e] for e in images} == images
+        assert {e: entry[e] for e in images} == images
     assert apply_laplacian(mu, p) == delta == dense.apply_laplacian(mu, p)
+    # and restriction reads and stores in the same memo
+    r = mixed_denominators(Z2, 4)
+    matrix = [[1, 2], [0, 1]]
+    restricted = restrict_to_sublattice(r, matrix)
+    entry = memo.get(((0, ((0, 1), (1, 2))), (0, ((1, 1),))))
+    images = {e: dict(image) for e, image in entry.items()}
+    assert len(images) > 1
+    for q in (r, restricted, r * r, -r):
+        restrict_to_sublattice(q, matrix)
+    assert {e: entry[e] for e in images} == images
+    assert restrict_to_sublattice(r, matrix) == restricted == dense.restrict_to_sublattice(r, matrix)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, Fraction(1), True, "1"], ids=repr)
+def test_non_int_element_coordinates_are_refused_and_poison_no_memo(bad):
+    # (1.0, 0, 0) and (True, 0, 0) hash and compare equal to (1, 0, 0), so a
+    # memo that took them would give their images to exact callers; a float
+    # coefficient compares equal to an int too, so the types are checked
+    polynomials._IMAGES.clear()
+    polynomials._translation_forms.cache_clear()
+    g = GroupElement((bad, 0, 0))
+    u = element(H3, (1, 0, 0))
+    mu = generator_walk(H3)
+    x_plus_1 = X + Polynomial.constant(H3, 1)
+    calls = [lambda: translate_left(X * X, g), lambda: translate_right(X * X * X, g),
+             lambda: (X * X).evaluate(g), lambda: mul(H3, g, u), lambda: mul(H3, u, g),
+             lambda: inv(H3, g), lambda: ball(H3, [g, GroupElement((-1, 0, 0))], 1)]
+    message = re.escape(f"coordinate must be an int, got {bad!r}")
+    for _ in range(2):  # on cold memos, then on warm ones
+        for call in calls:
+            with pytest.raises(ValidationError, match=message):
+                call()
+        results = [translate_left(X * X, u), translate_right(X * X * X, u),
+                   apply_laplacian(mu, X * X * X)]
+        assert results == [x_plus_1 * x_plus_1, x_plus_1 * x_plus_1 * x_plus_1,
+                           dense.apply_laplacian(mu, X * X * X)]
+        assert all(type(c) is int for p in results for c in (p.den, *p.ints.values()))
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 0), [1, 0, 0], None, GroupElement([1, 0, 0])], ids=repr)
+def test_translation_takes_only_group_elements(bad):
+    for translate in (translate_left, translate_right):
+        with pytest.raises(ValidationError, match="expected a group element"):
+            translate(X, bad)
+    with pytest.raises(ValidationError, match="expected a group element"):
+        X.evaluate(bad)
 
 
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
@@ -574,37 +674,40 @@ def _dense_poly(schema, k):
 
 
 def test_render_memo_stays_within_its_bounds(monkeypatch):
-    memo = polynomials._render_memo
-    memo.cache_clear()
-    schemas = [lattice(d) for d in range(1, polynomials._RENDER_SCHEMAS + 4)]
+    memo = polynomials._RENDERED
+    memo.clear()
+    schemas = [lattice(d) for d in range(1, 8)]
     for schema in schemas:
         p = _dense_poly(schema, 2)
         assert str(p) == dense.polynomial_str(p)
-        assert memo.cache_info().currsize <= polynomials._RENDER_SCHEMAS
-        assert len(memo(schema)) == len(p.terms)
-    assert memo.cache_info().currsize == polynomials._RENDER_SCHEMAS
-    # past its per-schema bound the memo stops growing, and the text is the same
-    monkeypatch.setattr(polynomials, "_RENDER_MONOMIALS", 5)
-    memo.cache_clear()
+        assert len(memo.get(schema)) == len(p.terms)
+    assert list(memo.dicts) == schemas and memo.size <= memo.bound and _costs_add_up(memo)
+    # past a lowered bound the memo stops growing, and the text is the same
+    monkeypatch.setattr(memo, "bound", 5)
+    memo.clear()
     p = _dense_poly(UT4, 4)
     assert len(p.terms) > 5
     for _ in range(2):
         assert str(p) == dense.polynomial_str(p)
         assert polynomial_to_obj(p) == dense.polynomial_to_obj(p)
-        assert len(memo(UT4)) == 5
+        assert memo.size == len(memo.get(UT4)) == 5 and _costs_add_up(memo)
+    # a later schema drops the older one to make room
+    q = _dense_poly(lattice(2), 1)
+    assert str(q) == dense.polynomial_str(q)
+    assert list(memo.dicts) == [lattice(2)] and memo.size == 3 and _costs_add_up(memo)
 
 
-def test_a_schema_evicted_from_the_render_memo_renders_identically():
-    memo = polynomials._render_memo
-    memo.cache_clear()
+def test_a_schema_evicted_from_the_render_memo_renders_identically(monkeypatch):
+    memo = polynomials._RENDERED
+    memo.clear()
     p = _dense_poly(UT4, 4)
     first = (str(p), polynomial_to_obj(p))
     assert first == (dense.polynomial_str(p), dense.polynomial_to_obj(p))
-    for d in range(1, polynomials._RENDER_SCHEMAS + 1):
-        str(_dense_poly(lattice(d), 1))
-    misses = memo.cache_info().misses
+    monkeypatch.setattr(memo, "bound", len(p.terms))
+    str(_dense_poly(lattice(1), 1))
+    assert list(memo.dicts) == [lattice(1)]
     assert (str(p), polynomial_to_obj(p)) == first
-    assert memo.cache_info().misses == misses + 1  # UT4's memo was evicted and rebuilt
+    assert UT4 in memo.dicts  # UT4's dict was dropped and filled again
 
 
 @pytest.mark.parametrize("schema", [H3, lattice(3), unitriangular(4)], ids=str)

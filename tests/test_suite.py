@@ -8,7 +8,6 @@ import pytest
 
 import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
-import nilharmonic.polynomials as polynomials
 import nilharmonic.suite as suite
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import element, heisenberg, lattice, unitriangular
@@ -19,7 +18,7 @@ from nilharmonic.laplacian import (
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _TRANSLATIONS, graded_index, pk_basis
+from nilharmonic.polynomials import _IMAGES, _translation_forms, graded_index, pk_basis
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
 from nilharmonic.verify import _difference_points
@@ -199,22 +198,22 @@ def preimages():
 def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_TRANSLATIONS.clear, _difference_points.cache_clear, pk_basis.cache_clear,
-                  graded_index.cache_clear, _pair_columns.cache_clear,
+    for clear in (_IMAGES.clear, _translation_forms.cache_clear, _difference_points.cache_clear,
+                  pk_basis.cache_clear, graded_index.cache_clear, _pair_columns.cache_clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
     # solve_preimage checks its answer through apply_laplacian, which reads and
-    # stores the translation memo's images: cold, warm, and with room for
-    # fewer image terms than one call stores (each stores 200 to 440)
-    _TRANSLATIONS.clear()
+    # stores the image memo's images: cold, warm, and with room for fewer
+    # image terms than one call stores (each stores 200 to 440)
+    _IMAGES.clear()
     cold = preimages()
     for p, q in zip(cold, TARGETS):
         assert dense.apply_laplacian(MU_PAIRS, p) == parse_polynomial(H3, q)
-    stored = _TRANSLATIONS.terms
-    assert stored > 0 and preimages() == cold and _TRANSLATIONS.terms == stored
-    monkeypatch.setattr(polynomials, "_IMAGE_TERMS", 30)
+    stored = _IMAGES.size
+    assert stored > 0 and preimages() == cold and _IMAGES.size == stored
+    monkeypatch.setattr(_IMAGES, "bound", 30)
     for _ in range(2):
-        _TRANSLATIONS.clear()
+        _IMAGES.clear()
         assert preimages() == cold
-        assert 0 < _TRANSLATIONS.terms <= 30
+        assert 0 < _IMAGES.size <= 30
