@@ -61,7 +61,7 @@ class Measure:
     order of s.
     """
 
-    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs")
+    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs", "_hash")
 
     def __init__(
         self,
@@ -107,6 +107,8 @@ class Measure:
         self.pairs = tuple(
             (s, inverses[s], ws) for s, ws in zip(self.atoms, self.int_weights) if s < inverses[s]
         )
+        # every laplacian_matrix lookup hashes the measure
+        self._hash = hash((schema, frozenset(self.atoms.items())))
 
     def support(self) -> list[GroupElement]:
         """Non-identity atoms, sorted by coordinates."""
@@ -120,7 +122,7 @@ class Measure:
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self.atoms.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Measure({self.schema.name()}, {len(self.atoms)} atoms)"

@@ -359,8 +359,9 @@ class _Memo:
 
     ``get`` returns a key's dict, or a new empty one for a key with none, and
     ``store`` puts an item in it.  An item that would pass the bound first
-    drops the least recently used other dicts; if it still does not fit, it
-    is not stored.  A key's dict is registered only once it holds an item, so
+    drops the least recently used other dicts, then its own dict's oldest
+    items, in insertion order; only an item costlier than the whole bound is
+    not stored.  A key's dict is registered only once it holds an item, so
     the bound also bounds the number of dicts.  A reader stores into the dict
     it got before it gets another key's.
     """
@@ -384,13 +385,15 @@ class _Memo:
     def store(self, key: Hashable, d: dict, item: Hashable, value: Any) -> None:
         """d[item] = value, for d the dict that ``get(key)`` returned, if it fits."""
         cost = self.cost(value)
+        if cost > self.bound:
+            return
         if self.size + cost > self.bound:
             for other in [k for k in self.dicts if k != key]:
                 self.size -= sum(map(self.cost, self.dicts.pop(other).values()))
                 if self.size + cost <= self.bound:
                     break
-            else:
-                return
+            while self.size + cost > self.bound:  # only d's own items are left
+                self.size -= self.cost(d.pop(next(iter(d))))
         if not d:  # registered with its first item; a registered dict is never empty
             self.dicts[key] = d
         d[item] = value

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .groups import COORD_NAME, GroupSchema, element, heisenberg, lattice, unitriangular
+from .groups import COORD_NAME, GroupElement, GroupSchema, heisenberg, lattice, unitriangular
 from .laplacian import Measure
 from .polynomials import Exponents, Polynomial, render_terms
 
@@ -100,7 +100,8 @@ def measure_from_config(schema: GroupSchema, cfg: Mapping[str, Any]) -> Measure:
     for entry in _object_list(cfg, "atoms"):
         if not isinstance(entry.get("coords"), list) or "weight" not in entry:
             raise ValidationError("each atom needs a 'coords' list and a 'weight'")
-        g = element(schema, [_config_int(c, "atom coordinate") for c in entry["coords"]])
+        # plain ints already; Measure checks the coordinate count
+        g = GroupElement(tuple(_config_int(c, "atom coordinate") for c in entry["coords"]))
         atoms.append((g, parse_fraction(str(entry["weight"]))))
     return Measure(schema, atoms)
 

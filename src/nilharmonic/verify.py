@@ -9,7 +9,7 @@ group law), the matrix assembly and the elimination are never called, so a
 bug there cannot hide from these checks.  For the same reason the mean-value
 oracle clears the measure's ``Fraction`` weights to integers itself and
 does not read the ``scale`` and ``int_weights`` that the Laplacian uses.
-All enumeration orders are fixed, making every oracle deterministic.
+Every oracle is stateless, and deterministic: enumeration orders are fixed.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .groups import (
+    MAX_BALL_POINTS,
     GroupElement,
     GroupSchema,
     _require_int,
@@ -135,41 +135,45 @@ class DerivativeCheck:
     value: Fraction | None = None
 
 
-# The difference points of the last 32 calls, each at most ``budget *
-# len(test_points) * 2**order`` ids: the suite's three orders and two sides for
-# a few groups.
-@lru_cache(maxsize=32)
 def _difference_points(
     schema: GroupSchema,
     order: int,
-    tuple_coords: tuple[tuple[int, ...], ...],
-    point_coords: tuple[tuple[int, ...], ...],
+    elems: Sequence[GroupElement],
+    test_points: Sequence[GroupElement],
     budget: int,
     side: str,
-) -> tuple[tuple, tuple, tuple]:
-    """The budgeted tuples' coordinates, their id columns and the interned points.
+) -> tuple[list, list, list]:
+    """The budgeted tuples, their id columns and the interned points.
 
     For the left derivative the subset {i_1 < ... < i_r} of a tuple is the
     point u_{i_r} ... u_{i_1} x; for the right, x u_{i_1} ... u_{i_r}.  Subset
     products are built by doubling, so bit i of a subset's index marks
-    u_{i+1}.  ``columns[s]`` lists, for every tuple j and test point x in that
-    order, the position in ``points`` of subset s's point.  Nothing here
-    depends on the polynomial, so every polynomial of one order shares it.
+    u_{i+1}, one odometer prefix length at a time: each product is built once
+    for all tuples sharing its prefix, and each test point is moved once per
+    distinct product.  ``columns[s]`` lists, for every tuple j and test point
+    x in that order, the position in ``points`` of subset s's point.
     """
     law_mul = schema.law_mul
 
     def act(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return law_mul(b, a) if side == "left" else law_mul(a, b)
 
-    tuples = tuple(itertools.islice(itertools.product(tuple_coords, repeat=order), budget))
+    tuples = list(itertools.islice(itertools.product(elems, repeat=order), budget))
+    n = len(elems)
+    # prods[s][j]: subset s's product for prefix j, over the prefixes of one length
+    prods = [[(0,) * schema.n_coords] * min(len(tuples), 1)]
+    for rest in range(order - 1, -1, -1):
+        # prefix j is prefix j // n one entry shorter, then elems[j % n]
+        count = (len(tuples) - 1) // n**rest + 1 if tuples else 0
+        prods = [[p[j // n] for j in range(count)] for p in prods]
+        prods += [[act(p, elems[j % n].coords) for j, p in enumerate(q)] for q in prods]
     index: dict[tuple[int, ...], int] = {}
-    rows = []
-    for tup in tuples:
-        prods = [(0,) * schema.n_coords]
-        for u in tup:
-            prods += [act(prod, u) for prod in prods]
-        rows += [[index.setdefault(act(x, p), len(index)) for p in prods] for x in point_coords]
-    return tuples, tuple(zip(*rows)), tuple(index)
+    moved = {
+        p: [index.setdefault(act(x.coords, p), len(index)) for x in test_points]
+        for p in dict.fromkeys(itertools.chain.from_iterable(prods))
+    }
+    columns = [list(itertools.chain.from_iterable(map(moved.__getitem__, c))) for c in prods]
+    return tuples, columns, list(index)
 
 
 def _iterated_difference_check(
@@ -188,10 +192,7 @@ def _iterated_difference_check(
     table and each sign's columns summed; the first tuple and point where the
     two sums differ, in odometer order, is the witness.
     """
-    tuples, columns, points = _difference_points(
-        schema, order, tuple(u.coords for u in elems), tuple(x.coords for x in test_points),
-        budget, side,
-    )
+    tuples, columns, points = _difference_points(schema, order, elems, test_points, budget, side)
     signs = [1 if order % 2 == 0 else -1]
     for _ in range(order):
         signs += [-s for s in signs]
@@ -205,9 +206,8 @@ def _iterated_difference_check(
         return DerivativeCheck(True, order, len(tuples))
     i = next(i for i, (a, b) in enumerate(zip(plus, minus)) if a != b)
     j, x = divmod(i, len(test_points))
-    witness = tuple(GroupElement(c) for c in tuples[j])
     return DerivativeCheck(
-        False, order, j + 1, witness, test_points[x], Fraction(plus[i] - minus[i], scale)
+        False, order, j + 1, tuples[j], test_points[x], Fraction(plus[i] - minus[i], scale)
     )
 
 
@@ -216,12 +216,21 @@ def _difference_sample(
 ) -> tuple[list[GroupElement], list[GroupElement]]:
     """The sorted radius-``depth`` ball and the test points, the first three
     of its radius-<= 2 prefix, from one search, after the arguments are
-    checked: ints, not bools or floats, with k >= -1, depth >= 0, budget >= 1."""
+    checked: ints, not bools or floats, with k >= -1, depth >= 0, budget >= 1.
+    A check whose min(budget, |ball|^(k+1)) tuples of 2^(k+1) subsets pass
+    ``MAX_BALL_POINTS`` is refused after the search, before any product."""
     for value, what, low in ((k, "k", -1), (depth, "depth", 0), (budget, "budget", 1)):
         if _require_int(value, what) < low:
             raise ValidationError(f"{what} must be at least {low}, got {value}")
     levels = ball_levels(schema, support, depth)
     elems = [GroupElement(c) for c in sorted(itertools.chain(*levels))]
+    order = k + 1  # past the limit's bit length, 2^order alone passes it
+    if (order >= MAX_BALL_POINTS.bit_length()
+            or min(budget, len(elems) ** order) << order > MAX_BALL_POINTS):
+        raise ValidationError(
+            f"an order-{order} difference check at budget {budget} takes more than "
+            f"{MAX_BALL_POINTS} subset points; choose a smaller k or budget"
+        )
     points = [GroupElement(c) for c in sorted(itertools.chain(*levels[:3]))[:3]]
     return elems, points
 

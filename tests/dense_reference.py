@@ -45,7 +45,10 @@ straight-line code.
 their tables were built column by column: every monomial value is a product
 of powers at each point, every polynomial and every mean-value sum is a
 Python loop over the points, and every iterated difference is a signed sum
-over the subsets of one tuple at one point.  ``associativity_witness`` is the
+over the subsets of one tuple at one point.  ``difference_points`` builds
+every tuple's subset products afresh and moves each test point by each of
+them, as the library did before the tuples of one odometer prefix shared
+that prefix's products.  ``associativity_witness`` is the
 suite's scan of all triples, two law products per triple, and
 ``symmetric_form`` is its half-sum of second differences in ``Polynomial``
 arithmetic.

@@ -1,5 +1,6 @@
 """Measures, the Laplacian, harmonic bases, preimages."""
 
+import copy
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -40,6 +41,7 @@ from nilharmonic.laplacian import (
 )
 from nilharmonic.linalg import Inconsistent, RationalMatrix
 from nilharmonic.polynomials import Polynomial, dim_pk, pk_basis
+from nilharmonic.serialize import measure_from_config, measure_to_config
 
 # dense_reference.py holds the Fraction Laplacian the integer one replaced
 import dense_reference as dense
@@ -554,13 +556,20 @@ def test_assembly_reads_the_pairs_and_takes_no_inverse(fresh_memo, monkeypatch):
     assert laplacian_matrix(H3, PAIRS_H3, 4) == want
 
 
-def test_equal_measures_hash_equal_and_share_one_entry(fresh_memo):
+def test_equal_measures_hash_equal_and_share_one_entry(fresh_memo, monkeypatch):
+    # measures built apart, one loaded from its config and one a copy, hash
+    # alike; the hash is kept, so no lookup builds it from the atoms again
     forward = Measure(H3, _atoms(H3))
     backward = Measure(H3, list(reversed(_atoms(H3))))
-    assert forward == backward and hash(forward) == hash(backward)
-    assert laplacian_matrix(H3, forward, 4) is laplacian_matrix(H3, backward, 4)
+    loaded = measure_from_config(H3, measure_to_config(backward))
+    copied = copy.copy(forward)
+    monkeypatch.setattr(laplacian, "frozenset", None, raising=False)
+    assert forward == backward == loaded == copied
+    assert hash(forward) == hash(backward) == hash(loaded) == hash(copied)
+    matrices = [laplacian_matrix(H3, mu, 4) for mu in (forward, backward, loaded, copied)]
+    assert all(m is matrices[0] for m in matrices)
     info = fresh_memo.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    assert (info.currsize, info.hits, info.misses) == (1, 3, 1)
     # a different measure gets its own entry
     assert laplacian_matrix(H3, MU_H3, 4) != laplacian_matrix(H3, forward, 4)
     assert fresh_memo.cache_info().currsize == 2

@@ -335,6 +335,35 @@ def test_a_full_image_memo_makes_room_for_later_translations():
     assert memo.size == stored
 
 
+def test_a_full_dict_of_images_drops_its_oldest_to_extend_every_chain(monkeypatch):
+    # the 230 non-constant monomials of degree <= 20 on lattice(2) are read in
+    # graded order, so each image's parent is among the newest stored: one
+    # affine product each, although the bound holds far fewer image terms than
+    # the call makes (a memo that stopped storing once full took 727 and 734)
+    memo = polynomials._IMAGES
+    everything = Polynomial(Z2, {m: 1 for m in pk_basis(Z2, 20)})
+    u, matrix = element(Z2, (1, 1)), [[1, 1], [0, 1]]
+    cases = [
+        (2000, lambda: translate_right(everything, u), dense.translate(everything, u, "right")),
+        (500, lambda: restrict_to_sublattice(everything, matrix),
+         dense.restrict_to_sublattice(everything, matrix)),
+    ]
+    times, calls = polynomials._times, []
+
+    def counted(form, image):
+        calls.append(form)
+        return times(form, image)
+
+    monkeypatch.setattr(polynomials, "_times", counted)
+    for bound, run, want in cases:
+        monkeypatch.setattr(memo, "bound", bound)
+        memo.clear()
+        calls.clear()
+        assert run() == want
+        assert len(calls) == 230
+        assert 0 < memo.size <= bound and _costs_add_up(memo)
+
+
 def test_equal_forms_share_one_dict_of_images():
     memo = polynomials._IMAGES
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import nilharmonic.groups as groups
+import nilharmonic.laplacian as laplacian
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import heisenberg, lattice, unitriangular
 from nilharmonic.laplacian import generator_walk, lazy_generator_walk
@@ -109,6 +111,28 @@ def test_measure_config_validation():
         measure_from_config(H3, {"atoms": [{"coords": [1, 0, 0]}]})
     with pytest.raises(ValidationError):
         measure_from_config(H3, {})
+
+
+def test_config_atoms_are_checked_by_the_measure_alone(monkeypatch):
+    # the loader builds each atom from plain ints; Measure checks it, and
+    # reaches_all_generators, which is public, checks it once more
+    cfg = _walk_config()
+    checked = []
+    check = groups._require_conforming
+
+    def counted(schema, g, what="coordinate"):
+        checked.append(g)
+        check(schema, g, what)
+
+    monkeypatch.setattr(groups, "_require_conforming", counted)
+    monkeypatch.setattr(laplacian, "_require_conforming", counted)
+    measure = measure_from_config(H3, cfg)
+    assert len(checked) == 8 and set(checked) == set(measure.atoms)
+    # a wrong coordinate count is refused with the message element() gave
+    short = _walk_config(atoms=[{**a, "coords": a["coords"][:2]} for a in _walk_atoms(1)])
+    message = r"^element has 2 coordinates, schema heisenberg\(1\) expects 3$"
+    with pytest.raises(ValidationError, match=message):
+        measure_from_config(H3, short)
 
 
 @pytest.mark.parametrize(

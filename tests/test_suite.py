@@ -21,7 +21,6 @@ from nilharmonic.laplacian import (
 from nilharmonic.polynomials import _IMAGES, _translation_forms, graded_index, pk_basis
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
-from nilharmonic.verify import _difference_points
 
 # dense_reference.py holds the Fraction-dict Laplacian the integer one replaced
 import dense_reference as dense  # noqa: E402
@@ -198,8 +197,8 @@ def preimages():
 def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_IMAGES.clear, _translation_forms.cache_clear, _difference_points.cache_clear,
-                  pk_basis.cache_clear, graded_index.cache_clear, _pair_columns.cache_clear,
+    for clear in (_IMAGES.clear, _translation_forms.cache_clear, pk_basis.cache_clear,
+                  graded_index.cache_clear, _pair_columns.cache_clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first

@@ -1,7 +1,9 @@
 """Brute-force oracles: direct mean-value, derivative and growth checks."""
 
+import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,9 @@ from nilharmonic.verify import (
     check_left_right_agreement,
     growth_profile,
 )
+
+# dense_reference.py holds the per-tuple subset products the shared prefixes replaced
+import dense_reference as dense
 
 H3 = heisenberg(1)
 Z1 = lattice(1)
@@ -181,6 +186,66 @@ def test_difference_oracles_take_the_smallest_arguments():
     assert check_derivative_vanishing(H3, Polynomial.zero(H3), -1, gens, 0, budget=1).passed
     res = check_left_right_agreement(H3, X + Polynomial.constant(H3, 1), -1, 0, budget=1)
     assert not res.left.passed and res.left.order == 0 and res.left.tuples_checked == 1
+
+
+@pytest.mark.parametrize("schema", [H3, Z2, unitriangular(3)], ids=str)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_difference_table_holds_the_per_tuple_subset_points(schema, side):
+    # budgets 7 and 33 stop the odometer inside a prefix at every order >= 2
+    gens = standard_generators(schema)
+    elems, tests = ball(schema, gens, 1), ball(schema, gens, 2)[:3]
+    for order, budget in itertools.product(range(5), [1, 7, 33, 700]):
+        args = (schema, order, elems, tests, budget, side)
+        tuples, columns, points = verify._difference_points(*args)
+        want_tuples, ids, want_points = dense.difference_points(*args)
+        assert tuples == want_tuples and len(columns) == 2**order
+        assert all(len(column) == len(tuples) * len(tests) for column in columns)
+        got = [[[points[column[j * len(tests) + x]] for column in columns]
+                for x in range(len(tests))] for j in range(len(tuples))]
+        assert got == [[[want_points[i] for i in row] for row in rows] for rows in ids]
+
+
+def test_difference_table_shares_prefix_products():
+    # the 125 order-3 tuples of the radius-1 ball take 5 + 25 * 2 + 125 * 4
+    # subset products and move the 3 test points by each of 53 distinct ones:
+    # 714 group products, against 31 per tuple (3,875) when each builds its own
+    counted = dataclasses.replace(H3)
+    calls = []
+
+    def law_mul(a, b):
+        calls.append(a)
+        return H3.law_mul(a, b)
+
+    counted.__dict__["law_mul"] = law_mul
+    gens = standard_generators(H3)
+    elems, tests = ball(H3, gens, 1), ball(H3, gens, 2)[:3]
+    for side in ("left", "right"):
+        calls.clear()
+        table = verify._difference_points(counted, 3, elems, tests, 300, side)
+        assert len(calls) <= 800
+        assert table == verify._difference_points(H3, 3, elems, tests, 300, side)
+
+
+def test_difference_oracles_refuse_a_table_past_the_point_limit(monkeypatch):
+    # budget * 2^(k+1) subset points may reach MAX_BALL_POINTS, not pass it;
+    # |ball|^(k+1) caps the tuples below the budget
+    gens = standard_generators(H3)
+    assert check_left_right_agreement(H3, Z, 3, 2, budget=1250).passed
+    assert check_derivative_vanishing(H3, Z, 13, gens, 0, budget=10**9).passed
+    message = "takes more than 20000 subset points"
+    with pytest.raises(ValidationError, match=message):
+        check_left_right_agreement(H3, Z, 3, 2, budget=1251)
+    with pytest.raises(ValidationError, match=message):
+        check_derivative_vanishing(H3, Z, 14, gens, 0, budget=1)
+    # refused after the ball search, before any subset product, however large k
+    monkeypatch.setattr(verify, "_difference_points", None)
+    start = time.perf_counter()
+    for k in (30, 10**9):
+        with pytest.raises(ValidationError, match=message):
+            check_derivative_vanishing(H3, X, k, gens, 2, budget=1)
+        with pytest.raises(ValidationError, match=message):
+            check_left_right_agreement(H3, X, k, 2, budget=1)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("radius", [True, 2.5, 1.0])
