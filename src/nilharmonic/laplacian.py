@@ -252,12 +252,13 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
 
     Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
     graded order.  For k <= 1 the codomain is trivial and the matrix has
-    zero rows.  The columns are summed from the memoized second differences
-    of ``measure.pairs`` (see ``_pair_columns``), which jobs on one group
-    share.  The last few matrices are kept, keyed by (schema,
-    measure, k), so repeated solves against one Laplacian share one
-    factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
-    refused by ``matrix_shape``, before any basis is enumerated.
+    zero rows.  The memoized second differences of ``measure.pairs`` (see
+    ``_pair_columns``), shared by jobs on one group, are added scaled into
+    integer rows, cancelled entries then dropped.  The last few matrices are
+    kept, keyed by (schema, measure, k), so repeated solves against one
+    Laplacian share one factorization.  A matrix of more than
+    ``MAX_MATRIX_CELLS`` cells is refused by ``matrix_shape``, before any
+    basis is enumerated.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
@@ -266,17 +267,14 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     n_rows, n_cols = matrix_shape(schema, k)
     # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
     # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
-    columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
-    for s, _, ws in measure.pairs:
-        for column, pair in zip(columns, _pair_columns(schema, s, k)):
-            for i, c in pair:
-                column[i] = column.get(i, 0) + ws * c
-    # the matrix is rows / scale; the rows are in range and hold no zero
     rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
-    for j, column in enumerate(columns):
-        for i, c in column.items():
-            if c:
-                rows[i][j] = c
+    for s, _, ws in measure.pairs:
+        for j, pair in enumerate(_pair_columns(schema, s, k)):
+            for i, c in pair:
+                row = rows[i]
+                row[j] = row.get(j, 0) + ws * c
+    # the matrix is rows / scale, once the entries that cancelled are dropped
+    rows = [{j: c for j, c in row.items() if c} if 0 in row.values() else row for row in rows]
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
 
 

@@ -13,7 +13,7 @@ canonical: ``gcd(den, *ints.values()) == 1``, and the zero polynomial has
 ``den == 1``, so two polynomials are equal exactly when their ``den`` and
 ``ints`` are.  Every operation works on the ints and normalizes its result
 once, by a single gcd; ``Fraction`` values are made only where a caller
-reads them (``terms``, ``coefficient``, ``evaluate``,
+reads them (``terms``, ``evaluate``,
 ``coefficient_vector``).  A monomial is its exponent vector, a plain
 tuple of non-negative ints, everywhere: the public constructor takes
 ``int`` and ``Fraction`` coefficients on such keys and validates both, and
@@ -36,9 +36,9 @@ of ``graded_index`` and stores no image.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
-and factor text, such as ``x1^2*x3``, from a memo keyed by schema.  Both
-memos are bounded ``_Memo``s (``_IMAGE_TERMS`` image terms,
-``_RENDER_MONOMIALS`` monomials); what they drop is computed again.
+and factor text, such as ``x1^2*x3``, from a memo keyed by schema.  These
+memos, and the bases and graded indices (keyed by the weights, all they
+read), are bounded ``_Memo``s; what they drop is computed again.
 """
 
 from __future__ import annotations
@@ -60,21 +60,16 @@ Exponents = tuple[int, ...]
 IntTerms = dict[Exponents, int]
 
 
-# The bound of the basis and graded index memos.  The largest basis that a
-# Laplacian matrix admits is lattice(29) at k = 4, 40,920 monomials; measured
-# with tracemalloc it takes 12 MB and its index 14 MB.  A verify benchmark run
-# reads 21 bases and 15 indices, 10 kB together.
-_GRADED_BASES = 32
-
-
-@lru_cache(maxsize=_GRADED_BASES)
 def pk_basis(schema: GroupSchema, k: int) -> tuple[Exponents, ...]:
     """The exponent vectors of weighted degree <= k, in graded order; empty
-    for k < 0.  One tuple per (schema, k) is memoized and shared by callers."""
+    for k < 0.  One tuple per (weights, k) is memoized and shared by callers."""
     # degree by degree: m != 1 is m' x_v for v its first non-zero coordinate
     if k < 0:
         return ()
     weights = schema.weights
+    bases = _BASES.get(weights)
+    if k in bases:
+        return bases[k]
     levels = [[(0,) * schema.n_coords]]
     for d in range(1, k + 1):
         level = []
@@ -82,7 +77,9 @@ def pk_basis(schema: GroupSchema, k: int) -> tuple[Exponents, ...]:
             if w <= d:
                 level += [e[:v] + (e[v] + 1,) + e[v + 1:] for e in levels[d - w] if not any(e[:v])]
         levels.append(sorted(level, reverse=True))
-    return tuple(e for level in levels for e in level)
+    basis = tuple(e for level in levels for e in level)
+    _BASES.store(weights, bases, k, basis)
+    return basis
 
 
 def _parent(exps: Exponents) -> tuple[Exponents, int]:
@@ -91,21 +88,26 @@ def _parent(exps: Exponents) -> tuple[Exponents, int]:
     return exps[:t] + (exps[t] - 1,) + exps[t + 1:], t
 
 
-@lru_cache(maxsize=_GRADED_BASES)
 def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
-    """(steps, up) on the indices of pk_basis(schema, k), k >= 0.
+    """(steps, up) on the indices of pk_basis(schema, k), k >= 0, memoized
+    per (weights, k).
 
     steps[i - 1] = (parent, t) for m_i = m_parent x_t, t the first non-zero
     coordinate of m_i; up[v][j] is the index of m_j x_v, or the basis size
     past degree k.  pk_basis(schema, k - 2) is the graded prefix of this
     basis, so an index below its size names the same monomial in both.
     """
+    indices = _INDICES.get(schema.weights)
+    if k in indices:
+        return indices[k]
     basis = pk_basis(schema, k)
     size = len(basis)  # one int object for every miss
     index = {e: i for i, e in enumerate(basis)}
     up = tuple([index.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
                for v in range(schema.n_coords))
-    return tuple((index[m], t) for m, t in map(_parent, basis[1:])), up
+    found = tuple((index[m], t) for m, t in map(_parent, basis[1:])), up
+    _INDICES.store(schema.weights, indices, k, found)
+    return found
 
 
 def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
@@ -251,9 +253,6 @@ class Polynomial:
             return None
         weights = self.schema.weights
         return max(sum(map(mul, weights, e)) for e in self.ints)
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self.ints.get(exps, 0), self.den)
 
     def evaluate(self, g: GroupElement) -> Fraction:
         _require_conforming(self.schema, g)
@@ -401,13 +400,19 @@ class _Memo:
 
 
 # The memos' bounds.  Measured full with tracemalloc, 2**14 image terms take
-# 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), and 4 * 4096 rendered
-# monomials take 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2).
+# 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), 4 * 4096 rendered
+# monomials 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2), and the basis
+# and index memos, where each costs its basis size, 81 MB together (lattice(29)
+# at k = 4, the largest Laplacian basis at 40,920 monomials, and lattice(12..36)
+# at k = 3).
 _IMAGE_TERMS = 2**14
 _RENDER_MONOMIALS = 4 * 4096
+_BASIS_MONOMIALS = 2**17
 
 _IMAGES = _Memo(_IMAGE_TERMS, len)
 _RENDERED = _Memo(_RENDER_MONOMIALS)
+_BASES = _Memo(_BASIS_MONOMIALS, len)
+_INDICES = _Memo(_BASIS_MONOMIALS, lambda index: len(index[0]) + 1)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -421,8 +426,8 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
     writes it: leading degree first, the terms of one degree in graded
     order, "0" for no terms.
 
-    One sort, on keys read from the schema's render memo, gives both orders.
-    A coefficient n / den is written from n // g and den // g, g = gcd(n, den).
+    A sort on the render memo's keys gives graded order, and a stable sort by
+    descending degree the text's.  n / den is written reduced by gcd(n, den).
     """
     schema = p.schema
     memo = _RENDERED.get(schema)
@@ -436,16 +441,14 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
             key = (sum(map(mul, schema.weights, e)), tuple(-x for x in e))
             entry = (key, "*".join(factors))
             _RENDERED.store(schema, memo, e, entry)
-        if den == 1:
-            coeff = str(n)
-        else:
-            g = gcd(n, den)
-            coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+        g = gcd(n, den)
+        coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
         rows.append((entry[0], e, coeff, entry[1]))
     rows.sort(key=itemgetter(0))
-    # the text takes the runs of one degree in reverse, each in graded order
-    runs: dict[int, list[tuple[bool, str]]] = {}
-    for (degree, _), _, coeff, factors in rows:
+    terms = [(e, coeff) for _, e, coeff, _ in rows]
+    rows.sort(key=lambda row: row[0][0], reverse=True)  # reverse=True keeps ties in order
+    pieces: list[str] = []
+    for _, _, coeff, factors in rows:
         negative = coeff[0] == "-"
         magnitude = coeff[1:] if negative else coeff
         if not factors:
@@ -454,15 +457,11 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
             body = factors
         else:
             body = f"{magnitude}*{factors}"
-        runs.setdefault(degree, []).append((negative, body))
-    pieces: list[str] = []
-    for degree in reversed(runs):
-        for negative, body in runs[degree]:
-            if pieces:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                pieces.append(f"-{body}" if negative else body)
-    return [(e, coeff) for _, e, coeff, _ in rows], " ".join(pieces) or "0"
+        if pieces:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if negative else body)
+    return terms, " ".join(pieces) or "0"
 
 
 # -- translation by composition -----------------------------------------------

@@ -17,6 +17,7 @@ from nilharmonic.groups import (
     element,
     heisenberg,
     identity,
+    inv,
     inv_coords,
     lattice,
     mul,
@@ -358,6 +359,31 @@ def test_memoized_pair_columns_equal_fresh_columns(schema):
         if s.coords < inv_coords(schema, s.coords):
             for k in (2, 4):
                 assert _pair_columns(schema, s, k) == _pair_columns.__wrapped__(schema, s, k)
+
+
+def test_entries_that_the_pairs_cancel_are_dropped():
+    # on heisenberg(1) the second differences of the pairs {x, y, xy, xy^-1}
+    # cancel on 2, 7, 21 and 49 entries at k = 2..5; no row keeps a 0 there
+    x, y = basis_element(H3, 1), basis_element(H3, 2)
+    reps = [x, y, mul(H3, x, y), mul(H3, x, inv(H3, y))]
+    mu = uniform_measure(H3, [g for s in reps for g in (s, inv(H3, s))])
+    for k, cancelled in zip(range(2, 6), (2, 7, 21, 49)):
+        sums = {}
+        for s, _, ws in mu.pairs:
+            for j, column in enumerate(_pair_columns(H3, s, k)):
+                for i, c in column:
+                    sums[i, j] = sums.get((i, j), 0) + ws * c
+        assert list(sums.values()).count(0) == cancelled
+        matrix = laplacian_matrix(H3, mu, k)
+        assert all(all(row.values()) for row in matrix._int_rows()[0])
+        domain, codomain = pk_basis(H3, k), pk_basis(H3, k - 2)
+        columns = [
+            dense.coefficient_vector(
+                dense.apply_laplacian(mu, Polynomial.from_monomial(H3, m)), codomain
+            )
+            for m in domain
+        ]
+        assert matrix == RationalMatrix(len(codomain), len(domain), zip(*columns))
 
 
 # -- harmonic bases ----------------------------------------------------------------

@@ -98,6 +98,9 @@ H3, UT4 = heisenberg(1), unitriangular(4)
                ((1, 0, 0, 0, 0, 0), -12)))  # a negative leading term; a_12, a_23^3, a_14
 @example(_poly(heisenberg(2), ((0, 0, 0, 0, 2), Fraction(-2, 3)), ((1, 1, 0, 0, 0), 1),
                ((0, 0, 0, 0, 0), -1)))
+# two degrees of two terms each, inserted low degree first, the lower degree
+# led by a negative term: "x^2 - 3/2*x*y - x + 2*y"
+@example(_poly(H3, ((1, 0, 0), -1), ((0, 1, 0), 2), ((2, 0, 0), 1), ((1, 1, 0), Fraction(-3, 2))))
 @given(rendered_polynomials())
 def test_rendering_equals_reference(p):
     assert str(p) == dense.polynomial_str(p)

@@ -126,6 +126,36 @@ def test_basis_is_graded_and_deterministic():
     assert basis == pk_basis(UT4, 3)
 
 
+def test_basis_memos_are_keyed_by_weights_and_stay_within_their_bound(monkeypatch):
+    memos = polynomials._BASES, polynomials._INDICES
+    cases = [(schema, k) for schema in (Z2, H3, UT4, lattice(3)) for k in range(8)]
+    cold = {}
+    for schema, k in cases:
+        for memo in memos:
+            memo.clear()
+        cold[schema, k] = pk_basis(schema, k), polynomials.graded_index(schema, k)
+    # heisenberg(1) and unitriangular(3) have one set of weights, so one entry
+    assert pk_basis(unitriangular(3), 4) is pk_basis(H3, 4)
+    assert polynomials.graded_index(unitriangular(3), 4) is polynomials.graded_index(H3, 4)
+    # past a lowered bound the memos drop what they must and give the same
+    # bases and indices; a basis of more monomials than the bound is not kept
+    for memo in memos:
+        monkeypatch.setattr(memo, "bound", 100)
+        memo.clear()
+    for _ in range(2):
+        for schema, k in cases:
+            basis = pk_basis(schema, k)
+            assert (basis, polynomials.graded_index(schema, k)) == cold[schema, k]
+            assert (k in polynomials._BASES.get(schema.weights)) == (len(basis) <= 100)
+            for memo in memos:
+                assert 0 < memo.size <= 100 and _costs_add_up(memo)
+    assert len(pk_basis(UT4, 7)) > 100
+    # a negative degree takes no entry
+    for memo in memos:
+        memo.clear()
+    assert pk_basis(H3, -1) == () and not polynomials._BASES.dicts
+
+
 # -- evaluation ----------------------------------------------------------------
 
 def test_evaluate_examples():

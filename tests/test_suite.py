@@ -18,7 +18,7 @@ from nilharmonic.laplacian import (
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _IMAGES, _translation_forms, graded_index, pk_basis
+from nilharmonic.polynomials import _BASES, _IMAGES, _INDICES, _translation_forms
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -197,8 +197,8 @@ def preimages():
 def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
-    for clear in (_IMAGES.clear, _translation_forms.cache_clear, pk_basis.cache_clear,
-                  graded_index.cache_clear, _pair_columns.cache_clear,
+    for clear in (_IMAGES.clear, _translation_forms.cache_clear, _BASES.clear,
+                  _INDICES.clear, _pair_columns.cache_clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
