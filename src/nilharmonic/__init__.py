@@ -52,6 +52,7 @@ from .verify import (
     check_harmonic_batch,
     check_harmonic_on_ball,
     check_left_right_agreement,
+    check_left_right_batch,
     growth_profile,
 )
 

@@ -5,6 +5,12 @@ degree <= k it lands in degree <= k-2, is surjective onto that space, and
 its kernel is the space of degree-<= k harmonic functions; those facts are
 what the matrix builders and solvers here rely on, and every one of them
 is cross-checked by the verifier oracles and the test suite.
+
+The operator sees mu only through its moments: x s is polynomial in s, so
+the matrix is the measure's integer moments times the memoized symbolic
+translation of each support pattern (see ``laplacian_matrix``), while
+``apply_laplacian`` translates by each atom, so the two paths check each
+other.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .polynomials import (
     _translation_forms,
     dim_pk,
     dim_pk_table,
-    graded_images,
+    graded_index,
+    moment_images,
     pk_basis,
     translate_left,
 )
@@ -56,12 +63,16 @@ class Measure:
 
     ``atoms`` is sorted by coordinates.  The validation's findings are kept:
     ``scale``, the lcm of the weights' denominators; ``int_weights``, scale
-    times each weight, in ``atoms`` order; and ``pairs``, one (s, s^-1, w)
-    per pair of non-identity atoms, s the smaller and w = scale * mu(s), in
-    order of s.
+    times each weight, in ``atoms`` order; ``pairs``, one (s, s^-1, w) per
+    pair of non-identity atoms, s the smaller and w = scale * mu(s), in order
+    of s; and ``groups``, one (pattern, ((coords, w), ...)) per maximal
+    support pattern, in sorted order: a pattern is the sorted coordinates
+    where an atom is not 0, maximal when no other atom's pattern holds it,
+    and each non-identity atom, with w = scale * mu(s), goes to the first
+    pattern that holds its own.
     """
 
-    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs", "_hash")
+    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs", "groups", "_hash")
 
     def __init__(
         self,
@@ -107,6 +118,19 @@ class Measure:
         self.pairs = tuple(
             (s, inverses[s], ws) for s, ws in zip(self.atoms, self.int_weights) if s < inverses[s]
         )
+        # supports as bit masks; a mask holds another when it has all its bits
+        masks = [sum(1 << i for i, c in enumerate(s.coords) if c) for s in self.atoms]
+        maximal: list[int] = []
+        for mask in sorted(set(masks) - {0}, key=int.bit_count, reverse=True):
+            if all(mask & ~m for m in maximal):
+                maximal.append(mask)
+        patterns = sorted((tuple(i for i in range(schema.n_coords) if m >> i & 1), m)
+                          for m in maximal)
+        groups: dict[tuple[int, ...], list] = {p: [] for p, _ in patterns}
+        for s, ws, mask in zip(self.atoms, self.int_weights, masks):
+            if mask:
+                groups[next(p for p, m in patterns if not mask & ~m)].append((s.coords, ws))
+        self.groups = tuple((p, tuple(atoms)) for p, atoms in groups.items())
         # every laplacian_matrix lookup hashes the measure
         self._hash = hash((schema, frozenset(self.atoms.items())))
 
@@ -187,36 +211,6 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     return result
 
 
-@lru_cache(maxsize=128)
-def _pair_columns(
-    schema: GroupSchema, s: GroupElement, k: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Integer columns of m -> 2m - m(x s) - m(x s^-1) over the degree-k basis.
-
-    One column per monomial of pk_basis(schema, k), as (row, coefficient)
-    pairs over pk_basis(schema, k - 2), its graded prefix; each second
-    difference drops the degree by 2.  Callers pass the member of
-    {s, s^-1} with the smaller coordinates.  The last 128 are memoized (a
-    raised error is not); code that patches ``graded_images`` must call
-    ``cache_clear``.
-    """
-    n_rows = dim_pk(schema, k - 2)
-    s_inv = GroupElement(inv_coords(schema, s.coords))
-    columns = []
-    images = zip(graded_images(schema, s, "right", k), graded_images(schema, s_inv, "right", k))
-    for i, pair in enumerate(images):
-        column = {i: 2}
-        for image in pair:
-            for j, c in image.items():
-                column[j] = column.get(j, 0) - c
-        entries = tuple((j, c) for j, c in column.items() if c)
-        if entries and max(entries)[0] >= n_rows:
-            mono = pk_basis(schema, k)[i]
-            raise InternalInconsistency(f"Laplacian image of {mono} has an out-of-range term")
-        columns.append(entries)
-    return tuple(columns)
-
-
 # The most cells (rows x columns) a Laplacian matrix may have.  lattice(4) at
 # k = 16 has 14.8 million; a larger matrix would take minutes and gigabytes.
 MAX_MATRIX_CELLS = 2 * 10**7
@@ -252,28 +246,54 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
 
     Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
     graded order.  For k <= 1 the codomain is trivial and the matrix has
-    zero rows.  The memoized second differences of ``measure.pairs`` (see
-    ``_pair_columns``), shared by jobs on one group, are added scaled into
-    integer rows, cancelled entries then dropped.  The last few matrices are
-    kept, keyed by (schema, measure, k), so repeated solves against one
-    Laplacian share one factorization.  A matrix of more than
-    ``MAX_MATRIX_CELLS`` cells is refused by ``matrix_shape``, before any
-    basis is enumerated.
+    zero rows.  With b the measure's ``scale``, the rows are integers over b:
+    m(x s) = sum_gamma s^gamma U_gamma(m) for U_gamma of ``moment_images``,
+    so b Delta m = -sum_{gamma != 0} P_gamma U_gamma(m) summed over the
+    measure's ``groups``, P_gamma = sum_s b mu(s) s^gamma over a group's atoms
+    (P_0 sums to b, and U_0(m) = m).  Only gamma = 0 and weight-1 gamma reach
+    past degree k - 2: U_gamma does not depend on the pattern, and each
+    weight-1 moment sums to 0 over a symmetric measure, so those terms are
+    dropped once that sum is checked (InternalInconsistency if it is not 0,
+    before any image is read).  The last few matrices are kept, keyed by
+    (schema, measure, k), so repeated solves against one Laplacian share one
+    factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
+    refused by ``matrix_shape``, before any basis is enumerated.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     n_rows, n_cols = matrix_shape(schema, k)
-    # mu is symmetric, so scale * Delta is the sum over the pairs {s, s^-1} of
-    # (scale mu(s)) (2m - m(x s) - m(x s^-1)); the identity atom adds 0
+    linear = [t for t, w in enumerate(schema.weights) if w == 1]
+    for t in linear:
+        first = sum(ws * coords[t] for _, atoms in measure.groups for coords, ws in atoms)
+        if first:
+            raise InternalInconsistency(
+                f"Laplacian image has an out-of-range term: the first moment "
+                f"of coordinate {t + 1} is {first}/{measure.scale}, not 0"
+            )
     rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
-    for s, _, ws in measure.pairs:
-        for j, pair in enumerate(_pair_columns(schema, s, k)):
-            for i, c in pair:
+    if not rows:
+        return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
+    up = graded_index(schema, k)[1]
+    for pattern, atoms in measure.groups:
+        images = moment_images(schema, k, pattern)
+        # the group's moments, s^gamma = s^parent s_t along the chain
+        moments = [0] * n_cols
+        for coords, ws in atoms:
+            power = [ws] * n_cols
+            for g, parent, t in images.chain:
+                power[g] = power[parent] * coords[t]
+                moments[g] += power[g]
+        for t in linear:
+            if t in pattern:
+                moments[up[t][0]] = 0
+        for j, g, i, c in zip(images.cols, images.gammas, images.betas, images.coeffs):
+            a = moments[g]
+            if a:
                 row = rows[i]
-                row[j] = row.get(j, 0) + ws * c
-    # the matrix is rows / scale, once the entries that cancelled are dropped
+                row[j] = row.get(j, 0) - a * c
+    # the entries that cancelled are dropped
     rows = [{j: c for j, c in row.items() if c} if 0 in row.values() else row for row in rows]
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
 
@@ -307,12 +327,12 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
     """Basis of harmonic polynomials of degree <= k, in the canonical
     kernel parameterization of the Laplacian matrix.
 
-    Each kernel vector comes as integers over one denominator, so it becomes
-    a polynomial by one gcd, without a ``Fraction``."""
+    Each kernel vector comes as non-zero integers over one denominator in
+    lowest terms, so it is a polynomial's canonical form as it stands."""
     matrix = laplacian_matrix(schema, measure, k)
     domain = pk_basis(schema, k)
     basis = tuple(
-        _from_ints(schema, {domain[i]: v for i, v in vec.items()}, den)
+        Polynomial._trusted(schema, {domain[i]: v for i, v in vec.items()}, den)
         for den, vec in matrix.factorization().kernel()
     )
     predicted = dim_hk(schema, k)

@@ -15,8 +15,8 @@ its factorization once; ``rref``, ``rank``, ``kernel_basis`` and ``solve``
 all read it.  Kernel bases use the canonical free-variable parameterization
 (each free variable set to 1 in turn, in ascending column order), so
 outputs are deterministic and portable; each kernel vector is read from the
-integer rows as integers over one denominator, and ``kernel_basis`` makes
-each entry a ``Fraction`` once from those.
+integer rows as integers over one denominator, in lowest terms, and
+``kernel_basis`` makes each entry a ``Fraction`` once from those.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class Factorization:
         ascending order of c; each vector's keys are ascending.
 
         The vector of c is 1 at c and -v / L_p at each pivot p whose reduced
-        row holds v / L_p at c.  It comes as integers over d, the lcm of
-        those leads L_p: d at c and -v * (d // L_p) at p.  It need not be in
-        lowest terms.
+        row holds v / L_p at c.  Over l, the lcm of those leads L_p, it is l
+        at c and -v * (l // L_p) at p; it comes divided by the gcd of these,
+        as integers over d > 0 in lowest terms.
         """
         int_tails, leads = self.int_tails, self.leads
         entries: dict[int, list[tuple[int, int]]] = {
@@ -147,6 +147,10 @@ class Factorization:
         for c, column in entries.items():
             d = lcm(*(leads[p] for p, _ in column))
             vec = {p: -v * (d // leads[p]) for p, v in column}
+            g = gcd(d, *vec.values())
+            if g != 1:
+                d //= g
+                vec = {p: v // g for p, v in vec.items()}
             vec[c] = d
             basis.append((d, vec))
         return basis

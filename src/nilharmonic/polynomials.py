@@ -30,9 +30,12 @@ groups to sublattices.  Both read their monomial images through ``_images``
 from one memo keyed by the affine forms themselves, so equal forms share
 their images: heisenberg(1) and unitriangular(3), the left and right
 translations of an abelian group, and restriction by the identity matrix
-and translation by the identity.  The Laplacian matrix translates whole
-bases by ``graded_images``, which runs the recursion on the basis indices
-of ``graded_index`` and stores no image.
+and translation by the identity.  The Laplacian matrix reads its
+translations from ``moment_images``: the same recursion, run on the basis
+indices of ``graded_index``, translates a whole basis by a symbolic element
+s whose non-zero coordinates are one support pattern, so each term of an
+image is a monomial in x and one in s; its own memo is keyed by what it
+reads, the weights, the law and the pattern.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -46,10 +49,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
@@ -404,15 +407,19 @@ class _Memo:
 # monomials 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2), and the basis
 # and index memos, where each costs its basis size, 81 MB together (lattice(29)
 # at k = 4, the largest Laplacian basis at 40,920 monomials, and lattice(12..36)
-# at k = 3).
+# at k = 3).  2**18 moment terms take 10.0 MB (the 260,144 terms of the two
+# generator patterns of heisenberg(1) at k = 36) to 16.0 MB (the 256,958 of the
+# 36 patterns of lattice(36) at k = 3).
 _IMAGE_TERMS = 2**14
 _RENDER_MONOMIALS = 4 * 4096
 _BASIS_MONOMIALS = 2**17
+_MOMENT_TERMS = 2**18
 
 _IMAGES = _Memo(_IMAGE_TERMS, len)
 _RENDERED = _Memo(_RENDER_MONOMIALS)
 _BASES = _Memo(_BASIS_MONOMIALS, len)
 _INDICES = _Memo(_BASIS_MONOMIALS, lambda index: len(index[0]) + 1)
+_MOMENTS = _Memo(_MOMENT_TERMS, lambda images: len(images.chain) + len(images.cols))
 
 
 # -- rendering -------------------------------------------------------------------
@@ -537,35 +544,74 @@ def _images(
     return out
 
 
-def graded_images(
-    schema: GroupSchema, u: GroupElement, side: str, k: int
-) -> list[dict[int, int]]:
-    """The integer coefficients of x -> m(x u) (side right) or x -> m(u x)
-    (side left) for each m in pk_basis(schema, k), keyed by basis index:
-    the recursion T(x_t m) = L_t T(m) of ``_images`` run on the indices of
-    ``graded_index``, with no exponent vector built and no image stored.  A
-    term past degree k, which no valid law makes, raises
-    InternalInconsistency."""
+class MomentImages(NamedTuple):
+    """Parallel tuples, one entry per term coeff * s^gamma x^beta of m_col(x s),
+    in order of col, each of col, gamma and beta a basis index; ``chain`` is
+    (gamma, parent, t) for each s^gamma != 1 that occurs, in graded order,
+    s^gamma = s^parent s_t."""
+
+    chain: tuple[tuple[int, int, int], ...]
+    cols: tuple[int, ...]
+    gammas: tuple[int, ...]
+    betas: tuple[int, ...]
+    coeffs: tuple[int, ...]
+
+
+def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> MomentImages:
+    """x -> m(x s) for each m in pk_basis(schema, k), k >= 0, as a polynomial
+    in x and in a symbolic s whose coordinates outside ``pattern`` (sorted
+    0-based indices) are 0.  Memoized per (weights, law, pattern) and k.
+
+    The recursion T(x_t m) = L_t T(m) of ``_images``, on basis indices, with
+    L_t = x_t + [t in pattern] s_t + sum x_p s_q over the law's terms
+    (t, p, q) with q in ``pattern``.  A law term with weight(p) + weight(q) >
+    weight(t), which ``GroupSchema`` refuses, would leave P^k: it raises
+    InternalInconsistency.
+    """
+    weights, law = schema.weights, schema.law
+    key = (weights, law, pattern)
+    memo = _MOMENTS.get(key)
+    if k in memo:
+        return memo[k]
+    if any(weights[p] + weights[q] > weights[t] for t, p, q in law):
+        raise InternalInconsistency("a law term outweighs its target; translation leaves P^k")
     steps, up = graded_index(schema, k)
-    size = len(steps) + 1
-    forms = _translation_forms(schema, u, side)
-    lins = [[(up[v], a) for v, a in lin] for _, lin in forms]
-    images: list[dict[int, int]] = [{0: 1}]
-    for parent, t in steps:
-        c = forms[t][0]
-        out: dict[int, int] = {}
+    size = len(up[0])
+    # per coordinate t, the (s, x) index maps of L_t's terms s_t and x_p s_q
+    bumps: list[list[tuple[Sequence[int], Sequence[int]]]] = [
+        [(up[t], range(size))] if t in pattern else [] for t in range(schema.n_coords)
+    ]
+    for t, p, q in law:
+        if q in pattern:
+            bumps[t].append((up[q], up[p]))
+    # T is multiplicative, so x_t m may be reached from m for any t it holds;
+    # a t with L_t = x_t moves T(m)'s terms apart and adds none
+    reach = [None, *steps]
+    for t, terms in enumerate(bumps):
+        if not terms:
+            for j, i in enumerate(up[t]):
+                if i != size:
+                    reach[i] = (j, t)
+    images = [((0,), (0,), (1,))]  # (gammas, betas, coeffs) of each T(m)
+    for parent, t in reach[1:]:
+        gs, bs, cs = images[parent]
+        moved = tuple(map(up[t].__getitem__, bs))
+        if not bumps[t]:
+            images.append((gs, moved, cs))
+            continue
+        out = dict(zip(zip(gs, moved), cs))
         get = out.get
-        for j, coeff in images[parent].items():
-            if c:
-                out[j] = get(j, 0) + c * coeff
-            for row, a in lins[t]:
-                i = row[j]
-                out[i] = get(i, 0) + a * coeff
-        if size in out:
-            mono = pk_basis(schema, k)[len(images)]
-            raise InternalInconsistency(f"translate of {mono} has an out-of-range term")
-        images.append({j: a for j, a in out.items() if a} if 0 in out.values() else out)
-    return images
+        for s_up, x_up in bumps[t]:
+            for at, c in zip(zip(map(s_up.__getitem__, gs), map(x_up.__getitem__, bs)), cs):
+                out[at] = get(at, 0) + c
+        images.append((*zip(*out), tuple(out.values())))
+    cols = tuple(chain.from_iterable(map(repeat, range(size), (len(gs) for gs, _, _ in images))))
+    gammas, betas, coeffs = (tuple(chain.from_iterable(map(itemgetter(n), images))) for n in range(3))
+    seen = set(gammas)  # each s^gamma's first-coordinate parent occurs too
+    links = tuple((i, *step) for i, step in enumerate(steps, 1) if i in seen)
+    found = MomentImages(links, cols, gammas, betas, coeffs)
+    _MOMENTS.store(key, memo, k, found)
+    return found
 
 
 def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:

@@ -176,16 +176,17 @@ def _difference_points(
     return tuples, columns, list(index)
 
 
-def _iterated_difference_check(
+def _iterated_difference_checks(
     schema: GroupSchema,
-    f: Polynomial,
+    polys: Sequence[Polynomial],
     order: int,
     elems: Sequence[GroupElement],
     test_points: Sequence[GroupElement],
     budget: int,
     side: str,
-) -> DerivativeCheck:
-    """Evaluate order-fold differences of f directly via signed sums.
+) -> list[DerivativeCheck]:
+    """Evaluate order-fold differences of each f in ``polys`` directly via
+    signed sums, on one table of subset points.
 
     The subset points of ``_difference_points`` carry the sign
     (-1)^(order - r) for a subset of size r.  They are evaluated in one value
@@ -196,19 +197,22 @@ def _iterated_difference_check(
     signs = [1 if order % 2 == 0 else -1]
     for _ in range(order):
         signs += [-s for s in signs]
-    ((scale, values),) = _value_tables([f], points)
     size = len(tuples) * len(test_points)
-    sums = {1: [0] * size, -1: [0] * size}
-    for sign, ids in zip(signs, columns):
-        sums[sign] = [x + values[i] for x, i in zip(sums[sign], ids)]
-    plus, minus = sums[1], sums[-1]
-    if plus == minus:
-        return DerivativeCheck(True, order, len(tuples))
-    i = next(i for i, (a, b) in enumerate(zip(plus, minus)) if a != b)
-    j, x = divmod(i, len(test_points))
-    return DerivativeCheck(
-        False, order, j + 1, tuples[j], test_points[x], Fraction(plus[i] - minus[i], scale)
-    )
+    results = []
+    for scale, values in _value_tables(polys, points):
+        sums = {1: [0] * size, -1: [0] * size}
+        for sign, ids in zip(signs, columns):
+            sums[sign] = [x + values[i] for x, i in zip(sums[sign], ids)]
+        plus, minus = sums[1], sums[-1]
+        if plus == minus:
+            results.append(DerivativeCheck(True, order, len(tuples)))
+            continue
+        i = next(i for i, (a, b) in enumerate(zip(plus, minus)) if a != b)
+        j, x = divmod(i, len(test_points))
+        results.append(DerivativeCheck(
+            False, order, j + 1, tuples[j], test_points[x], Fraction(plus[i] - minus[i], scale)
+        ))
+    return results
 
 
 def _difference_sample(
@@ -250,7 +254,7 @@ def check_derivative_vanishing(
     the test points of ``_difference_sample``.
     """
     elems, points = _difference_sample(schema, support, k, depth, budget)
-    return _iterated_difference_check(schema, f, k + 1, elems, points, budget, "left")
+    return _iterated_difference_checks(schema, [f], k + 1, elems, points, budget, "left")[0]
 
 
 @dataclass(frozen=True)
@@ -269,10 +273,22 @@ def check_left_right_agreement(
 ) -> AgreementCheck:
     """Left and right (k+1)-fold difference checks must agree on the same
     sample, that of ``_difference_sample`` on the standard generators."""
+    return check_left_right_batch(schema, [f], k, depth, budget)[0]
+
+
+def check_left_right_batch(
+    schema: GroupSchema,
+    polys: Sequence[Polynomial],
+    k: int,
+    depth: int,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> list[AgreementCheck]:
+    """``check_left_right_agreement`` for each f in ``polys``, with one table
+    of subset points per side shared by all of them."""
     elems, points = _difference_sample(schema, standard_generators(schema), k, depth, budget)
-    left = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "left")
-    right = _iterated_difference_check(schema, f, k + 1, elems, points, budget, "right")
-    return AgreementCheck(left.passed == right.passed, left, right)
+    left = _iterated_difference_checks(schema, polys, k + 1, elems, points, budget, "left")
+    right = _iterated_difference_checks(schema, polys, k + 1, elems, points, budget, "right")
+    return [AgreementCheck(a.passed == b.passed, a, b) for a, b in zip(left, right)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from nilharmonic.groups import (
 from nilharmonic.laplacian import (
     MAX_MATRIX_CELLS,
     Measure,
-    _pair_columns,
     action_is_trivial,
     apply_laplacian,
     dim_hk,
@@ -130,6 +129,12 @@ PAIRS_H3 = Measure(
     + [(element(H3, c), Fraction(1, 8)) for c in ((1, 1, 0), (-1, -1, 1))]
     + [(identity(H3), Fraction(1, 4))],
 )
+# the generators of unitriangular(4) and one pair {s, s^-1} whose supports
+# are two maximal patterns
+SPLIT_UT4 = uniform_measure(
+    UT4, standard_generators(UT4) + [element(UT4, (1, 1, 1, 0, 1, 0)),
+                                     element(UT4, (-1, -1, -1, 1, 0, 0))]
+)
 
 
 def test_measure_keeps_its_scale_integer_weights_and_pairs():
@@ -140,6 +145,36 @@ def test_measure_keeps_its_scale_integer_weights_and_pairs():
         ((-1, 0, 0), (1, 0, 0), 1),
         ((0, -1, 0), (0, 1, 0), 1),
     ]
+
+
+def test_measure_groups_its_atoms_under_maximal_support_patterns():
+    # (1, 1, 0) and the generators lie in the support of (-1, -1, 1)
+    assert PAIRS_H3.groups == (
+        ((0, 1, 2), (((-1, -1, 1), 1), ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 1, 0), 1),
+                     ((1, 0, 0), 1), ((1, 1, 0), 1))),
+    )
+    assert MU_H3.groups == (((0,), (((-1, 0, 0), 1), ((1, 0, 0), 1))),
+                            ((1,), (((0, -1, 0), 1), ((0, 1, 0), 1))))
+    # each atom goes to the first pattern that holds it: the generators of the
+    # coordinates 1 and 2 go to (0, 1, 2, 3), and s and s^-1 go apart
+    assert [(p, [c for c, _ in atoms]) for p, atoms in SPLIT_UT4.groups] == [
+        ((0, 1, 2, 3), [(-1, -1, -1, 1, 0, 0), (-1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0),
+                        (0, 0, -1, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                        (1, 0, 0, 0, 0, 0)]),
+        ((0, 1, 2, 4), [(1, 1, 1, 0, 1, 0)]),
+    ]
+
+
+def test_a_pair_split_over_two_groups_gives_the_laplacian():
+    # the weight-1 moments of SPLIT_UT4's two groups cancel only in their sum
+    for k in range(6):
+        domain, codomain = pk_basis(UT4, k), pk_basis(UT4, k - 2)
+        columns = [
+            apply_laplacian(SPLIT_UT4, Polynomial.from_monomial(UT4, m)).coefficient_vector(codomain)
+            for m in domain
+        ]
+        reference = RationalMatrix(len(codomain), len(domain), zip(*columns))
+        assert laplacian_matrix(UT4, SPLIT_UT4, k) == reference
 
 
 @pytest.mark.parametrize(
@@ -353,12 +388,44 @@ def test_integer_laplacian_equals_fraction_reference(schema, walk):
             assert apply_laplacian(mu, q) == dense.apply_laplacian(mu, q)
 
 
+def moment_pair_columns(schema, s, k):
+    """The columns of m -> 2m - m(x s) - m(x s^-1) over pk_basis(schema, k),
+    as {row: coefficient} dicts, read off the moment images of the pair's
+    joint support: -(s^gamma + s^-gamma) U_gamma(m) summed over gamma != 0."""
+    pair = (s.coords, inv_coords(schema, s.coords))
+    pattern = tuple(t for t in range(schema.n_coords) if any(c[t] for c in pair))
+    images = polynomials.moment_images(schema, k, pattern)
+    moments = [0] * dim_pk(schema, k)
+    for coords in pair:
+        power = [1] * len(moments)
+        for g, parent, t in images.chain:
+            power[g] = power[parent] * coords[t]
+            moments[g] += power[g]
+    columns = [{} for _ in moments]
+    for j, g, i, c in zip(images.cols, images.gammas, images.betas, images.coeffs):
+        if g:
+            columns[j][i] = columns[j].get(i, 0) - moments[g] * c
+    return [{i: c for i, c in column.items() if c} for column in columns]
+
+
 @pytest.mark.parametrize("schema", [lattice(3), heisenberg(2), UT4], ids=str)
 def test_memoized_pair_columns_equal_fresh_columns(schema):
+    # the pair columns read off the memoized moment images equal the fresh
+    # tuple-keyed sweep, and the memoized images equal fresh ones
     for s in ball(schema, standard_generators(schema), 2):
         if s.coords < inv_coords(schema, s.coords):
             for k in (2, 4):
-                assert _pair_columns(schema, s, k) == _pair_columns.__wrapped__(schema, s, k)
+                assert moment_pair_columns(schema, s, k) == [
+                    dict(column) for column in dense.pair_columns(schema, s, k)
+                ]
+    memo = polynomials._MOMENTS
+    warm = [(key[2], dict(images)) for key, images in memo.dicts.items()
+            if key[:2] == (schema.weights, schema.law)]
+    assert warm
+    memo.clear()
+    for pattern, images in warm:
+        for k, stored in images.items():
+            assert polynomials.moment_images(schema, k, pattern) == stored
 
 
 def test_entries_that_the_pairs_cancel_are_dropped():
@@ -370,7 +437,7 @@ def test_entries_that_the_pairs_cancel_are_dropped():
     for k, cancelled in zip(range(2, 6), (2, 7, 21, 49)):
         sums = {}
         for s, _, ws in mu.pairs:
-            for j, column in enumerate(_pair_columns(H3, s, k)):
+            for j, column in enumerate(dense.pair_columns(H3, s, k)):
                 for i, c in column:
                     sums[i, j] = sums.get((i, j), 0) + ws * c
         assert list(sums.values()).count(0) == cancelled
@@ -547,6 +614,27 @@ def test_growth_table_rejects_small_kmax():
         growth_exponent_table(Z1, MU_Z1, 1)
 
 
+def test_measures_with_equal_moments_to_order_k_share_the_laplacian_on_p_k():
+    # Delta on P^k reads mu only through sum_s mu(s) s^gamma for gamma of degree
+    # <= k: atoms x^+-1, x^+-2 and atoms x^+-1, x^+-3 with the identity have
+    # the same x^2 moment (5/4), and so, next to the same y walk, the same
+    # Laplacian up to k = 3; their x^4 moments (17/4 and 37/4) differ
+    y_walk = [(element(H3, (0, c, 0)), Fraction(1, 4)) for c in (-1, 1)]
+    first = Measure(H3, y_walk + [(element(H3, (c, 0, 0)), Fraction(1, 8))
+                                  for c in (-2, -1, 1, 2)])
+    second = Measure(H3, y_walk + [(element(H3, (c, 0, 0)), w)
+                                   for c, w in ((-3, Fraction(1, 18)), (-1, Fraction(1, 8)),
+                                                (1, Fraction(1, 8)), (3, Fraction(1, 18)))]
+                     + [(identity(H3), Fraction(5, 36))])
+    assert first.scale != second.scale
+    for k in range(4):
+        assert laplacian_matrix(H3, first, k) == laplacian_matrix(H3, second, k)
+        assert ([str(p) for p in harmonic_basis(H3, first, k).basis]
+                == [str(p) for p in harmonic_basis(H3, second, k).basis])
+    assert laplacian_matrix(H3, first, 4) != laplacian_matrix(H3, second, 4)
+    assert harmonic_basis(H3, first, 4).basis != harmonic_basis(H3, second, 4).basis
+
+
 def test_six_atom_heisenberg_walk():
     atoms = [basis_element(H3, i, s) for i in (1, 2, 3) for s in (1, -1)]
     mu6 = uniform_measure(H3, atoms)
@@ -563,10 +651,10 @@ def test_six_atom_heisenberg_walk():
 @pytest.fixture
 def fresh_memo():
     laplacian_matrix.cache_clear()
-    _pair_columns.cache_clear()
+    polynomials._MOMENTS.clear()
     yield laplacian_matrix
     laplacian_matrix.cache_clear()
-    _pair_columns.cache_clear()
+    polynomials._MOMENTS.clear()
 
 
 def _atoms(schema):
@@ -577,7 +665,8 @@ def _atoms(schema):
 def test_assembly_reads_the_pairs_and_takes_no_inverse(fresh_memo, monkeypatch):
     want = laplacian_matrix(H3, PAIRS_H3, 4)
     laplacian_matrix.cache_clear()
-    # the pair columns are memoized now; only the assembly runs again
+    # the moment images are memoized now; only the assembly runs again, from
+    # the measure's groups and moments
     monkeypatch.setattr(laplacian, "inv_coords", None)
     assert laplacian_matrix(H3, PAIRS_H3, 4) == want
 
@@ -664,41 +753,31 @@ def test_predicted_dimension_check_survives_the_memo(fresh_memo, monkeypatch):
         harmonic_basis(H3, MU_H3, 3)
 
 
-def test_out_of_range_image_is_not_memoized(fresh_memo, monkeypatch):
-    from nilharmonic import laplacian
-
-    real = laplacian.graded_images
-    # H3 at k = 3: rows 0..2 are P^1, indices 3..12 the rest of P^3, and 13 is
-    # the sweep's index for a term past the basis
-    for stray_row in (3, 12, 13, 10**6):
-        def stray(schema, u, side, k, row=stray_row):
-            return [{**image, row: 1} for image in real(schema, u, side, k)]
-
-        monkeypatch.setattr(laplacian, "graded_images", stray)
+def test_out_of_range_image_is_not_memoized(fresh_memo):
+    # a weight-1 moment that does not cancel would put terms of degree k - 1
+    # past the rows; a measure whose groups lost the atom (0, 1, 0) has one
+    broken = copy.copy(PAIRS_H3)
+    (pattern, atoms), = PAIRS_H3.groups
+    broken.groups = ((pattern, tuple(a for a in atoms if a[0] != (0, 1, 0))),)
+    for k in (1, 3):
         for _ in range(2):
-            with pytest.raises(InternalInconsistency, match="out-of-range"):
-                laplacian_matrix(H3, MU_H3, 3)
-        assert fresh_memo.cache_info().currsize == 0
-        assert _pair_columns.cache_info().currsize == 0
+            with pytest.raises(InternalInconsistency, match="out-of-range.* coordinate 2 is -1/8"):
+                laplacian_matrix(H3, broken, k)
+    assert fresh_memo.cache_info().currsize == 0
+    assert polynomials._MOMENTS.size == 0
 
 
 def test_translate_past_the_basis_is_not_memoized(fresh_memo, monkeypatch):
-    # a form of x that reads z (weight 2) maps x^3 to degree 4: the sweep's
-    # up table has no index for it, and the sweep refuses it
-    from nilharmonic import polynomials
-
-    real = polynomials._translation_forms
-
-    def heavy(schema, u, side):
-        (c, lin), *rest = real(schema, u, side)
-        return ((c, lin + ((2, 1),)), *rest)
-
-    # the images are keyed by the forms, so the heavy ones share nothing
-    monkeypatch.setattr(polynomials, "_translation_forms", heavy)
-    with pytest.raises(InternalInconsistency, match="out-of-range"):
-        polynomials.graded_images(H3, basis_element(H3, 1, 1), "right", 3)
+    # a law term that makes x read z (weight 2) maps x^2 to a term in z^2, of
+    # degree 4: no schema takes such a law, and the moment images refuse it
+    heavy = copy.copy(H3)
+    object.__setattr__(heavy, "law", H3.law + ((0, 2, 1),))
+    real = polynomials.moment_images
+    with pytest.raises(InternalInconsistency, match="outweighs"):
+        real(heavy, 3, (0, 1))
+    monkeypatch.setattr(laplacian, "moment_images", lambda schema, k, p: real(heavy, k, p))
     for _ in range(2):
-        with pytest.raises(InternalInconsistency, match="out-of-range"):
+        with pytest.raises(InternalInconsistency, match="outweighs"):
             laplacian_matrix(H3, MU_H3, 3)
     assert fresh_memo.cache_info().currsize == 0
-    assert _pair_columns.cache_info().currsize == 0
+    assert polynomials._MOMENTS.size == 0

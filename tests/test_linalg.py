@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -394,6 +395,26 @@ def test_integer_elimination_equals_fraction_reference(label, m):
     assert fractions == want.kernel()
     assert [list(v) for v in fractions] == [list(v) for v in want.kernel()]
     assert m.factorization().kernel() == kernel
+
+
+def test_kernel_vectors_are_in_lowest_terms():
+    # each vector equals the one read over the lcm of its leads, as the kernel
+    # gave it before it was reduced, and some of those had a common factor
+    reduced = 0
+    for _, m in ELIMINATION_CASES:
+        f = m.factorization()
+        free = [c for c in range(f.cols) if c not in f.int_tails]
+        for (d, vec), c in zip(f.kernel(), free, strict=True):
+            column = [(p, f.int_tails[p][c]) for p in f.pivots if c in f.int_tails[p]]
+            old_d = lcm(*(f.leads[p] for p, _ in column))
+            old = {p: -v * (old_d // f.leads[p]) for p, v in column}
+            old[c] = old_d
+            assert d > 0 and gcd(d, *vec.values()) == 1
+            assert {j: Fraction(v, d) for j, v in vec.items()} == {
+                j: Fraction(v, old_d) for j, v in old.items()
+            }
+            reduced += d != old_d
+    assert reduced
 
 
 def test_elimination_cases_cover_every_kind_of_step():

@@ -29,7 +29,7 @@ from nilharmonic.laplacian import Measure, generator_walk, harmonic_basis, lazy_
 from nilharmonic.polynomials import Polynomial, pk_basis
 from nilharmonic.suite import _associativity_witness, _symmetric_form
 from nilharmonic.verify import (
-    _iterated_difference_check,
+    _iterated_difference_checks,
     _value_tables,
     check_harmonic_batch,
 )
@@ -99,7 +99,8 @@ def test_harmonic_batch_equals_the_point_loop(data):
 @given(st.data())
 def test_iterated_differences_equal_the_signed_sums(data):
     schema = data.draw(st.sampled_from(SCHEMAS))
-    f = data.draw(polynomials(schema, 3))
+    # one batch shares its subset points; each check must be the one it makes alone
+    polys = data.draw(st.lists(polynomials(schema, 3), min_size=1, max_size=3))
     # an order above the degree kills f; one at or below it need not
     order = data.draw(st.integers(0, 4))
     elems = ball(schema, standard_generators(schema), data.draw(st.integers(1, 2)))
@@ -108,11 +109,13 @@ def test_iterated_differences_equal_the_signed_sums(data):
     )
     budget = data.draw(st.integers(0, 200))
     side = data.draw(st.sampled_from(["left", "right"]))
-    args = (schema, f, order, elems, test_points, budget, side)
-    got = _iterated_difference_check(*args)
-    assert got == dense.iterated_difference_check(*args)
-    if f.is_zero or order > f.degree:
-        assert got.passed
+    rest = (order, elems, test_points, budget, side)
+    batch = _iterated_difference_checks(schema, polys, *rest)
+    assert len(batch) == len(polys)
+    for f, got in zip(polys, batch):
+        assert got == dense.iterated_difference_check(schema, f, *rest)
+        if f.is_zero or order > f.degree:
+            assert got.passed
 
 
 @SETTINGS

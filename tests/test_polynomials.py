@@ -5,7 +5,7 @@ import itertools
 import re
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -422,6 +422,52 @@ def test_equal_forms_share_one_dict_of_images():
     a, b = shared(lambda: restrict_to_sublattice(r, [[1, 0], [0, 1]]),
                   lambda: translate_left(r, identity(Z2)))
     assert a == b == r
+
+
+def test_moment_images_at_an_element_are_its_right_translates():
+    # sum_gamma s^gamma U_gamma(m) at a concrete s over the pattern is m(x s)
+    for schema, k in ((H3, 4), (UT4, 3), (lattice(3), 3)):
+        basis = pk_basis(schema, k)
+        for s in ball(schema, standard_generators(schema), 2):
+            pattern = tuple(t for t, c in enumerate(s.coords) if c)
+            images = polynomials.moment_images(schema, k, pattern)
+            translates = [{} for _ in basis]
+            for j, g, b, c in zip(images.cols, images.gammas, images.betas, images.coeffs):
+                value = c * prod(x**e for x, e in zip(s.coords, basis[g]))
+                translates[j][basis[b]] = translates[j].get(basis[b], 0) + value
+            for m, terms in zip(basis, translates):
+                want = dense.translate(Polynomial.from_monomial(schema, m), s, "right")
+                assert Polynomial(schema, terms) == want
+            # the chain lists every s^gamma != 1 over the pattern, in graded order
+            assert [g for g, _, _ in images.chain] == [
+                i for i, m in enumerate(basis)
+                if any(m) and not any(e for t, e in enumerate(m) if t not in pattern)
+            ]
+            for g, parent, t in images.chain:
+                bumped = list(basis[parent])
+                bumped[t] += 1
+                assert basis[g] == tuple(bumped)
+
+
+def test_moment_memo_is_shared_by_equal_laws_and_holds_a_lowered_bound(monkeypatch):
+    memo = polynomials._MOMENTS
+    memo.clear()
+    # heisenberg(1) and unitriangular(3) are one law under two names
+    first = polynomials.moment_images(H3, 4, (0, 1))
+    assert polynomials.moment_images(unitriangular(3), 4, (0, 1)) is first
+    assert len(memo.dicts) == 1 and memo.size == len(first.chain) + len(first.cols)
+    # under a bound that holds any one item but not all of them, every call
+    # stores what fits and reads back the images a fresh memo makes
+    fresh = {(p, k): polynomials.moment_images(UT4, k, p)
+             for p in ((0,), (1,), (0, 1, 2), (1, 3)) for k in (2, 3, 4)}
+    bound = max(map(memo.cost, fresh.values()))
+    assert bound < sum(map(memo.cost, fresh.values())) // 2
+    monkeypatch.setattr(memo, "bound", bound)
+    memo.clear()
+    for _ in range(2):
+        for (p, k), want in fresh.items():
+            assert polynomials.moment_images(UT4, k, p) == want
+            assert 0 < memo.size <= bound and _costs_add_up(memo)
 
 
 def test_stored_images_are_not_modified_by_their_readers():

@@ -9,16 +9,16 @@ import pytest
 import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
 import nilharmonic.suite as suite
+import nilharmonic.verify as verify
 from nilharmonic.errors import ValidationError
 from nilharmonic.groups import element, heisenberg, lattice, unitriangular
 from nilharmonic.laplacian import (
     Measure,
-    _pair_columns,
     generator_walk,
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _BASES, _IMAGES, _INDICES, _translation_forms
+from nilharmonic.polynomials import _BASES, _IMAGES, _INDICES, _MOMENTS, _translation_forms
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -162,6 +162,36 @@ def test_the_measure_half_is_never_memoized(monkeypatch):
     }
 
 
+def test_each_difference_table_is_built_once_per_group_run(monkeypatch):
+    # the 7 monomials of P^2 on heisenberg(1) have degrees 0, 1, 1, 2, 2, 2, 2;
+    # checked a degree at a time, they build one table per order and side, 6
+    # where a check per monomial built 14
+    want = _group_records.__wrapped__(H3, 4)
+    real, calls = verify._difference_points, []
+
+    def counted(schema, order, elems, test_points, budget, side):
+        calls.append((order, side))
+        return real(schema, order, elems, test_points, budget, side)
+
+    monkeypatch.setattr(verify, "_difference_points", counted)
+    assert _group_records.__wrapped__(H3, 4) == want
+    assert sorted(calls) == [(o, side) for o in (1, 2, 3) for side in ("left", "right")]
+
+
+def test_the_first_monomial_to_fail_left_right_agreement_is_named(monkeypatch):
+    # x*y and z fail, both of degree 2; x*y comes first in graded order
+    real = suite.check_left_right_batch
+
+    def failing(schema, polys, k, depth, budget):
+        checks = real(schema, polys, k, depth, budget)
+        return [dataclasses.replace(c, passed=False) if set(p.ints) & {(1, 1, 0), (0, 0, 1)}
+                else c for p, c in zip(polys, checks)]
+
+    monkeypatch.setattr(suite, "check_left_right_batch", failing)
+    got = {r.name: r for r in _group_records.__wrapped__(H3, 4)}["poly.left_right_agreement"]
+    assert (got.passed, got.detail) == (False, "monomial (1, 1, 0)")
+
+
 def test_broken_law_fails_the_group_checks():
     broken = dataclasses.replace(U4, law=U4.law[:-1])
     failed = [r for r in records(broken, 2, 1) if not r[1]]
@@ -198,7 +228,7 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
     for clear in (_IMAGES.clear, _translation_forms.cache_clear, _BASES.clear,
-                  _INDICES.clear, _pair_columns.cache_clear,
+                  _INDICES.clear, _MOMENTS.clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
