@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -288,11 +289,10 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
         for t in linear:
             if t in pattern:
                 moments[up[t][0]] = 0
-        for j, g, i, c in zip(images.cols, images.gammas, images.betas, images.coeffs):
-            a = moments[g]
-            if a:
-                row = rows[i]
-                row[j] = row.get(j, 0) - a * c
+        factors = list(map(moments.__getitem__, images.gammas))
+        for j, i, c, a in compress(zip(images.cols, images.betas, images.coeffs, factors), factors):
+            row = rows[i]
+            row[j] = row.get(j, 0) - a * c
     # the entries that cancelled are dropped
     rows = [{j: c for j, c in row.items() if c} if 0 in row.values() else row for row in rows]
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
