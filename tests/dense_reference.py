@@ -25,10 +25,11 @@ bound, sorted by ``monomial_sort_key``.
 
 ``monomial_translates`` and ``pair_columns`` are the Laplacian's pair
 columns as they were assembled before the translation sweep ran on graded
-basis indices: each image is keyed by exponent vector, every term is moved
-by building its exponent tuple, and the rows are found through a dict from
-exponent vector to index.  ``translated_pair_columns`` reads the same
-columns off ``translate``, one ``Fraction`` polynomial per monomial.
+basis indices, and before the matrix was read off the measure's moments:
+each image is keyed by exponent vector, every term is moved by building its
+exponent tuple, and the rows are found through a dict from exponent vector
+to index.  ``translated_pair_columns`` reads the same columns off
+``translate``, one ``Fraction`` polynomial per monomial.
 
 ``terms_text``, ``polynomial_str`` and ``polynomial_to_obj`` are the
 polynomial text and JSON object as they were rendered before the library

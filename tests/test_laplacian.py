@@ -358,7 +358,7 @@ def _workload_walk(seed):
 )
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
 def test_matrix_equals_column_by_column_laplacian(schema, walk):
-    # the pair-summed assembly against one apply_laplacian per domain monomial
+    # the moment assembly against one apply_laplacian per domain monomial
     mu = walk(schema)
     for k in range(6):
         domain, codomain = pk_basis(schema, k), pk_basis(schema, k - 2)
