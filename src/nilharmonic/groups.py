@@ -153,6 +153,8 @@ class GroupSchema:
 
     def weight(self, i: int) -> int:
         """Weight of coordinate ``i`` (1-based)."""
+        if not 1 <= _require_int(i, "coordinate index") <= self.n_coords:
+            raise ValidationError(f"coordinate index {i} out of range 1..{self.n_coords}")
         return self.weights[i - 1]
 
     def name(self) -> str:
@@ -283,7 +285,7 @@ def element(schema: GroupSchema, coords: Iterable[int]) -> GroupElement:
 
 def basis_element(schema: GroupSchema, i: int, power: int = 1) -> GroupElement:
     """The element e_i^power: ``power`` in slot ``i`` (1-based), zeros elsewhere."""
-    if not 1 <= i <= schema.n_coords:
+    if not 1 <= _require_int(i, "coordinate index") <= schema.n_coords:
         raise ValidationError(f"coordinate index {i} out of range 1..{schema.n_coords}")
     coords = [0] * schema.n_coords
     coords[i - 1] = _require_int(power, "power")

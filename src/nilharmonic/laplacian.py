@@ -28,19 +28,18 @@ from .groups import (
     GroupElement,
     GroupSchema,
     _require_conforming,
+    _require_int,
     identity,
     inv,
     inv_coords,
     reaches_all_generators,
     standard_generators,
 )
-from .linalg import Inconsistent, RationalMatrix
+from .linalg import Inconsistent, RationalMatrix, _require_coeff
 from .polynomials import (
     Polynomial,
-    _from_fractions,
     _from_ints,
     _images,
-    _require_coeff,
     _translation_forms,
     dim_pk,
     dim_pk_table,
@@ -172,7 +171,7 @@ def generator_walk(schema: GroupSchema) -> Measure:
 
 def lazy_generator_walk(schema: GroupSchema, hold: Fraction = Fraction(1, 2)) -> Measure:
     """Generator walk with probability ``hold`` of staying put."""
-    if not 0 < hold < 1:
+    if not 0 < _require_coeff(hold, "holding probability") < 1:
         raise ValidationError("holding probability must be strictly between 0 and 1")
     gens = standard_generators(schema)
     w = (1 - hold) / len(gens)
@@ -241,7 +240,8 @@ def matrix_shape(schema: GroupSchema, k: int) -> tuple[int, int]:
     return n_rows, n_cols
 
 
-@lru_cache(maxsize=4)
+# typed: 2.0 and True would hit the entry of k = 2 or 1 before the check
+@lru_cache(maxsize=4, typed=True)
 def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
 
@@ -260,7 +260,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
     refused by ``matrix_shape``, before any basis is enumerated.
     """
-    if k < 0:
+    if _require_int(k, "k") < 0:
         raise ValidationError("k must be non-negative")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
@@ -312,7 +312,7 @@ class HarmonicBasisReport:
 
 def dim_hk(schema: GroupSchema, k: int) -> int:
     """dim of the degree-<= k harmonic space: dim P^k - dim P^{k-2}."""
-    if k < 0:
+    if _require_int(k, "k") < 0:
         raise ValidationError("k must be non-negative")
     return dim_pk(schema, k) - dim_pk(schema, k - 2)
 
@@ -347,8 +347,11 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
 def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Polynomial:
     """A polynomial p of degree <= deg q + 2 with Delta p = q, exactly.
 
-    Surjectivity of the Laplacian guarantees a solution; failure to find
-    one is reported as an internal inconsistency, not as a normal outcome.
+    The factorization solves for q's integer numerators, keyed by row index
+    in pk_basis(schema, deg q), and gives p in its canonical form, integers
+    over one denominator in lowest terms.  Surjectivity of the Laplacian
+    guarantees a solution; failure to find one is reported as an internal
+    inconsistency, not as a normal outcome.
     """
     if q.schema != schema:
         raise ValidationError("polynomial does not match the schema")
@@ -356,16 +359,16 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
         return Polynomial.zero(schema)
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
-    rhs = q.coefficient_vector(pk_basis(schema, k - 2))
-    sol = matrix.factorization().solve(rhs)
+    row = {e: i for i, e in enumerate(pk_basis(schema, k - 2))}
+    sol = matrix.factorization().solve((q.den, {row[e]: n for e, n in q.ints.items()}))
     if isinstance(sol, Inconsistent):
         raise InternalInconsistency(
             f"no Laplacian preimage found for degree-{q.degree} input; "
             f"inconsistent at reduced row {sol.row}"
         )
+    den, vec = sol
     domain = pk_basis(schema, k)
-    # the solution holds non-zero Fractions only
-    p_hat = _from_fractions(schema, {domain[i]: c for i, c in sol.items()})
+    p_hat = Polynomial._trusted(schema, {domain[i]: n for i, n in vec.items()}, den)
     if apply_laplacian(measure, p_hat) != q:
         raise InternalInconsistency("preimage verification failed")
     return p_hat
@@ -398,7 +401,7 @@ def growth_exponent_table(
     the identity itself is verified against explicit kernels elsewhere,
     which keeps large k cheap here.
     """
-    if k_max < 2:
+    if _require_int(k_max, "k_max") < 2:
         raise ValidationError("k_max must be at least 2")
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")

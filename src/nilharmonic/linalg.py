@@ -6,17 +6,17 @@ and the entry there is that int divided by d.  One elimination serves every
 question asked of it: a leftmost-pivot Gauss-Jordan that inserts the rows
 one at a time, reduces each against the pivot rows found so far and, when
 a new pivot appears, clears that column from the earlier pivot rows.  It
-runs on the integer rows by integer cross-multiplication, so the only
-``Fraction`` values it makes are one per recorded factor.  It yields a
+runs on the integer rows by integer cross-multiplication.  It yields a
 ``Factorization``: the pivot columns, the rows of the unique reduced row
 echelon form as integers over one lead per row, and the row operations it
-applied, which replay on any number of right-hand sides.  A matrix computes
-its factorization once; ``rref``, ``rank``, ``kernel_basis`` and ``solve``
-all read it.  Kernel bases use the canonical free-variable parameterization
-(each free variable set to 1 in turn, in ascending column order), so
-outputs are deterministic and portable; each kernel vector is read from the
-integer rows as integers over one denominator, in lowest terms, and
-``kernel_basis`` makes each entry a ``Fraction`` once from those.
+applied, each factor a pair of ints, which replay on any number of
+right-hand sides.  A matrix computes its factorization once; ``rref``,
+``rank``, ``kernel_basis`` and ``solve`` all read it.  Kernel bases use the
+canonical free-variable parameterization (each free variable set to 1 in
+turn, in ascending column order), so outputs are deterministic and
+portable.  Kernel vectors, right-hand sides and solutions are integers over
+one denominator, in lowest terms; the matrix's dense ``kernel_basis`` and
+``solve`` make each entry a ``Fraction`` once from those.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
 RationalLike = Fraction | int
-SparseVector = dict[int, Fraction]
 IntRows = list[dict[int, int]]
 # a vector as (d, {column: n}), the entry at each column being n / d, d > 0
 IntVector = tuple[int, dict[int, int]]
@@ -37,8 +36,31 @@ IntVector = tuple[int, dict[int, int]]
 _ZERO = Fraction(0)
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _require_coeff(value: object, what: str = "coefficient") -> Fraction:
+    """A rational value as a Fraction; only int (not bool) and Fraction are taken."""
+    # a float or a string would be coerced to some rational, a bool to 0 or 1
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _int_vector(fracs: Mapping[Hashable, Fraction]) -> tuple[int, dict]:
+    """(d, ints) of the non-zero Fraction values ``fracs``, d their lcm.
+
+    That scale leaves no common factor (a prime at its highest power in d
+    divides one denominator fully, and neither that numerator nor the
+    cofactor), so the form is in lowest terms without a gcd.
+    """
+    d = lcm(*(x.denominator for x in fracs.values()))
+    return d, {key: x.numerator * (d // x.denominator) for key, x in fracs.items()}
+
+
+def _lowest(d: int, ints: dict) -> tuple[int, dict]:
+    """(d, ints), the ints over d > 0, divided by the gcd of d and the ints."""
+    g = gcd(d, *ints.values()) if d != 1 else 1
+    return (d, ints) if g == 1 else (d // g, {key: n // g for key, n in ints.items()})
 
 
 @dataclass(frozen=True)
@@ -53,21 +75,13 @@ class Inconsistent:
     row: int
 
 
-# One step of the row transform per input row, in input order:
-# (eliminated, pivot, scale, cleared).  ``eliminated`` lists the (pivot
-# column, factor) pairs subtracted from the row; ``pivot`` is the column the
-# row then leads in, or None when it reduced to zero; the row is multiplied
-# by ``scale`` (None for 1); ``cleared`` lists the (pivot column, factor)
-# pairs of the earlier pivot rows that the new row was subtracted from.
-_Step = tuple[
-    tuple[tuple[int, Fraction], ...],
-    int | None,
-    Fraction | None,
-    tuple[tuple[int, Fraction], ...],
-]
-# The same step as the elimination records it, every factor an int pair:
-# eliminated (p, v) for the factor v / denominator, scale (sigma, lead) for
-# sigma / lead, cleared (q, h, l) for h / l.
+# One step of the row transform per input row, in input order, every factor
+# a pair of ints: (eliminated, pivot, scale, cleared).  The row is reduced by
+# v / denominator times each pivot row p for the (p, v) in ``eliminated``;
+# ``pivot`` is the column it then leads in, or None when it reduced to zero;
+# it is multiplied by sigma / lead for ``scale`` (sigma, lead), None for 1;
+# and h / l times it is subtracted from each earlier pivot row q for the
+# (q, h, l) in ``cleared``.
 _IntStep = tuple[
     tuple[tuple[int, int], ...],
     int | None,
@@ -84,15 +98,13 @@ class Factorization:
     ``p`` and ``int_tails[p][c] / leads[p]`` at each of its other non-zero
     columns ``c``, which are free columns right of ``p``; ``leads[p] > 0``.
     ``kernel`` and the reduced matrix of ``rref`` read these integer rows.
-    ``steps`` is the row transform (see ``_Step``), made on first read from
-    the integer factors the elimination recorded over the matrix's
-    ``denominator`` (see ``_IntStep``); only ``solve`` reads it.  The
-    methods hand out fresh dicts only.
+    ``int_steps`` is the row transform (see ``_IntStep``) with its factors
+    over the matrix's ``denominator``; ``solve`` replays it.  ``kernel`` and
+    ``solve`` both give vectors as integers over one denominator in lowest
+    terms, and the methods hand out fresh dicts only.
     """
 
-    __slots__ = (
-        "rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps", "_steps",
-    )
+    __slots__ = ("rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps")
 
     def __init__(
         self,
@@ -110,22 +122,6 @@ class Factorization:
         self.int_tails = int_tails
         self.denominator = denominator
         self.int_steps = int_steps
-        self._steps: list[_Step] | None = None
-
-    @property
-    def steps(self) -> list[_Step]:
-        if self._steps is None:
-            d = self.denominator
-            self._steps = [
-                (
-                    tuple((p, Fraction(v, d)) for p, v in eliminated),
-                    pivot,
-                    None if scale is None else Fraction(*scale),
-                    tuple((q, Fraction(h, lq)) for q, h, lq in cleared),
-                )
-                for eliminated, pivot, scale, cleared in self.int_steps
-            ]
-        return self._steps
 
     def kernel(self) -> list[IntVector]:
         """Sparse right null space basis, one vector per free column c, in
@@ -146,38 +142,55 @@ class Factorization:
         basis = []
         for c, column in entries.items():
             d = lcm(*(leads[p] for p, _ in column))
-            vec = {p: -v * (d // leads[p]) for p, v in column}
-            g = gcd(d, *vec.values())
-            if g != 1:
-                d //= g
-                vec = {p: v // g for p, v in vec.items()}
+            d, vec = _lowest(d, {p: -v * (d // leads[p]) for p, v in column})
             vec[c] = d
             basis.append((d, vec))
         return basis
 
-    def solve(self, b: Sequence[RationalLike]) -> SparseVector | Inconsistent:
-        """The solution of A x = b with all free variables 0, as its non-zero
-        entries by column; inconsistency is reported as a value."""
-        if len(b) != self.rows:
-            raise ValidationError("right-hand side length does not match row count")
-        values: dict[int, Fraction] = {}
-        for bi, (eliminated, pivot, scale, cleared) in zip(b, self.steps):
-            x = _frac(bi)
-            for p, f in eliminated:
-                v = values[p]
-                if v:
-                    x -= f * v
-            if pivot is None:
+    def solve(self, b: IntVector) -> IntVector | Inconsistent:
+        """The solution of A x = b with all free variables 0; inconsistency is
+        reported as a value.
+
+        ``b`` is (d, {row: n}) for the entry n / d at each row, d > 0, rows
+        left out being 0; the solution comes in the same form over its
+        columns, in lowest terms, with no zero entry.  The steps are replayed
+        on n, with D the matrix's ``denominator``: y = D n_i - sum v x_p is D
+        times the reduced entry, so the new value is one Fraction
+        y sigma / (D lead), and each earlier value loses h / l times it.
+        """
+        if type(b) is not tuple or len(b) != 2 or not isinstance(b[1], Mapping):
+            raise ValidationError("right-hand side must be a pair (d, {row: n})")
+        d, rhs = b
+        if type(d) is not int or d <= 0:
+            raise ValidationError(f"right-hand side denominator must be a positive int, got {d!r}")
+        for i, n in rhs.items():
+            if type(i) is not int or not 0 <= i < self.rows or type(n) is not int:
+                raise ValidationError(
+                    f"right-hand side entry {i!r}: {n!r} is not an int in a row of 0..{self.rows - 1}"
+                )
+        den = self.denominator
+        get = rhs.get
+        values: dict[int, Fraction | int] = {}
+        for i, (eliminated, pivot, scale, cleared) in enumerate(self.int_steps):
+            y = get(i, 0) * den
+            for p, v in eliminated:
+                x = values[p]
                 if x:
+                    y -= v * x
+            if pivot is None:
+                if y:
                     return Inconsistent(row=len(self.pivots))
                 continue
-            if x:
-                if scale is not None:
-                    x *= scale
-                for q, g in cleared:
-                    values[q] -= g * x
-            values[pivot] = x
-        return {p: values[p] for p in self.pivots if values[p]}
+            if y:
+                sigma, lead = scale or (1, 1)
+                y = Fraction(y.numerator * sigma, y.denominator * den * lead)
+                for q, h, l in cleared:
+                    values[q] -= Fraction(y.numerator * h, y.denominator * l)
+            values[pivot] = y
+        lcd, vec = _int_vector({p: x for p in self.pivots if (x := values[p])})
+        # vec over lcd is in lowest terms, so only d can share a factor with vec
+        d, vec = _lowest(d, vec)
+        return d * lcd, vec
 
 
 def _eliminate(
@@ -323,15 +336,19 @@ class RationalMatrix:
         return m
 
     def _fill(self, rows: int, cols: int, entries: Sequence[Mapping[int, RationalLike]]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix dimensions must be non-negative")
-        if len(entries) != rows or any(not 0 <= j < cols for row in entries for j in row):
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValidationError("matrix dimensions must be non-negative ints")
+        if len(entries) != rows or any(
+            type(j) is not int or not 0 <= j < cols for row in entries for j in row
+        ):
             raise ValidationError("matrix entries do not match the declared shape")
-        fracs = [{j: _frac(x) for j, x in row.items() if x} for row in entries]
-        d = lcm(*(x.denominator for row in fracs for x in row.values()))
-        int_rows = [
-            {j: x.numerator * (d // x.denominator) for j, x in row.items()} for row in fracs
-        ]
+        d, ints = _int_vector({
+            (i, j): x for i, row in enumerate(entries) for j, v in row.items()
+            if (x := _require_coeff(v, "matrix entry"))
+        })
+        int_rows: IntRows = [{} for _ in range(rows)]
+        for (i, j), n in ints.items():
+            int_rows[i][j] = n
         self.rows, self.cols, self._ints, self._factorization = rows, cols, (int_rows, d), None
 
     def _int_rows(self) -> tuple[IntRows, int]:
@@ -393,6 +410,7 @@ class RationalMatrix:
     def mul_vector(self, x: Sequence[RationalLike]) -> list[Fraction]:
         if len(x) != self.cols:
             raise ValidationError("vector length does not match column count")
+        x = [_require_coeff(v, "vector entry") for v in x]
         int_rows, d = self._int_rows()
         return [sum((v * x[j] for j, v in row.items()), _ZERO) / d for row in int_rows]
 
@@ -429,21 +447,26 @@ class RationalMatrix:
         ``factorization().kernel()`` gives the same vectors sparsely, as
         integers over one denominator.
         """
-        return [
-            self._dense({j: Fraction(x, d) for j, x in v.items()})
-            for d, v in self.factorization().kernel()
-        ]
+        return [self._dense(v) for v in self.factorization().kernel()]
 
     def solve(self, b: Sequence[RationalLike]) -> list[Fraction] | Inconsistent:
         """A particular solution of A x = b with all free variables 0.
 
-        Inconsistency is reported as a value, not raised.
+        Inconsistency is reported as a value, not raised.  ``b`` and the
+        solution are dense; ``factorization().solve`` takes and gives them
+        as integers over one denominator.
         """
-        sol = self.factorization().solve(b)
+        if len(b) != self.rows:
+            raise ValidationError("right-hand side length does not match row count")
+        rhs = _int_vector(
+            {i: x for i, v in enumerate(b) if (x := _require_coeff(v, "right-hand side entry"))}
+        )
+        sol = self.factorization().solve(rhs)
         return sol if isinstance(sol, Inconsistent) else self._dense(sol)
 
-    def _dense(self, v: SparseVector) -> list[Fraction]:
+    def _dense(self, v: IntVector) -> list[Fraction]:
+        d, vec = v
         out = [_ZERO] * self.cols
-        for j, x in v.items():
-            out[j] = x
+        for j, n in vec.items():
+            out[j] = Fraction(n, d)
         return out

@@ -57,7 +57,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Seque
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_conforming, _require_int, mul_coords
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _int_vector, _lowest, _require_coeff
 
 Exponents = tuple[int, ...]
 IntTerms = dict[Exponents, int]
@@ -67,7 +67,7 @@ def pk_basis(schema: GroupSchema, k: int) -> tuple[Exponents, ...]:
     """The exponent vectors of weighted degree <= k, in graded order; empty
     for k < 0.  One tuple per (weights, k) is memoized and shared by callers."""
     # degree by degree: m != 1 is m' x_v for v its first non-zero coordinate
-    if k < 0:
+    if _require_int(k, "k") < 0:
         return ()
     weights = schema.weights
     bases = _BASES.get(weights)
@@ -121,7 +121,7 @@ def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
     so far, one unbounded-knapsack pass per coordinate weight, O(n k); the
     dimensions are its prefix sums.
     """
-    if k < 0:
+    if _require_int(k, "k") < 0:
         return []
     exact = [1] + [0] * k
     for w in schema.weights:
@@ -132,17 +132,7 @@ def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
 
 def dim_pk(schema: GroupSchema, k: int) -> int:
     """Dimension of the space of polynomials of degree <= k; 0 for k < 0."""
-    return dim_pk_table(schema, k)[-1] if k >= 0 else 0
-
-
-def _require_coeff(value: object, what: str = "coefficient") -> Fraction:
-    """A coefficient as a Fraction; only int (not bool) and Fraction are taken."""
-    # a float or a string would be coerced to some rational, a bool to 0 or 1
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    raise ValidationError(f"{what} must be an int or a Fraction, got {value!r}")
+    return dim_pk_table(schema, k)[-1] if _require_int(k, "k") >= 0 else 0
 
 
 def _from_ints(schema: GroupSchema, acc: IntTerms, den: int) -> "Polynomial":
@@ -150,28 +140,8 @@ def _from_ints(schema: GroupSchema, acc: IntTerms, den: int) -> "Polynomial":
     zero entries dropped, then the gcd of den and the entries divided out.
     It may keep ``acc`` itself, so the caller must not use it again."""
     ints = {e: c for e, c in acc.items() if c} if 0 in acc.values() else acc
-    if den != 1:
-        g = gcd(den, *ints.values())
-        if g != 1:
-            den //= g
-            ints = {e: c // g for e, c in ints.items()}
+    den, ints = _lowest(den, ints)
     return Polynomial._trusted(schema, ints, den)
-
-
-def _clear_terms(fracs: Mapping[Exponents, Fraction]) -> tuple[IntTerms, int]:
-    """(ints, den) of the non-zero Fraction values ``fracs``, den their lcm.
-
-    That scale leaves no common factor (a prime at its highest power in den
-    divides one denominator fully, and neither that numerator nor the
-    cofactor), so the form is canonical without a gcd.
-    """
-    den = lcm(*(c.denominator for c in fracs.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}, den
-
-
-def _from_fractions(schema: GroupSchema, fracs: Mapping[Exponents, Fraction]) -> "Polynomial":
-    """The polynomial sum_e fracs[e] x^e, over non-zero Fraction values."""
-    return Polynomial._trusted(schema, *_clear_terms(fracs))
 
 
 class Polynomial:
@@ -199,7 +169,7 @@ class Polynomial:
                 if coeff:
                     clean[exps] = coeff
         self.schema = schema
-        self.ints, self.den = _clear_terms(clean)
+        self.den, self.ints = _int_vector(clean)
 
     @classmethod
     def _trusted(cls, schema: GroupSchema, ints: IntTerms, den: int) -> "Polynomial":
@@ -225,7 +195,7 @@ class Polynomial:
     @classmethod
     def coordinate(cls, schema: GroupSchema, i: int) -> "Polynomial":
         """The coordinate function x_i (1-based index)."""
-        if not 1 <= i <= schema.n_coords:
+        if not 1 <= _require_int(i, "coordinate index") <= schema.n_coords:
             raise ValidationError(f"coordinate index {i} out of range 1..{schema.n_coords}")
         exps = [0] * schema.n_coords
         exps[i - 1] = 1

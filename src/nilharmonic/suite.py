@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NilharmonicError, ValidationError
@@ -48,7 +47,6 @@ from .laplacian import (
 from .linalg import Inconsistent
 from .polynomials import (
     Polynomial,
-    _from_fractions,
     _from_ints,
     left_derivative,
     pk_basis,
@@ -271,13 +269,12 @@ def run_invariant_suite(
             factorization = matrix.factorization()
             bad_detail = ""
             for i, mono_ in enumerate(codomain):
-                rhs = [Fraction(0)] * len(codomain)
-                rhs[i] = Fraction(1)
-                sol = factorization.solve(rhs)
+                sol = factorization.solve((1, {i: 1}))
                 if isinstance(sol, Inconsistent):
                     bad_detail = f"no preimage for {mono_}"
                     break
-                p_hat = _from_fractions(schema, {domain[t]: c for t, c in sol.items()})
+                den, vec = sol
+                p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
                 if apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono_):
                     bad_detail = f"bad preimage for {mono_}"
                     break

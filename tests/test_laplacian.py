@@ -40,7 +40,7 @@ from nilharmonic.laplacian import (
     uniform_measure,
 )
 from nilharmonic.linalg import Inconsistent, RationalMatrix
-from nilharmonic.polynomials import Polynomial, dim_pk, pk_basis
+from nilharmonic.polynomials import Polynomial, dim_pk, dim_pk_table, pk_basis
 from nilharmonic.serialize import measure_from_config, measure_to_config
 
 # dense_reference.py holds the Fraction Laplacian the integer one replaced
@@ -694,8 +694,10 @@ def test_mutating_returned_values_does_not_leak_into_the_memo(fresh_memo):
     k = 4
     uncached = laplacian_matrix.__wrapped__(H3, MU_H3, k)
     rhs = (X * Y).coefficient_vector(pk_basis(H3, k - 2))
+    int_rhs = (1, {i: int(c) for i, c in enumerate(rhs) if c})
     expected_kernel = uncached.kernel_basis()
     expected_sol = uncached.solve(rhs)
+    expected_int_sol = uncached.factorization().solve(int_rhs)
     expected_reduced = uncached.rref()[0].data
 
     A = laplacian_matrix(H3, MU_H3, k)
@@ -705,7 +707,7 @@ def test_mutating_returned_values_does_not_leak_into_the_memo(fresh_memo):
     A.kernel_basis()[0][0] = Fraction(99)
     A.factorization().kernel()[0][1].clear()
     A.solve(rhs)[0] = Fraction(99)
-    A.factorization().solve(rhs).clear()
+    A.factorization().solve(int_rhs)[1].clear()
     A.rref()[0].data[0][0] = Fraction(99)
 
     again = laplacian_matrix(H3, MU_H3, k)
@@ -713,6 +715,7 @@ def test_mutating_returned_values_does_not_leak_into_the_memo(fresh_memo):
     assert again == uncached
     assert again.kernel_basis() == expected_kernel
     assert again.solve(rhs) == expected_sol
+    assert again.factorization().solve(int_rhs) == expected_int_sol
     assert again.rref()[0].data == expected_reduced
     report = harmonic_basis(H3, MU_H3, k)
     assert [p.coefficient_vector(pk_basis(H3, k)) for p in report.basis] == expected_kernel
@@ -781,3 +784,55 @@ def test_translate_past_the_basis_is_not_memoized(fresh_memo, monkeypatch):
             laplacian_matrix(H3, MU_H3, 3)
     assert fresh_memo.cache_info().currsize == 0
     assert polynomials._MOMENTS.size == 0
+
+
+# -- a degree or coordinate index is an int ------------------------------------------
+
+# each call takes its degree or index as the last argument; True would be read
+# as 1, 2.0 and Fraction(2) compare equal to 2, and "2" fails on the comparison
+DEGREE_CALLS = {
+    "harmonic_basis": lambda v: harmonic_basis(H3, MU_H3, v),
+    "laplacian_matrix": lambda v: laplacian_matrix(H3, MU_H3, v),
+    "dim_pk": lambda v: dim_pk(H3, v),
+    "dim_pk_table": lambda v: dim_pk_table(H3, v),
+    "dim_hk": lambda v: dim_hk(H3, v),
+    "growth_exponent_table": lambda v: growth_exponent_table(H3, MU_H3, v),
+    "action_is_trivial": lambda v: action_is_trivial(H3, MU_H3, v, basis_element(H3, 3)),
+    "pk_basis": lambda v: pk_basis(H3, v),
+    "Polynomial.coordinate": lambda v: Polynomial.coordinate(H3, v),
+    "basis_element": lambda v: basis_element(H3, v),
+    "GroupSchema.weight": lambda v: H3.weight(v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, Fraction(2), "2"], ids=repr)
+@pytest.mark.parametrize("call", DEGREE_CALLS, ids=str)
+def test_a_degree_or_index_that_is_not_an_int_is_refused(fresh_memo, call, bad):
+    with pytest.raises(ValidationError):
+        DEGREE_CALLS[call](bad)
+
+
+def test_a_coordinate_index_out_of_range_is_refused():
+    # weight(0) would read the last coordinate's weight through index -1
+    assert [H3.weight(i) for i in (1, 2, 3)] == [1, 1, 2]
+    for i in (0, 4, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            H3.weight(i)
+
+
+def test_a_float_degree_misses_the_memoized_int_matrix(fresh_memo):
+    assert laplacian_matrix(H3, MU_H3, 2).rows == 1
+    assert laplacian_matrix(H3, MU_H3, 1).rows == 0
+    for bad in (2.0, Fraction(2), True):
+        with pytest.raises(ValidationError):
+            laplacian_matrix(H3, MU_H3, bad)
+        with pytest.raises(ValidationError):
+            harmonic_basis(H3, MU_H3, bad)
+    assert fresh_memo.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("hold", [0.5, "1/2", None], ids=repr)
+def test_a_holding_probability_that_is_not_rational_is_refused(hold):
+    # 0.5 used to be refused as an "atom weight", and "1/2" failed on the comparison
+    with pytest.raises(ValidationError, match="holding probability"):
+        lazy_generator_walk(H3, hold)

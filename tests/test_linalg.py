@@ -297,17 +297,32 @@ def test_many_right_hand_sides_share_one_elimination(monkeypatch):
     assert calls == [(8, 11)]
 
 
+def _int_vector(b):
+    """A dense Fraction vector as (d, {index: n}) over the lcm d of its denominators."""
+    d = lcm(*(x.denominator for x in b))
+    return d, {i: x.numerator * (d // x.denominator) for i, x in enumerate(b) if x}
+
+
+def _as_fractions(v, cols):
+    d, vec = v
+    return [Fraction(vec.get(j, 0), d) for j in range(cols)]
+
+
 def test_sparse_kernel_and_solution_match_dense_forms():
     rng = random.Random(11)
     m = RationalMatrix.from_rows(_low_rank(rng, 6, 9, 4), cols=9)
     f = m.factorization()
     dense_kernel = m.kernel_basis()
-    assert [[Fraction(v.get(j, 0), d) for j in range(m.cols)] for d, v in f.kernel()] == dense_kernel
+    assert [_as_fractions(v, m.cols) for v in f.kernel()] == dense_kernel
     assert all(list(v) == sorted(v) and all(v.values()) for _, v in f.kernel())
     b = m.mul_vector([Fraction(j - 4) for j in range(m.cols)])
-    sol = f.solve(b)
-    assert [sol.get(j, 0) for j in range(m.cols)] == m.solve(b)
-    assert all(sol.values())
+    # the sparse solve takes and gives integers over one denominator, the
+    # kernel's form; the dense solve converts at its boundary
+    sol = f.solve(_int_vector(b))
+    assert _as_fractions(sol, m.cols) == m.solve(b)
+    d, vec = sol
+    assert list(vec) == sorted(vec) and all(vec.values())
+    assert d > 0 and gcd(d, *vec.values()) == 1
 
 
 def test_from_sparse_validates_shape_and_drops_zeros():
@@ -319,6 +334,15 @@ def test_from_sparse_validates_shape_and_drops_zeros():
         RationalMatrix.from_sparse(1, 3, [{3: 1}])
     with pytest.raises(ValidationError):
         RationalMatrix.from_sparse(1, 3, [{-1: 1}])
+    # a float or bool column or dimension equals an int, and would be taken for one
+    for bad in ([{0.0: 1}], [{True: 1}]):
+        with pytest.raises(ValidationError):
+            RationalMatrix.from_sparse(1, 3, bad)
+    for rows, cols in ((1.0, 3), (1, 3.0), (True, 3)):
+        with pytest.raises(ValidationError):
+            RationalMatrix.from_sparse(rows, cols, [{0: 1}])
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_rows([[1, 2]], cols=2.0)
 
 
 # -- the integer-row elimination against the Fraction one it replaced -------------
@@ -375,11 +399,21 @@ def test_integer_elimination_equals_fraction_reference(label, m):
     got = linalg._eliminate(m.rows, m.cols, int_rows, denominator)
     want = dense.eliminate(m.cols, _fraction_rows(m))
     assert got.pivots == want.pivots
-    assert got.steps == want.steps
-    # equal as values is not enough: every factor must be a Fraction
-    for eliminated, _, scale, cleared in got.steps:
-        assert all(type(f) is Fraction for _, f in eliminated + cleared)
-        assert scale is None or type(scale) is Fraction
+    assert got.denominator == denominator
+    # every recorded factor is an int pair (or triple), and read as a Fraction
+    # it is the reference's: v / denominator, sigma / lead and h / l
+    for eliminated, _, scale, cleared in got.int_steps:
+        assert all(type(x) is int for step in eliminated + cleared for x in step)
+        assert scale is None or (len(scale) == 2 and all(type(x) is int for x in scale))
+    assert [
+        (
+            tuple((p, Fraction(v, denominator)) for p, v in eliminated),
+            pivot,
+            None if scale is None else Fraction(*scale),
+            tuple((q, Fraction(h, l)) for q, h, l in cleared),
+        )
+        for eliminated, pivot, scale, cleared in got.int_steps
+    ] == want.steps
     # the integer tails are the Fraction ones over positive leads
     assert sorted(got.leads) == sorted(got.int_tails) == list(got.pivots)
     assert all(type(lead) is int and lead > 0 for lead in got.leads.values())
@@ -427,3 +461,100 @@ def test_elimination_cases_cover_every_kind_of_step():
             scaled += scale is not None
             negative_scales += scale is not None and scale < 0
     assert min(eliminated, cleared, scaled, zero_rows, negative_scales) >= 20
+
+
+# -- the integer solve ------------------------------------------------------------
+#
+# Factorization.solve replays the recorded integer factors on a right-hand side
+# given as integers over one denominator; its answers must equal the dense
+# reference's, in lowest terms.
+
+
+def _sparse_right_hand_sides(rng, m):
+    """Images of sparse random vectors, then sparse random vectors, which are
+    inconsistent for most rank-deficient matrices."""
+    out = []
+    for _ in range(4):
+        x = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+             if rng.random() < 0.3 else Fraction(0) for _ in range(m.cols)]
+        out.append(m.mul_vector(x))
+    for _ in range(4):
+        out.append([Fraction(rng.randint(-4, 4), rng.choice([1, 2, 6]))
+                    if rng.random() < 0.3 else Fraction(0) for _ in range(m.rows)])
+    return out
+
+
+@pytest.mark.parametrize("label,m", ELIMINATION_CASES, ids=[c[0] for c in ELIMINATION_CASES])
+def test_integer_solve_equals_dense_reference(label, m):
+    data = m.data
+    f = m.factorization()
+    for b in _sparse_right_hand_sides(random.Random(label), m):
+        got = f.solve(_int_vector(b))
+        want = dense.solve(data, m.cols, b)
+        if isinstance(want, Inconsistent):
+            assert got == want  # the same row
+            continue
+        d, vec = got
+        assert type(d) is int and d > 0
+        assert all(type(j) is int and type(n) is int and n for j, n in vec.items())
+        assert gcd(d, *vec.values()) == 1
+        assert _as_fractions(got, m.cols) == want
+        assert m.solve(b) == want
+
+
+def test_integer_solve_cases_cover_both_outcomes():
+    outcomes = [
+        isinstance(m.factorization().solve(_int_vector(b)), Inconsistent)
+        for label, m in ELIMINATION_CASES
+        for b in _sparse_right_hand_sides(random.Random(label), m)
+    ]
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 200
+
+
+def test_integer_solve_keeps_a_denominator_that_does_not_cancel():
+    # 2 x = 1/3: the input denominator stays; 2 x = 4/6 cancels to x = 1/3
+    f = RationalMatrix.from_rows([[2]]).factorization()
+    assert f.solve((3, {0: 1})) == (6, {0: 1})
+    assert f.solve((6, {0: 4})) == (3, {0: 1})
+    assert f.solve((7, {})) == (1, {})
+    assert f.solve((1, {0: 0})) == (1, {})
+
+
+@pytest.mark.parametrize("rhs", [
+    (0, {0: 1}), (-1, {0: 1}), (1.0, {0: 1}), (True, {0: 1}), (Fraction(1), {0: 1}),
+    (1, {2: 1}), (1, {-1: 1}), (1, {1.0: 1}), (1, {True: 1}),
+    (1, {0: 1.5}), (1, {0: Fraction(1, 2)}), (1, {0: True}), (1, {0: "1"}),
+    [1, {0: 1}], (1, [1, 0]), (1, {0: 1}, 2), [Fraction(1), Fraction(0)],
+], ids=repr)
+def test_integer_solve_refuses_a_malformed_right_hand_side(rhs):
+    f = RationalMatrix.from_rows([[1, 0], [0, 1]]).factorization()
+    with pytest.raises(ValidationError):
+        f.solve(rhs)
+
+
+# -- only ints and Fractions enter a matrix ---------------------------------------
+
+
+BAD_VALUES = [0.25, 0.0, True, False, "1/2", "0", None]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+def test_matrix_constructors_refuse_non_rational_entries(bad):
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_rows([[bad, 1]])
+    with pytest.raises(ValidationError):
+        RationalMatrix(1, 2, [[1, bad]])
+    with pytest.raises(ValidationError):
+        RationalMatrix.from_sparse(1, 2, [{0: bad}])
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+def test_matrix_solve_and_mul_vector_refuse_non_rational_entries(bad):
+    m = RationalMatrix.from_rows([[2, 0], [0, 1]])
+    with pytest.raises(ValidationError):
+        m.solve([bad, 1])
+    with pytest.raises(ValidationError):
+        m.solve([1, bad])
+    with pytest.raises(ValidationError):
+        m.mul_vector([bad, 1])
+
