@@ -38,12 +38,11 @@ from .groups import (
 from .linalg import Inconsistent, RationalMatrix, _require_coeff
 from .polynomials import (
     Polynomial,
-    _from_ints,
-    _images,
-    _translation_forms,
+    _combine,
     dim_pk,
     dim_pk_table,
     graded_index,
+    laplacian_images,
     moment_images,
     pk_basis,
     translate_left,
@@ -184,24 +183,16 @@ def lazy_generator_walk(schema: GroupSchema, hold: Fraction = Fraction(1, 2)) ->
 def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     """Delta p = p - sum_s mu(s) (x -> p(xs)); drops weighted degree by >= 2.
 
-    Integer: with p = P / a for its integer numerators P and denominator a,
-    and b the measure's ``scale``, a b Delta p = sum_s (b mu(s))
-    (P - P(x s)), as mu has mass 1.  That sum is accumulated in ints, one
-    atom at a time over the memoized right translates of p's monomials, and
-    the result is normalized over a b once.  The suite checks the matrix
-    assembly, which sweeps its own translates, against this path.
+    Integer and linear: with p = sum_e n_e x^e / a for its integer numerators
+    n_e and denominator a, and b the measure's ``scale``, a b Delta p =
+    sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, memoized per
+    measure, and the result is normalized over a b once.  Each D_e is summed
+    from the right translates by the atoms, so the suite checks the matrix
+    assembly, which reads the measure's moments, against this path.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")
-    schema = p.schema
-    ints = p.ints
-    acc = {e: measure.scale * a for e, a in ints.items()}
-    for s, ws in zip(measure.atoms, measure.int_weights):
-        for a, image in zip(ints.values(), _images(_translation_forms(schema, s, "right"), ints)):
-            wa = ws * a
-            for exps, c in image.items():
-                acc[exps] = acc.get(exps, 0) - wa * c
-    result = _from_ints(schema, acc, p.den * measure.scale)
+    result = _combine(p, laplacian_images(measure, p.ints), measure.scale)
     k = p.degree
     kr = result.degree
     if k is not None and kr is not None and kr > k - 2:
@@ -359,7 +350,8 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
         return Polynomial.zero(schema)
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
-    row = {e: i for i, e in enumerate(pk_basis(schema, k - 2))}
+    # P^{k-2} is the graded prefix of P^k, so q's rows are its monomials' positions there
+    row = graded_index(schema, k).position
     sol = matrix.factorization().solve((q.den, {row[e]: n for e, n in q.ints.items()}))
     if isinstance(sol, Inconsistent):
         raise InternalInconsistency(

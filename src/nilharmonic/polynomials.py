@@ -35,7 +35,10 @@ translations from ``moment_images``: the same recursion, run on the basis
 indices of ``graded_index``, translates a whole basis by a symbolic element
 s whose non-zero coordinates are one support pattern, so each term of an
 image is a monomial in x and one in s; its own memo is keyed by what it
-reads, the weights, the law and the pattern.
+reads, the weights, the law and the pattern.  ``apply_laplacian`` sums the
+Laplacian images of p's monomials, ``laplacian_images``, each built from the
+right translates by the measure's atoms through ``_images`` and kept in a
+memo keyed by the measure, so it does not share the matrix's path.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -52,12 +55,17 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence,
+)
 
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_conforming, _require_int, mul_coords
 from .linalg import RationalMatrix, _int_vector, _lowest, _require_coeff
+
+if TYPE_CHECKING:
+    from .laplacian import Measure
 
 Exponents = tuple[int, ...]
 IntTerms = dict[Exponents, int]
@@ -91,24 +99,31 @@ def _parent(exps: Exponents) -> tuple[Exponents, int]:
     return exps[:t] + (exps[t] - 1,) + exps[t + 1:], t
 
 
-def graded_index(schema: GroupSchema, k: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
-    """(steps, up) on the indices of pk_basis(schema, k), k >= 0, memoized
-    per (weights, k).
+class GradedIndex(NamedTuple):
+    """The indices of pk_basis(schema, k): ``steps[i - 1]`` is (parent, t) for
+    m_i = m_parent x_t, t the first non-zero coordinate of m_i; ``up[v][j]``
+    is the index of m_j x_v, or the basis size past degree k; ``position``
+    maps each exponent vector to its index."""
 
-    steps[i - 1] = (parent, t) for m_i = m_parent x_t, t the first non-zero
-    coordinate of m_i; up[v][j] is the index of m_j x_v, or the basis size
-    past degree k.  pk_basis(schema, k - 2) is the graded prefix of this
-    basis, so an index below its size names the same monomial in both.
-    """
+    steps: tuple[tuple[int, int], ...]
+    up: tuple[list[int], ...]
+    position: dict[Exponents, int]
+
+
+def graded_index(schema: GroupSchema, k: int) -> GradedIndex:
+    """The ``GradedIndex`` of pk_basis(schema, k), k >= 0, memoized per
+    (weights, k).  pk_basis(schema, k - 2) is the graded prefix of this basis,
+    so an index below its size names the same monomial in both."""
     indices = _INDICES.get(schema.weights)
     if k in indices:
         return indices[k]
     basis = pk_basis(schema, k)
     size = len(basis)  # one int object for every miss
-    index = {e: i for i, e in enumerate(basis)}
-    up = tuple([index.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
+    position = {e: i for i, e in enumerate(basis)}
+    up = tuple([position.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
                for v in range(schema.n_coords))
-    found = tuple((index[m], t) for m, t in map(_parent, basis[1:])), up
+    steps = tuple((position[m], t) for m, t in map(_parent, basis[1:]))
+    found = GradedIndex(steps, up, position)
     _INDICES.store(schema.weights, indices, k, found)
     return found
 
@@ -375,21 +390,29 @@ class _Memo:
 # The memos' bounds.  Measured full with tracemalloc, 2**14 image terms take
 # 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), 4 * 4096 rendered
 # monomials 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2), and the basis
-# and index memos, where each costs its basis size, 81 MB together (lattice(29)
-# at k = 4, the largest Laplacian basis at 40,920 monomials, and lattice(12..36)
-# at k = 3).  2**18 moment terms take 10.0 MB (the 260,144 terms of the two
-# generator patterns of heisenberg(1) at k = 36) to 16.0 MB (the 256,958 of the
-# 36 patterns of lattice(36) at k = 3).
+# and index memos, where each costs its basis size, 86 MB together, 49 MB of
+# it the indices with their position dicts (lattice(29) at k = 4, the largest
+# Laplacian basis at 40,920 monomials, and lattice(12..36) at k = 3).  2**18
+# moment terms take 10.0 MB (the 260,144 terms of the two generator patterns
+# of heisenberg(1) at k = 36) to 16.0 MB (the 256,958 of the 36 patterns of
+# lattice(36) at k = 3).  2**14 Laplacian image terms, each image costing its
+# terms plus one, take 2.4 MB on heisenberg(2) (2,269 images), 3.1 MB on
+# unitriangular(5) (4,382) and 7.3 MB on lattice(36) (13,061), each for the
+# lazy generator walk holding 1/3; the benchmark's preimage run stores 101 and
+# its verify run 916 over 27 measures.
 _IMAGE_TERMS = 2**14
 _RENDER_MONOMIALS = 4 * 4096
 _BASIS_MONOMIALS = 2**17
 _MOMENT_TERMS = 2**18
+_LAPLACIAN_TERMS = 2**14
 
 _IMAGES = _Memo(_IMAGE_TERMS, len)
 _RENDERED = _Memo(_RENDER_MONOMIALS)
 _BASES = _Memo(_BASIS_MONOMIALS, len)
-_INDICES = _Memo(_BASIS_MONOMIALS, lambda index: len(index[0]) + 1)
+_INDICES = _Memo(_BASIS_MONOMIALS, lambda index: len(index.steps) + 1)
 _MOMENTS = _Memo(_MOMENT_TERMS, lambda images: len(images.chain) + len(images.cols))
+# an image of no terms, such as the constant's, counts one
+_LAPLACIAN_IMAGES = _Memo(_LAPLACIAN_TERMS, lambda image: len(image) + 1)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -545,7 +568,7 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
         return memo[k]
     if any(weights[p] + weights[q] > weights[t] for t, p, q in law):
         raise InternalInconsistency("a law term outweighs its target; translation leaves P^k")
-    steps, up = graded_index(schema, k)
+    steps, up, _ = graded_index(schema, k)
     size = len(up[0])
     # per coordinate t, the (s, x) index maps of L_t's terms s_t and x_p s_q
     bumps: list[list[tuple[Sequence[int], Sequence[int]]]] = [
@@ -584,14 +607,43 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
     return found
 
 
-def _combine(p: Polynomial, images: Iterable[IntTerms]) -> Polynomial:
-    """sum_e p.ints[e] * images[e] / p.den, for one image per term of p."""
+def laplacian_images(measure: Measure, keys: Collection[Exponents]) -> list[IntTerms]:
+    """D_e = b x^e - sum_s (b mu(s)) x^e(x s) for each e of ``keys``, distinct
+    exponent vectors, b the measure's ``scale``: b times the Laplacian of x^e,
+    in ints.  Memoized per measure, whose hash is cached, and bounded in image
+    terms.
+
+    Each D_e is summed from the right translates by the measure's atoms,
+    read through ``_images``, so it does not depend on ``moment_images``.
+    Callers must not modify the images.
+    """
+    memo = _LAPLACIAN_IMAGES.get(measure)
+    out = [memo.get(e) for e in keys]
+    missing = [e for e, image in zip(keys, out) if image is None]
+    if not missing:
+        return out
+    schema = measure.schema
+    built = [{e: measure.scale} for e in missing]
+    for s, ws in zip(measure.atoms, measure.int_weights):
+        for acc, image in zip(built, _images(_translation_forms(schema, s, "right"), missing)):
+            get = acc.get
+            for exps, c in image.items():
+                acc[exps] = get(exps, 0) - ws * c
+    found = {}
+    for e, acc in zip(missing, built):
+        found[e] = image = {exps: c for exps, c in acc.items() if c}
+        _LAPLACIAN_IMAGES.store(measure, memo, e, image)
+    return [found[e] if image is None else image for e, image in zip(keys, out)]
+
+
+def _combine(p: Polynomial, images: Iterable[IntTerms], scale: int = 1) -> Polynomial:
+    """sum_e p.ints[e] * images[e] / (p.den * scale), for one image per term of p."""
     acc: IntTerms = {}
     get = acc.get
     for a, image in zip(p.ints.values(), images):
         for exps, c in image.items():
             acc[exps] = get(exps, 0) + a * c
-    return _from_ints(p.schema, acc, p.den)
+    return _from_ints(p.schema, acc, p.den * scale)
 
 
 def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Any, Mapping
 
 from .errors import ValidationError
 from .groups import COORD_NAME, GroupElement, GroupSchema, heisenberg, lattice, unitriangular
 from .laplacian import Measure
-from .polynomials import Exponents, Polynomial, render_terms
+from .polynomials import Exponents, Polynomial, _from_ints, render_terms
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -134,20 +135,10 @@ def polynomial_from_obj(schema: GroupSchema, obj: Mapping[str, Any]) -> Polynomi
 
 # -- polynomial text syntax -------------------------------------------------------
 
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({COORD_NAME})|([-+*/^()]))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    text = text.strip()
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValidationError(f"cannot read polynomial at ...{text[pos:pos + 12]!r}")
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
-    return tokens
+# a token (a number, a coordinate name or an operator), or any other
+# character, which stops the parse; on text with no surrounding whitespace
+# each match starts where the one before it ended
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+|{COORD_NAME}|[-+*/^()])|(\S))")
 
 
 def _token_int(tok: str) -> int:
@@ -157,95 +148,88 @@ def _token_int(tok: str) -> int:
         raise ValidationError(f"number with {len(tok)} digits is too long") from None
 
 
+def _required(tokens: list[str], pos: int) -> str:
+    """tokens[pos], which must not be the empty token that ends the list."""
+    if not tokens[pos]:
+        raise ValidationError("unexpected end of polynomial")
+    return tokens[pos]
+
+
 def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
     """Parse caret-and-star syntax like ``x^2 - y^2 + 3/2*x*y - 1``.
 
     Coordinate names are the ones declared by the schema (x, y, z for the
     three-dimensional Heisenberg group; x1..xd for lattices; a_ij for
-    unitriangular groups).
+    unitriangular groups).  A term is a product of numbers, each ``p`` or
+    ``p/q``, and powers of coordinates, each a name or ``name^e``, with an
+    optional sign; a repeated factor multiplies.  Each term is kept as an
+    integer numerator and denominator, and the terms are summed over the lcm
+    of their denominators into the canonical form.
     """
-    if not text.strip():
+    text = text.strip()
+    if not text:
         raise ValidationError("empty polynomial input")
-    tokens = _tokenize(text)
+    matches = _TOKEN_RE.findall(text)
+    tokens = [tok for tok, other in matches if not other]
+    if len(tokens) != len(matches):
+        pos = next(m.start() for m in _TOKEN_RE.finditer(text) if m.group(2))
+        raise ValidationError(f"cannot read polynomial at ...{text[pos:pos + 12]!r}")
+    end = len(tokens)
+    tokens.append("")  # read where a token is required: the input ended
     name_index = {name: i for i, name in enumerate(schema.coord_names)}
+    n_coords = schema.n_coords
+    found: list[tuple[Exponents, int, int]] = []  # (exponents, numerator, denominator)
     pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValidationError("unexpected end of polynomial")
+    while pos < end:
         tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_number() -> Fraction:
-        tok = take()
-        if not tok.isdigit():
-            raise ValidationError(f"expected a number, found {tok!r}")
-        value = Fraction(_token_int(tok))
-        if peek() == "/":
-            take()
-            den = take()
-            d = _token_int(den) if den.isdigit() else 0
-            if d == 0:
-                raise ValidationError("invalid denominator in coefficient")
-            value /= d
-        return value
-
-    def parse_term() -> tuple[Fraction, tuple[int, ...]]:
-        coeff = Fraction(1)
-        exps = [0] * schema.n_coords
+        num = den = 1
+        if tok in ("+", "-"):
+            num = -1 if tok == "-" else 1
+            pos += 1
+        elif pos:
+            raise ValidationError(f"expected '+' or '-' before {tok!r}")
+        exps = [0] * n_coords
         while True:
-            tok = peek()
-            if tok is None:
-                raise ValidationError("unexpected end of polynomial")
+            tok = _required(tokens, pos)
+            pos += 1
             if tok.isdigit():
-                coeff *= parse_number()
-            elif tok in name_index or tok[0].isalpha():
-                name = take()
-                if name not in name_index:
+                num *= _token_int(tok)
+                if tokens[pos] == "/":
+                    tok = _required(tokens, pos + 1)
+                    d = _token_int(tok) if tok.isdigit() else 0
+                    if d == 0:
+                        raise ValidationError("invalid denominator in coefficient")
+                    den *= d
+                    pos += 2
+            elif tok[0].isalpha():
+                i = name_index.get(tok)
+                if i is None:
                     raise ValidationError(
-                        f"unknown coordinate {name!r}; valid names: "
+                        f"unknown coordinate {tok!r}; valid names: "
                         + ", ".join(schema.coord_names)
                     )
                 e = 1
-                if peek() == "^":
-                    take()
-                    etok = take()
-                    if not etok.isdigit():
+                if tokens[pos] == "^":
+                    tok = _required(tokens, pos + 1)
+                    if not tok.isdigit():
                         raise ValidationError("exponent must be a non-negative integer")
-                    e = _token_int(etok)
-                exps[name_index[name]] += e
+                    e = _token_int(tok)
+                    pos += 2
+                exps[i] += e
             else:
                 raise ValidationError(f"unexpected token {tok!r} in term")
-            if peek() == "*":
-                take()
-                continue
-            break
-        return coeff, tuple(exps)
-
-    terms: dict[Exponents, Fraction] = {}
-    sign = Fraction(1)
-    first = True
-    while pos < len(tokens):
-        tok = peek()
-        if tok == "+":
-            take()
-            sign = Fraction(1)
-        elif tok == "-":
-            take()
-            sign = Fraction(-1)
-        elif not first:
-            raise ValidationError(f"expected '+' or '-' before {tok!r}")
-        coeff, exps = parse_term()
-        acc = terms.get(exps, Fraction(0)) + sign * coeff
-        if acc:
-            terms[exps] = acc
+            if tokens[pos] != "*":
+                break
+            pos += 1
+        found.append((tuple(exps), num, den))
+    # over the common denominator; a like-term sum that reaches 0 leaves the dict,
+    # so the terms keep the order the Fraction parser gave them
+    common = lcm(*(den for _, _, den in found))
+    acc: dict[Exponents, int] = {}
+    for exps, num, den in found:
+        c = acc.get(exps, 0) + num * (common // den)
+        if c:
+            acc[exps] = c
         else:
-            terms.pop(exps, None)
-        sign = Fraction(1)
-        first = False
-    return Polynomial(schema, terms)
+            acc.pop(exps, None)
+    return _from_ints(schema, acc, common)

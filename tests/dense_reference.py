@@ -53,17 +53,23 @@ that prefix's products.  ``associativity_witness`` is the
 suite's scan of all triples, two law products per triple, and
 ``symmetric_form`` is its half-sum of second differences in ``Polynomial``
 arithmetic.
+
+``parse_polynomial`` is the polynomial text parser as it ran before it kept
+integer numerators and denominators: a token list, then ``Fraction``
+arithmetic on each number and each sum of like terms, and the public
+``Polynomial`` constructor, which validates the terms again.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from nilharmonic.errors import InternalInconsistency
-from nilharmonic.groups import GroupElement, GroupSchema, ball, inv
+from nilharmonic.errors import InternalInconsistency, ValidationError
+from nilharmonic.groups import COORD_NAME, GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure
 from nilharmonic.linalg import Inconsistent
 from nilharmonic.polynomials import (
@@ -607,3 +613,118 @@ def symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
         second = p * 2 - translate_right(p, s) - translate_right(p, inv(p.schema, s))
         alt = alt + second * (w * half)
     return alt
+
+
+# -- the polynomial text syntax, parsed in Fraction arithmetic -----------------
+
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({COORD_NAME})|([-+*/^()]))")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    text = text.strip()
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValidationError(f"cannot read polynomial at ...{text[pos:pos + 12]!r}")
+        tokens.append(m.group(1) or m.group(2) or m.group(3))
+        pos = m.end()
+    return tokens
+
+
+def _token_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ValidationError(f"number with {len(tok)} digits is too long") from None
+
+
+def parse_polynomial(schema: GroupSchema, text: str) -> Polynomial:
+    """The polynomial of caret-and-star text like ``x^2 - y^2 + 3/2*x*y - 1``,
+    read token by token in ``Fraction`` arithmetic."""
+    if not text.strip():
+        raise ValidationError("empty polynomial input")
+    tokens = _tokenize(text)
+    name_index = {name: i for i, name in enumerate(schema.coord_names)}
+    pos = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValidationError("unexpected end of polynomial")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_number() -> Fraction:
+        tok = take()
+        if not tok.isdigit():
+            raise ValidationError(f"expected a number, found {tok!r}")
+        value = Fraction(_token_int(tok))
+        if peek() == "/":
+            take()
+            den = take()
+            d = _token_int(den) if den.isdigit() else 0
+            if d == 0:
+                raise ValidationError("invalid denominator in coefficient")
+            value /= d
+        return value
+
+    def parse_term() -> tuple[Fraction, tuple[int, ...]]:
+        coeff = Fraction(1)
+        exps = [0] * schema.n_coords
+        while True:
+            tok = peek()
+            if tok is None:
+                raise ValidationError("unexpected end of polynomial")
+            if tok.isdigit():
+                coeff *= parse_number()
+            elif tok in name_index or tok[0].isalpha():
+                name = take()
+                if name not in name_index:
+                    raise ValidationError(
+                        f"unknown coordinate {name!r}; valid names: "
+                        + ", ".join(schema.coord_names)
+                    )
+                e = 1
+                if peek() == "^":
+                    take()
+                    etok = take()
+                    if not etok.isdigit():
+                        raise ValidationError("exponent must be a non-negative integer")
+                    e = _token_int(etok)
+                exps[name_index[name]] += e
+            else:
+                raise ValidationError(f"unexpected token {tok!r} in term")
+            if peek() == "*":
+                take()
+                continue
+            break
+        return coeff, tuple(exps)
+
+    terms: dict[Exponents, Fraction] = {}
+    sign = Fraction(1)
+    first = True
+    while pos < len(tokens):
+        tok = peek()
+        if tok == "+":
+            take()
+            sign = Fraction(1)
+        elif tok == "-":
+            take()
+            sign = Fraction(-1)
+        elif not first:
+            raise ValidationError(f"expected '+' or '-' before {tok!r}")
+        coeff, exps = parse_term()
+        acc = terms.get(exps, Fraction(0)) + sign * coeff
+        if acc:
+            terms[exps] = acc
+        else:
+            terms.pop(exps, None)
+        sign = Fraction(1)
+        first = False
+    return Polynomial(schema, terms)

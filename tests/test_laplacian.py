@@ -388,6 +388,94 @@ def test_integer_laplacian_equals_fraction_reference(schema, walk):
             assert apply_laplacian(mu, q) == dense.apply_laplacian(mu, q)
 
 
+U5 = unitriangular(5)
+
+
+def _long_form_walk(schema, coords, w_gen, w_pair):
+    # the generators, a pair {s, s^-1} whose coordinates of weight >= 2 are not
+    # all 0, so its right translation forms have long linear parts, and the
+    # identity with the rest of the mass
+    s = element(schema, coords)
+    gens = standard_generators(schema)
+    atoms = [(g, w_gen) for g in gens] + [(s, w_pair), (inv(schema, s), w_pair)]
+    return Measure(schema, atoms + [(identity(schema), 1 - len(gens) * w_gen - 2 * w_pair)])
+
+
+LAPLACIAN_IMAGE_CASES = [
+    (UT4, lambda schema: _long_form_walk(schema, (1, 1, 0, 1, 0, 0),
+                                         Fraction(1, 9), Fraction(1, 12))),
+    (U5, lambda schema: _long_form_walk(schema, (1, 0, 1, 1, 2, 0, -1, 0, 0, 0),
+                                        Fraction(1, 12), Fraction(1, 12))),
+    (H3, lambda schema: PAIRS_H3),
+] + [(schema, walk) for schema in (UT4, U5)
+     for walk in [generator_walk, lazy_generator_walk] + [_workload_walk(seed) for seed in range(4)]]
+
+
+def _laplacian_image_costs_add_up(memo):
+    return memo.size == sum(memo.cost(image) for images in memo.dicts.values()
+                            for image in images.values()) and all(memo.dicts.values())
+
+
+def test_memoized_laplacian_images_equal_the_fraction_reference(monkeypatch):
+    # apply_laplacian sums the memoized Laplacian images of p's monomials; on
+    # seeded measures with pairs, an identity atom and long linear forms it
+    # must equal the per-atom Fraction sum cold, warm and past a lowered bound
+    memo = polynomials._LAPLACIAN_IMAGES
+    cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
+    cases = []
+    for schema, walk in LAPLACIAN_IMAGE_CASES:
+        mu = walk(schema)
+        basis = pk_basis(schema, 3)
+        ps = [Polynomial(schema, {m: cycle[(i + j) % 5] for i, m in enumerate(basis[j::3])})
+              for j in range(3)]
+        ps.append(Polynomial.from_monomial(schema, pk_basis(schema, 4)[-1], Fraction(2, 3)))
+        cases.append((mu, ps, [dense.apply_laplacian(mu, p) for p in ps]))
+    memo.clear()
+    for mu, ps, want in cases:
+        assert [apply_laplacian(mu, p) for p in ps] == want
+    assert 0 < memo.size <= memo.bound and _laplacian_image_costs_add_up(memo)
+    # warm: every image is read back, nothing more is stored, and the readers
+    # modified none of them
+    stored = memo.size
+    kept = {mu: {e: dict(image) for e, image in memo.get(mu).items()} for mu, _, _ in cases}
+    for mu, ps, want in cases:
+        assert [apply_laplacian(mu, p) for p in ps] == want
+    assert memo.size == stored
+    assert all(memo.get(mu) == images for mu, images in kept.items())
+    # a bound below one call's images: each call stores what fits, and the
+    # bound holds after each
+    largest = max(sum(map(memo.cost, polynomials.laplacian_images(mu, p.ints)))
+                  for mu, ps, _ in cases for p in ps)
+    assert largest > 20
+    monkeypatch.setattr(memo, "bound", 20)
+    memo.clear()
+    for _ in range(2):
+        for mu, ps, want in cases:
+            for p, delta in zip(ps, want):
+                assert apply_laplacian(mu, p) == delta
+                assert 0 < memo.size <= 20 and _laplacian_image_costs_add_up(memo)
+
+
+def test_equal_measures_share_laplacian_images_and_other_weights_do_not():
+    memo = polynomials._LAPLACIAN_IMAGES
+    memo.clear()
+    p = Polynomial(UT4, {m: Fraction(i + 1, 3) for i, m in enumerate(pk_basis(UT4, 3))})
+    first = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 9), Fraction(1, 12))
+    twin = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 9), Fraction(1, 12))
+    assert twin == first and twin is not first
+    delta = apply_laplacian(first, p)
+    stored = memo.size
+    assert apply_laplacian(twin, p) == delta
+    assert memo.size == stored and len(memo.dicts) == 1 and memo.get(twin) is memo.get(first)
+    # the same atoms with other weights keep their own images
+    other = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 12), Fraction(1, 12))
+    assert set(other.atoms) == set(first.atoms) and other != first
+    assert apply_laplacian(other, p) == dense.apply_laplacian(other, p) != delta
+    assert len(memo.dicts) == 2 and memo.size > stored
+    assert memo.get(other) is not memo.get(first)
+    assert apply_laplacian(first, p) == delta == dense.apply_laplacian(first, p)
+
+
 def moment_pair_columns(schema, s, k):
     """The columns of m -> 2m - m(x s) - m(x s^-1) over pk_basis(schema, k),
     as {row: coefficient} dicts, read off the moment images of the pair's

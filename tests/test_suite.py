@@ -18,7 +18,9 @@ from nilharmonic.laplacian import (
     laplacian_matrix,
     solve_preimage,
 )
-from nilharmonic.polynomials import _BASES, _IMAGES, _INDICES, _MOMENTS, _translation_forms
+from nilharmonic.polynomials import (
+    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms,
+)
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -228,14 +230,17 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
     for clear in (_IMAGES.clear, _translation_forms.cache_clear, _BASES.clear,
-                  _INDICES.clear, _MOMENTS.clear,
+                  _INDICES.clear, _MOMENTS.clear, _LAPLACIAN_IMAGES.clear,
                   laplacian_matrix.cache_clear, _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
-    # solve_preimage checks its answer through apply_laplacian, which reads and
-    # stores the image memo's images: cold, warm, and with room for fewer
-    # image terms than one call stores (each stores 200 to 440)
+    # solve_preimage checks its answer through apply_laplacian, which sums the
+    # Laplacian images of p's monomials, built from the image memo's images:
+    # cold, warm, and with room for fewer image terms than one call stores
+    # (each stores 200 to 440); a cleared Laplacian image memo makes apply
+    # read and store those images again
     _IMAGES.clear()
+    _LAPLACIAN_IMAGES.clear()
     cold = preimages()
     for p, q in zip(cold, TARGETS):
         assert dense.apply_laplacian(MU_PAIRS, p) == parse_polynomial(H3, q)
@@ -244,5 +249,6 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
     monkeypatch.setattr(_IMAGES, "bound", 30)
     for _ in range(2):
         _IMAGES.clear()
+        _LAPLACIAN_IMAGES.clear()
         assert preimages() == cold
         assert 0 < _IMAGES.size <= 30
