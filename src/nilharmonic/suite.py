@@ -17,6 +17,7 @@ are checked before either.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -26,6 +27,7 @@ from .groups import (
     Coords,
     GroupElement,
     GroupSchema,
+    _ball_search,
     _require_int,
     ball_levels,
     basis_element,
@@ -39,23 +41,28 @@ from .groups import ball  # noqa: F401
 from .laplacian import (
     Measure,
     apply_laplacian,
-    dim_hk,
+    dim_hk_from_pk,
     harmonic_basis,
     laplacian_matrix,
     matrix_shape,
 )
-from .linalg import Inconsistent
+from .linalg import Factorization, Inconsistent
 from .polynomials import (
     Polynomial,
     _from_ints,
+    _images,
+    _translation_forms,
+    dim_pk_table,
     left_derivative,
     pk_basis,
     translate_left,
-    translate_right,
 )
-from .verify import _value_tables, check_harmonic_batch, check_left_right_batch
-# unused here, but the benchmark's tracer wraps suite.check_left_right_agreement by name
-from .verify import check_left_right_agreement  # noqa: F401
+# unused here, but the benchmark's tracer wraps suite.translate_right by name
+from .polynomials import translate_right  # noqa: F401
+from .verify import _first_translation_mismatch, _mean_value_checks, check_left_right_batch
+# unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
+# suite.check_left_right_agreement by name
+from .verify import check_harmonic_batch, check_left_right_agreement  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -148,27 +155,17 @@ def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
     bound = all(sizes[r] <= len(gens) ** r + 1 for r in range(1, 5))
     add("group.ball_growth", mono and bound, f"sizes {sizes}")
 
-    # polynomial calculus: every monomial on the points u*g, and every left
-    # translate of it on the points g, each in one value table
+    # polynomial calculus: every left translate of a monomial on the points
+    # g against the monomial on the points u*g (b2 holds the identity, so
+    # those points hold b3)
     k_interp = min(k_red, 2)
     index: dict[Coords, int] = {}
     ug_ids = [[index.setdefault(law_mul(u.coords, g.coords), len(index)) for g in b3] for u in b2]
     basis = pk_basis(schema, k_interp)
     monos = [Polynomial.from_monomial(schema, m) for m in basis]
-    q_tables = _value_tables(
-        [translate_left(p, u) for p in monos for u in b2], [g.coords for g in b3]
-    )
-    bad_detail = ""
-    for mono_, (p_scale, p_values) in zip(basis, _value_tables(monos, list(index))):
-        for u, ids, (q_scale, q_values) in zip(b2, ug_ids, q_tables):
-            lhs = [p_scale * v for v in q_values]
-            rhs = [q_scale * p_values[i] for i in ids]
-            if lhs != rhs:
-                bad = next(g for g, a, b in zip(b3, lhs, rhs) if a != b)
-                bad_detail = f"monomial {mono_}, u={u}, g={bad}"
-                break
-        if bad_detail:
-            break
+    translates = [[translate_left(p, u) for p in monos] for u in b2]
+    bad = _first_translation_mismatch(monos, translates, ug_ids, list(index), [g.coords for g in b3])
+    bad_detail = "" if bad is None else f"monomial {basis[bad[0]]}, u={b2[bad[1]]}, g={b3[bad[2]]}"
     add("poly.interpolation_soundness", not bad_detail, bad_detail or f"degree <= {k_interp}")
 
     bad_detail = ""
@@ -243,49 +240,47 @@ def run_invariant_suite(
         if _require_int(value, what) < 0:
             raise ValidationError(f"{what} must be non-negative, got {value}")
     # the largest Laplacian and the harmonic oracle's ball are refused here,
-    # before any check has run
+    # before any check has run; the oracle reads this search of its ball
     matrix_shape(schema, k_max)
-    ball_levels(schema, measure.support(), radius)
+    search = _ball_search(schema, measure.support(), radius)
     records = list(_group_records(schema, min(k_max, 4)))
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         records.append(SuiteRecord(name, passed, detail))
 
-    # Laplacian: dimension identity, surjectivity, harmonicity oracle
-    for k in range(k_max + 1):
-        try:
-            # one factorization per k serves the nullity, every surjectivity
-            # solve and, at k_max, the harmonic oracle's basis below
-            matrix = laplacian_matrix(schema, measure, k)
-            nullity = matrix.cols - matrix.rank
-            predicted = dim_hk(schema, k)
+    # Laplacian: dimension identity and surjectivity at every k, from the one
+    # factorization of degree k_max, which also serves the harmonic oracle's
+    # basis below.  A_k is the block of A_{k_max} on the columns below dim P^k,
+    # and A_{k_max}'s rows of degree > k - 2 are 0 there, so rank A_k is the
+    # number of pivots below dim P^k, and a target in P^{k-2} has a preimage
+    # in P^k exactly when its canonical solution in A_{k_max} stays below
+    # dim P^k; that solution is then A_k's.
+    dims = dim_pk_table(schema, k_max)
+    try:
+        factorization = laplacian_matrix(schema, measure, k_max).factorization()
+    except NilharmonicError as exc:
+        for k in range(k_max + 1):
+            add(f"laplacian.matrix[k={k}]", False, str(exc))
+    else:
+        targets = [dims[k - 2] if k >= 2 else 0 for k in range(k_max + 1)]
+        bad = _first_bad_preimages(schema, measure, factorization, dims, targets)
+        for k, (dim, predicted) in enumerate(zip(dims, dim_hk_from_pk(dims))):
+            nullity = dim - bisect_left(factorization.pivots, dim)
             add(
                 f"laplacian.dimension_identity[k={k}]",
                 nullity == predicted,
                 f"nullity {nullity}, predicted {predicted}",
             )
-            domain = pk_basis(schema, k)
-            codomain = pk_basis(schema, k - 2)
-            factorization = matrix.factorization()
-            bad_detail = ""
-            for i, mono_ in enumerate(codomain):
-                sol = factorization.solve((1, {i: 1}))
-                if isinstance(sol, Inconsistent):
-                    bad_detail = f"no preimage for {mono_}"
-                    break
-                den, vec = sol
-                p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
-                if apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono_):
-                    bad_detail = f"bad preimage for {mono_}"
-                    break
-            add(f"laplacian.surjectivity[k={k}]", not bad_detail,
-                bad_detail or f"{len(codomain)} targets")
-        except NilharmonicError as exc:
-            add(f"laplacian.matrix[k={k}]", False, str(exc))
+            verdict = bad.get(k)
+            if isinstance(verdict, NilharmonicError):
+                add(f"laplacian.matrix[k={k}]", False, str(verdict))
+            else:
+                add(f"laplacian.surjectivity[k={k}]", verdict is None,
+                    verdict or f"{targets[k]} targets")
 
     try:
         report = harmonic_basis(schema, measure, k_max)
-        checks = check_harmonic_batch(schema, measure, list(report.basis), radius)
+        checks = _mean_value_checks(measure, list(report.basis), search)
         bad_idx = next((i for i, c in enumerate(checks) if not c.passed), None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
@@ -299,13 +294,59 @@ def run_invariant_suite(
         add("laplacian.harmonic_oracle", False, str(exc))
 
     bad_detail = ""
-    for m in pk_basis(schema, min(k_max, 3)):
-        p = Polynomial.from_monomial(schema, m)
-        if apply_laplacian(measure, p) != _symmetric_form(measure, p):
+    monos = pk_basis(schema, min(k_max, 3))
+    polys = [Polynomial._trusted(schema, {m: 1}, 1) for m in monos]
+    for m, p, form in zip(monos, polys, _symmetric_form(measure, polys)):
+        if apply_laplacian(measure, p) != form:
             bad_detail = f"monomial {m}"
             break
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records
+
+
+def _first_bad_preimages(
+    schema: GroupSchema,
+    measure: Measure,
+    factorization: Factorization,
+    dims: Sequence[int],
+    targets: Sequence[int],
+) -> dict[int, str | NilharmonicError]:
+    """For each k whose surjectivity check fails, what its first failing
+    target gives: "no preimage for m", "bad preimage for m", or the
+    ``NilharmonicError`` its check raised.
+
+    ``factorization`` is that of the degree-K Laplacian, K = len(dims) - 1,
+    ``dims[k]`` is dim P^k, and the check at k covers the first
+    ``targets[k]`` monomials of P^(K-2), the basis of P^(k-2).  Each target
+    is solved and checked with ``apply_laplacian`` once, in basis order; a
+    preimage reaching column dim P^k or past it is none at k.  Solving stops
+    at the first target that fails at every k it belongs to.
+    """
+    domain = pk_basis(schema, len(dims) - 1)
+    bad: dict[int, str | NilharmonicError] = {}
+    for i, mono_ in enumerate(pk_basis(schema, len(dims) - 3)):
+        sol = factorization.solve((1, {i: 1}))
+        top, verdict = -1, None
+        if isinstance(sol, Inconsistent):
+            verdict = f"no preimage for {mono_}"
+        else:
+            den, vec = sol
+            top = max(vec, default=-1)
+            p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
+            try:
+                if apply_laplacian(measure, p_hat) != Polynomial._trusted(schema, {mono_: 1}, 1):
+                    verdict = f"bad preimage for {mono_}"
+            except NilharmonicError as exc:
+                verdict = exc
+        for k, n_targets in enumerate(targets):
+            if k not in bad and i < n_targets:
+                if top >= dims[k]:
+                    bad[k] = f"no preimage for {mono_}"
+                elif verdict is not None:
+                    bad[k] = verdict
+        if verdict is not None:
+            break
+    return bad
 
 
 def _associativity_witness(
@@ -329,15 +370,23 @@ def _associativity_witness(
     return None
 
 
-def _symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
-    """sum over the pairs {s, s^-1} of mu(s) (2p - p(x s) - p(x s^-1)), which
-    is Delta p when mu is symmetric (the identity's term is 0), in ints over
-    b p.den for b the measure's ``scale``."""
+def _symmetric_form(measure: Measure, polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """For each p of ``polys``, the sum over the pairs {s, s^-1} of
+    mu(s) (2p - p(x s) - p(x s^-1)), which is Delta p when mu is symmetric
+    (the identity's term is 0), in ints over b p.den for b the measure's
+    ``scale``.  Each pair atom's right-translation images of every monomial
+    of ``polys`` are read in one ``_images`` call."""
+    schema = measure.schema
+    keys = list(dict.fromkeys(e for p in polys for e in p.ints))
     mass = 2 * sum(ws for _, _, ws in measure.pairs)
-    acc = {e: mass * c for e, c in p.ints.items()}
+    accs = [{e: mass * c for e, c in p.ints.items()} for p in polys]
     for s, s_inv, ws in measure.pairs:
-        for q in (translate_right(p, s), translate_right(p, s_inv)):
-            scale = ws * (p.den // q.den)
-            for e, c in q.ints.items():
-                acc[e] = acc.get(e, 0) - scale * c
-    return _from_ints(p.schema, acc, measure.scale * p.den)
+        for u in (s, s_inv):
+            images = dict(zip(keys, _images(_translation_forms(schema, u, "right"), keys)))
+            for p, acc in zip(polys, accs):
+                get = acc.get
+                for e, c in p.ints.items():
+                    f = ws * c
+                    for exps, v in images[e].items():
+                        acc[exps] = get(exps, 0) - f * v
+    return [_from_ints(schema, acc, measure.scale * p.den) for p, acc in zip(polys, accs)]

@@ -1,15 +1,20 @@
 """Brute-force oracles that validate the algebra by direct evaluation.
 
 Everything here works pointwise on Cayley balls using only group
-multiplication and integer value tables: each polynomial's integer
-numerators are evaluated at an interned list of points, one shared column
-per monomial, and every oracle sum runs over whole columns of ids.  The
-translation machinery under test (composition with the affine forms of the
-group law), the matrix assembly and the elimination are never called, so a
-bug there cannot hide from these checks.  For the same reason the mean-value
-oracle clears the measure's ``Fraction`` weights to integers itself and
-does not read the ``scale`` and ``int_weights`` that the Laplacian uses.
-Every oracle is stateless, and deterministic: enumeration orders are fixed.
+multiplication and integer polynomial values.  A batch of polynomials is
+evaluated at an interned list of points in chunks: the integer numerators of
+a chunk are packed into one int per monomial, as balanced base-2^B digits
+with B from an exact bound on the sums the oracle takes, and the packed
+polynomial is evaluated by Horner's rule along the first-coordinate tree of
+its monomials.  Every oracle sum then runs over whole rows of ids once per
+chunk, and a non-zero packed sum is decoded digit by digit into the
+polynomials that fail.  The translation machinery under test (composition
+with the affine forms of the group law), the matrix assembly and the
+elimination are never called, so a bug there cannot hide from these checks.
+For the same reason the mean-value oracle clears the measure's ``Fraction``
+weights to integers itself and does not read the ``scale`` and
+``int_weights`` that the Laplacian uses.  Every oracle is stateless, and
+deterministic: enumeration orders are fixed.
 """
 
 from __future__ import annotations
@@ -17,54 +22,179 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from math import lcm, prod
+from operator import add, itemgetter, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .groups import (
     MAX_BALL_POINTS,
+    BallSearch,
     GroupElement,
     GroupSchema,
+    _ball_search,
     _require_int,
-    ball,
     ball_levels,
     standard_generators,
 )
-# unused here, but the benchmark's tracer wraps verify.mul_coords by name
-from .groups import mul_coords  # noqa: F401
+# unused here, but the benchmark's tracer wraps verify.ball and verify.mul_coords by name
+from .groups import ball, mul_coords  # noqa: F401
 from .laplacian import Measure
-from .polynomials import Polynomial
+from .polynomials import Exponents, Polynomial
 
 DEFAULT_TUPLE_BUDGET = 2000
 
+# The most bits of one packed value.  A batch is evaluated in chunks whose
+# digits fit, so the rows of a long batch stay as small as those of a short one.
+CHUNK_BITS = 1024
 
-def _value_tables(
-    polys: Sequence[Polynomial], points: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(scale, values)`` per polynomial, ``values[i] == scale * p(points[i])``.
 
-    ``scale`` is p's denominator ``den``, so all arithmetic is on p's integer
-    numerators ``ints``; the monomial value columns are shared across the
-    polynomials, each its parent's times a coordinate: x^e = x^(e - e_t) x_t.
-    """
-    n_coords = polys[0].schema.n_coords if polys else 0
-    axes = [list(map(itemgetter(t), points)) for t in range(n_coords)]
-    columns: dict[tuple[int, ...], list[int]] = {(0,) * n_coords: [1] * len(points)}
-    for exps in {e for p in polys for e in p.ints}:
-        chain = []
-        while exps not in columns:
-            t = next(i for i, e in enumerate(exps) if e)
-            chain.append((exps, t))
-            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
-        col = columns[exps]
-        for exps, t in reversed(chain):
-            col = columns[exps] = list(map(mul, col, axes[t]))
+def _require_schema(schema: GroupSchema, polys: Iterable[Polynomial]) -> None:
+    """Refuse anything but polynomials of ``schema``: another schema's
+    polynomial would be evaluated on points of the wrong length."""
     for p in polys:
-        values = [0] * len(points)
-        for exps, c in p.ints.items():
-            values = [x + c * v for x, v in zip(values, columns[exps])]
-        yield p.den, values
+        if not isinstance(p, Polynomial):
+            raise ValidationError(f"expected a polynomial, got {p!r}")
+        if p.schema is not schema and p.schema != schema:
+            raise ValidationError(
+                f"a polynomial on {p.schema.name()} cannot be checked on {schema.name()}"
+            )
+
+
+def _digit_bits(
+    polys: Sequence[Polynomial], axes: Sequence[Sequence[int]], spread: int
+) -> list[int]:
+    """The digit width B of each polynomial, for sums of its values at the
+    points whose coordinate rows are ``axes``.
+
+    With R_t the largest |y_t| over the points, p's numerator at y,
+    sum_e n_e y^e, is at most M = sum_e |n_e| prod_t R_t^e_t.  A sum of
+    values whose integer factors add up to at most ``spread`` in absolute
+    value is at most spread * M < 2^(B - 1), so it is one balanced digit.
+    """
+    radii = [max(map(abs, axis), default=0) for axis in axes]
+    sizes: dict[Exponents, int] = {}
+    bits = []
+    for p in polys:
+        bound = 0
+        for e, c in p.ints.items():
+            size = sizes.get(e)
+            if size is None:
+                size = sizes[e] = prod(map(pow, radii, e))
+            bound += abs(c) * size
+        bits.append((spread * bound).bit_length() + 1)
+    return bits
+
+
+def _chunks(bits: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(start, stop, B): consecutive runs of ``bits`` whose widest entry B
+    times their length is at most ``CHUNK_BITS``; a wider entry is alone."""
+    start = width = 0
+    for i, b in enumerate(bits):
+        wider = max(width, b)
+        if i > start and wider * (i + 1 - start) > CHUNK_BITS:
+            yield start, i, width
+            start, wider = i, b
+        width = wider
+    if bits:
+        yield start, len(bits), width
+
+
+def _packed(polys: Sequence[Polynomial], width: int) -> dict[Exponents, int]:
+    """sum_j n_j,e 2^(width j) for each monomial e, n_j,e the numerators of polys[j]."""
+    coeffs: dict[Exponents, int] = {}
+    get = coeffs.get
+    for j, p in enumerate(polys):
+        shift = width * j
+        for e, c in p.ints.items():
+            coeffs[e] = get(e, 0) + (c << shift)
+    return coeffs
+
+
+def _horner(coeffs: dict[Exponents, int], axes: Sequence[Sequence[int]], n: int) -> list[int]:
+    """sum_e coeffs[e] y^e at each of the n points whose coordinate rows are ``axes``.
+
+    The monomials and their ancestors form a tree, x^e the child of x^e / x_t
+    for t the first non-zero coordinate of e.  The value below x^e, divided
+    by x^e, is coeffs[e] plus y_t times that of each child x^e x_t; it is
+    summed depth first, so one row per level of the tree is live at a time.
+    """
+    root = (0,) * len(axes)
+    kids: dict[Exponents, list[tuple[int, Exponents]]] = {root: []}
+    for e in coeffs:
+        links = []
+        while e not in kids:
+            kids[e] = []
+            t = next(i for i, x in enumerate(e) if x)
+            parent = e[:t] + (e[t] - 1,) + e[t + 1:]
+            links.append((parent, t, e))
+            e = parent
+        for parent, t, child in links:
+            kids[parent].append((t, child))
+    # [monomial, coordinate to its parent, children left, row so far or None]
+    stack: list[list] = [[root, 0, iter(kids[root]), None]]
+    while True:
+        top = stack[-1]
+        step = next(top[2], None)
+        if step is not None:
+            t, child = step
+            stack.append([child, t, iter(kids[child]), None])
+            continue
+        e, t, _, row = stack.pop()
+        const = coeffs.get(e, 0)
+        value = const if row is None else [v + const for v in row] if const else row
+        if not stack:
+            return [value] * n if row is None else value
+        axis = axes[t]
+        term = map(value.__mul__, axis) if row is None else map(mul, value, axis)
+        above = stack[-1]
+        above[3] = list(term) if above[3] is None else list(map(add, above[3], term))
+
+
+def _packed_tables(
+    polys: Sequence[Polynomial], points: Sequence[tuple[int, ...]], spread: int
+) -> Iterator[tuple[int, int, int, list[int]]]:
+    """(start, stop, B, values) for each chunk polys[start:stop]:
+    values[i] = sum_j n_j(points[i]) 2^(B (j - start)), n_j(y) = p_j.den * p_j(y),
+    with B wide enough for sums of values with factors of total size ``spread``
+    (see ``_digit_bits``)."""
+    if not polys:
+        return
+    axes = [list(map(itemgetter(t), points)) for t in range(polys[0].schema.n_coords)]
+    for start, stop, width in _chunks(_digit_bits(polys, axes, spread)):
+        yield start, stop, width, _horner(_packed(polys[start:stop], width), axes, len(points))
+
+
+def _digits(x: int, width: int, count: int) -> list[int]:
+    """The ``count`` lowest balanced base-2^width digits of x, each in
+    [-2^(width - 1), 2^(width - 1)), the lowest first."""
+    full = 1 << width
+    half = full >> 1
+    out = []
+    for _ in range(count):
+        d = x & (full - 1)
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x - d) >> width
+    return out
+
+
+def _first_digits(
+    sums: Iterable[tuple[object, int]], width: int, count: int
+) -> dict[int, tuple[object, int]]:
+    """For each digit j < ``count`` that is non-zero in some packed sum, the
+    (key, digit) of the first such (key, sum) of ``sums``; read lazily, up to
+    the sum where every digit has been seen non-zero."""
+    found: dict[int, tuple[object, int]] = {}
+    for key, x in sums:
+        if x:
+            for j, d in enumerate(_digits(x, width, count)):
+                if d and j not in found:
+                    found[j] = (key, d)
+            if len(found) == count:
+                break
+    return found
 
 
 @dataclass(frozen=True)
@@ -84,38 +214,112 @@ def check_harmonic_batch(
 ) -> list[HarmonicCheck]:
     """Mean-value check f(g) = sum_s mu(s) f(gs) for every g in the ball.
 
-    Batch form: the ball, the products g*s and the value tables are shared
-    across all polynomials.  Arithmetic is integer after clearing
-    denominators, so every comparison is exact.
+    Batch form: one ball search, one packed value table per chunk of polys
+    and one gather per atom serve them all.  Arithmetic is integer after
+    clearing denominators, so every comparison is exact.
     """
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
+    _require_schema(schema, polys)
+    return _mean_value_checks(measure, polys, _ball_search(schema, measure.support(), radius))
+
+
+def _mean_value_checks(
+    measure: Measure, polys: Sequence[Polynomial], search: BallSearch
+) -> list[HarmonicCheck]:
+    """``check_harmonic_batch`` on the ball of ``search``, a search from the
+    measure's support, whose products the centres inside the radius reuse.
+
+    Per chunk, the residual w f(g) - sum_s w mu(s) f(gs), w the lcm of the
+    weights' denominators, is at most 2 w times the bound of ``_digit_bits``.
+    The witness of a failing f is the first centre, in coordinate order,
+    whose residual has a non-zero digit for f.
+    """
     atoms = list(measure.atoms.items())
     weight_scale = lcm(*(w.denominator for _, w in atoms))
     int_weights = [int(w * weight_scale) for _, w in atoms]
 
-    # the centres are distinct, so they take the point ids 0..n-1
-    centers = [g.coords for g in ball(schema, measure.support(), radius)]
-    n = len(centers)
-    index = {c: i for i, c in enumerate(centers)}
-    law_mul = schema.law_mul
-    atom_ids = [
-        [index.setdefault(law_mul(c, s.coords), len(index)) for c in centers] for s, _ in atoms
-    ]
+    # the centres take the ids 0..n-1; only the last sphere is multiplied here
+    index = dict(search.index)
+    n = len(index)
+    sphere = list(index)[n - search.sizes[-1]:]
+    law_mul = measure.schema.law_mul
+    products = dict(zip(search.gens, search.products))
+    atom_ids: list[Sequence[int]] = []
+    for s, _ in atoms:
+        if s.coords in products:
+            atom_ids.append(products[s.coords] + [
+                index.setdefault(law_mul(c, s.coords), len(index)) for c in sphere
+            ])
+        else:  # the identity
+            atom_ids.append(range(n))
+    points = list(index)
 
+    order = None
     results = []
-    for scale, values in _value_tables(polys, list(index)):
+    for start, stop, width, values in _packed_tables(polys, points, 2 * weight_scale):
+        lhs = [weight_scale * v for v in values[:n]]
         rhs = [0] * n
         for ids, w in zip(atom_ids, int_weights):
-            rhs = [r + w * values[i] for r, i in zip(rhs, ids)]
-        lhs = [weight_scale * v for v in values[:n]]
+            rhs = list(map(add, rhs, map(w.__mul__, map(values.__getitem__, ids))))
         if lhs == rhs:
-            results.append(HarmonicCheck(True, n))
+            results += [HarmonicCheck(True, n) for _ in range(start, stop)]
             continue
-        ci = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        exact = Fraction(values[ci], scale), Fraction(rhs[ci], weight_scale * scale)
-        results.append(HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact))
+        if order is None:
+            order = sorted(range(n), key=points.__getitem__)
+        found = _first_digits(
+            (((rank, i), lhs[i] - rhs[i]) for rank, i in enumerate(order)), width, stop - start
+        )
+        for j, p in enumerate(polys[start:stop]):
+            if j not in found:
+                results.append(HarmonicCheck(True, n))
+                continue
+            (rank, i), r = found[j]
+            v = _digits(values[i], width, j + 1)[j]
+            exact = Fraction(v, p.den), Fraction(weight_scale * v - r, weight_scale * p.den)
+            results.append(HarmonicCheck(False, rank + 1, GroupElement(points[i]), *exact))
     return results
+
+
+def _first_translation_mismatch(
+    monos: Sequence[Polynomial],
+    translates: Sequence[Sequence[Polynomial]],
+    ids: Sequence[Sequence[int]],
+    points: Sequence[tuple[int, ...]],
+    g_points: Sequence[tuple[int, ...]],
+) -> tuple[int, int, int] | None:
+    """The first (j, u, g) in lexicographic order with translates[u][j] at
+    g_points[g] unequal to monos[j] at points[ids[u][g]], or None.
+
+    ``monos`` are monomials and ``translates`` their translates by integer
+    elements, so all have denominator 1 and their numerators are their
+    values.  A chunk of monomials and each u's chunk of translates are packed
+    with one digit width, a bound over ``points``, which must hold
+    ``g_points``; the packed rows are compared, and decoded where they differ.
+    """
+    if not monos:
+        return None
+    n_coords = monos[0].schema.n_coords
+    axes = [list(map(itemgetter(t), points)) for t in range(n_coords)]
+    g_axes = [list(map(itemgetter(t), g_points)) for t in range(n_coords)]
+    width = max(_digit_bits([*monos, *itertools.chain(*translates)], axes, 2))
+    step = max(1, CHUNK_BITS // width)
+    for start in range(0, len(monos), step):
+        chunk = slice(start, start + step)
+        values = _horner(_packed(monos[chunk], width), axes, len(points))
+        # digit j: the first (u, g), in that order, where monomial start + j fails
+        found: dict[int, tuple[int, int]] = {}
+        for u, (u_ids, qs) in enumerate(zip(ids, translates)):
+            q_values = _horner(_packed(qs[chunk], width), g_axes, len(g_points))
+            moved = list(map(values.__getitem__, u_ids))
+            if q_values != moved:
+                diffs = enumerate(map(sub, q_values, moved))
+                for j, (g, _) in _first_digits(diffs, width, len(qs[chunk])).items():
+                    found.setdefault(j, (u, g))
+        if found:
+            j = min(found)
+            return (start + j, *found[j])
+    return None
 
 
 def check_harmonic_on_ball(
@@ -189,9 +393,11 @@ def _iterated_difference_checks(
     signed sums, on one table of subset points.
 
     The subset points of ``_difference_points`` carry the sign
-    (-1)^(order - r) for a subset of size r.  They are evaluated in one value
-    table and each sign's columns summed; the first tuple and point where the
-    two sums differ, in odometer order, is the witness.
+    (-1)^(order - r) for a subset of size r.  They are evaluated in one packed
+    table per chunk of ``polys`` and each sign's columns summed; a difference
+    is a sum of 2^order values.  The first tuple and point where a
+    polynomial's digits of the two sums differ, in odometer order, is its
+    witness.
     """
     tuples, columns, points = _difference_points(schema, order, elems, test_points, budget, side)
     signs = [1 if order % 2 == 0 else -1]
@@ -199,19 +405,23 @@ def _iterated_difference_checks(
         signs += [-s for s in signs]
     size = len(tuples) * len(test_points)
     results = []
-    for scale, values in _value_tables(polys, points):
+    for start, stop, width, values in _packed_tables(polys, points, 1 << order):
         sums = {1: [0] * size, -1: [0] * size}
         for sign, ids in zip(signs, columns):
-            sums[sign] = [x + values[i] for x, i in zip(sums[sign], ids)]
+            sums[sign] = list(map(add, sums[sign], map(values.__getitem__, ids)))
         plus, minus = sums[1], sums[-1]
-        if plus == minus:
-            results.append(DerivativeCheck(True, order, len(tuples)))
-            continue
-        i = next(i for i, (a, b) in enumerate(zip(plus, minus)) if a != b)
-        j, x = divmod(i, len(test_points))
-        results.append(DerivativeCheck(
-            False, order, j + 1, tuples[j], test_points[x], Fraction(plus[i] - minus[i], scale)
-        ))
+        found = {} if plus == minus else _first_digits(
+            enumerate(map(sub, plus, minus)), width, stop - start
+        )
+        for j, p in enumerate(polys[start:stop]):
+            if j not in found:
+                results.append(DerivativeCheck(True, order, len(tuples)))
+                continue
+            i, value = found[j]
+            t, x = divmod(i, len(test_points))
+            results.append(DerivativeCheck(
+                False, order, t + 1, tuples[t], test_points[x], Fraction(value, p.den)
+            ))
     return results
 
 
@@ -253,6 +463,7 @@ def check_derivative_vanishing(
     radius-``depth`` ball and capped at ``budget``; evaluation is direct at
     the test points of ``_difference_sample``.
     """
+    _require_schema(schema, [f])
     elems, points = _difference_sample(schema, support, k, depth, budget)
     return _iterated_difference_checks(schema, [f], k + 1, elems, points, budget, "left")[0]
 
@@ -285,6 +496,7 @@ def check_left_right_batch(
 ) -> list[AgreementCheck]:
     """``check_left_right_agreement`` for each f in ``polys``, with one table
     of subset points per side shared by all of them."""
+    _require_schema(schema, polys)
     elems, points = _difference_sample(schema, standard_generators(schema), k, depth, budget)
     left = _iterated_difference_checks(schema, polys, k + 1, elems, points, budget, "left")
     right = _iterated_difference_checks(schema, polys, k + 1, elems, points, budget, "right")
@@ -305,13 +517,15 @@ def growth_profile(
     r_max: int,
 ) -> list[GrowthProfileRow]:
     """Exact max of |f| on each word-metric sphere, with max / r^deg ratios."""
+    _require_schema(schema, [f])
     deg = f.degree or 0
     levels = ball_levels(schema, support, r_max)
-    ((scale, values),) = _value_tables([f], [c for level in levels for c in level])
+    # one polynomial is one chunk, and its packed values are its numerators
+    ((_, _, _, values),) = _packed_tables([f], [c for level in levels for c in level], 1)
     rows = []
     start = 0
     for r, level in enumerate(levels):
-        m = Fraction(max(map(abs, values[start : start + len(level)]), default=0), scale)
+        m = Fraction(max(map(abs, values[start : start + len(level)]), default=0), f.den)
         start += len(level)
         ratio = Fraction(m, r**deg) if r >= 1 else None
         rows.append(GrowthProfileRow(r, m, ratio))

@@ -54,6 +54,16 @@ suite's scan of all triples, two law products per triple, and
 ``symmetric_form`` is its half-sum of second differences in ``Polynomial``
 arithmetic.
 
+``column_value_tables`` and ``column_harmonic_batch`` are the mean-value
+oracle as it ran before it packed a batch into one int per point: one
+shared value column per monomial, each its parent's times a coordinate,
+summed per polynomial, and one gather per atom per polynomial.
+
+``laplacian_records`` is the measure half of the invariant suite as it ran
+before one factorization served every degree: one Laplacian matrix and one
+elimination per k, and every target of P^(k-2) solved and checked again at
+each k.
+
 ``parse_polynomial`` is the polynomial text parser as it ran before it kept
 integer numerators and denominators: a token list, then ``Fraction``
 arithmetic on each number and each sum of like terms, and the public
@@ -68,9 +78,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from nilharmonic.errors import InternalInconsistency, ValidationError
+from nilharmonic.errors import InternalInconsistency, NilharmonicError, ValidationError
 from nilharmonic.groups import COORD_NAME, GroupElement, GroupSchema, ball, inv
-from nilharmonic.laplacian import Measure
+from nilharmonic.laplacian import Measure, dim_hk, harmonic_basis, laplacian_matrix
+from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
+from nilharmonic.polynomials import pk_basis as lib_pk_basis
 from nilharmonic.linalg import Inconsistent
 from nilharmonic.polynomials import (
     _IMAGE_TERMS,
@@ -533,6 +545,115 @@ def check_harmonic_batch(
                 break
         results.append(result)
     return results
+
+
+def column_value_tables(
+    polys: Sequence[Polynomial], points: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, list[int]]]:
+    """(den, [den * p(x) for x in points]) per polynomial, from one value
+    column per monomial, each its parent's times a coordinate."""
+    n_coords = polys[0].schema.n_coords if polys else 0
+    axes = [[c[t] for c in points] for t in range(n_coords)]
+    columns: dict[tuple[int, ...], list[int]] = {(0,) * n_coords: [1] * len(points)}
+    for exps in {e for p in polys for e in p.ints}:
+        chain = []
+        while exps not in columns:
+            t = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, t))
+            exps = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+        col = columns[exps]
+        for exps, t in reversed(chain):
+            col = columns[exps] = [a * b for a, b in zip(col, axes[t])]
+    for p in polys:
+        values = [0] * len(points)
+        for exps, c in p.ints.items():
+            values = [x + c * v for x, v in zip(values, columns[exps])]
+        yield p.den, values
+
+
+def column_harmonic_batch(
+    schema: GroupSchema, measure: Measure, polys: Sequence[Polynomial], radius: int
+) -> list[HarmonicCheck]:
+    """The mean-value check on ``column_value_tables``, one polynomial at a
+    time, with one gather per atom per polynomial."""
+    atoms = list(measure.atoms.items())
+    weight_scale = lcm(*(w.denominator for _, w in atoms))
+    int_weights = [int(w * weight_scale) for _, w in atoms]
+    centers = [g.coords for g in ball(schema, measure.support(), radius)]
+    n = len(centers)
+    index = {c: i for i, c in enumerate(centers)}
+    atom_ids = [
+        [index.setdefault(schema.law_mul(c, s.coords), len(index)) for c in centers]
+        for s, _ in atoms
+    ]
+    results = []
+    for scale, values in column_value_tables(polys, list(index)):
+        rhs = [0] * n
+        for ids, w in zip(atom_ids, int_weights):
+            rhs = [r + w * values[i] for r, i in zip(rhs, ids)]
+        lhs = [weight_scale * v for v in values[:n]]
+        if lhs == rhs:
+            results.append(HarmonicCheck(True, n))
+            continue
+        ci = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        exact = Fraction(values[ci], scale), Fraction(rhs[ci], weight_scale * scale)
+        results.append(HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact))
+    return results
+
+
+def laplacian_records(
+    schema: GroupSchema, measure: Measure, k_max: int, radius: int
+) -> list[tuple[str, bool, str]]:
+    """The measure half of the suite, (name, passed, detail) per record: per
+    k, the nullity of the degree-k matrix and a solve and check of every
+    target of P^(k-2) against its own factorization; then the mean-value
+    oracle on the degree-k_max basis and the symmetric form of every
+    monomial of P^min(k_max, 3), one polynomial at a time."""
+    records = []
+    for k in range(k_max + 1):
+        try:
+            matrix = laplacian_matrix(schema, measure, k)
+            nullity = matrix.cols - matrix.rank
+            predicted = dim_hk(schema, k)
+            records.append((f"laplacian.dimension_identity[k={k}]", nullity == predicted,
+                            f"nullity {nullity}, predicted {predicted}"))
+            domain = lib_pk_basis(schema, k)
+            codomain = lib_pk_basis(schema, k - 2)
+            bad_detail = ""
+            for i, mono in enumerate(codomain):
+                sol = matrix.factorization().solve((1, {i: 1}))
+                if isinstance(sol, Inconsistent):
+                    bad_detail = f"no preimage for {mono}"
+                    break
+                den, vec = sol
+                p_hat = Polynomial(schema, {domain[t]: Fraction(n, den) for t, n in vec.items()})
+                if lib_apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono):
+                    bad_detail = f"bad preimage for {mono}"
+                    break
+            records.append((f"laplacian.surjectivity[k={k}]", not bad_detail,
+                            bad_detail or f"{len(codomain)} targets"))
+        except NilharmonicError as exc:
+            records.append((f"laplacian.matrix[k={k}]", False, str(exc)))
+    try:
+        report = harmonic_basis(schema, measure, k_max)
+        checks = column_harmonic_batch(schema, measure, list(report.basis), radius)
+        bad = next((i for i, c in enumerate(checks) if not c.passed), None)
+        records.append((
+            f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
+            bad is None,
+            f"{report.dim} basis elements" if bad is None
+            else f"element {bad}: {checks[bad].witness} lhs={checks[bad].lhs} rhs={checks[bad].rhs}",
+        ))
+    except NilharmonicError as exc:
+        records.append(("laplacian.harmonic_oracle", False, str(exc)))
+    bad_detail = next(
+        (f"monomial {m}" for m in lib_pk_basis(schema, min(k_max, 3))
+         if lib_apply_laplacian(measure, p := Polynomial.from_monomial(schema, m))
+         != symmetric_form(measure, p)),
+        "",
+    )
+    records.append(("laplacian.symmetric_form", not bad_detail, bad_detail))
+    return records
 
 
 def difference_points(

@@ -1,6 +1,7 @@
-"""Property tests: the column-wise oracles and suite checks equal the
-point-by-point loops they replaced, field for field, on passing and failing
-inputs: harmonic and non-harmonic polynomials, differences that vanish and
+"""Property tests: the packed oracles and suite checks equal the
+point-by-point and per-polynomial loops they replaced, field for field, on
+passing and failing inputs: harmonic and non-harmonic polynomials, large and
+negative numerators, batches of several chunks, differences that vanish and
 differences that do not, and group laws with terms dropped.
 
 Examples are capped at 60 per property and the example database is off, so
@@ -26,11 +27,14 @@ from nilharmonic.groups import (
     unitriangular,
 )
 from nilharmonic.laplacian import Measure, generator_walk, harmonic_basis, lazy_generator_walk
-from nilharmonic.polynomials import Polynomial, pk_basis
+from nilharmonic.polynomials import Polynomial, _from_ints, pk_basis
 from nilharmonic.suite import _associativity_witness, _symmetric_form
 from nilharmonic.verify import (
+    CHUNK_BITS,
+    _digits,
+    _first_digits,
     _iterated_difference_checks,
-    _value_tables,
+    _packed_tables,
     check_harmonic_batch,
 )
 
@@ -70,6 +74,14 @@ def measures(draw, schema):
     return Measure(schema, [(g, w) for g in gens] + [(s, hold / 2), (s_inv, hold / 2)])
 
 
+def unpacked(polys, points, spread=1):
+    """(den, values) per polynomial, decoded from the packed tables."""
+    for start, stop, width, values in _packed_tables(polys, points, spread):
+        rows = [_digits(v, width, stop - start) for v in values]
+        for j, p in enumerate(polys[start:stop]):
+            yield p.den, [row[j] for row in rows]
+
+
 @SETTINGS
 @given(st.data())
 def test_value_tables_equal_the_point_loop(data):
@@ -77,7 +89,8 @@ def test_value_tables_equal_the_point_loop(data):
     polys = data.draw(st.lists(polynomials(schema, 4), max_size=4))
     coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
     points = data.draw(st.lists(coords, max_size=12))
-    assert list(_value_tables(polys, points)) == list(dense.value_tables(polys, points))
+    spread = data.draw(st.integers(1, 40))
+    assert list(unpacked(polys, points, spread)) == list(dense.value_tables(polys, points))
 
 
 @SETTINGS
@@ -93,6 +106,91 @@ def test_harmonic_batch_equals_the_point_loop(data):
     got = check_harmonic_batch(schema, mu, polys, radius)
     assert got == dense.check_harmonic_batch(schema, mu, polys, radius)
     assert all(c.passed for c in got[: len(harmonic)])
+
+
+@st.composite
+def mean_value_batches(draw, schema, mu):
+    """Harmonic basis elements with their numerators scaled by drawn factors,
+    large and negative among them, some with one numerator off by 1, and
+    drawn polynomials; long enough for several chunks more often than not."""
+    basis = list(harmonic_basis(schema, mu, draw(st.integers(1, 4))).basis)
+    factors = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200)).filter(bool)
+    batch = []
+    for _ in range(draw(st.integers(1, 40))):
+        p = draw(st.sampled_from(basis))
+        factor = draw(factors) * draw(st.sampled_from([1, 1, 2**1100]))
+        ints = {e: factor * c for e, c in p.ints.items()}
+        if draw(st.booleans()):
+            e = draw(st.sampled_from(sorted(ints)))
+            ints[e] += draw(st.sampled_from([1, -1]))
+        batch.append(_from_ints(schema, ints, p.den * draw(st.integers(1, 5))))
+    batch += draw(st.lists(polynomials(schema, 3), max_size=2))
+    return draw(st.permutations(batch))
+
+
+@SETTINGS
+@given(st.data())
+def test_packed_harmonic_batch_equals_the_per_polynomial_loop(data):
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    mu = data.draw(measures(schema))
+    polys = data.draw(mean_value_batches(schema, mu))
+    radius = data.draw(st.integers(0, 2))
+    got = check_harmonic_batch(schema, mu, polys, radius)
+    assert got == dense.column_harmonic_batch(schema, mu, polys, radius)
+
+
+def test_packed_harmonic_batch_spans_chunks_and_fails_by_one():
+    # 60 passing elements scaled past one chunk each, and one off by 1 among them
+    h3 = heisenberg(1)
+    mu = lazy_generator_walk(h3, Fraction(1, 3))
+    basis = list(harmonic_basis(h3, mu, 4).basis)
+    polys = [_from_ints(h3, {e: -(3**i) * 2**300 * c for e, c in basis[i % len(basis)].ints.items()},
+                        basis[i % len(basis)].den) for i in range(60)]
+    # x^2 is not harmonic, so its numerator off by 1 fails the check
+    ints = dict(polys[37].ints)
+    ints[(2, 0, 0)] = ints.get((2, 0, 0), 0) + 1
+    polys[37] = _from_ints(h3, ints, polys[37].den)
+    assert sum(1 for _ in _packed_tables(polys, [(9, 9, 9)], 2)) > 1
+    got = check_harmonic_batch(h3, mu, polys, 2)
+    assert got == dense.column_harmonic_batch(h3, mu, polys, 2)
+    assert [c.passed for c in got] == [i != 37 for i in range(60)]
+
+
+@SETTINGS
+@given(st.data())
+def test_balanced_digits_decode_at_the_edges(data):
+    width = data.draw(st.integers(2, 80))
+    half = 1 << (width - 1)
+    digit = st.one_of(st.sampled_from([-half, half - 1, -1, 0, 1]), st.integers(-half, half - 1))
+    digits = data.draw(st.lists(digit, min_size=1, max_size=CHUNK_BITS // width + 2))
+    packed = sum(d << (width * j) for j, d in enumerate(digits))
+    assert _digits(packed, width, len(digits)) == digits
+    # a zero sum is skipped, and the first sum with digit j non-zero names it
+    got = _first_digits([("zero", 0), ("a", packed)], width, len(digits))
+    assert got == {j: ("a", d) for j, d in enumerate(digits) if d}
+
+
+def test_order_zero_differences_at_the_edge_of_the_digit_bound():
+    # with order 0 a difference is the value itself, a sum of spread 1, so a
+    # monomial at the point where every |coordinate| is largest reaches the
+    # bound M of its digit, 2^(B - 2) <= M < 2^(B - 1), in both signs
+    for schema in SCHEMAS:
+        n = schema.n_coords
+        corner = GroupElement((-3,) * n)
+        test_points = [GroupElement((1,) * n), corner]
+        polys = [
+            Polynomial(schema, {tuple(int(t == i) * (j + 1) for t in range(n)): c})
+            for i in range(n) for j, c in enumerate([-(2**70) - 1, 2**64, -1, 5, -(3**40)])
+        ]
+        elems = [GroupElement((0,) * n)]
+        got = _iterated_difference_checks(schema, polys, 0, elems, test_points, 1, "left")
+        for f, check in zip(polys, got):
+            assert check == dense.iterated_difference_check(
+                schema, f, 0, elems, test_points, 1, "left"
+            )
+            assert not check.passed and check.witness_point == test_points[0]
+        values = list(unpacked(polys, [p.coords for p in test_points]))
+        assert [v[1] for _, v in values] == [f.evaluate(corner) for f in polys]
 
 
 @SETTINGS
@@ -145,14 +243,15 @@ def test_associativity_witness_on_broken_and_whole_laws():
 @SETTINGS
 @given(st.data())
 def test_symmetric_form_equals_polynomial_arithmetic(data):
+    # one call takes a batch; each form must be the one its polynomial gets alone
     schema = data.draw(st.sampled_from(SCHEMAS))
     mu = data.draw(measures(schema))
-    p = data.draw(polynomials(schema, 3))
-    assert _symmetric_form(mu, p) == dense.symmetric_form(mu, p)
+    polys = data.draw(st.lists(polynomials(schema, 3), max_size=4))
+    assert _symmetric_form(mu, polys) == [dense.symmetric_form(mu, p) for p in polys]
 
 
 def test_symmetric_form_of_a_square():
     # on the generator walk of heisenberg(1), x^2 averages to x^2 + 1/2
     h3 = heisenberg(1)
     x2 = Polynomial(h3, {(2, 0, 0): 1})
-    assert _symmetric_form(generator_walk(h3), x2) == Polynomial.constant(h3, Fraction(-1, 2))
+    assert _symmetric_form(generator_walk(h3), [x2]) == [Polynomial.constant(h3, Fraction(-1, 2))]

@@ -2,16 +2,26 @@
 and cold memos, and the group records memoized per group."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
+import nilharmonic.linalg as linalg
 import nilharmonic.suite as suite
 import nilharmonic.verify as verify
-from nilharmonic.errors import ValidationError
-from nilharmonic.groups import element, heisenberg, lattice, unitriangular
+from nilharmonic.errors import InternalInconsistency, ValidationError
+from nilharmonic.groups import (
+    GroupElement,
+    ball,
+    element,
+    heisenberg,
+    lattice,
+    standard_generators,
+    unitriangular,
+)
 from nilharmonic.laplacian import (
     Measure,
     generator_walk,
@@ -19,7 +29,7 @@ from nilharmonic.laplacian import (
     solve_preimage,
 )
 from nilharmonic.polynomials import (
-    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms,
+    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
 )
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
@@ -81,7 +91,7 @@ def no_checks(monkeypatch, *also):
         raise AssertionError("the suite started its checks")
 
     for name in ("_group_records", "standard_generators", "laplacian_matrix",
-                 "check_harmonic_batch", *also):
+                 "check_harmonic_batch", "_mean_value_checks", *also):
         monkeypatch.setattr(suite, name, no_work)
 
 
@@ -109,7 +119,7 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch
 
 
 def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
-    no_checks(monkeypatch, "matrix_shape", "ball_levels")
+    no_checks(monkeypatch, "matrix_shape", "ball_levels", "_ball_search")
     for schema, measure in ((H3, generator_walk(lattice(3))), (U4, generator_walk(H3))):
         with pytest.raises(ValidationError, match="measure belongs to a different schema"):
             run_invariant_suite(schema, measure, 2, 1)
@@ -122,9 +132,96 @@ def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
      (2.0, 1, "k_max must be an int, got 2.0"), (2, Fraction(1), "radius must be an int")],
 )
 def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius, message):
-    no_checks(monkeypatch, "matrix_shape", "ball_levels")
+    no_checks(monkeypatch, "matrix_shape", "ball_levels", "_ball_search")
     with pytest.raises(ValidationError, match=message):
         run_invariant_suite(H3, generator_walk(H3), k, radius)
+
+
+def seeded_measure(schema, seed):
+    """Generators at drawn weights, a pair {s, s^-1} for a drawn s of the
+    radius-2 ball that is no generator, and the identity at a drawn weight."""
+    rng = random.Random(seed)
+    gens = standard_generators(schema)
+    others = [g for g in ball(schema, gens, 2) if any(g.coords) and g not in gens]
+    s = rng.choice(others)
+    s_inv = GroupElement(schema.law_inv(s.coords))
+    raw = {}
+    for g in gens[::2]:
+        raw[g] = raw[GroupElement(schema.law_inv(g.coords))] = rng.randint(1, 6)
+    raw[s] = raw[s_inv] = rng.randint(1, 6)
+    raw[GroupElement((0,) * schema.n_coords)] = rng.randint(1, 6)
+    total = sum(raw.values())
+    return Measure(schema, [(g, Fraction(w, total)) for g, w in raw.items()])
+
+
+@pytest.mark.parametrize("schema", [H3, lattice(2), unitriangular(3), U4], ids=str)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_measure_records_equal_the_per_degree_loop(schema, seed):
+    # one factorization of degree k_max serves every k; the records must be
+    # those of one matrix, one elimination and one solve per target per k
+    mu = seeded_measure(schema, seed)
+    n_group = len(_group_records(schema, 0))
+    for k_max in range(6):
+        radius = 2 if schema is U4 else 3
+        got = records_of(run_invariant_suite(schema, mu, k_max, radius))
+        assert got[n_group:] == dense.laplacian_records(schema, mu, k_max, radius)
+        assert all(passed for _, passed, _ in got)
+
+
+def records_of(suite_records):
+    return [(r.name, r.passed, r.detail) for r in suite_records]
+
+
+def test_one_elimination_per_run_on_a_fresh_measure(monkeypatch):
+    real, calls = linalg._eliminate, []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for seed, (schema, k_max) in enumerate([(H3, 5), (lattice(2), 4), (U4, 3), (H3, 0)]):
+        calls.clear()
+        run_invariant_suite(schema, seeded_measure(schema, seed), k_max, 1)
+        assert calls == [laplacian.matrix_shape(schema, k_max)]
+
+
+def test_a_matrix_error_gives_a_matrix_record_per_degree(monkeypatch):
+    def broken(schema, measure, k):
+        raise InternalInconsistency("no matrix here")
+
+    monkeypatch.setattr(suite, "laplacian_matrix", broken)
+    got = records_of(run_invariant_suite(H3, seeded_measure(H3, 3), 3, 1))
+    measure_half = [r for r in got if r[0].startswith("laplacian.")]
+    assert measure_half[:4] == [
+        (f"laplacian.matrix[k={k}]", False, "no matrix here") for k in range(4)
+    ]
+    assert [name for name, _, _ in measure_half[4:]] == [
+        "laplacian.harmonic_oracle[k=3,r=1]", "laplacian.symmetric_form"
+    ]
+
+
+def test_a_check_error_gives_a_matrix_record_at_each_degree_it_reaches(monkeypatch):
+    # the preimages of degree-2 targets have degree 4, so k = 4 and 5 fail
+    # with the error; every record matches the per-degree loop under the same error
+    real = laplacian.apply_laplacian
+
+    def failing(measure, p):
+        if p.degree is not None and p.degree >= 4:
+            raise InternalInconsistency(f"refused degree {p.degree}")
+        return real(measure, p)
+
+    mu = seeded_measure(H3, 4)
+    monkeypatch.setattr(suite, "apply_laplacian", failing)
+    monkeypatch.setattr(dense, "lib_apply_laplacian", failing)
+    got = records_of(run_invariant_suite(H3, mu, 5, 2))
+    n_group = len(_group_records(H3, 4))
+    assert got[n_group:] == dense.laplacian_records(H3, mu, 5, 2)
+    failed = [r for r in got if not r[1]]
+    assert failed == [
+        ("laplacian.matrix[k=4]", False, "refused degree 4"),
+        ("laplacian.matrix[k=5]", False, "refused degree 4"),
+    ]
 
 
 def details(schema, k):
@@ -192,6 +289,34 @@ def test_the_first_monomial_to_fail_left_right_agreement_is_named(monkeypatch):
     monkeypatch.setattr(suite, "check_left_right_batch", failing)
     got = {r.name: r for r in _group_records.__wrapped__(H3, 4)}["poly.left_right_agreement"]
     assert (got.passed, got.detail) == (False, "monomial (1, 1, 0)")
+
+
+def test_the_first_translate_to_disagree_is_named(monkeypatch):
+    # translates off by z, which is 0 on part of the ball, for two pairs of
+    # (monomial, u): the detail names the first (monomial, u, g) in that order
+    # where a translate at g differs from the monomial at u*g
+    real = suite.translate_left
+    z = Polynomial.coordinate(H3, 3)
+    gens = standard_generators(H3)
+    b2, b3 = ball(H3, gens, 2), ball(H3, gens, 3)
+    broken = {((0, 1, 0), b2[9]), ((1, 0, 0), b2[3]), ((0, 0, 1), b2[0])}
+
+    def off(p, u):
+        q = real(p, u)
+        return q + z if (next(iter(p.ints), None), u) in broken else q
+
+    monkeypatch.setattr(suite, "translate_left", off)
+    want = next(
+        f"monomial {m}, u={u}, g={g}"
+        for m in laplacian.pk_basis(H3, 2)
+        for u in b2
+        for g in b3
+        if off(Polynomial.from_monomial(H3, m), u).evaluate(g)
+        != Polynomial.from_monomial(H3, m).evaluate(GroupElement(H3.law_mul(u.coords, g.coords)))
+    )
+    got = {r.name: r for r in _group_records.__wrapped__(H3, 2)}["poly.interpolation_soundness"]
+    assert (got.passed, got.detail) == (False, want)
+    assert want.startswith("monomial (1, 0, 0), u=")
 
 
 def test_broken_law_fails_the_group_checks():

@@ -24,8 +24,10 @@ from nilharmonic.groups import (
 from nilharmonic.laplacian import generator_walk, lazy_generator_walk
 from nilharmonic.polynomials import Polynomial, pk_basis
 from nilharmonic.verify import (
-    _value_tables,
+    _digits,
+    _packed_tables,
     check_derivative_vanishing,
+    check_left_right_batch,
     check_harmonic_batch,
     check_harmonic_on_ball,
     check_left_right_agreement,
@@ -277,7 +279,7 @@ def test_growth_profile_constant():
     assert all(row.max_abs == Fraction(5, 2) for row in rows)
 
 
-# -- cross-checks of the integer value tables against Polynomial.evaluate ------
+# -- cross-checks of the packed value tables against Polynomial.evaluate -------
 
 
 def _random_polynomial(rng, schema, k, n_terms):
@@ -293,7 +295,7 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_evaluation(monkeypatc
     def no_work(*args):
         raise AssertionError("the oracle evaluated a polynomial")
 
-    monkeypatch.setattr(verify, "_value_tables", no_work)
+    monkeypatch.setattr(verify, "_packed_tables", no_work)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
         check_harmonic_batch(H3, MU_H3, [Z], 4)
@@ -308,10 +310,17 @@ def test_value_tables_match_evaluate(schema):
     polys += [Polynomial.zero(schema), Polynomial.constant(schema, Fraction(-5, 3))]
     points = [g.coords for g in ball(schema, standard_generators(schema), 2)]
     assert any(c < 0 for point in points for c in point)
-    for p, (scale, values) in zip(polys, _value_tables(polys, points)):
+    # a spread past the numerators' size makes each digit wide; each chunk
+    # still holds at most CHUNK_BITS bits of digits
+    chunks = list(_packed_tables(polys, points, 10**60))
+    assert len(chunks) > 1
+    assert [stop for _, stop, _, _ in chunks][-1] == len(polys)
+    for start, stop, width, values in chunks:
         assert len(values) == len(points)
+        assert stop - start == 1 or width * (stop - start) <= verify.CHUNK_BITS
         for point, v in zip(points, values):
-            assert Fraction(v, scale) == p.evaluate(GroupElement(point))
+            for p, n in zip(polys[start:stop], _digits(v, width, stop - start)):
+                assert Fraction(n, p.den) == p.evaluate(GroupElement(point))
 
 
 def _signed_sum(schema, f, tup, x, side):
@@ -347,3 +356,52 @@ def test_failing_harmonic_sides_match_evaluate():
         (w * f.evaluate(mul(H3, g, s)) for s, w in mu.atoms.items()), Fraction(0)
     )
     assert res.lhs.denominator > 1 or res.rhs.denominator > 1
+
+
+# -- polynomials of another schema are refused ----------------------------------
+
+X3 = Polynomial.coordinate(lattice(3), 3)
+XY2 = Polynomial.coordinate(Z2, 1) * Polynomial.coordinate(Z2, 2)
+
+
+@pytest.fixture
+def no_ball(monkeypatch):
+    """Make any ball search of the oracles fail the test."""
+    def no_work(*args):
+        raise AssertionError("the oracle searched a ball")
+
+    for name in ("_ball_search", "ball_levels", "ball"):
+        monkeypatch.setattr(verify, name, no_work)
+
+
+@pytest.mark.parametrize("f", [X3, XY2], ids=["lattice(3)", "lattice(2)"])
+def test_harmonic_batch_refuses_another_schema(no_ball, f):
+    # x3 of lattice(3) would pass on heisenberg(1); x1*x2 of lattice(2) would
+    # be evaluated on 3-coordinate points, its exponents cut to two
+    with pytest.raises(ValidationError, match=r"lattice\(.\) cannot be checked on heisenberg\(1\)"):
+        check_harmonic_batch(H3, MU_H3, [Z, f], 2)
+
+
+@pytest.mark.parametrize("f", [X3, XY2], ids=["lattice(3)", "lattice(2)"])
+def test_left_right_checks_refuse_another_schema(no_ball, f):
+    with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
+        check_left_right_batch(H3, [X, f], 1, 1)
+    with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
+        check_left_right_agreement(H3, f, 1, 1)
+
+
+@pytest.mark.parametrize("f", [X3, XY2], ids=["lattice(3)", "lattice(2)"])
+def test_derivative_check_refuses_another_schema(no_ball, f):
+    with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
+        check_derivative_vanishing(H3, f, 1, standard_generators(H3), 1)
+
+
+@pytest.mark.parametrize("f", [X3, XY2], ids=["lattice(3)", "lattice(2)"])
+def test_growth_profile_refuses_another_schema(no_ball, f):
+    with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
+        growth_profile(H3, f, standard_generators(H3), 2)
+
+
+def test_oracles_refuse_what_is_not_a_polynomial(no_ball):
+    with pytest.raises(ValidationError, match="expected a polynomial, got 'z'"):
+        check_harmonic_batch(H3, MU_H3, ["z"], 2)
