@@ -25,8 +25,8 @@ schema, on first use, into straight-line functions on coordinate tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -53,7 +53,12 @@ def _compile(signature: str, *body: str) -> Callable:
     return namespace[signature[: signature.index("(")]]
 
 
-@dataclass(frozen=True)
+# The fields of a schema: equality, the hash, repr, pickling and copying read
+# these five, and nothing derived from them.
+_SCHEMA_FIELDS = ("family", "size", "weights", "coord_names", "law")
+_schema_fields = attrgetter(*_SCHEMA_FIELDS)
+
+
 class GroupSchema:
     """Static description of one group: family, size, weights, names, law.
 
@@ -70,47 +75,73 @@ class GroupSchema:
     weights (``weights[t] >= weights[p] + weights[q]``), so weight-1
     coordinates add.  The coordinates of weight >= 2 must span [G,G], as in
     the built-in families; ``reaches_all_generators`` relies on both.
+
+    A schema is immutable: assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     family: str
     size: int
     weights: tuple[int, ...]
     coord_names: tuple[str, ...]
-    law: tuple[tuple[int, int, int], ...] = ()
+    law: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        w = self.weights
+    def __init__(
+        self,
+        family: str,
+        size: int,
+        weights: tuple[int, ...],
+        coord_names: tuple[str, ...],
+        law: tuple[tuple[int, int, int], ...] = (),
+    ) -> None:
+        w = weights
         if (type(w) is not tuple or not w or any(type(x) is not int for x in w)
                 or w[0] != 1 or any(b < a for a, b in zip(w, w[1:]))):
             raise ValidationError(f"weights must be ints from 1 up, never decreasing, got {w!r}")
-        names = self.coord_names
+        names = coord_names
         if (type(names) is not tuple or len(names) != len(w)
                 or not all(type(x) is str and re.fullmatch(COORD_NAME, x) for x in names)
                 or len(set(names)) != len(names)):
             raise ValidationError(f"need one distinct {COORD_NAME} name per weight, got {names!r}")
         # the law is compiled into source code, so only plain ints may reach it
-        for term in self.law:
+        for term in law:
             if type(term) is not tuple or len(term) != 3 or any(type(i) is not int for i in term):
                 raise ValidationError(f"law term {term!r} must be a tuple of three ints")
-        if any(t2 < t1 for (t1, _, _), (t2, _, _) in zip(self.law, self.law[1:])):
+        if any(t2 < t1 for (t1, _, _), (t2, _, _) in zip(law, law[1:])):
             raise ValidationError("law terms must be sorted by target coordinate")
-        for t, p, q in self.law:
+        for t, p, q in law:
             if not (0 <= p < t and 0 <= q < t and t < len(w)):
                 raise ValidationError(f"law term {(t, p, q)} must read coordinates before {t}")
             if w[t] < w[p] + w[q]:
                 raise ValidationError(f"law term {(t, p, q)} needs weight(t) >= weight(p) + weight(q)")
+        vars(self).update(zip(_SCHEMA_FIELDS, (family, size, weights, coord_names, law)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _schema_fields(self) == _schema_fields(other)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in _SCHEMA_FIELDS)
+        return f"{type(self).__qualname__}({values})"
 
     def __getstate__(self) -> dict:
         # only the fields: derived values are rebuilt on first use after
         # unpickling, and functions made by exec cannot be pickled
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_SCHEMA_FIELDS, _schema_fields(self)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.family, self.size, self.weights, self.coord_names, self.law))
+        return hash(_schema_fields(self))
 
     @cached_property
     def n_coords(self) -> int:
@@ -164,9 +195,11 @@ class GroupSchema:
         return self.name()
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """A group element, identified by its integer coordinate vector."""
+class GroupElement(NamedTuple):
+    """A group element, identified by its integer coordinate vector.
+
+    Equality, hashing and ordering are those of the 1-tuple ``(coords,)``.
+    """
 
     coords: tuple[int, ...]
 
@@ -434,8 +467,7 @@ def ball(schema: GroupSchema, support: Sequence[GroupElement], radius: int) -> l
     return [GroupElement(c) for c in sorted(_ball_search(schema, support, radius).index)]
 
 
-@dataclass(frozen=True)
-class CoordinateOrderReport:
+class CoordinateOrderReport(NamedTuple):
     """Result of the leading-coordinate check for a product g*u.
 
     ``first_nonzero`` is the first index j (1-based) where u is non-zero,

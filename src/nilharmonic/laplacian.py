@@ -15,13 +15,13 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInconsistency, InvariantFailure, ValidationError
 from .groups import (
@@ -39,6 +39,7 @@ from .linalg import Inconsistent, RationalMatrix, _require_coeff
 from .polynomials import (
     Polynomial,
     _combine,
+    _position,
     dim_pk,
     dim_pk_table,
     graded_index,
@@ -289,8 +290,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
 
 
-@dataclass(frozen=True)
-class HarmonicBasisReport:
+class HarmonicBasisReport(NamedTuple):
     """Kernel basis of the Laplacian on degree-<= k polynomials."""
 
     schema: GroupSchema
@@ -351,8 +351,8 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
     # P^{k-2} is the graded prefix of P^k, so q's rows are its monomials' positions there
-    row = graded_index(schema, k).position
-    sol = matrix.factorization().solve((q.den, {row[e]: n for e, n in q.ints.items()}))
+    up = graded_index(schema, k).up
+    sol = matrix.factorization().solve((q.den, {_position(up, e): n for e, n in q.ints.items()}))
     if isinstance(sol, Inconsistent):
         raise InternalInconsistency(
             f"no Laplacian preimage found for degree-{q.degree} input; "
@@ -375,8 +375,7 @@ def action_is_trivial(
     return all(translate_left(f, gi) == f for f in report.basis)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     k: int
     dim: int
     ratio: Fraction | None

@@ -21,10 +21,10 @@ one denominator, in lowest terms; the matrix's dense ``kernel_basis`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -63,8 +63,7 @@ def _lowest(d: int, ints: dict) -> tuple[int, dict]:
     return (d, ints) if g == 1 else (d // g, {key: n // g for key, n in ints.items()})
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(NamedTuple):
     """Witness that a linear system has no solution.
 
     ``row`` indexes the row of the reduced augmented system whose equation

@@ -50,13 +50,14 @@ read), are bounded ``_Memo``s; what they drop is computed again.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence,
+    TYPE_CHECKING, Any, Callable, Collection, Hashable, Iterable, Mapping, NamedTuple,
 )
 
 from .errors import InternalInconsistency, ValidationError
@@ -102,12 +103,10 @@ def _parent(exps: Exponents) -> tuple[Exponents, int]:
 class GradedIndex(NamedTuple):
     """The indices of pk_basis(schema, k): ``steps[i - 1]`` is (parent, t) for
     m_i = m_parent x_t, t the first non-zero coordinate of m_i; ``up[v][j]``
-    is the index of m_j x_v, or the basis size past degree k; ``position``
-    maps each exponent vector to its index."""
+    is the index of m_j x_v, or the basis size past degree k."""
 
     steps: tuple[tuple[int, int], ...]
     up: tuple[list[int], ...]
-    position: dict[Exponents, int]
 
 
 def graded_index(schema: GroupSchema, k: int) -> GradedIndex:
@@ -123,9 +122,21 @@ def graded_index(schema: GroupSchema, k: int) -> GradedIndex:
     up = tuple([position.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
                for v in range(schema.n_coords))
     steps = tuple((position[m], t) for m, t in map(_parent, basis[1:]))
-    found = GradedIndex(steps, up, position)
+    found = GradedIndex(steps, up)
     _INDICES.store(schema.weights, indices, k, found)
     return found
+
+
+def _position(up: Sequence[list[int]], exps: Exponents) -> int:
+    """The index of x^exps in the basis whose ``GradedIndex`` has ``up``, for
+    x^exps in that basis: the walk from the constant multiplies in x_t
+    exps[t] times for each t, and every monomial on the way divides x^exps,
+    so it is in the basis too and no step reads the past-degree-k size."""
+    i = 0
+    for row, e in zip(up, exps):
+        for _ in range(e):
+            i = row[i]
+    return i
 
 
 def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
@@ -390,9 +401,9 @@ class _Memo:
 # The memos' bounds.  Measured full with tracemalloc, 2**14 image terms take
 # 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), 4 * 4096 rendered
 # monomials 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2), and the basis
-# and index memos, where each costs its basis size, 86 MB together, 49 MB of
-# it the indices with their position dicts (lattice(29) at k = 4, the largest
-# Laplacian basis at 40,920 monomials, and lattice(12..36) at k = 3).  2**18
+# and index memos, where each costs its basis size, 82 MB together, 44 MB of
+# it the indices (lattice(29) at k = 4, the largest Laplacian basis at 40,920
+# monomials, and lattice(12..36) at k = 3).  2**18
 # moment terms take 10.0 MB (the 260,144 terms of the two generator patterns
 # of heisenberg(1) at k = 36) to 16.0 MB (the 256,958 of the 36 patterns of
 # lattice(36) at k = 3).  2**14 Laplacian image terms, each image costing its
@@ -568,7 +579,7 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
         return memo[k]
     if any(weights[p] + weights[q] > weights[t] for t, p, q in law):
         raise InternalInconsistency("a law term outweighs its target; translation leaves P^k")
-    steps, up, _ = graded_index(schema, k)
+    steps, up = graded_index(schema, k)
     size = len(up[0])
     # per coordinate t, the (s, x) index maps of L_t's terms s_t and x_p s_q
     bumps: list[list[tuple[Sequence[int], Sequence[int]]]] = [

@@ -11,9 +11,10 @@ in the monomials it holds over all schemas (``_RENDER_MONOMIALS``).
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ValidationError
 from .groups import COORD_NAME, GroupElement, GroupSchema, heisenberg, lattice, unitriangular

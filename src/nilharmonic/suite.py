@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import NilharmonicError, ValidationError
 from .groups import (
@@ -65,8 +64,7 @@ from .verify import _first_translation_mismatch, _mean_value_checks, check_left_
 from .verify import check_harmonic_batch, check_left_right_agreement  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SuiteRecord:
+class SuiteRecord(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -20,11 +20,10 @@ deterministic: enumeration orders are fixed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .groups import (
@@ -197,8 +196,7 @@ def _first_digits(
     return found
 
 
-@dataclass(frozen=True)
-class HarmonicCheck:
+class HarmonicCheck(NamedTuple):
     passed: bool
     checked_points: int
     witness: GroupElement | None = None
@@ -329,8 +327,7 @@ def check_harmonic_on_ball(
     return check_harmonic_batch(schema, measure, [f], radius)[0]
 
 
-@dataclass(frozen=True)
-class DerivativeCheck:
+class DerivativeCheck(NamedTuple):
     passed: bool
     order: int
     tuples_checked: int
@@ -468,8 +465,7 @@ def check_derivative_vanishing(
     return _iterated_difference_checks(schema, [f], k + 1, elems, points, budget, "left")[0]
 
 
-@dataclass(frozen=True)
-class AgreementCheck:
+class AgreementCheck(NamedTuple):
     passed: bool
     left: DerivativeCheck
     right: DerivativeCheck
@@ -503,8 +499,7 @@ def check_left_right_batch(
     return [AgreementCheck(a.passed == b.passed, a, b) for a, b in zip(left, right)]
 
 
-@dataclass(frozen=True)
-class GrowthProfileRow:
+class GrowthProfileRow(NamedTuple):
     radius: int
     max_abs: Fraction
     ratio: Fraction | None

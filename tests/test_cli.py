@@ -12,6 +12,7 @@ import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
 import nilharmonic.polynomials as polynomials
 import nilharmonic.suite as suite
+import nilharmonic.verify as verify
 from nilharmonic.cli import main
 from nilharmonic.groups import heisenberg, lattice
 from nilharmonic.laplacian import generator_walk
@@ -138,6 +139,30 @@ def test_harmonic_with_verify(configs, capsys):
         from nilharmonic.serialize import parse_polynomial
 
         assert parse_polynomial(h3, text) == p
+
+
+def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypatch):
+    # the up-front size refusal's search is the one the oracle reads; the
+    # output is pinned as the run wrote it when it searched the ball twice
+    searches = []
+    real = groups._ball_search
+
+    def counting(schema, support, radius):
+        searches.append(radius)
+        return real(schema, support, radius)
+
+    for owner in (groups, cli, verify, suite):
+        monkeypatch.setattr(owner, "_ball_search", counting)
+    code, out, err = run(capsys, [
+        "harmonic", "--group", configs["h3"], "--measure", configs["mu_h3"],
+        "--k", "4", "--verify", "--radius", "3",
+    ])
+    assert code == 0 and not err
+    assert searches == [3]
+    assert out.endswith("verify (radius 3): all 15 basis elements pass\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5506367f40949628e5e4947c755905113c0607c9b517980675189fee1c00497"
+    )
 
 
 def test_harmonic_rejects_asymmetric_measure(configs, tmp_path, capsys):

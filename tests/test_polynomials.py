@@ -126,6 +126,19 @@ def test_basis_is_graded_and_deterministic():
     assert basis == pk_basis(UT4, 3)
 
 
+@pytest.mark.parametrize(
+    "schema", [lattice(1), Z2, lattice(4), H3, heisenberg(2), unitriangular(3), UT4], ids=str
+)
+def test_walking_up_from_the_constant_finds_each_basis_position(schema):
+    # every divisor of a monomial of P^k is in P^k, so the walk never reads
+    # the past-degree-k size; P^(k-2), the rows of a preimage target, is a prefix
+    for k in range(9):
+        basis = pk_basis(schema, k)
+        up = polynomials.graded_index(schema, k).up
+        assert [polynomials._position(up, e) for e in basis] == list(range(len(basis)))
+    assert polynomials.GradedIndex._fields == ("steps", "up")
+
+
 def test_basis_memos_are_keyed_by_weights_and_stay_within_their_bound(monkeypatch):
     memos = polynomials._BASES, polynomials._INDICES
     cases = [(schema, k) for schema in (Z2, H3, UT4, lattice(3)) for k in range(8)]
