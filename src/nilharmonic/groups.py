@@ -451,7 +451,8 @@ def ball_levels(
     ``MAX_BALL_POINTS`` points is refused as it grows.  Measured with
     tracemalloc on Python 3.11, ``ball`` peaks at 3.0 MB for the 16,381
     points of heisenberg(1) at radius 14, the largest radius under the cap,
-    and the mean-value oracle on that ball, at degree 4, at 14 MB.
+    and the mean-value oracle on that ball, checking the generator walk's
+    harmonic basis of degree 4, at 11 MB.
     """
     search = _ball_search(schema, support, radius)
     points = list(search.index)
@@ -506,11 +507,18 @@ def reaches_all_generators(
     reduced in order by integer Euclid steps; a column whose gcd is not +-1
     names a generator e_c outside the generated subgroup.
     """
-    r = schema.layer_ranks[0]
-    rows = []
     for g in support:
         _require_conforming(schema, g)
-        rows.append(list(g.coords[:r]))
+    return _reaches_all_generators(schema, [g.coords for g in support])
+
+
+def _reaches_all_generators(
+    schema: GroupSchema, support: Iterable[tuple[int, ...]]
+) -> tuple[bool, GroupElement | None]:
+    """``reaches_all_generators`` on coordinate tuples already checked to
+    conform to ``schema``."""
+    r = schema.layer_ranks[0]
+    rows = [list(c[:r]) for c in support]
     for c in range(r):
         # fold column c into one pivot row; every other row ends with 0 there
         pivot = [0] * r

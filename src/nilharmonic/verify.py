@@ -5,12 +5,15 @@ multiplication and integer polynomial values.  A batch of polynomials is
 evaluated at an interned list of points in chunks: the integer numerators of
 a chunk are packed into one int per monomial, as balanced base-2^B digits
 with B from an exact bound on the sums the oracle takes, and the packed
-polynomial is evaluated by Horner's rule along the first-coordinate tree of
-its monomials.  Every oracle sum then runs over whole rows of ids once per
-chunk, and a non-zero packed sum is decoded digit by digit into the
-polynomials that fail.  The translation machinery under test (composition
-with the affine forms of the group law), the matrix assembly and the
-elimination are never called, so a bug there cannot hide from these checks.
+polynomial is evaluated one coordinate at a time: its coefficients in the
+last coordinate are evaluated together on the distinct prefixes of the
+points, then combined by Horner's rule, so the work at each coordinate
+scales with the distinct prefixes, not with the points.  Every oracle sum
+then runs over whole rows of ids once per chunk, and a non-zero packed sum
+is decoded digit by digit into the polynomials that fail.  The translation
+machinery under test (composition with the affine forms of the group law),
+the matrix assembly and the elimination are never called, so a bug there
+cannot hide from these checks.
 For the same reason the mean-value oracle clears the measure's ``Fraction``
 weights to integers itself and does not read the ``scale`` and
 ``int_weights`` that the Laplacian uses.  Every oracle is stateless, and
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -60,18 +63,40 @@ def _require_schema(schema: GroupSchema, polys: Iterable[Polynomial]) -> None:
             )
 
 
-def _digit_bits(
-    polys: Sequence[Polynomial], axes: Sequence[Sequence[int]], spread: int
-) -> list[int]:
-    """The digit width B of each polynomial, for sums of its values at the
-    points whose coordinate rows are ``axes``.
+# (up, ys) per coordinate; see ``_prefix_levels``
+Levels = list[tuple[list[int], list[int]]]
 
-    With R_t the largest |y_t| over the points, p's numerator at y,
-    sum_e n_e y^e, is at most M = sum_e |n_e| prod_t R_t^e_t.  A sum of
-    values whose integer factors add up to at most ``spread`` in absolute
-    value is at most spread * M < 2^(B - 1), so it is one balanced digit.
+
+def _prefix_levels(points: Sequence[tuple[int, ...]], n_coords: int) -> Levels:
+    """The prefix tree of ``points``: (up, ys) per coordinate t = 1..n_coords.
+
+    Level t holds the distinct t-prefixes (y_1, ..., y_t) of the points, in
+    order of first appearance, except the last level, which holds every point
+    as it is: ``ys[i]`` is coordinate t of prefix i and ``up[i]`` the position
+    of its (t-1)-prefix in level t - 1 (level 0 is the empty prefix alone).
     """
-    radii = [max(map(abs, axis), default=0) for axis in axes]
+    levels = []
+    rows = points
+    for t in range(n_coords, 0, -1):
+        heads: dict[tuple[int, ...], int] = {}
+        up = [heads.setdefault(y[: t - 1], len(heads)) for y in rows]
+        levels.append((up, [y[t - 1] for y in rows]))
+        rows = list(heads)
+    levels.reverse()
+    return levels
+
+
+def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int) -> list[int]:
+    """The digit width B of each polynomial, for sums of its values at the
+    points of ``levels``.
+
+    With R_t the largest |y_t| over the points, read off level t, p's
+    numerator at y, sum_e n_e y^e, is at most M = sum_e |n_e| prod_t R_t^e_t.
+    A sum of values whose integer factors add up to at most ``spread`` in
+    absolute value is at most spread * M < 2^(B - 1), so it is one balanced
+    digit.
+    """
+    radii = [max(map(abs, ys), default=0) for _, ys in levels]
     sizes: dict[Exponents, int] = {}
     bits = []
     for p in polys:
@@ -110,44 +135,36 @@ def _packed(polys: Sequence[Polynomial], width: int) -> dict[Exponents, int]:
     return coeffs
 
 
-def _horner(coeffs: dict[Exponents, int], axes: Sequence[Sequence[int]], n: int) -> list[int]:
-    """sum_e coeffs[e] y^e at each of the n points whose coordinate rows are ``axes``.
+def _peel(coeffs: dict[Exponents, int], levels: Levels) -> list[int]:
+    """sum_e coeffs[e] y^e at each point of ``levels``.
 
-    The monomials and their ancestors form a tree, x^e the child of x^e / x_t
-    for t the first non-zero coordinate of e.  The value below x^e, divided
-    by x^e, is coeffs[e] plus y_t times that of each child x^e x_t; it is
-    summed depth first, so one row per level of the tree is live at a time.
+    For a suffix s = (s_(t+1), ..., s_n) of exponents, let F_s be the
+    polynomial in y_1..y_t that multiplies y_(t+1)^s_(t+1) ... y_n^s_n in the
+    sum.  Then F_s = sum_j y_t^j F_(j, s), each F_(j, s) in y_1..y_(t-1), so
+    the values of every F_s at the distinct t-prefixes follow by Horner's
+    rule in y_t from those of the F_(j, s) at each prefix's (t-1)-prefix.
+    Starting from the constants F_e at the empty prefix, one level per
+    coordinate gives F_() at every point; the rows of level t are as long as
+    its distinct prefixes, not as the points.
     """
-    root = (0,) * len(axes)
-    kids: dict[Exponents, list[tuple[int, Exponents]]] = {root: []}
-    for e in coeffs:
-        links = []
-        while e not in kids:
-            kids[e] = []
-            t = next(i for i, x in enumerate(e) if x)
-            parent = e[:t] + (e[t] - 1,) + e[t + 1:]
-            links.append((parent, t, e))
-            e = parent
-        for parent, t, child in links:
-            kids[parent].append((t, child))
-    # [monomial, coordinate to its parent, children left, row so far or None]
-    stack: list[list] = [[root, 0, iter(kids[root]), None]]
-    while True:
-        top = stack[-1]
-        step = next(top[2], None)
-        if step is not None:
-            t, child = step
-            stack.append([child, t, iter(kids[child]), None])
-            continue
-        e, t, _, row = stack.pop()
-        const = coeffs.get(e, 0)
-        value = const if row is None else [v + const for v in row] if const else row
-        if not stack:
-            return [value] * n if row is None else value
-        axis = axes[t]
-        term = map(value.__mul__, axis) if row is None else map(mul, value, axis)
-        above = stack[-1]
-        above[3] = list(term) if above[3] is None else list(map(add, above[3], term))
+    # F_s at the prefixes of the level done, keyed by the exponents s still to peel
+    rows = {e: [c] for e, c in coeffs.items()}
+    for up, ys in levels:
+        parts: dict[Exponents, dict[int, list[int]]] = {}
+        for e, row in rows.items():
+            parts.setdefault(e[1:], {})[e[0]] = row
+        rows = {}
+        for s, part in parts.items():
+            top = max(part)
+            value = list(map(part[top].__getitem__, up))
+            for j in range(top - 1, -1, -1):
+                below = part.get(j)
+                if below is None:
+                    value = list(map(mul, value, ys))
+                else:
+                    value = list(map(add, map(mul, value, ys), map(below.__getitem__, up)))
+            rows[s] = value
+    return rows.get((), [0] * len(levels[-1][1]))
 
 
 def _packed_tables(
@@ -159,9 +176,9 @@ def _packed_tables(
     (see ``_digit_bits``)."""
     if not polys:
         return
-    axes = [list(map(itemgetter(t), points)) for t in range(polys[0].schema.n_coords)]
-    for start, stop, width in _chunks(_digit_bits(polys, axes, spread)):
-        yield start, stop, width, _horner(_packed(polys[start:stop], width), axes, len(points))
+    levels = _prefix_levels(points, polys[0].schema.n_coords)
+    for start, stop, width in _chunks(_digit_bits(polys, levels, spread)):
+        yield start, stop, width, _peel(_packed(polys[start:stop], width), levels)
 
 
 def _digits(x: int, width: int, count: int) -> list[int]:
@@ -298,17 +315,17 @@ def _first_translation_mismatch(
     if not monos:
         return None
     n_coords = monos[0].schema.n_coords
-    axes = [list(map(itemgetter(t), points)) for t in range(n_coords)]
-    g_axes = [list(map(itemgetter(t), g_points)) for t in range(n_coords)]
-    width = max(_digit_bits([*monos, *itertools.chain(*translates)], axes, 2))
+    levels = _prefix_levels(points, n_coords)
+    g_levels = _prefix_levels(g_points, n_coords)
+    width = max(_digit_bits([*monos, *itertools.chain(*translates)], levels, 2))
     step = max(1, CHUNK_BITS // width)
     for start in range(0, len(monos), step):
         chunk = slice(start, start + step)
-        values = _horner(_packed(monos[chunk], width), axes, len(points))
+        values = _peel(_packed(monos[chunk], width), levels)
         # digit j: the first (u, g), in that order, where monomial start + j fails
         found: dict[int, tuple[int, int]] = {}
         for u, (u_ids, qs) in enumerate(zip(ids, translates)):
-            q_values = _horner(_packed(qs[chunk], width), g_axes, len(g_points))
+            q_values = _peel(_packed(qs[chunk], width), g_levels)
             moved = list(map(values.__getitem__, u_ids))
             if q_values != moved:
                 diffs = enumerate(map(sub, q_values, moved))

@@ -59,6 +59,11 @@ oracle as it ran before it packed a batch into one int per point: one
 shared value column per monomial, each its parent's times a coordinate,
 summed per polynomial, and one gather per atom per polynomial.
 
+``horner`` is the packed chunk's evaluation as it ran before it peeled one
+coordinate at a time over the distinct point prefixes: Horner's rule along
+the first-coordinate tree of the monomials, depth first, with every row as
+long as the list of points.
+
 ``laplacian_records`` is the measure half of the invariant suite as it ran
 before one factorization served every degree: one Laplacian matrix and one
 elimination per k, and every target of P^(k-2) solved and checked again at
@@ -76,6 +81,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import lcm
+from operator import add, mul
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from nilharmonic.errors import InternalInconsistency, NilharmonicError, ValidationError
@@ -599,6 +605,46 @@ def column_harmonic_batch(
         exact = Fraction(values[ci], scale), Fraction(rhs[ci], weight_scale * scale)
         results.append(HarmonicCheck(False, ci + 1, GroupElement(centers[ci]), *exact))
     return results
+
+
+def horner(coeffs: dict[Exponents, int], axes: Sequence[Sequence[int]], n: int) -> list[int]:
+    """sum_e coeffs[e] y^e at each of the n points whose coordinate rows are ``axes``.
+
+    The monomials and their ancestors form a tree, x^e the child of x^e / x_t
+    for t the first non-zero coordinate of e.  The value below x^e, divided
+    by x^e, is coeffs[e] plus y_t times that of each child x^e x_t; it is
+    summed depth first, so one row per level of the tree is live at a time.
+    """
+    root = (0,) * len(axes)
+    kids: dict[Exponents, list[tuple[int, Exponents]]] = {root: []}
+    for e in coeffs:
+        links = []
+        while e not in kids:
+            kids[e] = []
+            t = next(i for i, x in enumerate(e) if x)
+            parent = e[:t] + (e[t] - 1,) + e[t + 1:]
+            links.append((parent, t, e))
+            e = parent
+        for parent, t, child in links:
+            kids[parent].append((t, child))
+    # [monomial, coordinate to its parent, children left, row so far or None]
+    stack: list[list] = [[root, 0, iter(kids[root]), None]]
+    while True:
+        top = stack[-1]
+        step = next(top[2], None)
+        if step is not None:
+            t, child = step
+            stack.append([child, t, iter(kids[child]), None])
+            continue
+        e, t, _, row = stack.pop()
+        const = coeffs.get(e, 0)
+        value = const if row is None else [v + const for v in row] if const else row
+        if not stack:
+            return [value] * n if row is None else value
+        axis = axes[t]
+        term = map(value.__mul__, axis) if row is None else map(mul, value, axis)
+        above = stack[-1]
+        above[3] = list(term) if above[3] is None else list(map(add, above[3], term))
 
 
 def laplacian_records(

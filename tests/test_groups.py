@@ -494,6 +494,21 @@ def test_generator_reachability():
     assert reaches_all_generators(Z2, []) == (False, basis_element(Z2, 1))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (GroupElement((1, 0)), r"^element has 2 coordinates, schema heisenberg\(1\) expects 3$"),
+        (GroupElement((1, 0, 0.5)), r"must be an int"),
+        ((1, 0, 0), r"^expected a group element"),
+    ],
+)
+def test_generator_reachability_checks_its_support(bad, message):
+    # the public test checks what it is given; Measure hands checked coordinates
+    # to the private one
+    with pytest.raises(ValidationError, match=message):
+        reaches_all_generators(H3, [*standard_generators(H3), bad])
+
+
 def _symmetric(schema, coords):
     elems = [element(schema, c) for c in coords]
     return elems + [inv(schema, g) for g in elems]

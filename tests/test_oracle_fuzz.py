@@ -34,7 +34,10 @@ from nilharmonic.verify import (
     _digits,
     _first_digits,
     _iterated_difference_checks,
+    _packed,
     _packed_tables,
+    _peel,
+    _prefix_levels,
     check_harmonic_batch,
 )
 
@@ -91,6 +94,40 @@ def test_value_tables_equal_the_point_loop(data):
     points = data.draw(st.lists(coords, max_size=12))
     spread = data.draw(st.integers(1, 40))
     assert list(unpacked(polys, points, spread)) == list(dense.value_tables(polys, points))
+
+
+@st.composite
+def point_lists(draw, schema):
+    """A Cayley ball in drawn order, whose points share many prefixes, or a
+    drawn list of points, repeats allowed, which share few."""
+    if draw(st.booleans()):
+        radius = draw(st.integers(0, 2))
+        points = [g.coords for g in ball(schema, standard_generators(schema), radius)]
+        return draw(st.permutations(points))
+    coords = st.tuples(*[st.integers(-9, 9)] * schema.n_coords)
+    return draw(st.lists(coords, max_size=30))
+
+
+@SETTINGS
+@given(st.data())
+def test_peeled_values_equal_the_horner_tree_and_the_point_loop(data):
+    # a chunk of polynomials with gapped exponents and numerators up to 2^300,
+    # packed at a drawn width, narrow or wide; the packed value at y is
+    # sum_j n_j(y) 2^(width j) whatever the width
+    schema = data.draw(st.sampled_from([lattice(1), *SCHEMAS]))
+    basis = pk_basis(schema, 6)
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300))
+    terms = st.dictionaries(st.sampled_from(basis), numerators, max_size=8)
+    polys = [_from_ints(schema, data.draw(terms), 1) for _ in range(data.draw(st.integers(0, 5)))]
+    width = data.draw(st.integers(1, 400))
+    points = data.draw(point_lists(schema))
+    coeffs = _packed(polys, width)
+    expected = [0] * len(points)
+    for j, (_, values) in enumerate(dense.value_tables(polys, points)):
+        expected = [v + (x << (width * j)) for v, x in zip(expected, values)]
+    axes = [[y[t] for y in points] for t in range(schema.n_coords)]
+    assert dense.horner(coeffs, axes, len(points)) == expected
+    assert _peel(coeffs, _prefix_levels(points, schema.n_coords)) == expected
 
 
 @SETTINGS

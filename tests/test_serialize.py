@@ -114,8 +114,8 @@ def test_measure_config_validation():
 
 
 def test_config_atoms_are_checked_by_the_measure_alone(monkeypatch):
-    # the loader builds each atom from plain ints; Measure checks it, and
-    # reaches_all_generators, which is public, checks it once more
+    # the loader builds each atom from plain ints and Measure checks it once:
+    # its generation test reads the checked coordinates
     cfg = _walk_config()
     checked = []
     check = groups._require_conforming
@@ -127,7 +127,7 @@ def test_config_atoms_are_checked_by_the_measure_alone(monkeypatch):
     monkeypatch.setattr(groups, "_require_conforming", counted)
     monkeypatch.setattr(laplacian, "_require_conforming", counted)
     measure = measure_from_config(H3, cfg)
-    assert len(checked) == 8 and set(checked) == set(measure.atoms)
+    assert len(checked) == 4 and set(checked) == set(measure.atoms)
     # a wrong coordinate count is refused with the message element() gave
     short = _walk_config(atoms=[{**a, "coords": a["coords"][:2]} for a in _walk_atoms(1)])
     message = r"^element has 2 coordinates, schema heisenberg\(1\) expects 3$"

@@ -323,6 +323,30 @@ def test_value_tables_match_evaluate(schema):
                 assert Fraction(n, p.den) == p.evaluate(GroupElement(point))
 
 
+@pytest.mark.parametrize(
+    "schema, coeffs, points, expected",
+    [
+        # one coordinate, so every point's head is the empty prefix; repeats kept
+        (Z1, {(3,): 2}, [(-3,), (0,), (2,), (2,)], [-54, 0, 16, 16]),
+        (H3, {(1, 0, 0): 1, (0, 0, 0): 4}, [], []),
+        (H3, {(1, 1, 0): 3, (0, 0, 2): -1, (0, 0, 0): 7}, [(-2, 5, -3)], [-32]),
+        # an all-zero chunk
+        (H3, {}, [(1, 2, 3), (-1, 0, 0)], [0, 0]),
+        # gapped exponents at negative coordinates: x^3 and z^2, nothing between
+        (H3, {(3, 0, 0): 1, (0, 0, 2): 1}, [(-2, 0, 1), (1, -4, -3), (-2, 7, -1)], [-7, 10, -7]),
+    ],
+)
+def test_peeled_values_at_the_edges(schema, coeffs, points, expected):
+    assert verify._peel(coeffs, verify._prefix_levels(points, schema.n_coords)) == expected
+    axes = [[y[t] for y in points] for t in range(schema.n_coords)]
+    assert dense.horner(coeffs, axes, len(points)) == expected
+
+
+def test_an_all_zero_batch_packs_to_zero_values():
+    points = [(1, 2, 3), (-1, 0, 0)]
+    assert list(_packed_tables([Polynomial.zero(H3)] * 3, points, 8)) == [(0, 3, 1, [0, 0])]
+
+
 def _signed_sum(schema, f, tup, x, side):
     """sum over subsets S of (-1)^(order - |S|) f(prod(S) x) or f(x prod(S))."""
     total = Fraction(0)
