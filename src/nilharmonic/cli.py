@@ -61,9 +61,12 @@ def _load_measure(schema: GroupSchema, path: str) -> Measure:
 
 
 def _write_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # The most rows (degrees 0..k) a dims table may have.  At the limit

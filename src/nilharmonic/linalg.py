@@ -366,14 +366,6 @@ class RationalMatrix:
             cols = len(entries[0])
         return cls(len(entries), cols, entries)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls.from_sparse(rows, cols, [{}] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
-
     @property
     def data(self) -> list[list[Fraction]]:
         """Dense copy of the entries, row by row."""
@@ -405,13 +397,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
-
-    def mul_vector(self, x: Sequence[RationalLike]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValidationError("vector length does not match column count")
-        x = [_require_coeff(v, "vector entry") for v in x]
-        int_rows, d = self._int_rows()
-        return [sum((v * x[j] for j, v in row.items()), _ZERO) / d for row in int_rows]
 
     # -- elimination ----------------------------------------------------------
 

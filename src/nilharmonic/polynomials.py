@@ -63,7 +63,7 @@ from typing import (
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_conforming, _require_int, mul_coords
-from .linalg import RationalMatrix, _int_vector, _lowest, _require_coeff
+from .linalg import _eliminate, _int_vector, _lowest, _require_coeff
 
 if TYPE_CHECKING:
     from .laplacian import Measure
@@ -703,9 +703,10 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
     rows = [[_require_int(x, "matrix entry") for x in row] for row in matrix]
     if len(rows) != d or any(len(row) != d for row in rows):
         raise ValidationError(f"matrix must be {d}x{d}")
-    if RationalMatrix.from_rows(rows, cols=d).rank != d:
+    entries = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    if len(_eliminate(d, d, entries, 1).pivots) != d:
         raise ValidationError("matrix is singular; the sublattice has infinite index")
 
     # x_i = sum_j M[i][j] u_j
-    forms = tuple((0, tuple((j, x) for j, x in enumerate(row) if x)) for row in rows)
+    forms = tuple((0, tuple(row.items())) for row in entries)
     return _combine(p, _images(forms, p.ints))

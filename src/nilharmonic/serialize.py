@@ -118,22 +118,6 @@ def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
     }
 
 
-def polynomial_from_obj(schema: GroupSchema, obj: Mapping[str, Any]) -> Polynomial:
-    if not isinstance(obj, Mapping) or "terms" not in obj:
-        raise ValidationError("polynomial object must contain a 'terms' list")
-    terms: dict[Exponents, Fraction] = {}
-    for entry in _object_list(obj, "terms"):
-        exps = entry.get("exponents")
-        if not isinstance(exps, list) or len(exps) != schema.n_coords:
-            raise ValidationError("term exponents must match the schema coordinate count")
-        key = tuple(_config_int(e, "term exponent") for e in exps)
-        coeff = parse_fraction(str(entry.get("coeff")))
-        if key in terms:
-            raise ValidationError(f"duplicate term {exps}")
-        terms[key] = coeff
-    return Polynomial(schema, terms)
-
-
 # -- polynomial text syntax -------------------------------------------------------
 
 # a token (a number, a coordinate name or an operator), or any other

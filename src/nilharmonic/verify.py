@@ -318,9 +318,8 @@ def _first_translation_mismatch(
     levels = _prefix_levels(points, n_coords)
     g_levels = _prefix_levels(g_points, n_coords)
     width = max(_digit_bits([*monos, *itertools.chain(*translates)], levels, 2))
-    step = max(1, CHUNK_BITS // width)
-    for start in range(0, len(monos), step):
-        chunk = slice(start, start + step)
+    for start, stop, _ in _chunks([width] * len(monos)):
+        chunk = slice(start, stop)
         values = _peel(_packed(monos[chunk], width), levels)
         # digit j: the first (u, g), in that order, where monomial start + j fails
         found: dict[int, tuple[int, int]] = {}

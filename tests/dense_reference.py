@@ -4,7 +4,8 @@ Dense Gauss-Jordan elimination over the rationals is the elimination the
 library used before its sparse factorization: leftmost-pivot order on a
 dense grid of ``Fraction``, and every solve reduces a fresh augmented
 matrix.  The cross-check tests compare the library's ``rref``, ``rank``,
-``kernel_basis`` and ``solve`` with it.
+``kernel_basis`` and ``solve`` with it, and ``mul_vector``, the dense
+product, checks that a solution or a kernel vector satisfies its system.
 
 ``eliminate`` is the sparse factorization as it ran on ``Fraction`` rows,
 before the library moved it to integer rows; the library's ``_eliminate``
@@ -163,6 +164,11 @@ def kernel_basis(data: Sequence[Sequence[Fraction]], cols: int) -> Grid:
             v[pc] = -reduced[ri][fc]
         basis.append(v)
     return basis
+
+
+def mul_vector(data: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> list[Fraction]:
+    """The product of a grid and a vector."""
+    return [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in data]
 
 
 def solve(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,8 @@ import nilharmonic.verify as verify
 from nilharmonic.cli import main
 from nilharmonic.groups import heisenberg, lattice
 from nilharmonic.laplacian import generator_walk
-from nilharmonic.serialize import measure_to_config, polynomial_from_obj
+from nilharmonic.polynomials import Polynomial
+from nilharmonic.serialize import measure_to_config
 
 
 @pytest.fixture
@@ -34,6 +36,13 @@ def configs(tmp_path):
         "mu_h3": write("mu_h3.json", measure_to_config(generator_walk(heisenberg(1)))),
         "dir": tmp_path,
     }
+
+
+def _from_obj(schema, obj):
+    """The polynomial of a report's ``terms`` list."""
+    terms = {tuple(t["exponents"]): Fraction(t["coeff"]) for t in obj["terms"]}
+    assert len(terms) == len(obj["terms"])
+    return Polynomial(schema, terms)
 
 
 def run(capsys, argv):
@@ -135,7 +144,7 @@ def test_harmonic_with_verify(configs, capsys):
     # every emitted polynomial reparses to an equal value
     h3 = heisenberg(1)
     for obj, text in ((o, o["text"]) for o in payload["basis"]):
-        p = polynomial_from_obj(h3, obj)
+        p = _from_obj(h3, obj)
         from nilharmonic.serialize import parse_polynomial
 
         assert parse_polynomial(h3, text) == p
@@ -225,7 +234,7 @@ def test_preimage_heisenberg_x(configs, tmp_path, capsys):
     assert "degree: 3" in out
     payload = json.loads(open(out_path).read())
     h3 = heisenberg(1)
-    p_hat = polynomial_from_obj(h3, payload["preimage"])
+    p_hat = _from_obj(h3, payload["preimage"])
     assert p_hat.degree == 3 and payload["verified"] is True
 
 
@@ -271,6 +280,27 @@ def test_verify_corrupted_measure_exits_one(configs, tmp_path, capsys):
 def test_missing_group_file(configs, capsys):
     code, _, err = run(capsys, ["dims", "--group", "/nonexistent.json", "--k", "2"])
     assert code == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["dims", "harmonic", "preimage", "verify"])
+def test_unwritable_json_path_exits_one(configs, tmp_path, capsys, command, target):
+    # the report is printed first; the failed write is one line on stderr
+    poly = tmp_path / "q.txt"
+    poly.write_text("x\n", encoding="utf-8")
+    args = {
+        "dims": ["--k", "2"],
+        "harmonic": ["--measure", configs["mu_h3"], "--k", "2"],
+        "preimage": ["--measure", configs["mu_h3"], str(poly)],
+        "verify": ["--measure", configs["mu_h3"], "--k", "2", "--radius", "2"],
+    }[command]
+    if target == "directory":
+        path, reason = tmp_path, "Is a directory"
+    else:
+        path, reason = tmp_path / "missing" / "out.json", "No such file or directory"
+    code, out, err = run(capsys, [command, "--group", configs["h3"], *args, "--json", str(path)])
+    assert code == 1 and out.startswith("group: heisenberg(1)\n")
+    assert err == f"error: cannot write {path}: {reason}\n"
 
 
 def test_verify_heisenberg_all_green(configs, capsys):

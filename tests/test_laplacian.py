@@ -258,7 +258,7 @@ def test_matrix_annihilates_square_difference():
     A = laplacian_matrix(Z2, MU_Z2, 2)
     p = mono(Z2, 2, 0) - mono(Z2, 0, 2)
     vec = p.coefficient_vector(pk_basis(Z2, 2))
-    assert A.mul_vector(vec) == [Fraction(0)] * A.rows
+    assert dense.mul_vector(A.data, vec) == [Fraction(0)] * A.rows
 
 
 def test_matrix_rejects_negative_degree():

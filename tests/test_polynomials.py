@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -733,6 +734,25 @@ def test_restrict_rejects_singular_and_non_lattice():
     for matrix in ([1, 2], None, [[1, 0], 5]):
         with pytest.raises(ValidationError):
             restrict_to_sublattice(mono(Z2, 1, 0), matrix)
+
+
+def test_restrict_refuses_exactly_the_singular_matrices():
+    # seeded integer matrices of order 1..4, entries -2..2: the rank is read
+    # off one elimination of the entries, so it must equal the dense rank
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        matrix = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        schema = lattice(d)
+        p = Polynomial(schema, {e: i + 1 for i, e in enumerate(pk_basis(schema, 2))})
+        if dense.rank([[Fraction(x) for x in row] for row in matrix], d) < d:
+            singular += 1
+            with pytest.raises(ValidationError, match="singular"):
+                restrict_to_sublattice(p, matrix)
+        else:
+            assert restrict_to_sublattice(p, matrix) == dense.restrict_to_sublattice(p, matrix)
+    assert 20 <= singular <= 180
 
 
 # -- term bookkeeping ------------------------------------------------------------

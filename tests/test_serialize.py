@@ -17,7 +17,6 @@ from nilharmonic.serialize import (
     measure_to_config,
     parse_fraction,
     parse_polynomial,
-    polynomial_from_obj,
     polynomial_to_obj,
     schema_from_config,
     schema_to_config,
@@ -167,12 +166,6 @@ def test_retired_adaptedness_radius_is_ignored(radius):
         measure_from_config(H3, cfg)
 
 
-@pytest.mark.parametrize("exponents", [[1.0, 0, 0], [True, 0, 0], ["x", 0, 0], "100"])
-def test_polynomial_obj_rejects_non_integer_exponents(exponents):
-    with pytest.raises(ValidationError):
-        polynomial_from_obj(H3, {"terms": [{"exponents": exponents, "coeff": "1"}]})
-
-
 def test_polynomial_obj_round_trip():
     p = Fraction(3, 2) * Polynomial.coordinate(H3, 1) - Polynomial.coordinate(H3, 3)
     obj = polynomial_to_obj(p)
@@ -180,16 +173,7 @@ def test_polynomial_obj_round_trip():
         {"exponents": [1, 0, 0], "coeff": "3/2"},
         {"exponents": [0, 0, 1], "coeff": "-1"},
     ]
-    assert polynomial_from_obj(H3, obj) == p
-
-
-def test_polynomial_obj_rejects_duplicates():
-    obj = {"terms": [
-        {"exponents": [1, 0, 0], "coeff": "1"},
-        {"exponents": [1, 0, 0], "coeff": "2"},
-    ]}
-    with pytest.raises(ValidationError):
-        polynomial_from_obj(H3, obj)
+    assert Polynomial(H3, {tuple(t["exponents"]): Fraction(t["coeff"]) for t in obj["terms"]}) == p
 
 
 def test_parse_basic_expressions():
