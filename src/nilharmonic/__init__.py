@@ -36,14 +36,13 @@ from .laplacian import (
     solve_preimage,
     uniform_measure,
 )
-from .linalg import Inconsistent, RationalMatrix
+from .linalg import Inconsistent
 from .polynomials import (
     Polynomial,
     dim_pk,
     left_derivative,
     pk_basis,
     restrict_to_sublattice,
-    right_derivative,
     translate_left,
     translate_right,
 )
@@ -53,7 +52,6 @@ from .verify import (
     check_harmonic_on_ball,
     check_left_right_agreement,
     check_left_right_batch,
-    growth_profile,
 )
 
 __version__ = "0.1.0"

@@ -1,22 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
-A matrix keeps its entries as integer rows over one positive common
-denominator d: each row is a dict from column index to non-zero ``int``,
-and the entry there is that int divided by d.  One elimination serves every
-question asked of it: a leftmost-pivot Gauss-Jordan that inserts the rows
-one at a time, reduces each against the pivot rows found so far and, when
-a new pivot appears, clears that column from the earlier pivot rows.  It
-runs on the integer rows by integer cross-multiplication.  It yields a
+The one matrix here is the Laplacian's: integer rows over one positive
+common denominator d, each row a dict from column index to non-zero
+``int``, the entry there being that int divided by d.  One elimination
+serves every question asked of it: a leftmost-pivot Gauss-Jordan that
+inserts the rows one at a time, reduces each against the pivot rows found
+so far and, when a new pivot appears, clears that column from the earlier
+pivot rows, by integer cross-multiplication.  It yields a
 ``Factorization``: the pivot columns, the rows of the unique reduced row
 echelon form as integers over one lead per row, and the row operations it
 applied, each factor a pair of ints, which replay on any number of
-right-hand sides.  A matrix computes its factorization once; ``rref``,
-``rank``, ``kernel_basis`` and ``solve`` all read it.  Kernel bases use the
-canonical free-variable parameterization (each free variable set to 1 in
-turn, in ascending column order), so outputs are deterministic and
-portable.  Kernel vectors, right-hand sides and solutions are integers over
-one denominator, in lowest terms; the matrix's dense ``kernel_basis`` and
-``solve`` make each entry a ``Fraction`` once from those.
+right-hand sides.  A matrix computes its factorization once, and the
+library reads nothing else of it.  Kernel bases use the canonical
+free-variable parameterization (each free variable set to 1 in turn, in
+ascending column order), so outputs are deterministic and portable.
+Kernel vectors, right-hand sides and solutions are integers over one
+denominator, in lowest terms; the dense views that tests and the
+benchmark's tracer read make each entry a ``Fraction`` once from those.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -295,33 +295,20 @@ def _reduced_rows(f: Factorization) -> tuple[IntRows, int]:
 
 
 class RationalMatrix:
-    """Matrix with exact rational entries, kept as integer rows over one
-    positive common denominator.
+    """The integer rows of a Laplacian matrix, its one memoized factorization,
+    and the dense views that tests and the benchmark's tracer read.
 
-    Treated as immutable: ``data`` is a fresh dense copy of the rational
-    entries on every read, and the factorization is computed on first use
-    and then kept.  The reduced echelon form that ``rref`` returns is a
-    matrix whose integer rows are built from the factorization when first read.
+    ``laplacian_matrix`` builds it through ``_trusted``; the library asks it
+    only for ``factorization()``.  ``data``, ``kernel_basis`` and ``solve``
+    give the rational entries, the kernel and a solution as dense
+    ``Fraction`` lists, and ``rref`` the reduced echelon form, a matrix of the
+    same kind whose integer rows are built from the factorization when first
+    read.  Treated as immutable: ``data`` is a fresh copy on every read.
     """
 
     # _ints is (integer rows, denominator), or, for a reduced echelon form whose
     # rows have not been read yet, the Factorization they come from
     __slots__ = ("rows", "cols", "_ints", "_factorization")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[RationalLike]]):
-        dense = [list(row) for row in entries]
-        if any(len(row) != cols for row in dense):
-            raise ValidationError("matrix entries do not match the declared shape")
-        self._fill(rows, cols, [dict(enumerate(row)) for row in dense])
-
-    @classmethod
-    def from_sparse(
-        cls, rows: int, cols: int, entries: Sequence[Mapping[int, RationalLike]]
-    ) -> "RationalMatrix":
-        """Matrix from one {column: value} mapping per row; zeros may be omitted."""
-        m = cls.__new__(cls)
-        m._fill(rows, cols, entries)
-        return m
 
     @classmethod
     def _trusted(
@@ -334,37 +321,12 @@ class RationalMatrix:
         m.rows, m.cols, m._ints, m._factorization = rows, cols, (int_rows, denominator), None
         return m
 
-    def _fill(self, rows: int, cols: int, entries: Sequence[Mapping[int, RationalLike]]) -> None:
-        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-            raise ValidationError("matrix dimensions must be non-negative ints")
-        if len(entries) != rows or any(
-            type(j) is not int or not 0 <= j < cols for row in entries for j in row
-        ):
-            raise ValidationError("matrix entries do not match the declared shape")
-        d, ints = _int_vector({
-            (i, j): x for i, row in enumerate(entries) for j, v in row.items()
-            if (x := _require_coeff(v, "matrix entry"))
-        })
-        int_rows: IntRows = [{} for _ in range(rows)]
-        for (i, j), n in ints.items():
-            int_rows[i][j] = n
-        self.rows, self.cols, self._ints, self._factorization = rows, cols, (int_rows, d), None
-
     def _int_rows(self) -> tuple[IntRows, int]:
         """(integer rows, denominator); built here for an unread reduced form."""
         ints = self._ints
         if type(ints) is Factorization:
             ints = self._ints = _reduced_rows(ints)
         return ints
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[RationalLike]], cols: int | None = None) -> "RationalMatrix":
-        entries = [list(row) for row in entries]
-        if cols is None:
-            if not entries:
-                raise ValidationError("cannot infer column count of an empty matrix")
-            cols = len(entries[0])
-        return cls(len(entries), cols, entries)
 
     @property
     def data(self) -> list[list[Fraction]]:
@@ -377,23 +339,6 @@ class RationalMatrix:
                 dense[j] = Fraction(v, d)
             out.append(dense)
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-        ):
-            return False
-        a, da = self._int_rows()
-        b, db = other._int_rows()
-        if da == db:
-            return a == b
-        # a / da == b / db entry by entry, on the same non-zero columns
-        return all(
-            ra.keys() == rb.keys() and all(v * db == rb[j] * da for j, v in ra.items())
-            for ra, rb in zip(a, b)
-        )
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -420,10 +365,6 @@ class RationalMatrix:
         if self._factorization is None:
             self.rref()
         return self._factorization
-
-    @property
-    def rank(self) -> int:
-        return len(self.factorization().pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Dense basis of the right null space, one vector per free column.

@@ -678,11 +678,6 @@ def left_derivative(p: Polynomial, u: GroupElement) -> Polynomial:
     return translate_left(p, u) - p
 
 
-def right_derivative(p: Polynomial, u: GroupElement) -> Polynomial:
-    """x -> p(x u) - p(x); strictly degree-decreasing on non-constants."""
-    return translate_right(p, u) - p
-
-
 # -- lattice restriction --------------------------------------------------------
 
 def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Polynomial:

@@ -514,30 +514,3 @@ def check_left_right_batch(
     right = _iterated_difference_checks(schema, polys, k + 1, elems, points, budget, "right")
     return [AgreementCheck(a.passed == b.passed, a, b) for a, b in zip(left, right)]
 
-
-class GrowthProfileRow(NamedTuple):
-    radius: int
-    max_abs: Fraction
-    ratio: Fraction | None
-
-
-def growth_profile(
-    schema: GroupSchema,
-    f: Polynomial,
-    support: Sequence[GroupElement],
-    r_max: int,
-) -> list[GrowthProfileRow]:
-    """Exact max of |f| on each word-metric sphere, with max / r^deg ratios."""
-    _require_schema(schema, [f])
-    deg = f.degree or 0
-    levels = ball_levels(schema, support, r_max)
-    # one polynomial is one chunk, and its packed values are its numerators
-    ((_, _, _, values),) = _packed_tables([f], [c for level in levels for c in level], 1)
-    rows = []
-    start = 0
-    for r, level in enumerate(levels):
-        m = Fraction(max(map(abs, values[start : start + len(level)]), default=0), f.den)
-        start += len(level)
-        ratio = Fraction(m, r**deg) if r >= 1 else None
-        rows.append(GrowthProfileRow(r, m, ratio))
-    return rows

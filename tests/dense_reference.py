@@ -3,9 +3,12 @@
 Dense Gauss-Jordan elimination over the rationals is the elimination the
 library used before its sparse factorization: leftmost-pivot order on a
 dense grid of ``Fraction``, and every solve reduces a fresh augmented
-matrix.  The cross-check tests compare the library's ``rref``, ``rank``,
-``kernel_basis`` and ``solve`` with it, and ``mul_vector``, the dense
-product, checks that a solution or a kernel vector satisfies its system.
+matrix.  The cross-check tests compare the library's ``rref``,
+``kernel_basis`` and ``solve`` and its pivot count with it, and
+``mul_vector``, the dense product, checks that a solution or a kernel
+vector satisfies its system.  ``matrix`` builds the library's matrix of a
+dense grid the one way the library builds it: integer rows over one
+denominator, handed to ``RationalMatrix._trusted``.
 
 ``eliminate`` is the sparse factorization as it ran on ``Fraction`` rows,
 before the library moved it to integer rows; the library's ``_eliminate``
@@ -90,7 +93,7 @@ from nilharmonic.groups import COORD_NAME, GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure, dim_hk, harmonic_basis, laplacian_matrix
 from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
 from nilharmonic.polynomials import pk_basis as lib_pk_basis
-from nilharmonic.linalg import Inconsistent
+from nilharmonic.linalg import Inconsistent, IntRows, RationalMatrix
 from nilharmonic.polynomials import (
     _IMAGE_TERMS,
     AffineForm,
@@ -105,6 +108,18 @@ from nilharmonic.polynomials import (
 from nilharmonic.verify import DerivativeCheck, HarmonicCheck
 
 Grid = list[list[Fraction]]
+
+
+def matrix(grid: Sequence[Sequence[Fraction | int]], cols: int | None = None) -> RationalMatrix:
+    """The library's matrix of a dense grid of ints and Fractions: its
+    non-zero entries as integer rows over the lcm of their denominators.
+    ``cols`` defaults to the length of the first row."""
+    if cols is None:
+        cols = len(grid[0])
+    assert all(len(row) == cols for row in grid)
+    d = lcm(*(x.denominator for row in grid for x in row))
+    int_rows: IntRows = [{j: int(x * d) for j, x in enumerate(row) if x} for row in grid]
+    return RationalMatrix._trusted(len(grid), cols, int_rows, d)
 
 
 def rref(data: Sequence[Sequence[Fraction]], cols: int) -> tuple[Grid, tuple[int, ...]]:
@@ -665,7 +680,7 @@ def laplacian_records(
     for k in range(k_max + 1):
         try:
             matrix = laplacian_matrix(schema, measure, k)
-            nullity = matrix.cols - matrix.rank
+            nullity = matrix.cols - len(matrix.factorization().pivots)
             predicted = dim_hk(schema, k)
             records.append((f"laplacian.dimension_identity[k={k}]", nullity == predicted,
                             f"nullity {nullity}, predicted {predicted}"))

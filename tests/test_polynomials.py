@@ -32,7 +32,6 @@ from nilharmonic.polynomials import (
     left_derivative,
     pk_basis,
     restrict_to_sublattice,
-    right_derivative,
     translate_left,
     translate_right,
 )
@@ -585,7 +584,8 @@ def test_derivative_examples():
 
 
 def test_right_derivative_example():
-    assert right_derivative(Z, basis_element(H3, 2)) == X
+    # the right derivative x -> p(x u) - p(x)
+    assert translate_right(Z, basis_element(H3, 2)) - Z == X
 
 
 @pytest.mark.parametrize("schema", [Z2, lattice(3), H3, heisenberg(2), unitriangular(3), UT4])
@@ -653,7 +653,7 @@ def test_left_right_equivalence_on_monomials():
         for tup in itertools.islice(itertools.product(b1, repeat=w + 1), 60):
             q = p
             for u in tup:
-                q = right_derivative(q, u)
+                q = translate_right(q, u) - q
             assert q.is_zero
         if w >= 1:
             found = False

@@ -24,7 +24,7 @@ from nilharmonic.groups import (
 from nilharmonic.laplacian import GrowthRow
 from nilharmonic.linalg import Inconsistent
 from nilharmonic.suite import SuiteRecord
-from nilharmonic.verify import AgreementCheck, DerivativeCheck, GrowthProfileRow, HarmonicCheck
+from nilharmonic.verify import AgreementCheck, DerivativeCheck, HarmonicCheck
 
 H3 = heisenberg(1)
 G = GroupElement((1, 0, 0))
@@ -37,7 +37,6 @@ RECORDS = [
     HarmonicCheck(True, 3),
     DERIVATIVE,
     AgreementCheck(True, DERIVATIVE, DERIVATIVE),
-    GrowthProfileRow(1, Fraction(1), None),
     CoordinateOrderReport(2, (True,), True, True),
     GrowthRow(2, 6, Fraction(3, 2)),
     Inconsistent(row=3),

@@ -31,7 +31,6 @@ from nilharmonic.verify import (
     check_harmonic_batch,
     check_harmonic_on_ball,
     check_left_right_agreement,
-    growth_profile,
 )
 
 # dense_reference.py holds the per-tuple subset products the shared prefixes replaced
@@ -258,27 +257,6 @@ def test_ball_radius_must_be_an_int(radius):
         check_harmonic_batch(H3, MU_H3, [Z], radius)
 
 
-def test_growth_profile_line():
-    x = Polynomial.coordinate(Z1, 1)
-    rows = growth_profile(Z1, x, standard_generators(Z1), 5)
-    for r, row in enumerate(rows):
-        assert row.max_abs == r
-        if r >= 1:
-            assert row.ratio == 1
-
-
-def test_growth_profile_central_coordinate_bounded():
-    rows = growth_profile(H3, Z, standard_generators(H3), 8)
-    assert all(row.ratio <= 1 for row in rows[1:])
-    assert rows[-1].max_abs > 0
-
-
-def test_growth_profile_constant():
-    c = Polynomial.constant(H3, Fraction(5, 2))
-    rows = growth_profile(H3, c, standard_generators(H3), 4)
-    assert all(row.max_abs == Fraction(5, 2) for row in rows)
-
-
 # -- cross-checks of the packed value tables against Polynomial.evaluate -------
 
 
@@ -418,12 +396,6 @@ def test_left_right_checks_refuse_another_schema(no_ball, f):
 def test_derivative_check_refuses_another_schema(no_ball, f):
     with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
         check_derivative_vanishing(H3, f, 1, standard_generators(H3), 1)
-
-
-@pytest.mark.parametrize("f", [X3, XY2], ids=["lattice(3)", "lattice(2)"])
-def test_growth_profile_refuses_another_schema(no_ball, f):
-    with pytest.raises(ValidationError, match="cannot be checked on heisenberg"):
-        growth_profile(H3, f, standard_generators(H3), 2)
 
 
 def test_oracles_refuse_what_is_not_a_polynomial(no_ball):
