@@ -310,12 +310,6 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-def element(schema: GroupSchema, coords: Iterable[int]) -> GroupElement:
-    g = GroupElement(tuple(coords))
-    _require_conforming(schema, g)
-    return g
-
-
 def basis_element(schema: GroupSchema, i: int, power: int = 1) -> GroupElement:
     """The element e_i^power: ``power`` in slot ``i`` (1-based), zeros elsewhere."""
     if not 1 <= _require_int(i, "coordinate index") <= schema.n_coords:

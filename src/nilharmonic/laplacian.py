@@ -269,7 +269,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
     if not rows:
         return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
-    up = graded_index(schema, k)[1]
+    up = graded_index(schema, k)
     for pattern, atoms in measure.groups:
         images = moment_images(schema, k, pattern)
         # the group's moments, s^gamma = s^parent s_t along the chain
@@ -352,7 +352,7 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
     # P^{k-2} is the graded prefix of P^k, so q's rows are its monomials' positions there
-    up = graded_index(schema, k).up
+    up = graded_index(schema, k)
     sol = matrix.factorization().solve((q.den, {_position(up, e): n for e, n in q.ints.items()}))
     if isinstance(sol, Inconsistent):
         raise InternalInconsistency(

@@ -13,9 +13,8 @@ canonical: ``gcd(den, *ints.values()) == 1``, and the zero polynomial has
 ``den == 1``, so two polynomials are equal exactly when their ``den`` and
 ``ints`` are.  Every operation works on the ints and normalizes its result
 once, by a single gcd; ``Fraction`` values are made only where a caller
-reads them (``terms``, ``evaluate``,
-``coefficient_vector``).  A monomial is its exponent vector, a plain
-tuple of non-negative ints, everywhere: the public constructor takes
+reads them (``terms``, ``evaluate``).  A monomial is its exponent vector, a
+plain tuple of non-negative ints, everywhere: the public constructor takes
 ``int`` and ``Fraction`` coefficients on such keys and validates both, and
 ``pk_basis`` returns its memoized tuple of them.
 
@@ -31,11 +30,13 @@ from one memo keyed by the affine forms themselves, so equal forms share
 their images: heisenberg(1) and unitriangular(3), the left and right
 translations of an abelian group, and restriction by the identity matrix
 and translation by the identity.  The Laplacian matrix reads its
-translations from ``moment_images``: the same recursion, run on the basis
-indices of ``graded_index``, translates a whole basis by a symbolic element
-s whose non-zero coordinates are one support pattern, so each term of an
-image is a monomial in x and one in s; its own memo is keyed by what it
-reads, the weights, the law and the pattern.  ``apply_laplacian`` sums the
+translations from ``moment_images``: the same recursion, run on basis
+indices, translates a whole basis by a symbolic element s whose non-zero
+coordinates are one support pattern.  ``graded_index`` is the one table of
+those indices, each monomial's index times each coordinate; each monomial's
+first-coordinate parent is read off it.  Each term of an image is a
+monomial in x and one in s; the images' own memo is keyed by what they
+read, the weights, the law and the pattern.  ``apply_laplacian`` sums the
 Laplacian images of p's monomials, ``laplacian_images``, each built from the
 right translates by the measure's atoms through ``_images`` and kept in a
 memo keyed by the measure, so it does not share the matrix's path.
@@ -100,17 +101,9 @@ def _parent(exps: Exponents) -> tuple[Exponents, int]:
     return exps[:t] + (exps[t] - 1,) + exps[t + 1:], t
 
 
-class GradedIndex(NamedTuple):
-    """The indices of pk_basis(schema, k): ``steps[i - 1]`` is (parent, t) for
-    m_i = m_parent x_t, t the first non-zero coordinate of m_i; ``up[v][j]``
-    is the index of m_j x_v, or the basis size past degree k."""
-
-    steps: tuple[tuple[int, int], ...]
-    up: tuple[list[int], ...]
-
-
-def graded_index(schema: GroupSchema, k: int) -> GradedIndex:
-    """The ``GradedIndex`` of pk_basis(schema, k), k >= 0, memoized per
+def graded_index(schema: GroupSchema, k: int) -> tuple[list[int], ...]:
+    """The rows ``up`` of pk_basis(schema, k), k >= 0: ``up[v][j]`` is the
+    index of m_j x_v, or the basis size past degree k.  Memoized per
     (weights, k).  pk_basis(schema, k - 2) is the graded prefix of this basis,
     so an index below its size names the same monomial in both."""
     indices = _INDICES.get(schema.weights)
@@ -121,14 +114,12 @@ def graded_index(schema: GroupSchema, k: int) -> GradedIndex:
     position = {e: i for i, e in enumerate(basis)}
     up = tuple([position.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
                for v in range(schema.n_coords))
-    steps = tuple((position[m], t) for m, t in map(_parent, basis[1:]))
-    found = GradedIndex(steps, up)
-    _INDICES.store(schema.weights, indices, k, found)
-    return found
+    _INDICES.store(schema.weights, indices, k, up)
+    return up
 
 
 def _position(up: Sequence[list[int]], exps: Exponents) -> int:
-    """The index of x^exps in the basis whose ``GradedIndex`` has ``up``, for
+    """The index of x^exps in the basis whose ``graded_index`` is ``up``, for
     x^exps in that basis: the walk from the constant multiplies in x_t
     exps[t] times for each t, and every monomial on the way divides x^exps,
     so it is in the basis too and no step reads the past-degree-k size."""
@@ -215,10 +206,6 @@ class Polynomial:
         return cls(schema)
 
     @classmethod
-    def constant(cls, schema: GroupSchema, value: Fraction | int) -> "Polynomial":
-        return cls(schema, {(0,) * schema.n_coords: value})
-
-    @classmethod
     def coordinate(cls, schema: GroupSchema, i: int) -> "Polynomial":
         """The coordinate function x_i (1-based index)."""
         if not 1 <= _require_int(i, "coordinate index") <= schema.n_coords:
@@ -262,18 +249,6 @@ class Polynomial:
                     v *= c**e
             total += v
         return Fraction(total, self.den)
-
-    def coefficient_vector(self, basis: Sequence[Exponents]) -> list[Fraction]:
-        """Coefficients in the given monomial basis; all terms must be covered."""
-        index = {e: i for i, e in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        den = self.den
-        for exps, c in self.ints.items():
-            i = index.get(exps)
-            if i is None:
-                raise ValidationError(f"monomial {exps} not in the given basis")
-            vec[i] = Fraction(c, den)
-        return vec
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -401,7 +376,7 @@ class _Memo:
 # The memos' bounds.  Measured full with tracemalloc, 2**14 image terms take
 # 6.7 MB on lattice(36) and 2.1 MB on heisenberg(2), 4 * 4096 rendered
 # monomials 8.8 MB on lattice(36) and 5.2 MB on heisenberg(2), and the basis
-# and index memos, where each costs its basis size, 82 MB together, 44 MB of
+# and index memos, where each costs its basis size, 73 MB together, 36 MB of
 # it the indices (lattice(29) at k = 4, the largest Laplacian basis at 40,920
 # monomials, and lattice(12..36) at k = 3).  2**18
 # moment terms take 10.0 MB (the 260,144 terms of the two generator patterns
@@ -420,7 +395,7 @@ _LAPLACIAN_TERMS = 2**14
 _IMAGES = _Memo(_IMAGE_TERMS, len)
 _RENDERED = _Memo(_RENDER_MONOMIALS)
 _BASES = _Memo(_BASIS_MONOMIALS, len)
-_INDICES = _Memo(_BASIS_MONOMIALS, lambda index: len(index.steps) + 1)
+_INDICES = _Memo(_BASIS_MONOMIALS, lambda up: len(up[0]))
 _MOMENTS = _Memo(_MOMENT_TERMS, lambda images: len(images.chain) + len(images.cols))
 # an image of no terms, such as the constant's, counts one
 _LAPLACIAN_IMAGES = _Memo(_LAPLACIAN_TERMS, lambda image: len(image) + 1)
@@ -579,7 +554,7 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
         return memo[k]
     if any(weights[p] + weights[q] > weights[t] for t, p, q in law):
         raise InternalInconsistency("a law term outweighs its target; translation leaves P^k")
-    steps, up = graded_index(schema, k)
+    up = graded_index(schema, k)
     size = len(up[0])
     # per coordinate t, the (s, x) index maps of L_t's terms s_t and x_p s_q
     bumps: list[list[tuple[Sequence[int], Sequence[int]]]] = [
@@ -588,9 +563,21 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
     for t, p, q in law:
         if q in pattern:
             bumps[t].append((up[q], up[p]))
+    # steps[i] is (j, t) with m_i = m_j x_t for t the first non-zero
+    # coordinate of m_i; that holds just when t <= lead[j], m_j's first
+    # non-zero coordinate (any t for the constant), so one walk in graded
+    # order finds each step once
+    steps = [None] * size
+    lead = [schema.n_coords - 1] * size
+    for j in range(size):
+        for t in range(lead[j] + 1):
+            i = up[t][j]
+            if i != size:
+                steps[i] = (j, t)
+                lead[i] = t
     # T is multiplicative, so x_t m may be reached from m for any t it holds;
     # a t with L_t = x_t moves T(m)'s terms apart and adds none
-    reach = [None, *steps]
+    reach = list(steps)
     for t, terms in enumerate(bumps):
         if not terms:
             for j, i in enumerate(up[t]):
@@ -612,7 +599,7 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
     cols = tuple(chain.from_iterable(map(repeat, range(size), (len(gs) for gs, _, _ in images))))
     gammas, betas, coeffs = (tuple(chain.from_iterable(map(itemgetter(n), images))) for n in range(3))
     seen = set(gammas)  # each s^gamma's first-coordinate parent occurs too
-    links = tuple((i, *step) for i, step in enumerate(steps, 1) if i in seen)
+    links = tuple((i, *steps[i]) for i in range(1, size) if i in seen)
     found = MomentImages(links, cols, gammas, betas, coeffs)
     _MOMENTS.store(key, memo, k, found)
     return found

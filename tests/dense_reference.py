@@ -27,6 +27,12 @@ right translate per atom as a polynomial.
 built the basis degree by degree: every exponent vector within the degree
 bound, sorted by ``monomial_sort_key``.
 
+``graded_index`` and ``moment_images`` are the graded index and the moment
+images as the library built them before the index was its ``up`` rows
+alone: the index also kept ``steps``, each monomial's first-coordinate
+parent, found through a dict from exponent vector to index, and the moment
+images read their chain and their parent steps from it.
+
 ``monomial_translates`` and ``pair_columns`` are the Laplacian's pair
 columns as they were assembled before the translation sweep ran on graded
 basis indices, and before the matrix was read off the measure's moments:
@@ -96,12 +102,14 @@ from nilharmonic.polynomials import pk_basis as lib_pk_basis
 from nilharmonic.linalg import Inconsistent, IntRows, RationalMatrix
 from nilharmonic.polynomials import (
     _IMAGE_TERMS,
+    MomentImages,
     AffineForm,
     Exponents,
     IntTerms,
     Polynomial,
     _images,
     _Memo,
+    _parent,
     _translation_forms,
     translate_right,
 )
@@ -321,7 +329,9 @@ def evaluate(p: Polynomial, coords: Sequence[int]) -> Fraction:
 
 
 def coefficient_vector(p: Polynomial, basis: Sequence[Exponents]) -> list[Fraction]:
+    """p's coefficients in the given monomial basis, which must hold all its terms."""
     terms = p.terms
+    assert terms.keys() <= set(basis), "a term of p is not in the basis"
     return [terms.get(m, Fraction(0)) for m in basis]
 
 
@@ -393,6 +403,64 @@ def pk_basis(schema: GroupSchema, k: int) -> list[Exponents]:
 
     rec(0, k)
     return sorted(out, key=lambda m: monomial_sort_key(schema, m))
+
+
+def graded_index(
+    schema: GroupSchema, k: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[list[int], ...]]:
+    """``steps`` and ``up`` of pk_basis(schema, k): ``steps[i - 1]`` is
+    (parent, t) for m_i = m_parent x_t, t the first non-zero coordinate of
+    m_i, and ``up[v][j]`` is the index of m_j x_v, or the basis size past
+    degree k."""
+    basis = pk_basis(schema, k)
+    size = len(basis)
+    position = {e: i for i, e in enumerate(basis)}
+    up = tuple([position.get(e[:v] + (e[v] + 1,) + e[v + 1:], size) for e in basis]
+               for v in range(schema.n_coords))
+    steps = tuple((position[m], t) for m, t in map(_parent, basis[1:]))
+    return steps, up
+
+
+def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> MomentImages:
+    """The library's ``moment_images``, unmemoized, reading each monomial's
+    first-coordinate parent from the ``steps`` of ``graded_index``."""
+    weights, law = schema.weights, schema.law
+    if any(weights[p] + weights[q] > weights[t] for t, p, q in law):
+        raise InternalInconsistency("a law term outweighs its target; translation leaves P^k")
+    steps, up = graded_index(schema, k)
+    size = len(up[0])
+    bumps: list[list[tuple[Sequence[int], Sequence[int]]]] = [
+        [(up[t], range(size))] if t in pattern else [] for t in range(schema.n_coords)
+    ]
+    for t, p, q in law:
+        if q in pattern:
+            bumps[t].append((up[q], up[p]))
+    reach = [None, *steps]
+    for t, terms in enumerate(bumps):
+        if not terms:
+            for j, i in enumerate(up[t]):
+                if i != size:
+                    reach[i] = (j, t)
+    images = [((0,), (0,), (1,))]
+    for parent, t in reach[1:]:
+        gs, bs, cs = images[parent]
+        moved = tuple(map(up[t].__getitem__, bs))
+        if not bumps[t]:
+            images.append((gs, moved, cs))
+            continue
+        out = dict(zip(zip(gs, moved), cs))
+        get = out.get
+        for s_up, x_up in bumps[t]:
+            for at, c in zip(zip(map(s_up.__getitem__, gs), map(x_up.__getitem__, bs)), cs):
+                out[at] = get(at, 0) + c
+        images.append((*zip(*out), tuple(out.values())))
+    cols = tuple(itertools.chain.from_iterable(
+        itertools.repeat(j, len(gs)) for j, (gs, _, _) in enumerate(images)))
+    gammas, betas, coeffs = (
+        tuple(itertools.chain.from_iterable(image[n] for image in images)) for n in range(3))
+    seen = set(gammas)
+    links = tuple((i, *step) for i, step in enumerate(steps, 1) if i in seen)
+    return MomentImages(links, cols, gammas, betas, coeffs)
 
 
 def monomial_translates(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -519,6 +520,52 @@ def test_oracle_radius_above_a_lowered_ball_cap_exits_one(configs, capsys, monke
         "error: the radius-4 ball on heisenberg(1) has more than 100 points; "
         "choose a smaller radius\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harmonic", "--k", "200"],
+        ["verify", "--k", "200"],
+        ["preimage", "x^400"],
+        ["preimage", "x^3000000000"],
+        ["dims", "--k", str(cli.MAX_DIMS_ROWS)],
+        ["harmonic", "--k", "2", "--verify", "--radius", "200"],
+        ["verify", "--k", "2", "--radius", "200"],
+    ],
+    ids=" ".join,
+)
+def test_every_size_refusal_comes_before_the_first_basis_enumeration(
+    configs, tmp_path, capsys, monkeypatch, argv
+):
+    # matrices past MAX_MATRIX_CELLS, a preimage target of huge degree, a dims
+    # table past MAX_DIMS_ROWS and oracle balls past MAX_BALL_POINTS are each
+    # refused with one error line before any module enumerates a basis
+    calls = []
+
+    def no_enumeration(*args):
+        calls.append(args)
+        raise AssertionError("a basis was enumerated")
+
+    patched = set()
+    # every module of the package is loaded once the CLI is imported
+    for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "nilharmonic"]:
+        for name in ("pk_basis", "graded_index"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_enumeration)
+                patched.add((module.__name__, name))
+    assert {("nilharmonic.polynomials", "graded_index"), ("nilharmonic.laplacian", "graded_index"),
+            ("nilharmonic.laplacian", "pk_basis"), ("nilharmonic.suite", "pk_basis")} <= patched
+    command, *args = argv
+    if command == "preimage":
+        target = tmp_path / "q.txt"
+        target.write_text(args[0] + "\n", encoding="utf-8")
+        args = [str(target)]
+    if command != "dims":
+        args += ["--measure", configs["mu_h3"]]
+    code, out, err = run(capsys, [command, "--group", configs["h3"], *args])
+    assert code == 1 and not out and not calls
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unitriangular_walk_config_runs(tmp_path, capsys):

@@ -19,7 +19,6 @@ from nilharmonic.groups import (
     basis_element,
     check_coordinate_order,
     decomposition_order,
-    element,
     heisenberg,
     identity,
     inv,
@@ -79,12 +78,12 @@ def test_invalid_schema_parameters(bad):
 
 
 def test_heisenberg_product_example():
-    g = mul(H3, element(H3, (1, 0, 0)), element(H3, (0, 1, 0)))
+    g = mul(H3, GroupElement((1, 0, 0)), GroupElement((0, 1, 0)))
     assert g.coords == (1, 1, 1)
 
 
 def test_lattice_product_example():
-    assert mul(Z2, element(Z2, (2, 3)), element(Z2, (-1, 1))).coords == (1, 4)
+    assert mul(Z2, GroupElement((2, 3)), GroupElement((-1, 1))).coords == (1, 4)
 
 
 def test_unitriangular_product_fillin():
@@ -99,8 +98,8 @@ def test_identity_is_all_zeros(schema):
 
 
 def test_inverse_examples():
-    assert inv(Z2, element(Z2, (2, 3))).coords == (-2, -3)
-    assert inv(H3, element(H3, (1, 1, 1))).coords == (-1, -1, 0)
+    assert inv(Z2, GroupElement((2, 3))).coords == (-2, -3)
+    assert inv(H3, GroupElement((1, 1, 1))).coords == (-1, -1, 0)
     assert inv(H3, identity(H3)) == identity(H3)
 
 
@@ -350,8 +349,13 @@ def test_basis_element_examples():
 
 @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", Fraction(1)])
 def test_element_rejects_non_int_coordinates(bad):
+    g = GroupElement((bad, 0, 0))
     with pytest.raises(ValidationError, match=re.escape(repr(bad))):
-        element(H3, (bad, 0, 0))
+        mul(H3, g, identity(H3))
+    with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+        mul(H3, identity(H3), g)
+    with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+        inv(H3, g)
     with pytest.raises(ValidationError):
         basis_element(H3, 1, bad)
 
@@ -365,7 +369,7 @@ def test_basis_element_out_of_range():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
-        mul(H3, element(H3, (0, 0, 0)), GroupElement((1, 2)))
+        mul(H3, GroupElement((0, 0, 0)), GroupElement((1, 2)))
     with pytest.raises(ValidationError):
         inv(Z2, GroupElement((1, 2, 3)))
 
@@ -378,7 +382,7 @@ def test_associativity_on_ball(schema):
 
 
 def test_ball_examples():
-    line = ball(Z1, [element(Z1, (1,)), element(Z1, (-1,))], 2)
+    line = ball(Z1, [GroupElement((1,)), GroupElement((-1,))], 2)
     assert [g.coords[0] for g in line] == [-2, -1, 0, 1, 2]
     assert ball(H3, standard_generators(H3), 0) == [identity(H3)]
     assert len(ball(H3, standard_generators(H3), 1)) == 5
@@ -386,7 +390,7 @@ def test_ball_examples():
 
 def test_ball_requires_symmetric_support():
     with pytest.raises(ValidationError):
-        ball(Z1, [element(Z1, (1,))], 2)
+        ball(Z1, [GroupElement((1,))], 2)
 
 
 @pytest.mark.parametrize("schema", [Z2, H3, UT4])
@@ -430,16 +434,16 @@ def test_ball_is_sorted_and_deterministic():
 
 
 def test_coordinate_order_example():
-    rep = check_coordinate_order(H3, element(H3, (2, 3, 4)), element(H3, (0, 1, 7)))
+    rep = check_coordinate_order(H3, GroupElement((2, 3, 4)), GroupElement((0, 1, 7)))
     assert rep.first_nonzero == 2
     assert rep.prefix_ok == (True,)
     assert rep.additive_ok and rep.passed
     # the product itself: (2, 3+1, 4+7+2*1)
-    assert mul(H3, element(H3, (2, 3, 4)), element(H3, (0, 1, 7))).coords == (2, 4, 13)
+    assert mul(H3, GroupElement((2, 3, 4)), GroupElement((0, 1, 7))).coords == (2, 4, 13)
 
 
 def test_coordinate_order_identity_vacuous():
-    rep = check_coordinate_order(H3, element(H3, (5, -2, 9)), identity(H3))
+    rep = check_coordinate_order(H3, GroupElement((5, -2, 9)), identity(H3))
     assert rep.first_nonzero is None and rep.passed
 
 
@@ -510,7 +514,7 @@ def test_generator_reachability_checks_its_support(bad, message):
 
 
 def _symmetric(schema, coords):
-    elems = [element(schema, c) for c in coords]
+    elems = [GroupElement(c) for c in coords]
     return elems + [inv(schema, g) for g in elems]
 
 

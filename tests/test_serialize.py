@@ -127,7 +127,7 @@ def test_config_atoms_are_checked_by_the_measure_alone(monkeypatch):
     monkeypatch.setattr(laplacian, "_require_conforming", counted)
     measure = measure_from_config(H3, cfg)
     assert len(checked) == 4 and set(checked) == set(measure.atoms)
-    # a wrong coordinate count is refused with the message element() gave
+    # a wrong coordinate count is refused with the message mul() gives
     short = _walk_config(atoms=[{**a, "coords": a["coords"][:2]} for a in _walk_atoms(1)])
     message = r"^element has 2 coordinates, schema heisenberg\(1\) expects 3$"
     with pytest.raises(ValidationError, match=message):
@@ -180,7 +180,7 @@ def test_parse_basic_expressions():
     x, y, z = (Polynomial.coordinate(H3, i) for i in (1, 2, 3))
     assert parse_polynomial(H3, "x^2 - y^2") == x * x - y * y
     assert parse_polynomial(H3, "3/2*x*y + z - 1") == (
-        Fraction(3, 2) * x * y + z - Polynomial.constant(H3, 1)
+        Fraction(3, 2) * x * y + z - Polynomial(H3, {(0, 0, 0): 1})
     )
     assert parse_polynomial(H3, "-x + x") == Polynomial.zero(H3)
     assert parse_polynomial(H3, "0").is_zero
@@ -212,10 +212,10 @@ def test_render_parse_round_trip():
     x, y, z = (Polynomial.coordinate(H3, i) for i in (1, 2, 3))
     samples = [
         x * x - y * y,
-        Fraction(3, 2) * x * y + z - Polynomial.constant(H3, 1),
+        Fraction(3, 2) * x * y + z - Polynomial(H3, {(0, 0, 0): 1}),
         -z,
         Polynomial.zero(H3),
-        Polynomial.constant(H3, Fraction(-7, 5)),
+        Polynomial(H3, {(0, 0, 0): Fraction(-7, 5)}),
     ]
     for p in samples:
         assert parse_polynomial(H3, str(p)) == p

@@ -16,7 +16,6 @@ from nilharmonic.groups import (
     GroupElement,
     GroupSchema,
     ball,
-    element,
     heisenberg,
     lattice,
     standard_generators,
@@ -338,7 +337,7 @@ def test_broken_law_fails_the_group_checks():
 # generators, and a target with rational coefficients
 MU_PAIRS = Measure(
     H3,
-    [(element(H3, c), w) for c, w in [
+    [(GroupElement(c), w) for c, w in [
         ((-1, 0, 0), Fraction(1, 8)), ((0, -1, 0), Fraction(1, 8)), ((0, 1, 0), Fraction(1, 8)),
         ((1, 0, 0), Fraction(1, 8)), ((1, 1, 0), Fraction(1, 8)), ((-1, -1, 1), Fraction(1, 8)),
         ((0, 0, 0), Fraction(1, 4)),

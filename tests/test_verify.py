@@ -14,7 +14,6 @@ from nilharmonic.groups import (
     GroupElement,
     GroupSchema,
     ball,
-    element,
     heisenberg,
     lattice,
     mul,
@@ -58,7 +57,7 @@ def test_square_fails_with_witness():
     # the mean exceeds the value by exactly 1 everywhere
     assert res.lhs - res.rhs == -1
     # at the origin the two sides are 0 and 1
-    origin = element(Z1, (0,))
+    origin = GroupElement((0,))
     lhs = (x * x).evaluate(origin)
     rhs = sum(
         (w * (x * x).evaluate(mul(Z1, origin, s)) for s, w in MU_Z1.atoms.items()),
@@ -68,7 +67,7 @@ def test_square_fails_with_witness():
 
 
 def test_constant_passes():
-    res = check_harmonic_on_ball(H3, MU_H3, Polynomial.constant(H3, Fraction(7, 2)), 4)
+    res = check_harmonic_on_ball(H3, MU_H3, Polynomial(H3, {(0, 0, 0): Fraction(7, 2)}), 4)
     assert res.passed
 
 
@@ -185,7 +184,7 @@ def test_difference_oracles_take_the_smallest_arguments():
     # order 0 (k = -1) checks f itself at the identity; a non-zero f fails it
     gens = standard_generators(H3)
     assert check_derivative_vanishing(H3, Polynomial.zero(H3), -1, gens, 0, budget=1).passed
-    res = check_left_right_agreement(H3, X + Polynomial.constant(H3, 1), -1, 0, budget=1)
+    res = check_left_right_agreement(H3, X + Polynomial(H3, {(0, 0, 0): 1}), -1, 0, budget=1)
     assert not res.left.passed and res.left.order == 0 and res.left.tuples_checked == 1
 
 
@@ -285,7 +284,8 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_evaluation(monkeypatc
 def test_value_tables_match_evaluate(schema):
     rng = random.Random(7)
     polys = [_random_polynomial(rng, schema, 3, n) for n in (1, 3, 6, 10)]
-    polys += [Polynomial.zero(schema), Polynomial.constant(schema, Fraction(-5, 3))]
+    constant = Polynomial(schema, {(0,) * schema.n_coords: Fraction(-5, 3)})
+    polys += [Polynomial.zero(schema), constant]
     points = [g.coords for g in ball(schema, standard_generators(schema), 2)]
     assert any(c < 0 for point in points for c in point)
     # a spread past the numerators' size makes each digit wide; each chunk
