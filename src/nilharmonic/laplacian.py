@@ -248,8 +248,11 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     past degree k - 2: U_gamma does not depend on the pattern, and each
     weight-1 moment sums to 0 over a symmetric measure, so those terms are
     dropped once that sum is checked (InternalInconsistency if it is not 0,
-    before any image is read).  The last few matrices are kept, keyed by
-    (schema, measure, k), so repeated solves against one Laplacian share one
+    before any image is read).  The weight-1 coordinates are the first
+    r = ``layer_ranks[0]``, and graded order puts s_t at basis index 1 + t,
+    so those moments are read by position, as the slice 1..r of each
+    group's moments.  The last few matrices are kept, keyed by (schema,
+    measure, k), so repeated solves against one Laplacian share one
     factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
     refused by ``matrix_shape``, before any basis is enumerated.
     """
@@ -258,8 +261,8 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     n_rows, n_cols = matrix_shape(schema, k)
-    linear = [t for t, w in enumerate(schema.weights) if w == 1]
-    for t in linear:
+    r = schema.layer_ranks[0]
+    for t in range(r):
         first = sum(ws * coords[t] for _, atoms in measure.groups for coords, ws in atoms)
         if first:
             raise InternalInconsistency(
@@ -269,7 +272,6 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
     if not rows:
         return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
-    up = graded_index(schema, k)
     for pattern, atoms in measure.groups:
         images = moment_images(schema, k, pattern)
         # the group's moments, s^gamma = s^parent s_t along the chain
@@ -279,9 +281,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
             for g, parent, t in images.chain:
                 power[g] = power[parent] * coords[t]
                 moments[g] += power[g]
-        for t in linear:
-            if t in pattern:
-                moments[up[t][0]] = 0
+        moments[1:1 + r] = [0] * r
         factors = list(map(moments.__getitem__, images.gammas))
         for j, i, c, a in compress(zip(images.cols, images.betas, images.coeffs, factors), factors):
             row = rows[i]
@@ -348,7 +348,7 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     if q.schema != schema:
         raise ValidationError("polynomial does not match the schema")
     if q.is_zero:
-        return Polynomial.zero(schema)
+        return Polynomial(schema)
     k = q.degree + 2
     matrix = laplacian_matrix(schema, measure, k)
     # P^{k-2} is the graded prefix of P^k, so q's rows are its monomials' positions there

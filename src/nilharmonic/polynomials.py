@@ -16,7 +16,9 @@ once, by a single gcd; ``Fraction`` values are made only where a caller
 reads them (``terms``, ``evaluate``).  A monomial is its exponent vector, a
 plain tuple of non-negative ints, everywhere: the public constructor takes
 ``int`` and ``Fraction`` coefficients on such keys and validates both, and
-``pk_basis`` returns its memoized tuple of them.
+is the one way to build a polynomial from terms (``Polynomial(schema)`` is
+zero, ``Polynomial(schema, {exps: 1})`` a monomial); ``pk_basis`` returns
+its memoized tuple of them.
 
 Translations x -> p(u x) and x -> p(x u) are computed by composition.  The
 group law is a list of bilinear terms (t, p, q), so each coordinate of u x
@@ -26,13 +28,13 @@ prod_t L_t^{a_t}, an integer polynomial, built as L_t times the image of
 x^a / x_t for t the first non-zero coordinate.  The same substitution,
 with linear forms taken from a matrix, restricts polynomials on abelian
 groups to sublattices.  Both read their monomial images through ``_images``
-from one memo keyed by the affine forms themselves, so equal forms share
-their images: heisenberg(1) and unitriangular(3), the left and right
-translations of an abelian group, and restriction by the identity matrix
-and translation by the identity.  The Laplacian matrix reads its
-translations from ``moment_images``: the same recursion, run on basis
-indices, translates a whole basis by a symbolic element s whose non-zero
-coordinates are one support pattern.  ``graded_index`` is the one table of
+from its one memo, ``_IMAGES``, keyed by the affine forms themselves, so
+equal forms share their images: heisenberg(1) and unitriangular(3), the
+left and right translations of an abelian group, and restriction by the
+identity matrix and translation by the identity.  The Laplacian matrix
+reads its translations from ``moment_images``: the same recursion, run on
+basis indices, translates a whole basis by a symbolic element s whose
+non-zero coordinates are one support pattern.  ``graded_index`` is the one table of
 those indices, each monomial's index times each coordinate; each monomial's
 first-coordinate parent is read off it.  Each term of an image is a
 monomial in x and one in s; the images' own memo is keyed by what they
@@ -149,7 +151,8 @@ def dim_pk_table(schema: GroupSchema, k: int) -> list[int]:
 
 def dim_pk(schema: GroupSchema, k: int) -> int:
     """Dimension of the space of polynomials of degree <= k; 0 for k < 0."""
-    return dim_pk_table(schema, k)[-1] if _require_int(k, "k") >= 0 else 0
+    table = dim_pk_table(schema, k)
+    return table[-1] if table else 0
 
 
 def _from_ints(schema: GroupSchema, acc: IntTerms, den: int) -> "Polynomial":
@@ -202,10 +205,6 @@ class Polynomial:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, schema: GroupSchema) -> "Polynomial":
-        return cls(schema)
-
-    @classmethod
     def coordinate(cls, schema: GroupSchema, i: int) -> "Polynomial":
         """The coordinate function x_i (1-based index)."""
         if not 1 <= _require_int(i, "coordinate index") <= schema.n_coords:
@@ -213,12 +212,6 @@ class Polynomial:
         exps = [0] * schema.n_coords
         exps[i - 1] = 1
         return cls(schema, {tuple(exps): 1})
-
-    @classmethod
-    def from_monomial(
-        cls, schema: GroupSchema, exps: Exponents, coeff: Fraction | int = 1
-    ) -> "Polynomial":
-        return cls(schema, {exps: coeff})
 
     # -- basic queries --------------------------------------------------------
 
@@ -495,17 +488,16 @@ def _times(form: AffineForm, image: IntTerms) -> IntTerms:
     return {e: coeff for e, coeff in out.items() if coeff}
 
 
-def _images(
-    forms: tuple[AffineForm, ...], keys: Iterable[Exponents], memo: _Memo = _IMAGES
-) -> list[IntTerms]:
+def _images(forms: tuple[AffineForm, ...], keys: Iterable[Exponents]) -> list[IntTerms]:
     """T(x^e) = prod_t L_t^{e_t} for each exponent vector e of ``keys``.
 
     T(x_t m) = L_t T(m) for t the first non-zero coordinate of x_t m, so an
-    image is a chain of affine products from the longest part stored under
-    ``forms``, or from the constant monomial, which T fixes.  Each new image
-    on the way is offered to the memo.  Callers must not modify the images.
+    image is a chain of affine products from the longest part stored in
+    ``_IMAGES`` under ``forms``, or from the constant monomial, which T fixes.
+    Each new image on the way is offered to that memo.  Callers must not
+    modify the images.
     """
-    images = memo.get(forms)
+    images = _IMAGES.get(forms)
     out = []
     for exps in keys:
         image = images.get(exps)
@@ -518,7 +510,7 @@ def _images(
             image = images[exps] if exps in images else {exps: 1}
             for exps, t in reversed(chain):
                 image = _times(forms[t], image)
-                memo.store(forms, images, exps, image)
+                _IMAGES.store(forms, images, exps, image)
         out.append(image)
     return out
 

@@ -160,7 +160,7 @@ def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
     index: dict[Coords, int] = {}
     ug_ids = [[index.setdefault(law_mul(u.coords, g.coords), len(index)) for g in b3] for u in b2]
     basis = pk_basis(schema, k_interp)
-    monos = [Polynomial.from_monomial(schema, m) for m in basis]
+    monos = [Polynomial(schema, {m: 1}) for m in basis]
     translates = [[translate_left(p, u) for p in monos] for u in b2]
     bad = _first_translation_mismatch(monos, translates, ug_ids, list(index), [g.coords for g in b3])
     bad_detail = "" if bad is None else f"monomial {basis[bad[0]]}, u={b2[bad[1]]}, g={b3[bad[2]]}"
@@ -168,7 +168,7 @@ def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
 
     bad_detail = ""
     for mono_ in pk_basis(schema, k_red):
-        p = Polynomial.from_monomial(schema, mono_)
+        p = Polynomial(schema, {mono_: 1})
         d = p.degree
         for i in range(1, schema.n_coords + 1):
             dd = left_derivative(p, basis_element(schema, i)).degree
@@ -182,7 +182,7 @@ def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
     pairs = list(itertools.product(b1, repeat=2))[:SUITE_BUDGET]
     bad_detail = ""
     for m in pk_basis(schema, 2)[1:]:
-        f = Polynomial.from_monomial(schema, m)
+        f = Polynomial(schema, {m: 1})
         # D_u f once per element u among the x, y and x*y of the pairs
         derivatives: dict[GroupElement, Polynomial] = {}
         for x, y in pairs:
@@ -212,7 +212,7 @@ def _group_records(schema: GroupSchema, k_red: int) -> tuple[SuiteRecord, ...]:
 
     # the monomials of one degree share a sample, so each is checked in one batch
     bad_detail = ""
-    polys = {m: Polynomial.from_monomial(schema, m) for m in pk_basis(schema, 2)}
+    polys = {m: Polynomial(schema, {m: 1}) for m in pk_basis(schema, 2)}
     for d, monos in itertools.groupby(polys, key=lambda m: polys[m].degree):
         monos = list(monos)
         checks = check_left_right_batch(schema, [polys[m] for m in monos], d, 1, budget=SUITE_BUDGET)

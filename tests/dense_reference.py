@@ -38,8 +38,9 @@ columns as they were assembled before the translation sweep ran on graded
 basis indices, and before the matrix was read off the measure's moments:
 each image is keyed by exponent vector, every term is moved by building its
 exponent tuple, and the rows are found through a dict from exponent vector
-to index.  ``translated_pair_columns`` reads the same columns off
-``translate``, one ``Fraction`` polynomial per monomial.
+to index.  Each monomial's image is read off ``translate``, so the sweep
+shares no memo with the library.  ``translated_pair_columns`` reads the same
+columns off ``translate`` in ``Fraction`` polynomial arithmetic.
 
 ``terms_text``, ``polynomial_str`` and ``polynomial_to_obj`` are the
 polynomial text and JSON object as they were rendered before the library
@@ -101,14 +102,11 @@ from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
 from nilharmonic.polynomials import pk_basis as lib_pk_basis
 from nilharmonic.linalg import Inconsistent, IntRows, RationalMatrix
 from nilharmonic.polynomials import (
-    _IMAGE_TERMS,
     MomentImages,
     AffineForm,
     Exponents,
     IntTerms,
     Polynomial,
-    _images,
-    _Memo,
     _parent,
     _translation_forms,
     translate_right,
@@ -369,7 +367,7 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
 
 def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     """p - sum_s mu(s) (x -> p(x s)), one translated polynomial per atom."""
-    expected = Polynomial.zero(p.schema)
+    expected = Polynomial(p.schema)
     for s, w in measure.atoms.items():
         expected = plus(expected, times(translate(p, s, "right"), w))
     return plus(p, expected, -1)
@@ -467,10 +465,15 @@ def monomial_translates(
     schema: GroupSchema, u: GroupElement, side: str, keys: Iterable[Exponents]
 ) -> list[IntTerms]:
     """For each exponent vector m, the integer coefficients of x -> x^m(u x)
-    (side left) or x -> x^m(x u) (side right), keyed by exponent vector, from
-    a fresh memo, so that the reference reads and stores none of the library's
-    images."""
-    return _images(_translation_forms(schema, u, side), keys, _Memo(_IMAGE_TERMS, len))
+    (side left) or x -> x^m(x u) (side right), keyed by exponent vector, each
+    read off ``translate``, so that the reference reads and stores none of the
+    library's images."""
+    images = []
+    for m in keys:
+        image = translate(Polynomial(schema, {m: 1}), u, side)
+        assert image.den == 1, "a translated monomial has integer coefficients"
+        images.append(image.ints)
+    return images
 
 
 def pair_columns(
@@ -513,7 +516,7 @@ def translated_pair_columns(
     s_inv = GroupElement(inv_coords(schema, s.coords))
     columns = []
     for mono in pk_basis(schema, k):
-        m = Polynomial.from_monomial(schema, mono)
+        m = Polynomial(schema, {mono: 1})
         column = plus(times(m, 2), plus(translate(m, s, "right"), translate(m, s_inv, "right")), -1)
         if any(c not in index for c in column.terms):
             raise InternalInconsistency(f"out-of-range monomial in column {mono}")
@@ -762,7 +765,7 @@ def laplacian_records(
                     break
                 den, vec = sol
                 p_hat = Polynomial(schema, {domain[t]: Fraction(n, den) for t, n in vec.items()})
-                if lib_apply_laplacian(measure, p_hat) != Polynomial.from_monomial(schema, mono):
+                if lib_apply_laplacian(measure, p_hat) != Polynomial(schema, {mono: 1}):
                     bad_detail = f"bad preimage for {mono}"
                     break
             records.append((f"laplacian.surjectivity[k={k}]", not bad_detail,
@@ -783,7 +786,7 @@ def laplacian_records(
         records.append(("laplacian.harmonic_oracle", False, str(exc)))
     bad_detail = next(
         (f"monomial {m}" for m in lib_pk_basis(schema, min(k_max, 3))
-         if lib_apply_laplacian(measure, p := Polynomial.from_monomial(schema, m))
+         if lib_apply_laplacian(measure, p := Polynomial(schema, {m: 1}))
          != symmetric_form(measure, p)),
         "",
     )
@@ -864,7 +867,7 @@ def associativity_witness(
 def symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
     """sum_s mu(s)/2 (2p - p(x s) - p(x s^-1)), one polynomial operation at a time."""
     half = Fraction(1, 2)
-    alt = Polynomial.zero(p.schema)
+    alt = Polynomial(p.schema)
     for s, w in measure.atoms.items():
         second = p * 2 - translate_right(p, s) - translate_right(p, inv(p.schema, s))
         alt = alt + second * (w * half)

@@ -113,7 +113,7 @@ def test_criterion_04_surjectivity():
     t0 = time.time()
     for label, schema, mu, k_max, _ in _criterion3_configs():
         for q_mono in pk_basis(schema, k_max - 2):
-            q = Polynomial.from_monomial(schema, q_mono)
+            q = Polynomial(schema, {q_mono: 1})
             p_hat = solve_preimage(schema, mu, q)
             assert apply_laplacian(mu, p_hat) == q, f"{label}, q={q}"
     _report(4, "surjectivity", t0, budget=120)
@@ -148,7 +148,7 @@ def test_criterion_06_degree_reduction():
     schemas += [H3, heisenberg(2), unitriangular(3), unitriangular(4)]
     for schema in schemas:
         for mono in pk_basis(schema, 5):
-            p = Polynomial.from_monomial(schema, mono)
+            p = Polynomial(schema, {mono: 1})
             d = p.degree
             for i in range(1, schema.n_coords + 1):
                 dp = left_derivative(p, basis_element(schema, i))
@@ -169,7 +169,7 @@ def test_criterion_07_left_right_and_identities():
         # left/right equivalence at each monomial's own degree, and failure
         # of the left check one order below
         for mono in pk_basis(schema, 2):
-            p = Polynomial.from_monomial(schema, mono)
+            p = Polynomial(schema, {mono: 1})
             w = p.degree
             res = check_left_right_agreement(schema, p, w, 2, budget=budget)
             assert res.passed and res.left.passed and res.right.passed
@@ -179,7 +179,7 @@ def test_criterion_07_left_right_and_identities():
 
         # cocycle identity over all radius-2 pairs (fewer than 2000 here)
         pairs = list(itertools.islice(itertools.product(b2, repeat=2), budget))
-        fs = [Polynomial.from_monomial(schema, m) for m in pk_basis(schema, 3)]
+        fs = [Polynomial(schema, {m: 1}) for m in pk_basis(schema, 3)]
         for f in fs:
             for u, v in pairs:
                 lhs = left_derivative(f, mul(schema, u, v))
@@ -227,7 +227,7 @@ def test_criterion_10_restriction_bijection():
             basis = pk_basis(schema, k)
             rows = [
                 dense.coefficient_vector(
-                    restrict_to_sublattice(Polynomial.from_monomial(schema, mono), m), basis
+                    restrict_to_sublattice(Polynomial(schema, {mono: 1}), m), basis
                 )
                 for mono in basis
             ]

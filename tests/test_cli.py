@@ -1,14 +1,17 @@
 """CLI: exit codes, determinism, JSON round-trips."""
 
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+import nilharmonic
 import nilharmonic.cli as cli
 import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
@@ -50,6 +53,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_every_module_runs_no_command(monkeypatch, capsys):
+    # only ``python -m nilharmonic`` runs the CLI: importing any module of the
+    # package, __main__ included, leaves a foreign sys.argv unread
+    monkeypatch.setattr(sys, "argv", ["importer", "-p", "no:cacheprovider"])
+    monkeypatch.delitem(sys.modules, "nilharmonic.__main__", raising=False)
+    names = []
+    for info in pkgutil.walk_packages(nilharmonic.__path__, "nilharmonic."):
+        try:
+            importlib.import_module(info.name)
+        except SystemExit as exc:
+            pytest.fail(f"importing {info.name} exited with {exc.code!r}")
+        names.append(info.name)
+    assert "nilharmonic.__main__" in names and "nilharmonic.cli" in names
+    assert capsys.readouterr() == ("", "")
 
 
 def test_dims_table(configs, capsys):

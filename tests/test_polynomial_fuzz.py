@@ -92,7 +92,7 @@ H3, UT4 = heisenberg(1), unitriangular(4)
 
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@example(Polynomial.zero(H3))  # "0"
+@example(Polynomial(H3))  # "0"
 @example(_poly(UT4, ((0,) * 6, Fraction(-5, 3))))  # a constant only
 @example(_poly(H3, ((0, 0, 0), 1), ((1, 0, 0), -1), ((0, 2, 1), 1)))  # +-1, 1 as a constant
 @example(_poly(lattice(3), ((2, 0, 1), Fraction(-123456789, 1000)), ((0, 1, 0), 10**20)))
@@ -209,7 +209,7 @@ def reference_cases(draw):
     return p, q, draw(scalars), u, matrix
 
 
-ZERO_H3 = Polynomial.zero(heisenberg(1))
+ZERO_H3 = Polynomial(heisenberg(1))
 CONSTANT_UT4 = Polynomial(unitriangular(4), {(0,) * 6: Fraction(-(10**20) + 1, 10**9)})
 
 

@@ -310,8 +310,8 @@ def test_the_first_translate_to_disagree_is_named(monkeypatch):
         for m in laplacian.pk_basis(H3, 2)
         for u in b2
         for g in b3
-        if off(Polynomial.from_monomial(H3, m), u).evaluate(g)
-        != Polynomial.from_monomial(H3, m).evaluate(GroupElement(H3.law_mul(u.coords, g.coords)))
+        if off(Polynomial(H3, {m: 1}), u).evaluate(g)
+        != Polynomial(H3, {m: 1}).evaluate(GroupElement(H3.law_mul(u.coords, g.coords)))
     )
     got = {r.name: r for r in _group_records.__wrapped__(H3, 2)}["poly.interpolation_soundness"]
     assert (got.passed, got.detail) == (False, want)

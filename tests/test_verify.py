@@ -94,7 +94,7 @@ def test_derivative_vanishing_fails_below_degree():
 
 def test_derivative_vanishing_zero_function():
     gens = standard_generators(H3)
-    assert check_derivative_vanishing(H3, Polynomial.zero(H3), 0, gens, 2).passed
+    assert check_derivative_vanishing(H3, Polynomial(H3), 0, gens, 2).passed
 
 
 def test_degree_agreement_per_class():
@@ -103,7 +103,7 @@ def test_degree_agreement_per_class():
     gens = standard_generators(H3)
     failed_at = set()
     for m in pk_basis(H3, 3):
-        p = Polynomial.from_monomial(H3, m)
+        p = Polynomial(H3, {m: 1})
         w = sum(a * e for a, e in zip(H3.weights, m))
         assert check_derivative_vanishing(H3, p, w, gens, 2, budget=300).passed
         if w >= 1 and not check_derivative_vanishing(H3, p, w - 1, gens, 2, budget=300).passed:
@@ -183,7 +183,7 @@ def test_difference_oracles_refuse_bad_arguments_before_any_walk(
 def test_difference_oracles_take_the_smallest_arguments():
     # order 0 (k = -1) checks f itself at the identity; a non-zero f fails it
     gens = standard_generators(H3)
-    assert check_derivative_vanishing(H3, Polynomial.zero(H3), -1, gens, 0, budget=1).passed
+    assert check_derivative_vanishing(H3, Polynomial(H3), -1, gens, 0, budget=1).passed
     res = check_left_right_agreement(H3, X + Polynomial(H3, {(0, 0, 0): 1}), -1, 0, budget=1)
     assert not res.left.passed and res.left.order == 0 and res.left.tuples_checked == 1
 
@@ -285,7 +285,7 @@ def test_value_tables_match_evaluate(schema):
     rng = random.Random(7)
     polys = [_random_polynomial(rng, schema, 3, n) for n in (1, 3, 6, 10)]
     constant = Polynomial(schema, {(0,) * schema.n_coords: Fraction(-5, 3)})
-    polys += [Polynomial.zero(schema), constant]
+    polys += [Polynomial(schema), constant]
     points = [g.coords for g in ball(schema, standard_generators(schema), 2)]
     assert any(c < 0 for point in points for c in point)
     # a spread past the numerators' size makes each digit wide; each chunk
@@ -322,7 +322,7 @@ def test_peeled_values_at_the_edges(schema, coeffs, points, expected):
 
 def test_an_all_zero_batch_packs_to_zero_values():
     points = [(1, 2, 3), (-1, 0, 0)]
-    assert list(_packed_tables([Polynomial.zero(H3)] * 3, points, 8)) == [(0, 3, 1, [0, 0])]
+    assert list(_packed_tables([Polynomial(H3)] * 3, points, 8)) == [(0, 3, 1, [0, 0])]
 
 
 def _signed_sum(schema, f, tup, x, side):
