@@ -21,7 +21,8 @@ from .groups import COORD_NAME, GroupElement, GroupSchema, heisenberg, lattice, 
 from .laplacian import Measure
 from .polynomials import Exponents, Polynomial, _from_ints, render_terms
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: \d and int() also read other scripts' decimal digits
+_FRACTION_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -36,7 +37,7 @@ def parse_fraction(text: str) -> Fraction:
 
 # -- config fields ---------------------------------------------------------------
 
-_INT_RE = re.compile(r"^[-+]?\d+$")
+_INT_RE = re.compile(r"^[-+]?[0-9]+$")
 
 
 def _config_int(value: Any, field: str) -> int:
@@ -123,7 +124,7 @@ def polynomial_to_obj(p: Polynomial) -> dict[str, Any]:
 # a token (a number, a coordinate name or an operator), or any other
 # character, which stops the parse; on text with no surrounding whitespace
 # each match starts where the one before it ended
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+|{COORD_NAME}|[-+*/^()])|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+|{COORD_NAME}|[-+*/^()])|(\S))")
 
 
 def _token_int(tok: str) -> int:

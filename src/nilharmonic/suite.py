@@ -12,6 +12,14 @@ the schema and ``min(k_max, 4)``, and are memoized on those, so
 on one group, runs them once.  The measure half, the ``laplacian.*`` checks,
 reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
+
+The measure half reaches the Laplacian only through ``laplacian_matrix`` and
+``apply_laplacian``.  Its surjectivity and symmetric-form checks compare the
+matrix's preimages and the pairs' symmetric forms against
+``apply_laplacian`` in packed batches (``_laplacians_agree``): one call per
+chunk of targets, each target a balanced digit of the packed numerators.
+A batch that fails is checked again one call per target, so the records
+name the first failing target as a check of each target alone would.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import NilharmonicError, ValidationError
@@ -45,8 +54,10 @@ from .laplacian import (
     laplacian_matrix,
     matrix_shape,
 )
-from .linalg import Factorization, Inconsistent
+from .linalg import Factorization, Inconsistent, IntVector
 from .polynomials import (
+    Exponents,
+    IntTerms,
     Polynomial,
     _from_ints,
     _images,
@@ -58,7 +69,9 @@ from .polynomials import (
 )
 # unused here, but the benchmark's tracer wraps suite.translate_right by name
 from .polynomials import translate_right  # noqa: F401
-from .verify import _first_translation_mismatch, _mean_value_checks, check_left_right_batch
+from .verify import (
+    _chunks, _first_translation_mismatch, _mean_value_checks, check_left_right_batch,
+)
 # unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
 # suite.check_left_right_agreement by name
 from .verify import check_harmonic_batch, check_left_right_agreement  # noqa: F401
@@ -291,15 +304,26 @@ def run_invariant_suite(
     except NilharmonicError as exc:
         add("laplacian.harmonic_oracle", False, str(exc))
 
-    bad_detail = ""
-    monos = pk_basis(schema, min(k_max, 3))
-    polys = [Polynomial._trusted(schema, {m: 1}, 1) for m in monos]
-    for m, p, form in zip(monos, polys, _symmetric_form(measure, polys)):
-        if apply_laplacian(measure, p) != form:
-            bad_detail = f"monomial {m}"
-            break
+    bad_detail = _first_bad_symmetric_form(measure, pk_basis(schema, min(k_max, 3)))
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records
+
+
+def _first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
+    """The detail "monomial m" for the first m of ``monos`` whose
+    ``apply_laplacian`` differs from its ``_symmetric_form``, or "".
+
+    All of them are checked in one packed batch; only a batch that fails is
+    checked again one monomial at a time, in order, to name the first."""
+    schema = measure.schema
+    polys = [Polynomial._trusted(schema, {m: 1}, 1) for m in monos]
+    forms = _symmetric_form(measure, polys)
+    if _laplacians_agree(measure, [((1, p.ints), (f.den, f.ints)) for p, f in zip(polys, forms)]):
+        return ""
+    for m, p, form in zip(monos, polys, forms):
+        if apply_laplacian(measure, p) != form:
+            return f"monomial {m}"
+    return ""
 
 
 def _first_bad_preimages(
@@ -316,26 +340,44 @@ def _first_bad_preimages(
     ``factorization`` is that of the degree-K Laplacian, K = len(dims) - 1,
     ``dims[k]`` is dim P^k, and the check at k covers the first
     ``targets[k]`` monomials of P^(K-2), the basis of P^(k-2).  Each target
-    is solved and checked with ``apply_laplacian`` once, in basis order; a
-    preimage reaching column dim P^k or past it is none at k.  Solving stops
-    at the first target that fails at every k it belongs to.
+    is solved once, in basis order, up to the first with no solution; a
+    preimage reaching column dim P^k or past it is none at k.  When every
+    target has a solution, the preimages are checked in one packed batch
+    (see ``_laplacians_agree``).  Otherwise, or when the batch fails, each is
+    checked with ``apply_laplacian`` in basis order, and checking stops at
+    the first target that fails at every k it belongs to.
     """
     domain = pk_basis(schema, len(dims) - 1)
+    codomain = pk_basis(schema, len(dims) - 3)
+    sols: list[IntVector | Inconsistent] = []
+    for i in range(len(codomain)):
+        sols.append(factorization.solve((1, {i: 1})))
+        if isinstance(sols[-1], Inconsistent):
+            break
+    # each preimage as (den, {monomial: numerator}), None where there is none
+    preimages = [
+        None if isinstance(sol, Inconsistent)
+        else (sol[0], {domain[t]: n for t, n in sol[1].items()})
+        for sol in sols
+    ]
+    checked = None not in preimages and _laplacians_agree(
+        measure, [(p, (1, {mono_: 1})) for p, mono_ in zip(preimages, codomain)]
+    )
     bad: dict[int, str | NilharmonicError] = {}
-    for i, mono_ in enumerate(pk_basis(schema, len(dims) - 3)):
-        sol = factorization.solve((1, {i: 1}))
+    for i, (mono_, sol, p) in enumerate(zip(codomain, sols, preimages)):
         top, verdict = -1, None
-        if isinstance(sol, Inconsistent):
+        if p is None:
             verdict = f"no preimage for {mono_}"
         else:
-            den, vec = sol
-            top = max(vec, default=-1)
-            p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
-            try:
-                if apply_laplacian(measure, p_hat) != Polynomial._trusted(schema, {mono_: 1}, 1):
-                    verdict = f"bad preimage for {mono_}"
-            except NilharmonicError as exc:
-                verdict = exc
+            top = max(sol[1], default=-1)
+            if not checked:
+                p_hat = Polynomial._trusted(schema, p[1], p[0])
+                want = Polynomial._trusted(schema, {mono_: 1}, 1)
+                try:
+                    if apply_laplacian(measure, p_hat) != want:
+                        verdict = f"bad preimage for {mono_}"
+                except NilharmonicError as exc:
+                    verdict = exc
         for k, n_targets in enumerate(targets):
             if k not in bad and i < n_targets:
                 if top >= dims[k]:
@@ -345,6 +387,90 @@ def _first_bad_preimages(
         if verdict is not None:
             break
     return bad
+
+
+# A polynomial n / den as (den, {monomial: numerator}): its integer
+# numerators over one positive denominator.
+IntPolynomial = tuple[int, IntTerms]
+
+
+def _laplacian_bits(
+    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]]
+) -> list[int] | None:
+    """The digit width B of each pair ((a, n), (c, m)) of ``pairs``, for the
+    check Delta(n / a) = m / c; None if some m is of degree above deg n - 2,
+    where ``apply_laplacian`` on n / a alone raises.
+
+    With b the measure's ``scale`` and D_e = b Delta x^e, that check is the
+    integer identity c sum_e n_e D_e = b a m.  D_e is b x^e minus the sum
+    over the atoms s of b mu(s) x^e(x s), and coordinate t of x s is an
+    affine form L_t, so each coefficient of x^e(x s) = prod_t L_t^e_t is at
+    most prod_t |L_t|^e_t, |L_t| the sum of the absolute values of L_t's
+    coefficients.  Those are 1 at x_t, s_t, and sums of coordinates of s
+    read off the law, so |L_t| is at most its value for the element r whose
+    coordinates are the largest absolute values of the atoms' coordinates,
+    which is at most 2^(h w_t) for w_t the weight of coordinate t and h the
+    least integer for which that holds at every t.  Each coefficient of D_e
+    is then at most b (1 + 2^(h deg e)) <= b 2^(1 + h deg e), and each
+    coefficient of either side at most
+    b (c sum_e |n_e| 2^(1 + h deg n) + a max_e |m_e|), which is below
+    2^(B - 1).
+    """
+    schema = measure.schema
+    r = GroupElement(tuple(max(map(abs, c)) for c in zip(*(s.coords for s in measure.atoms))))
+    h = max(
+        -(-(abs(c) + sum(abs(a) for _, a in lin) - 1).bit_length() // w)
+        for (c, lin), w in zip(_translation_forms(schema, r, "right"), schema.weights)
+    )
+    keys = set().union(*(n for (_, n), _ in pairs), *(m for _, (_, m) in pairs))
+    degree = {e: sum(map(mul, schema.weights, e)) for e in keys}.__getitem__
+    b = measure.scale
+    bits = []
+    for (a, n), (c, m) in pairs:
+        d = max(map(degree, n), default=0)
+        if n and m and max(map(degree, m)) > d - 2:
+            return None
+        target = a * max(map(abs, m.values()), default=0)
+        bits.append((b * ((c * sum(map(abs, n.values())) << 1 + h * d) + target)).bit_length() + 1)
+    return bits
+
+
+def _laplacians_agree(
+    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]]
+) -> bool:
+    """Whether ``apply_laplacian``, called on n / a alone, would return m / c
+    without raising, for every pair ((a, n), (c, m)) of ``pairs``; False also
+    where a call here raises a ``NilharmonicError``.
+
+    A pair whose m is of degree above deg n - 2 fails without a call.  The
+    others go in chunks of ``_chunks``, of widths from ``_laplacian_bits``,
+    with one call per chunk: on P = sum_j 2^(B j) c_j n_j, against
+    Q = sum_j 2^(B j) a_j m_j, over the chunk's pairs j.  Delta is linear,
+    and each digit of b Delta P and b Q is below 2^(B - 1) in absolute value,
+    so Delta P = Q exactly when digit j agrees for every j, which is
+    Delta(n_j / a_j) = m_j / c_j.
+    """
+    bits = _laplacian_bits(measure, pairs)
+    if bits is None:
+        return False
+    schema = measure.schema
+    for start, stop, width in _chunks(bits):
+        packed: IntTerms = {}
+        want: IntTerms = {}
+        get, get_want = packed.get, want.get
+        for j, ((a, n), (c, m)) in enumerate(pairs[start:stop]):
+            shift = width * j
+            for e, v in n.items():
+                packed[e] = get(e, 0) + (c * v << shift)
+            for e, v in m.items():
+                want[e] = get_want(e, 0) + (a * v << shift)
+        try:
+            image = apply_laplacian(measure, _from_ints(schema, packed, 1))
+            if image != _from_ints(schema, want, 1):
+                return False
+        except NilharmonicError:
+            return False
+    return True
 
 
 def _associativity_witness(

@@ -80,6 +80,13 @@ before one factorization served every degree: one Laplacian matrix and one
 elimination per k, and every target of P^(k-2) solved and checked again at
 each k.
 
+``first_bad_preimages`` and ``first_bad_symmetric_form`` are the suite's
+surjectivity and symmetric-form loops as they ran before the suite checked
+each batch packed: one ``apply_laplacian`` call per target of P^(K-2) and
+per monomial of P^min(K, 3), in basis order, stopping at the first failure.
+They call ``lib_apply_laplacian``, so a test that rebinds it to a faulty
+Laplacian reaches both.
+
 ``parse_polynomial`` is the polynomial text parser as it ran before it kept
 integer numerators and denominators: a token list, then ``Fraction``
 arithmetic on each number and each sum of like terms, and the public
@@ -100,7 +107,7 @@ from nilharmonic.groups import COORD_NAME, GroupElement, GroupSchema, ball, inv
 from nilharmonic.laplacian import Measure, dim_hk, harmonic_basis, laplacian_matrix
 from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
 from nilharmonic.polynomials import pk_basis as lib_pk_basis
-from nilharmonic.linalg import Inconsistent, IntRows, RationalMatrix
+from nilharmonic.linalg import Factorization, Inconsistent, IntRows, RationalMatrix
 from nilharmonic.polynomials import (
     MomentImages,
     AffineForm,
@@ -794,6 +801,53 @@ def laplacian_records(
     return records
 
 
+def first_bad_preimages(
+    schema: GroupSchema,
+    measure: Measure,
+    factorization: Factorization,
+    dims: Sequence[int],
+    targets: Sequence[int],
+) -> dict[int, str | NilharmonicError]:
+    """``suite._first_bad_preimages`` with each target solved and checked
+    with ``lib_apply_laplacian`` once, in basis order, until the first
+    target that fails at every k it belongs to."""
+    domain = lib_pk_basis(schema, len(dims) - 1)
+    bad: dict[int, str | NilharmonicError] = {}
+    for i, mono_ in enumerate(lib_pk_basis(schema, len(dims) - 3)):
+        sol = factorization.solve((1, {i: 1}))
+        top, verdict = -1, None
+        if isinstance(sol, Inconsistent):
+            verdict = f"no preimage for {mono_}"
+        else:
+            den, vec = sol
+            top = max(vec, default=-1)
+            p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
+            try:
+                if lib_apply_laplacian(measure, p_hat) != Polynomial._trusted(schema, {mono_: 1}, 1):
+                    verdict = f"bad preimage for {mono_}"
+            except NilharmonicError as exc:
+                verdict = exc
+        for k, n_targets in enumerate(targets):
+            if k not in bad and i < n_targets:
+                if top >= dims[k]:
+                    bad[k] = f"no preimage for {mono_}"
+                elif verdict is not None:
+                    bad[k] = verdict
+        if verdict is not None:
+            break
+    return bad
+
+
+def first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
+    """``suite._first_bad_symmetric_form`` with one ``lib_apply_laplacian``
+    call per monomial, in order, against ``symmetric_form``."""
+    for m in monos:
+        p = Polynomial(measure.schema, {m: 1})
+        if lib_apply_laplacian(measure, p) != symmetric_form(measure, p):
+            return f"monomial {m}"
+    return ""
+
+
 def difference_points(
     schema: GroupSchema,
     order: int,
@@ -876,7 +930,7 @@ def symmetric_form(measure: Measure, p: Polynomial) -> Polynomial:
 
 # -- the polynomial text syntax, parsed in Fraction arithmetic -----------------
 
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({COORD_NAME})|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)|({COORD_NAME})|([-+*/^()]))")
 
 
 def _tokenize(text: str) -> list[str]:

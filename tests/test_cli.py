@@ -469,6 +469,42 @@ def test_undecodable_polynomial_exits_one(configs, tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_FULLWIDTH_HALF = "１/２"  # fullwidth 1/2
+
+
+@pytest.mark.parametrize(
+    "group, measure, target",
+    [
+        (_Z1, {"atoms": [{"coords": [1], "weight": _FULLWIDTH_HALF},
+                         {"coords": [-1], "weight": _FULLWIDTH_HALF}]}, None),
+        # Arabic-Indic 3/8 twice and 1/4: read as digits, the mass would be 1
+        (_Z1, {"atoms": [{"coords": [1], "weight": "٣/8"},
+                         {"coords": [-1], "weight": "٣/8"},
+                         {"coords": [0], "weight": "1/4"}]}, None),
+        ({"family": "lattice", "d": "３"}, measure_to_config(generator_walk(lattice(3))), None),
+        ({"family": "heisenberg", "n": 1}, measure_to_config(generator_walk(heisenberg(1))),
+         "x^２ + ３*y"),
+    ],
+    ids=["fullwidth-weight", "arabic-indic-weight", "fullwidth-size", "fullwidth-polynomial"],
+)
+def test_non_ascii_digits_exit_one(tmp_path, capsys, group, measure, target):
+    # only ASCII digits are numbers; read as digits, each input would run
+    group_path, measure_path = tmp_path / "group.json", tmp_path / "measure.json"
+    group_path.write_text(json.dumps(group), encoding="utf-8")
+    measure_path.write_text(json.dumps(measure), encoding="utf-8")
+    argv = ["--group", str(group_path), "--measure", str(measure_path)]
+    if target is None:
+        argv = ["harmonic", *argv, "--k", "2"]
+    else:
+        poly = tmp_path / "q.txt"
+        poly.write_text(target, encoding="utf-8")
+        argv = ["preimage", *argv, str(poly)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["harmonic", "preimage", "verify"])
 def test_oversized_matrix_exits_one(configs, tmp_path, capsys, command):
     # harmonic and verify at k = 200 and the preimage of x^400 ask for

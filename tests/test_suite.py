@@ -29,6 +29,7 @@ from nilharmonic.laplacian import (
 )
 from nilharmonic.polynomials import (
     _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
+    laplacian_images, pk_basis,
 )
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
@@ -376,3 +377,174 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
         _LAPLACIAN_IMAGES.clear()
         assert preimages() == cold
         assert 0 < _IMAGES.size <= 30
+
+
+# -- the packed Laplacian checks --------------------------------------------------
+
+def per_target_records(monkeypatch, schema, mu, k_max, radius):
+    """The suite's records with its surjectivity and symmetric-form checks
+    run one ``apply_laplacian`` call per target and per monomial."""
+    with monkeypatch.context() as m:
+        m.setattr(suite, "_first_bad_preimages", dense.first_bad_preimages)
+        m.setattr(suite, "_first_bad_symmetric_form", dense.first_bad_symmetric_form)
+        return records_of(run_invariant_suite(schema, mu, k_max, radius))
+
+
+def counting_laplacian(monkeypatch, fault=None):
+    """Rebind the suite's and the reference loops' ``apply_laplacian`` to a
+    counted one, ``fault(p, image)`` applied to each image if given."""
+    real, calls = laplacian.apply_laplacian, []
+
+    def counted(measure, p):
+        calls.append(p)
+        image = real(measure, p)
+        return image if fault is None else fault(p, image)
+
+    monkeypatch.setattr(suite, "apply_laplacian", counted)
+    monkeypatch.setattr(dense, "lib_apply_laplacian", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "schema, k_top",
+    [(lattice(2), 6), (lattice(3), 6), (H3, 6), (heisenberg(2), 5), (unitriangular(3), 6), (U4, 5)],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_packed_laplacian_records_equal_the_per_target_loops(monkeypatch, schema, k_top, seed):
+    # measures with an extra pair and an identity atom; one call per chunk
+    # where the per-target loops make one per target and per monomial
+    mu = seeded_measure(schema, seed)
+    calls = counting_laplacian(monkeypatch)
+    for k_max in range(k_top + 1):
+        calls.clear()
+        got = records_of(run_invariant_suite(schema, mu, k_max, 1))
+        packed_calls = len(calls)
+        calls.clear()
+        assert got == per_target_records(monkeypatch, schema, mu, k_max, 1)
+        assert all(passed for _, passed, _ in got)
+        assert packed_calls <= len(calls) and (k_max < 4 or 2 * packed_calls < len(calls))
+
+
+def chunks_of_the_preimage_batch(monkeypatch, schema, mu, k_max):
+    """The (start, stop, width) chunks of the suite's first packed batch, its
+    preimages of the basis of P^(k_max - 2)."""
+    seen = []
+    real = suite._chunks
+
+    def recorded(bits):
+        chunks = list(real(bits))
+        seen.append(chunks)
+        return iter(chunks)
+
+    with monkeypatch.context() as m:
+        m.setattr(suite, "_chunks", recorded)
+        run_invariant_suite(schema, mu, k_max, 1)
+    return seen[0]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_fault_at_one_target_of_a_chunk_names_that_target(monkeypatch, where):
+    # a Laplacian that doubles the coefficient of one target monomial in every
+    # image: only that target's preimage fails, packed as well as alone
+    mu = seeded_measure(H3, 6)
+    k_max = 10
+    chunks = chunks_of_the_preimage_batch(monkeypatch, H3, mu, k_max)
+    assert len(chunks) >= 3
+    start, stop, _ = chunks[1]
+    i = {"first": start, "middle": (start + stop) // 2, "last": stop - 1}[where]
+    mono_ = pk_basis(H3, k_max - 2)[i]
+
+    def doubled(p, image):
+        c = image.terms.get(mono_, 0)
+        return image + Polynomial(H3, {mono_: c}) if c else image
+
+    counting_laplacian(monkeypatch, doubled)
+    got = records_of(run_invariant_suite(H3, mu, k_max, 1))
+    assert got == per_target_records(monkeypatch, H3, mu, k_max, 1)
+    assert got[-3] == (f"laplacian.surjectivity[k={k_max}]", False, f"bad preimage for {mono_}")
+
+
+def test_a_fault_in_the_symmetric_form_batch_names_the_first_monomial(monkeypatch):
+    # the images of x^2 and of every monomial after it gain a constant
+    mu = seeded_measure(unitriangular(3), 2)
+    x2 = (2, 0, 0)
+    monos = pk_basis(unitriangular(3), 3)
+    after = set(monos[monos.index(x2):])
+
+    def shifted(p, image):
+        hit = sum(c for e, c in p.terms.items() if e in after)
+        return image + Polynomial(unitriangular(3), {(0, 0, 0): hit}) if hit else image
+
+    counting_laplacian(monkeypatch, shifted)
+    got = records_of(run_invariant_suite(unitriangular(3), mu, 3, 1))
+    assert got == per_target_records(monkeypatch, unitriangular(3), mu, 3, 1)
+    assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {x2}")
+
+
+def laplacian_numerators(mu, p):
+    """sum_e n_e D_e, for p's numerators n_e and D_e = b Delta x^e."""
+    acc: dict = {}
+    for n, image in zip(p.ints.values(), laplacian_images(mu, list(p.ints))):
+        for f, d in image.items():
+            acc[f] = acc.get(f, 0) + n * d
+    return {f: v for f, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("schema", [H3, lattice(3), U4], ids=str)
+def test_every_packed_digit_fits_its_width(monkeypatch, schema):
+    # random numerators over random denominators on the basis of P^6, each
+    # with a term of degree 6, against random expected images in P^4 and
+    # against their Laplacians: each digit of c sum_e n_e D_e and of b a m,
+    # D_e = b Delta x^e, is below 2^(B - 1)
+    rng = random.Random(str(schema))
+    mu = seeded_measure(schema, rng.randrange(100))
+    top = pk_basis(schema, 6)[-1]
+
+    def draw(k, *also):
+        den = rng.randint(1, 10**rng.randint(1, 12))
+        return Polynomial(schema, {
+            e: Fraction(rng.randint(-10**rng.randint(1, 30), 10**rng.randint(1, 30)), den)
+            for e in [*rng.sample(pk_basis(schema, k), rng.randint(1, 12)), *also]
+        })
+
+    def bits(pairs):
+        return suite._laplacian_bits(mu, pairs)
+
+    ps = [draw(6, top) for _ in range(60)]
+    qs = [draw(4) for _ in ps]
+    # an expected image of degree above deg n - 2 makes a call on n alone raise
+    assert bits([((1, {top: 1}), (1, {top: 1}))]) is None
+    assert not suite._laplacians_agree(mu, [((1, {top: 1}), (1, {top: 1}))])
+    # each side alone, against 0, and both sides drawn apart
+    for p, q in zip(ps, qs):
+        lhs = laplacian_numerators(mu, p).values()
+        rhs = [mu.scale * v for v in q.ints.values()]
+        (width,) = bits([((p.den, p.ints), (1, {}))])
+        assert all(abs(v) < 1 << width - 1 for v in lhs)
+        (width,) = bits([((1, {}), (q.den, q.ints))])
+        assert all(abs(v) < 1 << width - 1 for v in rhs)
+        (width,) = bits([((p.den, p.ints), (q.den, q.ints))])
+        assert all(abs(q.den * v) < 1 << width - 1 for v in lhs)
+        assert all(abs(p.den * v) < 1 << width - 1 for v in rhs)
+    # the Laplacians themselves: each chunk's packed call holds the left
+    # sides as its balanced digits
+    pairs = [((p.den, p.ints), (q.den, q.ints))
+             for p, q in ((p, laplacian.apply_laplacian(mu, p)) for p in ps)]
+    widths = bits(pairs)
+    chunks = list(verify._chunks(widths))
+    assert len(chunks) >= 3
+    calls = counting_laplacian(monkeypatch)
+    assert suite._laplacians_agree(mu, pairs)
+    assert len(calls) == len(chunks)
+    for (start, stop, width), packed in zip(chunks, calls):
+        image = laplacian_numerators(mu, packed)
+        sides = [{f: c * v for f, v in laplacian_numerators(mu, p).items()}
+                 for p, (_, (c, _)) in zip(ps[start:stop], pairs[start:stop])]
+        for f, v in image.items():
+            assert verify._digits(v, width, stop - start) == [side.get(f, 0) for side in sides]
+    # one wrong expected image fails its batch
+    (a, n), (c, m) = pairs[17]
+    one = (0,) * schema.n_coords
+    pairs[17] = ((a, n), (c, {**m, one: m.get(one, 0) + 1}))
+    assert not suite._laplacians_agree(mu, pairs)
