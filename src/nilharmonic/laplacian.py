@@ -65,16 +65,14 @@ class Measure:
 
     ``atoms`` is sorted by coordinates.  The validation's findings are kept:
     ``scale``, the lcm of the weights' denominators; ``int_weights``, scale
-    times each weight, in ``atoms`` order; ``pairs``, one (s, s^-1, w) per
-    pair of non-identity atoms, s the smaller and w = scale * mu(s), in order
-    of s; and ``groups``, one (pattern, ((coords, w), ...)) per maximal
-    support pattern, in sorted order: a pattern is the sorted coordinates
-    where an atom is not 0, maximal when no other atom's pattern holds it,
-    and each non-identity atom, with w = scale * mu(s), goes to the first
-    pattern that holds its own.
+    times each weight, in ``atoms`` order; and ``groups``, one (pattern,
+    ((coords, w), ...)) per maximal support pattern, in sorted order: a
+    pattern is the sorted coordinates where an atom is not 0, maximal when
+    no other atom's pattern holds it, and each non-identity atom, with
+    w = scale * mu(s), goes to the first pattern that holds its own.
     """
 
-    __slots__ = ("schema", "atoms", "scale", "int_weights", "pairs", "groups", "_hash")
+    __slots__ = ("schema", "atoms", "scale", "int_weights", "groups", "_hash")
 
     def __init__(
         self,
@@ -92,9 +90,8 @@ class Measure:
                 raise ValidationError(f"duplicate atom {g.coords}")
             clean[g] = w
 
-        inverses: dict[GroupElement, GroupElement] = {}
         for g, w in clean.items():
-            gi = inverses[g] = GroupElement(inv_coords(schema, g.coords))
+            gi = GroupElement(inv_coords(schema, g.coords))
             if clean.get(gi) != w:
                 raise ValidationError(
                     f"measure is not symmetric: atom {g.coords} has weight {w} "
@@ -116,9 +113,6 @@ class Measure:
         )
         self.scale = scale = lcm(*(w.denominator for w in clean.values()))
         self.int_weights = tuple(scale * w.numerator // w.denominator for w in self.atoms.values())
-        self.pairs = tuple(
-            (s, inverses[s], ws) for s, ws in zip(self.atoms, self.int_weights) if s < inverses[s]
-        )
         # supports as bit masks; a mask holds another when it has all its bits
         masks = [sum(1 << i for i, c in enumerate(s.coords) if c) for s in self.atoms]
         maximal: list[int] = []
@@ -190,7 +184,7 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, memoized per
     measure, and the result is normalized over a b once.  Each D_e is summed
     from the right translates by the atoms, so the suite checks the matrix
-    assembly, which reads the measure's moments, against this path.
+    assembly against this path, and this path against the mean-value oracle.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")

@@ -14,12 +14,10 @@ reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
 
 The measure half reaches the Laplacian only through ``laplacian_matrix`` and
-``apply_laplacian``.  Its surjectivity and symmetric-form checks compare the
-matrix's preimages and the pairs' symmetric forms against
-``apply_laplacian`` in packed batches (``_laplacians_agree``): one call per
-chunk of targets, each target a balanced digit of the packed numerators.
-A batch that fails is checked again one call per target, so the records
-name the first failing target as a check of each target alone would.
+``apply_laplacian``, called once per chunk of targets packed as balanced
+digits; the images are checked against the matrix's targets and by the
+mean-value oracle, and a batch that fails is checked again one call per
+target, to name the first that fails.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from .polynomials import (
     IntTerms,
     Polynomial,
     _from_ints,
-    _images,
     _translation_forms,
     dim_pk_table,
     left_derivative,
@@ -311,18 +308,39 @@ def run_invariant_suite(
 
 def _first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
     """The detail "monomial m" for the first m of ``monos`` whose
-    ``apply_laplacian`` differs from its ``_symmetric_form``, or "".
+    ``apply_laplacian`` is not x -> m(x) - sum_s mu(s) m(x s), or "".
 
-    All of them are checked in one packed batch; only a batch that fails is
-    checked again one monomial at a time, in order, to name the first."""
-    schema = measure.schema
-    polys = [Polynomial._trusted(schema, {m: 1}, 1) for m in monos]
-    forms = _symmetric_form(measure, polys)
-    if _laplacians_agree(measure, [((1, p.ints), (f.den, f.ints)) for p, f in zip(polys, forms)]):
-        return ""
-    for m, p, form in zip(monos, polys, forms):
-        if apply_laplacian(measure, p) != form:
-            return f"monomial {m}"
+    ``monos`` is a basis of P^j, and the mean-value oracle checks images at its
+    exponent vectors read as points, S_j = {a >= 0 : sum_t w_t a_t <= j}, level
+    0 of a radius-0 search.  S_j is downward closed, so in the binomial basis
+    prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix: a
+    polynomial of P^j that vanishes there is 0.  Translation keeps weighted
+    degree, so an image of degree at most deg m - 2 that passes is m's
+    Laplacian on all of G.  One call takes each chunk of ``_chunks``, widths
+    from ``_laplacian_bits``, as P = sum_j 2^(B j) m_j; a chunk whose call
+    raises, whose image has degree above deg P - 2 or which fails is checked
+    again monomial by monomial, letting errors out.
+    """
+    search = _ball_search(measure.schema, measure.support(), 0)._replace(
+        index={m: i for i, m in enumerate(monos)}, sizes=[len(monos)])
+
+    def holds(p: Polynomial, image: Polynomial | None) -> bool:
+        return image is not None and (image.is_zero or image.degree <= p.degree - 2) and all(
+            c.passed for c in _mean_value_checks(measure, [p], search, [image]))
+
+    bits = _laplacian_bits(measure, [((1, {m: 1}), (1, {})) for m in monos])
+    for start, stop, width in _chunks(bits):
+        p = Polynomial._trusted(measure.schema, {
+            m: 1 << width * j for j, m in enumerate(monos[start:stop])}, 1)
+        try:
+            image = apply_laplacian(measure, p)
+        except NilharmonicError:
+            image = None
+        if not holds(p, image):
+            for m in p.ints:
+                q = Polynomial._trusted(measure.schema, {m: 1}, 1)
+                if not holds(q, apply_laplacian(measure, q)):
+                    return f"monomial {m}"
     return ""
 
 
@@ -492,25 +510,3 @@ def _associativity_witness(
         if row != other:
             return i, j, next(m for m, (x, y) in enumerate(zip(row, other)) if x != y)
     return None
-
-
-def _symmetric_form(measure: Measure, polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """For each p of ``polys``, the sum over the pairs {s, s^-1} of
-    mu(s) (2p - p(x s) - p(x s^-1)), which is Delta p when mu is symmetric
-    (the identity's term is 0), in ints over b p.den for b the measure's
-    ``scale``.  Each pair atom's right-translation images of every monomial
-    of ``polys`` are read in one ``_images`` call."""
-    schema = measure.schema
-    keys = list(dict.fromkeys(e for p in polys for e in p.ints))
-    mass = 2 * sum(ws for _, _, ws in measure.pairs)
-    accs = [{e: mass * c for e, c in p.ints.items()} for p in polys]
-    for s, s_inv, ws in measure.pairs:
-        for u in (s, s_inv):
-            images = dict(zip(keys, _images(_translation_forms(schema, u, "right"), keys)))
-            for p, acc in zip(polys, accs):
-                get = acc.get
-                for e, c in p.ints.items():
-                    f = ws * c
-                    for exps, v in images[e].items():
-                        acc[exps] = get(exps, 0) - f * v
-    return [_from_ints(schema, acc, measure.scale * p.den) for p, acc in zip(polys, accs)]

@@ -1,23 +1,22 @@
 """Brute-force oracles that validate the algebra by direct evaluation.
 
-Everything here works pointwise on Cayley balls using only group
-multiplication and integer polynomial values.  A batch of polynomials is
-evaluated at an interned list of points in chunks: the integer numerators of
-a chunk are packed into one int per monomial, as balanced base-2^B digits
-with B from an exact bound on the sums the oracle takes, and the packed
-polynomial is evaluated one coordinate at a time: its coefficients in the
-last coordinate are evaluated together on the distinct prefixes of the
-points, then combined by Horner's rule, so the work at each coordinate
-scales with the distinct prefixes, not with the points.  Every oracle sum
-then runs over whole rows of ids once per chunk, and a non-zero packed sum
-is decoded digit by digit into the polynomials that fail.  The translation
-machinery under test (composition with the affine forms of the group law),
-the matrix assembly and the elimination are never called, so a bug there
-cannot hide from these checks.
-For the same reason the mean-value oracle clears the measure's ``Fraction``
-weights to integers itself and does not read the ``scale`` and
-``int_weights`` that the Laplacian uses.  Every oracle is stateless, and
-deterministic: enumeration orders are fixed.
+Everything here works pointwise on Cayley balls and other point sets using
+only group multiplication and integer polynomial values.  A batch of
+polynomials is evaluated at an interned list of points in chunks: the integer
+numerators of a chunk are packed into one int per monomial, as balanced
+base-2^B digits with B from an exact bound on the sums the oracle takes, and
+the packed polynomial is evaluated one coordinate at a time: its coefficients
+in the last coordinate are evaluated together on the distinct prefixes of the
+points, then combined by Horner's rule, so the work at each coordinate scales
+with the distinct prefixes, not with the points.  Every oracle sum then runs
+over whole rows of ids once per chunk, and a non-zero packed sum is decoded
+digit by digit into the polynomials that fail.  The translation machinery
+under test (composition with the affine forms of the group law), the
+Laplacian, the matrix assembly and the elimination are never called, so a bug
+there cannot hide from these checks.  For the same reason the mean-value
+oracle clears the measure's ``Fraction`` weights to integers itself and does
+not read the ``scale`` and ``int_weights`` that the Laplacian uses.  Every
+oracle is stateless and deterministic: enumeration orders are fixed.
 """
 
 from __future__ import annotations
@@ -239,22 +238,21 @@ def check_harmonic_batch(
     return _mean_value_checks(measure, polys, _ball_search(schema, measure.support(), radius))
 
 
-def _mean_value_checks(
-    measure: Measure, polys: Sequence[Polynomial], search: BallSearch
-) -> list[HarmonicCheck]:
-    """``check_harmonic_batch`` on the ball of ``search``, a search from the
-    measure's support, whose products the centres inside the radius reuse.
-
-    Per chunk, the residual w f(g) - sum_s w mu(s) f(gs), w the lcm of the
-    weights' denominators, is at most 2 w times the bound of ``_digit_bits``.
-    The witness of a failing f is the first centre, in coordinate order,
-    whose residual has a non-zero digit for f.
+def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], search: BallSearch,
+                       rhs: Sequence[Polynomial] = ()) -> list[HarmonicCheck]:
+    """f(g) = sum_s mu(s) f(gs) + h(g) at each centre g of ``search`` for each
+    f of ``polys``, h its entry of ``rhs`` or 0, on the ball of a search from
+    the support or level 0 of a radius-0 one.  Per chunk, with F = d f and
+    H = d h for d = f.den h.den, and w the lcm of the weights' denominators,
+    w F(g) - sum_s w mu(s) F(gs) - w H(g) is below 2^(B - 1), B one more than
+    the wider width ``_digit_bits`` gives F or H.  A failing f's witness is
+    the first centre, in coordinate order, with a non-zero digit for f.
     """
     atoms = list(measure.atoms.items())
     weight_scale = lcm(*(w.denominator for _, w in atoms))
-    int_weights = [int(w * weight_scale) for _, w in atoms]
+    int_weights = [w.numerator * (weight_scale // w.denominator) for _, w in atoms]
 
-    # the centres take the ids 0..n-1; only the last sphere is multiplied here
+    # the centres take the ids 0..n-1; only the last level is multiplied here
     index = dict(search.index)
     n = len(index)
     sphere = list(index)[n - search.sizes[-1]:]
@@ -270,28 +268,39 @@ def _mean_value_checks(
             atom_ids.append(range(n))
     points = list(index)
 
+    levels = _prefix_levels(points, measure.schema.n_coords)
+    fs, hs, dens = polys, [], [p.den for p in polys]
+    if rhs:  # f and h over d = f.den h.den, as the integer polynomials F = d f and H = d h
+        dens = [p.den * h.den for p, h in zip(polys, rhs)]
+        fs, hs = [p * d for p, d in zip(polys, dens)], [h * d for h, d in zip(rhs, dens)]
+    bits = _digit_bits([*fs, *hs], levels, 2 * weight_scale)
+    if hs:  # one bit more than the wider of F's and H's holds their sum
+        bits = [max(b, c) + 1 for b, c in zip(bits, bits[len(polys):])]
     order = None
     results = []
-    for start, stop, width, values in _packed_tables(polys, points, 2 * weight_scale):
+    for start, stop, width in _chunks(bits):
+        values = _peel(_packed(fs[start:stop], width), levels)
         lhs = [weight_scale * v for v in values[:n]]
-        rhs = [0] * n
+        total = [0] * n
+        if hs:
+            total = [weight_scale * v for v in _peel(_packed(hs[start:stop], width), levels)[:n]]
         for ids, w in zip(atom_ids, int_weights):
-            rhs = list(map(add, rhs, map(w.__mul__, map(values.__getitem__, ids))))
-        if lhs == rhs:
+            total = list(map(add, total, map(w.__mul__, map(values.__getitem__, ids))))
+        if lhs == total:
             results += [HarmonicCheck(True, n) for _ in range(start, stop)]
             continue
         if order is None:
             order = sorted(range(n), key=points.__getitem__)
         found = _first_digits(
-            (((rank, i), lhs[i] - rhs[i]) for rank, i in enumerate(order)), width, stop - start
+            (((rank, i), lhs[i] - total[i]) for rank, i in enumerate(order)), width, stop - start
         )
-        for j, p in enumerate(polys[start:stop]):
+        for j, den in enumerate(dens[start:stop]):
             if j not in found:
                 results.append(HarmonicCheck(True, n))
                 continue
             (rank, i), r = found[j]
             v = _digits(values[i], width, j + 1)[j]
-            exact = Fraction(v, p.den), Fraction(weight_scale * v - r, weight_scale * p.den)
+            exact = Fraction(v, den), Fraction(weight_scale * v - r, weight_scale * den)
             results.append(HarmonicCheck(False, rank + 1, GroupElement(points[i]), *exact))
     return results
 

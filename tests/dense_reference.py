@@ -65,6 +65,12 @@ suite's scan of all triples, two law products per triple, and
 ``symmetric_form`` is its half-sum of second differences in ``Polynomial``
 arithmetic.
 
+``mean_value_checks`` is the mean-value oracle with a right-hand side h,
+f(x) = sum_s mu(s) f(x s) + h(x), checked at each centre in ``Fraction``
+arithmetic with ``Polynomial.evaluate`` and the group's ``mul``.  ``pairs``
+lists a symmetric measure's pairs {s, s^-1} with their integer weights, as
+``Measure.pairs`` did while the suite's symmetric form summed over them.
+
 ``column_value_tables`` and ``column_harmonic_batch`` are the mean-value
 oracle as it ran before it packed a batch into one int per point: one
 shared value column per monomial, each its parent's times a coordinate,
@@ -83,7 +89,10 @@ each k.
 ``first_bad_preimages`` and ``first_bad_symmetric_form`` are the suite's
 surjectivity and symmetric-form loops as they ran before the suite checked
 each batch packed: one ``apply_laplacian`` call per target of P^(K-2) and
-per monomial of P^min(K, 3), in basis order, stopping at the first failure.
+per monomial of P^min(K, 3), in basis order, stopping at the first failure;
+the symmetric form is still ``symmetric_form``, the half-sum of second
+differences over the pairs {s, s^-1}, which the library's record has
+replaced with the mean-value oracle.
 They call ``lib_apply_laplacian``, so a test that rebinds it to a faulty
 Laplacian reaches both.
 
@@ -104,6 +113,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from nilharmonic.errors import InternalInconsistency, NilharmonicError, ValidationError
 from nilharmonic.groups import COORD_NAME, GroupElement, GroupSchema, ball, inv
+from nilharmonic.groups import mul as group_mul
 from nilharmonic.laplacian import Measure, dim_hk, harmonic_basis, laplacian_matrix
 from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
 from nilharmonic.polynomials import pk_basis as lib_pk_basis
@@ -650,6 +660,44 @@ def check_harmonic_batch(
                 break
         results.append(result)
     return results
+
+
+def mean_value_checks(
+    measure: Measure,
+    polys: Sequence[Polynomial],
+    rhs: Sequence[Polynomial],
+    centres: Iterable[tuple[int, ...]],
+) -> list[HarmonicCheck]:
+    """The mean-value oracle with a right-hand side, one centre at a time in
+    ``Fraction`` arithmetic: f(x) against sum_s mu(s) f(x s) + h(x) at each
+    distinct centre x, in coordinate order, from ``Polynomial.evaluate`` and
+    the group's ``mul``."""
+    schema = measure.schema
+    order = [GroupElement(c) for c in sorted(set(centres))]
+    results = []
+    for f, h in zip(polys, rhs):
+        result = HarmonicCheck(True, len(order))
+        for rank, x in enumerate(order):
+            lhs = f.evaluate(x)
+            mean = sum((w * f.evaluate(group_mul(schema, x, s)) for s, w in measure.atoms.items()),
+                       Fraction(0))
+            if lhs != mean + h.evaluate(x):
+                result = HarmonicCheck(False, rank + 1, x, lhs, mean + h.evaluate(x))
+                break
+        results.append(result)
+    return results
+
+
+def pairs(measure: Measure) -> list[tuple[GroupElement, GroupElement, int]]:
+    """One (s, s^-1, w) per pair of non-identity atoms of a symmetric
+    measure, s the smaller and w = scale * mu(s), in order of s, as
+    ``Measure.pairs`` held them."""
+    out = []
+    for s, ws in zip(measure.atoms, measure.int_weights):
+        s_inv = inv(measure.schema, s)
+        if s < s_inv:
+            out.append((s, s_inv, ws))
+    return out
 
 
 def column_value_tables(

@@ -139,7 +139,7 @@ SPLIT_UT4 = uniform_measure(
 def test_measure_keeps_its_scale_integer_weights_and_pairs():
     assert PAIRS_H3.scale == 8
     assert PAIRS_H3.int_weights == (1, 1, 1, 2, 1, 1, 1)
-    assert [(s.coords, s_inv.coords, w) for s, s_inv, w in PAIRS_H3.pairs] == [
+    assert [(s.coords, s_inv.coords, w) for s, s_inv, w in dense.pairs(PAIRS_H3)] == [
         ((-1, -1, 1), (1, 1, 0), 1),
         ((-1, 0, 0), (1, 0, 0), 1),
         ((0, -1, 0), (0, 1, 0), 1),
@@ -190,9 +190,10 @@ def test_measure_pairs_cover_the_support_once(mu):
     assert gcd(mu.scale, *mu.int_weights) == 1
     assert all(type(w) is int for w in mu.int_weights)
     assert [Fraction(w, mu.scale) for w in mu.int_weights] == list(mu.atoms.values())
-    assert sorted(g for s, s_inv, _ in mu.pairs for g in (s, s_inv)) == mu.support()
-    assert [s for s, _, _ in mu.pairs] == sorted(s for s, _, _ in mu.pairs)
-    for s, s_inv, w in mu.pairs:
+    pairs = dense.pairs(mu)
+    assert sorted(g for s, s_inv, _ in pairs for g in (s, s_inv)) == mu.support()
+    assert [s for s, _, _ in pairs] == sorted(s for s, _, _ in pairs)
+    for s, s_inv, w in pairs:
         assert s.coords < s_inv.coords
         assert mul(schema, s, s_inv) == identity(schema)
         assert w == mu.scale * mu.atoms[s]
@@ -530,7 +531,7 @@ def test_entries_that_the_pairs_cancel_are_dropped():
     mu = uniform_measure(H3, [g for s in reps for g in (s, inv(H3, s))])
     for k, cancelled in zip(range(2, 6), (2, 7, 21, 49)):
         sums = {}
-        for s, _, ws in mu.pairs:
+        for s, _, ws in dense.pairs(mu):
             for j, column in enumerate(dense.pair_columns(H3, s, k)):
                 for i, c in column:
                     sums[i, j] = sums.get((i, j), 0) + ws * c

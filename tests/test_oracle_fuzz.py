@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import (
+    BallSearch,
     GroupElement,
     GroupSchema,
+    _ball_search,
     ball,
     heisenberg,
     lattice,
@@ -28,12 +30,14 @@ from nilharmonic.groups import (
 )
 from nilharmonic.laplacian import Measure, generator_walk, harmonic_basis, lazy_generator_walk
 from nilharmonic.polynomials import Polynomial, _from_ints, pk_basis
-from nilharmonic.suite import _associativity_witness, _symmetric_form
+from nilharmonic.suite import _associativity_witness
 from nilharmonic.verify import (
     CHUNK_BITS,
+    HarmonicCheck,
     _digits,
     _first_digits,
     _iterated_difference_checks,
+    _mean_value_checks,
     _packed,
     _packed_tables,
     _peel,
@@ -279,19 +283,44 @@ def test_associativity_witness_on_broken_and_whole_laws():
         assert _associativity_witness(broken.law_mul, coords) == want
 
 
+def point_search(mu, centres):
+    """The radius-0 search from mu's support whose level 0 holds ``centres``."""
+    gens = [g.coords for g in mu.support()]
+    index = {c: i for i, c in enumerate(dict.fromkeys(centres))}
+    return BallSearch(index, [len(index)], gens, [[] for _ in gens])
+
+
 @SETTINGS
 @given(st.data())
-def test_symmetric_form_equals_polynomial_arithmetic(data):
-    # one call takes a batch; each form must be the one its polynomial gets alone
+def test_mean_value_oracle_with_a_right_side_equals_the_pointwise_loop(data):
+    # f drawn, or a batch of scaled harmonic elements long enough for several
+    # chunks; h its Laplacian, or that off by a drawn polynomial; the centres
+    # a ball or drawn points, repeats allowed
     schema = data.draw(st.sampled_from(SCHEMAS))
     mu = data.draw(measures(schema))
-    polys = data.draw(st.lists(polynomials(schema, 3), max_size=4))
-    assert _symmetric_form(mu, polys) == [dense.symmetric_form(mu, p) for p in polys]
+    polys = data.draw(st.one_of(st.lists(polynomials(schema, 3), max_size=4),
+                                mean_value_batches(schema, mu)))
+    rhs = [dense.apply_laplacian(mu, f) for f in polys]
+    rhs = [h + data.draw(st.sampled_from([Polynomial(schema), data.draw(polynomials(schema, 2))]))
+           for h in rhs]
+    if data.draw(st.booleans()):
+        search = _ball_search(schema, mu.support(), data.draw(st.integers(0, 2)))
+    else:
+        coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
+        search = point_search(mu, data.draw(st.lists(coords, min_size=1, max_size=12)))
+    got = _mean_value_checks(mu, polys, search, rhs)
+    assert got == dense.mean_value_checks(mu, polys, rhs, search.index)
 
 
 def test_symmetric_form_of_a_square():
-    # on the generator walk of heisenberg(1), x^2 averages to x^2 + 1/2
+    # on the generator walk of heisenberg(1), x^2 averages to x^2 + 1/2, so
+    # its Laplacian is -1/2; -1/4 fails at the first centre, the identity
     h3 = heisenberg(1)
+    mu = generator_walk(h3)
     x2 = Polynomial(h3, {(2, 0, 0): 1})
-    want = Polynomial(h3, {(0, 0, 0): Fraction(-1, 2)})
-    assert _symmetric_form(generator_walk(h3), [x2]) == [want]
+    search = point_search(mu, pk_basis(h3, 2))
+    half, quarter = (Polynomial(h3, {(0, 0, 0): Fraction(-1, n)}) for n in (2, 4))
+    assert _mean_value_checks(mu, [x2], search, [half]) == [HarmonicCheck(True, 7)]
+    assert _mean_value_checks(mu, [x2], search, [quarter]) == [
+        HarmonicCheck(False, 1, GroupElement((0, 0, 0)), Fraction(0), Fraction(1, 4))
+    ]

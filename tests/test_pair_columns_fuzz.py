@@ -100,7 +100,7 @@ def test_moment_matrix_equals_the_translated_pair_columns(mu, k):
     while dim_pk(schema, k) > MAX_BASIS:
         k -= 1
     want = [{} for _ in range(dim_pk(schema, k - 2))]
-    for s, _, ws in mu.pairs:
+    for s, _, ws in dense.pairs(mu):
         for j, column in enumerate(dense.translated_pair_columns(schema, s, k)):
             for i, c in column.items():
                 want[i][j] = want[i].get(j, 0) + ws * c / mu.scale

@@ -13,6 +13,7 @@ import nilharmonic.suite as suite
 import nilharmonic.verify as verify
 from nilharmonic.errors import InternalInconsistency, ValidationError
 from nilharmonic.groups import (
+    BallSearch,
     GroupElement,
     GroupSchema,
     ball,
@@ -480,6 +481,47 @@ def test_a_fault_in_the_symmetric_form_batch_names_the_first_monomial(monkeypatc
     got = records_of(run_invariant_suite(unitriangular(3), mu, 3, 1))
     assert got == per_target_records(monkeypatch, unitriangular(3), mu, 3, 1)
     assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {x2}")
+
+
+def test_a_fault_that_vanishes_on_the_ball_fails_the_record_at_radius_0(monkeypatch):
+    # x is 0 at the identity, the whole radius-0 ball, but not on S_3, where
+    # the record checks: the image of x^3 gains x, and its degree still drops
+    x3 = (3, 0, 0)
+    x = Polynomial.coordinate(H3, 1)
+
+    def plus_x(p, image):
+        c = p.terms.get(x3, 0)
+        return image + x * c if c else image
+
+    counting_laplacian(monkeypatch, plus_x)
+    got = records_of(run_invariant_suite(H3, generator_walk(H3), 3, 0))
+    assert [r for r in got if not r[1]] == [
+        ("laplacian.surjectivity[k=3]", False, "bad preimage for (1, 0, 0)"),
+        ("laplacian.symmetric_form", False, f"monomial {x3}"),
+    ]
+
+
+def test_an_image_that_vanishes_on_the_centres_fails_through_its_degree(monkeypatch):
+    # x (x - 1) (x - 2) (x - 3) is 0 at every point of S_3, whose first
+    # coordinates are 0..3, so only the degree check sees it on x*y's image
+    xy = (1, 1, 0)
+    x = Polynomial.coordinate(H3, 1)
+    one = Polynomial(H3, {(0, 0, 0): 1})
+    quartic = x * (x - one) * (x - one * 2) * (x - one * 3)
+    mu = generator_walk(H3)
+    gens = [g.coords for g in mu.support()]
+    s3 = BallSearch({m: i for i, m in enumerate(pk_basis(H3, 3))}, [13], gens, [[] for _ in gens])
+    p = Polynomial(H3, {xy: 1})
+    image = laplacian.apply_laplacian(mu, p) + quartic
+    assert verify._mean_value_checks(mu, [p], s3, [image])[0].passed
+
+    def plus_quartic(p, image):
+        c = p.terms.get(xy, 0)
+        return image + quartic * c if c else image
+
+    counting_laplacian(monkeypatch, plus_quartic)
+    got = records_of(run_invariant_suite(H3, mu, 3, 1))
+    assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {xy}")
 
 
 def laplacian_numerators(mu, p):

@@ -272,7 +272,8 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_evaluation(monkeypatc
     def no_work(*args):
         raise AssertionError("the oracle evaluated a polynomial")
 
-    monkeypatch.setattr(verify, "_packed_tables", no_work)
+    for name in ("_packed_tables", "_peel"):
+        monkeypatch.setattr(verify, name, no_work)
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
         check_harmonic_batch(H3, MU_H3, [Z], 4)
