@@ -14,10 +14,11 @@ reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
 
 The measure half reaches the Laplacian only through ``laplacian_matrix`` and
-``apply_laplacian``, called once per chunk of targets packed as balanced
-digits; the images are checked against the matrix's targets and by the
-mean-value oracle, and a batch that fails is checked again one call per
-target, to name the first that fails.
+``apply_laplacian``, called once per chunk of ``_laplacian_batches``, which
+packs the targets through ``verify._packed`` and returns a raised
+``NilharmonicError`` as the chunk's image; the images are checked against the
+matrix's targets and by the mean-value oracle, and a batch that fails is
+checked again one target per call, to name the first that fails, or its error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import NilharmonicError, ValidationError
 from .groups import (
@@ -67,7 +67,8 @@ from .polynomials import (
 # unused here, but the benchmark's tracer wraps suite.translate_right by name
 from .polynomials import translate_right  # noqa: F401
 from .verify import (
-    _chunks, _first_translation_mismatch, _mean_value_checks, check_left_right_batch,
+    CHUNK_BITS, _chunks, _first_translation_mismatch, _mean_value_checks, _packed, _value_bounds,
+    check_left_right_batch,
 )
 # unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
 # suite.check_left_right_agreement by name
@@ -308,7 +309,8 @@ def run_invariant_suite(
 
 def _first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
     """The detail "monomial m" for the first m of ``monos`` whose
-    ``apply_laplacian`` is not x -> m(x) - sum_s mu(s) m(x s), or "".
+    ``apply_laplacian`` is not x -> m(x) - sum_s mu(s) m(x s), with ": " and
+    the error where the call on m raises, or "".
 
     ``monos`` is a basis of P^j, and the mean-value oracle checks images at its
     exponent vectors read as points, S_j = {a >= 0 : sum_t w_t a_t <= j}, level
@@ -316,31 +318,28 @@ def _first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> s
     prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix: a
     polynomial of P^j that vanishes there is 0.  Translation keeps weighted
     degree, so an image of degree at most deg m - 2 that passes is m's
-    Laplacian on all of G.  One call takes each chunk of ``_chunks``, widths
-    from ``_laplacian_bits``, as P = sum_j 2^(B j) m_j; a chunk whose call
-    raises, whose image has degree above deg P - 2 or which fails is checked
-    again monomial by monomial, letting errors out.
+    Laplacian on all of G.  The monomials go in the batches of
+    ``_laplacian_batches``, as pairs (m, 0); a batch whose call raises, whose
+    image has degree above deg P - 2 or which fails is checked again
+    monomial by monomial.
     """
     search = _ball_search(measure.schema, measure.support(), 0)._replace(
         index={m: i for i, m in enumerate(monos)}, sizes=[len(monos)])
 
-    def holds(p: Polynomial, image: Polynomial | None) -> bool:
-        return image is not None and (image.is_zero or image.degree <= p.degree - 2) and all(
+    def holds(p: Polynomial, image: Polynomial | NilharmonicError) -> bool:
+        return isinstance(image, Polynomial) and (
+            image.is_zero or image.degree <= p.degree - 2) and all(
             c.passed for c in _mean_value_checks(measure, [p], search, [image]))
 
-    bits = _laplacian_bits(measure, [((1, {m: 1}), (1, {})) for m in monos])
-    for start, stop, width in _chunks(bits):
-        p = Polynomial._trusted(measure.schema, {
-            m: 1 << width * j for j, m in enumerate(monos[start:stop])}, 1)
-        try:
-            image = apply_laplacian(measure, p)
-        except NilharmonicError:
-            image = None
+    pairs = [((1, {m: 1}), (1, {})) for m in monos]
+    for start, stop, p, _, image in _laplacian_batches(
+            measure, pairs, _laplacian_bits(measure, pairs)):
         if not holds(p, image):
-            for m in p.ints:
-                q = Polynomial._trusted(measure.schema, {m: 1}, 1)
-                if not holds(q, apply_laplacian(measure, q)):
-                    return f"monomial {m}"
+            for _, _, q, _, image in _laplacian_batches(
+                    measure, pairs[start:stop], [CHUNK_BITS] * (stop - start)):
+                if not holds(q, image):
+                    (m,) = q.ints
+                    return f"monomial {m}" + ("" if isinstance(image, Polynomial) else f": {image}")
     return ""
 
 
@@ -362,40 +361,33 @@ def _first_bad_preimages(
     preimage reaching column dim P^k or past it is none at k.  When every
     target has a solution, the preimages are checked in one packed batch
     (see ``_laplacians_agree``).  Otherwise, or when the batch fails, each is
-    checked with ``apply_laplacian`` in basis order, and checking stops at
-    the first target that fails at every k it belongs to.
+    checked alone in basis order, and checking stops at the first target
+    that fails at every k it belongs to.
     """
     domain = pk_basis(schema, len(dims) - 1)
     codomain = pk_basis(schema, len(dims) - 3)
     sols: list[IntVector | Inconsistent] = []
-    for i in range(len(codomain)):
-        sols.append(factorization.solve((1, {i: 1})))
-        if isinstance(sols[-1], Inconsistent):
+    # each preimage as (den, {monomial: numerator}) against its target
+    pairs: list[tuple[IntPolynomial, IntPolynomial]] = []
+    for i, mono_ in enumerate(codomain):
+        sols.append(sol := factorization.solve((1, {i: 1})))
+        if isinstance(sol, Inconsistent):
             break
-    # each preimage as (den, {monomial: numerator}), None where there is none
-    preimages = [
-        None if isinstance(sol, Inconsistent)
-        else (sol[0], {domain[t]: n for t, n in sol[1].items()})
-        for sol in sols
-    ]
-    checked = None not in preimages and _laplacians_agree(
-        measure, [(p, (1, {mono_: 1})) for p, mono_ in zip(preimages, codomain)]
-    )
+        pairs.append(((sol[0], {domain[t]: n for t, n in sol[1].items()}), (1, {mono_: 1})))
+    checked = len(pairs) == len(codomain) and _laplacians_agree(measure, pairs)
     bad: dict[int, str | NilharmonicError] = {}
-    for i, (mono_, sol, p) in enumerate(zip(codomain, sols, preimages)):
+    for i, (mono_, sol) in enumerate(zip(codomain, sols)):
         top, verdict = -1, None
-        if p is None:
+        if isinstance(sol, Inconsistent):
             verdict = f"no preimage for {mono_}"
         else:
             top = max(sol[1], default=-1)
             if not checked:
-                p_hat = Polynomial._trusted(schema, p[1], p[0])
-                want = Polynomial._trusted(schema, {mono_: 1}, 1)
-                try:
-                    if apply_laplacian(measure, p_hat) != want:
-                        verdict = f"bad preimage for {mono_}"
-                except NilharmonicError as exc:
-                    verdict = exc
+                ((*_, want, image),) = _laplacian_batches(measure, pairs[i:i + 1], [CHUNK_BITS])
+                if isinstance(image, NilharmonicError):
+                    verdict = image
+                elif image != want:
+                    verdict = f"bad preimage for {mono_}"
         for k, n_targets in enumerate(targets):
             if k not in bad and i < n_targets:
                 if top >= dims[k]:
@@ -425,32 +417,50 @@ def _laplacian_bits(
     affine form L_t, so each coefficient of x^e(x s) = prod_t L_t^e_t is at
     most prod_t |L_t|^e_t, |L_t| the sum of the absolute values of L_t's
     coefficients.  Those are 1 at x_t, s_t, and sums of coordinates of s
-    read off the law, so |L_t| is at most its value for the element r whose
-    coordinates are the largest absolute values of the atoms' coordinates,
-    which is at most 2^(h w_t) for w_t the weight of coordinate t and h the
-    least integer for which that holds at every t.  Each coefficient of D_e
-    is then at most b (1 + 2^(h deg e)) <= b 2^(1 + h deg e), and each
-    coefficient of either side at most
-    b (c sum_e |n_e| 2^(1 + h deg n) + a max_e |m_e|), which is below
+    read off the law, so |L_t| is at most R_t, its value for the element r
+    whose coordinates are the largest absolute values of the atoms'
+    coordinates, and R_t >= 1.  With size(e) = prod_t R_t^e_t, as
+    ``_value_bounds`` reads it, each coefficient of D_e is at most
+    b (1 + size(e)) <= 2 b size(e), and each coefficient of either side at
+    most b (2 c sum_e |n_e| size(e) + a max_e |m_e|), which is below
     2^(B - 1).
     """
     schema = measure.schema
     r = GroupElement(tuple(max(map(abs, c)) for c in zip(*(s.coords for s in measure.atoms))))
-    h = max(
-        -(-(abs(c) + sum(abs(a) for _, a in lin) - 1).bit_length() // w)
-        for (c, lin), w in zip(_translation_forms(schema, r, "right"), schema.weights)
-    )
-    keys = set().union(*(n for (_, n), _ in pairs), *(m for _, (_, m) in pairs))
-    degree = {e: sum(map(mul, schema.weights, e)) for e in keys}.__getitem__
+    forms = _translation_forms(schema, r, "right")
+    radii = [abs(c) + sum(abs(a) for _, a in lin) for c, lin in forms]
     b = measure.scale
     bits = []
-    for (a, n), (c, m) in pairs:
-        d = max(map(degree, n), default=0)
-        if n and m and max(map(degree, m)) > d - 2:
+    for ((a, n), (c, m)), size in zip(pairs, _value_bounds((n for (_, n), _ in pairs), radii)):
+        if n and m and (Polynomial._trusted(schema, m, 1).degree
+                        > Polynomial._trusted(schema, n, 1).degree - 2):
             return None
         target = a * max(map(abs, m.values()), default=0)
-        bits.append((b * ((c * sum(map(abs, n.values())) << 1 + h * d) + target)).bit_length() + 1)
+        bits.append((b * (2 * c * size + target)).bit_length() + 1)
     return bits
+
+
+def _laplacian_batches(
+    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]], bits: Sequence[int]
+) -> Iterator[tuple[int, int, Polynomial, Polynomial, Polynomial | NilharmonicError]]:
+    """(start, stop, P, Q, image) for each chunk pairs[start:stop] of
+    ``_chunks(bits)``, of width B: P = sum_j 2^(B j) c_j n_j and
+    Q = sum_j 2^(B j) a_j m_j over its pairs ((a_j, n_j), (c_j, m_j)), packed
+    by ``verify._packed``, and image the ``apply_laplacian`` of P, or the
+    ``NilharmonicError`` that call raised.  A chunk of one pair is that pair
+    at shift 0, as ``CHUNK_BITS`` widths give for every pair.
+    """
+    schema = measure.schema
+    # c n and a m as polynomials over 1, whose numerators ``_packed`` reads
+    sides = [[Polynomial._trusted(schema, t if f == 1 else {e: f * v for e, v in t.items()}, 1)
+              for f, t in ((c, n), (a, m))] for (a, n), (c, m) in pairs]
+    for start, stop, width in _chunks(bits):
+        p, q = (_from_ints(schema, _packed(side, width), 1) for side in zip(*sides[start:stop]))
+        try:
+            image = apply_laplacian(measure, p)
+        except NilharmonicError as exc:
+            image = exc
+        yield start, stop, p, q, image
 
 
 def _laplacians_agree(
@@ -461,34 +471,14 @@ def _laplacians_agree(
     where a call here raises a ``NilharmonicError``.
 
     A pair whose m is of degree above deg n - 2 fails without a call.  The
-    others go in chunks of ``_chunks``, of widths from ``_laplacian_bits``,
-    with one call per chunk: on P = sum_j 2^(B j) c_j n_j, against
-    Q = sum_j 2^(B j) a_j m_j, over the chunk's pairs j.  Delta is linear,
-    and each digit of b Delta P and b Q is below 2^(B - 1) in absolute value,
-    so Delta P = Q exactly when digit j agrees for every j, which is
-    Delta(n_j / a_j) = m_j / c_j.
+    others go in the batches of ``_laplacian_batches``, with widths from
+    ``_laplacian_bits``.  Delta is linear, and each digit of b Delta P and
+    b Q is below 2^(B - 1) in absolute value, so Delta P = Q exactly when
+    digit j agrees for every j, which is Delta(n_j / a_j) = m_j / c_j.
     """
     bits = _laplacian_bits(measure, pairs)
-    if bits is None:
-        return False
-    schema = measure.schema
-    for start, stop, width in _chunks(bits):
-        packed: IntTerms = {}
-        want: IntTerms = {}
-        get, get_want = packed.get, want.get
-        for j, ((a, n), (c, m)) in enumerate(pairs[start:stop]):
-            shift = width * j
-            for e, v in n.items():
-                packed[e] = get(e, 0) + (c * v << shift)
-            for e, v in m.items():
-                want[e] = get_want(e, 0) + (a * v << shift)
-        try:
-            image = apply_laplacian(measure, _from_ints(schema, packed, 1))
-            if image != _from_ints(schema, want, 1):
-                return False
-        except NilharmonicError:
-            return False
-    return True
+    return bits is not None and all(
+        q == image for *_, q, image in _laplacian_batches(measure, pairs, bits))
 
 
 def _associativity_witness(

@@ -85,28 +85,34 @@ def _prefix_levels(points: Sequence[tuple[int, ...]], n_coords: int) -> Levels:
     return levels
 
 
+def _value_bounds(terms: Iterable[dict[Exponents, int]], radii: Sequence[int]) -> list[int]:
+    """M = sum_e |n_e| prod_t R_t^e_t for the integer terms n_e of each entry
+    of ``terms``, R_t = ``radii[t]``: a bound on |sum_e n_e y^e| wherever
+    every |y_t| is at most R_t."""
+    sizes: dict[Exponents, int] = {}
+    bounds = []
+    for ints in terms:
+        bound = 0
+        for e, c in ints.items():
+            size = sizes.get(e)
+            if size is None:
+                size = sizes[e] = prod(map(pow, radii, e))
+            bound += abs(c) * size
+        bounds.append(bound)
+    return bounds
+
+
 def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int) -> list[int]:
     """The digit width B of each polynomial, for sums of its values at the
     points of ``levels``.
 
     With R_t the largest |y_t| over the points, read off level t, p's
-    numerator at y, sum_e n_e y^e, is at most M = sum_e |n_e| prod_t R_t^e_t.
-    A sum of values whose integer factors add up to at most ``spread`` in
-    absolute value is at most spread * M < 2^(B - 1), so it is one balanced
-    digit.
+    numerator at y is at most M of ``_value_bounds``.  A sum of values whose
+    integer factors add up to at most ``spread`` in absolute value is at most
+    spread * M < 2^(B - 1), so it is one balanced digit.
     """
     radii = [max(map(abs, ys), default=0) for _, ys in levels]
-    sizes: dict[Exponents, int] = {}
-    bits = []
-    for p in polys:
-        bound = 0
-        for e, c in p.ints.items():
-            size = sizes.get(e)
-            if size is None:
-                size = sizes[e] = prod(map(pow, radii, e))
-            bound += abs(c) * size
-        bits.append((spread * bound).bit_length() + 1)
-    return bits
+    return [(spread * m).bit_length() + 1 for m in _value_bounds((p.ints for p in polys), radii)]
 
 
 def _chunks(bits: Sequence[int]) -> Iterator[tuple[int, int, int]]:
