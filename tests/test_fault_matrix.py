@@ -28,7 +28,6 @@ from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, laz
 from nilharmonic.polynomials import (
     _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms,
 )
-from nilharmonic.serialize import measure_to_config
 from nilharmonic.suite import _group_records, run_invariant_suite
 
 H3 = heisenberg(1)
@@ -256,7 +255,7 @@ def test_verify_under_a_raising_fault_exits_2_with_every_record(tmp_path, capsys
     # the run with exit 3 and no records
     group, measure = tmp_path / "group.json", tmp_path / "measure.json"
     group.write_text(json.dumps({"family": "heisenberg", "n": 1}), encoding="utf-8")
-    measure.write_text(json.dumps(measure_to_config(WALK)), encoding="utf-8")
+    measure.write_text(json.dumps(serialize.measure_to_config(WALK)), encoding="utf-8")
     n_records = len(run_invariant_suite(H3, WALK, 4, 1))
     clear_memos()
     try:
