@@ -183,8 +183,9 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     n_e and denominator a, and b the measure's ``scale``, a b Delta p =
     sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, memoized per
     measure, and the result is normalized over a b once.  Each D_e is summed
-    from the right translates by the atoms, so the suite checks the matrix
-    assembly against this path, and this path against the mean-value oracle.
+    from the right translates by the atoms, a path apart from the matrix
+    assembly; the suite checks it, on the monomials of degree at most 3,
+    against the group law through the mean-value oracle.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")

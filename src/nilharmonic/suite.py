@@ -14,11 +14,15 @@ reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
 
 The measure half reaches the Laplacian only through ``laplacian_matrix`` and
-``apply_laplacian``, called once per chunk of ``_laplacian_batches``, which
-packs the targets through ``verify._packed`` and returns a raised
-``NilharmonicError`` as the chunk's image; the images are checked against the
-matrix's targets and by the mean-value oracle, and a batch that fails is
-checked again one target per call, to name the first that fails, or its error.
+``apply_laplacian``.  Every target of P^(k_max - 2) is solved once through the
+factorization of the degree-k_max matrix, and ``apply_laplacian`` is called
+once per monomial of P^min(k_max, 3).  One call of the mean-value oracle then
+checks both kinds of pair (p, q), a preimage and its target, a monomial and
+its image, as Delta p = q with Delta read off the group law: each side is in
+P^(k_max - 2), and S_(k_max - 2), where the oracle checks, determines such a
+polynomial (see ``_laplacian_checks``).  A failing record names its first
+failing target or monomial, and an error ``apply_laplacian`` raises becomes
+the symmetric form's detail.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import NilharmonicError, ValidationError
 from .groups import (
@@ -52,13 +56,10 @@ from .laplacian import (
     laplacian_matrix,
     matrix_shape,
 )
-from .linalg import Factorization, Inconsistent, IntVector
+from .linalg import Inconsistent, IntVector
 from .polynomials import (
     Exponents,
-    IntTerms,
     Polynomial,
-    _from_ints,
-    _translation_forms,
     dim_pk_table,
     left_derivative,
     pk_basis,
@@ -67,8 +68,7 @@ from .polynomials import (
 # unused here, but the benchmark's tracer wraps suite.translate_right by name
 from .polynomials import translate_right  # noqa: F401
 from .verify import (
-    CHUNK_BITS, _chunks, _first_translation_mismatch, _mean_value_checks, _packed, _value_bounds,
-    check_left_right_batch,
+    HarmonicCheck, _first_translation_mismatch, _mean_value_checks, check_left_right_batch,
 )
 # unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
 # suite.check_left_right_agreement by name
@@ -263,16 +263,57 @@ def run_invariant_suite(
     # and A_{k_max}'s rows of degree > k - 2 are 0 there, so rank A_k is the
     # number of pivots below dim P^k, and a target in P^{k-2} has a preimage
     # in P^k exactly when its canonical solution in A_{k_max} stays below
-    # dim P^k; that solution is then A_k's.
+    # dim P^k; that solution is then A_k's.  Each target is solved once, in
+    # basis order, up to the first with no solution.
     dims = dim_pk_table(schema, k_max)
+    codomain = pk_basis(schema, k_max - 2)
+    sols: list[IntVector | Inconsistent] = []
     try:
         factorization = laplacian_matrix(schema, measure, k_max).factorization()
     except NilharmonicError as exc:
+        factorization = None
         for k in range(k_max + 1):
             add(f"laplacian.matrix[k={k}]", False, str(exc))
     else:
-        targets = [dims[k - 2] if k >= 2 else 0 for k in range(k_max + 1)]
-        bad = _first_bad_preimages(schema, measure, factorization, dims, targets)
+        for i in range(len(codomain)):
+            sols.append(sol := factorization.solve((1, {i: 1})))
+            if isinstance(sol, Inconsistent):
+                break
+
+    def unit(m: Exponents) -> Polynomial:
+        return Polynomial._trusted(schema, {m: 1}, 1)
+
+    # one oracle call checks each preimage against its target, then each
+    # monomial of P^min(k_max, 3) against its image; an image that raises,
+    # or whose degree does not drop by 2, fails the symmetric form at once
+    domain = pk_basis(schema, k_max)
+    pairs = [(Polynomial._trusted(schema, {domain[t]: n for t, n in sol[1].items()}, sol[0]),
+              unit(m)) for m, sol in zip(codomain, sols) if not isinstance(sol, Inconsistent)]
+    n_preimages = len(pairs)
+    monos = pk_basis(schema, min(k_max, 3))
+    form_details = []
+    for m in monos:
+        p = unit(m)
+        try:
+            image = apply_laplacian(measure, p)
+        except NilharmonicError as exc:
+            image, detail = Polynomial(schema), f"monomial {m}: {exc}"
+        else:
+            detail = "" if image.is_zero or image.degree <= p.degree - 2 else f"monomial {m}"
+        pairs.append((p, image))
+        form_details.append(detail)
+    checks = _laplacian_checks(measure, k_max, pairs)
+
+    if factorization is not None:
+        # (top column, verdict) per target solved; a preimage reaching column
+        # dim P^k or past it is none at k
+        preimage_checks = iter(checks)
+        verdicts = [
+            (-1, f"no preimage for {m}") if isinstance(sol, Inconsistent)
+            else (max(sol[1], default=-1),
+                  None if next(preimage_checks).passed else f"bad preimage for {m}")
+            for m, sol in zip(codomain, sols)
+        ]
         for k, (dim, predicted) in enumerate(zip(dims, dim_hk_from_pk(dims))):
             nullity = dim - bisect_left(factorization.pivots, dim)
             add(
@@ -280,205 +321,56 @@ def run_invariant_suite(
                 nullity == predicted,
                 f"nullity {nullity}, predicted {predicted}",
             )
-            verdict = bad.get(k)
-            if isinstance(verdict, NilharmonicError):
-                add(f"laplacian.matrix[k={k}]", False, str(verdict))
-            else:
-                add(f"laplacian.surjectivity[k={k}]", verdict is None,
-                    verdict or f"{targets[k]} targets")
+            n_targets = dims[k - 2] if k >= 2 else 0
+            bad = next((f"no preimage for {m}" if top >= dim else verdict
+                        for m, (top, verdict) in zip(codomain, verdicts[:n_targets])
+                        if top >= dim or verdict), None)
+            add(f"laplacian.surjectivity[k={k}]", bad is None, bad or f"{n_targets} targets")
 
     try:
         report = harmonic_basis(schema, measure, k_max)
-        checks = _mean_value_checks(measure, list(report.basis), search)
-        bad_idx = next((i for i, c in enumerate(checks) if not c.passed), None)
+        oracle = _mean_value_checks(measure, list(report.basis), search)
+        bad_idx = next((i for i, c in enumerate(oracle) if not c.passed), None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
             bad_idx is None,
             f"{report.dim} basis elements"
             if bad_idx is None
-            else f"element {bad_idx}: {checks[bad_idx].witness} "
-            f"lhs={checks[bad_idx].lhs} rhs={checks[bad_idx].rhs}",
+            else f"element {bad_idx}: {oracle[bad_idx].witness} "
+            f"lhs={oracle[bad_idx].lhs} rhs={oracle[bad_idx].rhs}",
         )
     except NilharmonicError as exc:
         add("laplacian.harmonic_oracle", False, str(exc))
 
-    bad_detail = _first_bad_symmetric_form(measure, pk_basis(schema, min(k_max, 3)))
+    bad_detail = next((detail or f"monomial {m}"
+                       for m, detail, check in zip(monos, form_details, checks[n_preimages:])
+                       if detail or not check.passed), "")
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records
 
 
-def _first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
-    """The detail "monomial m" for the first m of ``monos`` whose
-    ``apply_laplacian`` is not x -> m(x) - sum_s mu(s) m(x s), with ": " and
-    the error where the call on m raises, or "".
+def _laplacian_checks(
+    measure: Measure, k_max: int, pairs: Sequence[tuple[Polynomial, Polynomial]]
+) -> list[HarmonicCheck]:
+    """Whether Delta p = q, Delta of the group law, for each (p, q) of
+    ``pairs``, checked in one call of the mean-value oracle; exact where p
+    is in P^K and q in P^(K-2), K = ``k_max``.
 
-    ``monos`` is a basis of P^j, and the mean-value oracle checks images at its
-    exponent vectors read as points, S_j = {a >= 0 : sum_t w_t a_t <= j}, level
-    0 of a radius-0 search.  S_j is downward closed, so in the binomial basis
-    prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix: a
-    polynomial of P^j that vanishes there is 0.  Translation keeps weighted
-    degree, so an image of degree at most deg m - 2 that passes is m's
-    Laplacian on all of G.  The monomials go in the batches of
-    ``_laplacian_batches``, as pairs (m, 0); a batch whose call raises, whose
-    image has degree above deg P - 2 or which fails is checked again
-    monomial by monomial.
+    The measure is
+    symmetric, so Delta lowers weighted degree by 2: translation keeps it,
+    and the terms of p(x s) that lose exactly 1 are linear in the weight-1
+    coordinates of s, whose mu-average is 0.  So Delta p - q is in
+    P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
+    vectors of P^j read as points, level 0 of a radius-0 search.  S_j is
+    downward closed, so in the binomial basis prod_t C(x_t, a_t) the values
+    of P^j on S_j form a unitriangular matrix: a polynomial of P^j that
+    vanishes there is 0, and each check that passes is an identity on all
+    of G.
     """
+    centres = pk_basis(measure.schema, max(k_max - 2, 0))
     search = _ball_search(measure.schema, measure.support(), 0)._replace(
-        index={m: i for i, m in enumerate(monos)}, sizes=[len(monos)])
-
-    def holds(p: Polynomial, image: Polynomial | NilharmonicError) -> bool:
-        return isinstance(image, Polynomial) and (
-            image.is_zero or image.degree <= p.degree - 2) and all(
-            c.passed for c in _mean_value_checks(measure, [p], search, [image]))
-
-    pairs = [((1, {m: 1}), (1, {})) for m in monos]
-    for start, stop, p, _, image in _laplacian_batches(
-            measure, pairs, _laplacian_bits(measure, pairs)):
-        if not holds(p, image):
-            for _, _, q, _, image in _laplacian_batches(
-                    measure, pairs[start:stop], [CHUNK_BITS] * (stop - start)):
-                if not holds(q, image):
-                    (m,) = q.ints
-                    return f"monomial {m}" + ("" if isinstance(image, Polynomial) else f": {image}")
-    return ""
-
-
-def _first_bad_preimages(
-    schema: GroupSchema,
-    measure: Measure,
-    factorization: Factorization,
-    dims: Sequence[int],
-    targets: Sequence[int],
-) -> dict[int, str | NilharmonicError]:
-    """For each k whose surjectivity check fails, what its first failing
-    target gives: "no preimage for m", "bad preimage for m", or the
-    ``NilharmonicError`` its check raised.
-
-    ``factorization`` is that of the degree-K Laplacian, K = len(dims) - 1,
-    ``dims[k]`` is dim P^k, and the check at k covers the first
-    ``targets[k]`` monomials of P^(K-2), the basis of P^(k-2).  Each target
-    is solved once, in basis order, up to the first with no solution; a
-    preimage reaching column dim P^k or past it is none at k.  When every
-    target has a solution, the preimages are checked in one packed batch
-    (see ``_laplacians_agree``).  Otherwise, or when the batch fails, each is
-    checked alone in basis order, and checking stops at the first target
-    that fails at every k it belongs to.
-    """
-    domain = pk_basis(schema, len(dims) - 1)
-    codomain = pk_basis(schema, len(dims) - 3)
-    sols: list[IntVector | Inconsistent] = []
-    # each preimage as (den, {monomial: numerator}) against its target
-    pairs: list[tuple[IntPolynomial, IntPolynomial]] = []
-    for i, mono_ in enumerate(codomain):
-        sols.append(sol := factorization.solve((1, {i: 1})))
-        if isinstance(sol, Inconsistent):
-            break
-        pairs.append(((sol[0], {domain[t]: n for t, n in sol[1].items()}), (1, {mono_: 1})))
-    checked = len(pairs) == len(codomain) and _laplacians_agree(measure, pairs)
-    bad: dict[int, str | NilharmonicError] = {}
-    for i, (mono_, sol) in enumerate(zip(codomain, sols)):
-        top, verdict = -1, None
-        if isinstance(sol, Inconsistent):
-            verdict = f"no preimage for {mono_}"
-        else:
-            top = max(sol[1], default=-1)
-            if not checked:
-                ((*_, want, image),) = _laplacian_batches(measure, pairs[i:i + 1], [CHUNK_BITS])
-                if isinstance(image, NilharmonicError):
-                    verdict = image
-                elif image != want:
-                    verdict = f"bad preimage for {mono_}"
-        for k, n_targets in enumerate(targets):
-            if k not in bad and i < n_targets:
-                if top >= dims[k]:
-                    bad[k] = f"no preimage for {mono_}"
-                elif verdict is not None:
-                    bad[k] = verdict
-        if verdict is not None:
-            break
-    return bad
-
-
-# A polynomial n / den as (den, {monomial: numerator}): its integer
-# numerators over one positive denominator.
-IntPolynomial = tuple[int, IntTerms]
-
-
-def _laplacian_bits(
-    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]]
-) -> list[int] | None:
-    """The digit width B of each pair ((a, n), (c, m)) of ``pairs``, for the
-    check Delta(n / a) = m / c; None if some m is of degree above deg n - 2,
-    where ``apply_laplacian`` on n / a alone raises.
-
-    With b the measure's ``scale`` and D_e = b Delta x^e, that check is the
-    integer identity c sum_e n_e D_e = b a m.  D_e is b x^e minus the sum
-    over the atoms s of b mu(s) x^e(x s), and coordinate t of x s is an
-    affine form L_t, so each coefficient of x^e(x s) = prod_t L_t^e_t is at
-    most prod_t |L_t|^e_t, |L_t| the sum of the absolute values of L_t's
-    coefficients.  Those are 1 at x_t, s_t, and sums of coordinates of s
-    read off the law, so |L_t| is at most R_t, its value for the element r
-    whose coordinates are the largest absolute values of the atoms'
-    coordinates, and R_t >= 1.  With size(e) = prod_t R_t^e_t, as
-    ``_value_bounds`` reads it, each coefficient of D_e is at most
-    b (1 + size(e)) <= 2 b size(e), and each coefficient of either side at
-    most b (2 c sum_e |n_e| size(e) + a max_e |m_e|), which is below
-    2^(B - 1).
-    """
-    schema = measure.schema
-    r = GroupElement(tuple(max(map(abs, c)) for c in zip(*(s.coords for s in measure.atoms))))
-    forms = _translation_forms(schema, r, "right")
-    radii = [abs(c) + sum(abs(a) for _, a in lin) for c, lin in forms]
-    b = measure.scale
-    bits = []
-    for ((a, n), (c, m)), size in zip(pairs, _value_bounds((n for (_, n), _ in pairs), radii)):
-        if n and m and (Polynomial._trusted(schema, m, 1).degree
-                        > Polynomial._trusted(schema, n, 1).degree - 2):
-            return None
-        target = a * max(map(abs, m.values()), default=0)
-        bits.append((b * (2 * c * size + target)).bit_length() + 1)
-    return bits
-
-
-def _laplacian_batches(
-    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]], bits: Sequence[int]
-) -> Iterator[tuple[int, int, Polynomial, Polynomial, Polynomial | NilharmonicError]]:
-    """(start, stop, P, Q, image) for each chunk pairs[start:stop] of
-    ``_chunks(bits)``, of width B: P = sum_j 2^(B j) c_j n_j and
-    Q = sum_j 2^(B j) a_j m_j over its pairs ((a_j, n_j), (c_j, m_j)), packed
-    by ``verify._packed``, and image the ``apply_laplacian`` of P, or the
-    ``NilharmonicError`` that call raised.  A chunk of one pair is that pair
-    at shift 0, as ``CHUNK_BITS`` widths give for every pair.
-    """
-    schema = measure.schema
-    # c n and a m as polynomials over 1, whose numerators ``_packed`` reads
-    sides = [[Polynomial._trusted(schema, t if f == 1 else {e: f * v for e, v in t.items()}, 1)
-              for f, t in ((c, n), (a, m))] for (a, n), (c, m) in pairs]
-    for start, stop, width in _chunks(bits):
-        p, q = (_from_ints(schema, _packed(side, width), 1) for side in zip(*sides[start:stop]))
-        try:
-            image = apply_laplacian(measure, p)
-        except NilharmonicError as exc:
-            image = exc
-        yield start, stop, p, q, image
-
-
-def _laplacians_agree(
-    measure: Measure, pairs: Sequence[tuple[IntPolynomial, IntPolynomial]]
-) -> bool:
-    """Whether ``apply_laplacian``, called on n / a alone, would return m / c
-    without raising, for every pair ((a, n), (c, m)) of ``pairs``; False also
-    where a call here raises a ``NilharmonicError``.
-
-    A pair whose m is of degree above deg n - 2 fails without a call.  The
-    others go in the batches of ``_laplacian_batches``, with widths from
-    ``_laplacian_bits``.  Delta is linear, and each digit of b Delta P and
-    b Q is below 2^(B - 1) in absolute value, so Delta P = Q exactly when
-    digit j agrees for every j, which is Delta(n_j / a_j) = m_j / c_j.
-    """
-    bits = _laplacian_bits(measure, pairs)
-    return bits is not None and all(
-        q == image for *_, q, image in _laplacian_batches(measure, pairs, bits))
+        index={m: i for i, m in enumerate(centres)}, sizes=[len(centres)])
+    return _mean_value_checks(measure, [p for p, _ in pairs], search, [q for _, q in pairs])
 
 
 def _associativity_witness(

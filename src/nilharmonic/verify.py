@@ -85,34 +85,28 @@ def _prefix_levels(points: Sequence[tuple[int, ...]], n_coords: int) -> Levels:
     return levels
 
 
-def _value_bounds(terms: Iterable[dict[Exponents, int]], radii: Sequence[int]) -> list[int]:
-    """M = sum_e |n_e| prod_t R_t^e_t for the integer terms n_e of each entry
-    of ``terms``, R_t = ``radii[t]``: a bound on |sum_e n_e y^e| wherever
-    every |y_t| is at most R_t."""
-    sizes: dict[Exponents, int] = {}
-    bounds = []
-    for ints in terms:
-        bound = 0
-        for e, c in ints.items():
-            size = sizes.get(e)
-            if size is None:
-                size = sizes[e] = prod(map(pow, radii, e))
-            bound += abs(c) * size
-        bounds.append(bound)
-    return bounds
-
-
 def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int) -> list[int]:
     """The digit width B of each polynomial, for sums of its values at the
     points of ``levels``.
 
     With R_t the largest |y_t| over the points, read off level t, p's
-    numerator at y is at most M of ``_value_bounds``.  A sum of values whose
-    integer factors add up to at most ``spread`` in absolute value is at most
-    spread * M < 2^(B - 1), so it is one balanced digit.
+    numerator at y is at most M = sum_e |n_e| prod_t R_t^e_t over its
+    integer terms n_e.  A sum of values whose integer factors add up to at
+    most ``spread`` in absolute value is at most spread * M < 2^(B - 1), so
+    it is one balanced digit.
     """
     radii = [max(map(abs, ys), default=0) for _, ys in levels]
-    return [(spread * m).bit_length() + 1 for m in _value_bounds((p.ints for p in polys), radii)]
+    sizes: dict[Exponents, int] = {}
+    bits = []
+    for p in polys:
+        bound = 0
+        for e, c in p.ints.items():
+            size = sizes.get(e)
+            if size is None:
+                size = sizes[e] = prod(map(pow, radii, e))
+            bound += abs(c) * size
+        bits.append((spread * bound).bit_length() + 1)
+    return bits
 
 
 def _chunks(bits: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -244,6 +238,12 @@ def check_harmonic_batch(
     return _mean_value_checks(measure, polys, _ball_search(schema, measure.support(), radius))
 
 
+def _over_one(p: Polynomial, factor: int) -> Polynomial:
+    """factor * p.den * p, p's numerators times ``factor`` over 1, with no
+    gcd taken."""
+    return Polynomial._trusted(p.schema, {e: c * factor for e, c in p.ints.items()}, 1)
+
+
 def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], search: BallSearch,
                        rhs: Sequence[Polynomial] = ()) -> list[HarmonicCheck]:
     """f(g) = sum_s mu(s) f(gs) + h(g) at each centre g of ``search`` for each
@@ -276,9 +276,10 @@ def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], search: Ba
 
     levels = _prefix_levels(points, measure.schema.n_coords)
     fs, hs, dens = polys, [], [p.den for p in polys]
-    if rhs:  # f and h over d = f.den h.den, as the integer polynomials F = d f and H = d h
+    if rhs:  # F = d f and H = d h for d = f.den h.den, as integer terms over 1
         dens = [p.den * h.den for p, h in zip(polys, rhs)]
-        fs, hs = [p * d for p, d in zip(polys, dens)], [h * d for h, d in zip(rhs, dens)]
+        fs = [_over_one(p, h.den) for p, h in zip(polys, rhs)]
+        hs = [_over_one(h, p.den) for p, h in zip(polys, rhs)]
     bits = _digit_bits([*fs, *hs], levels, 2 * weight_scale)
     if hs:  # one bit more than the wider of F's and H's holds their sum
         bits = [max(b, c) + 1 for b, c in zip(bits, bits[len(polys):])]

@@ -84,17 +84,13 @@ long as the list of points.
 ``laplacian_records`` is the measure half of the invariant suite as it ran
 before one factorization served every degree: one Laplacian matrix and one
 elimination per k, and every target of P^(k-2) solved and checked again at
-each k.
-
-``first_bad_preimages`` and ``first_bad_symmetric_form`` are the suite's
-surjectivity and symmetric-form loops as they ran before the suite checked
-each batch packed: one ``apply_laplacian`` call per target of P^(K-2) and
-per monomial of P^min(K, 3), in basis order, stopping at the first failure;
-the symmetric form is still ``symmetric_form``, the half-sum of second
-differences over the pairs {s, s^-1}, which the library's record has
-replaced with the mean-value oracle.
-They call ``lib_apply_laplacian``, so a test that rebinds it to a faulty
-Laplacian reaches both.
+each k.  Each preimage is checked with this module's ``apply_laplacian``,
+the sum of its right translates, as the suite checks it against the group
+law; each monomial of P^min(k, 3) is checked with ``lib_apply_laplacian``
+against ``symmetric_form``, the half-sum of second differences over the
+pairs {s, s^-1}, which the library's record has replaced with the
+mean-value oracle.  So a test that rebinds ``lib_apply_laplacian`` to a
+faulty Laplacian reaches the symmetric form alone, as in the suite.
 
 ``parse_polynomial`` is the polynomial text parser as it ran before it kept
 integer numerators and denominators: a token list, then ``Fraction``
@@ -117,7 +113,7 @@ from nilharmonic.groups import mul as group_mul
 from nilharmonic.laplacian import Measure, dim_hk, harmonic_basis, laplacian_matrix
 from nilharmonic.laplacian import apply_laplacian as lib_apply_laplacian
 from nilharmonic.polynomials import pk_basis as lib_pk_basis
-from nilharmonic.linalg import Factorization, Inconsistent, IntRows, RationalMatrix
+from nilharmonic.linalg import Inconsistent, IntRows, RationalMatrix
 from nilharmonic.polynomials import (
     MomentImages,
     AffineForm,
@@ -799,9 +795,9 @@ def laplacian_records(
 ) -> list[tuple[str, bool, str]]:
     """The measure half of the suite, (name, passed, detail) per record: per
     k, the nullity of the degree-k matrix and a solve and check of every
-    target of P^(k-2) against its own factorization; then the mean-value
-    oracle on the degree-k_max basis and the symmetric form of every
-    monomial of P^min(k_max, 3), one polynomial at a time."""
+    target of P^(k-2) against its own factorization and ``apply_laplacian``;
+    then the mean-value oracle on the degree-k_max basis and the symmetric
+    form of every monomial of P^min(k_max, 3), one polynomial at a time."""
     records = []
     for k in range(k_max + 1):
         try:
@@ -820,7 +816,7 @@ def laplacian_records(
                     break
                 den, vec = sol
                 p_hat = Polynomial(schema, {domain[t]: Fraction(n, den) for t, n in vec.items()})
-                if lib_apply_laplacian(measure, p_hat) != Polynomial(schema, {mono: 1}):
+                if apply_laplacian(measure, p_hat) != Polynomial(schema, {mono: 1}):
                     bad_detail = f"bad preimage for {mono}"
                     break
             records.append((f"laplacian.surjectivity[k={k}]", not bad_detail,
@@ -847,53 +843,6 @@ def laplacian_records(
     )
     records.append(("laplacian.symmetric_form", not bad_detail, bad_detail))
     return records
-
-
-def first_bad_preimages(
-    schema: GroupSchema,
-    measure: Measure,
-    factorization: Factorization,
-    dims: Sequence[int],
-    targets: Sequence[int],
-) -> dict[int, str | NilharmonicError]:
-    """``suite._first_bad_preimages`` with each target solved and checked
-    with ``lib_apply_laplacian`` once, in basis order, until the first
-    target that fails at every k it belongs to."""
-    domain = lib_pk_basis(schema, len(dims) - 1)
-    bad: dict[int, str | NilharmonicError] = {}
-    for i, mono_ in enumerate(lib_pk_basis(schema, len(dims) - 3)):
-        sol = factorization.solve((1, {i: 1}))
-        top, verdict = -1, None
-        if isinstance(sol, Inconsistent):
-            verdict = f"no preimage for {mono_}"
-        else:
-            den, vec = sol
-            top = max(vec, default=-1)
-            p_hat = Polynomial._trusted(schema, {domain[t]: n for t, n in vec.items()}, den)
-            try:
-                if lib_apply_laplacian(measure, p_hat) != Polynomial._trusted(schema, {mono_: 1}, 1):
-                    verdict = f"bad preimage for {mono_}"
-            except NilharmonicError as exc:
-                verdict = exc
-        for k, n_targets in enumerate(targets):
-            if k not in bad and i < n_targets:
-                if top >= dims[k]:
-                    bad[k] = f"no preimage for {mono_}"
-                elif verdict is not None:
-                    bad[k] = verdict
-        if verdict is not None:
-            break
-    return bad
-
-
-def first_bad_symmetric_form(measure: Measure, monos: Sequence[Exponents]) -> str:
-    """``suite._first_bad_symmetric_form`` with one ``lib_apply_laplacian``
-    call per monomial, in order, against ``symmetric_form``."""
-    for m in monos:
-        p = Polynomial(measure.schema, {m: 1})
-        if lib_apply_laplacian(measure, p) != symmetric_form(measure, p):
-            return f"monomial {m}"
-    return ""
 
 
 def difference_points(

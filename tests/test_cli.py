@@ -389,8 +389,9 @@ def test_verify_fails_if_any_measure_fails(configs, capsys, monkeypatch):
                                 configs["mu_h3"], configs["mu_h3"], "--k", "2", "--radius", "1"])
     assert code == 2
     results = [line for line in out.splitlines() if line.startswith("result:")]
-    # surjectivity at k=2 and the symmetric form fail on the second measure
-    assert results == ["result: 18/18 checks passed", "result: 16/18 checks passed"]
+    # the symmetric form fails on the second measure; the preimages answer
+    # to the group law, so surjectivity does not see apply_laplacian
+    assert results == ["result: 18/18 checks passed", "result: 17/18 checks passed"]
 
 
 _Z1 = {"family": "lattice", "d": 1}

@@ -290,26 +290,48 @@ def point_search(mu, centres):
     return BallSearch(index, [len(index)], gens, [[] for _ in gens])
 
 
+@st.composite
+def dense_polynomials(draw, schema, d):
+    """Every monomial of P^d, each numerator past 2^100 in absolute value,
+    over one drawn denominator: the shape of the suite's preimages."""
+    big = st.one_of(st.integers(2**100, 2**130), st.integers(-(2**130), -(2**100)))
+    den = draw(st.integers(1, 10**6))
+    return Polynomial(schema, {e: Fraction(draw(big), den) for e in pk_basis(schema, d)})
+
+
 @SETTINGS
 @given(st.data())
 def test_mean_value_oracle_with_a_right_side_equals_the_pointwise_loop(data):
     # f drawn, or a batch of scaled harmonic elements long enough for several
     # chunks; h its Laplacian, or that off by a drawn polynomial; the centres
-    # a ball or drawn points, repeats allowed
+    # a ball or drawn points, repeats allowed.  Or preimage-shaped pairs: f
+    # dense on P^d, h of degree d - 2, at S_(d-2), the exponent vectors of
+    # P^(d-2) read as points, where the check passes exactly when h is f's
+    # Laplacian
     schema = data.draw(st.sampled_from(SCHEMAS))
     mu = data.draw(measures(schema))
-    polys = data.draw(st.one_of(st.lists(polynomials(schema, 3), max_size=4),
-                                mean_value_batches(schema, mu)))
-    rhs = [dense.apply_laplacian(mu, f) for f in polys]
-    rhs = [h + data.draw(st.sampled_from([Polynomial(schema), data.draw(polynomials(schema, 2))]))
-           for h in rhs]
-    if data.draw(st.booleans()):
+    preimage_shaped = data.draw(st.booleans())
+    if preimage_shaped:
+        d = data.draw(st.integers(2, 6))
+        polys = data.draw(st.lists(dense_polynomials(schema, d), min_size=1, max_size=3))
+        off = polynomials(schema, d - 2)
+    else:
+        polys = data.draw(st.one_of(st.lists(polynomials(schema, 3), max_size=4),
+                                    mean_value_batches(schema, mu)))
+        off = polynomials(schema, 2)
+    laplacians = [dense.apply_laplacian(mu, f) for f in polys]
+    rhs = [h + data.draw(st.sampled_from([Polynomial(schema), data.draw(off)])) for h in laplacians]
+    if preimage_shaped:
+        search = point_search(mu, pk_basis(schema, d - 2))
+    elif data.draw(st.booleans()):
         search = _ball_search(schema, mu.support(), data.draw(st.integers(0, 2)))
     else:
         coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
         search = point_search(mu, data.draw(st.lists(coords, min_size=1, max_size=12)))
     got = _mean_value_checks(mu, polys, search, rhs)
     assert got == dense.mean_value_checks(mu, polys, rhs, search.index)
+    if preimage_shaped:
+        assert [c.passed for c in got] == [h == q for h, q in zip(rhs, laplacians)]
 
 
 def test_symmetric_form_of_a_square():

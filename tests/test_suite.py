@@ -30,7 +30,7 @@ from nilharmonic.laplacian import (
 )
 from nilharmonic.polynomials import (
     _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
-    laplacian_images, pk_basis,
+    pk_basis,
 )
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
@@ -202,29 +202,6 @@ def test_a_matrix_error_gives_a_matrix_record_per_degree(monkeypatch):
     ]
 
 
-def test_a_check_error_gives_a_matrix_record_at_each_degree_it_reaches(monkeypatch):
-    # the preimages of degree-2 targets have degree 4, so k = 4 and 5 fail
-    # with the error; every record matches the per-degree loop under the same error
-    real = laplacian.apply_laplacian
-
-    def failing(measure, p):
-        if p.degree is not None and p.degree >= 4:
-            raise InternalInconsistency(f"refused degree {p.degree}")
-        return real(measure, p)
-
-    mu = seeded_measure(H3, 4)
-    monkeypatch.setattr(suite, "apply_laplacian", failing)
-    monkeypatch.setattr(dense, "lib_apply_laplacian", failing)
-    got = records_of(run_invariant_suite(H3, mu, 5, 2))
-    n_group = len(_group_records(H3, 4))
-    assert got[n_group:] == dense.laplacian_records(H3, mu, 5, 2)
-    failed = [r for r in got if not r[1]]
-    assert failed == [
-        ("laplacian.matrix[k=4]", False, "refused degree 4"),
-        ("laplacian.matrix[k=5]", False, "refused degree 4"),
-    ]
-
-
 def details(schema, k):
     return {name: detail for name, _, detail in records(schema, k, 1)}
 
@@ -252,14 +229,12 @@ def test_a_renamed_schema_gets_its_own_group_records():
 
 
 def test_the_measure_half_is_never_memoized(monkeypatch):
-    # a Laplacian that returns its argument, after the group records are warm
+    # a Laplacian that returns its argument, after the group records are warm;
+    # the preimages answer to the group law, so only the symmetric form sees it
     records(H3, 4, 3)
     monkeypatch.setattr(suite, "apply_laplacian", lambda measure, p: p)
     failed = {name for name, passed, _ in records(H3, 4, 3) if not passed}
-    assert failed == {
-        "laplacian.surjectivity[k=2]", "laplacian.surjectivity[k=3]",
-        "laplacian.surjectivity[k=4]", "laplacian.symmetric_form",
-    }
+    assert failed == {"laplacian.symmetric_form"}
 
 
 def test_each_difference_table_is_built_once_per_group_run(monkeypatch):
@@ -380,15 +355,14 @@ def test_warm_and_cold_memos_give_identical_records(monkeypatch):
         assert 0 < _IMAGES.size <= 30
 
 
-# -- the packed Laplacian checks --------------------------------------------------
+# -- the one oracle call behind both Laplacian records ---------------------------
 
 def per_target_records(monkeypatch, schema, mu, k_max, radius):
-    """The suite's records with its surjectivity and symmetric-form checks
-    run one ``apply_laplacian`` call per target and per monomial."""
-    with monkeypatch.context() as m:
-        m.setattr(suite, "_first_bad_preimages", dense.first_bad_preimages)
-        m.setattr(suite, "_first_bad_symmetric_form", dense.first_bad_symmetric_form)
-        return records_of(run_invariant_suite(schema, mu, k_max, radius))
+    """The suite's group records, then the measure half of the per-degree
+    reference: each preimage checked alone against the reference Laplacian,
+    each monomial of P^min(k_max, 3) by one ``apply_laplacian`` call."""
+    return records_of(_group_records(schema, min(k_max, 4))) + dense.laplacian_records(
+        schema, mu, k_max, radius)
 
 
 def counting_laplacian(monkeypatch, fault=None):
@@ -406,6 +380,27 @@ def counting_laplacian(monkeypatch, fault=None):
     return calls
 
 
+def oracle_calls_with_a_right_side(monkeypatch):
+    """Rebind the suite's mean-value oracle to one that records the
+    ``_chunks`` of each call with right-hand sides, one list per call."""
+    real_checks, real_chunks, calls = suite._mean_value_checks, verify._chunks, []
+
+    def recorded(bits):
+        calls[-1] += real_chunks(bits)
+        return iter(calls[-1])
+
+    def checks(measure, polys, search, rhs=()):
+        if not rhs:
+            return real_checks(measure, polys, search)
+        calls.append([])
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_chunks", recorded)
+            return real_checks(measure, polys, search, rhs)
+
+    monkeypatch.setattr(suite, "_mean_value_checks", checks)
+    return calls
+
+
 @pytest.mark.parametrize(
     "schema, k_top",
     [(lattice(2), 6), (lattice(3), 6), (H3, 6), (heisenberg(2), 5), (unitriangular(3), 6), (U4, 5)],
@@ -413,57 +408,94 @@ def counting_laplacian(monkeypatch, fault=None):
 )
 @pytest.mark.parametrize("seed", [3, 4])
 def test_packed_laplacian_records_equal_the_per_target_loops(monkeypatch, schema, k_top, seed):
-    # measures with an extra pair and an identity atom; one call per chunk
-    # where the per-target loops make one per target and per monomial
+    # measures with an extra pair and an identity atom; one oracle call per
+    # run checks the preimages and the symmetric form, and apply_laplacian
+    # sees only the monomials of P^min(k_max, 3), never a preimage
     mu = seeded_measure(schema, seed)
     calls = counting_laplacian(monkeypatch)
+    oracle_calls = oracle_calls_with_a_right_side(monkeypatch)
     for k_max in range(k_top + 1):
         calls.clear()
+        oracle_calls.clear()
         got = records_of(run_invariant_suite(schema, mu, k_max, 1))
-        packed_calls = len(calls)
-        calls.clear()
+        assert len(oracle_calls) == 1
+        assert calls == [Polynomial(schema, {m: 1}) for m in pk_basis(schema, min(k_max, 3))]
         assert got == per_target_records(monkeypatch, schema, mu, k_max, 1)
         assert all(passed for _, passed, _ in got)
-        assert packed_calls <= len(calls) and (k_max < 4 or 2 * packed_calls < len(calls))
 
 
-def chunks_of_the_preimage_batch(monkeypatch, schema, mu, k_max):
-    """The (start, stop, width) chunks of the suite's first packed batch, its
-    preimages of the basis of P^(k_max - 2)."""
-    seen = []
-    real = suite._chunks
+def test_the_oracle_call_checks_at_the_exponents_of_degree_k_minus_2(monkeypatch):
+    # S_j, j = max(k_max - 2, 0): the identity alone below k_max = 2
+    real, centres = suite._mean_value_checks, []
 
-    def recorded(bits):
-        chunks = list(real(bits))
-        seen.append(chunks)
-        return iter(chunks)
+    def recorded(measure, polys, search, rhs=()):
+        if rhs:
+            centres.append(list(search.index))
+        return real(measure, polys, search, rhs)
 
-    with monkeypatch.context() as m:
-        m.setattr(suite, "_chunks", recorded)
-        run_invariant_suite(schema, mu, k_max, 1)
-    return seen[0]
+    monkeypatch.setattr(suite, "_mean_value_checks", recorded)
+    for k_max in range(6):
+        centres.clear()
+        run_invariant_suite(H3, MU_PAIRS, k_max, 1)
+        assert centres == [list(pk_basis(H3, max(k_max - 2, 0)))]
+
+
+def test_an_error_raised_on_a_monomial_fails_the_symmetric_form_alone(monkeypatch):
+    # apply_laplacian refuses degree 2 and above: the symmetric form names
+    # the first such monomial with the error, and the preimages, which
+    # answer to the group law, pass at every k
+    real = laplacian.apply_laplacian
+
+    def failing(measure, p):
+        if p.degree is not None and p.degree >= 2:
+            raise InternalInconsistency(f"refused degree {p.degree}")
+        return real(measure, p)
+
+    monkeypatch.setattr(suite, "apply_laplacian", failing)
+    got = records_of(run_invariant_suite(H3, seeded_measure(H3, 4), 5, 2))
+    assert [r for r in got if not r[1]] == [
+        ("laplacian.symmetric_form", False, "monomial (2, 0, 0): refused degree 2"),
+    ]
+
+
+def solve_off_by_one(monkeypatch, i, t):
+    """Rebind ``Factorization.solve`` so that the solution for target i, the
+    right-hand side (1, {i: 1}), has 1 more at column t; graded bases share
+    their prefixes, so t is one monomial at every degree."""
+    real = linalg.Factorization.solve
+
+    def off(self, rhs):
+        sol = real(self, rhs)
+        if rhs != (1, {i: 1}) or isinstance(sol, linalg.Inconsistent):
+            return sol
+        den, vec = sol
+        vec[t] = vec.get(t, 0) + den
+        return den, {c: n for c, n in vec.items() if n}
+
+    monkeypatch.setattr(linalg.Factorization, "solve", off)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_a_fault_at_one_target_of_a_chunk_names_that_target(monkeypatch, where):
-    # a Laplacian that doubles the coefficient of one target monomial in every
-    # image: only that target's preimage fails, packed as well as alone
+    # one target's solution is 1 off in its coefficient of x^2, whose
+    # Laplacian is a non-zero constant: only that target fails the oracle,
+    # wherever it sits in its chunk, and each record that holds it names it
     mu = seeded_measure(H3, 6)
     k_max = 10
-    chunks = chunks_of_the_preimage_batch(monkeypatch, H3, mu, k_max)
-    assert len(chunks) >= 3
+    codomain = pk_basis(H3, k_max - 2)
+    with monkeypatch.context() as m:
+        calls = oracle_calls_with_a_right_side(m)
+        run_invariant_suite(H3, mu, k_max, 1)
+    (chunks,) = calls
+    assert len(chunks) >= 3 and chunks[1][1] <= len(codomain)
     start, stop, _ = chunks[1]
     i = {"first": start, "middle": (start + stop) // 2, "last": stop - 1}[where]
-    mono_ = pk_basis(H3, k_max - 2)[i]
-
-    def doubled(p, image):
-        c = image.terms.get(mono_, 0)
-        return image + Polynomial(H3, {mono_: c}) if c else image
-
-    counting_laplacian(monkeypatch, doubled)
+    solve_off_by_one(monkeypatch, i, pk_basis(H3, 2).index((2, 0, 0)))
     got = records_of(run_invariant_suite(H3, mu, k_max, 1))
-    assert got == per_target_records(monkeypatch, H3, mu, k_max, 1)
-    assert got[-3] == (f"laplacian.surjectivity[k={k_max}]", False, f"bad preimage for {mono_}")
+    assert [r for r in got if not r[1]] == [
+        (f"laplacian.surjectivity[k={k}]", False, f"bad preimage for {codomain[i]}")
+        for k in range(2, k_max + 1) if i < len(pk_basis(H3, k - 2))
+    ]
 
 
 def test_a_fault_in_the_symmetric_form_batch_names_the_first_monomial(monkeypatch):
@@ -484,8 +516,10 @@ def test_a_fault_in_the_symmetric_form_batch_names_the_first_monomial(monkeypatc
 
 
 def test_a_fault_that_vanishes_on_the_ball_fails_the_record_at_radius_0(monkeypatch):
-    # x is 0 at the identity, the whole radius-0 ball, but not on S_3, where
-    # the record checks: the image of x^3 gains x, and its degree still drops
+    # x is 0 at the identity, the whole radius-0 ball, but not on S_1, where
+    # the records check: the image of x^3 gains x, and its degree still
+    # drops; then the preimage of x gains x^3, whose Laplacian on the walk
+    # is -3x/2
     x3 = (3, 0, 0)
     x = Polynomial.coordinate(H3, 1)
 
@@ -493,11 +527,17 @@ def test_a_fault_that_vanishes_on_the_ball_fails_the_record_at_radius_0(monkeypa
         c = p.terms.get(x3, 0)
         return image + x * c if c else image
 
-    counting_laplacian(monkeypatch, plus_x)
+    with monkeypatch.context() as m:
+        counting_laplacian(m, plus_x)
+        got = records_of(run_invariant_suite(H3, generator_walk(H3), 3, 0))
+    assert [r for r in got if not r[1]] == [
+        ("laplacian.symmetric_form", False, f"monomial {x3}"),
+    ]
+    codomain = pk_basis(H3, 1)
+    solve_off_by_one(monkeypatch, codomain.index((1, 0, 0)), pk_basis(H3, 3).index(x3))
     got = records_of(run_invariant_suite(H3, generator_walk(H3), 3, 0))
     assert [r for r in got if not r[1]] == [
         ("laplacian.surjectivity[k=3]", False, "bad preimage for (1, 0, 0)"),
-        ("laplacian.symmetric_form", False, f"monomial {x3}"),
     ]
 
 
@@ -522,71 +562,3 @@ def test_an_image_that_vanishes_on_the_centres_fails_through_its_degree(monkeypa
     counting_laplacian(monkeypatch, plus_quartic)
     got = records_of(run_invariant_suite(H3, mu, 3, 1))
     assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {xy}")
-
-
-def laplacian_numerators(mu, p):
-    """sum_e n_e D_e, for p's numerators n_e and D_e = b Delta x^e."""
-    acc: dict = {}
-    for n, image in zip(p.ints.values(), laplacian_images(mu, list(p.ints))):
-        for f, d in image.items():
-            acc[f] = acc.get(f, 0) + n * d
-    return {f: v for f, v in acc.items() if v}
-
-
-@pytest.mark.parametrize("schema", [H3, lattice(3), U4], ids=str)
-def test_every_packed_digit_fits_its_width(monkeypatch, schema):
-    # random numerators over random denominators on the basis of P^6, each
-    # with a term of degree 6, against random expected images in P^4 and
-    # against their Laplacians: each digit of c sum_e n_e D_e and of b a m,
-    # D_e = b Delta x^e, is below 2^(B - 1)
-    rng = random.Random(str(schema))
-    mu = seeded_measure(schema, rng.randrange(100))
-    top = pk_basis(schema, 6)[-1]
-
-    def draw(k, *also):
-        den = rng.randint(1, 10**rng.randint(1, 12))
-        return Polynomial(schema, {
-            e: Fraction(rng.randint(-10**rng.randint(1, 30), 10**rng.randint(1, 30)), den)
-            for e in [*rng.sample(pk_basis(schema, k), rng.randint(1, 12)), *also]
-        })
-
-    def bits(pairs):
-        return suite._laplacian_bits(mu, pairs)
-
-    ps = [draw(6, top) for _ in range(60)]
-    qs = [draw(4) for _ in ps]
-    # an expected image of degree above deg n - 2 makes a call on n alone raise
-    assert bits([((1, {top: 1}), (1, {top: 1}))]) is None
-    assert not suite._laplacians_agree(mu, [((1, {top: 1}), (1, {top: 1}))])
-    # each side alone, against 0, and both sides drawn apart
-    for p, q in zip(ps, qs):
-        lhs = laplacian_numerators(mu, p).values()
-        rhs = [mu.scale * v for v in q.ints.values()]
-        (width,) = bits([((p.den, p.ints), (1, {}))])
-        assert all(abs(v) < 1 << width - 1 for v in lhs)
-        (width,) = bits([((1, {}), (q.den, q.ints))])
-        assert all(abs(v) < 1 << width - 1 for v in rhs)
-        (width,) = bits([((p.den, p.ints), (q.den, q.ints))])
-        assert all(abs(q.den * v) < 1 << width - 1 for v in lhs)
-        assert all(abs(p.den * v) < 1 << width - 1 for v in rhs)
-    # the Laplacians themselves: each chunk's packed call holds the left
-    # sides as its balanced digits
-    pairs = [((p.den, p.ints), (q.den, q.ints))
-             for p, q in ((p, laplacian.apply_laplacian(mu, p)) for p in ps)]
-    widths = bits(pairs)
-    chunks = list(verify._chunks(widths))
-    assert len(chunks) >= 3
-    calls = counting_laplacian(monkeypatch)
-    assert suite._laplacians_agree(mu, pairs)
-    assert len(calls) == len(chunks)
-    for (start, stop, width), packed in zip(chunks, calls):
-        image = laplacian_numerators(mu, packed)
-        sides = [{f: c * v for f, v in laplacian_numerators(mu, p).items()}
-                 for p, (_, (c, _)) in zip(ps[start:stop], pairs[start:stop])]
-        for f, v in image.items():
-            assert verify._digits(v, width, stop - start) == [side.get(f, 0) for side in sides]
-    # one wrong expected image fails its batch
-    (a, n), (c, m) = pairs[17]
-    one = (0,) * schema.n_coords
-    pairs[17] = ((a, n), (c, {**m, one: m.get(one, 0) + 1}))
-    assert not suite._laplacians_agree(mu, pairs)
