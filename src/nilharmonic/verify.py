@@ -30,10 +30,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ValidationError
 from .groups import (
     MAX_BALL_POINTS,
-    BallSearch,
+    Coords,
     GroupElement,
     GroupSchema,
-    _ball_search,
     _require_int,
     ball_levels,
     standard_generators,
@@ -228,14 +227,16 @@ def check_harmonic_batch(
 ) -> list[HarmonicCheck]:
     """Mean-value check f(g) = sum_s mu(s) f(gs) for every g in the ball.
 
-    Batch form: one ball search, one packed value table per chunk of polys
-    and one gather per atom serve them all.  Arithmetic is integer after
-    clearing denominators, so every comparison is exact.
+    Batch form: one ``ball_levels`` search, whose points are the centres of
+    one ``_mean_value_checks`` call, one packed value table per chunk of
+    polys and one gather per atom serve them all.  Arithmetic is integer
+    after clearing denominators, so every comparison is exact.
     """
     if schema != measure.schema:
         raise ValidationError("schema and measure do not match")
     _require_schema(schema, polys)
-    return _mean_value_checks(measure, polys, _ball_search(schema, measure.support(), radius))
+    levels = ball_levels(schema, measure.support(), radius)
+    return _mean_value_checks(measure, polys, itertools.chain(*levels))
 
 
 def _over_one(p: Polynomial, factor: int) -> Polynomial:
@@ -244,34 +245,34 @@ def _over_one(p: Polynomial, factor: int) -> Polynomial:
     return Polynomial._trusted(p.schema, {e: c * factor for e, c in p.ints.items()}, 1)
 
 
-def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], search: BallSearch,
+def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], centres: Iterable[Coords],
                        rhs: Sequence[Polynomial] = ()) -> list[HarmonicCheck]:
-    """f(g) = sum_s mu(s) f(gs) + h(g) at each centre g of ``search`` for each
-    f of ``polys``, h its entry of ``rhs`` or 0, on the ball of a search from
-    the support or level 0 of a radius-0 one.  Per chunk, with F = d f and
-    H = d h for d = f.den h.den, and w the lcm of the weights' denominators,
-    w F(g) - sum_s w mu(s) F(gs) - w H(g) is below 2^(B - 1), B one more than
-    the wider width ``_digit_bits`` gives F or H.  A failing f's witness is
-    the first centre, in coordinate order, with a non-zero digit for f.
+    """f(g) = sum_s mu(s) f(gs) + h(g) at each point g of ``centres``, given
+    as coordinate tuples, for each f of ``polys``, h its entry of ``rhs`` or
+    0.  A repeated centre counts once, and the centres' order changes
+    nothing.  Per chunk, with F = d f and H = d h for d = f.den h.den, and w
+    the lcm of the weights' denominators, w F(g) - sum_s w mu(s) F(gs) -
+    w H(g) is below 2^(B - 1), B one more than the wider width
+    ``_digit_bits`` gives F or H.  A failing f's witness is the first
+    centre, in coordinate order, with a non-zero digit for f, and its
+    ``checked_points`` that centre's rank; a passing f's is the number of
+    distinct centres.
     """
     atoms = list(measure.atoms.items())
     weight_scale = lcm(*(w.denominator for _, w in atoms))
     int_weights = [w.numerator * (weight_scale // w.denominator) for _, w in atoms]
 
-    # the centres take the ids 0..n-1; only the last level is multiplied here
-    index = dict(search.index)
-    n = len(index)
-    sphere = list(index)[n - search.sizes[-1]:]
+    # the centres take the ids 0..n-1, and each is multiplied by every atom
+    # but the identity
+    distinct = list(dict.fromkeys(centres))
+    index = {c: i for i, c in enumerate(distinct)}
+    n = len(distinct)
     law_mul = measure.schema.law_mul
-    products = dict(zip(search.gens, search.products))
-    atom_ids: list[Sequence[int]] = []
-    for s, _ in atoms:
-        if s.coords in products:
-            atom_ids.append(products[s.coords] + [
-                index.setdefault(law_mul(c, s.coords), len(index)) for c in sphere
-            ])
-        else:  # the identity
-            atom_ids.append(range(n))
+    atom_ids = [
+        [index.setdefault(law_mul(c, s.coords), len(index)) for c in distinct]
+        if any(s.coords) else range(n)
+        for s, _ in atoms
+    ]
     points = list(index)
 
     levels = _prefix_levels(points, measure.schema.n_coords)

@@ -171,23 +171,29 @@ def test_harmonic_with_verify(configs, capsys):
 
 
 def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypatch):
-    # the up-front size refusal's search is the one the oracle reads; the
-    # output is pinned as the run wrote it when it searched the ball twice
+    # the up-front size refusal's search, made before the basis, is the one
+    # whose points the oracle checks at; the output is pinned as the run
+    # wrote it when it searched the ball twice
     searches = []
-    real = groups._ball_search
+    real, real_basis = groups.ball_levels, cli.harmonic_basis
 
     def counting(schema, support, radius):
         searches.append(radius)
         return real(schema, support, radius)
 
+    def basis(*args):
+        searches.append("basis")
+        return real_basis(*args)
+
     for owner in (groups, cli, verify, suite):
-        monkeypatch.setattr(owner, "_ball_search", counting)
+        monkeypatch.setattr(owner, "ball_levels", counting)
+    monkeypatch.setattr(cli, "harmonic_basis", basis)
     code, out, err = run(capsys, [
         "harmonic", "--group", configs["h3"], "--measure", configs["mu_h3"],
         "--k", "4", "--verify", "--radius", "3",
     ])
     assert code == 0 and not err
-    assert searches == [3]
+    assert searches == [3, "basis"]
     assert out.endswith("verify (radius 3): all 15 basis elements pass\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e5506367f40949628e5e4947c755905113c0607c9b517980675189fee1c00497"

@@ -33,7 +33,7 @@ import nilharmonic.polynomials as polynomials
 import nilharmonic.serialize as serialize
 import nilharmonic.verify as verify
 from nilharmonic.cli import main
-from nilharmonic.groups import GroupElement, heisenberg, unitriangular
+from nilharmonic.groups import GroupElement, GroupSchema, heisenberg, unitriangular
 from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, lazy_generator_walk
 from nilharmonic.polynomials import (
     _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms,
@@ -138,6 +138,36 @@ def form_constant(m):
         return ((c + 1, lin), *rest)
 
     m.setattr(polynomials, "_translation_forms", faulty)
+
+
+def forms_drop_law_term(m):
+    """The translation forms leave out the law's last term (t, p, q): the
+    form of coordinate t of u*x lacks u_p x_q, and of x*u lacks x_p u_q."""
+    real = polynomials._translation_forms
+
+    def faulty(schema, u, side):
+        forms = list(real(schema, u, side))
+        t, p, q = schema.law[-1]
+        v, a = (q, u.coords[p]) if side == "left" else (p, u.coords[q])
+        c, lin = forms[t]
+        lin = dict(lin)
+        lin[v] = lin.get(v, 0) - a
+        forms[t] = (c, tuple((w, b) for w, b in lin.items() if b))
+        return tuple(forms)
+
+    m.setattr(polynomials, "_translation_forms", faulty)
+
+
+def moments_drop_law_term(m):
+    """The moment images are those of the law without its last term."""
+    real = polynomials.moment_images
+
+    def faulty(schema, k, pattern):
+        broken = GroupSchema(schema.family, schema.size, schema.weights, schema.coord_names,
+                             schema.law[:-1])
+        return real(broken, k, pattern)
+
+    m.setattr(laplacian, "moment_images", faulty)
 
 
 def moment_coefficient(m):
@@ -310,6 +340,32 @@ ROWS = {
     # the suite applies the Laplacian to no monomial above degree 3, so only
     # preimage's own check sees an image of degree 4 go wrong
     "degree4_image_constant": (degree4_image_constant, WALK, on_both(BAD_PREIMAGE)),
+    # translation alone goes wrong: the left-translation records see it, and
+    # so does the symmetric form, through apply_laplacian's right translates;
+    # the moment assembly does not, so the preimages stay right
+    "forms_drop_law_term": (forms_drop_law_term, WALK, {
+        case: {
+            "laplacian.symmetric_form": f"monomial {m}",
+            "poly.cocycle_identity": f"f={z}, x=(-1, 0, 0), y=(0, -1, 0)",
+            "poly.interpolation_soundness": "monomial (0, 0, 1), u=(-2, 0, 0), g=(-2, -1, 0)",
+        } for case, m, z in (("heisenberg(1)", (0, 1, 1), "z"),
+                             ("unitriangular(3)", (1, 0, 1), "a_13"))
+    }),
+    # the assembly alone goes wrong: the kernel, and on unitriangular(3) one
+    # preimage, fail the group law; the preimage of x*y stays right
+    "moments_drop_law_term": (moments_drop_law_term, WALK, {
+        "heisenberg(1)": {
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 9: (-1, 0, 0) lhs=0 rhs=-1/2",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 10, "
+                                 "point (-1, 0, 0), lhs 0, rhs -1/2",
+        },
+        "unitriangular(3)": {
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 7: (-1, -1, 0) lhs=-1/6 rhs=-5/12",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 8, "
+                                 "point (-1, -1, 0), lhs -1/6, rhs -5/12",
+            "laplacian.surjectivity[k=4]": "bad preimage for (0, 0, 1)",
+        },
+    }),
     "moment_coefficient": (moment_coefficient, WALK, {
         "heisenberg(1)": {
             **SURJECTIVITY,

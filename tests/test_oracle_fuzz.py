@@ -18,10 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import (
-    BallSearch,
     GroupElement,
     GroupSchema,
-    _ball_search,
     ball,
     heisenberg,
     lattice,
@@ -283,13 +281,6 @@ def test_associativity_witness_on_broken_and_whole_laws():
         assert _associativity_witness(broken.law_mul, coords) == want
 
 
-def point_search(mu, centres):
-    """The radius-0 search from mu's support whose level 0 holds ``centres``."""
-    gens = [g.coords for g in mu.support()]
-    index = {c: i for i, c in enumerate(dict.fromkeys(centres))}
-    return BallSearch(index, [len(index)], gens, [[] for _ in gens])
-
-
 @st.composite
 def dense_polynomials(draw, schema, d):
     """Every monomial of P^d, each numerator past 2^100 in absolute value,
@@ -322,16 +313,36 @@ def test_mean_value_oracle_with_a_right_side_equals_the_pointwise_loop(data):
     laplacians = [dense.apply_laplacian(mu, f) for f in polys]
     rhs = [h + data.draw(st.sampled_from([Polynomial(schema), data.draw(off)])) for h in laplacians]
     if preimage_shaped:
-        search = point_search(mu, pk_basis(schema, d - 2))
+        centres = pk_basis(schema, d - 2)
     elif data.draw(st.booleans()):
-        search = _ball_search(schema, mu.support(), data.draw(st.integers(0, 2)))
+        centres = [g.coords for g in ball(schema, mu.support(), data.draw(st.integers(0, 2)))]
     else:
         coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
-        search = point_search(mu, data.draw(st.lists(coords, min_size=1, max_size=12)))
-    got = _mean_value_checks(mu, polys, search, rhs)
-    assert got == dense.mean_value_checks(mu, polys, rhs, search.index)
+        centres = data.draw(st.lists(coords, min_size=1, max_size=12))
+    got = _mean_value_checks(mu, polys, centres, rhs)
+    assert got == dense.mean_value_checks(mu, polys, rhs, centres)
     if preimage_shaped:
         assert [c.passed for c in got] == [h == q for h, q in zip(rhs, laplacians)]
+
+
+@SETTINGS
+@given(st.data())
+def test_mean_value_oracle_reads_its_centres_as_a_set(data):
+    # a list of centres, its reverse and the list with drawn repeats give
+    # equal checks, witnesses and checked_points: repeats count once, and
+    # the witness is the first failing centre in coordinate order
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    mu = data.draw(measures(schema))
+    polys = data.draw(st.one_of(st.lists(polynomials(schema, 3), min_size=1, max_size=4),
+                                mean_value_batches(schema, mu)))
+    rhs = data.draw(st.sampled_from([(), [dense.apply_laplacian(mu, f) for f in polys]]))
+    coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
+    centres = data.draw(st.lists(coords, min_size=1, max_size=12))
+    repeated = centres + data.draw(st.lists(st.sampled_from(centres), min_size=1, max_size=12))
+    got = _mean_value_checks(mu, polys, centres, rhs)
+    assert _mean_value_checks(mu, polys, centres[::-1], rhs) == got
+    assert _mean_value_checks(mu, polys, data.draw(st.permutations(repeated)), rhs) == got
+    assert all(c.checked_points <= len(set(centres)) for c in got)
 
 
 def test_symmetric_form_of_a_square():
@@ -340,9 +351,9 @@ def test_symmetric_form_of_a_square():
     h3 = heisenberg(1)
     mu = generator_walk(h3)
     x2 = Polynomial(h3, {(2, 0, 0): 1})
-    search = point_search(mu, pk_basis(h3, 2))
+    centres = pk_basis(h3, 2)
     half, quarter = (Polynomial(h3, {(0, 0, 0): Fraction(-1, n)}) for n in (2, 4))
-    assert _mean_value_checks(mu, [x2], search, [half]) == [HarmonicCheck(True, 7)]
-    assert _mean_value_checks(mu, [x2], search, [quarter]) == [
+    assert _mean_value_checks(mu, [x2], centres, [half]) == [HarmonicCheck(True, 7)]
+    assert _mean_value_checks(mu, [x2], centres, [quarter]) == [
         HarmonicCheck(False, 1, GroupElement((0, 0, 0)), Fraction(0), Fraction(1, 4))
     ]

@@ -13,7 +13,6 @@ import nilharmonic.suite as suite
 import nilharmonic.verify as verify
 from nilharmonic.errors import InternalInconsistency, ValidationError
 from nilharmonic.groups import (
-    BallSearch,
     GroupElement,
     GroupSchema,
     ball,
@@ -120,7 +119,7 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch
 
 
 def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
-    no_checks(monkeypatch, "matrix_shape", "ball_levels", "_ball_search")
+    no_checks(monkeypatch, "matrix_shape", "ball_levels")
     for schema, measure in ((H3, generator_walk(lattice(3))), (U4, generator_walk(H3))):
         with pytest.raises(ValidationError, match="measure belongs to a different schema"):
             run_invariant_suite(schema, measure, 2, 1)
@@ -133,7 +132,7 @@ def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
      (2.0, 1, "k_max must be an int, got 2.0"), (2, Fraction(1), "radius must be an int")],
 )
 def test_bad_degree_or_radius_is_refused_before_any_check(monkeypatch, k, radius, message):
-    no_checks(monkeypatch, "matrix_shape", "ball_levels", "_ball_search")
+    no_checks(monkeypatch, "matrix_shape", "ball_levels")
     with pytest.raises(ValidationError, match=message):
         run_invariant_suite(H3, generator_walk(H3), k, radius)
 
@@ -389,13 +388,13 @@ def oracle_calls_with_a_right_side(monkeypatch):
         calls[-1] += real_chunks(bits)
         return iter(calls[-1])
 
-    def checks(measure, polys, search, rhs=()):
+    def checks(measure, polys, centres, rhs=()):
         if not rhs:
-            return real_checks(measure, polys, search)
+            return real_checks(measure, polys, centres)
         calls.append([])
         with monkeypatch.context() as m:
             m.setattr(verify, "_chunks", recorded)
-            return real_checks(measure, polys, search, rhs)
+            return real_checks(measure, polys, centres, rhs)
 
     monkeypatch.setattr(suite, "_mean_value_checks", checks)
     return calls
@@ -428,10 +427,10 @@ def test_the_oracle_call_checks_at_the_exponents_of_degree_k_minus_2(monkeypatch
     # S_j, j = max(k_max - 2, 0): the identity alone below k_max = 2
     real, centres = suite._mean_value_checks, []
 
-    def recorded(measure, polys, search, rhs=()):
+    def recorded(measure, polys, points, rhs=()):
         if rhs:
-            centres.append(list(search.index))
-        return real(measure, polys, search, rhs)
+            centres.append(list(points))
+        return real(measure, polys, points, rhs)
 
     monkeypatch.setattr(suite, "_mean_value_checks", recorded)
     for k_max in range(6):
@@ -549,11 +548,9 @@ def test_an_image_that_vanishes_on_the_centres_fails_through_its_degree(monkeypa
     one = Polynomial(H3, {(0, 0, 0): 1})
     quartic = x * (x - one) * (x - one * 2) * (x - one * 3)
     mu = generator_walk(H3)
-    gens = [g.coords for g in mu.support()]
-    s3 = BallSearch({m: i for i, m in enumerate(pk_basis(H3, 3))}, [13], gens, [[] for _ in gens])
     p = Polynomial(H3, {xy: 1})
     image = laplacian.apply_laplacian(mu, p) + quartic
-    assert verify._mean_value_checks(mu, [p], s3, [image])[0].passed
+    assert verify._mean_value_checks(mu, [p], pk_basis(H3, 3), [image])[0].passed
 
     def plus_quartic(p, image):
         c = p.terms.get(xy, 0)
