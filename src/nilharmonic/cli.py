@@ -15,10 +15,11 @@ from typing import Any
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
 from .groups import GroupSchema, ball_levels
 from .laplacian import Measure, dim_hk_from_pk, harmonic_basis, solve_preimage
-from .polynomials import dim_pk_table
+from .polynomials import Polynomial, dim_pk_table
 from .serialize import (
     measure_from_config,
     measure_to_config,
+    parse_fraction,
     parse_polynomial,
     polynomial_to_obj,
     schema_from_config,
@@ -100,6 +101,17 @@ def cmd_dims(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reads_back(p: Polynomial, obj: dict[str, Any]) -> bool:
+    """Whether the text and the terms that ``polynomial_to_obj`` rendered for
+    p each read back to p."""
+    try:
+        terms = {tuple(t["exponents"]): parse_fraction(t["coeff"]) for t in obj["terms"]}
+        text = parse_polynomial(p.schema, obj["text"])
+    except ValidationError:
+        return False
+    return len(terms) == len(obj["terms"]) and terms == p.terms and text == p
+
+
 def cmd_harmonic(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
     measure = _load_measure(schema, args.measure)
@@ -131,6 +143,10 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
             )
             verified = False
         else:
+            # a verified report also reads back to the basis it was rendered from
+            for i, (p, obj) in enumerate(zip(report.basis, basis), start=1):
+                if not _reads_back(p, obj):
+                    raise InternalInconsistency(f"basis element {i} does not read back")
             lines.append(
                 f"verify (radius {args.radius}): all {report.dim} basis elements pass"
             )

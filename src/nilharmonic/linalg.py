@@ -3,17 +3,18 @@
 The one matrix here is the Laplacian's: integer rows over one positive
 common denominator d, each row a dict from column index to non-zero
 ``int``, the entry there being that int divided by d.  One elimination
-serves every question asked of it: a leftmost-pivot Gauss-Jordan that
-inserts the rows one at a time, reduces each against the pivot rows found
+serves every question asked of it: a leftmost-pivot Gauss-Jordan on the
+matrix augmented by the identity, [A | I], that inserts the rows one at a
+time from the last to the first, reduces each against the pivot rows found
 so far and, when a new pivot appears, clears that column from the earlier
 pivot rows, by integer cross-multiplication.  It yields a
 ``Factorization``: the pivot columns, the rows of the unique reduced row
-echelon form as integers over one lead per row, and the row operations it
-applied, each factor a pair of ints, which replay on any number of
-right-hand sides.  A matrix computes its factorization once, and the
-library reads nothing else of it.  Kernel bases use the canonical
-free-variable parameterization (each free variable set to 1 in turn, in
-ascending column order), so outputs are deterministic and portable.
+echelon form as integers over one lead per row, and their part in I, the
+transform E with E A the reduced form, from which every solve reads its
+answer.  A matrix computes its factorization once, and the library reads
+nothing else of it.  Kernel bases use the canonical free-variable
+parameterization (each free variable set to 1 in turn, in ascending column
+order), so outputs are deterministic and portable.
 Kernel vectors, right-hand sides and solutions are integers over one
 denominator, in lowest terms; the dense views that tests and the
 benchmark's tracer read make each entry a ``Fraction`` once from those.
@@ -63,20 +64,6 @@ def _lowest(d: int, ints: dict) -> tuple[int, dict]:
     return (d, ints) if g == 1 else (d // g, {key: n // g for key, n in ints.items()})
 
 
-def _minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x - y for fractions as pairs (n, m), m > 0, subtracted as ``Fraction``
-    subtracts them: over the lcm of the m's, and in lowest terms when x and
-    y are."""
-    (a, b), (c, d) = x, y
-    g = gcd(b, d)
-    if g == 1:
-        return a * d - c * b, b * d
-    s = b // g
-    t = a * (d // g) - c * s
-    g = gcd(t, g)
-    return t // g, s * (d // g)
-
-
 class Inconsistent(NamedTuple):
     """Witness that a linear system has no solution.
 
@@ -88,36 +75,25 @@ class Inconsistent(NamedTuple):
     row: int
 
 
-# One step of the row transform per input row, in input order, every factor
-# a pair of ints: (eliminated, pivot, scale, cleared).  The row is reduced by
-# v / denominator times each pivot row p for the (p, v) in ``eliminated``;
-# ``pivot`` is the column it then leads in, or None when it reduced to zero;
-# it is multiplied by sigma / lead for ``scale`` (sigma, lead), None for 1;
-# and h / l times it is subtracted from each earlier pivot row q for the
-# (q, h, l) in ``cleared``.
-_IntStep = tuple[
-    tuple[tuple[int, int], ...],
-    int | None,
-    tuple[int, int] | None,
-    tuple[tuple[int, int, int], ...],
-]
-
-
 class Factorization:
-    """The elimination of one rows x cols matrix.
+    """The elimination of one rows x cols matrix A, run on [A | I].
 
-    ``pivots`` are the pivot columns in ascending order.  The row of the
+    ``pivots`` are the pivot columns of A in ascending order.  The row of the
     reduced echelon form with pivot ``p`` is kept as integers: it is 1 at
     ``p`` and ``int_tails[p][c] / leads[p]`` at each of its other non-zero
-    columns ``c``, which are free columns right of ``p``; ``leads[p] > 0``.
-    ``kernel`` and the reduced matrix of ``rref`` read these integer rows.
-    ``int_steps`` is the row transform (see ``_IntStep``) with its factors
-    over the matrix's ``denominator``; ``solve`` replays it.  ``kernel`` and
-    ``solve`` both give vectors as integers over one denominator in lowest
-    terms, and the methods hand out fresh dicts only.
+    columns ``c`` of A, which are free columns right of ``p``;
+    ``leads[p] > 0``.  ``kernel`` and the reduced matrix of ``rref`` read
+    these integer rows.  ``transform`` holds the same rows' part in I, E, by
+    column: ``transform[i]`` lists (p, v) for the entry v / leads[p] that the
+    row with pivot p has at column i of I, so that E A is the reduced form.
+    A reduced row whose pivot lies in I is a left null vector of A; it is
+    listed as (p, v) too, with p >= cols its pivot in [A | I], and only
+    whether it meets a right-hand side is read.  ``kernel`` and ``solve``
+    both give vectors as integers over one denominator in lowest terms, and
+    the methods hand out fresh dicts only.
     """
 
-    __slots__ = ("rows", "cols", "pivots", "leads", "int_tails", "denominator", "int_steps")
+    __slots__ = ("rows", "cols", "pivots", "leads", "int_tails", "transform")
 
     def __init__(
         self,
@@ -125,16 +101,14 @@ class Factorization:
         cols: int,
         leads: dict[int, int],
         int_tails: dict[int, dict[int, int]],
-        denominator: int,
-        int_steps: list[_IntStep],
+        transform: list[list[tuple[int, int]]],
     ):
         self.rows = rows
         self.cols = cols
         self.pivots = tuple(sorted(int_tails))
         self.leads = leads
         self.int_tails = int_tails
-        self.denominator = denominator
-        self.int_steps = int_steps
+        self.transform = transform
 
     def kernel(self) -> list[IntVector]:
         """Sparse right null space basis, one vector per free column c, in
@@ -166,11 +140,10 @@ class Factorization:
 
         ``b`` is (d, {row: n}) for the entry n / d at each row, d > 0, rows
         left out being 0; the solution comes in the same form over its
-        columns, in lowest terms, with no zero entry.  The steps are replayed
-        on n, with D the matrix's ``denominator``, each value a pair of ints:
-        y = D n_i - sum v x_p is D times the reduced entry, so the new value
-        is y sigma / (D lead), divided by one gcd, and each earlier value
-        loses h / l times it.
+        columns, in lowest terms, with no zero entry.  A solution exists
+        exactly when every left null vector meets b in 0, and then x = E b:
+        x_p is the sum of n_i v / (L_p d) over the (p, v) at each row i of
+        b.  The sums are put over the lcm of their leads and reduced.
         """
         if type(b) is not tuple or len(b) != 2 or not isinstance(b[1], Mapping):
             raise ValidationError("right-hand side must be a pair (d, {row: n})")
@@ -182,38 +155,21 @@ class Factorization:
                 raise ValidationError(
                     f"right-hand side entry {i!r}: {n!r} is not an int in a row of 0..{self.rows - 1}"
                 )
-        den = self.denominator
-        get = rhs.get
-        # each non-zero value as a pair (n, m) for n / m, m > 0, in lowest terms
-        values: dict[int, tuple[int, int]] = {}
-        for i, (eliminated, pivot, scale, cleared) in enumerate(self.int_steps):
-            y = get(i, 0) * den, 1
-            for p, v in eliminated:
-                if p in values:
-                    n, m = values[p]
-                    y = _minus(y, (v * n, m))
-            if pivot is None:
-                if y[0]:
+        transform = self.transform
+        sums: dict[int, int] = {}
+        get = sums.get
+        for i, n in rhs.items():
+            for p, v in transform[i]:
+                sums[p] = get(p, 0) + n * v
+        cols, leads = self.cols, self.leads
+        values = {}
+        for p, n in sorted(sums.items()):
+            if n:
+                if p >= cols:
                     return Inconsistent(row=len(self.pivots))
-                continue
-            if not y[0]:
-                continue
-            sigma, lead = scale or (1, 1)
-            n, m = y[0] * sigma, y[1] * den * lead
-            g = gcd(n, m)
-            n, m = values[pivot] = n // g, m // g
-            for r, h, l in cleared:
-                hn, hm = n * h, m * l
-                g = gcd(hn, hm)
-                x = _minus(values.get(r, (0, 1)), (hn // g, hm // g))
-                if x[0]:
-                    values[r] = x
-                else:
-                    del values[r]
-        lcd = lcm(*(m for _, m in values.values()))
-        # over lcd the values are in lowest terms, so only d can share a factor with them
-        d, vec = _lowest(d, {p: n * (lcd // m) for p, (n, m) in sorted(values.items())})
-        return d * lcd, vec
+                values[p] = n
+        lcd = lcm(*(leads[p] for p in values))
+        return _lowest(d * lcd, {p: n * (lcd // leads[p]) for p, n in values.items()})
 
 
 def _eliminate(
@@ -221,28 +177,32 @@ def _eliminate(
 ) -> Factorization:
     """Leftmost-pivot Gauss-Jordan on integer rows; the only elimination here.
 
-    The matrix is ``entries`` divided by ``denominator``.  A pivot row is kept
-    as integers: its lead L > 0 at the pivot column and its tail at free
-    columns, the reduced row being the tail divided by L.  Tails hold no
-    pivot column, so the factor by which a pivot row is eliminated from a
-    new row is the new row's own entry there, and the row is reduced by all
-    of them in one integer combination, scaled by the lcm of their leads.
-    The new pivot row is divided by the gcd of its entries.  Clearing the
-    new pivot from an earlier pivot row cross-multiplies; when that scales
-    the earlier row's lead up, the row is divided by its gcd again.  (With
-    the sign of L fixed, a lead of 1 needs no scaling.)  The steps record,
-    as int pairs (see ``_IntStep``), the factors that the same elimination
-    on ``Fraction`` rows records.
+    The matrix A is ``entries`` divided by ``denominator``, and the
+    elimination runs on [A | I]: row i carries ``denominator`` at column
+    ``cols + i``.  The rows go in from the last to the first, which for the
+    Laplacian is the highest degree first, so a new row's pivot seldom lies
+    where an earlier row has an entry.  A pivot row is kept as integers: its
+    lead L > 0 at the pivot column and its tail at free columns, the reduced
+    row being the tail divided by L.  Tails hold no pivot column, so the
+    factor by which a pivot row is eliminated from a new row is the new
+    row's own entry there, and the row is reduced by all of them in one
+    integer combination, scaled by the lcm of their leads.  The new pivot row
+    is divided by the gcd of its entries.  Clearing the new pivot from an
+    earlier pivot row cross-multiplies; when that scales the earlier row's
+    lead up, the row is divided by its gcd again.  At the end the columns of
+    I leave the tails for the ``transform``, with the rows whose pivot lies
+    there.
     """
     leads: dict[int, int] = {}
     int_tails: dict[int, dict[int, int]] = {}
-    steps: list[_IntStep] = []
-    for source in entries:
-        eliminated = tuple((p, v) for p, v in source.items() if p in leads)
+    for i in range(rows - 1, -1, -1):
+        source = entries[i]
+        eliminated = [(p, v) for p, v in source.items() if p in leads]
         if eliminated:
             # lam * (source - sum_p v_p * (pivot row p) / L_p) is an integer row
             lam = lcm(*(leads[p] for p, _ in eliminated))
             row = {c: v * lam for c, v in source.items() if c not in leads}
+            row[cols + i] = denominator * lam
             for p, v in eliminated:
                 m = v * (lam // leads[p])
                 get = row.get
@@ -253,15 +213,11 @@ def _eliminate(
                     else:
                         del row[c]
         else:
-            lam = 1
             row = dict(source)
-        if not row:
-            steps.append((eliminated, None, None, ()))
-            continue
-        sigma = denominator * lam
+            row[cols + i] = denominator
+        # no earlier row has an entry at cols + i, so the row is never zero
         pivot = min(row)
         lead = row.pop(pivot)
-        scale = None if lead == sigma else (sigma, lead)
         g = gcd(lead, *row.values())
         if lead < 0:
             g = -g
@@ -269,13 +225,10 @@ def _eliminate(
             lead //= g
             row = {c: v // g for c, v in row.items()}
         tail = row
-        cleared = []
         for q, tq in int_tails.items():
             h = tq.pop(pivot, None)
             if h is None:
                 continue
-            lq = leads[q]
-            cleared.append((q, h, lq))
             # L * (row q) - h * (new row), divided by gcd(L, h)
             d = gcd(lead, h)
             a, b = lead // d, h // d
@@ -290,7 +243,7 @@ def _eliminate(
                 else:
                     del tq[c]
             if a != 1:
-                lq *= a
+                lq = leads[q] * a
                 # the lead grew, so take out what the row now has in common
                 d = gcd(lq, *tq.values())
                 if d != 1:
@@ -300,8 +253,14 @@ def _eliminate(
                 leads[q] = lq
         leads[pivot] = lead
         int_tails[pivot] = tail
-        steps.append((eliminated, pivot, scale, tuple(cleared)))
-    return Factorization(rows, cols, leads, int_tails, denominator, steps)
+    transform: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for p, tail in list(int_tails.items()):
+        if p >= cols:
+            del int_tails[p]
+            transform[p - cols].append((p, leads.pop(p)))
+        for c in [c for c in tail if c >= cols]:
+            transform[c - cols].append((p, tail.pop(c)))
+    return Factorization(rows, cols, leads, int_tails, transform)
 
 
 def _reduced_rows(f: Factorization) -> tuple[IntRows, int]:

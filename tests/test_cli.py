@@ -170,6 +170,33 @@ def test_harmonic_with_verify(configs, capsys):
         assert parse_polynomial(h3, text) == p
 
 
+def _tampered(obj, how):
+    terms = [dict(t) for t in obj["terms"]]
+    if how == "coeff":
+        terms[0]["coeff"] = "2/3"
+    elif how == "exponents":
+        terms[0]["exponents"] = [0, 0, 2]
+    elif how == "duplicate":
+        terms.append(terms[0])
+    elif how == "bad coeff":
+        terms[0]["coeff"] = "1.5"
+    return {"terms": terms, "text": {"text": "x - y", "bad text": "x +"}.get(how, obj["text"])}
+
+
+@pytest.mark.parametrize(
+    "how", ["coeff", "exponents", "duplicate", "bad coeff", "text", "bad text"]
+)
+def test_a_rendering_that_does_not_read_back_is_caught(how):
+    # harmonic --verify exits 3 on a basis element whose text or terms,
+    # malformed ones included, read back to another polynomial
+    from nilharmonic.serialize import parse_polynomial, polynomial_to_obj
+
+    p = parse_polynomial(heisenberg(1), "x*y - 1/3*z + 2")
+    obj = polynomial_to_obj(p)
+    assert cli._reads_back(p, obj)
+    assert not cli._reads_back(p, _tampered(obj, how))
+
+
 def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypatch):
     # the up-front size refusal's search, made before the basis, is the one
     # whose points the oracle checks at; the output is pinned as the run

@@ -10,13 +10,14 @@ and unitriangular(3) with a pair {s, s^-1} and an identity atom next to the
 generators.  On each case it runs the suite at k = 4, r = 1, and the
 commands' own checks: ``preimage`` on a degree-2 target, which checks its
 answer with ``apply_laplacian``, and ``harmonic --verify`` at k = 4, r = 1,
-which checks the basis with the mean-value oracle.  A row pins, per case,
-the failing records with their details and the failing commands with their
-exit codes and messages.  A fault the ``laplacian_images`` path turns into
-an image whose degree does not drop by 2 makes ``apply_laplacian`` raise,
-and the error is the detail of the record or the message of the command
-whose check it stops.  A row that fails nothing pins nothing: neither the
-suite nor the commands can see that fault.
+which checks the basis with the mean-value oracle and reads its rendered
+basis back.  A row pins, per case, the failing records with their details
+and the failing commands with their exit codes and messages.  A fault the
+``laplacian_images`` path turns into an image whose degree does not drop by
+2 makes ``apply_laplacian`` raise, and the error is the detail of the
+record or the message of the command whose check it stops.  A row that
+fails nothing pins nothing: neither the suite nor the commands can see that
+fault.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ from nilharmonic.cli import main
 from nilharmonic.groups import GroupElement, GroupSchema, heisenberg, unitriangular
 from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, lazy_generator_walk
 from nilharmonic.polynomials import (
-    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms,
+    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms, pk_basis,
 )
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -64,6 +65,9 @@ U3_SHIFTED = Measure(U3, [
                  ((0, -1, 0), 1), ((1, 1, 1), 1), ((-1, -1, 0), 1)]
 ])
 ONE, XY = (0, 0, 0), (1, 1, 0)
+# the row of x*y in the Laplacian's matrix, whose rows are P^(k-2) in graded
+# order; a_12*a_23 has the same row on unitriangular(3)
+XY_ROW = pk_basis(H3, 2).index(XY)
 # the degree-2 target of ``preimage``, x*y on each group
 TARGETS = {H3: "x*y", U3: "a_12*a_23"}
 COMMANDS = ("preimage", "harmonic --verify")
@@ -207,6 +211,21 @@ def eliminate_tail(m):
         p = next((p for p in f.pivots if f.int_tails[p]), None)
         if p is not None:
             f.int_tails[p].popitem()
+        return f
+
+    m.setattr(linalg, "_eliminate", faulty)
+
+
+def transform_entry(m):
+    """The first entry of the row transform at the row of x*y is 1 too large,
+    so only a solve whose target has an x*y term goes wrong."""
+    real = linalg._eliminate
+
+    def faulty(rows, cols, entries, denominator):
+        f = real(rows, cols, entries, denominator)
+        if rows > XY_ROW and f.transform[XY_ROW]:
+            (p, v), *rest = f.transform[XY_ROW]
+            f.transform[XY_ROW] = [(p, v + 1), *rest]
         return f
 
     m.setattr(linalg, "_eliminate", faulty)
@@ -392,7 +411,7 @@ ROWS = {
         "poly.interpolation_soundness": "monomial (1, 0, 0), u=(-2, 0, 0), g=(2, -1, -2)",
         "poly.left_right_agreement": "monomial (1, 0, 0)",
     })),
-    # solve replays the row steps, not the reduced rows, so only the
+    # solve reads the row transform, not the reduced rows, so only the
     # harmonic basis, read off the kernel, goes wrong
     "eliminate_tail": (eliminate_tail, WALK, {
         "heisenberg(1)": {
@@ -406,6 +425,10 @@ ROWS = {
                                  "point (-1, -1, 0), lhs 1/48, rhs 5/96",
         },
     }),
+    # the transform is read by solves alone, so only the preimages go wrong
+    "transform_entry": (transform_entry, WALK, on_both({
+        "laplacian.surjectivity[k=4]": "bad preimage for (1, 1, 0)", **BAD_PREIMAGE,
+    })),
     "kernel_sign": (kernel_sign, WALK, {
         "heisenberg(1)": {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 4: (-1, 0, 0) lhs=1 rhs=2",
@@ -418,10 +441,13 @@ ROWS = {
                                  "point (-1, -1, 0), lhs 3/2, rhs 2",
         },
     }),
-    # expected to pass: no record renders a polynomial unless it fails, and
-    # no command checks its rendering, so neither can see a wrong
-    # coefficient text (a FOUND line)
-    "render_coefficient": (render_coefficient, WALK, on_both({})),
+    # no record renders a polynomial unless it fails, and preimage does not
+    # read its report back, so only harmonic --verify sees a wrong
+    # coefficient text
+    "render_coefficient": (render_coefficient, WALK, on_both({
+        "harmonic --verify":
+            "exit 3: internal inconsistency: basis element 1 does not read back",
+    })),
 }
 
 

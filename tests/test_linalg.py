@@ -380,21 +380,15 @@ def test_integer_elimination_equals_fraction_reference(label, m):
     got = linalg._eliminate(m.rows, m.cols, int_rows, denominator)
     want = dense.eliminate(m.cols, _fraction_rows(m))
     assert got.pivots == want.pivots
-    assert got.denominator == denominator
-    # every recorded factor is an int pair (or triple), and read as a Fraction
-    # it is the reference's: v / denominator, sigma / lead and h / l
-    for eliminated, _, scale, cleared in got.int_steps:
-        assert all(type(x) is int for step in eliminated + cleared for x in step)
-        assert scale is None or (len(scale) == 2 and all(type(x) is int for x in scale))
-    assert [
-        (
-            tuple((p, Fraction(v, denominator)) for p, v in eliminated),
-            pivot,
-            None if scale is None else Fraction(*scale),
-            tuple((q, Fraction(h, l)) for q, h, l in cleared),
-        )
-        for eliminated, pivot, scale, cleared in got.int_steps
-    ] == want.steps
+    # the transform solves every unit right-hand side as the reference's
+    # augmented reduced form does
+    data = m.data
+    for i in range(m.rows):
+        want_x = dense.solve(data, m.cols, [Fraction(int(r == i)) for r in range(m.rows)])
+        got_x = got.solve((1, {i: 1}))
+        if not isinstance(got_x, Inconsistent):
+            got_x = _as_fractions(got_x, m.cols)
+        assert got_x == want_x
     # the integer tails are the Fraction ones over positive leads
     assert sorted(got.leads) == sorted(got.int_tails) == list(got.pivots)
     assert all(type(lead) is int and lead > 0 for lead in got.leads.values())
@@ -446,9 +440,9 @@ def test_elimination_cases_cover_every_kind_of_step():
 
 # -- the integer solve ------------------------------------------------------------
 #
-# Factorization.solve replays the recorded integer factors on a right-hand side
-# given as integers over one denominator; its answers must equal the dense
-# reference's, in lowest terms.
+# Factorization.solve reads the row transform on a right-hand side given as
+# integers over one denominator; its answers must equal the dense reference's,
+# in lowest terms.
 
 
 def _sparse_right_hand_sides(rng, m):

@@ -4,11 +4,13 @@ The reduced row echelon form depends only on the row space, so
 ``linalg._eliminate`` on the rows of a matrix in any order must give the
 same pivots, the same rational reduced rows, the same canonical kernel, and
 the same solution with every free variable 0 for a right-hand side renumbered
-with the rows; ``Inconsistent.row`` is the rank, so it agrees too.  The
-integers of a reduced row may carry a common factor that depends on the
-order, so the rows are compared as ``Fraction``s, not as ``int_tails`` and
-``leads``.  The matrices are random integer ones of low rank, and random ones
-with the Laplacian's block shape, where a row of degree d has entries only in
+with the rows; ``Inconsistent.row`` is the rank, so it agrees too.  That
+solution must also be the one a dense augmented reduced form over the
+``Fraction``s gives (``dense_reference.solve``).  The integers of a reduced
+row may carry a common factor that depends on the order, so the rows are
+compared as ``Fraction``s, not as ``int_tails`` and ``leads``.  The
+matrices are random integer ones of low rank, and random ones with the
+Laplacian's block shape, where a row of degree d has entries only in
 columns of degree d + 2 or more.  Examples are capped at 150 and the example
 database is off, so a run writes no files.
 """
@@ -22,7 +24,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilharmonic.linalg import _eliminate
+from nilharmonic.linalg import Inconsistent, _eliminate
+
+import dense_reference as dense
 
 entries = st.integers(-4, 4)
 
@@ -82,4 +86,12 @@ def test_shuffled_rows_give_the_same_factorization(data):
         rhs = {i: v for i, row in enumerate(dense_rows) if (v := sum(map(int.__mul__, row, x)))}
     d = data.draw(st.integers(1, 6))
     position = {i: j for j, i in enumerate(order)}
-    assert g.solve((d, {position[i]: n for i, n in rhs.items()})) == f.solve((d, rhs))
+    solution = f.solve((d, rhs))
+    assert g.solve((d, {position[i]: n for i, n in rhs.items()})) == solution
+    # and it is the solution of one augmented reduced form over the Fractions
+    data = [[Fraction(v, denominator) for v in row] for row in dense_rows]
+    want = dense.solve(data, cols, [Fraction(rhs.get(i, 0), d) for i in range(n_rows)])
+    if not isinstance(solution, Inconsistent):
+        e, vec = solution
+        solution = [Fraction(vec.get(j, 0), e) for j in range(cols)]
+    assert solution == want
