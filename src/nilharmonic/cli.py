@@ -25,7 +25,7 @@ from .serialize import (
     schema_from_config,
     schema_to_config,
 )
-from .suite import run_invariant_suite
+from .suite import _certifiable, _laplacian_checks, run_invariant_suite
 from .verify import _mean_value_checks
 
 EXIT_OK = 0
@@ -132,8 +132,13 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
         lines.append(f"  [{i}] {obj['text']}")
     verified = None
     if args.verify:
+        # a basis certified at S_(k-2) holds on the ball; any other is checked
+        # on the ball, whose first failure names the witness
         centres = [c for level in levels for c in level]
-        checks = _mean_value_checks(measure, list(report.basis), centres)
+        zero = Polynomial(schema)
+        certified = _certifiable(schema, args.k, report.basis, len(centres)) and all(
+            c.passed for c in _laplacian_checks(measure, args.k, [(h, zero) for h in report.basis]))
+        checks = [] if certified else _mean_value_checks(measure, list(report.basis), centres)
         failures = [(i, c) for i, c in enumerate(checks, start=1) if not c.passed]
         if failures:
             i, c = failures[0]
@@ -176,6 +181,8 @@ def cmd_preimage(args: argparse.Namespace) -> int:
     # solve_preimage verifies laplacian(p_hat) == target, or raises InternalInconsistency
     p_hat = solve_preimage(schema, measure, target)
     target_obj, p_hat_obj = polynomial_to_obj(target), polynomial_to_obj(p_hat)
+    if not (_reads_back(target, target_obj) and _reads_back(p_hat, p_hat_obj)):
+        raise InternalInconsistency("preimage does not read back")
     lines = [
         f"group: {schema.name()}",
         f"input: {target_obj['text']}",

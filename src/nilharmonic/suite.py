@@ -17,12 +17,20 @@ The measure half reaches the Laplacian only through ``laplacian_matrix`` and
 ``apply_laplacian``.  Every target of P^(k_max - 2) is solved once through the
 factorization of the degree-k_max matrix, and ``apply_laplacian`` is called
 once per monomial of P^min(k_max, 3).  One call of the mean-value oracle then
-checks both kinds of pair (p, q), a preimage and its target, a monomial and
-its image, as Delta p = q with Delta read off the group law: each side is in
-P^(k_max - 2), and S_(k_max - 2), where the oracle checks, determines such a
-polynomial (see ``_laplacian_checks``).  A failing record names its first
-failing target or monomial, and an error ``apply_laplacian`` raises becomes
-the symmetric form's detail.
+checks three kinds of pair (p, q), a preimage and its target, a monomial and
+its image, and a harmonic basis element and 0, as Delta p = q with Delta read
+off the group law: Delta p - q is in P^(k_max - 2), and S_(k_max - 2), where
+the oracle checks, determines such a polynomial (see ``_laplacian_checks``).
+A basis element that passes is harmonic on all of G, so on the radius-r ball
+too, and the harmonic record passes with no check on the ball.  The basis
+joins the call only under the size rule of ``_certifiable``: S_(k_max - 2)
+has no more points than the ball that the size refusal searched, and every
+element is in P^(k_max).  Otherwise, and when an element fails at S, the
+harmonic record comes from the mean-value oracle on that ball, so a failure's
+witness is a point of the ball; a basis that raised gives the error as the
+detail.  A failing record names its first failing target, monomial or
+element, and an error ``apply_laplacian`` raises becomes the symmetric
+form's detail.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .groups import (
 # unused here, but the benchmark's tracer wraps suite.ball by name
 from .groups import ball  # noqa: F401
 from .laplacian import (
+    HarmonicBasisReport,
     Measure,
     apply_laplacian,
     dim_hk_from_pk,
@@ -301,7 +310,20 @@ def run_invariant_suite(
             detail = "" if image.is_zero or image.degree <= p.degree - 2 else f"monomial {m}"
         pairs.append((p, image))
         form_details.append(detail)
+    # and, where _certifiable admits it, each harmonic basis element h as
+    # (h, 0), which certifies the basis on all of G when every one passes
+    report: HarmonicBasisReport | NilharmonicError
+    try:
+        report = harmonic_basis(schema, measure, k_max)
+    except NilharmonicError as exc:
+        report = exc
+    n_before = len(pairs)
+    certified = not isinstance(report, NilharmonicError) and _certifiable(
+        schema, k_max, report.basis, len(ball_points))
+    if certified:
+        pairs += [(h, Polynomial(schema)) for h in report.basis]
     checks = _laplacian_checks(measure, k_max, pairs)
+    certified = certified and all(c.passed for c in checks[n_before:])
 
     if factorization is not None:
         # (top column, verdict) per target solved; a preimage reaching column
@@ -326,9 +348,13 @@ def run_invariant_suite(
                         if top >= dim or verdict), None)
             add(f"laplacian.surjectivity[k={k}]", bad is None, bad or f"{n_targets} targets")
 
-    try:
-        report = harmonic_basis(schema, measure, k_max)
-        oracle = _mean_value_checks(measure, list(report.basis), ball_points)
+    # a basis certified at S holds on the ball too; any other basis, the one
+    # of an element that failed at S included, is checked on the ball, whose
+    # first failure names the record's witness
+    if isinstance(report, NilharmonicError):
+        add("laplacian.harmonic_oracle", False, str(report))
+    else:
+        oracle = [] if certified else _mean_value_checks(measure, list(report.basis), ball_points)
         bad_idx = next((i for i, c in enumerate(oracle) if not c.passed), None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
@@ -338,8 +364,6 @@ def run_invariant_suite(
             else f"element {bad_idx}: {oracle[bad_idx].witness} "
             f"lhs={oracle[bad_idx].lhs} rhs={oracle[bad_idx].rhs}",
         )
-    except NilharmonicError as exc:
-        add("laplacian.harmonic_oracle", False, str(exc))
 
     bad_detail = next((detail or f"monomial {m}"
                        for m, detail, check in zip(monos, form_details, checks[n_preimages:])
@@ -355,7 +379,10 @@ def _laplacian_checks(
     ``pairs``, checked in one call of the mean-value oracle; exact where p
     is in P^K and q in P^(K-2), K = ``k_max``.
 
-    The measure is symmetric, so Delta lowers weighted degree by 2:
+    The suite passes three kinds of pair: a preimage and its target
+    monomial, a monomial of P^min(K, 3) and its ``apply_laplacian`` image,
+    and, where ``_certifiable`` admits it, a harmonic basis element h
+    and 0.  The measure is symmetric, so Delta lowers weighted degree by 2:
     translation keeps it, and the terms of p(x s) that lose exactly 1 are
     linear in the weight-1 coordinates of s, whose mu-average is 0.  So
     Delta p - q is in P^(K-2).  The oracle checks it at S_j,
@@ -363,10 +390,27 @@ def _laplacian_checks(
     its centres.  S_j is downward closed, so in the binomial basis
     prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix:
     a polynomial of P^j that vanishes there is 0, and each check that
-    passes is an identity on all of G.
+    passes is an identity on all of G.  A passing (h, 0) thus gives
+    Delta h = 0 everywhere, and so the mean-value identity at every point of
+    any ball.
     """
     centres = pk_basis(measure.schema, max(k_max - 2, 0))
     return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])
+
+
+def _certifiable(schema: GroupSchema, k: int, polys: Sequence[Polynomial], n_points: int) -> bool:
+    """Whether ``polys`` are first checked as pairs (p, 0) at S_(k-2) by
+    ``_laplacian_checks``, in place of the mean-value oracle at ``n_points``
+    points of a ball, which then runs only if one fails there: S_(k-2) has no
+    more points than the ball, and each poly is in P^k, its weighted degree
+    read off its own exponents, so that a pass is exact.
+
+    The suite and ``harmonic --verify`` both ask this, with the ball their
+    size refusal searched.  Where S_(k-2) is the larger, the certificate
+    would cost more than the ball, and the ball alone is checked.
+    """
+    return len(pk_basis(schema, max(k - 2, 0))) <= n_points and all(
+        p.is_zero or p.degree <= k for p in polys)
 
 
 def _associativity_witness(

@@ -197,6 +197,27 @@ def test_a_rendering_that_does_not_read_back_is_caught(how):
     assert not cli._reads_back(p, _tampered(obj, how))
 
 
+@pytest.mark.parametrize("which", ["input", "preimage"])
+def test_a_preimage_report_that_does_not_read_back_exits_3(configs, tmp_path, capsys,
+                                                            monkeypatch, which):
+    # the coefficient text of one of the two rendered polynomials is
+    # tampered with; either is read back before anything is printed
+    h3 = heisenberg(1)
+    q = Polynomial.coordinate(h3, 1)
+    real = cli.polynomial_to_obj
+
+    def rendered(p):
+        obj = real(p)
+        return _tampered(obj, "coeff") if (p == q) == (which == "input") else obj
+
+    monkeypatch.setattr(cli, "polynomial_to_obj", rendered)
+    poly = tmp_path / "q.txt"
+    poly.write_text("x", encoding="utf-8")
+    code, out, err = run(capsys, [
+        "preimage", "--group", configs["h3"], "--measure", configs["mu_h3"], str(poly)])
+    assert (code, out, err) == (3, "", "internal inconsistency: preimage does not read back\n")
+
+
 def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypatch):
     # the up-front size refusal's search, made before the basis, is the one
     # whose points the oracle checks at; the output is pinned as the run

@@ -9,10 +9,14 @@ cases: heisenberg(1) with the row's measure, a generator walk or a lazy one,
 and unitriangular(3) with a pair {s, s^-1} and an identity atom next to the
 generators.  On each case it runs the suite at k = 4, r = 1, and the
 commands' own checks: ``preimage`` on a degree-2 target, which checks its
-answer with ``apply_laplacian``, and ``harmonic --verify`` at k = 4, r = 1,
-which checks the basis with the mean-value oracle and reads its rendered
-basis back.  A row pins, per case, the failing records with their details
-and the failing commands with their exit codes and messages.  A fault the
+answer with ``apply_laplacian`` and reads its rendered target and answer
+back, and ``harmonic --verify`` at k = 4, r = 1, which checks the basis with
+the mean-value oracle and reads its rendered basis back.  The suite and
+``harmonic --verify`` first certify the basis at S_2 where that set has no
+more points than the ball; the parity test shows that this changes no
+record and no command, under every fault and at radii 0 to 3.  A row pins,
+per case, the failing records with their details and the failing commands
+with their exit codes and messages.  A fault the
 ``laplacian_images`` path turns into an image whose degree does not drop by
 2 makes ``apply_laplacian`` raise, and the error is the detail of the
 record or the message of the command whose check it stops.  A row that
@@ -28,16 +32,19 @@ from operator import mul
 
 import pytest
 
+import nilharmonic.cli as cli
 import nilharmonic.laplacian as laplacian
 import nilharmonic.linalg as linalg
 import nilharmonic.polynomials as polynomials
 import nilharmonic.serialize as serialize
+import nilharmonic.suite as suite
 import nilharmonic.verify as verify
 from nilharmonic.cli import main
 from nilharmonic.groups import GroupElement, GroupSchema, heisenberg, unitriangular
 from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, lazy_generator_walk
 from nilharmonic.polynomials import (
-    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, _translation_forms, pk_basis,
+    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
+    pk_basis,
 )
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -263,27 +270,43 @@ def render_coefficient(m):
     m.setattr(serialize, "render_terms", faulty)
 
 
-def failing_commands(measure, tmp_path):
-    """``preimage`` and ``harmonic --verify`` on ``measure``, run through
-    ``cli.main``: "exit n: message" for each that does not exit 0, by name.
-    The message is the first line of stderr, or the oracle's FAIL line."""
+def write_inputs(measure, tmp_path):
+    """The group and measure files of ``measure`` as command-line options,
+    and the path of its case's target file."""
     schema = measure.schema
     paths = {name: tmp_path / name for name in ("group.json", "measure.json", "target.txt")}
     paths["group.json"].write_text(json.dumps(serialize.schema_to_config(schema)), encoding="utf-8")
     paths["measure.json"].write_text(json.dumps(serialize.measure_to_config(measure)),
                                      encoding="utf-8")
     paths["target.txt"].write_text(TARGETS[schema], encoding="utf-8")
-    common = ["--group", str(paths["group.json"]), "--measure", str(paths["measure.json"])]
+    return ["--group", str(paths["group.json"]), "--measure", str(paths["measure.json"])], \
+        str(paths["target.txt"])
+
+
+def run_main(argv):
+    """``cli.main`` on ``argv`` from fresh memos: its exit code, stdout and
+    stderr."""
+    clear_memos()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def harmonic_verify(common, radius):
+    return ["harmonic", *common, "--k", "4", "--verify", "--radius", str(radius)]
+
+
+def failing_commands(measure, tmp_path):
+    """``preimage`` and ``harmonic --verify`` on ``measure``, run through
+    ``cli.main``: "exit n: message" for each that does not exit 0, by name.
+    The message is the first line of stderr, or the oracle's FAIL line."""
+    common, target = write_inputs(measure, tmp_path)
     failed = {}
-    for name, argv in zip(COMMANDS, (["preimage", *common, str(paths["target.txt"])],
-                                     ["harmonic", *common, "--k", "4", "--verify", "--radius", "1"])):
-        clear_memos()
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    for name, argv in zip(COMMANDS, (["preimage", *common, target], harmonic_verify(common, 1))):
+        code, out, err = run_main(argv)
         if code:
-            lines = err.getvalue().splitlines() or [
-                line for line in out.getvalue().splitlines() if "FAIL" in line]
+            lines = err.splitlines() or [line for line in out.splitlines() if "FAIL" in line]
             failed[name] = f"exit {code}: {lines[0]}"
     return failed
 
@@ -441,12 +464,12 @@ ROWS = {
                                  "point (-1, -1, 0), lhs 3/2, rhs 2",
         },
     }),
-    # no record renders a polynomial unless it fails, and preimage does not
-    # read its report back, so only harmonic --verify sees a wrong
-    # coefficient text
+    # no record renders a polynomial unless it fails, so only the commands,
+    # which read their reports back, see a wrong coefficient text
     "render_coefficient": (render_coefficient, WALK, on_both({
         "harmonic --verify":
             "exit 3: internal inconsistency: basis element 1 does not read back",
+        "preimage": "exit 3: internal inconsistency: preimage does not read back",
     })),
 }
 
@@ -463,6 +486,117 @@ def test_each_fault_fails_its_pinned_records(row, tmp_path):
             (("heisenberg(1)", measure), ("unitriangular(3)", U3_PAIRS))} == expected
     # the fault is undone and its memo entries gone
     assert failing_checks(no_fault, measure, tmp_path) == {}
+
+
+def certify(m, taken):
+    """Rebind the suite's and the CLI's rule, so that the harmonic basis is
+    first certified at S_(k-2) if ``taken``, and checked on the ball alone
+    if not."""
+    for module in (suite, cli):
+        m.setattr(module, "_certifiable", lambda *args: taken)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_the_certificate_changes_no_record_and_no_command(row, tmp_path):
+    # a basis certified at S_2 passes on every ball, and one that fails there
+    # is checked on the ball as before, so under every fault, at every radius,
+    # the suite and harmonic --verify give what the ball alone gives
+    fault, measure, _ = ROWS[row]
+    for mu in (measure, U3_PAIRS):
+        common, _ = write_inputs(mu, tmp_path)
+        for radius in range(4):
+            runs = []
+            for taken in (True, False):
+                clear_memos()
+                try:
+                    with pytest.MonkeyPatch.context() as m:
+                        fault(m)
+                        certify(m, taken)
+                        runs.append((run_invariant_suite(mu.schema, mu, 4, radius),
+                                     run_main(harmonic_verify(common, radius))))
+                finally:
+                    clear_memos()
+            assert runs[0] == runs[1], (mu.schema.name(), radius)
+
+
+def counted_oracle(m):
+    """The arguments of each mean-value oracle call that the suite or
+    ``harmonic --verify`` makes, the exact call at S included."""
+    calls, real = [], verify._mean_value_checks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (suite, cli):
+        m.setattr(module, "_mean_value_checks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fault, k, radius, n_suite, n_cli", [
+    # S_2 has 7 points, the radius-3 ball 53: the basis is certified at S_2
+    (no_fault, 4, 3, 1, 1),
+    # S_6 has 50 points, the radius-1 ball 5: the ball alone checks the basis
+    (no_fault, 8, 1, 2, 1),
+    # an element fails at S_2, so the ball is searched for the witness
+    (kernel_sign, 4, 3, 2, 2),
+], ids=["certified", "ball_is_smaller", "fails_at_s"])
+def test_the_ball_is_checked_only_where_the_certificate_is_refused_or_fails(
+        fault, k, radius, n_suite, n_cli, tmp_path):
+    common, _ = write_inputs(WALK, tmp_path)
+    argv = ["harmonic", *common, "--k", str(k), "--verify", "--radius", str(radius)]
+    clear_memos()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            fault(m)
+            calls = counted_oracle(m)
+            records = run_invariant_suite(H3, WALK, k, radius)
+            assert len(calls) == n_suite
+            calls.clear()
+            command = run_main(argv)
+            assert len(calls) == n_cli
+            certify(m, False)
+            assert (records, command) == (run_invariant_suite(H3, WALK, k, radius), run_main(argv))
+    finally:
+        clear_memos()
+    oracle = next(r for r in records if r.name.startswith("laplacian.harmonic_oracle"))
+    if fault is kernel_sign:
+        # the witness is a point of the ball at radius 3, not of S_2
+        assert not oracle.passed and oracle.detail == "element 4: (-3, 0, 0) lhs=9 rhs=10"
+        assert command[0] == 2
+    else:
+        assert all(r.passed for r in records) and command[0] == 0
+
+
+def test_a_polynomial_above_k_max_is_never_certified(tmp_path):
+    # x^3 has Laplacian 3x/2 on the walk, which is 0 at the identity, all of
+    # S_0: at k = 2 only the degree check keeps it from being certified, and
+    # the radius-1 ball fails it
+    x = Polynomial.coordinate(H3, 1)
+    x3 = x * x * x
+    assert not suite._certifiable(H3, 2, [x3], 10**6)
+    assert suite._certifiable(H3, 2, [x * x, Polynomial(H3)], 1)
+    assert [suite._certifiable(H3, 4, [], n) for n in (6, 7)] == [False, True]
+    real = laplacian.harmonic_basis
+
+    def with_x3(schema, measure, k):
+        report = real(schema, measure, k)
+        return report._replace(basis=(*report.basis, x3))
+
+    common, _ = write_inputs(WALK, tmp_path)
+    clear_memos()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            for module in (suite, cli):
+                m.setattr(module, "harmonic_basis", with_x3)
+            oracle = run_invariant_suite(H3, WALK, 2, 1)[-2]
+            code, out, _ = run_main(["harmonic", *common, "--k", "2", "--verify", "--radius", "1"])
+    finally:
+        clear_memos()
+    n = len(real(H3, WALK, 2).basis)
+    assert oracle == ("laplacian.harmonic_oracle[k=2,r=1]", False,
+                      f"element {n}: (-1, 0, 0) lhs=-1 rhs=-5/2")
+    assert code == 2 and f"FAIL at basis element {n + 1}, point (-1, 0, 0)" in out
 
 
 def test_verify_under_a_raising_fault_exits_2_with_every_record(tmp_path, capsys):
