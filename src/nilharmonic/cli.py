@@ -25,8 +25,7 @@ from .serialize import (
     schema_from_config,
     schema_to_config,
 )
-from .suite import _certifiable, _laplacian_checks, run_invariant_suite
-from .verify import _mean_value_checks
+from .suite import harmonic_failure, run_invariant_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -132,18 +131,14 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
         lines.append(f"  [{i}] {obj['text']}")
     verified = None
     if args.verify:
-        # a basis certified at S_(k-2) holds on the ball; any other is checked
-        # on the ball, whose first failure names the witness
+        # certified at S_(k-2) where it can be, or checked on the ball, whose
+        # first failure names the witness (see suite.harmonic_failure)
         centres = [c for level in levels for c in level]
-        zero = Polynomial(schema)
-        certified = _certifiable(schema, args.k, report.basis, len(centres)) and all(
-            c.passed for c in _laplacian_checks(measure, args.k, [(h, zero) for h in report.basis]))
-        checks = [] if certified else _mean_value_checks(measure, list(report.basis), centres)
-        failures = [(i, c) for i, c in enumerate(checks, start=1) if not c.passed]
-        if failures:
-            i, c = failures[0]
+        bad = harmonic_failure(measure, args.k, report.basis, centres)
+        if bad is not None:
+            i, c = bad
             lines.append(
-                f"verify (radius {args.radius}): FAIL at basis element {i}, "
+                f"verify (radius {args.radius}): FAIL at basis element {i + 1}, "
                 f"point {c.witness}, lhs {c.lhs}, rhs {c.rhs}"
             )
             verified = False

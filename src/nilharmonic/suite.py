@@ -23,14 +23,13 @@ off the group law: Delta p - q is in P^(k_max - 2), and S_(k_max - 2), where
 the oracle checks, determines such a polynomial (see ``_laplacian_checks``).
 A basis element that passes is harmonic on all of G, so on the radius-r ball
 too, and the harmonic record passes with no check on the ball.  The basis
-joins the call only under the size rule of ``_certifiable``: S_(k_max - 2)
-has no more points than the ball that the size refusal searched, and every
-element is in P^(k_max).  Otherwise, and when an element fails at S, the
-harmonic record comes from the mean-value oracle on that ball, so a failure's
-witness is a point of the ball; a basis that raised gives the error as the
-detail.  A failing record names its first failing target, monomial or
-element, and an error ``apply_laplacian`` raises becomes the symmetric
-form's detail.
+joins the call when every element is in P^(k_max), its degree read off its
+own exponents (``_certifiable``); otherwise, and when an element fails at S,
+``harmonic_failure`` checks the basis on that ball, whose first failure
+names the record's witness, and if the ball shows none, the first failure
+at S does.  A basis that raised gives the error as the detail.  A failing
+record names its first failing target, monomial or element, and an error
+``apply_laplacian`` raises becomes the symmetric form's detail.
 """
 
 from __future__ import annotations
@@ -310,20 +309,18 @@ def run_invariant_suite(
             detail = "" if image.is_zero or image.degree <= p.degree - 2 else f"monomial {m}"
         pairs.append((p, image))
         form_details.append(detail)
-    # and, where _certifiable admits it, each harmonic basis element h as
-    # (h, 0), which certifies the basis on all of G when every one passes
+    # and each harmonic basis element h in P^(k_max) as (h, 0), which
+    # certifies the basis on all of G when every one passes
     report: HarmonicBasisReport | NilharmonicError
     try:
         report = harmonic_basis(schema, measure, k_max)
     except NilharmonicError as exc:
         report = exc
     n_before = len(pairs)
-    certified = not isinstance(report, NilharmonicError) and _certifiable(
-        schema, k_max, report.basis, len(ball_points))
-    if certified:
+    certifiable = not isinstance(report, NilharmonicError) and _certifiable(k_max, report.basis)
+    if certifiable:
         pairs += [(h, Polynomial(schema)) for h in report.basis]
     checks = _laplacian_checks(measure, k_max, pairs)
-    certified = certified and all(c.passed for c in checks[n_before:])
 
     if factorization is not None:
         # (top column, verdict) per target solved; a preimage reaching column
@@ -348,21 +345,17 @@ def run_invariant_suite(
                         if top >= dim or verdict), None)
             add(f"laplacian.surjectivity[k={k}]", bad is None, bad or f"{n_targets} targets")
 
-    # a basis certified at S holds on the ball too; any other basis, the one
-    # of an element that failed at S included, is checked on the ball, whose
-    # first failure names the record's witness
     if isinstance(report, NilharmonicError):
         add("laplacian.harmonic_oracle", False, str(report))
     else:
-        oracle = [] if certified else _mean_value_checks(measure, list(report.basis), ball_points)
-        bad_idx = next((i for i, c in enumerate(oracle) if not c.passed), None)
+        bad = harmonic_failure(measure, k_max, report.basis, ball_points,
+                               checks[n_before:] if certifiable else None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
-            bad_idx is None,
+            bad is None,
             f"{report.dim} basis elements"
-            if bad_idx is None
-            else f"element {bad_idx}: {oracle[bad_idx].witness} "
-            f"lhs={oracle[bad_idx].lhs} rhs={oracle[bad_idx].rhs}",
+            if bad is None
+            else f"element {bad[0]}: {bad[1].witness} lhs={bad[1].lhs} rhs={bad[1].rhs}",
         )
 
     bad_detail = next((detail or f"monomial {m}"
@@ -381,8 +374,8 @@ def _laplacian_checks(
 
     The suite passes three kinds of pair: a preimage and its target
     monomial, a monomial of P^min(K, 3) and its ``apply_laplacian`` image,
-    and, where ``_certifiable`` admits it, a harmonic basis element h
-    and 0.  The measure is symmetric, so Delta lowers weighted degree by 2:
+    and a harmonic basis element h in P^K and 0 (``harmonic_failure``).
+    The measure is symmetric, so Delta lowers weighted degree by 2:
     translation keeps it, and the terms of p(x s) that lose exactly 1 are
     linear in the weight-1 coordinates of s, whose mu-average is 0.  So
     Delta p - q is in P^(K-2).  The oracle checks it at S_j,
@@ -390,27 +383,50 @@ def _laplacian_checks(
     its centres.  S_j is downward closed, so in the binomial basis
     prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix:
     a polynomial of P^j that vanishes there is 0, and each check that
-    passes is an identity on all of G.  A passing (h, 0) thus gives
-    Delta h = 0 everywhere, and so the mean-value identity at every point of
-    any ball.
+    passes is an identity on all of G, while each that fails names a point
+    of G where it does not hold.  A passing (h, 0) thus gives Delta h = 0 everywhere,
+    and so the mean-value identity at every point of any ball.
     """
     centres = pk_basis(measure.schema, max(k_max - 2, 0))
     return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])
 
 
-def _certifiable(schema: GroupSchema, k: int, polys: Sequence[Polynomial], n_points: int) -> bool:
-    """Whether ``polys`` are first checked as pairs (p, 0) at S_(k-2) by
-    ``_laplacian_checks``, in place of the mean-value oracle at ``n_points``
-    points of a ball, which then runs only if one fails there: S_(k-2) has no
-    more points than the ball, and each poly is in P^k, its weighted degree
-    read off its own exponents, so that a pass is exact.
+def harmonic_failure(
+    measure: Measure,
+    k: int,
+    basis: Sequence[Polynomial],
+    ball_points: Sequence[Coords],
+    certificate: Sequence[HarmonicCheck] | None = None,
+) -> tuple[int, HarmonicCheck] | None:
+    """The first element of ``basis`` that fails the mean-value identity,
+    by its index, with its check; None if the basis is harmonic.
 
-    The suite and ``harmonic --verify`` both ask this, with the ball their
-    size refusal searched.  Where S_(k-2) is the larger, the certificate
-    would cost more than the ball, and the ball alone is checked.
+    A basis in P^k (``_certifiable``) is first checked as the pairs (h, 0)
+    at S_(k-2) by ``_laplacian_checks``; ``certificate`` holds those checks
+    where the caller has made them already, as the suite does in its one
+    call.  If every one passes, Delta h = 0 on all of G and the ball is not
+    checked.  Otherwise the mean-value oracle runs at ``ball_points``, and
+    its first failure, a point of the ball, is the one returned; where the
+    ball shows none, the first failure at S is, since Delta h is then
+    non-zero off the ball.  The suite and ``harmonic --verify`` both ask
+    this, with the ball their size refusal searched.
     """
-    return len(pk_basis(schema, max(k - 2, 0))) <= n_points and all(
-        p.is_zero or p.degree <= k for p in polys)
+    if certificate is None and _certifiable(k, basis):
+        zero = Polynomial(measure.schema)
+        certificate = _laplacian_checks(measure, k, [(h, zero) for h in basis])
+    at_s = None if certificate is None else next(
+        ((i, c) for i, c in enumerate(certificate) if not c.passed), None)
+    if certificate is not None and at_s is None:
+        return None
+    ball_checks = _mean_value_checks(measure, list(basis), ball_points)
+    return next(((i, c) for i, c in enumerate(ball_checks) if not c.passed), at_s)
+
+
+def _certifiable(k: int, polys: Sequence[Polynomial]) -> bool:
+    """Whether each poly is in P^k, its weighted degree read off its own
+    exponents, so that ``_laplacian_checks`` at degree k checks Delta p = 0
+    exactly."""
+    return all(p.is_zero or p.degree <= k for p in polys)
 
 
 def _associativity_witness(

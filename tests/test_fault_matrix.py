@@ -12,9 +12,10 @@ commands' own checks: ``preimage`` on a degree-2 target, which checks its
 answer with ``apply_laplacian`` and reads its rendered target and answer
 back, and ``harmonic --verify`` at k = 4, r = 1, which checks the basis with
 the mean-value oracle and reads its rendered basis back.  The suite and
-``harmonic --verify`` first certify the basis at S_2 where that set has no
-more points than the ball; the parity test shows that this changes no
-record and no command, under every fault and at radii 0 to 3.  A row pins,
+``harmonic --verify`` first certify the basis exactly at S_2, and search
+the ball only to name a failure; the parity test shows that this changes
+no record and no command, under every fault and at radii 0 to 3, but to
+fail a basis that is not harmonic off the ball.  A row pins,
 per case, the failing records with their details and the failing commands
 with their exit codes and messages.  A fault the
 ``laplacian_images`` path turns into an image whose degree does not drop by
@@ -42,6 +43,7 @@ import nilharmonic.verify as verify
 from nilharmonic.cli import main
 from nilharmonic.groups import GroupElement, GroupSchema, heisenberg, unitriangular
 from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, lazy_generator_walk
+from nilharmonic.linalg import _lowest
 from nilharmonic.polynomials import (
     _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
     pk_basis,
@@ -75,6 +77,8 @@ ONE, XY = (0, 0, 0), (1, 1, 0)
 # the row of x*y in the Laplacian's matrix, whose rows are P^(k-2) in graded
 # order; a_12*a_23 has the same row on unitriangular(3)
 XY_ROW = pk_basis(H3, 2).index(XY)
+# and the row of z, a_13 on unitriangular(3)
+Z_ROW = pk_basis(H3, 2).index((0, 0, 1))
 # the degree-2 target of ``preimage``, x*y on each group
 TARGETS = {H3: "x*y", U3: "a_12*a_23"}
 COMMANDS = ("preimage", "harmonic --verify")
@@ -249,6 +253,25 @@ def kernel_sign(m):
             d, vec = basis[i]
             p = next(iter(vec))
             basis[i] = (d, {**vec, p: -vec[p]})
+        return basis
+
+    m.setattr(linalg.Factorization, "kernel", faulty)
+
+
+def kernel_plus_preimage(m):
+    """The first kernel vector has the preimage of the last coordinate
+    added, so the first basis element's Laplacian is z (a_13), which is 0 at
+    every point of the generator walk's radius-1 ball."""
+    real = linalg.Factorization.kernel
+
+    def faulty(self):
+        basis = real(self)
+        if basis and self.rows > Z_ROW:
+            (d, vec), (e, sol) = basis[0], self.solve((1, {Z_ROW: 1}))
+            acc = {c: n * e for c, n in vec.items()}
+            for c, n in sol.items():
+                acc[c] = acc.get(c, 0) + n * d
+            basis[0] = _lowest(d * e, {c: acc[c] for c in sorted(acc) if acc[c]})
         return basis
 
     m.setattr(linalg.Factorization, "kernel", faulty)
@@ -464,6 +487,21 @@ ROWS = {
                                  "point (-1, -1, 0), lhs 3/2, rhs 2",
         },
     }),
+    # on heisenberg(1) the walk's radius-1 ball, where z is 0, cannot see the
+    # fault: the witness is the point (0, 0, 1) of S_2, where the certificate
+    # failed; the pairs measure's ball holds (1, 1, 1) and names it
+    "kernel_plus_preimage": (kernel_plus_preimage, WALK, {
+        "heisenberg(1)": {
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 0: (0, 0, 1) lhs=1 rhs=0",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 1, "
+                                 "point (0, 0, 1), lhs 1, rhs 0",
+        },
+        "unitriangular(3)": {
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 0: (1, 1, 1) lhs=-1/6 rhs=-7/6",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 1, "
+                                 "point (1, 1, 1), lhs -1/6, rhs -7/6",
+        },
+    }),
     # no record renders a polynomial unless it fails, so only the commands,
     # which read their reports back, see a wrong coefficient text
     "render_coefficient": (render_coefficient, WALK, on_both({
@@ -489,59 +527,80 @@ def test_each_fault_fails_its_pinned_records(row, tmp_path):
 
 
 def certify(m, taken):
-    """Rebind the suite's and the CLI's rule, so that the harmonic basis is
-    first certified at S_(k-2) if ``taken``, and checked on the ball alone
-    if not."""
-    for module in (suite, cli):
-        m.setattr(module, "_certifiable", lambda *args: taken)
+    """Rebind the suite's rule, which ``harmonic --verify`` asks too, so that
+    the harmonic basis is first certified at S_(k-2) if ``taken``, and
+    checked on the ball alone if not."""
+    m.setattr(suite, "_certifiable", lambda *args: taken)
+
+
+def runs_with_and_without_the_certificate(fault, measure, k, radius, argv):
+    """The suite's records and ``harmonic --verify``'s exit code, stdout and
+    stderr under ``fault``, with the certificate taken and then refused."""
+    runs = []
+    for taken in (True, False):
+        clear_memos()
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                fault(m)
+                certify(m, taken)
+                runs.append((run_invariant_suite(measure.schema, measure, k, radius),
+                             run_main(argv)))
+        finally:
+            clear_memos()
+    return runs
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_the_certificate_changes_no_record_and_no_command(row, tmp_path):
     # a basis certified at S_2 passes on every ball, and one that fails there
     # is checked on the ball as before, so under every fault, at every radius,
-    # the suite and harmonic --verify give what the ball alone gives
+    # the suite and harmonic --verify give what the ball alone gives, but
+    # where the ball passes a basis that failed at S_2: the certificate then
+    # fails it, with a point of S_2 as the witness
     fault, measure, _ = ROWS[row]
     for mu in (measure, U3_PAIRS):
         common, _ = write_inputs(mu, tmp_path)
         for radius in range(4):
-            runs = []
-            for taken in (True, False):
-                clear_memos()
-                try:
-                    with pytest.MonkeyPatch.context() as m:
-                        fault(m)
-                        certify(m, taken)
-                        runs.append((run_invariant_suite(mu.schema, mu, 4, radius),
-                                     run_main(harmonic_verify(common, radius))))
-                finally:
-                    clear_memos()
-            assert runs[0] == runs[1], (mu.schema.name(), radius)
+            argv = harmonic_verify(common, radius)
+            (records, command), (ball_records, ball_command) = \
+                runs_with_and_without_the_certificate(fault, mu, 4, radius, argv)
+            if (records, command) == (ball_records, ball_command):
+                continue
+            i = next(i for i, r in enumerate(records)
+                     if r.name.startswith("laplacian.harmonic_oracle"))
+            assert ball_records[i].passed and not records[i].passed, (mu.schema.name(), radius)
+            assert records[:i] + records[i + 1:] == ball_records[:i] + ball_records[i + 1:]
+            witness = records[i].detail.split(": ", 1)[1].split(" lhs=")[0]
+            assert witness in {str(GroupElement(e)) for e in pk_basis(mu.schema, 2)}
+            *lines, fail = command[1].splitlines()
+            assert (command[0], ball_command[0]) == (2, 0) and f"point {witness}," in fail
+            assert lines == ball_command[1].splitlines()[:-1]
 
 
 def counted_oracle(m):
-    """The arguments of each mean-value oracle call that the suite or
-    ``harmonic --verify`` makes, the exact call at S included."""
+    """The arguments of each mean-value oracle call that the suite, or
+    ``harmonic --verify`` through the suite, makes, the exact call at S
+    included."""
     calls, real = [], verify._mean_value_checks
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (suite, cli):
-        m.setattr(module, "_mean_value_checks", counted)
+    m.setattr(suite, "_mean_value_checks", counted)
     return calls
 
 
 @pytest.mark.parametrize("fault, k, radius, n_suite, n_cli", [
     # S_2 has 7 points, the radius-3 ball 53: the basis is certified at S_2
     (no_fault, 4, 3, 1, 1),
-    # S_6 has 50 points, the radius-1 ball 5: the ball alone checks the basis
-    (no_fault, 8, 1, 2, 1),
+    # S_6 has 50 points, the radius-1 ball 5: the basis is certified at S_6
+    # all the same, in the call that checks the preimages
+    (no_fault, 8, 1, 1, 1),
     # an element fails at S_2, so the ball is searched for the witness
     (kernel_sign, 4, 3, 2, 2),
-], ids=["certified", "ball_is_smaller", "fails_at_s"])
-def test_the_ball_is_checked_only_where_the_certificate_is_refused_or_fails(
+], ids=["certified", "certified_past_the_ball", "fails_at_s"])
+def test_the_ball_is_checked_only_where_the_certificate_fails(
         fault, k, radius, n_suite, n_cli, tmp_path):
     common, _ = write_inputs(WALK, tmp_path)
     argv = ["harmonic", *common, "--k", str(k), "--verify", "--radius", str(radius)]
@@ -568,15 +627,29 @@ def test_the_ball_is_checked_only_where_the_certificate_is_refused_or_fails(
         assert all(r.passed for r in records) and command[0] == 0
 
 
+def test_a_failure_the_ball_cannot_see_still_fails(tmp_path):
+    # the first basis element's Laplacian is z, 0 on the walk's radius-1
+    # ball: checked on that ball alone, the basis passes, but the certificate
+    # has failed at the point (0, 0, 1) of S_2, which is the witness
+    common, _ = write_inputs(WALK, tmp_path)
+    (records, command), (ball_records, ball_command) = runs_with_and_without_the_certificate(
+        kernel_plus_preimage, WALK, 4, 1, harmonic_verify(common, 1))
+    assert all(r.passed for r in ball_records) and ball_command[0] == 0
+    assert [r for r in records if not r.passed] == [
+        ("laplacian.harmonic_oracle[k=4,r=1]", False, "element 0: (0, 0, 1) lhs=1 rhs=0")]
+    assert command[0] == 2 and command[1].endswith(
+        "FAIL at basis element 1, point (0, 0, 1), lhs 1, rhs 0\n")
+
+
 def test_a_polynomial_above_k_max_is_never_certified(tmp_path):
     # x^3 has Laplacian 3x/2 on the walk, which is 0 at the identity, all of
     # S_0: at k = 2 only the degree check keeps it from being certified, and
     # the radius-1 ball fails it
     x = Polynomial.coordinate(H3, 1)
     x3 = x * x * x
-    assert not suite._certifiable(H3, 2, [x3], 10**6)
-    assert suite._certifiable(H3, 2, [x * x, Polynomial(H3)], 1)
-    assert [suite._certifiable(H3, 4, [], n) for n in (6, 7)] == [False, True]
+    assert not suite._certifiable(2, [x3])
+    assert suite._certifiable(2, [x * x, Polynomial(H3)])
+    assert suite._certifiable(3, [x3]) and suite._certifiable(4, [])
     real = laplacian.harmonic_basis
 
     def with_x3(schema, measure, k):
