@@ -8,9 +8,12 @@ is cross-checked by the verifier oracles and the test suite.
 
 The operator sees mu only through its moments: x s is polynomial in s, so
 the matrix is the measure's integer moments times the memoized symbolic
-translation of each support pattern (see ``laplacian_matrix``), while
-``apply_laplacian`` translates by each atom, so the two paths check each
-other.
+translation of each support pattern (see ``laplacian_matrix``).
+``apply_laplacian`` translates by each atom instead; the suite checks it
+against the group law.  ``solve_preimage`` answers to the group law too:
+the first solve against a matrix certifies its pivot columns as Delta of
+their monomials, in one call of the mean-value oracle, and every answer is
+checked as a sum of certified columns (``_certified_columns``).
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ from .groups import (
 from .groups import reaches_all_generators  # noqa: F401
 from .linalg import Inconsistent, RationalMatrix, _require_coeff
 from .polynomials import (
+    Exponents,
+    IntTerms,
     Polynomial,
     _combine,
+    _from_ints,
     _position,
     dim_pk,
     dim_pk_table,
@@ -52,6 +58,7 @@ from .polynomials import (
 )
 # unused here, but the benchmark's tracer wraps laplacian.translate_right by name
 from .polynomials import translate_right  # noqa: F401
+from .verify import _laplacian_checks
 
 class Measure:
     """Finitely supported symmetric probability measure with rational weights.
@@ -181,11 +188,11 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
 
     Integer and linear: with p = sum_e n_e x^e / a for its integer numerators
     n_e and denominator a, and b the measure's ``scale``, a b Delta p =
-    sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, memoized per
-    measure, and the result is normalized over a b once.  Each D_e is summed
-    from the right translates by the atoms, a path apart from the matrix
-    assembly; the suite checks it, on the monomials of degree at most 3,
-    against the group law through the mean-value oracle.
+    sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, and the
+    result is normalized over a b once.  Each D_e is summed from the right
+    translates by the atoms, a path apart from the matrix assembly; the
+    suite checks it, on the monomials of degree at most 3, against the group
+    law through the mean-value oracle.
     """
     if p.schema != measure.schema:
         raise ValidationError("polynomial and measure belong to different schemas")
@@ -331,6 +338,34 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
     return HarmonicBasisReport(schema, measure, k, basis, len(basis), predicted)
 
 
+# keyed and bounded as laplacian_matrix, whose columns it certifies
+@lru_cache(maxsize=4, typed=True)
+def _certified_columns(schema: GroupSchema, measure: Measure, k: int) -> dict[Exponents, IntTerms]:
+    """b Delta x^e for each monomial x^e whose column in the degree-k matrix
+    is a pivot column and equals Delta x^e by the group law; b the
+    measure's ``scale``.
+
+    Column e, read off the matrix's integer rows over b, is a polynomial of
+    P^(k-2) and x^e one of P^k, so one ``_laplacian_checks`` call at
+    S_(k-2) decides each pair (x^e, column e) exactly, on all of G.  A
+    column that fails is left out.  Callers must not modify the columns.
+    """
+    matrix = laplacian_matrix(schema, measure, k)
+    int_rows, _ = matrix._int_rows()
+    columns: dict[int, IntTerms] = {j: {} for j in matrix.factorization().pivots}
+    for row, entries in zip(pk_basis(schema, k - 2), int_rows):
+        for j, c in entries.items():
+            column = columns.get(j)
+            if column is not None:
+                column[row] = c
+    domain = pk_basis(schema, k)
+    pairs = [(Polynomial._trusted(schema, {domain[j]: 1}, 1),
+              _from_ints(schema, dict(column), measure.scale)) for j, column in columns.items()]
+    checks = _laplacian_checks(measure, k, pairs)
+    return {domain[j]: column
+            for (j, column), check in zip(columns.items(), checks) if check.passed}
+
+
 def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Polynomial:
     """A polynomial p of degree <= deg q + 2 with Delta p = q, exactly.
 
@@ -339,6 +374,14 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     over one denominator in lowest terms.  Surjectivity of the Laplacian
     guarantees a solution; failure to find one is reported as an internal
     inconsistency, not as a normal outcome.
+
+    The answer is checked against the group law: each monomial x^e of p must
+    have a column in ``_certified_columns``, b Delta x^e by the group law on
+    all of G, and their sum over p's coefficients must be q.  Delta is
+    linear, so Delta p is that sum, and the check is exact everywhere.  The
+    first solve against a matrix pays for one oracle call on all its pivot
+    columns; the solve gives p on pivot columns alone, so every later check
+    is a sum of certified columns.
     """
     if q.schema != schema:
         raise ValidationError("polynomial does not match the schema")
@@ -357,7 +400,9 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     den, vec = sol
     domain = pk_basis(schema, k)
     p_hat = Polynomial._trusted(schema, {domain[i]: n for i, n in vec.items()}, den)
-    if apply_laplacian(measure, p_hat) != q:
+    certified = _certified_columns(schema, measure, k)
+    columns = [certified.get(e) for e in p_hat.ints]
+    if None in columns or _combine(p_hat, columns, measure.scale) != q:
         raise InternalInconsistency("preimage verification failed")
     return p_hat
 

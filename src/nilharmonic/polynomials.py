@@ -40,8 +40,9 @@ first-coordinate parent is read off it.  Each term of an image is a
 monomial in x and one in s; the images' own memo is keyed by what they
 read, the weights, the law and the pattern.  ``apply_laplacian`` sums the
 Laplacian images of p's monomials, ``laplacian_images``, each built from the
-right translates by the measure's atoms through ``_images`` and kept in a
-memo keyed by the measure, so it does not share the matrix's path.
+right translates by the measure's atoms through ``_images``, so it does not
+share the matrix's path; it keeps no memo of its own, and ``solve_preimage``
+does not read it.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -374,24 +375,17 @@ class _Memo:
 # monomials, and lattice(12..36) at k = 3).  2**18
 # moment terms take 10.0 MB (the 260,144 terms of the two generator patterns
 # of heisenberg(1) at k = 36) to 16.0 MB (the 256,958 of the 36 patterns of
-# lattice(36) at k = 3).  2**14 Laplacian image terms, each image costing its
-# terms plus one, take 2.4 MB on heisenberg(2) (2,269 images), 3.1 MB on
-# unitriangular(5) (4,382) and 7.3 MB on lattice(36) (13,061), each for the
-# lazy generator walk holding 1/3; the benchmark's preimage run stores 101 and
-# its verify run 916 over 27 measures.
+# lattice(36) at k = 3).
 _IMAGE_TERMS = 2**14
 _RENDER_MONOMIALS = 4 * 4096
 _BASIS_MONOMIALS = 2**17
 _MOMENT_TERMS = 2**18
-_LAPLACIAN_TERMS = 2**14
 
 _IMAGES = _Memo(_IMAGE_TERMS, len)
 _RENDERED = _Memo(_RENDER_MONOMIALS)
 _BASES = _Memo(_BASIS_MONOMIALS, len)
 _INDICES = _Memo(_BASIS_MONOMIALS, lambda up: len(up[0]))
 _MOMENTS = _Memo(_MOMENT_TERMS, lambda images: len(images.chain) + len(images.cols))
-# an image of no terms, such as the constant's, counts one
-_LAPLACIAN_IMAGES = _Memo(_LAPLACIAN_TERMS, lambda image: len(image) + 1)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -600,30 +594,19 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
 def laplacian_images(measure: Measure, keys: Collection[Exponents]) -> list[IntTerms]:
     """D_e = b x^e - sum_s (b mu(s)) x^e(x s) for each e of ``keys``, distinct
     exponent vectors, b the measure's ``scale``: b times the Laplacian of x^e,
-    in ints.  Memoized per measure, whose hash is cached, and bounded in image
-    terms.
+    in ints.
 
     Each D_e is summed from the right translates by the measure's atoms,
     read through ``_images``, so it does not depend on ``moment_images``.
-    Callers must not modify the images.
     """
-    memo = _LAPLACIAN_IMAGES.get(measure)
-    out = [memo.get(e) for e in keys]
-    missing = [e for e, image in zip(keys, out) if image is None]
-    if not missing:
-        return out
     schema = measure.schema
-    built = [{e: measure.scale} for e in missing]
+    built = [{e: measure.scale} for e in keys]
     for s, ws in zip(measure.atoms, measure.int_weights):
-        for acc, image in zip(built, _images(_translation_forms(schema, s, "right"), missing)):
+        for acc, image in zip(built, _images(_translation_forms(schema, s, "right"), keys)):
             get = acc.get
             for exps, c in image.items():
                 acc[exps] = get(exps, 0) - ws * c
-    found = {}
-    for e, acc in zip(missing, built):
-        found[e] = image = {exps: c for exps, c in acc.items() if c}
-        _LAPLACIAN_IMAGES.store(measure, memo, e, image)
-    return [found[e] if image is None else image for e, image in zip(keys, out)]
+    return [{exps: c for exps, c in acc.items() if c} for acc in built]
 
 
 def _combine(p: Polynomial, images: Iterable[IntTerms], scale: int = 1) -> Polynomial:

@@ -20,7 +20,7 @@ once per monomial of P^min(k_max, 3).  One call of the mean-value oracle then
 checks three kinds of pair (p, q), a preimage and its target, a monomial and
 its image, and a harmonic basis element and 0, as Delta p = q with Delta read
 off the group law: Delta p - q is in P^(k_max - 2), and S_(k_max - 2), where
-the oracle checks, determines such a polynomial (see ``_laplacian_checks``).
+the oracle checks, determines such a polynomial (see ``verify._laplacian_checks``).
 A basis element that passes is harmonic on all of G, so on the radius-r ball
 too, and the harmonic record passes with no check on the ball.  The basis
 joins the call when every element is in P^(k_max), its degree read off its
@@ -75,7 +75,11 @@ from .polynomials import (
 # unused here, but the benchmark's tracer wraps suite.translate_right by name
 from .polynomials import translate_right  # noqa: F401
 from .verify import (
-    HarmonicCheck, _first_translation_mismatch, _mean_value_checks, check_left_right_batch,
+    HarmonicCheck,
+    _first_translation_mismatch,
+    _laplacian_checks,
+    _mean_value_checks,
+    check_left_right_batch,
 )
 # unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
 # suite.check_left_right_agreement by name
@@ -363,32 +367,6 @@ def run_invariant_suite(
                        if detail or not check.passed), "")
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records
-
-
-def _laplacian_checks(
-    measure: Measure, k_max: int, pairs: Sequence[tuple[Polynomial, Polynomial]]
-) -> list[HarmonicCheck]:
-    """Whether Delta p = q, Delta of the group law, for each (p, q) of
-    ``pairs``, checked in one call of the mean-value oracle; exact where p
-    is in P^K and q in P^(K-2), K = ``k_max``.
-
-    The suite passes three kinds of pair: a preimage and its target
-    monomial, a monomial of P^min(K, 3) and its ``apply_laplacian`` image,
-    and a harmonic basis element h in P^K and 0 (``harmonic_failure``).
-    The measure is symmetric, so Delta lowers weighted degree by 2:
-    translation keeps it, and the terms of p(x s) that lose exactly 1 are
-    linear in the weight-1 coordinates of s, whose mu-average is 0.  So
-    Delta p - q is in P^(K-2).  The oracle checks it at S_j,
-    j = max(K - 2, 0), the exponent vectors of ``pk_basis(j)`` passed as
-    its centres.  S_j is downward closed, so in the binomial basis
-    prod_t C(x_t, a_t) the values of P^j on S_j form a unitriangular matrix:
-    a polynomial of P^j that vanishes there is 0, and each check that
-    passes is an identity on all of G, while each that fails names a point
-    of G where it does not hold.  A passing (h, 0) thus gives Delta h = 0 everywhere,
-    and so the mean-value identity at every point of any ball.
-    """
-    centres = pk_basis(measure.schema, max(k_max - 2, 0))
-    return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])
 
 
 def harmonic_failure(

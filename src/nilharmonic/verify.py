@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .groups import (
@@ -39,8 +39,10 @@ from .groups import (
 )
 # unused here, but the benchmark's tracer wraps verify.ball and verify.mul_coords by name
 from .groups import ball, mul_coords  # noqa: F401
-from .laplacian import Measure
-from .polynomials import Exponents, Polynomial
+from .polynomials import Exponents, Polynomial, pk_basis
+
+if TYPE_CHECKING:  # the Laplacian module imports this one
+    from .laplacian import Measure
 
 DEFAULT_TUPLE_BUDGET = 2000
 
@@ -311,6 +313,33 @@ def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], centres: I
             exact = Fraction(v, den), Fraction(weight_scale * v - r, weight_scale * den)
             results.append(HarmonicCheck(False, rank + 1, GroupElement(points[i]), *exact))
     return results
+
+
+def _laplacian_checks(
+    measure: Measure, k_max: int, pairs: Sequence[tuple[Polynomial, Polynomial]]
+) -> list[HarmonicCheck]:
+    """Whether Delta p = q, Delta of the group law, for each (p, q) of
+    ``pairs``, checked in one call of the mean-value oracle; exact where p
+    is in P^K and q in P^(K-2), K = ``k_max``.
+
+    Two callers pass such pairs.  The suite passes a preimage and its
+    target monomial, a monomial of P^min(K, 3) and its image, and a harmonic
+    basis element h in P^K and 0; ``solve_preimage`` passes each pivot
+    column of the degree-K matrix as a monomial x^e and its column.  The
+    measure is symmetric, so Delta lowers weighted degree by 2: translation
+    keeps it, and the terms of p(x s) that lose exactly 1 are linear in the
+    weight-1 coordinates of s, whose mu-average is 0.  So Delta p - q is in
+    P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
+    vectors of ``pk_basis(j)`` passed as its centres.  S_j is downward
+    closed, so in the binomial basis prod_t C(x_t, a_t) the values of P^j on
+    S_j form a unitriangular matrix: a polynomial of P^j that vanishes there
+    is 0, and each check that passes is an identity on all of G, while each
+    that fails names a point of G where it does not hold.  A passing (h, 0)
+    thus gives Delta h = 0 everywhere, and so the mean-value identity at
+    every point of any ball.
+    """
+    centres = pk_basis(measure.schema, max(k_max - 2, 0))
+    return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])
 
 
 def _first_translation_mismatch(

@@ -9,9 +9,11 @@ cases: heisenberg(1) with the row's measure, a generator walk or a lazy one,
 and unitriangular(3) with a pair {s, s^-1} and an identity atom next to the
 generators.  On each case it runs the suite at k = 4, r = 1, and the
 commands' own checks: ``preimage`` on a degree-2 target, which checks its
-answer with ``apply_laplacian`` and reads its rendered target and answer
-back, and ``harmonic --verify`` at k = 4, r = 1, which checks the basis with
-the mean-value oracle and reads its rendered basis back.  The suite and
+answer as a sum of the degree-4 matrix's pivot columns, each certified as
+Delta of its monomial by the mean-value oracle at S_2, and reads its
+rendered target and answer back, and ``harmonic --verify`` at k = 4, r = 1,
+which checks the basis with the mean-value oracle and reads its rendered
+basis back.  The suite and
 ``harmonic --verify`` first certify the basis exactly at S_2, and search
 the ball only to name a failure; the parity test shows that this changes
 no record and no command, under every fault and at radii 0 to 3, but to
@@ -20,9 +22,9 @@ per case, the failing records with their details and the failing commands
 with their exit codes and messages.  A fault the
 ``laplacian_images`` path turns into an image whose degree does not drop by
 2 makes ``apply_laplacian`` raise, and the error is the detail of the
-record or the message of the command whose check it stops.  A row that
-fails nothing pins nothing: neither the suite nor the commands can see that
-fault.
+symmetric-form record; no command reads that path.  A row that fails
+nothing pins nothing: neither the suite nor the commands can see that
+fault, and CHANGES.md has a FOUND line for it.
 """
 
 import contextlib
@@ -45,8 +47,7 @@ from nilharmonic.groups import GroupElement, GroupSchema, heisenberg, unitriangu
 from nilharmonic.laplacian import Measure, generator_walk, laplacian_matrix, lazy_generator_walk
 from nilharmonic.linalg import _lowest
 from nilharmonic.polynomials import (
-    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
-    pk_basis,
+    _BASES, _IMAGES, _INDICES, _MOMENTS, Polynomial, _translation_forms, pk_basis,
 )
 from nilharmonic.suite import _group_records, run_invariant_suite
 
@@ -73,7 +74,7 @@ U3_SHIFTED = Measure(U3, [
     for c, w in [((1, 0, 0), 2), ((-1, 0, 0), 2), ((0, 1, 0), 1),
                  ((0, -1, 0), 1), ((1, 1, 1), 1), ((-1, -1, 0), 1)]
 ])
-ONE, XY = (0, 0, 0), (1, 1, 0)
+ONE, XY, X3Y = (0, 0, 0), (1, 1, 0), (3, 1, 0)
 # the row of x*y in the Laplacian's matrix, whose rows are P^(k-2) in graded
 # order; a_12*a_23 has the same row on unitriangular(3)
 XY_ROW = pk_basis(H3, 2).index(XY)
@@ -86,8 +87,8 @@ COMMANDS = ("preimage", "harmonic --verify")
 
 def clear_memos():
     for clear in (_IMAGES.clear, _translation_forms.cache_clear, _BASES.clear, _INDICES.clear,
-                  _MOMENTS.clear, _LAPLACIAN_IMAGES.clear, laplacian_matrix.cache_clear,
-                  _group_records.cache_clear):
+                  _MOMENTS.clear, laplacian_matrix.cache_clear,
+                  laplacian._certified_columns.cache_clear, _group_records.cache_clear):
         clear()
 
 
@@ -142,6 +143,25 @@ def degree4_image_constant(m):
                 for e, image in zip(keys, real(measure, keys))]
 
     m.setattr(laplacian, "laplacian_images", faulty)
+
+
+def pivot_column_constant(m):
+    """The assembled degree-4 matrix has 1 added to the constant term of the
+    column of x^3*y (a_12^3*a_23), a pivot column on both cases, which the
+    preimage of x*y reaches."""
+    real = laplacian.laplacian_matrix
+
+    def faulty(schema, measure, k):
+        matrix = real(schema, measure, k)
+        if k != 4:
+            return matrix
+        (first, *rest), den = matrix._int_rows()
+        j = pk_basis(schema, 4).index(X3Y)
+        first = {**first, j: first.get(j, 0) + den}
+        return linalg.RationalMatrix._trusted(matrix.rows, matrix.cols, [first, *rest], den)
+
+    for module in (laplacian, suite):
+        m.setattr(module, "laplacian_matrix", faulty)
 
 
 def form_constant(m):
@@ -381,15 +401,14 @@ ROWS = {
         },
     }),
     # the matrix is read off the measure's moments, so the preimages are
-    # right, and only apply_laplacian's own images go wrong
+    # right, and only apply_laplacian's own images go wrong; preimage checks
+    # its answer against the matrix's certified columns, so it passes
     "pair_weight": (pair_weight, LAZY, on_both({
-        "laplacian.symmetric_form": "monomial (2, 0, 0)", **BAD_PREIMAGE,
+        "laplacian.symmetric_form": "monomial (2, 0, 0)",
     })),
-    # the preimage of x*y has degree 4, and its image keeps degree 4
     "lone_weight": (lone_weight, WALK, on_both({
         "laplacian.symmetric_form":
             "monomial (0, 0, 0): Laplacian image has degree 0, expected <= -2",
-        "preimage": "exit 3: internal inconsistency: Laplacian image has degree 4, expected <= 2",
     })),
     "form_constant": (form_constant, WALK, {
         case: {
@@ -398,13 +417,12 @@ ROWS = {
             "poly.cocycle_identity": f"f={x}, x=(-1, 0, 0), y=(-1, 0, 0)",
             "poly.degree_reduction": "monomial (1, 0, 0), coordinate 3",
             "poly.interpolation_soundness": "monomial (1, 0, 0), u=(-2, 0, 0), g=(-3, 0, 0)",
-            "preimage":
-                "exit 3: internal inconsistency: Laplacian image has degree 3, expected <= 2",
         } for case, x in (("heisenberg(1)", "x"), ("unitriangular(3)", "a_12"))
     }),
-    # the suite applies the Laplacian to no monomial above degree 3, so only
-    # preimage's own check sees an image of degree 4 go wrong
-    "degree4_image_constant": (degree4_image_constant, WALK, on_both(BAD_PREIMAGE)),
+    # expected to pass (FOUND): the suite applies the Laplacian to no monomial
+    # above degree 3, and preimage no longer reads the per-atom images, so no
+    # check sees an image of degree 4 go wrong
+    "degree4_image_constant": (degree4_image_constant, WALK, on_both({})),
     # translation alone goes wrong: the left-translation records see it, and
     # so does the symmetric form, through apply_laplacian's right translates;
     # the moment assembly does not, so the preimages stay right
@@ -447,7 +465,8 @@ ROWS = {
         },
     }),
     # the oracle reads a wrong value at the centre (2, 0, 0) of S_2, so every
-    # preimage record fails too; preimage's own check evaluates nothing
+    # preimage record fails too, and so does preimage, whose pivot columns
+    # are certified at S_2
     "peel_coordinate": (peel_coordinate, WALK, on_both({
         **SURJECTIVITY,
         "laplacian.harmonic_oracle[k=4,r=1]": "element 1: (1, 0, 0) lhs=1 rhs=5/4",
@@ -456,6 +475,7 @@ ROWS = {
         "laplacian.symmetric_form": "monomial (1, 0, 0)",
         "poly.interpolation_soundness": "monomial (1, 0, 0), u=(-2, 0, 0), g=(2, -1, -2)",
         "poly.left_right_agreement": "monomial (1, 0, 0)",
+        **BAD_PREIMAGE,
     })),
     # solve reads the row transform, not the reduced rows, so only the
     # harmonic basis, read off the kernel, goes wrong
@@ -469,6 +489,25 @@ ROWS = {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 14: (-1, -1, 0) lhs=1/48 rhs=5/96",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 15, "
                                  "point (-1, -1, 0), lhs 1/48, rhs 5/96",
+        },
+    }),
+    # the certificate fails the column of x^3*y, which the preimage of x*y
+    # reaches; the suite's preimages and kernel, read off the same matrix,
+    # fail the group law too
+    "pivot_column_constant": (pivot_column_constant, WALK, {
+        "heisenberg(1)": {
+            "laplacian.surjectivity[k=4]": "bad preimage for (1, 1, 0)",
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 10: (-1, 0, 0) lhs=-2 rhs=-3",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 11, "
+                                 "point (-1, 0, 0), lhs -2, rhs -3",
+            **BAD_PREIMAGE,
+        },
+        "unitriangular(3)": {
+            "laplacian.surjectivity[k=4]": "bad preimage for (1, 1, 0)",
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 11: (-1, -1, 0) lhs=-7/12 rhs=-5/6",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 12, "
+                                 "point (-1, -1, 0), lhs -7/12, rhs -5/6",
+            **BAD_PREIMAGE,
         },
     }),
     # the transform is read by solves alone, so only the preimages go wrong
@@ -579,15 +618,16 @@ def test_the_certificate_changes_no_record_and_no_command(row, tmp_path):
 
 def counted_oracle(m):
     """The arguments of each mean-value oracle call that the suite, or
-    ``harmonic --verify`` through the suite, makes, the exact call at S
-    included."""
+    ``harmonic --verify`` through the suite, makes, the exact call at S,
+    which ``verify._laplacian_checks`` makes, included."""
     calls, real = [], verify._mean_value_checks
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    m.setattr(suite, "_mean_value_checks", counted)
+    for module in (suite, verify):
+        m.setattr(module, "_mean_value_checks", counted)
     return calls
 
 

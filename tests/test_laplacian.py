@@ -418,16 +418,12 @@ LAPLACIAN_IMAGE_CASES = [
      for walk in [generator_walk, lazy_generator_walk] + [_workload_walk(seed) for seed in range(4)]]
 
 
-def _laplacian_image_costs_add_up(memo):
-    return memo.size == sum(memo.cost(image) for images in memo.dicts.values()
-                            for image in images.values()) and all(memo.dicts.values())
-
-
-def test_memoized_laplacian_images_equal_the_fraction_reference(monkeypatch):
-    # apply_laplacian sums the memoized Laplacian images of p's monomials; on
-    # seeded measures with pairs, an identity atom and long linear forms it
-    # must equal the per-atom Fraction sum cold, warm and past a lowered bound
-    memo = polynomials._LAPLACIAN_IMAGES
+def test_laplacian_images_equal_the_fraction_reference(monkeypatch):
+    # apply_laplacian sums the Laplacian images of p's monomials; on seeded
+    # measures with pairs, an identity atom and long linear forms it must
+    # equal the per-atom Fraction sum, with the translation images it reads
+    # cold, warm and past a lowered bound, and each image must be the
+    # measure's scale times the reference Laplacian of its monomial
     cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
     cases = []
     for schema, walk in LAPLACIAN_IMAGE_CASES:
@@ -437,50 +433,31 @@ def test_memoized_laplacian_images_equal_the_fraction_reference(monkeypatch):
               for j in range(3)]
         ps.append(Polynomial(schema, {pk_basis(schema, 4)[-1]: Fraction(2, 3)}))
         cases.append((mu, ps, [dense.apply_laplacian(mu, p) for p in ps]))
-    memo.clear()
-    for mu, ps, want in cases:
-        assert [apply_laplacian(mu, p) for p in ps] == want
-    assert 0 < memo.size <= memo.bound and _laplacian_image_costs_add_up(memo)
-    # warm: every image is read back, nothing more is stored, and the readers
-    # modified none of them
-    stored = memo.size
-    kept = {mu: {e: dict(image) for e, image in memo.get(mu).items()} for mu, _, _ in cases}
-    for mu, ps, want in cases:
-        assert [apply_laplacian(mu, p) for p in ps] == want
-    assert memo.size == stored
-    assert all(memo.get(mu) == images for mu, images in kept.items())
-    # a bound below one call's images: each call stores what fits, and the
-    # bound holds after each
-    largest = max(sum(map(memo.cost, polynomials.laplacian_images(mu, p.ints)))
-                  for mu, ps, _ in cases for p in ps)
-    assert largest > 20
-    monkeypatch.setattr(memo, "bound", 20)
-    memo.clear()
-    for _ in range(2):
-        for mu, ps, want in cases:
-            for p, delta in zip(ps, want):
-                assert apply_laplacian(mu, p) == delta
-                assert 0 < memo.size <= 20 and _laplacian_image_costs_add_up(memo)
+    for bound in (polynomials._IMAGES.bound, 20):
+        monkeypatch.setattr(polynomials._IMAGES, "bound", bound)
+        polynomials._IMAGES.clear()
+        for _ in range(2):
+            for mu, ps, want in cases:
+                assert [apply_laplacian(mu, p) for p in ps] == want
+    for mu, ps, _ in cases:
+        keys = list(ps[-1].ints) + list(ps[0].ints)
+        for e, image in zip(keys, polynomials.laplacian_images(mu, keys)):
+            assert Polynomial(mu.schema, {x: Fraction(c, mu.scale) for x, c in image.items()}) \
+                == dense.apply_laplacian(mu, Polynomial(mu.schema, {e: 1}))
 
 
-def test_equal_measures_share_laplacian_images_and_other_weights_do_not():
-    memo = polynomials._LAPLACIAN_IMAGES
-    memo.clear()
+def test_equal_measures_give_equal_laplacian_images_and_other_weights_do_not():
     p = Polynomial(UT4, {m: Fraction(i + 1, 3) for i, m in enumerate(pk_basis(UT4, 3))})
     first = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 9), Fraction(1, 12))
     twin = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 9), Fraction(1, 12))
     assert twin == first and twin is not first
     delta = apply_laplacian(first, p)
-    stored = memo.size
-    assert apply_laplacian(twin, p) == delta
-    assert memo.size == stored and len(memo.dicts) == 1 and memo.get(twin) is memo.get(first)
-    # the same atoms with other weights keep their own images
+    assert apply_laplacian(twin, p) == delta == dense.apply_laplacian(first, p)
+    # the same atoms with other weights give other images
     other = _long_form_walk(UT4, (1, 1, 0, 1, 0, 0), Fraction(1, 12), Fraction(1, 12))
     assert set(other.atoms) == set(first.atoms) and other != first
     assert apply_laplacian(other, p) == dense.apply_laplacian(other, p) != delta
-    assert len(memo.dicts) == 2 and memo.size > stored
-    assert memo.get(other) is not memo.get(first)
-    assert apply_laplacian(first, p) == delta == dense.apply_laplacian(first, p)
+    assert apply_laplacian(first, p) == delta
 
 
 def moment_pair_columns(schema, s, k):
@@ -743,9 +720,11 @@ def test_six_atom_heisenberg_walk():
 @pytest.fixture
 def fresh_memo():
     laplacian_matrix.cache_clear()
+    laplacian._certified_columns.cache_clear()
     polynomials._MOMENTS.clear()
     yield laplacian_matrix
     laplacian_matrix.cache_clear()
+    laplacian._certified_columns.cache_clear()
     polynomials._MOMENTS.clear()
 
 
@@ -831,13 +810,67 @@ def test_more_measures_than_the_memo_holds(fresh_memo):
     assert fresh_memo.cache_info().currsize == size
 
 
-def test_preimage_recheck_survives_the_memo(fresh_memo, monkeypatch):
-    solve_preimage(H3, MU_H3, X)  # the matrix is now memoized
-    from nilharmonic import laplacian
+def counted_certificates(monkeypatch):
+    """The degree of each oracle call that ``solve_preimage`` makes."""
+    real, calls = laplacian._laplacian_checks, []
 
-    monkeypatch.setattr(laplacian, "apply_laplacian", lambda measure, p: p)
+    def counted(measure, k, pairs):
+        calls.append(k)
+        return real(measure, k, pairs)
+
+    monkeypatch.setattr(laplacian, "_laplacian_checks", counted)
+    return calls
+
+
+def test_one_oracle_call_certifies_every_solve_against_a_matrix(fresh_memo, monkeypatch):
+    # the first solve against the degree-4 matrix certifies its pivot
+    # columns; 19 more distinct targets of degree 2 make no other call, and
+    # a target of degree 3 makes one, for the degree-5 matrix
+    calls = counted_certificates(monkeypatch)
+    targets = [Fraction(i + 1, 3) * X * Y + i * X + Z for i in range(20)]
+    for q in targets:
+        p_hat = solve_preimage(H3, MU_H3, q)
+        assert dense.apply_laplacian(MU_H3, p_hat) == q
+    assert calls == [4]
+    q = X * X * Y - Fraction(1, 2) * Z
+    assert dense.apply_laplacian(MU_H3, solve_preimage(H3, MU_H3, q)) == q
+    assert calls == [4, 5]
+    for q in targets[:3]:  # the degree-4 certificate is still memoized
+        solve_preimage(H3, MU_H3, q)
+    assert calls == [4, 5]
+    pivots = laplacian_matrix(H3, MU_H3, 4).factorization().pivots
+    domain = pk_basis(H3, 4)
+    assert sorted(laplacian._certified_columns(H3, MU_H3, 4)) == sorted(domain[j] for j in pivots)
+
+
+def test_preimage_recheck_survives_the_memo(fresh_memo, monkeypatch):
+    # the matrix and its certified columns are memoized now; a transform
+    # entry broken in the warm factorization, which fresh_memo drops after
+    # the test, still fails the solve's check, with no other oracle call
+    solve_preimage(H3, MU_H3, X * Y)
+    calls = counted_certificates(monkeypatch)
+    f = laplacian_matrix(H3, MU_H3, 4).factorization()
+    row = pk_basis(H3, 2).index((1, 1, 0))
+    (p, v), *rest = f.transform[row]
+    f.transform[row] = [(p, v + 1), *rest]
     with pytest.raises(InternalInconsistency, match="verification failed"):
-        solve_preimage(H3, MU_H3, X)
+        solve_preimage(H3, MU_H3, X * Y)
+    assert calls == []
+
+
+def test_a_preimage_on_a_free_column_fails(fresh_memo, monkeypatch):
+    # 1 is harmonic, so a solve that adds it still gives a preimage, but its
+    # column is no pivot column, so the check cannot vouch for it
+    real = Factorization.solve
+
+    def plus_one(self, b):
+        d, vec = real(self, b)
+        return d, {0: d, **vec}
+
+    assert 0 not in laplacian_matrix(H3, MU_H3, 4).factorization().pivots
+    monkeypatch.setattr(Factorization, "solve", plus_one)
+    with pytest.raises(InternalInconsistency, match="verification failed"):
+        solve_preimage(H3, MU_H3, X * Y)
 
 
 def test_predicted_dimension_check_survives_the_memo(fresh_memo, monkeypatch):

@@ -361,9 +361,8 @@ def test_a_full_image_memo_makes_room_for_later_translations():
     everything = Polynomial(Z2, {m: 1 for m in pk_basis(Z2, 30)})
     translate_right(everything, u)
     assert list(memo.dicts) == [full] and memo.size > memo.bound - 100
-    # a later Laplacian, its monomials' Laplacian images not kept, stores its
-    # images by dropping that older dict
-    polynomials._LAPLACIAN_IMAGES.clear()
+    # a later Laplacian stores the images of its right translates by
+    # dropping that older dict
     mu = generator_walk(H3)
     ps = [Polynomial(H3, {m: 1}) for m in pk_basis(H3, 6)]
     deltas = [apply_laplacian(mu, p) for p in ps]
@@ -531,7 +530,6 @@ def test_stored_images_are_not_modified_by_their_readers():
     assert translate_left(p, u) == first
     # the Laplacian builds its monomials' images from the right translates by
     # the atoms, which it reads from the same memo
-    polynomials._LAPLACIAN_IMAGES.clear()
     mu = lazy_generator_walk(H3, Fraction(1, 3))
     delta = apply_laplacian(mu, p)
     entries = [memo.get(polynomials._translation_forms(H3, s, "right")) for s in mu.atoms]
@@ -561,7 +559,6 @@ def test_non_int_element_coordinates_are_refused_and_poison_no_memo(bad):
     # memo that took them would give their images to exact callers; a float
     # coefficient compares equal to an int too, so the types are checked
     polynomials._IMAGES.clear()
-    polynomials._LAPLACIAN_IMAGES.clear()
     polynomials._translation_forms.cache_clear()
     g = GroupElement((bad, 0, 0))
     u = GroupElement((1, 0, 0))

@@ -28,8 +28,7 @@ from nilharmonic.laplacian import (
     solve_preimage,
 )
 from nilharmonic.polynomials import (
-    _BASES, _IMAGES, _INDICES, _LAPLACIAN_IMAGES, _MOMENTS, Polynomial, _translation_forms,
-    pk_basis,
+    _BASES, _IMAGES, _INDICES, _MOMENTS, Polynomial, _translation_forms, pk_basis,
 )
 from nilharmonic.serialize import parse_polynomial
 from nilharmonic.suite import _group_records, run_invariant_suite
@@ -326,32 +325,26 @@ def preimages():
     return [solve_preimage(H3, MU_PAIRS, parse_polynomial(H3, q)) for q in TARGETS]
 
 
-def test_warm_and_cold_memos_give_identical_records(monkeypatch):
+def test_warm_and_cold_memos_give_identical_records():
     first = records(H3, 4, 3)
     assert records(H3, 4, 3) == first
     for clear in (_IMAGES.clear, _translation_forms.cache_clear, _BASES.clear,
-                  _INDICES.clear, _MOMENTS.clear, _LAPLACIAN_IMAGES.clear,
-                  laplacian_matrix.cache_clear, _group_records.cache_clear):
+                  _INDICES.clear, _MOMENTS.clear, laplacian_matrix.cache_clear,
+                  _group_records.cache_clear):
         clear()
         assert records(H3, 4, 3) == first
-    # solve_preimage checks its answer through apply_laplacian, which sums the
-    # Laplacian images of p's monomials, built from the image memo's images:
-    # cold, warm, and with room for fewer image terms than one call stores
-    # (each stores 200 to 440); a cleared Laplacian image memo makes apply
-    # read and store those images again
-    _IMAGES.clear()
-    _LAPLACIAN_IMAGES.clear()
+    # solve_preimage checks its answer against the certified pivot columns of
+    # its matrix: cold, warm, and with either memo cleared alone, the answers
+    # are the same, and right by the per-atom reference
+    laplacian_matrix.cache_clear()
+    laplacian._certified_columns.cache_clear()
     cold = preimages()
     for p, q in zip(cold, TARGETS):
         assert dense.apply_laplacian(MU_PAIRS, p) == parse_polynomial(H3, q)
-    stored = _IMAGES.size
-    assert stored > 0 and preimages() == cold and _IMAGES.size == stored
-    monkeypatch.setattr(_IMAGES, "bound", 30)
-    for _ in range(2):
-        _IMAGES.clear()
-        _LAPLACIAN_IMAGES.clear()
+    assert preimages() == cold
+    for clear in (laplacian_matrix.cache_clear, laplacian._certified_columns.cache_clear):
+        clear()
         assert preimages() == cold
-        assert 0 < _IMAGES.size <= 30
 
 
 # -- the one oracle call behind both Laplacian records ---------------------------
@@ -380,9 +373,10 @@ def counting_laplacian(monkeypatch, fault=None):
 
 
 def oracle_calls_with_a_right_side(monkeypatch):
-    """Rebind the suite's mean-value oracle to one that records the
-    ``_chunks`` of each call with right-hand sides, one list per call."""
-    real_checks, real_chunks, calls = suite._mean_value_checks, verify._chunks, []
+    """Rebind the mean-value oracle of the suite and of its exact call,
+    ``verify._laplacian_checks``, to one that records the ``_chunks`` of
+    each call with right-hand sides, one list per call."""
+    real_checks, real_chunks, calls = verify._mean_value_checks, verify._chunks, []
 
     def recorded(bits):
         calls[-1] += real_chunks(bits)
@@ -396,7 +390,8 @@ def oracle_calls_with_a_right_side(monkeypatch):
             m.setattr(verify, "_chunks", recorded)
             return real_checks(measure, polys, centres, rhs)
 
-    monkeypatch.setattr(suite, "_mean_value_checks", checks)
+    for module in (suite, verify):
+        monkeypatch.setattr(module, "_mean_value_checks", checks)
     return calls
 
 
@@ -425,14 +420,15 @@ def test_packed_laplacian_records_equal_the_per_target_loops(monkeypatch, schema
 
 def test_the_oracle_call_checks_at_the_exponents_of_degree_k_minus_2(monkeypatch):
     # S_j, j = max(k_max - 2, 0): the identity alone below k_max = 2
-    real, centres = suite._mean_value_checks, []
+    real, centres = verify._mean_value_checks, []
 
     def recorded(measure, polys, points, rhs=()):
         if rhs:
             centres.append(list(points))
         return real(measure, polys, points, rhs)
 
-    monkeypatch.setattr(suite, "_mean_value_checks", recorded)
+    for module in (suite, verify):
+        monkeypatch.setattr(module, "_mean_value_checks", recorded)
     for k_max in range(6):
         centres.clear()
         run_invariant_suite(H3, MU_PAIRS, k_max, 1)
