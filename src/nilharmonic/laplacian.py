@@ -8,12 +8,14 @@ is cross-checked by the verifier oracles and the test suite.
 
 The operator sees mu only through its moments: x s is polynomial in s, so
 the matrix is the measure's integer moments times the memoized symbolic
-translation of each support pattern (see ``laplacian_matrix``).
-``apply_laplacian`` translates by each atom instead; the suite checks it
-against the group law.  ``solve_preimage`` answers to the group law too:
-the first solve against a matrix certifies its pivot columns as Delta of
-their monomials, in one call of the mean-value oracle, and every answer is
-checked as a sum of certified columns (``_certified_columns``).
+translation of each support pattern (``_assemble``).  That assembly is the
+one implementation of Delta: ``laplacian_matrix`` keeps the last few
+matrices, and ``apply_laplacian`` sums the columns of p's monomials in the
+degree-(deg p) matrix; the suite checks those columns against the group law.
+``solve_preimage`` answers to the group law too: the first solve against a
+matrix certifies its pivot columns as Delta of their monomials, in one call
+of the mean-value oracle, and every answer is checked as a sum of certified
+columns (``_certified_columns``).
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ from .polynomials import (
     IntTerms,
     Polynomial,
     _combine,
-    _from_ints,
     _position,
     dim_pk,
     dim_pk_table,
     graded_index,
-    laplacian_images,
     moment_images,
     pk_basis,
     translate_left,
@@ -188,22 +188,20 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
 
     Integer and linear: with p = sum_e n_e x^e / a for its integer numerators
     n_e and denominator a, and b the measure's ``scale``, a b Delta p =
-    sum_e n_e D_e for D_e = b Delta x^e of ``laplacian_images``, and the
-    result is normalized over a b once.  Each D_e is summed from the right
-    translates by the atoms, a path apart from the matrix assembly; the
-    suite checks it, on the monomials of degree at most 3, against the group
-    law through the mean-value oracle.
+    sum_e n_e D_e for D_e = b Delta x^e, column e of the degree-d matrix's
+    integer rows, d = deg p, and the result is normalized over a b once.
+    That matrix is assembled afresh, not read from ``laplacian_matrix``'s
+    memo, and its rows are P^(d-2), so the image drops the degree by 2 by
+    construction.  A schema other than the measure's, or a degree whose
+    matrix ``matrix_shape`` refuses, is refused as the assembly refuses it.
+    The suite checks the image of each monomial of degree at most 3 against
+    the group law through the mean-value oracle.
     """
-    if p.schema != measure.schema:
-        raise ValidationError("polynomial and measure belong to different schemas")
-    result = _combine(p, laplacian_images(measure, p.ints), measure.scale)
-    k = p.degree
-    kr = result.degree
-    if k is not None and kr is not None and kr > k - 2:
-        raise InternalInconsistency(
-            f"Laplacian image has degree {kr}, expected <= {k - 2}"
-        )
-    return result
+    k = p.degree or 0
+    matrix = _assemble(p.schema, measure, k)
+    up = graded_index(p.schema, k)
+    return _combine(p, _columns(p.schema, matrix, k, [_position(up, e) for e in p.ints]),
+                    measure.scale)
 
 
 # The most cells (rows x columns) a Laplacian matrix may have.  lattice(4) at
@@ -238,6 +236,14 @@ def matrix_shape(schema: GroupSchema, k: int) -> tuple[int, int]:
 # typed: 2.0 and True would hit the entry of k = 2 or 1 before the check
 @lru_cache(maxsize=4, typed=True)
 def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
+    """Matrix of the Laplacian from the degree-k basis to the degree-(k-2)
+    basis, as ``_assemble`` builds it.  The last few matrices are kept, keyed
+    by (schema, measure, k), so repeated solves against one Laplacian share
+    one factorization."""
+    return _assemble(schema, measure, k)
+
+
+def _assemble(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     """Matrix of the Laplacian from the degree-k basis to the degree-(k-2) basis.
 
     Columns follow pk_basis(schema, k), rows pk_basis(schema, k-2), both in
@@ -253,9 +259,7 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     before any image is read).  The weight-1 coordinates are the first
     r = ``layer_ranks[0]``, and graded order puts s_t at basis index 1 + t,
     so those moments are read by position, as the slice 1..r of each
-    group's moments.  The last few matrices are kept, keyed by (schema,
-    measure, k), so repeated solves against one Laplacian share one
-    factorization.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
+    group's moments.  A matrix of more than ``MAX_MATRIX_CELLS`` cells is
     refused by ``matrix_shape``, before any basis is enumerated.
     """
     if _require_int(k, "k") < 0:
@@ -291,6 +295,23 @@ def laplacian_matrix(schema: GroupSchema, measure: Measure, k: int) -> RationalM
     # the entries that cancelled are dropped
     rows = [{j: c for j, c in row.items() if c} if 0 in row.values() else row for row in rows]
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
+
+
+def _columns(
+    schema: GroupSchema, matrix: RationalMatrix, k: int, cols: Iterable[int]
+) -> list[IntTerms]:
+    """The columns ``cols``, distinct, of the degree-k matrix's integer rows,
+    each keyed by the monomials of P^(k-2): column j is b Delta x^e for x^e
+    the j-th monomial of P^k, b the measure's ``scale``, so b Delta p is the
+    sum of p's columns (``_combine``)."""
+    columns: dict[int, IntTerms] = {j: {} for j in cols}
+    int_rows, _ = matrix._int_rows()
+    for row, entries in zip(pk_basis(schema, k - 2), int_rows):
+        for j, c in entries.items():
+            column = columns.get(j)
+            if column is not None:
+                column[row] = c
+    return list(columns.values())
 
 
 class HarmonicBasisReport(NamedTuple):
@@ -345,25 +366,20 @@ def _certified_columns(schema: GroupSchema, measure: Measure, k: int) -> dict[Ex
     is a pivot column and equals Delta x^e by the group law; b the
     measure's ``scale``.
 
-    Column e, read off the matrix's integer rows over b, is a polynomial of
-    P^(k-2) and x^e one of P^k, so one ``_laplacian_checks`` call at
-    S_(k-2) decides each pair (x^e, column e) exactly, on all of G.  A
-    column that fails is left out.  Callers must not modify the columns.
+    Column e, read off the matrix's integer rows over b (``_columns``), is a
+    polynomial of P^(k-2) and x^e one of P^k, so one ``_laplacian_checks``
+    call at S_(k-2) decides each pair (x^e, column e) exactly, on all of G.
+    A column that fails is left out.  Callers must not modify the columns.
     """
     matrix = laplacian_matrix(schema, measure, k)
-    int_rows, _ = matrix._int_rows()
-    columns: dict[int, IntTerms] = {j: {} for j in matrix.factorization().pivots}
-    for row, entries in zip(pk_basis(schema, k - 2), int_rows):
-        for j, c in entries.items():
-            column = columns.get(j)
-            if column is not None:
-                column[row] = c
+    pivots = matrix.factorization().pivots
+    columns = _columns(schema, matrix, k, pivots)
     domain = pk_basis(schema, k)
-    pairs = [(Polynomial._trusted(schema, {domain[j]: 1}, 1),
-              _from_ints(schema, dict(column), measure.scale)) for j, column in columns.items()]
-    checks = _laplacian_checks(measure, k, pairs)
+    monomials = [Polynomial._trusted(schema, {domain[j]: 1}, 1) for j in pivots]
+    checks = _laplacian_checks(measure, k, [
+        (x, _combine(x, [column], measure.scale)) for x, column in zip(monomials, columns)])
     return {domain[j]: column
-            for (j, column), check in zip(columns.items(), checks) if check.passed}
+            for j, column, check in zip(pivots, columns, checks) if check.passed}
 
 
 def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Polynomial:

@@ -38,11 +38,8 @@ non-zero coordinates are one support pattern.  ``graded_index`` is the one table
 those indices, each monomial's index times each coordinate; each monomial's
 first-coordinate parent is read off it.  Each term of an image is a
 monomial in x and one in s; the images' own memo is keyed by what they
-read, the weights, the law and the pattern.  ``apply_laplacian`` sums the
-Laplacian images of p's monomials, ``laplacian_images``, each built from the
-right translates by the measure's atoms through ``_images``, so it does not
-share the matrix's path; it keeps no memo of its own, and ``solve_preimage``
-does not read it.
+read, the weights, the law and the pattern.  ``apply_laplacian`` reads its
+columns off that assembly too, so the Laplacian has one path.
 
 Rendering (``str`` and the JSON object of ``serialize.polynomial_to_obj``)
 goes through ``render_terms``, which reads each monomial's graded sort key
@@ -60,17 +57,12 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
-from typing import (
-    TYPE_CHECKING, Any, Callable, Collection, Hashable, Iterable, Mapping, NamedTuple,
-)
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import InternalInconsistency, ValidationError
 # mul_coords is unused here, but the benchmark's tracer wraps it by this name
 from .groups import GroupElement, GroupSchema, _require_conforming, _require_int, mul_coords
 from .linalg import _eliminate, _int_vector, _lowest, _require_coeff
-
-if TYPE_CHECKING:
-    from .laplacian import Measure
 
 Exponents = tuple[int, ...]
 IntTerms = dict[Exponents, int]
@@ -445,7 +437,7 @@ AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
 
 # The bound of the forms cache: the verify benchmark's 27 suite runs read the
-# forms of 88 (schema, u, side), 47 of them distinct.
+# forms of 49 (schema, u, side), all left translations, 31 of them distinct.
 _TRANSLATION_FORMS = 512
 
 
@@ -589,24 +581,6 @@ def moment_images(schema: GroupSchema, k: int, pattern: tuple[int, ...]) -> Mome
     found = MomentImages(links, cols, gammas, betas, coeffs)
     _MOMENTS.store(key, memo, k, found)
     return found
-
-
-def laplacian_images(measure: Measure, keys: Collection[Exponents]) -> list[IntTerms]:
-    """D_e = b x^e - sum_s (b mu(s)) x^e(x s) for each e of ``keys``, distinct
-    exponent vectors, b the measure's ``scale``: b times the Laplacian of x^e,
-    in ints.
-
-    Each D_e is summed from the right translates by the measure's atoms,
-    read through ``_images``, so it does not depend on ``moment_images``.
-    """
-    schema = measure.schema
-    built = [{e: measure.scale} for e in keys]
-    for s, ws in zip(measure.atoms, measure.int_weights):
-        for acc, image in zip(built, _images(_translation_forms(schema, s, "right"), keys)):
-            get = acc.get
-            for exps, c in image.items():
-                acc[exps] = get(exps, 0) - ws * c
-    return [{exps: c for exps, c in acc.items() if c} for acc in built]
 
 
 def _combine(p: Polynomial, images: Iterable[IntTerms], scale: int = 1) -> Polynomial:

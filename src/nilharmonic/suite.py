@@ -14,13 +14,15 @@ reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
 
 The measure half reaches the Laplacian only through ``laplacian_matrix`` and
-``apply_laplacian``.  Every target of P^(k_max - 2) is solved once through the
-factorization of the degree-k_max matrix, and ``apply_laplacian`` is called
-once per monomial of P^min(k_max, 3).  One call of the mean-value oracle then
-checks three kinds of pair (p, q), a preimage and its target, a monomial and
-its image, and a harmonic basis element and 0, as Delta p = q with Delta read
-off the group law: Delta p - q is in P^(k_max - 2), and S_(k_max - 2), where
-the oracle checks, determines such a polynomial (see ``verify._laplacian_checks``).
+``apply_laplacian``, both read off the one moment assembly.  Every target of
+P^(k_max - 2) is solved once through the factorization of the degree-k_max
+matrix, and ``apply_laplacian`` is called once per monomial of
+P^min(k_max, 3), which gives that monomial's assembled column.  One call of
+the mean-value oracle then checks three kinds of pair (p, q), a preimage and
+its target, a monomial and its image, and a harmonic basis element and 0, as
+Delta p = q with Delta read off the group law: Delta p - q is in
+P^(k_max - 2), and S_(k_max - 2), where the oracle checks, determines such a
+polynomial (see ``verify._laplacian_checks``).
 A basis element that passes is harmonic on all of G, so on the radius-r ball
 too, and the harmonic record passes with no check on the ball.  The basis
 joins the call when every element is in P^(k_max), its degree read off its
@@ -295,8 +297,8 @@ def run_invariant_suite(
         return Polynomial._trusted(schema, {m: 1}, 1)
 
     # one oracle call checks each preimage against its target, then each
-    # monomial of P^min(k_max, 3) against its image; an image that raises,
-    # or whose degree does not drop by 2, fails the symmetric form at once
+    # monomial of P^min(k_max, 3) against its image, a column of the assembly
+    # and so in P^(deg - 2); an image that raises fails the symmetric form at once
     domain = pk_basis(schema, k_max)
     pairs = [(Polynomial._trusted(schema, {domain[t]: n for t, n in sol[1].items()}, sol[0]),
               unit(m)) for m, sol in zip(codomain, sols) if not isinstance(sol, Inconsistent)]
@@ -306,11 +308,9 @@ def run_invariant_suite(
     for m in monos:
         p = unit(m)
         try:
-            image = apply_laplacian(measure, p)
+            image, detail = apply_laplacian(measure, p), ""
         except NilharmonicError as exc:
             image, detail = Polynomial(schema), f"monomial {m}: {exc}"
-        else:
-            detail = "" if image.is_zero or image.degree <= p.degree - 2 else f"monomial {m}"
         pairs.append((p, image))
         form_details.append(detail)
     # and each harmonic basis element h in P^(k_max) as (h, 0), which

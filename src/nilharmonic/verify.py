@@ -323,13 +323,14 @@ def _laplacian_checks(
     is in P^K and q in P^(K-2), K = ``k_max``.
 
     Two callers pass such pairs.  The suite passes a preimage and its
-    target monomial, a monomial of P^min(K, 3) and its image, and a harmonic
-    basis element h in P^K and 0; ``solve_preimage`` passes each pivot
-    column of the degree-K matrix as a monomial x^e and its column.  The
-    measure is symmetric, so Delta lowers weighted degree by 2: translation
-    keeps it, and the terms of p(x s) that lose exactly 1 are linear in the
-    weight-1 coordinates of s, whose mu-average is 0.  So Delta p - q is in
-    P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
+    target monomial, a monomial of P^min(K, 3) and its image, which is the
+    monomial's column in the moment assembly of its own degree, and a
+    harmonic basis element h in P^K and 0; ``solve_preimage`` passes
+    each pivot column of the degree-K matrix as a monomial x^e and its
+    column.  The measure is symmetric, so Delta lowers weighted degree by
+    2: translation keeps it, and the terms of p(x s) that lose exactly 1
+    are linear in the weight-1 coordinates of s, whose mu-average is 0.  So
+    Delta p - q is in P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
     vectors of ``pk_basis(j)`` passed as its centres.  S_j is downward
     closed, so in the binomial basis prod_t C(x_t, a_t) the values of P^j on
     S_j form a unitriangular matrix: a polynomial of P^j that vanishes there

@@ -19,12 +19,13 @@ the ball only to name a failure; the parity test shows that this changes
 no record and no command, under every fault and at radii 0 to 3, but to
 fail a basis that is not harmonic off the ball.  A row pins,
 per case, the failing records with their details and the failing commands
-with their exit codes and messages.  A fault the
-``laplacian_images`` path turns into an image whose degree does not drop by
-2 makes ``apply_laplacian`` raise, and the error is the detail of the
-symmetric-form record; no command reads that path.  A row that fails
-nothing pins nothing: neither the suite nor the commands can see that
-fault, and CHANGES.md has a FOUND line for it.
+with their exit codes and messages.  The Laplacian has one path, the
+moment assembly: ``laplacian_matrix`` keeps its matrices and
+``apply_laplacian`` sums its columns, so a fault there can reach the
+preimages, the kernel, the symmetric form and both commands, and an error
+it raises is the detail of every Laplacian record.  Every row fails some
+record or command; a row that failed nothing would pin nothing, since
+neither the suite nor the commands could see that fault.
 """
 
 import contextlib
@@ -32,6 +33,7 @@ import io
 import json
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,44 +107,46 @@ def xy_image_constant(m):
 
 
 def pair_weight(m):
-    """``laplacian_images`` reads the first generator and its inverse at 1/8
-    more each, the identity at 1/4 less: another symmetric probability
-    measure's images."""
-    real = polynomials.laplacian_images
+    """The assembly reads the moments of the first generator and its inverse
+    at 1/8 more each, the identity at 1/4 less: another symmetric probability
+    measure's moments, over the same scale."""
+    real = laplacian._assemble
     shifted = {LAZY: SHIFTED, U3_PAIRS: U3_SHIFTED}
-    m.setattr(laplacian, "laplacian_images",
-              lambda measure, keys: real(shifted.get(measure, measure), keys))
+    m.setattr(laplacian, "_assemble",
+              lambda schema, measure, k: real(schema, shifted.get(measure, measure), k))
 
 
 def lone_weight(m):
-    """``laplacian_images`` reads the first atom at 1/b more, b the scale."""
-    real = polynomials.laplacian_images
+    """The assembly reads the first atom of the first support group at 1/b
+    more, b the scale, so that atom's first moment is not cancelled."""
+    real = laplacian._assemble
 
-    def faulty(measure, keys):
-        forms = _translation_forms(measure.schema, measure.support()[0], "right")
-        out = []
-        for image, moved in zip(real(measure, keys), polynomials._images(forms, keys)):
-            acc = dict(image)
-            for e, c in moved.items():
-                acc[e] = acc.get(e, 0) - c
-            out.append({e: c for e, c in acc.items() if c})
-        return out
+    def faulty(schema, measure, k):
+        (pattern, ((coords, w), *atoms)), *groups = measure.groups
+        bumped = ((pattern, ((coords, w + 1), *atoms)), *groups)
+        return real(schema, SimpleNamespace(schema=schema, scale=measure.scale, groups=bumped), k)
 
-    m.setattr(laplacian, "laplacian_images", faulty)
+    m.setattr(laplacian, "_assemble", faulty)
 
 
 def degree4_image_constant(m):
-    """``laplacian_images`` adds 1 to the constant term of the image of every
-    monomial of degree 4."""
-    real = polynomials.laplacian_images
+    """The assembly adds 1 to the constant term of Delta x^e for every
+    monomial x^e of degree 4, in every matrix that has its column."""
+    real = laplacian._assemble
 
-    def faulty(measure, keys):
-        keys = list(keys)
-        weights = measure.schema.weights
-        return [{**image, ONE: image.get(ONE, 0) + 1} if sum(map(mul, e, weights)) == 4 else image
-                for e, image in zip(keys, real(measure, keys))]
+    def faulty(schema, measure, k):
+        matrix = real(schema, measure, k)
+        if k < 4:
+            return matrix
+        (first, *rest), den = matrix._int_rows()
+        first = dict(first)
+        for j, e in enumerate(pk_basis(schema, k)):
+            if sum(map(mul, e, schema.weights)) == 4:
+                first[j] = first.get(j, 0) + den
+        first = {j: c for j, c in first.items() if c}
+        return linalg.RationalMatrix._trusted(matrix.rows, matrix.cols, [first, *rest], den)
 
-    m.setattr(laplacian, "laplacian_images", faulty)
+    m.setattr(laplacian, "_assemble", faulty)
 
 
 def pivot_column_constant(m):
@@ -384,69 +388,109 @@ def on_both(pins):
     return {"heisenberg(1)": pins, "unitriangular(3)": pins}
 
 
+
+def first_moment(weight):
+    """The assembly's error for a first moment of coordinate 1 that is not 0."""
+    return ("Laplacian image has an out-of-range term: "
+            f"the first moment of coordinate 1 is {weight}, not 0")
+
+
 ROWS = {
-    # the FOUND fault: the symmetric form summed the same images, so it passed
+    # translation alone goes wrong, which the Laplacian does not read: the
+    # left-translation records see it
     "xy_image_constant": (xy_image_constant, WALK, {
         "heisenberg(1)": {
-            "laplacian.symmetric_form": "monomial (1, 1, 0)",
             "poly.cocycle_identity": "f=x*y, x=(-1, 0, 0), y=(-1, 0, 0)",
             "poly.interpolation_soundness": "monomial (1, 1, 0), u=(-2, 0, 0), g=(-3, 0, 0)",
             "poly.product_rule": "f=x, h=y, x=(-1, 0, 0)",
         },
         "unitriangular(3)": {
-            "laplacian.symmetric_form": "monomial (1, 1, 0)",
             "poly.cocycle_identity": "f=a_12*a_23, x=(-1, 0, 0), y=(-1, 0, 0)",
             "poly.interpolation_soundness": "monomial (1, 1, 0), u=(-2, 0, 0), g=(-3, 0, 0)",
             "poly.product_rule": "f=a_12, h=a_23, x=(-1, 0, 0)",
         },
     }),
-    # the matrix is read off the measure's moments, so the preimages are
-    # right, and only apply_laplacian's own images go wrong; preimage checks
-    # its answer against the matrix's certified columns, so it passes
-    "pair_weight": (pair_weight, LAZY, on_both({
-        "laplacian.symmetric_form": "monomial (2, 0, 0)",
-    })),
-    "lone_weight": (lone_weight, WALK, on_both({
-        "laplacian.symmetric_form":
-            "monomial (0, 0, 0): Laplacian image has degree 0, expected <= -2",
-    })),
+    # the assembly is another measure's Laplacian: its kernel, its preimages,
+    # its columns and preimage's certificate all fail the group law
+    "pair_weight": (pair_weight, LAZY, {
+        "heisenberg(1)": {
+            **SURJECTIVITY,
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 4: (-1, 0, 0) lhs=-1/2 rhs=-3/8",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 5, "
+                                 "point (-1, 0, 0), lhs -1/2, rhs -3/8",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
+            **BAD_PREIMAGE,
+        },
+        "unitriangular(3)": {
+            **SURJECTIVITY,
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 3: (-1, -1, 0) lhs=2/3 rhs=3/4",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 4, "
+                                 "point (-1, -1, 0), lhs 2/3, rhs 3/4",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
+            **BAD_PREIMAGE,
+        },
+    }),
+    # the assembly's first-moment check raises at every degree: every
+    # Laplacian record fails with the error, and both commands exit 3
+    "lone_weight": (lone_weight, WALK, {
+        case: {
+            **{f"laplacian.matrix[k={k}]": first_moment(weight) for k in range(5)},
+            "laplacian.harmonic_oracle": first_moment(weight),
+            "laplacian.symmetric_form": f"monomial (0, 0, 0): {first_moment(weight)}",
+            "harmonic --verify": f"exit 3: internal inconsistency: {first_moment(weight)}",
+            "preimage": f"exit 3: internal inconsistency: {first_moment(weight)}",
+        } for case, weight in (("heisenberg(1)", "-1/4"), ("unitriangular(3)", "-1/8"))
+    }),
     "form_constant": (form_constant, WALK, {
         case: {
-            "laplacian.symmetric_form":
-                "monomial (1, 0, 0): Laplacian image has degree 0, expected <= -1",
             "poly.cocycle_identity": f"f={x}, x=(-1, 0, 0), y=(-1, 0, 0)",
             "poly.degree_reduction": "monomial (1, 0, 0), coordinate 3",
             "poly.interpolation_soundness": "monomial (1, 0, 0), u=(-2, 0, 0), g=(-3, 0, 0)",
         } for case, x in (("heisenberg(1)", "x"), ("unitriangular(3)", "a_12"))
     }),
-    # expected to pass (FOUND): the suite applies the Laplacian to no monomial
-    # above degree 3, and preimage no longer reads the per-atom images, so no
-    # check sees an image of degree 4 go wrong
-    "degree4_image_constant": (degree4_image_constant, WALK, on_both({})),
-    # translation alone goes wrong: the left-translation records see it, and
-    # so does the symmetric form, through apply_laplacian's right translates;
-    # the moment assembly does not, so the preimages stay right
+    # the suite applies the Laplacian to no monomial above degree 3, but the
+    # degree-4 matrix holds the wrong columns: its kernel, the preimage of x^2
+    # and preimage's certificate fail the group law
+    "degree4_image_constant": (degree4_image_constant, WALK, {
+        "heisenberg(1)": {
+            "laplacian.surjectivity[k=4]": "bad preimage for (2, 0, 0)",
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 11: (-1, 0, 0) lhs=5/3 rhs=5/2",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 12, "
+                                 "point (-1, 0, 0), lhs 5/3, rhs 5/2",
+            **BAD_PREIMAGE,
+        },
+        "unitriangular(3)": {
+            "laplacian.surjectivity[k=4]": "bad preimage for (2, 0, 0)",
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 10: (-1, -1, 0) lhs=-3/4 rhs=-1",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 11, "
+                                 "point (-1, -1, 0), lhs -3/4, rhs -1",
+            **BAD_PREIMAGE,
+        },
+    }),
+    # translation alone goes wrong: the left-translation records see it; the
+    # moment assembly does not, so the Laplacian records pass
     "forms_drop_law_term": (forms_drop_law_term, WALK, {
         case: {
-            "laplacian.symmetric_form": f"monomial {m}",
             "poly.cocycle_identity": f"f={z}, x=(-1, 0, 0), y=(0, -1, 0)",
             "poly.interpolation_soundness": "monomial (0, 0, 1), u=(-2, 0, 0), g=(-2, -1, 0)",
-        } for case, m, z in (("heisenberg(1)", (0, 1, 1), "z"),
-                             ("unitriangular(3)", (1, 0, 1), "a_13"))
+        } for case, z in (("heisenberg(1)", "z"), ("unitriangular(3)", "a_13"))
     }),
-    # the assembly alone goes wrong: the kernel, and on unitriangular(3) one
-    # preimage, fail the group law; the preimage of x*y stays right
+    # the assembly alone goes wrong: the kernel, the column of the monomial
+    # that reaches the dropped term, and on unitriangular(3) one preimage,
+    # fail the group law; the preimage of x*y stays right
     "moments_drop_law_term": (moments_drop_law_term, WALK, {
         "heisenberg(1)": {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 9: (-1, 0, 0) lhs=0 rhs=-1/2",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 10, "
                                  "point (-1, 0, 0), lhs 0, rhs -1/2",
+            "laplacian.symmetric_form": "monomial (0, 1, 1)",
         },
         "unitriangular(3)": {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 7: (-1, -1, 0) lhs=-1/6 rhs=-5/12",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 8, "
                                  "point (-1, -1, 0), lhs -1/6, rhs -5/12",
             "laplacian.surjectivity[k=4]": "bad preimage for (0, 0, 1)",
+            "laplacian.symmetric_form": "monomial (1, 0, 1)",
         },
     }),
     "moment_coefficient": (moment_coefficient, WALK, {
@@ -455,12 +499,14 @@ ROWS = {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 11: (-1, 0, 0) lhs=-1/12 rhs=-1/8",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 12, "
                                  "point (-1, 0, 0), lhs -1/12, rhs -1/8",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
         },
         "unitriangular(3)": {
             **SURJECTIVITY,
             "laplacian.harmonic_oracle[k=4,r=1]": "element 3: (-1, -1, 0) lhs=3/4 rhs=7/8",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 4, "
                                  "point (-1, -1, 0), lhs 3/4, rhs 7/8",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
             **BAD_PREIMAGE,
         },
     }),
@@ -713,14 +759,15 @@ def test_a_polynomial_above_k_max_is_never_certified(tmp_path):
 
 
 def test_verify_under_a_raising_fault_exits_2_with_every_record(tmp_path, capsys):
-    # the degree error of the lone weight fails its records; it does not end
-    # the run with exit 3 and no records
+    # the first-moment error of the lone weight fails every Laplacian record,
+    # one per degree in place of the matrix's two; it does not end the run
+    # with exit 3 and no records
     group, measure = tmp_path / "group.json", tmp_path / "measure.json"
     group.write_text(json.dumps({"family": "heisenberg", "n": 1}), encoding="utf-8")
     measure.write_text(json.dumps(serialize.measure_to_config(WALK)), encoding="utf-8")
-    n_records = len(run_invariant_suite(H3, WALK, 4, 1))
     failing = {name: detail for name, detail in ROWS["lone_weight"][2]["heisenberg(1)"].items()
                if name not in COMMANDS}
+    n_records = len(_group_records(H3, 4)) + len(failing)
     clear_memos()
     try:
         with pytest.MonkeyPatch.context() as m:

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -170,7 +171,7 @@ def test_a_pair_split_over_two_groups_gives_the_laplacian():
         domain, codomain = pk_basis(UT4, k), pk_basis(UT4, k - 2)
         columns = [
             dense.coefficient_vector(
-                apply_laplacian(SPLIT_UT4, Polynomial(UT4, {m: 1})), codomain
+                dense.apply_laplacian(SPLIT_UT4, Polynomial(UT4, {m: 1})), codomain
             )
             for m in domain
         ]
@@ -237,6 +238,35 @@ def test_laplacian_symmetric_second_difference_form():
                     p * 2 - translate_right(p, s) - translate_right(p, inv(schema, s))
                 ) * (w * Fraction(1, 2))
             assert apply_laplacian(mu, p) == alt
+
+
+@pytest.mark.parametrize("schema, k", [
+    (unitriangular(4), 15), (unitriangular(5), 11), (heisenberg(2), 14), (lattice(4), 17), (H3, 37),
+], ids=str)
+def test_apply_laplacian_refuses_the_degrees_that_matrix_shape_refuses(schema, k):
+    # the first refused degree of each group; apply_laplacian assembles the
+    # degree-(deg p) matrix, so it raises matrix_shape's own error
+    with pytest.raises(ValidationError) as refused:
+        matrix_shape(schema, k)
+    matrix_shape(schema, k - 1)
+    p = Polynomial(schema, {(k,) + (0,) * (schema.n_coords - 1): 1})
+    with pytest.raises(ValidationError) as raised:
+        apply_laplacian(generator_walk(schema), p)
+    assert str(raised.value) == str(refused.value)
+
+
+def test_apply_laplacian_refuses_a_polynomial_of_another_schema():
+    with pytest.raises(ValidationError, match="schema and measure do not match"):
+        apply_laplacian(MU_H3, Polynomial.coordinate(Z2, 1))
+
+
+def test_apply_laplacian_refuses_a_huge_degree_at_once():
+    # refused from the degree alone, before any basis is enumerated
+    p = Polynomial(H3, {(3_000_000_000, 0, 0): 1})
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="the degree-3000000000 Laplacian matrix"):
+        apply_laplacian(MU_H3, p)
+    assert time.perf_counter() - start < 1
 
 
 def test_laplacian_degree_drop():
@@ -362,16 +392,13 @@ def _workload_walk(seed):
 )
 @pytest.mark.parametrize("schema", TEST_SCHEMAS, ids=str)
 def test_matrix_equals_column_by_column_laplacian(schema, walk):
-    # the moment assembly against one apply_laplacian per domain monomial
+    # the moment assembly against the per-atom reference Laplacian of each
+    # domain monomial, computed once for every degree
     mu = walk(schema)
+    images = {m: dense.apply_laplacian(mu, Polynomial(schema, {m: 1})) for m in pk_basis(schema, 5)}
     for k in range(6):
         domain, codomain = pk_basis(schema, k), pk_basis(schema, k - 2)
-        columns = [
-            dense.coefficient_vector(
-                apply_laplacian(mu, Polynomial(schema, {m: 1})), codomain
-            )
-            for m in domain
-        ]
+        columns = [dense.coefficient_vector(images[m], codomain) for m in domain]
         matrix = laplacian_matrix(schema, mu, k)
         assert (matrix.rows, matrix.cols) == (len(codomain), len(domain))
         assert matrix.data == [list(row) for row in zip(*columns)]
@@ -418,12 +445,11 @@ LAPLACIAN_IMAGE_CASES = [
      for walk in [generator_walk, lazy_generator_walk] + [_workload_walk(seed) for seed in range(4)]]
 
 
-def test_laplacian_images_equal_the_fraction_reference(monkeypatch):
-    # apply_laplacian sums the Laplacian images of p's monomials; on seeded
+def test_apply_laplacian_equals_the_fraction_reference(monkeypatch):
+    # apply_laplacian sums the assembled columns of p's monomials; on seeded
     # measures with pairs, an identity atom and long linear forms it must
-    # equal the per-atom Fraction sum, with the translation images it reads
-    # cold, warm and past a lowered bound, and each image must be the
-    # measure's scale times the reference Laplacian of its monomial
+    # equal the per-atom Fraction sum, with the moment images it reads cold,
+    # warm and past a lowered bound, and so must each monomial's image alone
     cycle = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(-3), Fraction(7, 2)]
     cases = []
     for schema, walk in LAPLACIAN_IMAGE_CASES:
@@ -433,17 +459,16 @@ def test_laplacian_images_equal_the_fraction_reference(monkeypatch):
               for j in range(3)]
         ps.append(Polynomial(schema, {pk_basis(schema, 4)[-1]: Fraction(2, 3)}))
         cases.append((mu, ps, [dense.apply_laplacian(mu, p) for p in ps]))
-    for bound in (polynomials._IMAGES.bound, 20):
-        monkeypatch.setattr(polynomials._IMAGES, "bound", bound)
-        polynomials._IMAGES.clear()
+    for bound in (polynomials._MOMENTS.bound, 2000):
+        monkeypatch.setattr(polynomials._MOMENTS, "bound", bound)
+        polynomials._MOMENTS.clear()
         for _ in range(2):
             for mu, ps, want in cases:
                 assert [apply_laplacian(mu, p) for p in ps] == want
     for mu, ps, _ in cases:
-        keys = list(ps[-1].ints) + list(ps[0].ints)
-        for e, image in zip(keys, polynomials.laplacian_images(mu, keys)):
-            assert Polynomial(mu.schema, {x: Fraction(c, mu.scale) for x, c in image.items()}) \
-                == dense.apply_laplacian(mu, Polynomial(mu.schema, {e: 1}))
+        for e in [*ps[-1].ints, *ps[0].ints]:
+            x = Polynomial(mu.schema, {e: 1})
+            assert apply_laplacian(mu, x) == dense.apply_laplacian(mu, x)
 
 
 def test_equal_measures_give_equal_laplacian_images_and_other_weights_do_not():

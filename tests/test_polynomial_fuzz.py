@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nilharmonic.groups import GroupElement, heisenberg, lattice, mul, unitriangular
-from nilharmonic.laplacian import apply_laplacian, lazy_generator_walk
+from nilharmonic.errors import ValidationError
+from nilharmonic.laplacian import apply_laplacian, lazy_generator_walk, matrix_shape
 from nilharmonic.polynomials import (
     Polynomial,
     left_derivative,
@@ -237,8 +238,19 @@ def test_integer_polynomial_equals_fraction_reference(case):
         (-p, dense.negate(p)),
         (translate_left(p, u), dense.translate(p, u, "left")),
         (translate_right(p, u), dense.translate(p, u, "right")),
-        (apply_laplacian(MEASURES[schema], p), dense.apply_laplacian(MEASURES[schema], p)),
     ]
+    # apply_laplacian assembles the degree-(deg p) matrix, so it admits the
+    # degrees that matrix_shape admits (all but 15 and up on unitriangular(4)
+    # here) and refuses the others with its error
+    mu = MEASURES[schema]
+    try:
+        matrix_shape(schema, p.degree or 0)
+    except ValidationError as refused:
+        with pytest.raises(ValidationError) as raised:
+            apply_laplacian(mu, p)
+        assert str(raised.value) == str(refused)
+    else:
+        pairs.append((apply_laplacian(mu, p), dense.apply_laplacian(mu, p)))
     if schema.step == 1:
         pairs.append((restrict_to_sublattice(p, matrix), dense.restrict_to_sublattice(p, matrix)))
     for got, want in pairs:

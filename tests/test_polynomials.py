@@ -34,7 +34,7 @@ from nilharmonic.polynomials import (
     translate_left,
     translate_right,
 )
-from nilharmonic.laplacian import Measure, apply_laplacian, generator_walk, lazy_generator_walk
+from nilharmonic.laplacian import Measure, apply_laplacian, generator_walk
 from nilharmonic.serialize import polynomial_to_obj
 
 # dense_reference.py holds the Fraction composition the integer one replaced
@@ -361,18 +361,18 @@ def test_a_full_image_memo_makes_room_for_later_translations():
     everything = Polynomial(Z2, {m: 1 for m in pk_basis(Z2, 30)})
     translate_right(everything, u)
     assert list(memo.dicts) == [full] and memo.size > memo.bound - 100
-    # a later Laplacian stores the images of its right translates by
-    # dropping that older dict
-    mu = generator_walk(H3)
+    # later right translations by the generators of heisenberg(1) store
+    # their images by dropping that older dict
+    gens = standard_generators(H3)
     ps = [Polynomial(H3, {m: 1}) for m in pk_basis(H3, 6)]
-    deltas = [apply_laplacian(mu, p) for p in ps]
-    assert deltas == [dense.apply_laplacian(mu, p) for p in ps]
-    atoms = {polynomials._translation_forms(H3, s, "right") for s in mu.atoms}
-    assert set(memo.dicts) == atoms and _costs_add_up(memo)
+    translates = [translate_right(p, s) for s in gens for p in ps]
+    assert translates == [dense.translate(p, s, "right") for s in gens for p in ps]
+    forms = {polynomials._translation_forms(H3, s, "right") for s in gens}
+    assert set(memo.dicts) == forms and _costs_add_up(memo)
     assert all(set(images) == set(pk_basis(H3, 6)[1:]) for images in memo.dicts.values())
     # and reads them back: the second sweep stores nothing more
     stored = memo.size
-    assert [apply_laplacian(mu, p) for p in ps] == deltas
+    assert [translate_right(p, s) for s in gens for p in ps] == translates
     assert memo.size == stored
 
 
@@ -528,18 +528,19 @@ def test_stored_images_are_not_modified_by_their_readers():
         translate_left(q, u)
     assert {e: entry[e] for e in images} == images
     assert translate_left(p, u) == first
-    # the Laplacian builds its monomials' images from the right translates by
-    # the atoms, which it reads from the same memo
-    mu = lazy_generator_walk(H3, Fraction(1, 3))
-    delta = apply_laplacian(mu, p)
-    entries = [memo.get(polynomials._translation_forms(H3, s, "right")) for s in mu.atoms]
+    # right translates by several elements read and store in the same memo
+    elems = standard_generators(H3)
+    rights = [translate_right(p, s) for s in elems]
+    entries = [memo.get(polynomials._translation_forms(H3, s, "right")) for s in elems]
     stored = [{e: dict(image) for e, image in entry.items()} for entry in entries]
     assert all(stored)
-    for q in (p, first, first * p, -p, delta):
-        apply_laplacian(mu, q)
+    for q in (p, first, first * p, -p, *rights):
+        for s in elems:
+            translate_right(q, s)
     for entry, images in zip(entries, stored):
         assert {e: entry[e] for e in images} == images
-    assert apply_laplacian(mu, p) == delta == dense.apply_laplacian(mu, p)
+    assert rights == [translate_right(p, s) for s in elems] \
+        == [dense.translate(p, s, "right") for s in elems]
     # and restriction reads and stores in the same memo
     r = mixed_denominators(Z2, 4)
     matrix = [[1, 2], [0, 1]]

@@ -534,24 +534,3 @@ def test_a_fault_that_vanishes_on_the_ball_fails_the_record_at_radius_0(monkeypa
     assert [r for r in got if not r[1]] == [
         ("laplacian.surjectivity[k=3]", False, "bad preimage for (1, 0, 0)"),
     ]
-
-
-def test_an_image_that_vanishes_on_the_centres_fails_through_its_degree(monkeypatch):
-    # x (x - 1) (x - 2) (x - 3) is 0 at every point of S_3, whose first
-    # coordinates are 0..3, so only the degree check sees it on x*y's image
-    xy = (1, 1, 0)
-    x = Polynomial.coordinate(H3, 1)
-    one = Polynomial(H3, {(0, 0, 0): 1})
-    quartic = x * (x - one) * (x - one * 2) * (x - one * 3)
-    mu = generator_walk(H3)
-    p = Polynomial(H3, {xy: 1})
-    image = laplacian.apply_laplacian(mu, p) + quartic
-    assert verify._mean_value_checks(mu, [p], pk_basis(H3, 3), [image])[0].passed
-
-    def plus_quartic(p, image):
-        c = p.terms.get(xy, 0)
-        return image + quartic * c if c else image
-
-    counting_laplacian(monkeypatch, plus_quartic)
-    got = records_of(run_invariant_suite(H3, mu, 3, 1))
-    assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {xy}")
