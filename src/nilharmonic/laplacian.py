@@ -10,8 +10,8 @@ The operator sees mu only through its moments: x s is polynomial in s, so
 the matrix is the measure's integer moments times the memoized symbolic
 translation of each support pattern (``_assemble``).  That assembly is the
 one implementation of Delta: ``laplacian_matrix`` keeps the last few
-matrices, and ``apply_laplacian`` sums the columns of p's monomials in the
-degree-(deg p) matrix; the suite checks those columns against the group law.
+matrices, and Delta p sums p's columns in any matrix of degree >= deg p
+(``_column_images``); the suite checks its matrix's columns by the group law.
 ``solve_preimage`` answers to the group law too: the first solve against a
 matrix certifies its pivot columns as Delta of their monomials, in one call
 of the mean-value oracle, and every answer is checked as a sum of certified
@@ -49,6 +49,7 @@ from .polynomials import (
     Polynomial,
     _combine,
     _position,
+    _require_polynomial,
     dim_pk,
     dim_pk_table,
     graded_index,
@@ -189,19 +190,16 @@ def apply_laplacian(measure: Measure, p: Polynomial) -> Polynomial:
     Integer and linear: with p = sum_e n_e x^e / a for its integer numerators
     n_e and denominator a, and b the measure's ``scale``, a b Delta p =
     sum_e n_e D_e for D_e = b Delta x^e, column e of the degree-d matrix's
-    integer rows, d = deg p, and the result is normalized over a b once.
+    integer rows, d = deg p, normalized over a b once (``_column_images``).
     That matrix is assembled afresh, not read from ``laplacian_matrix``'s
     memo, and its rows are P^(d-2), so the image drops the degree by 2 by
-    construction.  A schema other than the measure's, or a degree whose
-    matrix ``matrix_shape`` refuses, is refused as the assembly refuses it.
-    The suite checks the image of each monomial of degree at most 3 against
-    the group law through the mean-value oracle.
+    construction.  Anything but a polynomial is refused, and so are a schema
+    other than the measure's and a degree whose matrix ``matrix_shape``
+    refuses.  The suite calls no ``apply_laplacian``: it reads its
+    monomials' columns off its one degree-k_max matrix.
     """
-    k = p.degree or 0
-    matrix = _assemble(p.schema, measure, k)
-    up = graded_index(p.schema, k)
-    return _combine(p, _columns(p.schema, matrix, k, [_position(up, e) for e in p.ints]),
-                    measure.scale)
+    k = _require_polynomial(p).degree or 0
+    return _column_images(measure, _assemble(p.schema, measure, k), k, [p])[0]
 
 
 # The most cells (rows x columns) a Laplacian matrix may have.  lattice(4) at
@@ -297,21 +295,24 @@ def _assemble(schema: GroupSchema, measure: Measure, k: int) -> RationalMatrix:
     return RationalMatrix._trusted(n_rows, n_cols, rows, measure.scale)
 
 
-def _columns(
-    schema: GroupSchema, matrix: RationalMatrix, k: int, cols: Iterable[int]
-) -> list[IntTerms]:
-    """The columns ``cols``, distinct, of the degree-k matrix's integer rows,
-    each keyed by the monomials of P^(k-2): column j is b Delta x^e for x^e
-    the j-th monomial of P^k, b the measure's ``scale``, so b Delta p is the
-    sum of p's columns (``_combine``)."""
-    columns: dict[int, IntTerms] = {j: {} for j in cols}
+def _column_images(
+    measure: Measure, matrix: RationalMatrix, k: int, polys: Sequence[Polynomial]
+) -> list[Polynomial]:
+    """Delta p for each p of P^k, off the measure's degree-k ``matrix`` in
+    one pass of its integer rows: column j, keyed by the monomials of
+    P^(k-2), is b Delta x^e for x^e the j-th monomial of P^k, b the
+    measure's ``scale``, at every k >= deg x^e, and b Delta p is the sum of
+    p's columns (``_combine``)."""
+    up = graded_index(measure.schema, k)
+    keys = [[_position(up, e) for e in p.ints] for p in polys]
+    columns: dict[int, IntTerms] = {j: {} for key in keys for j in key}
     int_rows, _ = matrix._int_rows()
-    for row, entries in zip(pk_basis(schema, k - 2), int_rows):
+    for row, entries in zip(pk_basis(measure.schema, k - 2), int_rows):
         for j, c in entries.items():
             column = columns.get(j)
             if column is not None:
                 column[row] = c
-    return list(columns.values())
+    return [_combine(p, map(columns.get, key), measure.scale) for p, key in zip(polys, keys)]
 
 
 class HarmonicBasisReport(NamedTuple):
@@ -363,23 +364,22 @@ def harmonic_basis(schema: GroupSchema, measure: Measure, k: int) -> HarmonicBas
 @lru_cache(maxsize=4, typed=True)
 def _certified_columns(schema: GroupSchema, measure: Measure, k: int) -> dict[Exponents, IntTerms]:
     """b Delta x^e for each monomial x^e whose column in the degree-k matrix
-    is a pivot column and equals Delta x^e by the group law; b the
-    measure's ``scale``.
+    is a pivot column and equals Delta x^e by the group law; b is the
+    measure's ``scale``, a multiple of Delta x^e's denominator.
 
-    Column e, read off the matrix's integer rows over b (``_columns``), is a
-    polynomial of P^(k-2) and x^e one of P^k, so one ``_laplacian_checks``
-    call at S_(k-2) decides each pair (x^e, column e) exactly, on all of G.
-    A column that fails is left out.  Callers must not modify the columns.
+    Column e over b (``_column_images``) is a polynomial of P^(k-2) and x^e
+    one of P^k, so one ``_laplacian_checks`` call at S_(k-2) decides each
+    pair (x^e, column e) exactly, on all of G.  A column that fails is left
+    out.  Callers must not modify the columns.
     """
     matrix = laplacian_matrix(schema, measure, k)
     pivots = matrix.factorization().pivots
-    columns = _columns(schema, matrix, k, pivots)
     domain = pk_basis(schema, k)
     monomials = [Polynomial._trusted(schema, {domain[j]: 1}, 1) for j in pivots]
-    checks = _laplacian_checks(measure, k, [
-        (x, _combine(x, [column], measure.scale)) for x, column in zip(monomials, columns)])
-    return {domain[j]: column
-            for j, column, check in zip(pivots, columns, checks) if check.passed}
+    images = _column_images(measure, matrix, k, monomials)
+    checks = _laplacian_checks(measure, k, list(zip(monomials, images)))
+    return {domain[j]: {e: n * (measure.scale // image.den) for e, n in image.ints.items()}
+            for j, image, check in zip(pivots, images, checks) if check.passed}
 
 
 def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Polynomial:
@@ -399,7 +399,7 @@ def solve_preimage(schema: GroupSchema, measure: Measure, q: Polynomial) -> Poly
     columns; the solve gives p on pivot columns alone, so every later check
     is a sum of certified columns.
     """
-    if q.schema != schema:
+    if _require_polynomial(q).schema != schema:
         raise ValidationError("polynomial does not match the schema")
     if q.is_zero:
         return Polynomial(schema)

@@ -310,6 +310,12 @@ class Polynomial:
         return f"Polynomial({self.schema.name()}: {self})"
 
 
+def _require_polynomial(p: object) -> Polynomial:
+    if not isinstance(p, Polynomial):
+        raise ValidationError(f"expected a polynomial, got {p!r}")
+    return p
+
+
 # -- the memo of monomial images and rendered monomials -----------------------
 
 class _Memo:

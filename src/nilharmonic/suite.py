@@ -13,14 +13,13 @@ on one group, runs them once.  The measure half, the ``laplacian.*`` checks,
 reads the measure and runs on every call.  The inputs and the size refusals
 are checked before either.
 
-The measure half reaches the Laplacian only through ``laplacian_matrix`` and
-``apply_laplacian``, both read off the one moment assembly.  Every target of
-P^(k_max - 2) is solved once through the factorization of the degree-k_max
-matrix, and ``apply_laplacian`` is called once per monomial of
-P^min(k_max, 3), which gives that monomial's assembled column.  One call of
-the mean-value oracle then checks three kinds of pair (p, q), a preimage and
-its target, a monomial and its image, and a harmonic basis element and 0, as
-Delta p = q with Delta read off the group law: Delta p - q is in
+The measure half reads the Laplacian off one matrix, ``laplacian_matrix``
+at degree k_max.  Every target of P^(k_max - 2) is solved once through its
+factorization, and the image of each monomial m of P^min(k_max, 3) is its
+column there (``laplacian._column_images``), Delta x^m as in the matrix of
+m's own degree.  One call of the mean-value oracle then checks three kinds
+of pair (p, q), a preimage and its target, a monomial and its image, and a
+harmonic basis element and 0, as Delta p = q with Delta read off the group law: Delta p - q is in
 P^(k_max - 2), and S_(k_max - 2), where the oracle checks, determines such a
 polynomial (see ``verify._laplacian_checks``).
 A basis element that passes is harmonic on all of G, so on the radius-r ball
@@ -30,8 +29,8 @@ own exponents (``_certifiable``); otherwise, and when an element fails at S,
 ``harmonic_failure`` checks the basis on that ball, whose first failure
 names the record's witness, and if the ball shows none, the first failure
 at S does.  A basis that raised gives the error as the detail.  A failing
-record names its first failing target, monomial or element, and an error
-``apply_laplacian`` raises becomes the symmetric form's detail.
+record names its first failing target, monomial or element; an error the
+matrix raises is the detail of every Laplacian record.
 """
 
 from __future__ import annotations
@@ -59,12 +58,14 @@ from .groups import ball  # noqa: F401
 from .laplacian import (
     HarmonicBasisReport,
     Measure,
-    apply_laplacian,
+    _column_images,
     dim_hk_from_pk,
     harmonic_basis,
     laplacian_matrix,
     matrix_shape,
 )
+# unused here, but the benchmark's tracer wraps suite.apply_laplacian by name
+from .laplacian import apply_laplacian  # noqa: F401
 from .linalg import Inconsistent, IntVector
 from .polynomials import (
     Exponents,
@@ -81,6 +82,7 @@ from .verify import (
     _first_translation_mismatch,
     _laplacian_checks,
     _mean_value_checks,
+    _require_schema,
     check_left_right_batch,
 )
 # unused here, but the benchmark's tracer wraps suite.check_harmonic_batch and
@@ -270,49 +272,43 @@ def run_invariant_suite(
     def add(name: str, passed: bool, detail: str = "") -> None:
         records.append(SuiteRecord(name, passed, detail))
 
-    # Laplacian: dimension identity and surjectivity at every k, from the one
-    # factorization of degree k_max, which also serves the harmonic oracle's
-    # basis below.  A_k is the block of A_{k_max} on the columns below dim P^k,
-    # and A_{k_max}'s rows of degree > k - 2 are 0 there, so rank A_k is the
-    # number of pivots below dim P^k, and a target in P^{k-2} has a preimage
-    # in P^k exactly when its canonical solution in A_{k_max} stays below
-    # dim P^k; that solution is then A_k's.  Each target is solved once, in
-    # basis order, up to the first with no solution.
+    def unit(m: Exponents) -> Polynomial:
+        return Polynomial._trusted(schema, {m: 1}, 1)
+
+    # Laplacian: every record is read off the one matrix and factorization of
+    # degree k_max.  A_k is the block of A_{k_max} on the columns below
+    # dim P^k, and A_{k_max}'s rows of degree > k - 2 are 0 there, so rank A_k
+    # is the number of pivots below dim P^k, a target in P^{k-2} has a
+    # preimage in P^k exactly when its canonical solution in A_{k_max} stays
+    # below dim P^k, that solution is then A_k's, and column m is Delta x^m.
+    # Each target is solved once, in basis order, up to the first with no
+    # solution.  An error fails every Laplacian record with its text.
     dims = dim_pk_table(schema, k_max)
     codomain = pk_basis(schema, k_max - 2)
+    monos = pk_basis(schema, min(k_max, 3))
+    units = [unit(m) for m in monos]
     sols: list[IntVector | Inconsistent] = []
     try:
-        factorization = laplacian_matrix(schema, measure, k_max).factorization()
+        matrix = laplacian_matrix(schema, measure, k_max)
+        images = _column_images(measure, matrix, k_max, units)
+        factorization = matrix.factorization()
     except NilharmonicError as exc:
-        factorization = None
+        factorization, images, matrix_error = None, [], str(exc)
         for k in range(k_max + 1):
-            add(f"laplacian.matrix[k={k}]", False, str(exc))
+            add(f"laplacian.matrix[k={k}]", False, matrix_error)
     else:
         for i in range(len(codomain)):
             sols.append(sol := factorization.solve((1, {i: 1})))
             if isinstance(sol, Inconsistent):
                 break
 
-    def unit(m: Exponents) -> Polynomial:
-        return Polynomial._trusted(schema, {m: 1}, 1)
-
     # one oracle call checks each preimage against its target, then each
-    # monomial of P^min(k_max, 3) against its image, a column of the assembly
-    # and so in P^(deg - 2); an image that raises fails the symmetric form at once
+    # monomial of P^min(k_max, 3) against its column
     domain = pk_basis(schema, k_max)
     pairs = [(Polynomial._trusted(schema, {domain[t]: n for t, n in sol[1].items()}, sol[0]),
               unit(m)) for m, sol in zip(codomain, sols) if not isinstance(sol, Inconsistent)]
     n_preimages = len(pairs)
-    monos = pk_basis(schema, min(k_max, 3))
-    form_details = []
-    for m in monos:
-        p = unit(m)
-        try:
-            image, detail = apply_laplacian(measure, p), ""
-        except NilharmonicError as exc:
-            image, detail = Polynomial(schema), f"monomial {m}: {exc}"
-        pairs.append((p, image))
-        form_details.append(detail)
+    pairs += zip(units, images)
     # and each harmonic basis element h in P^(k_max) as (h, 0), which
     # certifies the basis on all of G when every one passes
     report: HarmonicBasisReport | NilharmonicError
@@ -362,9 +358,8 @@ def run_invariant_suite(
             else f"element {bad[0]}: {bad[1].witness} lhs={bad[1].lhs} rhs={bad[1].rhs}",
         )
 
-    bad_detail = next((detail or f"monomial {m}"
-                       for m, detail, check in zip(monos, form_details, checks[n_preimages:])
-                       if detail or not check.passed), "")
+    bad_detail = matrix_error if factorization is None else next(
+        (f"monomial {m}" for m, check in zip(monos, checks[n_preimages:]) if not check.passed), "")
     add("laplacian.symmetric_form", not bad_detail, bad_detail)
     return records
 
@@ -389,6 +384,7 @@ def harmonic_failure(
     non-zero off the ball.  The suite and ``harmonic --verify`` both ask
     this, with the ball their size refusal searched.
     """
+    _require_schema(measure.schema, basis)
     if certificate is None and _certifiable(k, basis):
         zero = Polynomial(measure.schema)
         certificate = _laplacian_checks(measure, k, [(h, zero) for h in basis])

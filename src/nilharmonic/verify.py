@@ -39,7 +39,7 @@ from .groups import (
 )
 # unused here, but the benchmark's tracer wraps verify.ball and verify.mul_coords by name
 from .groups import ball, mul_coords  # noqa: F401
-from .polynomials import Exponents, Polynomial, pk_basis
+from .polynomials import Exponents, Polynomial, _require_polynomial, pk_basis
 
 if TYPE_CHECKING:  # the Laplacian module imports this one
     from .laplacian import Measure
@@ -55,9 +55,7 @@ def _require_schema(schema: GroupSchema, polys: Iterable[Polynomial]) -> None:
     """Refuse anything but polynomials of ``schema``: another schema's
     polynomial would be evaluated on points of the wrong length."""
     for p in polys:
-        if not isinstance(p, Polynomial):
-            raise ValidationError(f"expected a polynomial, got {p!r}")
-        if p.schema is not schema and p.schema != schema:
+        if _require_polynomial(p).schema is not schema and p.schema != schema:
             raise ValidationError(
                 f"a polynomial on {p.schema.name()} cannot be checked on {schema.name()}"
             )
@@ -322,22 +320,22 @@ def _laplacian_checks(
     ``pairs``, checked in one call of the mean-value oracle; exact where p
     is in P^K and q in P^(K-2), K = ``k_max``.
 
-    Two callers pass such pairs.  The suite passes a preimage and its
-    target monomial, a monomial of P^min(K, 3) and its image, which is the
-    monomial's column in the moment assembly of its own degree, and a
-    harmonic basis element h in P^K and 0; ``solve_preimage`` passes
-    each pivot column of the degree-K matrix as a monomial x^e and its
-    column.  The measure is symmetric, so Delta lowers weighted degree by
-    2: translation keeps it, and the terms of p(x s) that lose exactly 1
-    are linear in the weight-1 coordinates of s, whose mu-average is 0.  So
-    Delta p - q is in P^(K-2).  The oracle checks it at S_j, j = max(K - 2, 0), the exponent
-    vectors of ``pk_basis(j)`` passed as its centres.  S_j is downward
-    closed, so in the binomial basis prod_t C(x_t, a_t) the values of P^j on
-    S_j form a unitriangular matrix: a polynomial of P^j that vanishes there
-    is 0, and each check that passes is an identity on all of G, while each
-    that fails names a point of G where it does not hold.  A passing (h, 0)
-    thus gives Delta h = 0 everywhere, and so the mean-value identity at
-    every point of any ball.
+    Two callers pass such pairs off one degree-K matrix.  The suite passes
+    a preimage and its target monomial, a monomial of P^min(K, 3) and its
+    image, the monomial's column in that matrix, and a harmonic basis
+    element h in P^K and 0; ``solve_preimage`` passes each pivot column of
+    the matrix as a monomial x^e and its column.  The measure is symmetric,
+    so Delta lowers weighted degree by 2: translation keeps it, and the
+    terms of p(x s) that lose exactly 1 are linear in the weight-1
+    coordinates of s, whose mu-average is 0.  So Delta p - q is in P^(K-2).
+    The oracle checks it at S_j, j = max(K - 2, 0), the exponent vectors of
+    ``pk_basis(j)`` passed as its centres.  S_j is downward closed, so in the
+    binomial basis prod_t C(x_t, a_t) the values of P^j on S_j form a
+    unitriangular matrix: a polynomial of P^j that vanishes there is 0, and
+    each check that passes is an identity on all of G, while each that fails
+    names a point of G where it does not hold.  A passing (h, 0) thus gives
+    Delta h = 0 everywhere, and so the mean-value identity at every point of
+    any ball.
     """
     centres = pk_basis(measure.schema, max(k_max - 2, 0))
     return _mean_value_checks(measure, [p for p, _ in pairs], centres, [q for _, q in pairs])

@@ -89,8 +89,12 @@ the sum of its right translates, as the suite checks it against the group
 law; each monomial of P^min(k, 3) is checked with ``lib_apply_laplacian``
 against ``symmetric_form``, the half-sum of second differences over the
 pairs {s, s^-1}, which the library's record has replaced with the
-mean-value oracle.  So a test that rebinds ``lib_apply_laplacian`` to a
-faulty Laplacian reaches the symmetric form alone, as in the suite.
+mean-value oracle.  ``lib_apply_laplacian`` reads the monomial's column off
+a fresh matrix of the monomial's own degree, where the suite reads it off
+its one degree-k_max matrix, so equal records cross-check that a column is
+the same in both.  A test that rebinds ``lib_apply_laplacian`` and the
+suite's column reader, ``_column_images``, to the same faulty Laplacian
+reaches the symmetric form alone in both.
 
 ``parse_polynomial`` is the polynomial text parser as it ran before it kept
 integer numerators and denominators: a token list, then ``Fraction``

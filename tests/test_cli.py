@@ -432,10 +432,11 @@ def test_verify_fails_if_any_measure_fails(configs, capsys, monkeypatch):
     # the second measure's Laplacian is broken: its block fails, the first
     # measure's does not, and the run exits 2
     broken = generator_walk(heisenberg(1))
-    apply_laplacian = suite.apply_laplacian
+    column_images = suite._column_images
     monkeypatch.setattr(
-        suite, "apply_laplacian",
-        lambda measure, p: p if measure is broken else apply_laplacian(measure, p),
+        suite, "_column_images",
+        lambda measure, matrix, k, polys:
+            list(polys) if measure is broken else column_images(measure, matrix, k, polys),
     )
     loaded = iter([generator_walk(heisenberg(1)), broken])
     monkeypatch.setattr(cli, "_load_measure", lambda schema, path: next(loaded))
@@ -444,7 +445,7 @@ def test_verify_fails_if_any_measure_fails(configs, capsys, monkeypatch):
     assert code == 2
     results = [line for line in out.splitlines() if line.startswith("result:")]
     # the symmetric form fails on the second measure; the preimages answer
-    # to the group law, so surjectivity does not see apply_laplacian
+    # to the group law, so surjectivity does not see the column reader
     assert results == ["result: 18/18 checks passed", "result: 17/18 checks passed"]
 
 

@@ -20,10 +20,12 @@ no record and no command, under every fault and at radii 0 to 3, but to
 fail a basis that is not harmonic off the ball.  A row pins,
 per case, the failing records with their details and the failing commands
 with their exit codes and messages.  The Laplacian has one path, the
-moment assembly: ``laplacian_matrix`` keeps its matrices and
-``apply_laplacian`` sums its columns, so a fault there can reach the
-preimages, the kernel, the symmetric form and both commands, and an error
-it raises is the detail of every Laplacian record.  Every row fails some
+moment assembly, and the suite builds one matrix per run, of degree k:
+the preimages, the kernel and the symmetric form, whose images are the
+columns of its monomials in that matrix, are all read off it.  So a fault
+in the assembly can reach each of them and both commands, a fault in the
+degree-4 matrix alone reaches the symmetric form too, and an error the
+assembly raises is the detail of every Laplacian record.  Every row fails some
 record or command; a row that failed nothing would pin nothing, since
 neither the suite nor the commands could see that fault.
 """
@@ -76,7 +78,7 @@ U3_SHIFTED = Measure(U3, [
     for c, w in [((1, 0, 0), 2), ((-1, 0, 0), 2), ((0, 1, 0), 1),
                  ((0, -1, 0), 1), ((1, 1, 1), 1), ((-1, -1, 0), 1)]
 ])
-ONE, XY, X3Y = (0, 0, 0), (1, 1, 0), (3, 1, 0)
+ONE, X2, XY, X3Y = (0, 0, 0), (2, 0, 0), (1, 1, 0), (3, 1, 0)
 # the row of x*y in the Laplacian's matrix, whose rows are P^(k-2) in graded
 # order; a_12*a_23 has the same row on unitriangular(3)
 XY_ROW = pk_basis(H3, 2).index(XY)
@@ -144,6 +146,24 @@ def degree4_image_constant(m):
             if sum(map(mul, e, schema.weights)) == 4:
                 first[j] = first.get(j, 0) + den
         first = {j: c for j, c in first.items() if c}
+        return linalg.RationalMatrix._trusted(matrix.rows, matrix.cols, [first, *rest], den)
+
+    m.setattr(laplacian, "_assemble", faulty)
+
+
+def x2_column_constant(m):
+    """The assembly adds 1 to the constant term of the column of x^2
+    (a_12^2), Delta x^2 times the scale, in every matrix of degree 4 or more;
+    the matrices of degree 2 and 3 keep it right."""
+    real = laplacian._assemble
+
+    def faulty(schema, measure, k):
+        matrix = real(schema, measure, k)
+        if k < 4:
+            return matrix
+        (first, *rest), den = matrix._int_rows()
+        j = pk_basis(schema, k).index(X2)
+        first = {**first, j: first.get(j, 0) + den}
         return linalg.RationalMatrix._trusted(matrix.rows, matrix.cols, [first, *rest], den)
 
     m.setattr(laplacian, "_assemble", faulty)
@@ -436,7 +456,7 @@ ROWS = {
         case: {
             **{f"laplacian.matrix[k={k}]": first_moment(weight) for k in range(5)},
             "laplacian.harmonic_oracle": first_moment(weight),
-            "laplacian.symmetric_form": f"monomial (0, 0, 0): {first_moment(weight)}",
+            "laplacian.symmetric_form": first_moment(weight),
             "harmonic --verify": f"exit 3: internal inconsistency: {first_moment(weight)}",
             "preimage": f"exit 3: internal inconsistency: {first_moment(weight)}",
         } for case, weight in (("heisenberg(1)", "-1/4"), ("unitriangular(3)", "-1/8"))
@@ -464,6 +484,27 @@ ROWS = {
             "laplacian.harmonic_oracle[k=4,r=1]": "element 10: (-1, -1, 0) lhs=-3/4 rhs=-1",
             "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 11, "
                                  "point (-1, -1, 0), lhs -3/4, rhs -1",
+            **BAD_PREIMAGE,
+        },
+    }),
+    # the column of x^2 is wrong in the degree-4 matrix alone, which the
+    # suite reads the symmetric form's columns off: the symmetric form, the
+    # preimage of 1, which is x^2 times a constant, and the kernel fail the
+    # group law, and so does preimage's certificate on unitriangular(3)
+    "x2_column_constant": (x2_column_constant, WALK, {
+        "heisenberg(1)": {
+            **SURJECTIVITY,
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 4: (-1, 0, 0) lhs=1 rhs=2",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 5, "
+                                 "point (-1, 0, 0), lhs 1, rhs 2",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
+        },
+        "unitriangular(3)": {
+            **SURJECTIVITY,
+            "laplacian.harmonic_oracle[k=4,r=1]": "element 3: (-1, -1, 0) lhs=3/2 rhs=2",
+            "harmonic --verify": "exit 2: verify (radius 1): FAIL at basis element 4, "
+                                 "point (-1, -1, 0), lhs 3/2, rhs 2",
+            "laplacian.symmetric_form": "monomial (2, 0, 0)",
             **BAD_PREIMAGE,
         },
     }),

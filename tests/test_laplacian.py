@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb, gcd
@@ -258,6 +259,18 @@ def test_apply_laplacian_refuses_the_degrees_that_matrix_shape_refuses(schema, k
 def test_apply_laplacian_refuses_a_polynomial_of_another_schema():
     with pytest.raises(ValidationError, match="schema and measure do not match"):
         apply_laplacian(MU_H3, Polynomial.coordinate(Z2, 1))
+
+
+@pytest.mark.parametrize("bad", [1.0, None, "x"], ids=repr)
+def test_apply_laplacian_refuses_what_is_not_a_polynomial(bad):
+    with pytest.raises(ValidationError, match=re.escape(f"expected a polynomial, got {bad!r}")):
+        apply_laplacian(MU_H3, bad)
+
+
+@pytest.mark.parametrize("bad", [None, 1, "x*y"], ids=repr)
+def test_solve_preimage_refuses_what_is_not_a_polynomial(bad):
+    with pytest.raises(ValidationError, match=re.escape(f"expected a polynomial, got {bad!r}")):
+        solve_preimage(H3, MU_H3, bad)
 
 
 def test_apply_laplacian_refuses_a_huge_degree_at_once():

@@ -2,6 +2,7 @@
 and cold memos, and the group records memoized per group."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -227,10 +228,11 @@ def test_a_renamed_schema_gets_its_own_group_records():
 
 
 def test_the_measure_half_is_never_memoized(monkeypatch):
-    # a Laplacian that returns its argument, after the group records are warm;
-    # the preimages answer to the group law, so only the symmetric form sees it
+    # a column reader that returns its polynomials, after the group records
+    # are warm; the preimages answer to the group law, so only the symmetric
+    # form sees it
     records(H3, 4, 3)
-    monkeypatch.setattr(suite, "apply_laplacian", lambda measure, p: p)
+    monkeypatch.setattr(suite, "_column_images", lambda measure, matrix, k, polys: list(polys))
     failed = {name for name, passed, _ in records(H3, 4, 3) if not passed}
     assert failed == {"laplacian.symmetric_form"}
 
@@ -352,24 +354,59 @@ def test_warm_and_cold_memos_give_identical_records():
 def per_target_records(monkeypatch, schema, mu, k_max, radius):
     """The suite's group records, then the measure half of the per-degree
     reference: each preimage checked alone against the reference Laplacian,
-    each monomial of P^min(k_max, 3) by one ``apply_laplacian`` call."""
+    each monomial of P^min(k_max, 3) by one ``apply_laplacian`` call, its
+    column in a fresh matrix of its own degree."""
     return records_of(_group_records(schema, min(k_max, 4))) + dense.laplacian_records(
         schema, mu, k_max, radius)
 
 
 def counting_laplacian(monkeypatch, fault=None):
-    """Rebind the suite's and the reference loops' ``apply_laplacian`` to a
-    counted one, ``fault(p, image)`` applied to each image if given."""
-    real, calls = laplacian.apply_laplacian, []
+    """Rebind the suite's column reader, ``_column_images``, and the reference
+    loops' ``apply_laplacian`` to the library's, each image passed through
+    ``fault(p, image)`` if given, and count the suite's reads, assemblies and
+    ``apply_laplacian`` calls.
 
-    def counted(measure, p):
-        calls.append(p)
-        image = real(measure, p)
+    Returns a runner of the suite, which runs it on a cold matrix memo and
+    then on a warm one, asserts of each run that the reader saw the
+    monomials of P^min(k_max, 3) in one call, that ``laplacian._assemble``
+    ran once cold and not at all warm, and that the suite called no
+    ``apply_laplacian``, and gives the records, the same in both runs."""
+    real_images, real_apply, real_assemble = (
+        laplacian._column_images, laplacian.apply_laplacian, laplacian._assemble)
+    reads, assembled, applied = [], [], []
+
+    def faulted(p, image):
         return image if fault is None else fault(p, image)
 
-    monkeypatch.setattr(suite, "apply_laplacian", counted)
-    monkeypatch.setattr(dense, "lib_apply_laplacian", counted)
-    return calls
+    def counted(measure, matrix, k, polys):
+        reads.append(list(polys))
+        return list(map(faulted, polys, real_images(measure, matrix, k, polys)))
+
+    def assemble(schema, measure, k):
+        assembled.append(k)
+        return real_assemble(schema, measure, k)
+
+    monkeypatch.setattr(suite, "_column_images", counted)
+    monkeypatch.setattr(laplacian, "_assemble", assemble)
+    monkeypatch.setattr(suite, "apply_laplacian", lambda measure, p: applied.append(p))
+    monkeypatch.setattr(dense, "lib_apply_laplacian",
+                        lambda measure, p: faulted(p, real_apply(measure, p)))
+
+    def run(schema, mu, k_max, radius):
+        runs = []
+        for cold in (True, False):
+            if cold:
+                laplacian_matrix.cache_clear()
+            reads.clear()
+            assembled.clear()
+            runs.append(records_of(run_invariant_suite(schema, mu, k_max, radius)))
+            assert reads == [[Polynomial(schema, {m: 1}) for m in pk_basis(schema, min(k_max, 3))]]
+            assert assembled == ([k_max] if cold else [])
+            assert applied == []
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    return run
 
 
 def oracle_calls_with_a_right_side(monkeypatch):
@@ -403,17 +440,16 @@ def oracle_calls_with_a_right_side(monkeypatch):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_packed_laplacian_records_equal_the_per_target_loops(monkeypatch, schema, k_top, seed):
     # measures with an extra pair and an identity atom; one oracle call per
-    # run checks the preimages and the symmetric form, and apply_laplacian
-    # sees only the monomials of P^min(k_max, 3), never a preimage
+    # run, cold and warm, checks the preimages and the symmetric form, whose
+    # columns are read off the run's one matrix, of degree k_max; the
+    # reference reads each monomial's column off a matrix of its own degree
     mu = seeded_measure(schema, seed)
-    calls = counting_laplacian(monkeypatch)
+    run = counting_laplacian(monkeypatch)
     oracle_calls = oracle_calls_with_a_right_side(monkeypatch)
     for k_max in range(k_top + 1):
-        calls.clear()
         oracle_calls.clear()
-        got = records_of(run_invariant_suite(schema, mu, k_max, 1))
-        assert len(oracle_calls) == 1
-        assert calls == [Polynomial(schema, {m: 1}) for m in pk_basis(schema, min(k_max, 3))]
+        got = run(schema, mu, k_max, 1)
+        assert len(oracle_calls) == 2
         assert got == per_target_records(monkeypatch, schema, mu, k_max, 1)
         assert all(passed for _, passed, _ in got)
 
@@ -435,22 +471,31 @@ def test_the_oracle_call_checks_at_the_exponents_of_degree_k_minus_2(monkeypatch
         assert centres == [list(pk_basis(H3, max(k_max - 2, 0)))]
 
 
-def test_an_error_raised_on_a_monomial_fails_the_symmetric_form_alone(monkeypatch):
-    # apply_laplacian refuses degree 2 and above: the symmetric form names
-    # the first such monomial with the error, and the preimages, which
-    # answer to the group law, pass at every k
-    real = laplacian.apply_laplacian
+def test_a_matrix_error_fails_every_laplacian_record_with_its_text(monkeypatch):
+    # the symmetric form reads its columns off the run's one matrix, so an
+    # error raised while assembling it is that record's detail too, as it is
+    # of every other Laplacian record; the group records pass
+    def broken(schema, measure, k):
+        raise InternalInconsistency("no assembly here")
 
-    def failing(measure, p):
-        if p.degree is not None and p.degree >= 2:
-            raise InternalInconsistency(f"refused degree {p.degree}")
-        return real(measure, p)
-
-    monkeypatch.setattr(suite, "apply_laplacian", failing)
+    laplacian_matrix.cache_clear()
+    monkeypatch.setattr(laplacian, "_assemble", broken)
     got = records_of(run_invariant_suite(H3, seeded_measure(H3, 4), 5, 2))
     assert [r for r in got if not r[1]] == [
-        ("laplacian.symmetric_form", False, "monomial (2, 0, 0): refused degree 2"),
+        *[(f"laplacian.matrix[k={k}]", False, "no assembly here") for k in range(6)],
+        ("laplacian.harmonic_oracle", False, "no assembly here"),
+        ("laplacian.symmetric_form", False, "no assembly here"),
     ]
+    assert all(name.startswith(("group.", "poly.")) for name, passed, _ in got if passed)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Polynomial.coordinate(lattice(2), 1), "a polynomial on lattice(2) cannot be checked on heisenberg(1)"),
+    ("x", "expected a polynomial, got 'x'"),
+], ids=["another_schema", "text"])
+def test_harmonic_failure_refuses_what_is_not_a_polynomial_of_its_group(bad, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        suite.harmonic_failure(generator_walk(H3), 2, [bad], [(0, 0, 0)])
 
 
 def solve_off_by_one(monkeypatch, i, t):
@@ -504,8 +549,7 @@ def test_a_fault_in_the_symmetric_form_batch_names_the_first_monomial(monkeypatc
         hit = sum(c for e, c in p.terms.items() if e in after)
         return image + Polynomial(unitriangular(3), {(0, 0, 0): hit}) if hit else image
 
-    counting_laplacian(monkeypatch, shifted)
-    got = records_of(run_invariant_suite(unitriangular(3), mu, 3, 1))
+    got = counting_laplacian(monkeypatch, shifted)(unitriangular(3), mu, 3, 1)
     assert got == per_target_records(monkeypatch, unitriangular(3), mu, 3, 1)
     assert got[-1] == ("laplacian.symmetric_form", False, f"monomial {x2}")
 
@@ -523,8 +567,7 @@ def test_a_fault_that_vanishes_on_the_ball_fails_the_record_at_radius_0(monkeypa
         return image + x * c if c else image
 
     with monkeypatch.context() as m:
-        counting_laplacian(m, plus_x)
-        got = records_of(run_invariant_suite(H3, generator_walk(H3), 3, 0))
+        got = counting_laplacian(m, plus_x)(H3, generator_walk(H3), 3, 0)
     assert [r for r in got if not r[1]] == [
         ("laplacian.symmetric_form", False, f"monomial {x3}"),
     ]
