@@ -13,7 +13,7 @@ import sys
 from typing import Any
 
 from .errors import InternalInconsistency, NilharmonicError, ValidationError
-from .groups import GroupSchema, ball_levels
+from .groups import GroupSchema, _require_ball_size
 from .laplacian import Measure, dim_hk_from_pk, harmonic_basis, solve_preimage
 from .polynomials import Polynomial, dim_pk_table
 from .serialize import (
@@ -115,8 +115,8 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
     schema = _load_group(args.group)
     measure = _load_measure(schema, args.measure)
     if args.verify:
-        # the oracle's ball is searched, or refused, before the basis is computed
-        levels = ball_levels(schema, measure.support(), args.radius)
+        # the oracle's ball is refused before the basis is computed
+        _require_ball_size(schema, measure.support(), args.radius)
     report = harmonic_basis(schema, measure, args.k)
     # one rendering pass per polynomial gives both its line and its JSON object
     basis = [polynomial_to_obj(p) for p in report.basis]
@@ -133,8 +133,7 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
     if args.verify:
         # certified at S_(k-2) where it can be, or checked on the ball, whose
         # first failure names the witness (see suite.harmonic_failure)
-        centres = [c for level in levels for c in level]
-        bad = harmonic_failure(measure, args.k, report.basis, centres)
+        bad = harmonic_failure(measure, args.k, report.basis, args.radius)
         if bad is not None:
             i, c = bad
             lines.append(

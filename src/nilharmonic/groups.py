@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -381,7 +381,8 @@ def _check_symmetric(schema: GroupSchema, support: Sequence[GroupElement]) -> li
 
 # The most points a Cayley ball may hold.  The balls of the tests, the
 # examples and the benchmark hold at most 1,793 (heisenberg(1) at radius 8);
-# heisenberg(1) passes the cap at radius 15, lattice(36) at radius 3.
+# heisenberg(1) passes the cap at radius 15, lattice(36) at radius 3.  The
+# oracles' balls are counted before they are searched (``_require_ball_size``).
 MAX_BALL_POINTS = 20_000
 
 
@@ -394,9 +395,10 @@ def ball_levels(
     Points are counted as they are found, and a ball of more than
     ``MAX_BALL_POINTS`` points raises ``ValidationError`` at once, so the
     radius cannot ask for unbounded time or memory.  This is the one
-    breadth-first ball search: ``ball`` and the oracles' balls come from
-    it.  Measured with tracemalloc on Python 3.11, ``ball`` peaks at 2.6 MB
-    for the 16,381 points of heisenberg(1) at radius 14, the largest radius
+    breadth-first ball search: ``ball`` and the oracles' balls come from it,
+    and the oracles' size refusal runs it only where a count cannot decide.
+    Measured with tracemalloc on Python 3.11, ``ball`` peaks at 2.6 MB for
+    the 16,381 points of heisenberg(1) at radius 14, the largest radius
     under the cap, and ``verify.check_harmonic_batch`` on that ball,
     checking the generator walk's harmonic basis of degree 4, at 10.3 MB.
     """
@@ -418,6 +420,19 @@ def ball_levels(
                 )
         levels.append(sorted(list(points)[found:]))
     return levels
+
+
+def _require_ball_size(schema: GroupSchema, support: Sequence[GroupElement], radius: int) -> None:
+    """Refuse what ``ball_levels`` refuses, with its messages.  Level i holds
+    at most |S|^i points, S the distinct support points, and the ball is
+    searched only if their running sum, taken up to its first term past
+    ``MAX_BALL_POINTS`` (O(log cap) terms for |S| >= 2), passes the cap."""
+    if _require_int(radius, "radius") < 0:
+        raise ValidationError("radius must be non-negative")
+    size = len(_check_symmetric(schema, support))
+    counts = accumulate(size**i for i in range(min(radius, MAX_BALL_POINTS) + 1))
+    if any(count > MAX_BALL_POINTS for count in counts):
+        ball_levels(schema, support, radius)
 
 
 def ball(schema: GroupSchema, support: Sequence[GroupElement], radius: int) -> list[GroupElement]:

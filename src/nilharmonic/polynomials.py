@@ -400,7 +400,7 @@ def render_terms(p: Polynomial) -> tuple[list[tuple[Exponents, str]], str]:
     A sort on the render memo's keys gives graded order, and a stable sort by
     descending degree the text's.  n / den is written reduced by gcd(n, den).
     """
-    schema = p.schema
+    schema = _require_polynomial(p).schema
     memo = _RENDERED.get(schema)
     den = p.den
     rows = []
@@ -601,7 +601,7 @@ def _combine(p: Polynomial, images: Iterable[IntTerms], scale: int = 1) -> Polyn
 
 def _translate(p: Polynomial, u: GroupElement, side: str) -> Polynomial:
     # before the forms cache, which takes (1.0, 0) for the (1, 0) it holds
-    _require_conforming(p.schema, u)
+    _require_conforming(_require_polynomial(p).schema, u)
     return _combine(p, _images(_translation_forms(p.schema, u, side), p.ints))
 
 
@@ -631,7 +631,7 @@ def restrict_to_sublattice(p: Polynomial, matrix: Sequence[Sequence[int]]) -> Po
     non-singular, so that M Z^d has finite index and the induced map on
     degree-<= k polynomials is a linear bijection.
     """
-    schema = p.schema
+    schema = _require_polynomial(p).schema
     if schema.step != 1:
         raise ValidationError("sublattice restriction needs an abelian (step 1) schema")
     d = schema.n_coords

@@ -23,14 +23,15 @@ harmonic basis element and 0, as Delta p = q with Delta read off the group law: 
 P^(k_max - 2), and S_(k_max - 2), where the oracle checks, determines such a
 polynomial (see ``verify._laplacian_checks``).
 A basis element that passes is harmonic on all of G, so on the radius-r ball
-too, and the harmonic record passes with no check on the ball.  The basis
-joins the call when every element is in P^(k_max), its degree read off its
-own exponents (``_certifiable``); otherwise, and when an element fails at S,
-``harmonic_failure`` checks the basis on that ball, whose first failure
-names the record's witness, and if the ball shows none, the first failure
-at S does.  A basis that raised gives the error as the detail.  A failing
-record names its first failing target, monomial or element; an error the
-matrix raises is the detail of every Laplacian record.
+too, and the record passes with the ball, which the size refusal counts
+(``_require_ball_size``), never searched.  The basis joins the call when
+every element is in P^(k_max), its degree read off its own exponents
+(``_certifiable``); otherwise, and when an element fails at S,
+``harmonic_failure`` searches the ball, whose first failure names the
+record's witness, and if it shows none, the first failure at S does.  A
+basis that raised gives the error as the detail.  A failing record names
+its first failing target, monomial or element; an error the matrix raises
+is the detail of every Laplacian record.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .groups import (
     Coords,
     GroupElement,
     GroupSchema,
+    _require_ball_size,
     _require_int,
     ball_levels,
     basis_element,
@@ -264,9 +266,9 @@ def run_invariant_suite(
         if _require_int(value, what) < 0:
             raise ValidationError(f"{what} must be non-negative, got {value}")
     # the largest Laplacian and the harmonic oracle's ball are refused here,
-    # before any check has run; the oracle checks at the points of this search
+    # before any check has run
     matrix_shape(schema, k_max)
-    ball_points = list(itertools.chain(*ball_levels(schema, measure.support(), radius)))
+    _require_ball_size(schema, measure.support(), radius)
     records = list(_group_records(schema, min(k_max, 4)))
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -319,7 +321,7 @@ def run_invariant_suite(
     n_before = len(pairs)
     certifiable = not isinstance(report, NilharmonicError) and _certifiable(k_max, report.basis)
     if certifiable:
-        pairs += [(h, Polynomial(schema)) for h in report.basis]
+        pairs += zip(report.basis, itertools.repeat(Polynomial(schema)))
     checks = _laplacian_checks(measure, k_max, pairs)
 
     if factorization is not None:
@@ -348,7 +350,7 @@ def run_invariant_suite(
     if isinstance(report, NilharmonicError):
         add("laplacian.harmonic_oracle", False, str(report))
     else:
-        bad = harmonic_failure(measure, k_max, report.basis, ball_points,
+        bad = harmonic_failure(measure, k_max, report.basis, radius,
                                checks[n_before:] if certifiable else None)
         add(
             f"laplacian.harmonic_oracle[k={k_max},r={radius}]",
@@ -368,7 +370,7 @@ def harmonic_failure(
     measure: Measure,
     k: int,
     basis: Sequence[Polynomial],
-    ball_points: Sequence[Coords],
+    radius: int,
     certificate: Sequence[HarmonicCheck] | None = None,
 ) -> tuple[int, HarmonicCheck] | None:
     """The first element of ``basis`` that fails the mean-value identity,
@@ -378,11 +380,11 @@ def harmonic_failure(
     at S_(k-2) by ``_laplacian_checks``; ``certificate`` holds those checks
     where the caller has made them already, as the suite does in its one
     call.  If every one passes, Delta h = 0 on all of G and the ball is not
-    checked.  Otherwise the mean-value oracle runs at ``ball_points``, and
-    its first failure, a point of the ball, is the one returned; where the
-    ball shows none, the first failure at S is, since Delta h is then
-    non-zero off the ball.  The suite and ``harmonic --verify`` both ask
-    this, with the ball their size refusal searched.
+    searched.  Otherwise the oracle runs on the radius-``radius`` ball of
+    the support, and its first failure, a point of the ball, is returned;
+    where the ball shows none, the first failure at S is, since Delta h is
+    then non-zero off the ball.  The suite and ``harmonic --verify`` ask
+    this after ``groups._require_ball_size`` has admitted the radius.
     """
     _require_schema(measure.schema, basis)
     if certificate is None and _certifiable(k, basis):
@@ -392,7 +394,8 @@ def harmonic_failure(
         ((i, c) for i, c in enumerate(certificate) if not c.passed), None)
     if certificate is not None and at_s is None:
         return None
-    ball_checks = _mean_value_checks(measure, list(basis), ball_points)
+    levels = ball_levels(measure.schema, measure.support(), radius)
+    ball_checks = _mean_value_checks(measure, list(basis), itertools.chain(*levels))
     return next(((i, c) for i, c in enumerate(ball_checks) if not c.passed), at_s)
 
 

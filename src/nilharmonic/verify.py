@@ -84,9 +84,10 @@ def _prefix_levels(points: Sequence[tuple[int, ...]], n_coords: int) -> Levels:
     return levels
 
 
-def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int) -> list[int]:
-    """The digit width B of each polynomial, for sums of its values at the
-    points of ``levels``.
+def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int,
+                factors: Sequence[int] = ()) -> list[int]:
+    """The digit width B of each polynomial, times its entry of ``factors``
+    if given, for sums of its values at the points of ``levels``.
 
     With R_t the largest |y_t| over the points, read off level t, p's
     numerator at y is at most M = sum_e |n_e| prod_t R_t^e_t over its
@@ -97,14 +98,14 @@ def _digit_bits(polys: Sequence[Polynomial], levels: Levels, spread: int) -> lis
     radii = [max(map(abs, ys), default=0) for _, ys in levels]
     sizes: dict[Exponents, int] = {}
     bits = []
-    for p in polys:
+    for p, factor in zip(polys, factors or itertools.repeat(1)):
         bound = 0
         for e, c in p.ints.items():
             size = sizes.get(e)
             if size is None:
                 size = sizes[e] = prod(map(pow, radii, e))
             bound += abs(c) * size
-        bits.append((spread * bound).bit_length() + 1)
+        bits.append((spread * factor * bound).bit_length() + 1)
     return bits
 
 
@@ -122,14 +123,16 @@ def _chunks(bits: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         yield start, len(bits), width
 
 
-def _packed(polys: Sequence[Polynomial], width: int) -> dict[Exponents, int]:
-    """sum_j n_j,e 2^(width j) for each monomial e, n_j,e the numerators of polys[j]."""
+def _packed(polys: Sequence[Polynomial], width: int,
+            factors: Sequence[int] = ()) -> dict[Exponents, int]:
+    """sum_j k_j n_j,e 2^(width j) for each monomial e, n_j,e the numerators
+    of polys[j] and k_j its entry of ``factors``, or 1 if none is given."""
     coeffs: dict[Exponents, int] = {}
     get = coeffs.get
-    for j, p in enumerate(polys):
+    for j, (p, factor) in enumerate(zip(polys, factors or itertools.repeat(1))):
         shift = width * j
         for e, c in p.ints.items():
-            coeffs[e] = get(e, 0) + (c << shift)
+            coeffs[e] = get(e, 0) + (c * factor << shift)
     return coeffs
 
 
@@ -239,12 +242,6 @@ def check_harmonic_batch(
     return _mean_value_checks(measure, polys, itertools.chain(*levels))
 
 
-def _over_one(p: Polynomial, factor: int) -> Polynomial:
-    """factor * p.den * p, p's numerators times ``factor`` over 1, with no
-    gcd taken."""
-    return Polynomial._trusted(p.schema, {e: c * factor for e, c in p.ints.items()}, 1)
-
-
 def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], centres: Iterable[Coords],
                        rhs: Sequence[Polynomial] = ()) -> list[HarmonicCheck]:
     """f(g) = sum_s mu(s) f(gs) + h(g) at each point g of ``centres``, given
@@ -253,7 +250,8 @@ def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], centres: I
     nothing.  Per chunk, with F = d f and H = d h for d = f.den h.den, and w
     the lcm of the weights' denominators, w F(g) - sum_s w mu(s) F(gs) -
     w H(g) is below 2^(B - 1), B one more than the wider width
-    ``_digit_bits`` gives F or H.  A failing f's witness is the first
+    ``_digit_bits`` gives F or H, both bounded and packed from f and h with
+    the factors h.den and f.den.  A failing f's witness is the first
     centre, in coordinate order, with a non-zero digit for f, and its
     ``checked_points`` that centre's rank; a passing f's is the number of
     distinct centres.
@@ -276,22 +274,21 @@ def _mean_value_checks(measure: Measure, polys: Sequence[Polynomial], centres: I
     points = list(index)
 
     levels = _prefix_levels(points, measure.schema.n_coords)
-    fs, hs, dens = polys, [], [p.den for p in polys]
-    if rhs:  # F = d f and H = d h for d = f.den h.den, as integer terms over 1
-        dens = [p.den * h.den for p, h in zip(polys, rhs)]
-        fs = [_over_one(p, h.den) for p, h in zip(polys, rhs)]
-        hs = [_over_one(h, p.den) for p, h in zip(polys, rhs)]
-    bits = _digit_bits([*fs, *hs], levels, 2 * weight_scale)
-    if hs:  # one bit more than the wider of F's and H's holds their sum
+    # F = d f and H = d h for d = f.den h.den: f's numerators times h.den, h's times f.den
+    f_factors, h_factors = [h.den for h in rhs] or [1] * len(polys), [p.den for p in polys]
+    dens = list(map(mul, f_factors, h_factors))
+    bits = _digit_bits([*polys, *rhs], levels, 2 * weight_scale, f_factors + h_factors)
+    if rhs:  # one bit more than the wider of F's and H's holds their sum
         bits = [max(b, c) + 1 for b, c in zip(bits, bits[len(polys):])]
     order = None
     results = []
     for start, stop, width in _chunks(bits):
-        values = _peel(_packed(fs[start:stop], width), levels)
+        values = _peel(_packed(polys[start:stop], width, f_factors[start:stop]), levels)
         lhs = [weight_scale * v for v in values[:n]]
         total = [0] * n
-        if hs:
-            total = [weight_scale * v for v in _peel(_packed(hs[start:stop], width), levels)[:n]]
+        if rhs:
+            total = [weight_scale * v for v in
+                     _peel(_packed(rhs[start:stop], width, h_factors[start:stop]), levels)[:n]]
         for ids, w in zip(atom_ids, int_weights):
             total = list(map(add, total, map(w.__mul__, map(values.__getitem__, ids))))
         if lhs == total:

@@ -65,6 +65,13 @@ suite's scan of all triples, two law products per triple, and
 ``symmetric_form`` is its half-sum of second differences in ``Polynomial``
 arithmetic.
 
+``over_one`` and ``copied_mean_value_checks`` are the packed mean-value
+oracle with a right-hand side as it ran before ``_digit_bits`` and
+``_packed`` took each polynomial's integer factor: F = h.den f and
+H = f.den h were first copied into new polynomials over 1, then bounded and
+packed with the library's helpers; every width, chunk and digit is the one
+the library takes now.
+
 ``mean_value_checks`` is the mean-value oracle with a right-hand side h,
 f(x) = sum_s mu(s) f(x s) + h(x), checked at each centre in ``Fraction``
 arithmetic with ``Polynomial.evaluate`` and the group's ``mul``.  ``pairs``
@@ -128,7 +135,17 @@ from nilharmonic.polynomials import (
     _translation_forms,
     translate_right,
 )
-from nilharmonic.verify import DerivativeCheck, HarmonicCheck
+from nilharmonic.verify import (
+    DerivativeCheck,
+    HarmonicCheck,
+    _chunks,
+    _digit_bits,
+    _digits,
+    _first_digits,
+    _packed,
+    _peel,
+    _prefix_levels,
+)
 
 Grid = list[list[Fraction]]
 
@@ -685,6 +702,70 @@ def mean_value_checks(
                 result = HarmonicCheck(False, rank + 1, x, lhs, mean + h.evaluate(x))
                 break
         results.append(result)
+    return results
+
+
+def over_one(p: Polynomial, factor: int) -> Polynomial:
+    """factor * p.den * p, p's numerators times ``factor`` over 1, with no
+    gcd taken."""
+    return Polynomial._trusted(p.schema, {e: c * factor for e, c in p.ints.items()}, 1)
+
+
+def copied_mean_value_checks(
+    measure: Measure,
+    polys: Sequence[Polynomial],
+    centres: Iterable[tuple[int, ...]],
+    rhs: Sequence[Polynomial] = (),
+) -> list[HarmonicCheck]:
+    """``verify._mean_value_checks`` with F and H copied by ``over_one``
+    before they are bounded and packed."""
+    atoms = list(measure.atoms.items())
+    weight_scale = lcm(*(w.denominator for _, w in atoms))
+    int_weights = [w.numerator * (weight_scale // w.denominator) for _, w in atoms]
+    distinct = list(dict.fromkeys(centres))
+    index = {c: i for i, c in enumerate(distinct)}
+    n = len(distinct)
+    atom_ids = [
+        [index.setdefault(measure.schema.law_mul(c, s.coords), len(index)) for c in distinct]
+        if any(s.coords) else range(n)
+        for s, _ in atoms
+    ]
+    points = list(index)
+    levels = _prefix_levels(points, measure.schema.n_coords)
+    fs, hs, dens = polys, [], [p.den for p in polys]
+    if rhs:
+        dens = [p.den * h.den for p, h in zip(polys, rhs)]
+        fs = [over_one(p, h.den) for p, h in zip(polys, rhs)]
+        hs = [over_one(h, p.den) for p, h in zip(polys, rhs)]
+    bits = _digit_bits([*fs, *hs], levels, 2 * weight_scale)
+    if hs:
+        bits = [max(b, c) + 1 for b, c in zip(bits, bits[len(polys):])]
+    order = None
+    results = []
+    for start, stop, width in _chunks(bits):
+        values = _peel(_packed(fs[start:stop], width), levels)
+        lhs = [weight_scale * v for v in values[:n]]
+        total = [0] * n
+        if hs:
+            total = [weight_scale * v for v in _peel(_packed(hs[start:stop], width), levels)[:n]]
+        for ids, w in zip(atom_ids, int_weights):
+            total = list(map(add, total, map(w.__mul__, map(values.__getitem__, ids))))
+        if lhs == total:
+            results += [HarmonicCheck(True, n) for _ in range(start, stop)]
+            continue
+        if order is None:
+            order = sorted(range(n), key=points.__getitem__)
+        found = _first_digits(
+            (((rank, i), lhs[i] - total[i]) for rank, i in enumerate(order)), width, stop - start
+        )
+        for j, den in enumerate(dens[start:stop]):
+            if j not in found:
+                results.append(HarmonicCheck(True, n))
+                continue
+            (rank, i), r = found[j]
+            v = _digits(values[i], width, j + 1)[j]
+            exact = Fraction(v, den), Fraction(weight_scale * v - r, weight_scale * den)
+            results.append(HarmonicCheck(False, rank + 1, GroupElement(points[i]), *exact))
     return results
 
 

@@ -7,6 +7,7 @@ import math
 import pkgutil
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,9 +220,9 @@ def test_a_preimage_report_that_does_not_read_back_exits_3(configs, tmp_path, ca
 
 
 def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypatch):
-    # the up-front size refusal's search, made before the basis, is the one
-    # whose points the oracle checks at; the output is pinned as the run
-    # wrote it when it searched the ball twice
+    # the size refusal counts the radius-3 ball within the cap, and the basis
+    # is certified at S_(k-2), so the ball is never searched; the output is
+    # pinned as the run wrote it when it searched the ball twice
     searches = []
     real, real_basis = groups.ball_levels, cli.harmonic_basis
 
@@ -233,15 +234,17 @@ def test_harmonic_verify_searches_the_oracle_ball_once(configs, capsys, monkeypa
         searches.append("basis")
         return real_basis(*args)
 
-    for owner in (groups, cli, verify, suite):
-        monkeypatch.setattr(owner, "ball_levels", counting)
+    # every module of the package that holds the search, as it may import it
+    for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "nilharmonic"]:
+        if hasattr(module, "ball_levels"):
+            monkeypatch.setattr(module, "ball_levels", counting)
     monkeypatch.setattr(cli, "harmonic_basis", basis)
     code, out, err = run(capsys, [
         "harmonic", "--group", configs["h3"], "--measure", configs["mu_h3"],
         "--k", "4", "--verify", "--radius", "3",
     ])
     assert code == 0 and not err
-    assert searches == [3, "basis"]
+    assert searches == ["basis"]
     assert out.endswith("verify (radius 3): all 15 basis elements pass\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e5506367f40949628e5e4947c755905113c0607c9b517980675189fee1c00497"
@@ -631,6 +634,28 @@ def test_oracle_radius_above_a_lowered_ball_cap_exits_one(configs, capsys, monke
         "error: the radius-4 ball on heisenberg(1) has more than 100 points; "
         "choose a smaller radius\n"
     )
+
+
+@pytest.mark.parametrize("command", ["harmonic", "verify"])
+@pytest.mark.parametrize("radius, message", [
+    ("1000000000", "the radius-1000000000 ball on heisenberg(1) has more than 20000 points; "
+                   "choose a smaller radius"),
+    ("-1", None),
+])
+def test_oracle_radius_refusals_are_fast_and_keep_their_messages(
+        configs, capsys, command, radius, message):
+    # the count passes the cap within a few terms and the search it then runs
+    # stops within the level that passes the cap, so a huge radius is
+    # refused at once; a negative radius keeps each command's message
+    if message is None:
+        message = "radius must be non-negative" + (", got -1" if command == "verify" else "")
+    args = ["--k", "2", "--radius", radius] + (["--verify"] if command == "harmonic" else [])
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, [command, "--group", configs["h3"], "--measure", configs["mu_h3"], *args]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

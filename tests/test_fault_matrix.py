@@ -40,6 +40,7 @@ from types import SimpleNamespace
 import pytest
 
 import nilharmonic.cli as cli
+import nilharmonic.groups as groups
 import nilharmonic.laplacian as laplacian
 import nilharmonic.linalg as linalg
 import nilharmonic.polynomials as polynomials
@@ -752,6 +753,47 @@ def test_the_ball_is_checked_only_where_the_certificate_fails(
         assert command[0] == 2
     else:
         assert all(r.passed for r in records) and command[0] == 0
+
+
+@pytest.mark.parametrize("row, n_searches", [("no_fault", 0), ("kernel_plus_preimage", 1)])
+@pytest.mark.parametrize("measure", [WALK, U3_PAIRS], ids=["walk", "u3_pairs"])
+def test_the_ball_is_searched_only_where_the_certificate_fails(row, n_searches, measure, tmp_path):
+    # the size refusal counts the radius-1 ball within the cap, so a basis
+    # certified at S_2 is never searched for; one that fails there is
+    # searched for once, by the suite and by harmonic --verify, to name the
+    # witness, and the failing record and command are the row's pins
+    fault, pins = (no_fault, {}) if row == "no_fault" else (
+        kernel_plus_preimage, ROWS[row][2][measure.schema.name()])
+    common, _ = write_inputs(measure, tmp_path)
+    searches, real = [], groups.ball_levels
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    clear_memos()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            fault(m)
+            # the group half's memoized searches are made before the count
+            _group_records(measure.schema, 4)
+            for module in (groups, suite, verify, cli):
+                if hasattr(module, "ball_levels"):
+                    m.setattr(module, "ball_levels", counted)
+            records = run_invariant_suite(measure.schema, measure, 4, 1)
+            assert len(searches) == n_searches
+            searches.clear()
+            code, out, _ = run_main(harmonic_verify(common, 1))
+            assert len(searches) == n_searches
+    finally:
+        clear_memos()
+    oracle = next(r for r in records if r.name.startswith("laplacian.harmonic_oracle"))
+    assert oracle.passed == (fault is no_fault)
+    if fault is kernel_plus_preimage:
+        assert oracle.detail == pins[oracle.name]
+        assert f"exit {code}: {out.splitlines()[-1]}" == pins["harmonic --verify"]
+    else:
+        assert code == 0
 
 
 def test_a_failure_the_ball_cannot_see_still_fails(tmp_path):

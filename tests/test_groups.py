@@ -14,6 +14,7 @@ from nilharmonic.errors import ValidationError
 from nilharmonic.groups import (
     GroupElement,
     GroupSchema,
+    _require_ball_size,
     ball,
     ball_levels,
     basis_element,
@@ -563,3 +564,24 @@ def test_exact_generation_agrees_with_ball_search(schema):
             exact_rejected += 1
             assert not in_ball6(missing), coords
     assert ball_accepted and exact_rejected
+
+
+@pytest.mark.parametrize("support, radius", [
+    ("walk", -1), ("walk", 1.0), ("walk", True), ("walk", Fraction(1)), ("walk", "2"),
+    ("asymmetric", 1), ("other_schema", 1), ("walk", 10**9), ("walk", 10**100),
+], ids=str)
+def test_the_ball_size_refusal_refuses_as_the_search_does(support, radius):
+    # a bad radius or support gets the search's message from the count, and
+    # a radius past the cap is refused by the search the count runs, which
+    # stops within the level that passes the cap
+    gens = {
+        "walk": standard_generators(H3),
+        "asymmetric": [GroupElement((1, 0, 0))],
+        "other_schema": standard_generators(lattice(2)),
+    }[support]
+    messages = []
+    for check in (ball_levels, _require_ball_size):
+        with pytest.raises(ValidationError) as info:
+            check(H3, gens, radius)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

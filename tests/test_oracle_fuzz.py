@@ -32,6 +32,7 @@ from nilharmonic.suite import _associativity_witness
 from nilharmonic.verify import (
     CHUNK_BITS,
     HarmonicCheck,
+    _digit_bits,
     _digits,
     _first_digits,
     _iterated_difference_checks,
@@ -343,6 +344,55 @@ def test_mean_value_oracle_reads_its_centres_as_a_set(data):
     assert _mean_value_checks(mu, polys, centres[::-1], rhs) == got
     assert _mean_value_checks(mu, polys, data.draw(st.permutations(repeated)), rhs) == got
     assert all(c.checked_points <= len(set(centres)) for c in got)
+
+
+@SETTINGS
+@given(st.data())
+def test_oracle_packs_pairs_by_their_factors_as_it_packed_their_copies(data):
+    # the oracle bounds and packs F = h.den f and H = f.den h from f and h
+    # with their integer factors; its checks, witnesses and exact sides equal
+    # those of the copies over 1 it once packed, on pairs that pass (h the
+    # Laplacian, or 0 for a harmonic f as the suite's basis pairs share it)
+    # and pairs that fail (h off by a drawn polynomial, or drawn outright),
+    # with numerators past 2^100 and denominators that differ
+    schema = data.draw(st.sampled_from(SCHEMAS))
+    mu = data.draw(measures(schema))
+    polys = data.draw(st.one_of(st.lists(polynomials(schema, 3), max_size=5),
+                                mean_value_batches(schema, mu),
+                                st.lists(dense_polynomials(schema, 3), min_size=1, max_size=2)))
+    kind = data.draw(st.sampled_from(["none", "zero", "laplacian", "off", "drawn"]))
+    zero = Polynomial(schema)
+    if kind == "zero":
+        rhs = [zero] * len(polys)
+    elif kind in ("laplacian", "off"):
+        off = polynomials(schema, 2) if kind == "off" else st.just(zero)
+        rhs = [dense.apply_laplacian(mu, f) + data.draw(off) for f in polys]
+    elif kind == "drawn":
+        rhs = data.draw(st.lists(polynomials(schema, 2), min_size=len(polys),
+                                 max_size=len(polys)))
+    else:
+        rhs = []
+    if data.draw(st.booleans()):
+        centres = pk_basis(schema, data.draw(st.integers(0, 3)))
+    else:
+        coords = st.tuples(*[st.integers(-6, 6)] * schema.n_coords)
+        centres = data.draw(st.lists(coords, min_size=1, max_size=12))
+    got = _mean_value_checks(mu, polys, centres, rhs)
+    assert got == dense.copied_mean_value_checks(mu, polys, centres, rhs)
+
+    # the helpers with factors, against the same calls on the scaled copies;
+    # with none given, each factor is 1
+    factors = data.draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 2**80)),
+                                 min_size=len(polys), max_size=len(polys)))
+    scaled = [dense.over_one(p, k) for p, k in zip(polys, factors)]
+    levels = _prefix_levels(centres, schema.n_coords)
+    spread = data.draw(st.integers(1, 40))
+    width = data.draw(st.integers(1, 300))
+    assert _digit_bits(polys, levels, spread, factors) == _digit_bits(scaled, levels, spread)
+    assert _packed(polys, width, factors) == _packed(scaled, width)
+    ones = [1] * len(polys)
+    assert _digit_bits(polys, levels, spread) == _digit_bits(polys, levels, spread, ones)
+    assert _packed(polys, width) == _packed(polys, width, ones)
 
 
 def test_symmetric_form_of_a_square():

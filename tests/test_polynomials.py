@@ -895,3 +895,20 @@ def test_terms_text_equals_fraction_reference(schema):
                 p = Polynomial(schema, dict(ordered))
                 assert str(p) == dense.polynomial_str(p)
                 assert polynomial_to_obj(p) == dense.polynomial_to_obj(p)
+
+
+G = basis_element(heisenberg(1), 1)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda p: translate_left(p, G), 1.0),
+    (lambda p: translate_right(p, G), None),
+    (lambda p: left_derivative(p, G), "x"),
+    (lambda p: restrict_to_sublattice(p, [[2]]), 1.0),
+    (polynomials.render_terms, 1.0),
+    (polynomial_to_obj, 1.0),
+], ids=["translate_left", "translate_right", "left_derivative", "restrict_to_sublattice",
+        "render_terms", "polynomial_to_obj"])
+def test_polynomial_operations_refuse_what_is_not_a_polynomial(call, bad):
+    with pytest.raises(ValidationError, match=re.escape(f"expected a polynomial, got {bad!r}")):
+        call(bad)

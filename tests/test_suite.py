@@ -3,6 +3,7 @@ and cold memos, and the group records memoized per group."""
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,17 @@ def test_oracle_ball_above_a_lowered_cap_is_refused_before_any_check(monkeypatch
     monkeypatch.setattr(groups, "MAX_BALL_POINTS", 100)
     with pytest.raises(ValidationError, match="radius-4 ball on heisenberg.1. has more than 100"):
         run_invariant_suite(H3, generator_walk(H3), 4, 4)
+
+
+def test_a_huge_oracle_radius_is_refused_at_once(monkeypatch):
+    # the count passes the cap within a few terms, and the search it then
+    # runs stops within the level that passes the cap
+    no_checks(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=re.escape(
+            "the radius-1000000000 ball on heisenberg(1) has more than 20000 points")):
+        run_invariant_suite(H3, generator_walk(H3), 2, 10**9)
+    assert time.perf_counter() - start < 1
 
 
 def test_measure_of_another_schema_is_refused_before_any_check(monkeypatch):
@@ -495,7 +507,7 @@ def test_a_matrix_error_fails_every_laplacian_record_with_its_text(monkeypatch):
 ], ids=["another_schema", "text"])
 def test_harmonic_failure_refuses_what_is_not_a_polynomial_of_its_group(bad, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
-        suite.harmonic_failure(generator_walk(H3), 2, [bad], [(0, 0, 0)])
+        suite.harmonic_failure(generator_walk(H3), 2, [bad], 0)
 
 
 def solve_off_by_one(monkeypatch, i, t):
